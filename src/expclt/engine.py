@@ -5,7 +5,8 @@ in :mod:`expclt.dynamics`, and each batched routine mirrors a single-replicate
 reference implementation there.  The key structural property is that every
 replicate row is computed from its own keyed stream with row-local numpy
 operations only: its uniforms come from its own stream and map to support
-indices elementwise, and each step is a gather plus a per-row matvec.  So
+indices elementwise, and each step is a gather plus a per-row matvec (at
+d=1, a gather plus a scalar multiply, see :func:`_scalar_sweep`).  So
 results are bitwise identical for any batch size, chunking, or worker count.
 Index rows are stored step-major, so each step of a sweep reads one
 contiguous column.
@@ -39,6 +40,10 @@ _CHUNK_TARGET = 2_097_152
 
 # Uniforms per scratch block when drawing index rows (512 KiB of float64).
 _FILL_BLOCK = 65_536
+
+# Steps whose factors the d=1 sweep gathers at once: a (65, B) float64 block,
+# 260 KiB at the criterion-1 chunk width B = 512.
+_SCALAR_BLOCK = 64
 
 
 def batch_size(family: str, n: int, dim: int) -> int:
@@ -90,12 +95,48 @@ def _s_tables(kern, x, want_s: bool, want_s_prime: bool):
     return ws, zs
 
 
+def _scalar_sweep(kern, x, rows, want_s: bool, want_s_prime: bool):
+    """The finite-support sweep at d=1, on ``(B,)`` vectors.
+
+    Performs the same multiplies and adds as the ``(B, 1, 1)`` matmul sweep,
+    in the same order, so every bit agrees with it.  The factors
+    ``e^{a_s/n}`` of a block of steps are gathered once; ``multiply.reduce``
+    over the leading axis of the C-contiguous ``(cnt+1, B)`` block then forms
+    ``((v e_hi) e_{hi-1}) ... e_{lo+1}`` row by row, one rounding per step,
+    as the per-step loop did.
+    """
+    n, B = kern.n, rows.shape[0]
+    ev = np.array([float(m[0, 0]) for m in kern.exps])
+    ws, zs = _s_tables(kern, x, want_s, want_s_prime)
+    steps = rows.T  # (n, B), contiguous for rows from _draw_rows
+    v = np.full(B, float(x[0]))
+    s = np.zeros(B) if want_s else None
+    u = np.zeros(B) if want_s_prime else None
+    tmp = np.empty((_SCALAR_BLOCK + 1, B))
+    for hi in range(n, 0, -_SCALAR_BLOCK):
+        lo = max(0, hi - _SCALAR_BLOCK)
+        cnt = hi - lo
+        ev.take(steps[lo:hi][::-1], out=tmp[1 : cnt + 1])  # tmp[1 + r] = e_{hi-r}
+        if want_s or want_s_prime:
+            for r in range(cnt):
+                k = hi - r
+                idx = steps[k - 1]
+                if want_s_prime:
+                    u = zs[idx, k - 1, 0] + tmp[1 + r] * u
+                if want_s:
+                    s += ws[idx, k - 1, 0]
+        tmp[0] = v
+        v = np.multiply.reduce(tmp[: cnt + 1], axis=0)
+    return tuple(None if a is None else a[:, None] for a in (v, s, u))
+
+
 def simulate_block(kern, x, rows, *, want_s: bool = False, want_s_prime: bool = False):
     """Run one chunk of replicates; returns per-row end states.
 
     Output dict keys: ``prod_x`` (B, d) always; ``s_x`` and ``s_prime_x``
     (B, d) when requested.  All downstream statistics are cheap functions of
-    these plus kernel constants.
+    these plus kernel constants.  Finite support at d=1 runs
+    :func:`_scalar_sweep`, which gives the same bits as the matmul sweep.
     """
     e = kern.ensemble
     n, d = kern.n, e.dim
@@ -104,7 +145,9 @@ def simulate_block(kern, x, rows, *, want_s: bool = False, want_s_prime: bool = 
     s = np.zeros((B, d)) if want_s else None
     u = np.zeros((B, d)) if want_s_prime else None
 
-    if e.is_finite_support:
+    if e.is_finite_support and d == 1:
+        v, s, u = _scalar_sweep(kern, x, rows, want_s, want_s_prime)
+    elif e.is_finite_support:
         exps = np.stack(kern.exps)  # (m, d, d)
         ws, zs = _s_tables(kern, x, want_s, want_s_prime)
         for k in range(n, 0, -1):

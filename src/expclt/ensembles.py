@@ -324,6 +324,8 @@ def finite_support(matrices, probabilities, *, family: str = "finite_support") -
         if m.shape[0] != dim:
             raise ValueError(f"support matrix {i} has dimension {m.shape[0]}, expected {dim}")
     probs = np.asarray(probabilities, dtype=float)
+    if not np.all(np.isfinite(probs)):
+        raise ValueError(f"probabilities must be finite, got {probs.tolist()}")
     if np.any(probs < 0.0) or abs(float(probs.sum()) - 1.0) > 1e-12:
         raise ValueError("probabilities must be nonnegative and sum to 1")
     probs = _freeze(probs)

@@ -167,9 +167,18 @@ def _build_probes(spec, dim, errors):
         elif not np.all(np.isfinite(v)):
             errors.append(f"probes.{name}: entries must be finite")
             out.append(None)
+        elif not np.any(v):
+            # a zero probe makes sigma^2 = 0 and every check vacuous
+            errors.append(f"probes.{name}: must not be the zero vector")
+            out.append(None)
         else:
             out.append(v)
     return out[0], out[1]
+
+
+def _is_int(v) -> bool:
+    """A JSON integer; ``true`` and ``false`` are bools, not counts or seeds."""
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -204,17 +213,18 @@ def load_config(path) -> ExperimentConfig:
     n_grid = raw.get("n_grid")
     if n_grid is not None:
         if (not isinstance(n_grid, list) or not n_grid
-                or not all(isinstance(n, int) and n >= 1 for n in n_grid)):
+                or not all(_is_int(n) and n >= 1 for n in n_grid)):
             errors.append("n_grid: must be a nonempty list of integers >= 1")
         elif any(b <= a for a, b in zip(n_grid, n_grid[1:])):
             errors.append(f"n_grid: must be strictly increasing, got {n_grid}")
 
     replicates = raw.get("replicates")
-    if replicates is not None and (not isinstance(replicates, int) or replicates < 1):
-        errors.append(f"replicates: must be an integer >= 1, got {replicates!r}")
+    # sample variances, KS and the slope fits need at least two samples
+    if replicates is not None and (not _is_int(replicates) or replicates < 2):
+        errors.append(f"replicates: must be an integer >= 2, got {replicates!r}")
 
     seed = raw.get("master_seed")
-    if seed is not None and (not isinstance(seed, int) or not 0 <= seed < 2**64):
+    if seed is not None and (not _is_int(seed) or not 0 <= seed < 2**64):
         errors.append(f"master_seed: must be an integer in [0, 2^64), got {seed!r}")
 
     suites = raw.get("suites")
@@ -238,7 +248,7 @@ def load_config(path) -> ExperimentConfig:
         errors.append(f"variance_rtol: must lie in (0, 1), got {rtol!r}")
 
     sdraws = raw.get("structure_draws", 100000)
-    if not isinstance(sdraws, int) or sdraws < 100:
+    if not _is_int(sdraws) or sdraws < 100:
         errors.append(f"structure_draws: must be an integer >= 100, got {sdraws!r}")
 
     if errors:
@@ -309,6 +319,8 @@ def emit_csv(header, rows, path) -> None:
 
 # --- parallel replicate machinery -------------------------------------------
 
+# Kernels by (config digest, n), shared by the suites of one run() and emptied
+# when it returns: a kernel holds about 16 MB at d=16, n=4096.
 _KERNEL_CACHE: dict = {}
 
 
@@ -770,14 +782,17 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> RunReport:
     suites = {}
     timings = {}
     csv_paths = {}
-    for name in cfg.suites:
-        t0 = time.perf_counter()
-        result = _SUITES[name](cfg, key, workers)
-        timings[name] = time.perf_counter() - t0
-        path = os.path.join(cfg.output_dir, f"{name}.csv")
-        emit_csv(result.header, result.rows, path)
-        csv_paths[name] = path
-        suites[name] = {"passed": result.passed, "details": result.details}
+    try:
+        for name in cfg.suites:
+            t0 = time.perf_counter()
+            result = _SUITES[name](cfg, key, workers)
+            timings[name] = time.perf_counter() - t0
+            path = os.path.join(cfg.output_dir, f"{name}.csv")
+            emit_csv(result.header, result.rows, path)
+            csv_paths[name] = path
+            suites[name] = {"passed": result.passed, "details": result.details}
+    finally:
+        _KERNEL_CACHE.clear()
 
     report = RunReport(
         version=__version__,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from expclt import RngStream, precompute_kernel, sample_xi
+from expclt import RngStream, finite_support, precompute_kernel, sample_xi
 from expclt import engine
 from expclt.dynamics import decompose_xi_prime
 
@@ -86,6 +86,57 @@ class TestReferenceParity:
         assert set(full) == {"proj_xi", "proj_s", "diff_norm", "r_norm", "mk_norm"}
 
 
+def _matmul_sweep(kern, x, rows, want_s, want_s_prime):
+    """The general finite-support sweep, one (B, d, d) gather and batched
+    matmul per step; the reference for the scalar kernel at d=1."""
+    exps = np.stack(kern.exps)
+    ws, zs = engine._s_tables(kern, x, want_s, want_s_prime)
+    B, d = rows.shape[0], kern.ensemble.dim
+    v = np.tile(np.asarray(x, dtype=float), (B, 1))
+    s = np.zeros((B, d))
+    u = np.zeros((B, d))
+    for k in range(kern.n, 0, -1):
+        idx = rows[:, k - 1]
+        ek = exps[idx]
+        if want_s_prime:
+            u = zs[idx, k - 1] + np.matmul(ek, u[:, :, None])[:, :, 0]
+        if want_s:
+            s += ws[idx, k - 1]
+        v = np.matmul(ek, v[:, :, None])[:, :, 0]
+    out = {"prod_x": v}
+    if want_s:
+        out["s_x"] = s
+    if want_s_prime:
+        out["s_prime_x"] = u
+    return out
+
+
+class TestScalarSweep:
+    # At d=1 simulate_block multiplies (B,) vectors, blocks of steps at a
+    # time; it must perform the matmul sweep's operations in the same order,
+    # so the outputs agree bit for bit. n = 7 and 300 are not multiples of
+    # the step block.
+
+    @pytest.mark.parametrize("m", [2, 5])
+    @pytest.mark.parametrize("n", [7, 64, 300])
+    @pytest.mark.parametrize("want_s", [False, True])
+    @pytest.mark.parametrize("want_s_prime", [False, True])
+    def test_bit_identical_to_matmul_sweep(self, m, n, want_s, want_s_prime):
+        rng = np.random.default_rng(m)
+        e = finite_support([[[a]] for a in rng.uniform(-2.0, 2.0, m)],
+                           rng.dirichlet(np.ones(m)))
+        kern = precompute_kernel(e, n)
+        rows = engine._draw_rows(e, [_streams_root(n)(i) for i in range(37)], n)
+        x = np.array([0.7])
+        got = engine.simulate_block(kern, x, rows, want_s=want_s,
+                                    want_s_prime=want_s_prime)
+        ref = _matmul_sweep(kern, x, rows, want_s, want_s_prime)
+        assert set(got) == set(ref)
+        for key in ref:
+            assert got[key].shape == ref[key].shape
+            assert np.array_equal(got[key], ref[key])
+
+
 class TestChunkingInvariance:
     # Each replicate owns a keyed stream, so neither the replicate count nor
     # the internal chunk width may change a single output bit.
@@ -103,15 +154,17 @@ class TestChunkingInvariance:
         for key in small:
             assert np.array_equal(small[key], large[key][:7])
 
-    def test_forced_chunk_width_is_invisible(self, dense3, monkeypatch):
-        kern = precompute_kernel(dense3, 16)
-        x = np.array([1.0, 0.0, 0.0])
+    @pytest.mark.parametrize("fix", ["dense3", "scalar01"])
+    def test_forced_chunk_width_is_invisible(self, fix, request, monkeypatch):
+        e = request.getfixturevalue(fix)
+        kern = precompute_kernel(e, 16)
+        x = np.eye(e.dim)[0]
         stream_for = _streams_root(23)
-        whole = engine.simulate_paths(dense3, kern, x, x, stream_for, 50,
-                                      want_s=True)
+        whole = engine.simulate_paths(e, kern, x, x, stream_for, 50,
+                                      want_s=True, want_s_prime=True)
         monkeypatch.setattr(engine, "batch_size", lambda *a: 3)
-        split = engine.simulate_paths(dense3, kern, x, x, stream_for, 50,
-                                      want_s=True)
+        split = engine.simulate_paths(e, kern, x, x, stream_for, 50,
+                                      want_s=True, want_s_prime=True)
         for key in whole:
             assert np.array_equal(whole[key], split[key])
 

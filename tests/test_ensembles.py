@@ -89,6 +89,11 @@ class TestFactoriesAndValidation:
         with pytest.raises(ValueError):
             finite_support([np.eye(2), np.zeros((2, 2))], [-0.1, 1.1])
 
+    def test_probabilities_must_be_finite(self):
+        # NaN slips past both the sign and the sum test
+        with pytest.raises(ValueError, match="finite"):
+            finite_support([np.eye(2), np.zeros((2, 2))], [np.nan, 1.0])
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             finite_support([np.zeros((2, 3))], [1.0])

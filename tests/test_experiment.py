@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from expclt import experiment
 from expclt.cli import main
 from expclt.experiment import (
     ConfigError,
@@ -115,6 +116,19 @@ class TestLoadConfig:
             load_config(_write(tmp_path, "c.json", raw))
         raw = _base_config(tmp_path, suites=[])
         with pytest.raises(ConfigError, match="nonempty"):
+            load_config(_write(tmp_path, "c.json", raw))
+
+    @pytest.mark.parametrize("field, value", [
+        ("replicates", True),
+        ("replicates", 1),
+        ("master_seed", True),
+        ("n_grid", [True, 32]),
+        ("structure_draws", True),
+    ])
+    def test_integer_fields_reject_bool_and_too_few_replicates(self, tmp_path,
+                                                               field, value):
+        raw = _base_config(tmp_path, **{field: value})
+        with pytest.raises(ConfigError, match=f"{field}: must be"):
             load_config(_write(tmp_path, "c.json", raw))
 
     def test_optional_field_ranges(self, tmp_path):
@@ -243,6 +257,11 @@ class TestRun:
             assert b1 == b3
         assert r1.suites == r3.suites
 
+    def test_kernel_cache_is_scoped_to_one_run(self, tmp_path):
+        cfg = self._cfg(tmp_path, suites=["clt"], n_grid=[16, 32], replicates=50)
+        run(cfg, workers=1)
+        assert experiment._KERNEL_CACHE == {}
+
     def test_failing_suite_recorded_and_run_continues(self, tmp_path):
         # two grid points cannot support a slope fit: lemma_speed fails,
         # doob still executes and passes
@@ -292,6 +311,24 @@ class TestCli:
         assert "rho=" in out  # derived bound echoed before the suites run
         assert out.count("[PASS]") == 2
         assert "config digest:" in out
+
+    def test_nan_probability_is_exit_2(self, tmp_path, capsys):
+        # Python's json reads the bare NaN token as a float
+        raw = json.dumps(_base_config(tmp_path, ensemble={
+            "family": "finite_support", "matrices": [[[0.0]], [[1.0]]],
+            "probabilities": [float("nan"), 1.0]}))
+        assert "NaN" in raw
+        assert main(["run", _write(tmp_path, "c.json", raw)]) == 2
+        assert "ensemble: probabilities must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("zero", ["x", "y"])
+    def test_zero_probe_is_exit_2(self, tmp_path, capsys, zero):
+        # a zero probe makes sigma^2 = 0, which would let clt pass vacuously
+        probes = {"x": [1.0], "y": [1.0]}
+        probes[zero] = [0.0]
+        raw = _base_config(tmp_path, probes=probes, suites=["clt"])
+        assert main(["run", _write(tmp_path, "c.json", raw)]) == 2
+        assert f"probes.{zero}: must not be the zero vector" in capsys.readouterr().err
 
     def test_failing_run_exit_1(self, tmp_path, capsys):
         raw = _base_config(tmp_path, n_grid=[16, 32], suites=["lemma_speed"])
