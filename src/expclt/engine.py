@@ -5,11 +5,15 @@ in :mod:`expclt.dynamics`, and each batched routine mirrors a single-replicate
 reference implementation there.  The key structural property is that every
 replicate row is computed from its own keyed stream with row-local numpy
 operations only: its uniforms come from its own stream and map to support
-indices elementwise, and each step is a gather plus a per-row matvec (at
-d=1, a gather plus a scalar multiply, see :func:`_scalar_sweep`).  So
-results are bitwise identical for any batch size, chunking, or worker count.
-Index rows are stored step-major, so each step of a sweep reads one
-contiguous column.
+indices elementwise.  A finite-support step over at most
+``_STACKED_MAX_SUPPORT`` support matrices is one GEMM against all of them
+plus a per-row selection (:func:`_support_step`), whose rows have the same
+bits in any part of two or more rows (a property of the BLAS, which the
+chunk-width tests check); larger supports gather each row's matrix and
+multiply per row.  The d=1 sweep multiplies gathered scalars instead
+(:func:`_scalar_sweep`).  So results are bitwise identical for any batch
+size, chunking, or worker count.  Index rows are stored step-major, so each
+step of a sweep reads one contiguous column.
 
 Per chunk of B replicates and one k-sweep (k = n .. 1) the engine updates
 
@@ -18,7 +22,8 @@ Per chunk of B replicates and one k-sweep (k = n .. 1) the engine updates
     u <- z_k + exp(A_k/n) u              (backward recurrence, so that
                                           u_1 = sum_k Pref_{k-1} z_k)
 
-which yields xi_n x, S_n x, S'_n x, R_n x and M_n x in O(n d^2) per row.
+which yields xi_n x, S_n x, S'_n x, R_n x and M_n x in O(n d^2) per row
+(O(n m d^2) on the stacked-GEMM path).
 """
 
 from __future__ import annotations
@@ -44,6 +49,16 @@ _FILL_BLOCK = 65_536
 # Steps whose factors the d=1 sweep gathers at once: a (65, B) float64 block,
 # 260 KiB at the criterion-1 chunk width B = 512.
 _SCALAR_BLOCK = 64
+
+# Largest support whose finite-support steps run as one GEMM
+# against all m support exponentials: m times the flops of the per-row
+# products, in one BLAS call instead of B.  Speedup of simulate_block over
+# the per-row path (n = 256, B = 2000, one BLAS thread, 2-core x86 host;
+# plain sweep / with S and S'): d = 16: 4.7x/2.2x at m = 4, 1.7x/1.3x at
+# m = 8, 0.87x/0.72x at m = 16; d = 8: 1.7x/1.5x at m = 8, 0.78x at m = 16;
+# d = 3: 2.4x/1.5x at m = 8, 0.37x/0.41x at m = 64.  Small d would still
+# gain up to m = 16..32; one cap keeps the choice a function of m alone.
+_STACKED_MAX_SUPPORT = 8
 
 
 def batch_size(family: str, n: int, dim: int) -> int:
@@ -95,6 +110,39 @@ def _s_tables(kern, x, want_s: bool, want_s_prime: bool):
     return ws, zs
 
 
+def _support_step(exps, B: int):
+    """``step(idx, *vs)``: for each ``(B, d)`` v, the rows ``exps[idx[b]] @ v[b]``.
+
+    Up to ``_STACKED_MAX_SUPPORT`` support matrices, one GEMM ``v @ stack_t``
+    forms ``E_s v_b`` for every s at once and a take keeps the product each
+    row drew.  A GEMM row has the same bits in any part of two or more rows,
+    but numpy runs a 1-row matmul as a gemv, whose bits differ; so a single
+    row is multiplied as two copies of itself.  Larger supports gather each
+    row's ``(d, d)`` matrix and multiply row by row.
+    """
+    m, d = exps.shape[:2]
+    if m > _STACKED_MAX_SUPPORT:
+        def step(idx, *vs):
+            ek = exps.take(idx, axis=0)  # (B, d, d) gather
+            return [np.matmul(ek, v[:, :, None])[:, :, 0] for v in vs]
+        return step
+
+    stack_t = exps.reshape(m * d, d).T  # column s*d + i is row i of E_s
+    w = np.empty((max(B, 2), m * d))
+    products = w.reshape(-1, d)  # row b*m + s is E_s v_b
+    base = np.arange(B) * m
+    pos = np.empty(B, dtype=np.intp)
+
+    def step(idx, *vs):
+        np.add(base, idx, out=pos)
+        out = []
+        for v in vs:
+            np.matmul(v if B > 1 else np.repeat(v, 2, axis=0), stack_t, out=w)
+            out.append(products.take(pos, axis=0))
+        return out
+    return step
+
+
 def _scalar_sweep(kern, x, rows, want_s: bool, want_s_prime: bool):
     """The finite-support sweep at d=1, on ``(B,)`` vectors.
 
@@ -136,7 +184,9 @@ def simulate_block(kern, x, rows, *, want_s: bool = False, want_s_prime: bool = 
     Output dict keys: ``prod_x`` (B, d) always; ``s_x`` and ``s_prime_x``
     (B, d) when requested.  All downstream statistics are cheap functions of
     these plus kernel constants.  Finite support at d=1 runs
-    :func:`_scalar_sweep`, which gives the same bits as the matmul sweep.
+    :func:`_scalar_sweep`, which gives the same bits as a per-row matmul
+    sweep; at d >= 2 every step multiplies by the drawn support exponentials
+    through :func:`_support_step`.
     """
     e = kern.ensemble
     n, d = kern.n, e.dim
@@ -148,16 +198,17 @@ def simulate_block(kern, x, rows, *, want_s: bool = False, want_s_prime: bool = 
     if e.is_finite_support and d == 1:
         v, s, u = _scalar_sweep(kern, x, rows, want_s, want_s_prime)
     elif e.is_finite_support:
-        exps = np.stack(kern.exps)  # (m, d, d)
+        step = _support_step(np.stack(kern.exps), B)
         ws, zs = _s_tables(kern, x, want_s, want_s_prime)
         for k in range(n, 0, -1):
             idx = rows[:, k - 1]
-            ek = exps.take(idx, axis=0)  # (B, d, d) gather
             if want_s_prime:
-                u = zs[idx, k - 1] + np.matmul(ek, u[:, :, None])[:, :, 0]
+                v, eu = step(idx, v, u)
+                u = zs[idx, k - 1] + eu
+            else:
+                (v,) = step(idx, v)
             if want_s:
                 s += ws[idx, k - 1]
-            v = np.matmul(ek, v[:, :, None])[:, :, 0]
     else:
         # Diagonal-uniform: every operator in sight is diagonal, the mean is
         # a scalar multiple of I, so the sweep is elementwise.
@@ -255,7 +306,7 @@ def diff_pair_block(kern, x, rows, ks):
             z = pref * (delta * (qc ** (n - k) * xv))
             out[k] = (d_rows - z) / root_n
         return out
-    exps = np.stack(kern.exps)
+    step = _support_step(np.stack(kern.exps), B)
     deltas = np.stack(kern.ensemble._deltas)
     for k in ks:
         pnk_x = kern.p_powers[n - k] @ x
@@ -264,8 +315,8 @@ def diff_pair_block(kern, x, rows, ks):
         z_table = deltas @ qnk_x  # (m, d)
         idx_k = rows[:, k - 1]
         d_rows = d_table[idx_k]
-        z = z_table[idx_k][:, :, None]
+        z = z_table[idx_k]
         for j in range(k - 1, 0, -1):
-            z = np.matmul(exps.take(rows[:, j - 1], axis=0), z)
-        out[k] = d_rows - z[:, :, 0] / root_n
+            (z,) = step(rows[:, j - 1], z)
+        out[k] = d_rows - z / root_n
     return out

@@ -121,6 +121,9 @@ class RngStream:
 # searchsorted's time at m = 2, 0.5x at 64, 0.8x at 128 and 1.2x at 192.
 _COMPARE_MAX_SUPPORT = 128
 
+# Support indices are drawn as uint16, so a support holds at most 2^16 matrices.
+_MAX_SUPPORT = 65_536
+
 
 @dataclass(frozen=True)
 class Ensemble:
@@ -316,6 +319,9 @@ def finite_support(matrices, probabilities, *, family: str = "finite_support") -
     """Ensemble supported on finitely many matrices with the given weights."""
     if len(matrices) < 1:
         raise ValueError("need at least one support matrix")
+    if len(matrices) > _MAX_SUPPORT:
+        raise ValueError(f"at most {_MAX_SUPPORT} support matrices (uint16 draw "
+                         f"indices), got {len(matrices)}")
     if len(matrices) != len(probabilities):
         raise ValueError("one probability per support matrix required")
     mats = [as_matrix(m, f"support matrix {i}") for i, m in enumerate(matrices)]

@@ -124,13 +124,15 @@ def _build_ensemble(spec, errors) -> Ensemble | None:
     if missing:
         errors.append(f"ensemble: missing fields for family {family}: {sorted(missing)}")
         return None
+    if "dim" in spec and (not _is_int(spec["dim"]) or spec["dim"] < 1):
+        errors.append(f"ensemble.dim: must be an integer >= 1, got {spec['dim']!r}")
+        return None
     try:
         if family == "two_point":
             e = two_point(np.asarray(spec["a0"], dtype=float),
                           np.asarray(spec["a1"], dtype=float), spec["p"])
         elif family == "finite_support":
-            e = finite_support([np.asarray(m, dtype=float) for m in spec["matrices"]],
-                               spec["probabilities"])
+            e = finite_support(spec["matrices"], spec["probabilities"])
         elif family == "diagonal_uniform":
             if "dim" not in spec:
                 errors.append("ensemble.dim: required for diagonal_uniform")
@@ -141,7 +143,7 @@ def _build_ensemble(spec, errors) -> Ensemble | None:
     except (ValueError, TypeError) as exc:
         errors.append(f"ensemble: {exc}")
         return None
-    if "dim" in spec and int(spec["dim"]) != e.dim:
+    if "dim" in spec and spec["dim"] != e.dim:
         errors.append(f"ensemble.dim: declared {spec['dim']} but matrices have dimension {e.dim}")
     return e
 
@@ -413,9 +415,17 @@ def _is_effectively_deterministic(e: Ensemble) -> bool:
 def _suite_clt(cfg: ExperimentConfig, key: str, workers: int) -> SuiteResult:
     e = cfg.ensemble
     sigma2_ref = sigma_projected(e, cfg.x, cfg.y)
-    degenerate = sigma2_ref == 0.0
+    degenerate = _is_effectively_deterministic(e)
     header = ("n", "replicate_count", "sigma2_ref", "sample_mean", "sample_variance",
               "skewness", "excess_kurtosis", "ks_distance", "ks_threshold_01")
+    if sigma2_ref == 0.0 and not degenerate:
+        # A random law seen through probes that project its limit to zero
+        # (canonical probes on a diagonal family): every check would be vacuous.
+        details = {"sigma2_ref": sigma2_ref, "degenerate": False,
+                   "error": "probes: the projected limit variance is 0 although the "
+                            "law is not a point mass; choose probes x, y that see "
+                            "its fluctuations"}
+        return SuiteResult("clt", False, details, header, ())
     rows = []
     per_n = {}
     checks = {}

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from expclt import RngStream, finite_support, precompute_kernel, sample_xi
-from expclt import engine
+from expclt import engine, experiment
 from expclt.dynamics import decompose_xi_prime
+from expclt.experiment import ExperimentConfig
 
 
 def _streams_root(seed):
@@ -87,8 +88,9 @@ class TestReferenceParity:
 
 
 def _matmul_sweep(kern, x, rows, want_s, want_s_prime):
-    """The general finite-support sweep, one (B, d, d) gather and batched
-    matmul per step; the reference for the scalar kernel at d=1."""
+    """The finite-support sweep with one (B, d, d) gather and batched
+    per-row matmul per step: the reference for the scalar kernel at d=1 and
+    for the stacked-GEMM kernel at d >= 2."""
     exps = np.stack(kern.exps)
     ws, zs = engine._s_tables(kern, x, want_s, want_s_prime)
     B, d = rows.shape[0], kern.ensemble.dim
@@ -109,6 +111,95 @@ def _matmul_sweep(kern, x, rows, want_s, want_s_prime):
     if want_s_prime:
         out["s_prime_x"] = u
     return out
+
+
+def _matmul_diff_pairs(kern, x, rows, ks):
+    """d_{n,k} x - d'_{n,k} x with the prefix applied by per-row gathered
+    matmuls: the reference for diff_pair_block's finite-support branch."""
+    n, root_n = kern.n, np.sqrt(kern.n)
+    exps = np.stack(kern.exps)
+    deltas = np.stack(kern.ensemble._deltas)
+    out = {}
+    for k in ks:
+        pnk_x = kern.p_powers[n - k] @ x
+        d_table = np.einsum("ij,mj->mi", kern.p_powers[k - 1], deltas @ pnk_x) / root_n
+        z = (deltas @ (kern.q_powers[n - k] @ x))[rows[:, k - 1]][:, :, None]
+        for j in range(k - 1, 0, -1):
+            z = np.matmul(exps[rows[:, j - 1]], z)
+        out[k] = d_table[rows[:, k - 1]] - z[:, :, 0] / root_n
+    return out
+
+
+def _random_support(d, m):
+    rng = np.random.default_rng(100 * d + m)
+    mats = [a * (0.9 / np.linalg.norm(a, 2)) for a in rng.standard_normal((m, d, d))]
+    return finite_support(mats, rng.dirichlet(np.ones(m)))
+
+
+@pytest.fixture(scope="module")
+def fs9():
+    """One more support matrix than the stacked-GEMM sweep takes."""
+    return _random_support(3, 9)
+
+
+def _assert_rows_close(got, ref):
+    # The stacked GEMM sums each row's products in another order than the
+    # per-row matmul, so the two agree to rounding: 1e-12 relative to the
+    # largest entry (n * d * eps is 1.1e-12 at n = 300, d = 16).
+    assert got.shape == ref.shape
+    np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+
+class TestStackedSweep:
+    # At d >= 2 and up to engine._STACKED_MAX_SUPPORT support matrices,
+    # every step is one GEMM against all support exponentials; above it the
+    # engine keeps the per-row matmul. m = 9 covers that fallback, and
+    # n = 7 and 300 are not multiples of anything in the kernels.
+
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    @pytest.mark.parametrize("m", [2, 8, 9])
+    @pytest.mark.parametrize("n", [7, 300])
+    @pytest.mark.parametrize("want_s", [False, True])
+    @pytest.mark.parametrize("want_s_prime", [False, True])
+    def test_simulate_block_matches_matmul_sweep(self, d, m, n, want_s, want_s_prime):
+        e = _random_support(d, m)
+        kern = precompute_kernel(e, n)
+        rows = engine._draw_rows(e, [_streams_root(n)(i) for i in range(37)], n)
+        x = np.linspace(1.0, -0.5, d)
+        got = engine.simulate_block(kern, x, rows, want_s=want_s,
+                                    want_s_prime=want_s_prime)
+        ref = _matmul_sweep(kern, x, rows, want_s, want_s_prime)
+        assert set(got) == set(ref)
+        for key in ref:
+            _assert_rows_close(got[key], ref[key])
+
+    @pytest.mark.parametrize("d", [2, 3, 16])
+    @pytest.mark.parametrize("m", [2, 8, 9])
+    @pytest.mark.parametrize("n", [7, 300])
+    def test_diff_pair_block_matches_matmul_prefix(self, d, m, n):
+        e = _random_support(d, m)
+        kern = precompute_kernel(e, n)
+        rows = engine._draw_rows(e, [_streams_root(n)(i) for i in range(37)], n)
+        x = np.linspace(1.0, -0.5, d)
+        ks = sorted({1, (n + 1) // 2, n})
+        got = engine.diff_pair_block(kern, x, rows, ks)
+        ref = _matmul_diff_pairs(kern, x, rows, ks)
+        assert set(got) == set(ref)
+        for k in ks:
+            _assert_rows_close(got[k], ref[k])
+
+    def test_fallback_is_the_matmul_sweep(self, fs9):
+        # above the stacked path's support cap the sweep is the reference's
+        assert len(fs9.support) > engine._STACKED_MAX_SUPPORT
+        kern = precompute_kernel(fs9, 40)
+        rows = engine._draw_rows(fs9, [_streams_root(4)(i) for i in range(9)], 40)
+        x = np.array([0.3, 1.0, -0.2])
+        got = engine.simulate_block(kern, x, rows, want_s=True, want_s_prime=True)
+        ref = _matmul_sweep(kern, x, rows, True, True)
+        for key in ref:
+            assert np.array_equal(got[key], ref[key])
+        assert np.array_equal(engine.diff_pair_block(kern, x, rows, [40])[40],
+                              _matmul_diff_pairs(kern, x, rows, [40])[40])
 
 
 class TestScalarSweep:
@@ -154,19 +245,43 @@ class TestChunkingInvariance:
         for key in small:
             assert np.array_equal(small[key], large[key][:7])
 
-    @pytest.mark.parametrize("fix", ["dense3", "scalar01"])
+    # dense3 takes the stacked-GEMM sweep, fs9 the per-row fallback and
+    # scalar01 the d=1 kernel. With width 3, 50 replicates end in a 2-row
+    # chunk and 49 in a 1-row chunk, which numpy would multiply by a gemv.
+
+    @pytest.mark.parametrize("fix", ["dense3", "scalar01", "fs9"])
     def test_forced_chunk_width_is_invisible(self, fix, request, monkeypatch):
         e = request.getfixturevalue(fix)
         kern = precompute_kernel(e, 16)
         x = np.eye(e.dim)[0]
         stream_for = _streams_root(23)
-        whole = engine.simulate_paths(e, kern, x, x, stream_for, 50,
-                                      want_s=True, want_s_prime=True)
-        monkeypatch.setattr(engine, "batch_size", lambda *a: 3)
-        split = engine.simulate_paths(e, kern, x, x, stream_for, 50,
-                                      want_s=True, want_s_prime=True)
-        for key in whole:
-            assert np.array_equal(whole[key], split[key])
+        for reps in (50, 49):
+            whole = engine.simulate_paths(e, kern, x, x, stream_for, reps,
+                                          want_s=True, want_s_prime=True)
+            with monkeypatch.context() as mp:
+                mp.setattr(engine, "batch_size", lambda *a: 3)
+                split = engine.simulate_paths(e, kern, x, x, stream_for, reps,
+                                              want_s=True, want_s_prime=True)
+            for key in whole:
+                assert np.array_equal(whole[key], split[key])
+
+    @pytest.mark.parametrize("fix", ["dense3", "fs9", "diag3"])
+    def test_forced_chunk_width_is_invisible_to_diff_pairs(self, fix, request,
+                                                           monkeypatch):
+        e = request.getfixturevalue(fix)
+        x = np.linspace(1.0, -0.5, e.dim)
+        cfg = ExperimentConfig(ensemble=e, x=x, y=x, n_grid=(16,), replicates=49,
+                               master_seed=23, suites=("martingale",),
+                               output_dir="unused")
+        ks = (1, 8, 16)
+        try:
+            whole = experiment._run_diff(cfg, fix, "diff", 16, ks, 1)
+            monkeypatch.setattr(engine, "batch_size", lambda *a: 3)
+            split = experiment._run_diff(cfg, fix, "diff", 16, ks, 1)
+        finally:
+            experiment._KERNEL_CACHE.clear()
+        for k in ks:
+            assert np.array_equal(whole[k], split[k])
 
 
 class TestDiffPairBlock:

@@ -94,6 +94,12 @@ class TestFactoriesAndValidation:
         with pytest.raises(ValueError, match="finite"):
             finite_support([np.eye(2), np.zeros((2, 2))], [np.nan, 1.0])
 
+    def test_support_size_fits_uint16_indices(self):
+        # 65,537 matrices would wrap the uint16 draw indices; the count is
+        # checked before any matrix is read, so placeholders suffice
+        with pytest.raises(ValueError, match="at most 65536 support matrices"):
+            finite_support([None] * 65_537, [None] * 65_537)
+
     def test_shape_validation(self):
         with pytest.raises(ValueError):
             finite_support([np.zeros((2, 3))], [1.0])

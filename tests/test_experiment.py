@@ -131,6 +131,23 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=f"{field}: must be"):
             load_config(_write(tmp_path, "c.json", raw))
 
+    @pytest.mark.parametrize("family", ["two_point", "diagonal_uniform"])
+    @pytest.mark.parametrize("dim", [True, "abc", 0, 1.0])
+    def test_dim_must_be_a_positive_integer(self, tmp_path, family, dim):
+        ens = ({"family": "two_point", "a0": [[0.0]], "a1": [[2.0]], "p": 0.5}
+               if family == "two_point" else
+               {"family": "diagonal_uniform", "low": -0.5, "high": 1.0})
+        raw = _base_config(tmp_path, ensemble=dict(ens, dim=dim))
+        with pytest.raises(ConfigError, match="ensemble.dim: must be an integer >= 1"):
+            load_config(_write(tmp_path, "c.json", raw))
+
+    def test_support_size_fits_uint16_indices(self, tmp_path):
+        raw = _base_config(tmp_path, ensemble={
+            "family": "finite_support", "matrices": [[[0.0]]] * 65_537,
+            "probabilities": [1.0 / 65_537] * 65_537})
+        with pytest.raises(ConfigError, match="ensemble: at most 65536 support"):
+            load_config(_write(tmp_path, "c.json", raw))
+
     def test_optional_field_ranges(self, tmp_path):
         raw = _base_config(tmp_path, variance_rtol=1.5)
         with pytest.raises(ConfigError, match="variance_rtol"):
@@ -329,6 +346,26 @@ class TestCli:
         raw = _base_config(tmp_path, probes=probes, suites=["clt"])
         assert main(["run", _write(tmp_path, "c.json", raw)]) == 2
         assert f"probes.{zero}: must not be the zero vector" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dim", [True, "abc"])
+    def test_bad_dim_is_exit_2(self, tmp_path, capsys, dim):
+        raw = _base_config(tmp_path)
+        raw["ensemble"]["dim"] = dim
+        assert main(["run", _write(tmp_path, "c.json", raw)]) == 2
+        assert "ensemble.dim: must be an integer >= 1" in capsys.readouterr().err
+
+    def test_zero_projected_variance_of_random_law_fails_clt(self, tmp_path, capsys):
+        # canonical probes (e1, e2) see nothing of a diagonal law: sigma^2 = 0
+        # and every sample is 0, which must not read as a degenerate PASS
+        raw = _base_config(tmp_path, n_grid=[16, 32], replicates=200, suites=["clt"],
+                           ensemble={"family": "diagonal_uniform", "dim": 3,
+                                     "low": -0.5, "high": 1.0})
+        assert main(["run", _write(tmp_path, "c.json", raw), "--workers", "1"]) == 1
+        assert "[FAIL] clt" in capsys.readouterr().out
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        clt = summary["suites"]["clt"]
+        assert clt["details"]["sigma2_ref"] == 0.0
+        assert clt["details"]["error"].startswith("probes:")
 
     def test_failing_run_exit_1(self, tmp_path, capsys):
         raw = _base_config(tmp_path, n_grid=[16, 32], suites=["lemma_speed"])
