@@ -408,7 +408,9 @@ def _is_effectively_deterministic(e: Ensemble) -> bool:
     if e.family == "deterministic":
         return True
     if e.is_finite_support:
-        return all(np.array_equal(m, e.support[0]) for m in e.support[1:])
+        # a zero-weight matrix is never drawn, so it does not make the law random
+        drawn = [m for p, m in zip(e.probabilities, e.support) if p > 0.0]
+        return all(np.array_equal(m, drawn[0]) for m in drawn[1:])
     return e.low == e.high
 
 
@@ -422,6 +424,8 @@ def _suite_clt(cfg: ExperimentConfig, key: str, workers: int) -> SuiteResult:
         # A random law seen through probes that project its limit to zero
         # (canonical probes on a diagonal family): every check would be vacuous.
         details = {"sigma2_ref": sigma2_ref, "degenerate": False,
+                   "variance_rtol": cfg.variance_rtol, "per_n": {},
+                   "pass_rule": "never: sigma2_ref = 0 for a law that is not a point mass",
                    "error": "probes: the projected limit variance is 0 although the "
                             "law is not a point mass; choose probes x, y that see "
                             "its fluctuations"}

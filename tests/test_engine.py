@@ -142,6 +142,18 @@ def fs9():
     return _random_support(3, 9)
 
 
+@pytest.fixture(scope="module")
+def fs16m4():
+    """The support shape of the fs16 benchmark workload (d = 16, m = 4)."""
+    return _random_support(16, 4)
+
+
+@pytest.fixture(scope="module")
+def fs16m8():
+    """The largest support the stacked-GEMM sweep takes, at d = 16."""
+    return _random_support(16, 8)
+
+
 def _assert_rows_close(got, ref):
     # The stacked GEMM sums each row's products in another order than the
     # per-row matmul, so the two agree to rounding: 1e-12 relative to the
@@ -245,11 +257,14 @@ class TestChunkingInvariance:
         for key in small:
             assert np.array_equal(small[key], large[key][:7])
 
-    # dense3 takes the stacked-GEMM sweep, fs9 the per-row fallback and
-    # scalar01 the d=1 kernel. With width 3, 50 replicates end in a 2-row
-    # chunk and 49 in a 1-row chunk, which numpy would multiply by a gemv.
+    # dense3, fs16m4 and fs16m8 take the stacked-GEMM sweep, fs9 the per-row
+    # fallback and scalar01 the d=1 kernel. With width 3, 50 replicates end
+    # in a 2-row chunk and 49 in a 1-row chunk, which numpy would multiply by
+    # a gemv. The stacked path relies on the BLAS giving every part of 2 or
+    # more rows of a GEMM the bits of the whole product; fs16m4 and fs16m8
+    # check that at the sizes of the fs16 benchmark workload.
 
-    @pytest.mark.parametrize("fix", ["dense3", "scalar01", "fs9"])
+    @pytest.mark.parametrize("fix", ["dense3", "scalar01", "fs9", "fs16m4", "fs16m8"])
     def test_forced_chunk_width_is_invisible(self, fix, request, monkeypatch):
         e = request.getfixturevalue(fix)
         kern = precompute_kernel(e, 16)
@@ -265,23 +280,25 @@ class TestChunkingInvariance:
             for key in whole:
                 assert np.array_equal(whole[key], split[key])
 
-    @pytest.mark.parametrize("fix", ["dense3", "fs9", "diag3"])
+    @pytest.mark.parametrize("fix", ["dense3", "fs9", "diag3", "fs16m4", "fs16m8"])
     def test_forced_chunk_width_is_invisible_to_diff_pairs(self, fix, request,
                                                            monkeypatch):
         e = request.getfixturevalue(fix)
         x = np.linspace(1.0, -0.5, e.dim)
-        cfg = ExperimentConfig(ensemble=e, x=x, y=x, n_grid=(16,), replicates=49,
-                               master_seed=23, suites=("martingale",),
-                               output_dir="unused")
         ks = (1, 8, 16)
-        try:
-            whole = experiment._run_diff(cfg, fix, "diff", 16, ks, 1)
-            monkeypatch.setattr(engine, "batch_size", lambda *a: 3)
-            split = experiment._run_diff(cfg, fix, "diff", 16, ks, 1)
-        finally:
-            experiment._KERNEL_CACHE.clear()
-        for k in ks:
-            assert np.array_equal(whole[k], split[k])
+        for reps in (50, 49):
+            cfg = ExperimentConfig(ensemble=e, x=x, y=x, n_grid=(16,), replicates=reps,
+                                   master_seed=23, suites=("martingale",),
+                                   output_dir="unused")
+            try:
+                whole = experiment._run_diff(cfg, fix, "diff", 16, ks, 1)
+                with monkeypatch.context() as mp:
+                    mp.setattr(engine, "batch_size", lambda *a: 3)
+                    split = experiment._run_diff(cfg, fix, "diff", 16, ks, 1)
+            finally:
+                experiment._KERNEL_CACHE.clear()
+            for k in ks:
+                assert np.array_equal(whole[k], split[k])
 
 
 class TestDiffPairBlock:

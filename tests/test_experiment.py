@@ -366,6 +366,26 @@ class TestCli:
         clt = summary["suites"]["clt"]
         assert clt["details"]["sigma2_ref"] == 0.0
         assert clt["details"]["error"].startswith("probes:")
+        # same keys as a verdict that simulated, with nothing per n
+        assert clt["details"]["per_n"] == {}
+        assert {"degenerate", "variance_rtol", "pass_rule"} <= set(clt["details"])
+
+    @pytest.mark.parametrize("ensemble", [
+        {"family": "two_point", "a0": [[0.0]], "a1": [[2.0]], "p": 1.0},
+        {"family": "two_point", "a0": [[0.0]], "a1": [[2.0]], "p": 0.0},
+        {"family": "finite_support", "matrices": [[[0.0]], [[0.5]], [[2.0]]],
+         "probabilities": [0.0, 1.0, 0.0]},
+    ], ids=["two_point_p1", "two_point_p0", "finite_support_one_weight"])
+    def test_point_mass_with_zero_weight_matrices_is_degenerate(self, tmp_path, capsys,
+                                                                ensemble):
+        # a matrix of probability 0 is never drawn: the law is a point mass
+        raw = _base_config(tmp_path, n_grid=[16, 32, 64], replicates=50,
+                           suites=["clt", "martingale"], ensemble=dict(ensemble, dim=1))
+        assert main(["run", _write(tmp_path, "c.json", raw), "--workers", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "[PASS] clt" in out and "[PASS] martingale" in out
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["suites"]["clt"]["details"]["degenerate"] is True
 
     def test_failing_run_exit_1(self, tmp_path, capsys):
         raw = _base_config(tmp_path, n_grid=[16, 32], suites=["lemma_speed"])
