@@ -12,9 +12,10 @@ products are never materialized; everything is applied to probe vectors
 right to left, except the small-k Doob enumeration which is an explicit
 brute-force oracle.
 
-Monte Carlo curve functions delegate the replicate loop to
-:mod:`expclt.engine`; each replicate owns a derived RngStream so the curves
-are reproducible for any chunking or worker count.
+Monte Carlo curves run on the replicate driver of :mod:`expclt.engine`, where
+each replicate owns a derived RngStream, so they are reproducible for any
+chunking or worker count.  :func:`diff_moments`, which the martingale suite
+shares, reduces difference rows to moments and orthogonality statistics.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "doob_check",
     "mk_moment_curve",
     "DiffMomentPoint",
+    "diff_moments",
     "diff_moment_curve",
     "riemann_cov_value",
 ]
@@ -259,20 +261,9 @@ def lemma_speed_curve(e: Ensemble, n_grid) -> list:
     return points
 
 
-def _exp_draws(e: Ensemble, n: int, draws, kern: PrecomputedKernel):
-    """e^{A_k/n} for explicit draws, via the kernel table when possible."""
-    out = []
-    for a in draws:
-        if e.is_finite_support:
-            for i, s in enumerate(e.support):
-                if a is s or (a.shape == s.shape and np.array_equal(a, s)):
-                    out.append(kern.exps[i])
-                    break
-            else:
-                out.append(mat_exp(np.asarray(a, dtype=float) / n))
-        else:
-            out.append(mat_exp(np.asarray(a, dtype=float) / n))
-    return out
+def _exp_draws(n: int, draws):
+    """e^{A_k/n} for explicit draws."""
+    return [mat_exp(np.asarray(a, dtype=float) / n) for a in draws]
 
 
 def xi_prime_telescoping(e: Ensemble, n: int, draws, x,
@@ -283,7 +274,7 @@ def xi_prime_telescoping(e: Ensemble, n: int, draws, x,
     z_k = (e^{A_k/n} - E e^{A/n}) Q^{n-k} x, so u_1 is the full sum.
     """
     x = as_vector(x, e.dim, "x")
-    exps = _exp_draws(e, n, draws, kern)
+    exps = _exp_draws(n, draws)
     q1 = kern.q_powers[1]
     u = np.zeros(e.dim)
     for k in range(n, 0, -1):
@@ -304,7 +295,7 @@ def decompose_xi_prime(e: Ensemble, n: int, draws, x,
     x = as_vector(x, e.dim, "x")
     root_n = np.sqrt(float(n))
     mean = e.mean()
-    exps = _exp_draws(e, n, draws, kern)
+    exps = _exp_draws(n, draws)
 
     v = x.copy()
     u = np.zeros(e.dim)
@@ -342,7 +333,7 @@ def doob_decomposition(e: Ensemble, n: int, k: int, draws, x,
     if k < 1 or k > n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     x = as_vector(x, e.dim, "x")
-    exps = _exp_draws(e, n, draws[:k], kern)
+    exps = _exp_draws(n, draws[:k])
 
     v = x.copy()
     for j in range(k, 0, -1):
@@ -380,7 +371,7 @@ def doob_check(e: Ensemble, n: int, k: int, draws, x,
         np.linalg.norm(m_k - np.sum(d_list, axis=0))
         / max(np.linalg.norm(m_k), floor, np.finfo(float).tiny)
     )
-    exps = _exp_draws(e, n, draws[:k], kern)
+    exps = _exp_draws(n, draws[:k])
     base = 2.0 * e.rho / n
     ratio = 0.0
     for mask, f in _doob_subset_products(exps, kern.q_powers[1], k):
@@ -419,40 +410,37 @@ class DiffMomentPoint:
     ortho: tuple  # ((k, l, mean <delta_k, delta_l>, stderr), ...)
 
 
+def diff_moments(n: int, deltas) -> DiffMomentPoint:
+    """Second moments and cross-k orthogonality of difference rows at one n.
+
+    ``deltas`` maps each probe k to its ``(reps, d)`` rows of
+    d_{n,k} x - d'_{n,k} x.  Each pair k < l gets the mean of the per-replicate
+    dots <delta_k, delta_l> and its standard error std(ddof=1) / sqrt(reps).
+    """
+    ks = sorted(deltas)
+    per_k = {k: float(np.mean(np.sum(deltas[k] ** 2, axis=1))) for k in ks}
+    ortho = []
+    for a, k in enumerate(ks):
+        for l in ks[a + 1 :]:
+            dots = np.sum(deltas[k] * deltas[l], axis=1)
+            se = float(np.std(dots, ddof=1) / np.sqrt(dots.size))
+            ortho.append((k, l, float(np.mean(dots)), se))
+    return DiffMomentPoint(n=n, mean_sq=float(np.mean(list(per_k.values()))),
+                           per_k=per_k, ortho=tuple(ortho))
+
+
 def diff_moment_curve(e: Ensemble, n_grid, x, reps: int, r: RngStream) -> list:
-    """E||d_{n,k}x - d'_{n,k}x||^2 at k in {1, ceil(n/2), n}, plus the
-    cross-k orthogonality statistics, over the grid."""
+    """:func:`diff_moments` at k in {1, ceil(n/2), n} over the grid;
+    replicate i at size n draws from r.child(n, i)."""
     if reps < 100:
         raise ValueError("reps must be >= 100")
     x = as_vector(x, e.dim, "x")
     out = []
     for n in n_grid:
-        kern = precompute_kernel(e, n)
-        ks = sorted({1, (n + 1) // 2, n})
-        deltas = {k: np.empty((reps, e.dim)) for k in ks}
-        chunk = engine.batch_size(e.family, n, e.dim)
-        for lo in range(0, reps, chunk):
-            hi = min(lo + chunk, reps)
-            streams = [r.child(n, i) for i in range(lo, hi)]
-            rows = engine._draw_rows(e, streams, n)
-            block = engine.diff_pair_block(kern, x, rows, ks)
-            for k in ks:
-                deltas[k][lo:hi] = block[k]
-        per_k = {k: float(np.mean(np.sum(deltas[k] ** 2, axis=1))) for k in ks}
-        ortho = []
-        for a in range(len(ks)):
-            for b in range(a + 1, len(ks)):
-                dots = np.sum(deltas[ks[a]] * deltas[ks[b]], axis=1)
-                se = float(np.std(dots, ddof=1) / np.sqrt(reps))
-                ortho.append((ks[a], ks[b], float(np.mean(dots)), se))
-        out.append(
-            DiffMomentPoint(
-                n=n,
-                mean_sq=float(np.mean(list(per_k.values()))),
-                per_k=per_k,
-                ortho=tuple(ortho),
-            )
-        )
+        deltas = engine.diff_pairs(e, precompute_kernel(e, n), x,
+                                   lambda i, n=n: r.child(n, i), reps,
+                                   ks=sorted({1, (n + 1) // 2, n}))
+        out.append(diff_moments(n, deltas))
     return out
 
 

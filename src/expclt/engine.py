@@ -15,6 +15,11 @@ multiply per row.  The d=1 sweep multiplies gathered scalars instead
 size, chunking, or worker count.  Index rows are stored step-major, so each
 step of a sweep reads one contiguous column.
 
+Both Monte Carlo passes, :func:`simulate_paths` and :func:`diff_pairs`, run
+on one replicate driver: :func:`chunk_ranges` fixes the chunks from the
+problem shape alone, each chunk draws its rows from its own replicates'
+streams, and :func:`concat_chunks` joins the chunk results in index order.
+
 Per chunk of B replicates and one k-sweep (k = n .. 1) the engine updates
 
     v <- exp(A_k/n) v                    (the random product, right to left)
@@ -34,9 +39,12 @@ from .ensembles import RngStream
 
 __all__ = [
     "batch_size",
+    "chunk_ranges",
+    "concat_chunks",
     "simulate_block",
     "simulate_paths",
     "diff_pair_block",
+    "diff_pairs",
 ]
 
 # Replicate rows per chunk: keep the per-chunk draw buffer near 2^21 entries
@@ -65,6 +73,23 @@ def batch_size(family: str, n: int, dim: int) -> int:
     """Deterministic chunk width; a pure function of the problem shape only."""
     per_row = n * (dim if family == "diagonal_uniform" else 1)
     return max(32, min(8192, _CHUNK_TARGET // max(1, per_row)))
+
+
+def chunk_ranges(e, n: int, reps: int) -> list:
+    """The replicate ranges ``[lo, hi)`` of one pass, in index order."""
+    chunk = batch_size(e.family, n, e.dim)
+    return [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
+
+
+def concat_chunks(parts) -> dict:
+    """Per-chunk dicts of row arrays joined into one dict, in chunk order."""
+    return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
+
+
+def _by_chunk(e, n: int, stream_for, reps: int, fn) -> dict:
+    """``fn(rows)`` on each chunk's draw rows, joined in index order."""
+    return concat_chunks([fn(_draw_rows(e, [stream_for(i) for i in range(lo, hi)], n))
+                          for lo, hi in chunk_ranges(e, n, reps)])
 
 
 def _draw_rows(e, streams, n: int):
@@ -246,38 +271,29 @@ def simulate_paths(e, kern, x, y, stream_for, reps: int, *, want_s: bool = False
     ``proj_s`` and ``diff_norm`` with ``want_s``; ``r_norm`` and ``mk_norm``
     with ``want_s_prime``.
     """
-    n, d = kern.n, e.dim
+    n = kern.n
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     root_n = np.sqrt(float(n))
     ex_x = kern.p_powers[n] @ x  # e^{EA} x
     qn_x = kern.q_powers[n] @ x  # (E e^{A/n})^n x
 
-    keys = ["proj_xi"]
-    if want_s:
-        keys += ["proj_s", "diff_norm"]
-    if want_s_prime:
-        keys += ["r_norm", "mk_norm"]
-    out = {k: np.empty(reps) for k in keys}
-
-    chunk = batch_size(e.family, n, d)
-    for lo in range(0, reps, chunk):
-        hi = min(lo + chunk, reps)
-        streams = [stream_for(i) for i in range(lo, hi)]
-        rows = _draw_rows(e, streams, n)
+    def stats(rows):
         block = simulate_block(kern, x, rows, want_s=want_s, want_s_prime=want_s_prime)
         xi = root_n * (block["prod_x"] - ex_x)
-        out["proj_xi"][lo:hi] = xi @ y
+        out = {"proj_xi": xi @ y}
         if want_s:
             s = block["s_x"] / root_n
-            out["proj_s"][lo:hi] = s @ y
-            out["diff_norm"][lo:hi] = np.linalg.norm(xi - s, axis=1)
+            out["proj_s"] = s @ y
+            out["diff_norm"] = np.linalg.norm(xi - s, axis=1)
         if want_s_prime:
             mk = block["prod_x"] - qn_x
             s_prime = block["s_prime_x"] / root_n
-            out["r_norm"][lo:hi] = np.linalg.norm(root_n * mk - s_prime, axis=1)
-            out["mk_norm"][lo:hi] = np.linalg.norm(mk, axis=1)
-    return out
+            out["r_norm"] = np.linalg.norm(root_n * mk - s_prime, axis=1)
+            out["mk_norm"] = np.linalg.norm(mk, axis=1)
+        return out
+
+    return _by_chunk(e, n, stream_for, reps, stats)
 
 
 def diff_pair_block(kern, x, rows, ks):
@@ -320,3 +336,10 @@ def diff_pair_block(kern, x, rows, ks):
             (z,) = step(rows[:, j - 1], z)
         out[k] = d_rows - z / root_n
     return out
+
+
+def diff_pairs(e, kern, x, stream_for, reps: int, *, ks):
+    """:func:`diff_pair_block` rows for ``reps`` replicates, drawn and chunked
+    as in :func:`simulate_paths` and joined in index order."""
+    return _by_chunk(e, kern.n, stream_for, reps,
+                     lambda rows: diff_pair_block(kern, x, rows, ks))

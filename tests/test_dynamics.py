@@ -12,6 +12,7 @@ from expclt import (
 from expclt.dynamics import (
     decompose_xi_prime,
     diff_moment_curve,
+    diff_moments,
     dnk_norm_bound,
     doob_check,
     doob_decomposition,
@@ -315,6 +316,21 @@ class TestMomentCurves:
     def test_diff_curve_rejects_few_reps(self, diag3):
         with pytest.raises(ValueError):
             diff_moment_curve(diag3, [8], [1.0, 1.0, 1.0], 50, RngStream(0))
+
+    def test_diff_moments_by_hand(self):
+        # 4 replicates, d = 2; rows given out of k order
+        d1 = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 0.0]])
+        d2 = np.array([[1.0, 1.0], [1.0, -1.0], [0.0, 2.0], [0.0, 0.0]])
+        pt = diff_moments(9, {2: d2, 1: d1})
+        assert pt.n == 9
+        assert pt.per_k == {1: 2.0, 2: 2.0}  # means of |d|^2: (1+1+2+4)/4, (2+2+4+0)/4
+        assert pt.mean_sq == 2.0
+        ((k, l, mean_dot, se),) = pt.ortho
+        assert (k, l) == (1, 2)
+        # dots (1, -1, 2, 0): mean 1/2, squared deviations sum to 5, so
+        # std(ddof=1) = sqrt(5/3) and se = sqrt(5/3) / sqrt(4)
+        assert mean_dot == 0.5
+        assert se == pytest.approx(np.sqrt(5.0 / 12.0), rel=1e-15)
 
     def test_diff_second_moment_scales_inverse_square(self, scalar02):
         # E||d - d'||^2 = O(1/n^2): slope from a deterministic-free scalar law

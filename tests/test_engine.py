@@ -3,7 +3,7 @@ import pytest
 
 from expclt import RngStream, finite_support, precompute_kernel, sample_xi
 from expclt import engine, experiment
-from expclt.dynamics import decompose_xi_prime
+from expclt.dynamics import decompose_xi_prime, diff_moment_curve
 from expclt.experiment import ExperimentConfig
 
 
@@ -291,14 +291,37 @@ class TestChunkingInvariance:
                                    master_seed=23, suites=("martingale",),
                                    output_dir="unused")
             try:
-                whole = experiment._run_diff(cfg, fix, "diff", 16, ks, 1)
+                whole = experiment._run_chunks(cfg, fix, "diff", 16, 1,
+                                               engine.diff_pairs, (x,), ks=ks)
                 with monkeypatch.context() as mp:
                     mp.setattr(engine, "batch_size", lambda *a: 3)
-                    split = experiment._run_diff(cfg, fix, "diff", 16, ks, 1)
+                    split = experiment._run_chunks(cfg, fix, "diff", 16, 1,
+                                                   engine.diff_pairs, (x,), ks=ks)
             finally:
                 experiment._KERNEL_CACHE.clear()
             for k in ks:
                 assert np.array_equal(whole[k], split[k])
+
+    @pytest.mark.parametrize("fix", ["dense3", "fs9", "diag3", "fs16m4"])
+    def test_forced_chunk_width_is_invisible_to_diff_moment_curve(self, fix, request,
+                                                                  monkeypatch):
+        e = request.getfixturevalue(fix)
+        x = np.linspace(1.0, -0.5, e.dim)
+        # width 3 leaves a 1-row last chunk of 100 replicates, a 2-row one of 101
+        for reps in (100, 101):
+            whole = diff_moment_curve(e, [16], x, reps, RngStream(23))
+            blocks = []
+            with monkeypatch.context() as mp:
+                mp.setattr(engine, "batch_size", lambda *a: 3)
+                block = engine.diff_pair_block
+                mp.setattr(engine, "diff_pair_block",
+                           lambda *a: blocks.append(a[2].shape[0]) or block(*a))
+                split = diff_moment_curve(e, [16], x, reps, RngStream(23))
+            assert blocks == [3] * (reps // 3) + [reps % 3]
+            (w,), (s,) = whole, split
+            assert np.array_equal(list(w.per_k.items()), list(s.per_k.items()))
+            assert np.array_equal(w.ortho, s.ortho)
+            assert w.mean_sq == s.mean_sq
 
 
 class TestDiffPairBlock:

@@ -387,6 +387,60 @@ class TestCli:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["suites"]["clt"]["details"]["degenerate"] is True
 
+    def test_point_mass_lemma_speed_checks_a_zero_bound(self, tmp_path, capsys):
+        # three equal matrices: rounding leaves some norms exactly 0 and one
+        # at n = 300 near 1e-13, where slope fits would need positive norms
+        raw = _base_config(tmp_path, n_grid=[100, 300, 1000], suites=["lemma_speed"],
+                           ensemble={"family": "finite_support",
+                                     "matrices": [[[0.8]], [[0.8]], [[0.8]]],
+                                     "probabilities": [1 / 3, 1 / 3, 1 / 3]})
+        assert main(["run", _write(tmp_path, "c.json", raw), "--workers", "1"]) == 0
+        assert "[PASS] lemma_speed" in capsys.readouterr().out
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        details = summary["suites"]["lemma_speed"]["details"]
+        assert details["marker"] == "exact-zero"
+        assert sorted(details["per_n"]) == ["100", "1000", "300"]
+        assert any(v["max_norm"] > 0.0 for v in details["per_n"].values())
+        assert all(v["max_norm"] <= v["zero_bound"] for v in details["per_n"].values())
+
+    def test_random_law_with_zero_lemma_norms_fails_lemma_speed(self, tmp_path, capsys):
+        # a spread of 1e-9 is below double precision in E e^{A/n} past n = 16
+        raw = _base_config(tmp_path, n_grid=[16, 100, 300], suites=["lemma_speed"],
+                           ensemble={"family": "two_point", "a0": [[0.0]],
+                                     "a1": [[1e-9]], "p": 0.5})
+        assert main(["run", _write(tmp_path, "c.json", raw), "--workers", "1"]) == 1
+        assert "[FAIL] lemma_speed" in capsys.readouterr().out
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert "norms > 0" in summary["suites"]["lemma_speed"]["details"]["error"]
+
+    def test_non_numeric_probe_is_exit_2(self, tmp_path, capsys):
+        raw = _base_config(tmp_path, probes={"x": ["a", 1], "y": [1.0]})
+        assert main(["run", _write(tmp_path, "c.json", raw)]) == 2
+        assert "probes.x: could not convert string to float" in capsys.readouterr().err
+
+    def test_rho_above_cap_is_exit_2(self, tmp_path, capsys):
+        rho = float(np.nextafter(experiment._MAX_RHO, np.inf))
+        raw = _base_config(tmp_path, ensemble={"family": "two_point", "a0": [[0.0]],
+                                               "a1": [[rho]], "p": 0.5})
+        assert main(["run", _write(tmp_path, "c.json", raw)]) == 2
+        assert f"ensemble: rho = max ||A|| is {rho!r}, above the cap 100" in (
+            capsys.readouterr().err)
+
+    def test_rho_at_cap_writes_strict_json(self, tmp_path):
+        # beyond the cap the moments overflow into Infinity or NaN tokens
+        raw = _base_config(tmp_path, n_grid=[16, 32, 64], replicates=200,
+                           structure_draws=1000, suites=list(SUITE_NAMES),
+                           ensemble={"family": "two_point", "a0": [[0.0]],
+                                     "a1": [[experiment._MAX_RHO]], "p": 0.5})
+        assert main(["run", _write(tmp_path, "c.json", raw), "--workers", "1"]) in (0, 1)
+
+        def reject(token):
+            raise ValueError(f"non-finite JSON token {token}")
+
+        text = (tmp_path / "out" / "summary.json").read_text()
+        summary = json.loads(text, parse_constant=reject)
+        assert set(summary["suites"]) == set(SUITE_NAMES)
+
     def test_failing_run_exit_1(self, tmp_path, capsys):
         raw = _base_config(tmp_path, n_grid=[16, 32], suites=["lemma_speed"])
         path = _write(tmp_path, "c.json", raw)
