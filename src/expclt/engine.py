@@ -5,20 +5,33 @@ in :mod:`expclt.dynamics`, and each batched routine mirrors a single-replicate
 reference implementation there.  The key structural property is that every
 replicate row is computed from its own keyed stream with row-local numpy
 operations only: its uniforms come from its own stream and map to support
-indices elementwise.  A finite-support step over at most
+indices or diagonal values elementwise.  A finite-support step over at most
 ``_STACKED_MAX_SUPPORT`` support matrices is one GEMM against all of them
 plus a per-row selection (:func:`_support_step`), whose rows have the same
 bits in any part of two or more rows (a property of the BLAS, which the
 chunk-width tests check); larger supports gather each row's matrix and
 multiply per row.  The d=1 sweep multiplies gathered scalars instead
-(:func:`_scalar_sweep`).  So results are bitwise identical for any batch
-size, chunking, or worker count.  Index rows are stored step-major, so each
-step of a sweep reads one contiguous column.
+(:func:`_scalar_sweep`).  The diagonal_uniform sweep
+(:func:`_diagonal_sweep`) is elementwise and takes a block of steps at
+once: one ``exp`` over the block, then ``multiply.reduce`` and
+``add.reduce`` over blocks whose row 0 is the running product or sum, in
+the per-step order.  So the rows of :func:`path_rows` and
+:func:`diff_pairs` are bitwise identical for any batch size, chunking, or
+worker count.  Draw rows, index or diagonal, are stored step-major, so
+each step of a sweep reads one contiguous slice.
 
-Both Monte Carlo passes, :func:`simulate_paths` and :func:`diff_pairs`, run
-on one replicate driver: :func:`chunk_ranges` fixes the chunks from the
-problem shape alone, each chunk draws its rows from its own replicates'
-streams, and :func:`concat_chunks` joins the chunk results in index order.
+The projections <y, xi_n x> and <y, S_n x> are the exception: a BLAS
+matrix-vector product may round a row by another route depending on the
+rows multiplied with it, so :func:`project_paths` multiplies the joined
+rows of a pass on the chunks of :func:`chunk_ranges`, which depend on the
+problem shape alone.
+
+Both Monte Carlo passes, :func:`path_rows` and :func:`diff_pairs`, run on
+one replicate driver: :func:`chunk_ranges` fixes the chunks from the
+problem shape and replicate count, each chunk draws its rows from its own
+replicates' streams, and :func:`concat_chunks` joins the chunk results in
+index order.  :func:`simulate_paths` is :func:`project_paths` over
+:func:`path_rows`.
 
 Per chunk of B replicates and one k-sweep (k = n .. 1) the engine updates
 
@@ -42,6 +55,8 @@ __all__ = [
     "chunk_ranges",
     "concat_chunks",
     "simulate_block",
+    "path_rows",
+    "project_paths",
     "simulate_paths",
     "diff_pair_block",
     "diff_pairs",
@@ -95,25 +110,42 @@ def _by_chunk(e, n: int, stream_for, reps: int, fn) -> dict:
 def _draw_rows(e, streams, n: int):
     """One draw row per stream: indices (finite support) or diagonal values.
 
-    Finite support: a ``(B, n)`` uint16 index array stored step-major, as the
-    transpose of a C-contiguous ``(n, B)`` buffer, so that the sweeps' per-step
-    column ``rows[:, k-1]`` is contiguous.  Uniforms are drawn a few rows at a
-    time into a small scratch block and mapped by
-    :meth:`Ensemble.support_indices`; each row holds exactly the indices of
-    ``e.sample_indices(stream, n)``.
+    Rows are stored step-major, as the transpose of a C-contiguous buffer
+    whose first axis is the step, so that the sweeps' per-step slice
+    ``rows[:, k-1]`` is contiguous: a ``(B, n)`` uint16 index array holding
+    the indices of ``e.sample_indices(stream, n)``, or a ``(B, n, d)`` array
+    holding the values of ``e.sample_diagonal_values(stream, n)``.  Uniforms
+    are drawn a few rows at a time into a small scratch block by
+    :meth:`RngStream.fill_rows` and mapped as those methods map them.
     """
-    if e.is_finite_support:
-        buf = np.empty((n, len(streams)), dtype=np.uint16)
-        u = np.empty((max(1, min(len(streams), _FILL_BLOCK // n)), n))
-        for lo in range(0, len(streams), len(u)):
-            group = streams[lo : lo + len(u)]
-            RngStream.fill_rows(group, u[: len(group)])
-            buf[:, lo : lo + len(group)] = e.support_indices(u[: len(group)]).T
-        return buf.T
-    rows = np.empty((len(streams), n, e.dim))
-    for b, r in enumerate(streams):
-        rows[b] = e.sample_diagonal_values(r, n)
-    return rows
+    B, finite = len(streams), e.is_finite_support
+    buf = np.empty((n, B), dtype=np.uint16) if finite else np.empty((n, B, e.dim))
+    width = n if finite else n * e.dim
+    u = np.empty((max(1, min(B, _FILL_BLOCK // width)), width))
+    for lo in range(0, B, len(u)):
+        group = streams[lo : lo + len(u)]
+        block = u[: len(group)]
+        RngStream.fill_rows(group, block)
+        if finite:
+            buf[:, lo : lo + len(group)] = e.support_indices(block).T
+        else:
+            block *= e.high - e.low  # low + (high - low) * u, as sample_diagonal_values
+            block += e.low
+            buf[:, lo : lo + len(group)] = block.reshape(len(group), n, e.dim).swapaxes(0, 1)
+    return buf.swapaxes(0, 1)
+
+
+def _add_steps(block):
+    """``block[0] + block[1] + ...`` entry by entry, added in step order.
+
+    ``add.reduce`` over the leading axis adds one step at a time, as a
+    per-step loop or ``cumsum`` does, except when that axis is the fastest:
+    then numpy sums pairwise.  So a block of one entry per step takes
+    ``cumsum``.
+    """
+    if block[0].size == 1:
+        return np.cumsum(block, axis=0)[-1]
+    return np.add.reduce(block, axis=0)
 
 
 def _s_tables(kern, x, want_s: bool, want_s_prime: bool):
@@ -203,26 +235,74 @@ def _scalar_sweep(kern, x, rows, want_s: bool, want_s_prime: bool):
     return tuple(None if a is None else a[:, None] for a in (v, s, u))
 
 
+def _diagonal_sweep(kern, x, rows, want_s: bool, want_s_prime: bool):
+    """The diagonal_uniform sweep, elementwise on ``(B, d)`` arrays.
+
+    Every operator in sight is diagonal and the mean is a multiple of I, so
+    P_j = e^{mid j/n} I and Q^j = (E e^{a/n})^j I.  A block of steps is taken
+    at once: ``exp(vals / n)`` and the S and S' terms over the whole block,
+    then ``v`` by ``multiply.reduce`` and ``s`` by :func:`_add_steps` over
+    blocks whose row 0 is the running value, which multiply and add in the
+    per-step loop's order.  The S' recurrence runs step by step in place.
+    Each block's scratch holds about ``_FILL_BLOCK`` entries.
+    """
+    e = kern.ensemble
+    n, (B, _, d) = kern.n, rows.shape
+    mid = 0.5 * (e.low + e.high)
+    pk = np.exp(mid * np.arange(n + 1) / n)
+    qk = float(kern.q_powers[1][0, 0]) ** np.arange(n + 1)
+    xv = np.asarray(x, dtype=float)
+    steps = rows.swapaxes(0, 1)  # (n, B, d), contiguous for rows from _draw_rows
+    size = max(1, _FILL_BLOCK // (B * d))
+    ev = np.empty((size + 1, B, d))  # row 0: v; row 1 + r: e^{a_{hi-r}/n}
+    sv = np.empty_like(ev) if want_s else None  # row 0: s; row 1 + r: step hi-r's term
+    v = np.tile(xv, (B, 1))
+    s = np.zeros((B, d)) if want_s else None
+    u = np.zeros((B, d)) if want_s_prime else None
+    for hi in range(n, 0, -size):
+        lo = max(0, hi - size)
+        cnt = hi - lo
+        vals = steps[lo:hi][::-1]  # vals[r] = a_{hi-r}
+        np.exp(vals / n, out=ev[1 : cnt + 1])
+        if want_s or want_s_prime:
+            dx = (vals - mid) * xv
+        if want_s_prime:
+            z = qk[n - hi : n - lo, None, None] * dx
+            for r in range(cnt):
+                np.multiply(ev[1 + r], u, out=u)
+                np.add(u, z[r], out=u)
+        if want_s:
+            sv[0] = s
+            np.multiply((pk[lo:hi][::-1] * pk[n - hi : n - lo])[:, None, None], dx,
+                        out=sv[1 : cnt + 1])
+            s = _add_steps(sv[: cnt + 1])
+        ev[0] = v
+        v = np.multiply.reduce(ev[: cnt + 1], axis=0)
+    return v, s, u
+
+
 def simulate_block(kern, x, rows, *, want_s: bool = False, want_s_prime: bool = False):
     """Run one chunk of replicates; returns per-row end states.
 
     Output dict keys: ``prod_x`` (B, d) always; ``s_x`` and ``s_prime_x``
     (B, d) when requested.  All downstream statistics are cheap functions of
-    these plus kernel constants.  Finite support at d=1 runs
-    :func:`_scalar_sweep`, which gives the same bits as a per-row matmul
-    sweep; at d >= 2 every step multiplies by the drawn support exponentials
-    through :func:`_support_step`.
+    these plus kernel constants.  diagonal_uniform runs
+    :func:`_diagonal_sweep` and finite support at d=1 :func:`_scalar_sweep`,
+    which give the same bits as a per-step loop; finite support at d >= 2
+    multiplies every step by the drawn support exponentials through
+    :func:`_support_step`.
     """
     e = kern.ensemble
     n, d = kern.n, e.dim
     B = rows.shape[0]
-    v = np.tile(np.asarray(x, dtype=float), (B, 1))
-    s = np.zeros((B, d)) if want_s else None
-    u = np.zeros((B, d)) if want_s_prime else None
-
-    if e.is_finite_support and d == 1:
+    if not e.is_finite_support:
+        v, s, u = _diagonal_sweep(kern, x, rows, want_s, want_s_prime)
+    elif d == 1:
         v, s, u = _scalar_sweep(kern, x, rows, want_s, want_s_prime)
-    elif e.is_finite_support:
+    else:
+        v = np.tile(np.asarray(x, dtype=float), (B, 1))
+        s = np.zeros((B, d)) if want_s else None
+        u = np.zeros((B, d)) if want_s_prime else None
         step = _support_step(np.stack(kern.exps), B)
         ws, zs = _s_tables(kern, x, want_s, want_s_prime)
         for k in range(n, 0, -1):
@@ -234,23 +314,6 @@ def simulate_block(kern, x, rows, *, want_s: bool = False, want_s_prime: bool = 
                 (v,) = step(idx, v)
             if want_s:
                 s += ws[idx, k - 1]
-    else:
-        # Diagonal-uniform: every operator in sight is diagonal, the mean is
-        # a scalar multiple of I, so the sweep is elementwise.
-        mid = 0.5 * (e.low + e.high)
-        pk = np.exp(mid * np.arange(n + 1) / n)  # P_j = e^{mid j/n} I
-        qc = float(kern.q_powers[1][0, 0])  # Q_1 = (E e^{a/n}) I
-        qk = qc ** np.arange(n + 1)
-        xv = np.asarray(x, dtype=float)
-        for k in range(n, 0, -1):
-            vals = rows[:, k - 1, :]
-            ek = np.exp(vals / n)
-            delta = vals - mid
-            if want_s_prime:
-                u = qk[n - k] * (delta * xv) + ek * u
-            if want_s:
-                s += (pk[k - 1] * pk[n - k]) * (delta * xv)
-            v = ek * v
 
     out = {"prod_x": v}
     if want_s:
@@ -260,20 +323,20 @@ def simulate_block(kern, x, rows, *, want_s: bool = False, want_s_prime: bool = 
     return out
 
 
-def simulate_paths(e, kern, x, y, stream_for, reps: int, *, want_s: bool = False,
-                   want_s_prime: bool = False):
-    """All requested per-replicate statistics over ``reps`` replicates.
+def path_rows(e, kern, x, stream_for, reps: int, *, want_s: bool = False,
+              want_s_prime: bool = False):
+    """Per-replicate end states and norms of one Monte Carlo pass.
 
-    ``stream_for(rep_index)`` must return the replicate's own RngStream;
-    chunking is internal and cannot affect any output bit.
+    ``stream_for(rep_index)`` must return the replicate's own RngStream.
+    Every row comes from its own stream by row-local arithmetic, so neither
+    the chunking nor a split of the replicates can change an output bit.
 
-    Returns a dict of float arrays of length ``reps``: ``proj_xi`` always;
-    ``proj_s`` and ``diff_norm`` with ``want_s``; ``r_norm`` and ``mk_norm``
-    with ``want_s_prime``.
+    Returns a dict of arrays with ``reps`` rows: ``xi`` (xi_n x, d columns)
+    always; ``s`` (S_n x, d columns) and ``diff_norm`` with ``want_s``;
+    ``r_norm`` and ``mk_norm`` with ``want_s_prime``.
     """
     n = kern.n
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     root_n = np.sqrt(float(n))
     ex_x = kern.p_powers[n] @ x  # e^{EA} x
     qn_x = kern.q_powers[n] @ x  # (E e^{A/n})^n x
@@ -281,10 +344,10 @@ def simulate_paths(e, kern, x, y, stream_for, reps: int, *, want_s: bool = False
     def stats(rows):
         block = simulate_block(kern, x, rows, want_s=want_s, want_s_prime=want_s_prime)
         xi = root_n * (block["prod_x"] - ex_x)
-        out = {"proj_xi": xi @ y}
+        out = {"xi": xi}
         if want_s:
             s = block["s_x"] / root_n
-            out["proj_s"] = s @ y
+            out["s"] = s
             out["diff_norm"] = np.linalg.norm(xi - s, axis=1)
         if want_s_prime:
             mk = block["prod_x"] - qn_x
@@ -294,6 +357,37 @@ def simulate_paths(e, kern, x, y, stream_for, reps: int, *, want_s: bool = False
         return out
 
     return _by_chunk(e, n, stream_for, reps, stats)
+
+
+def project_paths(e, n: int, y, rows) -> dict:
+    """:func:`path_rows` output with ``xi`` and ``s`` replaced by their
+    projections ``proj_xi`` = <y, xi_n x> and ``proj_s`` = <y, S_n x>.
+
+    A BLAS matrix-vector product may round a row by another route depending
+    on the rows multiplied with it, so each product runs on one chunk of
+    :func:`chunk_ranges`, the same for any worker count.
+    """
+    y = np.asarray(y, dtype=float)
+    reps = len(rows["xi"])
+    out = {k: v for k, v in rows.items() if k not in ("xi", "s")}
+    for key, name in (("xi", "proj_xi"), ("s", "proj_s")):
+        if key in rows:
+            out[name] = np.concatenate([rows[key][lo:hi] @ y
+                                        for lo, hi in chunk_ranges(e, n, reps)])
+    return out
+
+
+def simulate_paths(e, kern, x, y, stream_for, reps: int, *, want_s: bool = False,
+                   want_s_prime: bool = False):
+    """All requested per-replicate statistics over ``reps`` replicates.
+
+    ``stream_for(rep_index)`` must return the replicate's own RngStream.
+    Returns a dict of float arrays of length ``reps``: ``proj_xi`` always;
+    ``proj_s`` and ``diff_norm`` with ``want_s``; ``r_norm`` and ``mk_norm``
+    with ``want_s_prime``.
+    """
+    return project_paths(e, kern.n, y, path_rows(e, kern, x, stream_for, reps,
+                                                 want_s=want_s, want_s_prime=want_s_prime))
 
 
 def diff_pair_block(kern, x, rows, ks):
@@ -314,11 +408,11 @@ def diff_pair_block(kern, x, rows, ks):
         pk = np.exp(mid * np.arange(n + 1) / n)
         qc = float(kern.q_powers[1][0, 0])
         xv = np.asarray(x, dtype=float)
-        csum = np.cumsum(rows, axis=1)  # (B, n, d) running sums of draws
+        steps = rows.swapaxes(0, 1)  # (n, B, d)
         for k in ks:
             delta = rows[:, k - 1, :] - mid
             d_rows = (pk[k - 1] * pk[n - k]) * (delta * xv)
-            pref = np.exp(csum[:, k - 2, :] / n) if k >= 2 else 1.0
+            pref = np.exp(_add_steps(steps[: k - 1]) / n) if k >= 2 else 1.0
             z = pref * (delta * (qc ** (n - k) * xv))
             out[k] = (d_rows - z) / root_n
         return out

@@ -21,9 +21,11 @@ Families and their parameters: ``two_point`` (a0, a1, p), ``finite_support``
 
 Each suite writes one CSV (RFC-4180, LF, shortest round-trip floats) and the
 run writes a summary.json mirroring the RunReport.  Replicate streams are
-keyed by (master_seed, suite tag, n, replicate index), replicate chunks are a
-fixed function of the problem shape, and chunk results are reduced in index
-order, so all emitted numbers are independent of the worker count.
+keyed by (master_seed, suite tag, n, replicate index).  A run keeps at most
+one process pool; each Monte Carlo pass splits its replicates into one
+contiguous range per worker, whose rows are joined in index order, and the
+projections run on chunks that are a fixed function of the problem shape,
+so all emitted numbers are independent of the worker count.
 """
 
 from __future__ import annotations
@@ -324,7 +326,8 @@ def emit_csv(header, rows, path) -> None:
 # --- parallel replicate machinery -------------------------------------------
 
 # Kernels by (config digest, n), shared by the suites of one run() and emptied
-# when it returns: a kernel holds about 16 MB at d=16, n=4096.
+# when it returns: a kernel holds about 16 MB at d=16, n=4096.  Each worker
+# process keeps its own for the run, as its pool lives as long as the run.
 _KERNEL_CACHE: dict = {}
 
 
@@ -336,23 +339,49 @@ def _kernel(e: Ensemble, key: str, n: int):
     return kern
 
 
-def _chunk_task(payload):
+class _Workers:
+    """The worker processes of one run(): none at one worker, else one
+    executor, started by the first pass and shut down by :meth:`close`."""
+
+    def __init__(self, count: int):
+        self.count = count
+        self._executor = None
+
+    def ranges(self, reps: int) -> list:
+        """``[0, reps)`` as ``count`` contiguous ranges, empty ones skipped."""
+        cuts = [reps * w // self.count for w in range(self.count + 1)]
+        return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
+
+    def map(self, task, payloads) -> list:
+        if self.count == 1:
+            return [task(p) for p in payloads]
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(max_workers=self.count)
+        return list(self._executor.map(task, payloads))
+
+    def close(self) -> None:
+        if self._executor is not None:
+            self._executor.shutdown(cancel_futures=True)
+            self._executor = None
+
+
+def _range_task(payload):
     fn, e, key, n, probes, seed, tag, lo, hi, kw = payload
     root = RngStream(seed)
     return fn(e, _kernel(e, key, n), *probes, lambda i: root.child(tag, n, lo + i),
               hi - lo, **kw)
 
 
-def _run_chunks(cfg, key, tag, n, workers, fn, probes, **kw):
+def _run_chunks(cfg, key, tag, n, workers: _Workers, fn, probes, **kw):
     """Engine pass ``fn`` over all replicates at one n, keyed by (tag, n, index):
-    one call per chunk of :func:`engine.chunk_ranges`, across ``workers``."""
+    one call per worker on its range of replicates, which the engine chunks."""
     e = cfg.ensemble
+    # numpy rounds a matrix-vector product by another route for a strided
+    # vector, and a probe pickled to a worker arrives contiguous
+    probes = tuple(np.ascontiguousarray(p, dtype=float) for p in probes)
     payloads = [(fn, e, key, n, probes, cfg.master_seed, tag, lo, hi, kw)
-                for lo, hi in engine.chunk_ranges(e, n, cfg.replicates)]
-    if workers <= 1 or len(payloads) <= 1:
-        return engine.concat_chunks([_chunk_task(p) for p in payloads])
-    with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as ex:
-        return engine.concat_chunks(list(ex.map(_chunk_task, payloads)))
+                for lo, hi in workers.ranges(cfg.replicates)]
+    return engine.concat_chunks(workers.map(_range_task, payloads))
 
 
 # --- suites ------------------------------------------------------------------
@@ -382,7 +411,7 @@ def _is_effectively_deterministic(e: Ensemble) -> bool:
     return e.low == e.high
 
 
-def _suite_clt(cfg: ExperimentConfig, key: str, workers: int) -> SuiteResult:
+def _suite_clt(cfg: ExperimentConfig, key: str, workers: _Workers) -> SuiteResult:
     e = cfg.ensemble
     sigma2_ref = sigma_projected(e, cfg.x, cfg.y)
     degenerate = _is_effectively_deterministic(e)
@@ -402,8 +431,8 @@ def _suite_clt(cfg: ExperimentConfig, key: str, workers: int) -> SuiteResult:
     per_n = {}
     checks = {}
     for n in cfg.n_grid:
-        samples = _run_chunks(cfg, key, "clt", n, workers, engine.simulate_paths,
-                              (cfg.x, cfg.y))["proj_xi"]
+        paths = _run_chunks(cfg, key, "clt", n, workers, engine.path_rows, (cfg.x,))
+        samples = engine.project_paths(e, n, cfg.y, paths)["proj_xi"]
         stats = summarize(samples, sigma2_ref)
         if degenerate:
             bound = _degenerate_bound(e, n)
@@ -436,7 +465,7 @@ def _suite_clt(cfg: ExperimentConfig, key: str, workers: int) -> SuiteResult:
     return SuiteResult("clt", bool(passed), details, header, tuple(rows))
 
 
-def _suite_lemma_speed(cfg: ExperimentConfig, key: str, workers: int) -> SuiteResult:
+def _suite_lemma_speed(cfg: ExperimentConfig, key: str, workers: _Workers) -> SuiteResult:
     e = cfg.ensemble
     points = lemma_speed_curve(e, cfg.n_grid)
     header = ("n", "norm_outer", "norm_inner", "k_max_norm")
@@ -504,7 +533,7 @@ def _structure_check(cfg: ExperimentConfig, key: str, n: int):
     return out
 
 
-def _suite_martingale(cfg: ExperimentConfig, key: str, workers: int) -> SuiteResult:
+def _suite_martingale(cfg: ExperimentConfig, key: str, workers: _Workers) -> SuiteResult:
     e = cfg.ensemble
     header = ("n", "mean_Rn_norm", "mean_diff_sq", "mean_Mn_norm", "mean_Mn_norm_sq",
               "riemann_cov_error", "median_Rn_norm", "q90_diff_norm")
@@ -515,8 +544,8 @@ def _suite_martingale(cfg: ExperimentConfig, key: str, workers: int) -> SuiteRes
     ortho_stats = {}
     n_star = lindeberg_threshold(e, _LINDEBERG_EPS)
     for n in cfg.n_grid:
-        stats = _run_chunks(cfg, key, "martingale", n, workers, engine.simulate_paths,
-                            (cfg.x, cfg.y), want_s=True, want_s_prime=True)
+        stats = _run_chunks(cfg, key, "martingale", n, workers, engine.path_rows,
+                            (cfg.x,), want_s=True, want_s_prime=True)
         kern = _kernel(e, key, n)
         ks = sorted({1, (n + 1) // 2, n})
         diff = diff_moments(n, _run_chunks(cfg, key, "martingale-diff", n, workers,
@@ -611,7 +640,7 @@ def _suite_martingale(cfg: ExperimentConfig, key: str, workers: int) -> SuiteRes
     return SuiteResult("martingale", bool(passed), details, header, tuple(rows))
 
 
-def _suite_doob(cfg: ExperimentConfig, key: str, workers: int) -> SuiteResult:
+def _suite_doob(cfg: ExperimentConfig, key: str, workers: _Workers) -> SuiteResult:
     e = cfg.ensemble
     n = cfg.n_grid[-1]
     kern = _kernel(e, key, n)
@@ -635,7 +664,7 @@ def _suite_doob(cfg: ExperimentConfig, key: str, workers: int) -> SuiteResult:
     return SuiteResult("doob", bool(ok), details, header, tuple(rows))
 
 
-def _suite_covariance(cfg: ExperimentConfig, key: str, workers: int) -> SuiteResult:
+def _suite_covariance(cfg: ExperimentConfig, key: str, workers: _Workers) -> SuiteResult:
     e = cfg.ensemble
     header = ("max_route_delta", "oracle_delta", "node_doubling_delta",
               "min_projected_variance", "max_shift_delta", "symmetry_defect")
@@ -652,9 +681,11 @@ def _suite_covariance(cfg: ExperimentConfig, key: str, workers: int) -> SuiteRes
     max_route = 0.0
     min_proj = np.inf
     scale_floor = 0.0
+    values = [op.full]  # every sigma computed, for the point-mass check
     for px, py in probes:
         proj = sigma_projected(e, px, py)
         qf = op.project(px, py)
+        values += [proj, qf]
         scale = max(abs(proj), abs(qf), np.finfo(float).tiny)
         max_route = max(max_route, abs(proj - qf) / scale)
         min_proj = min(min_proj, proj)
@@ -670,6 +701,7 @@ def _suite_covariance(cfg: ExperimentConfig, key: str, workers: int) -> SuiteRes
         oracle = sigma_commuting_oracle(e)
         denom = max(float(np.linalg.norm(op.full)), np.finfo(float).tiny)
         oracle_delta = float(np.linalg.norm(op.full - oracle.full)) / denom
+        values.append(oracle.full)
 
     base = sigma_projected(e, cfg.x, cfg.y)
     max_shift = 0.0
@@ -678,14 +710,11 @@ def _suite_covariance(cfg: ExperimentConfig, key: str, workers: int) -> SuiteRes
         target = math.exp(2.0 * c) * base
         denom = max(abs(target), np.finfo(float).tiny)
         max_shift = max(max_shift, abs(shifted - target) / denom)
+        values.append(shifted)
+    values += [v1, v2, base]
 
     sym = symmetry_defect(op)
     rows = ((max_route, oracle_delta, doubling, min_proj, max_shift, sym),)
-    ok = (max_route <= 1e-10
-          and (math.isnan(oracle_delta) or oracle_delta <= 1e-10)
-          and doubling < 1e-12
-          and min_proj >= -1e-12 * scale_floor
-          and max_shift <= 1e-10)
     details = {
         "quadrature_nodes": op.nodes,
         "max_route_delta": max_route,
@@ -696,6 +725,26 @@ def _suite_covariance(cfg: ExperimentConfig, key: str, workers: int) -> SuiteRes
         "symmetry_defect": sym,
         "probe_pairs_checked": len(probes),
     }
+    if _is_effectively_deterministic(e):
+        # Point mass: Sigma = 0, so every value above is rounding noise and
+        # the relative deltas divide it by zero.  Each centered draw A_i - EA
+        # rounds a weighted mean, to under 1e-10 (rho + 1) for the law and
+        # its shifts by c in {-1, 0.5}, and Sigma is quadratic in it with
+        # factors of at most e^{2 (rho + 1)} |x|^2 |y|^2.
+        probe_scale = max(float(px @ px) * float(py @ py) for px, py in probes)
+        zero_bound = ((1e-10 * (e.rho + 1.0) * math.exp(e.rho + 1.0)) ** 2
+                      * max(1.0, probe_scale))
+        max_abs = max(float(np.max(np.abs(v))) for v in values)
+        details.update({"marker": "exact-zero", "max_abs_sigma": max_abs,
+                        "zero_bound": zero_bound,
+                        "pass_rule": "every sigma within the zero bound "
+                                     "(1e-10 (rho+1) e^(rho+1))^2 max(1, |x|^2 |y|^2)"})
+        return SuiteResult("covariance", bool(max_abs <= zero_bound), details, header, rows)
+    ok = (max_route <= 1e-10
+          and (math.isnan(oracle_delta) or oracle_delta <= 1e-10)
+          and doubling < 1e-12
+          and min_proj >= -1e-12 * scale_floor
+          and max_shift <= 1e-10)
     return SuiteResult("covariance", bool(ok), details, header, rows)
 
 
@@ -755,16 +804,18 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> RunReport:
     suites = {}
     timings = {}
     csv_paths = {}
+    pool = _Workers(workers)
     try:
         for name in cfg.suites:
             t0 = time.perf_counter()
-            result = _SUITES[name](cfg, key, workers)
+            result = _SUITES[name](cfg, key, pool)
             timings[name] = time.perf_counter() - t0
             path = os.path.join(cfg.output_dir, f"{name}.csv")
             emit_csv(result.header, result.rows, path)
             csv_paths[name] = path
             suites[name] = {"passed": result.passed, "details": result.details}
     finally:
+        pool.close()
         _KERNEL_CACHE.clear()
 
     report = RunReport(

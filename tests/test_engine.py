@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from expclt import RngStream, finite_support, precompute_kernel, sample_xi
+from expclt import (RngStream, diagonal_uniform, finite_support, precompute_kernel,
+                    sample_xi)
 from expclt import engine, experiment
 from expclt.dynamics import decompose_xi_prime, diff_moment_curve
 from expclt.experiment import ExperimentConfig
@@ -240,6 +241,102 @@ class TestScalarSweep:
             assert np.array_equal(got[key], ref[key])
 
 
+def _diagonal_loop_sweep(kern, x, rows, want_s, want_s_prime):
+    """The diagonal_uniform sweep one step at a time on (B, d) arrays: the
+    reference for the blocked diagonal kernel."""
+    e, n = kern.ensemble, kern.n
+    mid = 0.5 * (e.low + e.high)
+    pk = np.exp(mid * np.arange(n + 1) / n)
+    qk = float(kern.q_powers[1][0, 0]) ** np.arange(n + 1)
+    xv = np.asarray(x, dtype=float)
+    v = np.tile(xv, (rows.shape[0], 1))
+    s = np.zeros_like(v)
+    u = np.zeros_like(v)
+    for k in range(n, 0, -1):
+        vals = rows[:, k - 1, :]
+        ek = np.exp(vals / n)
+        delta = vals - mid
+        if want_s_prime:
+            u = qk[n - k] * (delta * xv) + ek * u
+        if want_s:
+            s += (pk[k - 1] * pk[n - k]) * (delta * xv)
+        v = ek * v
+    out = {"prod_x": v}
+    if want_s:
+        out["s_x"] = s
+    if want_s_prime:
+        out["s_prime_x"] = u
+    return out
+
+
+def _diagonal_cumsum_diff_pairs(kern, x, rows, ks):
+    """diff_pair_block's diagonal rows with the prefix sums of the draws
+    taken from one full cumsum: the reference for its per-k sums."""
+    e, n = kern.ensemble, kern.n
+    mid = 0.5 * (e.low + e.high)
+    pk = np.exp(mid * np.arange(n + 1) / n)
+    qc = float(kern.q_powers[1][0, 0])
+    xv = np.asarray(x, dtype=float)
+    csum = np.cumsum(rows, axis=1)
+    out = {}
+    for k in ks:
+        delta = rows[:, k - 1, :] - mid
+        d_rows = (pk[k - 1] * pk[n - k]) * (delta * xv)
+        pref = np.exp(csum[:, k - 2, :] / n) if k >= 2 else 1.0
+        out[k] = (d_rows - pref * (delta * (qc ** (n - k) * xv))) / np.sqrt(n)
+    return out
+
+
+class TestDiagonalSweep:
+    # The blocked diagonal kernel must perform the per-step loop's multiplies
+    # and adds in the same order, so every bit agrees. A block holds
+    # engine._FILL_BLOCK // (B d) steps, at least one: at d = 8, B = 1, 2
+    # and 37 give 8192, 4096 and 221 steps, so n = 1025 ends in a partial
+    # block; B = 4096 and 4097 sit on both sides of the edge from two-step to
+    # one-step blocks, and past B = 8192 a single step holds more than
+    # _FILL_BLOCK entries. B = 1 at d = 1 has one entry per step, which
+    # numpy would sum pairwise. n = 7 and 300 are not multiples of anything
+    # in the kernel.
+
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    @pytest.mark.parametrize("n", [7, 64, 300, 1025])
+    @pytest.mark.parametrize("B", [1, 2, 37])
+    @pytest.mark.parametrize("flags", [(False, False), (True, False), (False, True),
+                                       (True, True)])
+    def test_bit_identical_to_step_loop(self, d, n, B, flags):
+        self._check(diagonal_uniform(d, -0.5, 1.0), n, B, *flags)
+
+    @pytest.mark.parametrize("B", [4096, 4097, 8192, 8193])
+    def test_block_edges(self, B):
+        self._check(diagonal_uniform(8, -0.5, 1.0), 5, B, True, True)
+
+    def _check(self, e, n, B, want_s, want_s_prime):
+        kern = precompute_kernel(e, n)
+        rows = engine._draw_rows(e, [_streams_root(n)(i) for i in range(B)], n)
+        x = np.linspace(1.0, -0.5, e.dim)
+        got = engine.simulate_block(kern, x, rows, want_s=want_s,
+                                    want_s_prime=want_s_prime)
+        ref = _diagonal_loop_sweep(kern, x, rows, want_s, want_s_prime)
+        assert set(got) == set(ref)
+        for key in ref:
+            assert got[key].shape == ref[key].shape
+            assert np.array_equal(got[key], ref[key])
+
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    @pytest.mark.parametrize("n", [7, 64, 300])
+    @pytest.mark.parametrize("B", [1, 2, 37])
+    def test_diff_pair_block_matches_cumsum(self, d, n, B):
+        e = diagonal_uniform(d, -0.5, 1.0)
+        kern = precompute_kernel(e, n)
+        rows = engine._draw_rows(e, [_streams_root(n)(i) for i in range(B)], n)
+        x = np.linspace(1.0, -0.5, d)
+        ks = sorted({1, 2, (n + 1) // 2, n})
+        got = engine.diff_pair_block(kern, x, rows, ks)
+        ref = _diagonal_cumsum_diff_pairs(kern, x, rows, ks)
+        for k in ks:
+            assert np.array_equal(got[k], ref[k])
+
+
 class TestChunkingInvariance:
     # Each replicate owns a keyed stream, so neither the replicate count nor
     # the internal chunk width may change a single output bit.
@@ -290,12 +387,13 @@ class TestChunkingInvariance:
             cfg = ExperimentConfig(ensemble=e, x=x, y=x, n_grid=(16,), replicates=reps,
                                    master_seed=23, suites=("martingale",),
                                    output_dir="unused")
+            one = experiment._Workers(1)
             try:
-                whole = experiment._run_chunks(cfg, fix, "diff", 16, 1,
+                whole = experiment._run_chunks(cfg, fix, "diff", 16, one,
                                                engine.diff_pairs, (x,), ks=ks)
                 with monkeypatch.context() as mp:
                     mp.setattr(engine, "batch_size", lambda *a: 3)
-                    split = experiment._run_chunks(cfg, fix, "diff", 16, 1,
+                    split = experiment._run_chunks(cfg, fix, "diff", 16, one,
                                                    engine.diff_pairs, (x,), ks=ks)
             finally:
                 experiment._KERNEL_CACHE.clear()
@@ -322,6 +420,53 @@ class TestChunkingInvariance:
             assert np.array_equal(list(w.per_k.items()), list(s.per_k.items()))
             assert np.array_equal(w.ortho, s.ortho)
             assert w.mean_sq == s.mean_sq
+
+
+class TestWorkerRanges:
+    # experiment._run_chunks gives each worker a contiguous range of
+    # replicates, which the engine chunks. 49 replicates over 2 or 3 workers
+    # make uneven ranges (24 + 25, 16 + 16 + 17), and a forced width of 3,
+    # which forked workers inherit, ends each range in a 1- or 2-row chunk.
+    # path_rows and diff_pairs rows must not change by a bit.
+
+    @pytest.mark.parametrize("fix", ["diag3", "fs9", "fs16m4", "dense3"])
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_worker_split_is_invisible(self, fix, workers, request, monkeypatch):
+        e = request.getfixturevalue(fix)
+        # a strided probe, which reaches the workers contiguous
+        x = np.linspace(-0.5, 1.0, e.dim)[::-1]
+        cfg = ExperimentConfig(ensemble=e, x=x, y=x, n_grid=(16,), replicates=49,
+                               master_seed=29, suites=("martingale",),
+                               output_dir="unused")
+
+        def both(pool):
+            try:
+                paths = experiment._run_chunks(cfg, fix, "paths", 16, pool,
+                                               engine.path_rows, (x,),
+                                               want_s=True, want_s_prime=True)
+                diff = experiment._run_chunks(cfg, fix, "diff", 16, pool,
+                                              engine.diff_pairs, (x,), ks=(1, 8, 16))
+            finally:
+                pool.close()
+                experiment._KERNEL_CACHE.clear()
+            return {**paths, **diff}
+
+        whole = both(experiment._Workers(1))
+        monkeypatch.setattr(engine, "batch_size", lambda *a: 3)
+        split = both(experiment._Workers(workers))
+        assert set(whole) == set(split)
+        for key in whole:
+            assert split[key].shape[0] == 49
+            assert np.array_equal(whole[key], split[key])
+
+    @pytest.mark.parametrize("reps, workers, ranges", [
+        (49, 1, [(0, 49)]),
+        (49, 2, [(0, 24), (24, 49)]),
+        (49, 3, [(0, 16), (16, 32), (32, 49)]),
+        (2, 3, [(0, 1), (1, 2)]),
+    ])
+    def test_ranges_cover_replicates_in_order(self, reps, workers, ranges):
+        assert experiment._Workers(workers).ranges(reps) == ranges
 
 
 class TestDiffPairBlock:
@@ -408,9 +553,29 @@ class TestDrawRows:
         assert np.array_equal(tail, fresh.uniform(9))
 
     def test_diagonal_rows_replay_values(self, diag3):
+        # stream 2 drew before, so fill_rows serves it from its own generator
         streams = [_streams_root(13)(i) for i in range(4)]
+        head = streams[2].uniform(5)
         rows = engine._draw_rows(diag3, streams, 9)
         assert rows.shape == (4, 9, 3)
         for b in range(4):
-            ref = diag3.sample_diagonal_values(_streams_root(13)(b), 9)
+            fresh = _streams_root(13)(b)
+            if b == 2:
+                assert np.array_equal(fresh.uniform(5), head)
+            ref = diag3.sample_diagonal_values(fresh, 9)
+            assert np.array_equal(rows[b], ref)
+
+    def test_diagonal_rows_are_step_major(self, diag3):
+        rows = engine._draw_rows(diag3, [_streams_root(13)(i) for i in range(5)], 40)
+        assert rows.strides == (3 * 8, 5 * 3 * 8, 8)
+        assert rows[:, 7].flags.c_contiguous
+
+    def test_diagonal_rows_span_fill_blocks(self):
+        # 8 * 1000 uniforms per row: a scratch block holds 8 rows, so 19 rows
+        # take three blocks, the last one partial
+        e = diagonal_uniform(8, -2.0, 3.0)
+        assert engine._FILL_BLOCK // (8 * 1000) == 8
+        rows = engine._draw_rows(e, [_streams_root(3)(i) for i in range(19)], 1000)
+        for b in (0, 7, 8, 15, 16, 18):
+            ref = e.sample_diagonal_values(_streams_root(3)(b), 1000)
             assert np.array_equal(rows[b], ref)

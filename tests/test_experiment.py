@@ -231,6 +231,26 @@ class TestEmitCsv:
         assert back == vals
 
 
+@pytest.fixture
+def executors(monkeypatch):
+    """Every process pool that experiment starts, each marked when shut down."""
+    made = []
+
+    class Counting(experiment.ProcessPoolExecutor):
+        shut_down = False
+
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+        def shutdown(self, *args, **kwargs):
+            self.shut_down = True
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", Counting)
+    return made
+
+
 class TestRun:
     def _cfg(self, tmp_path, **over):
         return load_config(_write(tmp_path, "cfg.json",
@@ -273,6 +293,54 @@ class TestRun:
             b3 = open(r3.csv_paths[name], "rb").read()
             assert b1 == b3
         assert r1.suites == r3.suites
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_worker_split_never_changes_bytes(self, tmp_path, workers, monkeypatch):
+        # 49 replicates split unevenly over the workers, and a forced chunk
+        # width of 3, which forked workers inherit, ends each range in a
+        # short chunk. At d = 8 a BLAS product <y, xi> may round a row by
+        # another route depending on the rows multiplied with it.
+        rng = np.random.default_rng(8)
+        raw = _base_config(tmp_path, suites=["clt", "martingale"], n_grid=[16, 32, 64],
+                           replicates=49, structure_draws=1000,
+                           ensemble={"family": "diagonal_uniform", "dim": 8,
+                                     "low": -0.5, "high": 1.0},
+                           probes={"x": rng.uniform(-1, 1, 8).tolist(),
+                                   "y": rng.uniform(-1, 1, 8).tolist()})
+        monkeypatch.setattr(experiment.engine, "batch_size", lambda *a: 3)
+        out = {}
+        for w in (1, workers):
+            raw["output_dir"] = str(tmp_path / f"w{w}")
+            path = _write(tmp_path, f"w{w}.json", raw)
+            assert main(["run", path, "--workers", str(w)]) in (0, 1)
+            out[w] = tmp_path / f"w{w}"
+        for name in ("clt", "martingale"):
+            assert (out[workers] / f"{name}.csv").read_bytes() == (
+                (out[1] / f"{name}.csv").read_bytes())
+        summaries = [json.loads((out[w] / "summary.json").read_text()) for w in out]
+        assert summaries[0]["suites"] == summaries[-1]["suites"]
+
+    def test_one_executor_per_run(self, tmp_path, executors):
+        cfg = self._cfg(tmp_path, suites=["clt", "martingale"], n_grid=[16, 32, 64],
+                        replicates=60, structure_draws=1000)
+        run(cfg, workers=1)
+        assert executors == []
+        run(cfg, workers=2)
+        assert len(executors) == 1  # nine passes, one pool
+        assert executors[0].shut_down
+
+    def test_pool_shut_down_when_a_suite_raises(self, tmp_path, executors, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("suite failed to run")
+
+        monkeypatch.setitem(experiment._SUITES, "doob", broken)
+        cfg = self._cfg(tmp_path, suites=["clt", "doob"], n_grid=[16, 32],
+                        replicates=60)
+        with pytest.raises(RuntimeError, match="suite failed to run"):
+            run(cfg, workers=2)
+        assert len(executors) == 1
+        assert executors[0].shut_down
+        assert experiment._KERNEL_CACHE == {}
 
     def test_kernel_cache_is_scoped_to_one_run(self, tmp_path):
         cfg = self._cfg(tmp_path, suites=["clt"], n_grid=[16, 32], replicates=50)
@@ -402,6 +470,22 @@ class TestCli:
         assert sorted(details["per_n"]) == ["100", "1000", "300"]
         assert any(v["max_norm"] > 0.0 for v in details["per_n"].values())
         assert all(v["max_norm"] <= v["zero_bound"] for v in details["per_n"].values())
+
+    @pytest.mark.parametrize("ensemble", [
+        {"family": "finite_support", "matrices": [[[0.8]], [[0.8]], [[0.8]]],
+         "probabilities": [1 / 3, 1 / 3, 0.3333333333333334]},
+        {"family": "deterministic", "matrix": [[0.8]]},
+    ], ids=["repeated_matrix", "deterministic"])
+    def test_point_mass_covariance_checks_a_zero_bound(self, tmp_path, capsys, ensemble):
+        # the repeated matrix's mean rounds, so its shifted sigma is about
+        # 1e-34 against a target of exactly 0: a relative shift check fails
+        raw = _base_config(tmp_path, suites=["covariance"], ensemble=ensemble)
+        assert main(["run", _write(tmp_path, "c.json", raw), "--workers", "1"]) == 0
+        assert "[PASS] covariance" in capsys.readouterr().out
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        details = summary["suites"]["covariance"]["details"]
+        assert details["marker"] == "exact-zero"
+        assert 0.0 <= details["max_abs_sigma"] <= details["zero_bound"] < 1e-15
 
     def test_random_law_with_zero_lemma_norms_fails_lemma_speed(self, tmp_path, capsys):
         # a spread of 1e-9 is below double precision in E e^{A/n} past n = 16
