@@ -15,23 +15,14 @@ multiply per row.  The d=1 sweep multiplies gathered scalars instead
 (:func:`_diagonal_sweep`) is elementwise and takes a block of steps at
 once: one ``exp`` over the block, then ``multiply.reduce`` and
 ``add.reduce`` over blocks whose row 0 is the running product or sum, in
-the per-step order.  So the rows of :func:`path_rows` and
-:func:`diff_pairs` are bitwise identical for any batch size, chunking, or
-worker count.  Draw rows, index or diagonal, are stored step-major, so
-each step of a sweep reads one contiguous slice.
+the per-step order.  So results are bitwise identical for any batch size,
+chunking, or worker count.  Draw rows, index or diagonal, are stored
+step-major, so each step of a sweep reads one contiguous slice.
 
-The projections <y, xi_n x> and <y, S_n x> are the exception: a BLAS
-matrix-vector product may round a row by another route depending on the
-rows multiplied with it, so :func:`project_paths` multiplies the joined
-rows of a pass on the chunks of :func:`chunk_ranges`, which depend on the
-problem shape alone.
-
-Both Monte Carlo passes, :func:`path_rows` and :func:`diff_pairs`, run on
-one replicate driver: :func:`chunk_ranges` fixes the chunks from the
-problem shape and replicate count, each chunk draws its rows from its own
-replicates' streams, and :func:`concat_chunks` joins the chunk results in
-index order.  :func:`simulate_paths` is :func:`project_paths` over
-:func:`path_rows`.
+Both Monte Carlo passes, :func:`simulate_paths` and :func:`diff_pairs`, run
+on one replicate driver: :func:`chunk_ranges` fixes the chunks from the
+problem shape alone, each chunk draws its rows from its own replicates'
+streams, and :func:`concat_chunks` joins the chunk results in index order.
 
 Per chunk of B replicates and one k-sweep (k = n .. 1) the engine updates
 
@@ -55,8 +46,6 @@ __all__ = [
     "chunk_ranges",
     "concat_chunks",
     "simulate_block",
-    "path_rows",
-    "project_paths",
     "simulate_paths",
     "diff_pair_block",
     "diff_pairs",
@@ -66,7 +55,13 @@ __all__ = [
 # (16 MiB of float64 for diagonal draws, 4 MiB of uint16 for indices).
 _CHUNK_TARGET = 2_097_152
 
-# Uniforms per scratch block when drawing index rows (512 KiB of float64).
+# Entries per float64 scratch block (512 KiB), in three places.  _draw_rows
+# draws the uniforms of this many entries' worth of whole rows at a time, for
+# index rows (n entries a row) and diagonal rows (n d) alike, at least one
+# row.  _diagonal_sweep takes this many entries' worth of whole steps (B d
+# entries each) at a time, at least one step, so its (steps + 1, B, d)
+# blocks of exponentials and of S terms hold at most _FILL_BLOCK + B d
+# entries, or 2 B d when one step alone is larger.
 _FILL_BLOCK = 65_536
 
 # Steps whose factors the d=1 sweep gathers at once: a (65, B) float64 block,
@@ -323,20 +318,20 @@ def simulate_block(kern, x, rows, *, want_s: bool = False, want_s_prime: bool = 
     return out
 
 
-def path_rows(e, kern, x, stream_for, reps: int, *, want_s: bool = False,
-              want_s_prime: bool = False):
-    """Per-replicate end states and norms of one Monte Carlo pass.
+def simulate_paths(e, kern, x, y, stream_for, reps: int, *, want_s: bool = False,
+                   want_s_prime: bool = False):
+    """All requested per-replicate statistics over ``reps`` replicates.
 
-    ``stream_for(rep_index)`` must return the replicate's own RngStream.
-    Every row comes from its own stream by row-local arithmetic, so neither
-    the chunking nor a split of the replicates can change an output bit.
+    ``stream_for(rep_index)`` must return the replicate's own RngStream;
+    chunking is internal and cannot affect any output bit.
 
-    Returns a dict of arrays with ``reps`` rows: ``xi`` (xi_n x, d columns)
-    always; ``s`` (S_n x, d columns) and ``diff_norm`` with ``want_s``;
-    ``r_norm`` and ``mk_norm`` with ``want_s_prime``.
+    Returns a dict of float arrays of length ``reps``: ``proj_xi`` always;
+    ``proj_s`` and ``diff_norm`` with ``want_s``; ``r_norm`` and ``mk_norm``
+    with ``want_s_prime``.
     """
     n = kern.n
     x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     root_n = np.sqrt(float(n))
     ex_x = kern.p_powers[n] @ x  # e^{EA} x
     qn_x = kern.q_powers[n] @ x  # (E e^{A/n})^n x
@@ -344,10 +339,10 @@ def path_rows(e, kern, x, stream_for, reps: int, *, want_s: bool = False,
     def stats(rows):
         block = simulate_block(kern, x, rows, want_s=want_s, want_s_prime=want_s_prime)
         xi = root_n * (block["prod_x"] - ex_x)
-        out = {"xi": xi}
+        out = {"proj_xi": xi @ y}
         if want_s:
             s = block["s_x"] / root_n
-            out["s"] = s
+            out["proj_s"] = s @ y
             out["diff_norm"] = np.linalg.norm(xi - s, axis=1)
         if want_s_prime:
             mk = block["prod_x"] - qn_x
@@ -357,37 +352,6 @@ def path_rows(e, kern, x, stream_for, reps: int, *, want_s: bool = False,
         return out
 
     return _by_chunk(e, n, stream_for, reps, stats)
-
-
-def project_paths(e, n: int, y, rows) -> dict:
-    """:func:`path_rows` output with ``xi`` and ``s`` replaced by their
-    projections ``proj_xi`` = <y, xi_n x> and ``proj_s`` = <y, S_n x>.
-
-    A BLAS matrix-vector product may round a row by another route depending
-    on the rows multiplied with it, so each product runs on one chunk of
-    :func:`chunk_ranges`, the same for any worker count.
-    """
-    y = np.asarray(y, dtype=float)
-    reps = len(rows["xi"])
-    out = {k: v for k, v in rows.items() if k not in ("xi", "s")}
-    for key, name in (("xi", "proj_xi"), ("s", "proj_s")):
-        if key in rows:
-            out[name] = np.concatenate([rows[key][lo:hi] @ y
-                                        for lo, hi in chunk_ranges(e, n, reps)])
-    return out
-
-
-def simulate_paths(e, kern, x, y, stream_for, reps: int, *, want_s: bool = False,
-                   want_s_prime: bool = False):
-    """All requested per-replicate statistics over ``reps`` replicates.
-
-    ``stream_for(rep_index)`` must return the replicate's own RngStream.
-    Returns a dict of float arrays of length ``reps``: ``proj_xi`` always;
-    ``proj_s`` and ``diff_norm`` with ``want_s``; ``r_norm`` and ``mk_norm``
-    with ``want_s_prime``.
-    """
-    return project_paths(e, kern.n, y, path_rows(e, kern, x, stream_for, reps,
-                                                 want_s=want_s, want_s_prime=want_s_prime))
 
 
 def diff_pair_block(kern, x, rows, ks):

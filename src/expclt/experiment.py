@@ -21,11 +21,10 @@ Families and their parameters: ``two_point`` (a0, a1, p), ``finite_support``
 
 Each suite writes one CSV (RFC-4180, LF, shortest round-trip floats) and the
 run writes a summary.json mirroring the RunReport.  Replicate streams are
-keyed by (master_seed, suite tag, n, replicate index).  A run keeps at most
-one process pool; each Monte Carlo pass splits its replicates into one
-contiguous range per worker, whose rows are joined in index order, and the
-projections run on chunks that are a fixed function of the problem shape,
-so all emitted numbers are independent of the worker count.
+keyed by (master_seed, suite tag, n, replicate index), replicate chunks are a
+fixed function of the problem shape, and chunk results are reduced in index
+order, so all emitted numbers are independent of the worker count.  A run
+keeps at most one process pool, which every Monte Carlo pass shares.
 """
 
 from __future__ import annotations
@@ -339,49 +338,23 @@ def _kernel(e: Ensemble, key: str, n: int):
     return kern
 
 
-class _Workers:
-    """The worker processes of one run(): none at one worker, else one
-    executor, started by the first pass and shut down by :meth:`close`."""
-
-    def __init__(self, count: int):
-        self.count = count
-        self._executor = None
-
-    def ranges(self, reps: int) -> list:
-        """``[0, reps)`` as ``count`` contiguous ranges, empty ones skipped."""
-        cuts = [reps * w // self.count for w in range(self.count + 1)]
-        return [(lo, hi) for lo, hi in zip(cuts, cuts[1:]) if hi > lo]
-
-    def map(self, task, payloads) -> list:
-        if self.count == 1:
-            return [task(p) for p in payloads]
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.count)
-        return list(self._executor.map(task, payloads))
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(cancel_futures=True)
-            self._executor = None
-
-
-def _range_task(payload):
+def _chunk_task(payload):
     fn, e, key, n, probes, seed, tag, lo, hi, kw = payload
     root = RngStream(seed)
     return fn(e, _kernel(e, key, n), *probes, lambda i: root.child(tag, n, lo + i),
               hi - lo, **kw)
 
 
-def _run_chunks(cfg, key, tag, n, workers: _Workers, fn, probes, **kw):
+def _run_chunks(cfg, key, tag, n, pool, fn, probes, **kw):
     """Engine pass ``fn`` over all replicates at one n, keyed by (tag, n, index):
-    one call per worker on its range of replicates, which the engine chunks."""
+    one call per chunk of :func:`engine.chunk_ranges`, on the run's process
+    pool when there is one and the pass has more than one chunk."""
     e = cfg.ensemble
-    # numpy rounds a matrix-vector product by another route for a strided
-    # vector, and a probe pickled to a worker arrives contiguous
-    probes = tuple(np.ascontiguousarray(p, dtype=float) for p in probes)
     payloads = [(fn, e, key, n, probes, cfg.master_seed, tag, lo, hi, kw)
-                for lo, hi in workers.ranges(cfg.replicates)]
-    return engine.concat_chunks(workers.map(_range_task, payloads))
+                for lo, hi in engine.chunk_ranges(e, n, cfg.replicates)]
+    if pool is None or len(payloads) <= 1:
+        return engine.concat_chunks([_chunk_task(p) for p in payloads])
+    return engine.concat_chunks(list(pool.map(_chunk_task, payloads)))
 
 
 # --- suites ------------------------------------------------------------------
@@ -411,7 +384,7 @@ def _is_effectively_deterministic(e: Ensemble) -> bool:
     return e.low == e.high
 
 
-def _suite_clt(cfg: ExperimentConfig, key: str, workers: _Workers) -> SuiteResult:
+def _suite_clt(cfg: ExperimentConfig, key: str, pool) -> SuiteResult:
     e = cfg.ensemble
     sigma2_ref = sigma_projected(e, cfg.x, cfg.y)
     degenerate = _is_effectively_deterministic(e)
@@ -431,8 +404,8 @@ def _suite_clt(cfg: ExperimentConfig, key: str, workers: _Workers) -> SuiteResul
     per_n = {}
     checks = {}
     for n in cfg.n_grid:
-        paths = _run_chunks(cfg, key, "clt", n, workers, engine.path_rows, (cfg.x,))
-        samples = engine.project_paths(e, n, cfg.y, paths)["proj_xi"]
+        samples = _run_chunks(cfg, key, "clt", n, pool, engine.simulate_paths,
+                              (cfg.x, cfg.y))["proj_xi"]
         stats = summarize(samples, sigma2_ref)
         if degenerate:
             bound = _degenerate_bound(e, n)
@@ -465,7 +438,7 @@ def _suite_clt(cfg: ExperimentConfig, key: str, workers: _Workers) -> SuiteResul
     return SuiteResult("clt", bool(passed), details, header, tuple(rows))
 
 
-def _suite_lemma_speed(cfg: ExperimentConfig, key: str, workers: _Workers) -> SuiteResult:
+def _suite_lemma_speed(cfg: ExperimentConfig, key: str, pool) -> SuiteResult:
     e = cfg.ensemble
     points = lemma_speed_curve(e, cfg.n_grid)
     header = ("n", "norm_outer", "norm_inner", "k_max_norm")
@@ -533,7 +506,7 @@ def _structure_check(cfg: ExperimentConfig, key: str, n: int):
     return out
 
 
-def _suite_martingale(cfg: ExperimentConfig, key: str, workers: _Workers) -> SuiteResult:
+def _suite_martingale(cfg: ExperimentConfig, key: str, pool) -> SuiteResult:
     e = cfg.ensemble
     header = ("n", "mean_Rn_norm", "mean_diff_sq", "mean_Mn_norm", "mean_Mn_norm_sq",
               "riemann_cov_error", "median_Rn_norm", "q90_diff_norm")
@@ -544,11 +517,11 @@ def _suite_martingale(cfg: ExperimentConfig, key: str, workers: _Workers) -> Sui
     ortho_stats = {}
     n_star = lindeberg_threshold(e, _LINDEBERG_EPS)
     for n in cfg.n_grid:
-        stats = _run_chunks(cfg, key, "martingale", n, workers, engine.path_rows,
-                            (cfg.x,), want_s=True, want_s_prime=True)
+        stats = _run_chunks(cfg, key, "martingale", n, pool, engine.simulate_paths,
+                            (cfg.x, cfg.y), want_s=True, want_s_prime=True)
         kern = _kernel(e, key, n)
         ks = sorted({1, (n + 1) // 2, n})
-        diff = diff_moments(n, _run_chunks(cfg, key, "martingale-diff", n, workers,
+        diff = diff_moments(n, _run_chunks(cfg, key, "martingale-diff", n, pool,
                                            engine.diff_pairs, (cfg.x,), ks=ks))
         for _, _, mean_dot, se in diff.ortho:
             if abs(mean_dot) > 4.0 * se + 1e-30:
@@ -640,7 +613,7 @@ def _suite_martingale(cfg: ExperimentConfig, key: str, workers: _Workers) -> Sui
     return SuiteResult("martingale", bool(passed), details, header, tuple(rows))
 
 
-def _suite_doob(cfg: ExperimentConfig, key: str, workers: _Workers) -> SuiteResult:
+def _suite_doob(cfg: ExperimentConfig, key: str, pool) -> SuiteResult:
     e = cfg.ensemble
     n = cfg.n_grid[-1]
     kern = _kernel(e, key, n)
@@ -664,7 +637,7 @@ def _suite_doob(cfg: ExperimentConfig, key: str, workers: _Workers) -> SuiteResu
     return SuiteResult("doob", bool(ok), details, header, tuple(rows))
 
 
-def _suite_covariance(cfg: ExperimentConfig, key: str, workers: _Workers) -> SuiteResult:
+def _suite_covariance(cfg: ExperimentConfig, key: str, pool) -> SuiteResult:
     e = cfg.ensemble
     header = ("max_route_delta", "oracle_delta", "node_doubling_delta",
               "min_projected_variance", "max_shift_delta", "symmetry_defect")
@@ -804,7 +777,7 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> RunReport:
     suites = {}
     timings = {}
     csv_paths = {}
-    pool = _Workers(workers)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         for name in cfg.suites:
             t0 = time.perf_counter()
@@ -815,7 +788,8 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> RunReport:
             csv_paths[name] = path
             suites[name] = {"passed": result.passed, "details": result.details}
     finally:
-        pool.close()
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
         _KERNEL_CACHE.clear()
 
     report = RunReport(

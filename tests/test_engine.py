@@ -387,13 +387,12 @@ class TestChunkingInvariance:
             cfg = ExperimentConfig(ensemble=e, x=x, y=x, n_grid=(16,), replicates=reps,
                                    master_seed=23, suites=("martingale",),
                                    output_dir="unused")
-            one = experiment._Workers(1)
             try:
-                whole = experiment._run_chunks(cfg, fix, "diff", 16, one,
+                whole = experiment._run_chunks(cfg, fix, "diff", 16, None,
                                                engine.diff_pairs, (x,), ks=ks)
                 with monkeypatch.context() as mp:
                     mp.setattr(engine, "batch_size", lambda *a: 3)
-                    split = experiment._run_chunks(cfg, fix, "diff", 16, one,
+                    split = experiment._run_chunks(cfg, fix, "diff", 16, None,
                                                    engine.diff_pairs, (x,), ks=ks)
             finally:
                 experiment._KERNEL_CACHE.clear()
@@ -422,51 +421,44 @@ class TestChunkingInvariance:
             assert w.mean_sq == s.mean_sq
 
 
-class TestWorkerRanges:
-    # experiment._run_chunks gives each worker a contiguous range of
-    # replicates, which the engine chunks. 49 replicates over 2 or 3 workers
-    # make uneven ranges (24 + 25, 16 + 16 + 17), and a forced width of 3,
-    # which forked workers inherit, ends each range in a 1- or 2-row chunk.
-    # path_rows and diff_pairs rows must not change by a bit.
+class TestWorkerPool:
+    # experiment._run_chunks sends each chunk of engine.chunk_ranges to the
+    # run's process pool. A forced width of 3, which forked workers inherit,
+    # cuts 49 replicates into 17 chunks, the last of 1 row, which 2 or 3
+    # workers take in uneven shares. The pooled rows must equal the serial
+    # ones bit for bit.
 
     @pytest.mark.parametrize("fix", ["diag3", "fs9", "fs16m4", "dense3"])
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_worker_split_is_invisible(self, fix, workers, request, monkeypatch):
+    def test_pool_is_invisible(self, fix, workers, request, monkeypatch):
         e = request.getfixturevalue(fix)
-        # a strided probe, which reaches the workers contiguous
-        x = np.linspace(-0.5, 1.0, e.dim)[::-1]
-        cfg = ExperimentConfig(ensemble=e, x=x, y=x, n_grid=(16,), replicates=49,
+        x = np.linspace(1.0, -0.5, e.dim)
+        y = np.linspace(-0.5, 1.0, e.dim)
+        cfg = ExperimentConfig(ensemble=e, x=x, y=y, n_grid=(16,), replicates=49,
                                master_seed=29, suites=("martingale",),
                                output_dir="unused")
+        monkeypatch.setattr(engine, "batch_size", lambda *a: 3)
+        assert len(engine.chunk_ranges(e, 16, 49)) == 17
 
         def both(pool):
             try:
                 paths = experiment._run_chunks(cfg, fix, "paths", 16, pool,
-                                               engine.path_rows, (x,),
+                                               engine.simulate_paths, (x, y),
                                                want_s=True, want_s_prime=True)
                 diff = experiment._run_chunks(cfg, fix, "diff", 16, pool,
                                               engine.diff_pairs, (x,), ks=(1, 8, 16))
             finally:
-                pool.close()
+                if pool is not None:
+                    pool.shutdown()
                 experiment._KERNEL_CACHE.clear()
             return {**paths, **diff}
 
-        whole = both(experiment._Workers(1))
-        monkeypatch.setattr(engine, "batch_size", lambda *a: 3)
-        split = both(experiment._Workers(workers))
-        assert set(whole) == set(split)
-        for key in whole:
-            assert split[key].shape[0] == 49
-            assert np.array_equal(whole[key], split[key])
-
-    @pytest.mark.parametrize("reps, workers, ranges", [
-        (49, 1, [(0, 49)]),
-        (49, 2, [(0, 24), (24, 49)]),
-        (49, 3, [(0, 16), (16, 32), (32, 49)]),
-        (2, 3, [(0, 1), (1, 2)]),
-    ])
-    def test_ranges_cover_replicates_in_order(self, reps, workers, ranges):
-        assert experiment._Workers(workers).ranges(reps) == ranges
+        serial = both(None)
+        pooled = both(experiment.ProcessPoolExecutor(workers) if workers > 1 else None)
+        assert set(serial) == set(pooled)
+        for key in serial:
+            assert pooled[key].shape[0] == 49
+            assert np.array_equal(serial[key], pooled[key])
 
 
 class TestDiffPairBlock:

@@ -238,6 +238,11 @@ def executors(monkeypatch):
 
     class Counting(experiment.ProcessPoolExecutor):
         shut_down = False
+        tasks = 0
+
+        def submit(self, *args, **kwargs):
+            self.tasks += 1
+            return super().submit(*args, **kwargs)
 
         def __init__(self, *args, **kwargs):
             made.append(self)
@@ -295,11 +300,10 @@ class TestRun:
         assert r1.suites == r3.suites
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_worker_split_never_changes_bytes(self, tmp_path, workers, monkeypatch):
-        # 49 replicates split unevenly over the workers, and a forced chunk
-        # width of 3, which forked workers inherit, ends each range in a
-        # short chunk. At d = 8 a BLAS product <y, xi> may round a row by
-        # another route depending on the rows multiplied with it.
+    def test_pooled_chunks_never_change_bytes(self, tmp_path, workers, monkeypatch):
+        # A forced chunk width of 3, which forked workers inherit, cuts each
+        # pass of 49 replicates into 17 chunks, the last of 1 row, which the
+        # workers of the run's one pool share unevenly.
         rng = np.random.default_rng(8)
         raw = _base_config(tmp_path, suites=["clt", "martingale"], n_grid=[16, 32, 64],
                            replicates=49, structure_draws=1000,
@@ -320,13 +324,15 @@ class TestRun:
         summaries = [json.loads((out[w] / "summary.json").read_text()) for w in out]
         assert summaries[0]["suites"] == summaries[-1]["suites"]
 
-    def test_one_executor_per_run(self, tmp_path, executors):
+    def test_one_executor_per_run(self, tmp_path, executors, monkeypatch):
+        monkeypatch.setattr(experiment.engine, "batch_size", lambda *a: 32)
         cfg = self._cfg(tmp_path, suites=["clt", "martingale"], n_grid=[16, 32, 64],
                         replicates=60, structure_draws=1000)
         run(cfg, workers=1)
         assert executors == []
         run(cfg, workers=2)
-        assert len(executors) == 1  # nine passes, one pool
+        assert len(executors) == 1  # nine passes of two chunks, one pool
+        assert executors[0].tasks == 18
         assert executors[0].shut_down
 
     def test_pool_shut_down_when_a_suite_raises(self, tmp_path, executors, monkeypatch):
