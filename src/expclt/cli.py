@@ -2,31 +2,34 @@
 
     expclt run CONFIG [--seed N] [--out DIR] [--suites a,b,c] [--workers N]
 
-Runs the suites named in the config (or the --suites override), writes one
-CSV per suite plus summary.json into the output directory, prints one status
-line per suite, and exits 0 exactly when every executed suite passed.
+Runs the configured suites, writes one CSV per suite plus summary.json into
+the output directory and prints one status line per suite. --seed, --out and
+--suites replace master_seed, output_dir and suites before validation.
 
-Worker-count resolution: --workers beats the EXPCLT_WORKERS environment
-variable, which beats the default min(4, cpu_count). The worker count never
-changes any emitted byte.
+Exit codes: 0 when every executed suite passed, 1 when one failed, 2 when the
+config, an override, the worker count or the output directory is rejected,
+and 3 when anything else raised (one ``error:`` line on stderr).
+
+--workers beats EXPCLT_WORKERS, which beats min(4, cpu_count); either must be
+an integer >= 1. The worker count never changes any emitted byte.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 
 from .experiment import (
     SUITE_NAMES,
     ConfigError,
     default_workers,
-    load_config,
+    read_config,
     run,
+    validate_config,
 )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="expclt",
         description="Simulation and verification suites for products of "
@@ -44,40 +47,26 @@ def _build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--workers", type=int, default=None,
                       help="process count for replicate chunks "
                       "(default: EXPCLT_WORKERS or min(4, cpu_count))")
-    return parser
-
-
-def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = parser.parse_args(argv)
+    overrides = {"master_seed": args.seed, "output_dir": args.out, "suites": args.suites
+                 and [s.strip() for s in args.suites.split(",") if s.strip()]}
     try:
-        cfg = load_config(args.config)
-        overrides = {}
-        if args.seed is not None:
-            if not 0 <= args.seed < 2**64:
-                raise ConfigError(f"--seed must lie in [0, 2^64), got {args.seed}")
-            overrides["master_seed"] = args.seed
-        if args.out is not None:
-            overrides["output_dir"] = args.out
-        if args.suites is not None:
-            names = tuple(s.strip() for s in args.suites.split(",") if s.strip())
-            bad = [s for s in names if s not in SUITE_NAMES]
-            if bad or not names:
-                raise ConfigError(
-                    f"--suites: unknown names {bad}; valid: {list(SUITE_NAMES)}"
-                )
-            overrides["suites"] = names
-        if overrides:
-            cfg = dataclasses.replace(cfg, **overrides)
-        workers = args.workers if args.workers is not None else default_workers()
+        raw = read_config(args.config)
+        raw.update((k, v) for k, v in overrides.items() if v is not None)
+        cfg = validate_config(raw)
+        workers = default_workers() if args.workers is None else args.workers
         if workers < 1:
-            raise ConfigError(f"--workers must be >= 1, got {workers}")
+            raise ConfigError(f"--workers must be an integer >= 1, got {workers}")
+        print(f"ensemble: {cfg.ensemble.family} d={cfg.ensemble.dim} "
+              f"rho={cfg.ensemble.rho:.6g}")
+        report = run(cfg, workers=workers)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"error: {exc!r}", file=sys.stderr)
+        return 3
 
-    print(f"ensemble: {cfg.ensemble.family} d={cfg.ensemble.dim} "
-          f"rho={cfg.ensemble.rho:.6g}")
-    report = run(cfg, workers=workers)
     for name, res in report.suites.items():
         status = "PASS" if res["passed"] else "FAIL"
         print(f"[{status}] {name}  ({report.timings_seconds[name]:.2f}s)")

@@ -74,6 +74,8 @@ __all__ = [
     "ConfigError",
     "ExperimentConfig",
     "load_config",
+    "read_config",
+    "validate_config",
     "config_digest",
     "SuiteResult",
     "RunReport",
@@ -89,6 +91,12 @@ _LINDEBERG_EPS = 0.1
 # Largest accepted rho = max ||A||: statistics grow like powers of e^rho, and
 # at rho = 200 an orthogonality SE overflows to inf (all suites, n = 16..64).
 _MAX_RHO = 100.0
+
+# Largest accepted ensemble.dim: memory grows like d^2. On a 2-core host the
+# smallest clt, lemma_speed and martingale run of a diagonal law (n = 4, 8,
+# 16, two replicates) peaks at 575 MiB in 14 s at d = 1024, and at 2.1 GiB in
+# 75 s at d = 2048.
+_MAX_DIM = 1024
 
 
 class ConfigError(ValueError):
@@ -109,167 +117,176 @@ class ExperimentConfig:
     structure_draws: int = 100000
 
 
-def _build_ensemble(spec, errors) -> Ensemble | None:
-    if not isinstance(spec, dict):
-        errors.append("ensemble: must be an object")
-        return None
+# --- config schema ----------------------------------------------------------
+#
+# A table maps each field of a JSON object to (default, check); the default
+# _REQUIRED marks a field that must be given. A check returns the field's
+# converted value, or raises ValueError, TypeError or OverflowError, whose text
+# follows the field's path in the error.
+
+_REQUIRED = object()
+
+
+def _test(ok, what, convert=lambda v: v):
+    """Check that converts the values ``ok`` accepts; the rest must be ``what``."""
+    def check(v):
+        if not ok(v):
+            raise ValueError(f"must be {what}, got {v!r}")
+        return convert(v)
+    return check
+
+
+def _probe(v):
+    x = as_vector(v, None, "probe")
+    if not np.any(x):  # a zero probe makes sigma^2 = 0 and every check vacuous
+        raise ValueError("must not be the zero vector")
+    return x
+
+
+def _fields(raw: dict, table: dict, path: str = "", label: str = ""):
+    """The fields of ``raw`` that pass ``table``, with the defaults of optional
+    fields left out, and the violations; a nested object, which has a path,
+    raises them as the args of a ConfigError. Unknown keys are listed under
+    the object's path, or one per line at the root."""
+    out, errors = {}, []
+    extra = sorted(set(raw) - set(table))
+    if extra and path:
+        errors.append(f"{path}: unknown fields for {label}: {extra}")
+    else:
+        errors += [f"{k}: unknown field" for k in extra]
+    for name, (default, check) in table.items():
+        where = f"{path}.{name}" if path else name
+        if name not in raw:
+            if default is _REQUIRED:
+                errors.append(f"{where}: required field missing")
+            else:
+                out[name] = default
+            continue
+        try:
+            out[name] = check(raw[name])
+        except ConfigError as exc:
+            errors += exc.args
+        except (ValueError, TypeError, OverflowError) as exc:
+            errors.append(f"{where}: {exc}")
+    if errors and path:
+        raise ConfigError(*errors)
+    return out, errors
+
+
+# type(v) is int, not isinstance: JSON true and false are not counts or seeds
+_DIM = _test(lambda v: type(v) is int and 1 <= v <= _MAX_DIM,
+             f"an integer >= 1 and <= {_MAX_DIM}")
+_REAL = (_REQUIRED, _test(lambda v: type(v) in (int, float) and math.isfinite(v),
+                          "a finite number"))
+_MATRIX = (_REQUIRED, _test(lambda v: np.ndim(v) == 2, "a matrix (a list of rows)"))
+
+# Each family's fields besides "family" and an optional "dim", and the factory
+# that takes them as keyword arguments. The factory converts them and checks
+# the law itself (probabilities, support size, p and low <= high).
+_FAMILIES = {
+    "two_point": (two_point, {"a0": _MATRIX, "a1": _MATRIX, "p": _REAL}),
+    "finite_support": (finite_support, {
+        "matrices": (_REQUIRED, _test(lambda v: np.ndim(v) == 3,
+                                      "a list of matrices of one shape")),
+        "probabilities": (_REQUIRED, _test(lambda v: np.ndim(v) == 1,
+                                           "a list of numbers"))}),
+    "diagonal_uniform": (diagonal_uniform, {"dim": (_REQUIRED, _DIM),
+                                            "low": _REAL, "high": _REAL}),
+    "deterministic": (deterministic, {"matrix": _MATRIX}),
+}
+
+
+def _ensemble(spec) -> Ensemble:
+    if type(spec) is not dict:
+        raise ValueError("must be an object")
     family = spec.get("family")
-    known = {
-        "two_point": {"family", "dim", "a0", "a1", "p"},
-        "finite_support": {"family", "dim", "matrices", "probabilities"},
-        "diagonal_uniform": {"family", "dim", "low", "high"},
-        "deterministic": {"family", "dim", "matrix"},
-    }
-    if family not in known:
-        errors.append(f"ensemble.family: must be one of {sorted(known)}, got {family!r}")
-        return None
-    extra = set(spec) - known[family]
-    if extra:
-        errors.append(f"ensemble: unknown fields for family {family}: {sorted(extra)}")
-    missing = known[family] - {"dim"} - set(spec)
-    if missing:
-        errors.append(f"ensemble: missing fields for family {family}: {sorted(missing)}")
-        return None
-    if "dim" in spec and (not _is_int(spec["dim"]) or spec["dim"] < 1):
-        errors.append(f"ensemble.dim: must be an integer >= 1, got {spec['dim']!r}")
-        return None
-    try:
-        if family == "two_point":
-            e = two_point(np.asarray(spec["a0"], dtype=float),
-                          np.asarray(spec["a1"], dtype=float), spec["p"])
-        elif family == "finite_support":
-            e = finite_support(spec["matrices"], spec["probabilities"])
-        elif family == "diagonal_uniform":
-            if "dim" not in spec:
-                errors.append("ensemble.dim: required for diagonal_uniform")
-                return None
-            e = diagonal_uniform(spec["dim"], spec["low"], spec["high"])
-        else:
-            e = deterministic(np.asarray(spec["matrix"], dtype=float))
-    except (ValueError, TypeError) as exc:
-        errors.append(f"ensemble: {exc}")
-        return None
-    if "dim" in spec and spec["dim"] != e.dim:
-        errors.append(f"ensemble.dim: declared {spec['dim']} but matrices have dimension {e.dim}")
+    if not (type(family) is str and family in _FAMILIES):
+        raise ConfigError(f"ensemble.family: must be one of {sorted(_FAMILIES)}, "
+                          f"got {family!r}")
+    factory, table = _FAMILIES[family]
+    args, errors = _fields(spec, {"family": (_REQUIRED, str), "dim": (None, _DIM), **table},
+                           "ensemble", f"family {family}")
+    e = factory(**{k: args[k] for k in table})
+    if args["dim"] not in (None, e.dim):
+        errors.append(f"ensemble.dim: declared {args['dim']} but matrices have "
+                      f"dimension {e.dim}")
     if e.rho > _MAX_RHO:
         errors.append(f"ensemble: rho = max ||A|| is {float(e.rho)!r}, above the cap "
                       f"{_MAX_RHO:g}")
+    if errors:
+        raise ConfigError(*errors)
     return e
 
 
-def _build_probes(spec, dim, errors):
+def _probes(spec):
     if spec == "canonical":
-        x = np.zeros(dim)
-        x[0] = 1.0
-        y = np.zeros(dim)
-        y[1 if dim >= 2 else 0] = 1.0
-        return x, y
-    if not isinstance(spec, dict) or set(spec) != {"x", "y"}:
-        errors.append('probes: must be "canonical" or an object with exactly fields x, y')
-        return None, None
-    out = []
-    for name in ("x", "y"):
-        try:
-            v = as_vector(spec[name], dim, "probe")
-            if not np.any(v):
-                # a zero probe makes sigma^2 = 0 and every check vacuous
-                raise ValueError("must not be the zero vector")
-        except (TypeError, ValueError) as exc:
-            errors.append(f"probes.{name}: {exc}")
-            v = None
-        out.append(v)
-    return out[0], out[1]
+        return spec
+    if type(spec) is not dict:
+        raise ValueError('must be "canonical" or an object with fields x, y')
+    f, _ = _fields(spec, {"x": (_REQUIRED, _probe), "y": (_REQUIRED, _probe)},
+                   "probes", "explicit probes")
+    return f["x"], f["y"]
 
 
-def _is_int(v) -> bool:
-    """A JSON integer; ``true`` and ``false`` are bools, not counts or seeds."""
-    return isinstance(v, int) and not isinstance(v, bool)
+_FIELDS = {
+    "ensemble": (_REQUIRED, _ensemble),
+    "probes": ("canonical", _probes),
+    "n_grid": (_REQUIRED, _test(
+        lambda v: type(v) is list and v and all(type(n) is int for n in v)
+        and all(a < b for a, b in zip([0] + v, v)),
+        "a nonempty strictly increasing list of integers >= 1", tuple)),
+    # sample variances, KS and the slope fits need at least two samples
+    "replicates": (_REQUIRED, _test(lambda v: type(v) is int and v >= 2,
+                                    "an integer >= 2")),
+    "master_seed": (_REQUIRED, _test(lambda v: type(v) is int and 0 <= v < 2**64,
+                                     "an integer in [0, 2^64)")),
+    "suites": (_REQUIRED, _test(
+        lambda v: type(v) is list and v and all(s in SUITE_NAMES for s in v)
+        and len(set(v)) == len(v),
+        f"a nonempty list of suite names from {list(SUITE_NAMES)}, without duplicates",
+        tuple)),
+    "output_dir": (_REQUIRED, _test(lambda v: type(v) is str and v, "a nonempty string")),
+    "variance_rtol": (ExperimentConfig.variance_rtol, _test(
+        lambda v: type(v) in (int, float) and 0 < v < 1, "a number in (0, 1)")),
+    "structure_draws": (ExperimentConfig.structure_draws, _test(
+        lambda v: type(v) is int and v >= 100, "an integer >= 100")),
+}
 
 
-def load_config(path) -> ExperimentConfig:
-    """Parse and validate a config file, reporting every violation at once."""
+def read_config(path) -> dict:
+    """The JSON object in the config file at ``path``."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             raw = json.load(f)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"parse error in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
-
-    errors: list = []
+    except (OSError, ValueError, RecursionError) as exc:
+        # unreadable, not UTF-8, an integer past Python's digit limit, or nested
+        # deeper than the parser recurses
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
+    return raw
 
-    required = {"ensemble", "n_grid", "replicates", "master_seed", "suites", "output_dir"}
-    optional = {"probes", "variance_rtol", "structure_draws"}
-    for k in sorted(required - set(raw)):
-        errors.append(f"{k}: required field missing")
-    for k in sorted(set(raw) - required - optional):
-        errors.append(f"{k}: unknown field")
 
-    ensemble = _build_ensemble(raw.get("ensemble"), errors) if "ensemble" in raw else None
-
-    x = y = None
-    if ensemble is not None:
-        x, y = _build_probes(raw.get("probes", "canonical"), ensemble.dim, errors)
-
-    n_grid = raw.get("n_grid")
-    if n_grid is not None:
-        if (not isinstance(n_grid, list) or not n_grid
-                or not all(_is_int(n) and n >= 1 for n in n_grid)):
-            errors.append("n_grid: must be a nonempty list of integers >= 1")
-        elif any(b <= a for a, b in zip(n_grid, n_grid[1:])):
-            errors.append(f"n_grid: must be strictly increasing, got {n_grid}")
-
-    replicates = raw.get("replicates")
-    # sample variances, KS and the slope fits need at least two samples
-    if replicates is not None and (not _is_int(replicates) or replicates < 2):
-        errors.append(f"replicates: must be an integer >= 2, got {replicates!r}")
-
-    seed = raw.get("master_seed")
-    if seed is not None and (not _is_int(seed) or not 0 <= seed < 2**64):
-        errors.append(f"master_seed: must be an integer in [0, 2^64), got {seed!r}")
-
-    suites = raw.get("suites")
-    if suites is not None:
-        if (not isinstance(suites, list) or not suites
-                or not all(isinstance(s, str) for s in suites)):
-            errors.append("suites: must be a nonempty list of suite names")
-        else:
-            bad = [s for s in suites if s not in SUITE_NAMES]
-            if bad:
-                errors.append(f"suites: unknown names {bad}; valid: {list(SUITE_NAMES)}")
-            if len(set(suites)) != len(suites):
-                errors.append(f"suites: duplicate entries in {suites}")
-
-    out_dir = raw.get("output_dir")
-    if out_dir is not None and (not isinstance(out_dir, str) or not out_dir):
-        errors.append("output_dir: must be a nonempty string")
-
-    rtol = raw.get("variance_rtol", 0.07)
-    if not isinstance(rtol, (int, float)) or not 0 < rtol < 1:
-        errors.append(f"variance_rtol: must lie in (0, 1), got {rtol!r}")
-
-    sdraws = raw.get("structure_draws", 100000)
-    if not _is_int(sdraws) or sdraws < 100:
-        errors.append(f"structure_draws: must be an integer >= 100, got {sdraws!r}")
-
+def validate_config(raw: dict) -> ExperimentConfig:
+    """Check a config object against the field tables, reporting every violation."""
+    f, errors = _fields(raw, _FIELDS)
+    e, probes = f.get("ensemble"), f.pop("probes", None)
+    if e is not None and probes is not None:
+        x, y = np.eye(e.dim)[[0, min(1, e.dim - 1)]] if probes == "canonical" else probes
+        errors += [f"probes.{name}: probe has dimension {len(v)}, expected {e.dim}"
+                   for name, v in zip("xy", (x, y)) if len(v) != e.dim]
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
-    return ExperimentConfig(
-        ensemble=ensemble,
-        x=x,
-        y=y,
-        n_grid=tuple(n_grid),
-        replicates=replicates,
-        master_seed=seed,
-        suites=tuple(suites),
-        output_dir=out_dir,
-        variance_rtol=float(rtol),
-        structure_draws=sdraws,
-    )
+    return ExperimentConfig(x=x, y=y, **f)
+
+
+def load_config(path) -> ExperimentConfig:
+    """Parse and validate a config file, reporting every violation at once."""
+    return validate_config(read_config(path))
 
 
 def config_digest(cfg: ExperimentConfig) -> str:
@@ -553,6 +570,23 @@ def _suite_martingale(cfg: ExperimentConfig, key: str, pool) -> SuiteResult:
 
     slopes_ok = True
     fits = {}
+
+    def fit(name):
+        """Slope fit of one curve, or None with its marker or error in ``fits``."""
+        nonlocal slopes_ok
+        pts = curve[name]
+        if all(v == 0.0 for _, v in pts):
+            # Identically zero for this law and probe pair (e.g. projections
+            # that vanish structurally, or remainders of commuting draws); the
+            # decay claim holds trivially.
+            fits[name] = {"marker": "exact-zero"}
+            return None
+        if sum(v > 0.0 for _, v in pts) < 3:
+            fits[name] = {"error": "need >= 3 positive values for a slope fit"}
+            slopes_ok = False
+            return None
+        return fit_slope(pts)
+
     if _is_effectively_deterministic(e):
         # Point-mass law: every martingale quantity is an exact zero up to
         # rounding, so there is no decay rate to fit.
@@ -569,13 +603,9 @@ def _suite_martingale(cfg: ExperimentConfig, key: str, pool) -> SuiteResult:
             "riemann_cov_error": (-1.0, 0.2),
         }
         for name, (target, tol) in bands.items():
-            pts = curve[name]
-            if all(v == 0.0 for _, v in pts):
-                # Identically zero for this probe pair (e.g. projections that
-                # vanish structurally); the decay claim holds trivially.
-                fits[name] = {"marker": "exact-zero"}
+            f = fit(name)
+            if f is None:
                 continue
-            f = fit_slope(pts)
             fits[name] = {"slope": f.slope, "target": target, "tol": tol,
                           "r_squared": f.r_squared}
             if abs(f.slope - target) > tol:
@@ -583,18 +613,20 @@ def _suite_martingale(cfg: ExperimentConfig, key: str, pool) -> SuiteResult:
         # The remainder is only upper-bounded by O(1/sqrt(n)); its true decay
         # is O(1/n) (the Taylor remainders are themselves conditionally
         # centered, so they add in quadrature). Check the bound one-sided.
-        rn_fit = fit_slope(curve["median_Rn_norm"])
-        fits["median_Rn_norm"] = {"slope": rn_fit.slope, "max_allowed": -0.3,
-                                  "r_squared": rn_fit.r_squared}
-        if rn_fit.slope > -0.3:
-            slopes_ok = False
-        q90_fit = fit_slope(curve["q90_diff_norm"])
-        q90 = [v for _, v in curve["q90_diff_norm"]]
-        q90_monotone = all(b <= a for a, b in zip(q90, q90[1:]))
-        fits["q90_diff_norm"] = {"slope": q90_fit.slope, "max_allowed": -0.4,
-                                 "monotone_decreasing": q90_monotone}
-        if q90_fit.slope > -0.4 or not q90_monotone:
-            slopes_ok = False
+        rn_fit = fit("median_Rn_norm")
+        if rn_fit is not None:
+            fits["median_Rn_norm"] = {"slope": rn_fit.slope, "max_allowed": -0.3,
+                                      "r_squared": rn_fit.r_squared}
+            if rn_fit.slope > -0.3:
+                slopes_ok = False
+        q90_fit = fit("q90_diff_norm")
+        if q90_fit is not None:
+            q90 = [v for _, v in curve["q90_diff_norm"]]
+            q90_monotone = all(b <= a for a, b in zip(q90, q90[1:]))
+            fits["q90_diff_norm"] = {"slope": q90_fit.slope, "max_allowed": -0.4,
+                                     "monotone_decreasing": q90_monotone}
+            if q90_fit.slope > -0.4 or not q90_monotone:
+                slopes_ok = False
     else:
         slopes_ok = False
         fits["error"] = "need >= 3 grid points for slope fits"
@@ -754,13 +786,13 @@ class RunReport:
 
 
 def default_workers() -> int:
+    """EXPCLT_WORKERS, an integer >= 1, when it is set; else min(4, cpu_count)."""
     env = os.environ.get("EXPCLT_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError(f"EXPCLT_WORKERS must be an integer, got {env!r}")
-    return min(4, os.cpu_count() or 1)
+    if not env:
+        return min(4, os.cpu_count() or 1)
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ConfigError(f"EXPCLT_WORKERS must be an integer >= 1, got {env!r}")
+    return int(env)
 
 
 def run(cfg: ExperimentConfig, workers: int | None = None) -> RunReport:
@@ -772,7 +804,10 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> RunReport:
     """
     workers = default_workers() if workers is None else max(1, int(workers))
     key = config_digest(cfg)
-    os.makedirs(cfg.output_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.output_dir, exist_ok=True)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"output_dir: cannot create {cfg.output_dir!r}: {exc}") from exc
 
     suites = {}
     timings = {}
@@ -800,7 +835,8 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> RunReport:
         csv_paths=csv_paths,
         all_passed=all(s["passed"] for s in suites.values()),
     )
+    # built before the file is opened: a NaN raises and leaves no summary.json
+    text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True, allow_nan=False)
     with open(os.path.join(cfg.output_dir, "summary.json"), "w", encoding="utf-8") as f:
-        json.dump(report.to_json_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
+        f.write(text + "\n")
     return report

@@ -126,7 +126,12 @@ def summarize(samples, sigma2_ref: float) -> SampleStatistics:
         )
     n, mean, m2, m3, m4 = state
     variance = m2 / (n - 1)
-    if m2 > 0.0:
+    if m2 > 0.0 and m2 * m2 < np.finfo(float).tiny:
+        # m2^2 is subnormal or 0 for samples below about 1e-77; skewness and
+        # kurtosis are scale-free, so take them from x / max|x|
+        scaled = summarize(x / np.max(np.abs(x)), 1.0)
+        skew, kurt = scaled.skewness, scaled.excess_kurtosis
+    elif m2 > 0.0:
         skew = math.sqrt(float(n)) * m3 / m2**1.5
         kurt = n * m4 / (m2 * m2) - 3.0
     else:

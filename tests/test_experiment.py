@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -132,7 +133,7 @@ class TestLoadConfig:
             load_config(_write(tmp_path, "c.json", raw))
 
     @pytest.mark.parametrize("family", ["two_point", "diagonal_uniform"])
-    @pytest.mark.parametrize("dim", [True, "abc", 0, 1.0])
+    @pytest.mark.parametrize("dim", [True, "abc", 0, 1.0, experiment._MAX_DIM + 1, 2**70])
     def test_dim_must_be_a_positive_integer(self, tmp_path, family, dim):
         ens = ({"family": "two_point", "a0": [[0.0]], "a1": [[2.0]], "p": 0.5}
                if family == "two_point" else
@@ -140,6 +141,32 @@ class TestLoadConfig:
         raw = _base_config(tmp_path, ensemble=dict(ens, dim=dim))
         with pytest.raises(ConfigError, match="ensemble.dim: must be an integer >= 1"):
             load_config(_write(tmp_path, "c.json", raw))
+
+    @pytest.mark.parametrize("path, ensemble", [
+        ("ensemble.family", {"family": ["two_point"]}),
+        ("ensemble.probabilities", {"family": "finite_support", "matrices": [[[0.5]]],
+                                    "probabilities": "1"}),
+        ("ensemble.p", {"family": "two_point", "a0": [[0.0]], "a1": [[2.0]], "p": "0.5"}),
+        ("ensemble.p", {"family": "two_point", "a0": [[0.0]], "a1": [[2.0]], "p": True}),
+        ("ensemble.low", {"family": "diagonal_uniform", "dim": 2, "low": True, "high": 1.0}),
+        ("ensemble.high", {"family": "diagonal_uniform", "dim": 2, "low": 0.0,
+                           "high": False}),
+    ])
+    def test_ensemble_fields_are_named_by_path(self, tmp_path, path, ensemble):
+        raw = _base_config(tmp_path, ensemble=ensemble)
+        with pytest.raises(ConfigError, match=f"\n  {re.escape(path)}: must be"):
+            load_config(_write(tmp_path, "c.json", raw))
+
+    @pytest.mark.parametrize("payload", [
+        b'{"replicates": "\xff"}',
+        b'{"replicates": ' + b"1" * 5000 + b"}",
+        b"[" * 100_000 + b"]" * 100_000,
+    ], ids=["not_utf8", "too_many_digits", "too_deep"])
+    def test_unreadable_json_is_a_config_error(self, tmp_path, payload):
+        path = tmp_path / "c.json"
+        path.write_bytes(payload)
+        with pytest.raises(ConfigError, match="cannot read config"):
+            load_config(str(path))
 
     def test_support_size_fits_uint16_indices(self, tmp_path):
         raw = _base_config(tmp_path, ensemble={
@@ -374,6 +401,12 @@ class TestDefaultWorkers:
         with pytest.raises(ConfigError):
             default_workers()
 
+    @pytest.mark.parametrize("value", ["0", "-4"])
+    def test_env_below_one_is_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("EXPCLT_WORKERS", value)
+        with pytest.raises(ConfigError, match="EXPCLT_WORKERS must be an integer >= 1"):
+            default_workers()
+
     def test_default_bound(self, monkeypatch):
         monkeypatch.delenv("EXPCLT_WORKERS", raising=False)
         assert 1 <= default_workers() <= 4
@@ -393,6 +426,38 @@ class TestCli:
     def test_unknown_suites_flag(self, tmp_path):
         path = _write(tmp_path, "c.json", _base_config(tmp_path))
         assert main(["run", path, "--suites", "doob,bogus"]) == 2
+
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--suites", "doob,doob", "suites"),
+        ("--out", "", "output_dir"),
+        ("--out", "c.json", "output_dir"),  # an existing file
+    ])
+    def test_bad_override_is_exit_2(self, tmp_path, capsys, monkeypatch, flag, value,
+                                    field):
+        monkeypatch.chdir(tmp_path)
+        _write(tmp_path, "c.json", _base_config(tmp_path))
+        assert main(["run", "c.json", flag, value, "--workers", "1"]) == 2
+        assert f"{field}: " in capsys.readouterr().err
+
+    def test_unexpected_exception_is_exit_3(self, tmp_path, capsys, monkeypatch):
+        def broken(*args):
+            raise RuntimeError("suite failed\nto run")
+
+        monkeypatch.setitem(experiment._SUITES, "doob", broken)
+        path = _write(tmp_path, "c.json", _base_config(tmp_path, suites=["doob"]))
+        assert main(["run", path, "--workers", "1"]) == 3
+        assert capsys.readouterr().err == "error: RuntimeError('suite failed\\nto run')\n"
+
+    def test_non_finite_summary_is_exit_3_and_never_written(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def nan_suite(cfg, key, pool):
+            return experiment.SuiteResult("doob", True, {"value": float("nan")}, ("k",), ())
+
+        monkeypatch.setitem(experiment._SUITES, "doob", nan_suite)
+        path = _write(tmp_path, "c.json", _base_config(tmp_path, suites=["doob"]))
+        assert main(["run", path, "--workers", "1"]) == 3
+        assert "not JSON compliant" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.json").exists()
 
     def test_passing_run_exit_0(self, tmp_path, capsys):
         path = _write(tmp_path, "c.json", _base_config(tmp_path))
@@ -502,6 +567,23 @@ class TestCli:
         assert "[FAIL] lemma_speed" in capsys.readouterr().out
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert "norms > 0" in summary["suites"]["lemma_speed"]["details"]["error"]
+
+    @pytest.mark.parametrize("a0, a1, codes, curve, entry", [
+        # commuting draws: every remainder is exactly zero
+        ([[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]], (0, 1), "median_Rn_norm",
+         {"marker": "exact-zero"}),
+        # the mean squared difference is exactly zero at n = 1 only
+        ([[0.0, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]], (1,), "mean_diff_sq",
+         {"error": "need >= 3 positive values for a slope fit"}),
+    ], ids=["all_zero", "one_zero"])
+    def test_martingale_curve_without_three_positive_values(self, tmp_path, capsys,
+                                                            a0, a1, codes, curve, entry):
+        raw = _base_config(tmp_path, n_grid=[1, 2, 3], replicates=20,
+                           suites=["martingale"],
+                           ensemble={"family": "two_point", "a0": a0, "a1": a1, "p": 0.5})
+        assert main(["run", _write(tmp_path, "c.json", raw), "--workers", "1"]) in codes
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["suites"]["martingale"]["details"]["slopes"][curve] == entry
 
     def test_non_numeric_probe_is_exit_2(self, tmp_path, capsys):
         raw = _base_config(tmp_path, probes={"x": ["a", 1], "y": [1.0]})

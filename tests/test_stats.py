@@ -108,6 +108,17 @@ class TestSummarize:
         assert s.skewness == pytest.approx(skew, rel=1e-10)
         assert s.excess_kurtosis == pytest.approx(kurt, rel=1e-10)
 
+    def test_tiny_samples_keep_their_shape(self):
+        # below about 1e-81 the squared second moment underflows to 0
+        x = np.random.default_rng(14).exponential(2.0, size=4000)
+        s = summarize(x * 1e-90, 1e-180)
+        _, _, skew, kurt = self._two_pass(x)
+        assert s.skewness == pytest.approx(skew, rel=1e-10)
+        assert s.excess_kurtosis == pytest.approx(kurt, rel=1e-10)
+        # a constant whose mean rounds leaves a subnormal m2 and no shape
+        s = summarize(np.full(18, 8.678627694904841e-142), 0.0)
+        assert s.skewness == 0.0 and s.excess_kurtosis == 0.0
+
     def test_chunked_merge_matches_single_chunk(self):
         # 200k samples span four merge steps; the result must match the
         # direct two-pass computation to near machine precision
