@@ -21,7 +21,6 @@ Route agreement is the correctness oracle; nothing here is stochastic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -48,17 +47,15 @@ _QUAD_MAX = 256
 
 @dataclass(frozen=True)
 class CovarianceOperator:
-    """The limit covariance, held as an optional matrix plus an evaluator.
+    """The limit covariance as a materialized matrix.
 
-    ``full`` is the d^2 x d^2 matrix when materialized (d <= 16), else None.
-    ``evaluator`` maps a probe pair (x, y) to <y^{(x)2}, Sigma x^{(x)2}>.
-    ``nodes`` and ``rel_change`` record where the adaptive quadrature
-    stopped (nodes=0, rel_change=0 for the quadrature-free oracle).
+    ``full`` is the d^2 x d^2 matrix.  ``nodes`` and ``rel_change`` record
+    where the adaptive quadrature stopped (nodes=0, rel_change=0 for the
+    quadrature-free oracle).
     """
 
     dim: int
-    full: np.ndarray | None
-    evaluator: Callable[[np.ndarray, np.ndarray], float]
+    full: np.ndarray
     nodes: int
     rel_change: float
 
@@ -66,16 +63,7 @@ class CovarianceOperator:
         """Projected variance <y^{(x)2}, Sigma x^{(x)2}>."""
         x = as_vector(x, self.dim, "x")
         y = as_vector(y, self.dim, "y")
-        return float(self.evaluator(x, y))
-
-
-def _quadratic_form(full: np.ndarray, dim: int) -> Callable:
-    def evaluate(x, y):
-        x = as_vector(x, dim, "x")
-        y = as_vector(y, dim, "y")
-        return float(np.kron(y, y) @ full @ np.kron(x, x))
-
-    return evaluate
+        return float(np.kron(y, y) @ self.full @ np.kron(x, x))
 
 
 def sigma_full_at(e: Ensemble, m: int) -> np.ndarray:
@@ -136,7 +124,6 @@ def sigma_full(e: Ensemble, *, tol: float = _QUAD_TOL) -> CovarianceOperator:
     return CovarianceOperator(
         dim=e.dim,
         full=full,
-        evaluator=_quadratic_form(full, e.dim),
         nodes=m,
         rel_change=delta,
     )
@@ -180,7 +167,6 @@ def sigma_commuting_oracle(e: Ensemble) -> CovarianceOperator:
     return CovarianceOperator(
         dim=d,
         full=full,
-        evaluator=_quadratic_form(full, d),
         nodes=0,
         rel_change=0.0,
     )
@@ -193,7 +179,5 @@ def symmetry_defect(op: CovarianceOperator) -> float:
     tensor square, but its matrix need not equal its transpose entrywise
     for non-symmetric A.
     """
-    if op.full is None:
-        raise ValueError("symmetry defect needs a materialized operator")
     scale = max(float(np.linalg.norm(op.full)), np.finfo(float).tiny)
     return float(np.linalg.norm(op.full - op.full.T)) / scale

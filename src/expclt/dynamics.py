@@ -376,7 +376,9 @@ def doob_check(e: Ensemble, n: int, k: int, draws, x,
     ratio = 0.0
     for mask, f in _doob_subset_products(exps, kern.q_powers[1], k):
         bound = base ** int(mask.bit_count()) * np.exp(k * e.rho / n)
-        ratio = max(ratio, op_norm(f) / bound)
+        norm = op_norm(f)
+        if norm > 0.0:  # at rho = 0 the bound and every product are exactly 0
+            ratio = max(ratio, norm / bound)
     return DoobCheck(k=k, identity_residual=residual, max_subset_bound_ratio=ratio)
 
 

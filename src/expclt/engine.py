@@ -5,19 +5,19 @@ in :mod:`expclt.dynamics`, and each batched routine mirrors a single-replicate
 reference implementation there.  The key structural property is that every
 replicate row is computed from its own keyed stream with row-local numpy
 operations only: its uniforms come from its own stream and map to support
-indices or diagonal values elementwise.  A finite-support step over at most
-``_STACKED_MAX_SUPPORT`` support matrices is one GEMM against all of them
-plus a per-row selection (:func:`_support_step`), whose rows have the same
-bits in any part of two or more rows (a property of the BLAS, which the
-chunk-width tests check); larger supports gather each row's matrix and
-multiply per row.  The d=1 sweep multiplies gathered scalars instead
-(:func:`_scalar_sweep`).  The diagonal_uniform sweep
-(:func:`_diagonal_sweep`) is elementwise and takes a block of steps at
-once: one ``exp`` over the block, then ``multiply.reduce`` and
-``add.reduce`` over blocks whose row 0 is the running product or sum, in
-the per-step order.  So results are bitwise identical for any batch size,
-chunking, or worker count.  Draw rows, index or diagonal, are stored
-step-major, so each step of a sweep reads one contiguous slice.
+indices or diagonal values elementwise.  There are two sweeps, one per
+algebra.  Where every draw acts entrywise (finite support at d=1,
+diagonal_uniform), :func:`_elementwise_sweep` takes a block of steps at
+once: ``multiply.reduce`` and ``add.reduce`` over blocks whose row 0 is the
+running product or sum, in the per-step order.  Finite support at d >= 2
+multiplies matrices: a step over at most ``_STACKED_MAX_SUPPORT`` support
+matrices is one GEMM against all of them plus a per-row selection
+(:func:`_support_step`), whose rows have the same bits in any part of two
+or more rows (a property of the BLAS, which the chunk-width tests check);
+larger supports gather each row's matrix and multiply per row.  So results
+are bitwise identical for any batch size, chunking, or worker count.  Draw
+rows, index or diagonal, are stored step-major, so each step of a sweep
+reads one contiguous slice.
 
 Both Monte Carlo passes, :func:`simulate_paths` and :func:`diff_pairs`, run
 on one replicate driver: :func:`chunk_ranges` fixes the chunks from the
@@ -55,18 +55,19 @@ __all__ = [
 # (16 MiB of float64 for diagonal draws, 4 MiB of uint16 for indices).
 _CHUNK_TARGET = 2_097_152
 
-# Entries per float64 scratch block (512 KiB), in three places.  _draw_rows
-# draws the uniforms of this many entries' worth of whole rows at a time, for
-# index rows (n entries a row) and diagonal rows (n d) alike, at least one
-# row.  _diagonal_sweep takes this many entries' worth of whole steps (B d
-# entries each) at a time, at least one step, so its (steps + 1, B, d)
-# blocks of exponentials and of S terms hold at most _FILL_BLOCK + B d
-# entries, or 2 B d when one step alone is larger.
+# Entries per float64 scratch block of _draw_rows (512 KiB): it draws the
+# uniforms of this many entries' worth of whole rows at a time, for index
+# rows (n entries a row) and diagonal rows (n d) alike, at least one row.
 _FILL_BLOCK = 65_536
 
-# Steps whose factors the d=1 sweep gathers at once: a (65, B) float64 block,
-# 260 KiB at the criterion-1 chunk width B = 512.
-_SCALAR_BLOCK = 64
+# Entries per block of _elementwise_sweep (256 KiB of float64): it takes this
+# many entries' worth of whole steps (B d entries each) at a time, at least
+# one step, so its (steps + 1, B d) blocks of factors and of S terms hold at
+# most _SWEEP_BLOCK + B d entries, or 2 B d when one step alone is larger.
+# At the criterion-1 chunk width (B = 512, d = 1) a block is 64 steps; at
+# twice this size that plain sweep took 24 ms a chunk against 7 ms (2-core
+# x86 host, one BLAS thread).
+_SWEEP_BLOCK = 32_768
 
 # Largest support whose finite-support steps run as one GEMM
 # against all m support exponentials: m times the flops of the per-row
@@ -195,85 +196,82 @@ def _support_step(exps, B: int):
     return step
 
 
-def _scalar_sweep(kern, x, rows, want_s: bool, want_s_prime: bool):
-    """The finite-support sweep at d=1, on ``(B,)`` vectors.
-
-    Performs the same multiplies and adds as the ``(B, 1, 1)`` matmul sweep,
-    in the same order, so every bit agrees with it.  The factors
-    ``e^{a_s/n}`` of a block of steps are gathered once; ``multiply.reduce``
-    over the leading axis of the C-contiguous ``(cnt+1, B)`` block then forms
-    ``((v e_hi) e_{hi-1}) ... e_{lo+1}`` row by row, one rounding per step,
-    as the per-step loop did.
-    """
-    n, B = kern.n, rows.shape[0]
+def _support_terms(kern, x, rows, want_s: bool, want_s_prime: bool):
+    """:func:`_elementwise_sweep`'s ``fill`` for finite support at d=1: the
+    drawn ``e^{a_s/n}`` and the drawn entries of the :func:`_s_tables`."""
+    n = kern.n
     ev = np.array([float(m[0, 0]) for m in kern.exps])
-    ws, zs = _s_tables(kern, x, want_s, want_s_prime)
+    # flat tables: take at flat positions gathers faster than fancy indexing
+    ws, zs = (None if t is None else t.reshape(-1)
+              for t in _s_tables(kern, x, want_s, want_s_prime))
     steps = rows.T  # (n, B), contiguous for rows from _draw_rows
-    v = np.full(B, float(x[0]))
-    s = np.zeros(B) if want_s else None
-    u = np.zeros(B) if want_s_prime else None
-    tmp = np.empty((_SCALAR_BLOCK + 1, B))
-    for hi in range(n, 0, -_SCALAR_BLOCK):
-        lo = max(0, hi - _SCALAR_BLOCK)
-        cnt = hi - lo
-        ev.take(steps[lo:hi][::-1], out=tmp[1 : cnt + 1])  # tmp[1 + r] = e_{hi-r}
-        if want_s or want_s_prime:
-            for r in range(cnt):
-                k = hi - r
-                idx = steps[k - 1]
-                if want_s_prime:
-                    u = zs[idx, k - 1, 0] + tmp[1 + r] * u
-                if want_s:
-                    s += ws[idx, k - 1, 0]
-        tmp[0] = v
-        v = np.multiply.reduce(tmp[: cnt + 1], axis=0)
-    return tuple(None if a is None else a[:, None] for a in (v, s, u))
+
+    def fill(lo, hi, f, w):
+        idx = steps[lo:hi][::-1]  # idx[r]: the indices drawn at step hi - r
+        ev.take(idx, out=f)
+        if w is None and zs is None:
+            return None
+        # the flat position of entry (idx[r], k - 1) for step k = hi - r
+        at = n * idx.astype(np.intp) + np.arange(hi - 1, lo - 1, -1)[:, None]
+        if w is not None:
+            ws.take(at, out=w)
+        return None if zs is None else zs.take(at)
+    return fill
 
 
-def _diagonal_sweep(kern, x, rows, want_s: bool, want_s_prime: bool):
-    """The diagonal_uniform sweep, elementwise on ``(B, d)`` arrays.
-
-    Every operator in sight is diagonal and the mean is a multiple of I, so
-    P_j = e^{mid j/n} I and Q^j = (E e^{a/n})^j I.  A block of steps is taken
-    at once: ``exp(vals / n)`` and the S and S' terms over the whole block,
-    then ``v`` by ``multiply.reduce`` and ``s`` by :func:`_add_steps` over
-    blocks whose row 0 is the running value, which multiply and add in the
-    per-step loop's order.  The S' recurrence runs step by step in place.
-    Each block's scratch holds about ``_FILL_BLOCK`` entries.
-    """
-    e = kern.ensemble
-    n, (B, _, d) = kern.n, rows.shape
+def _diagonal_terms(kern, x, rows, want_s: bool, want_s_prime: bool):
+    """:func:`_elementwise_sweep`'s ``fill`` for diagonal_uniform, in closed
+    form: every operator in sight is diagonal and the mean is a multiple of
+    I, so P_j = e^{mid j/n} I and Q^j = (E e^{a/n})^j I."""
+    e, n = kern.ensemble, kern.n
     mid = 0.5 * (e.low + e.high)
     pk = np.exp(mid * np.arange(n + 1) / n)
     qk = float(kern.q_powers[1][0, 0]) ** np.arange(n + 1)
-    xv = np.asarray(x, dtype=float)
-    steps = rows.swapaxes(0, 1)  # (n, B, d), contiguous for rows from _draw_rows
-    size = max(1, _FILL_BLOCK // (B * d))
-    ev = np.empty((size + 1, B, d))  # row 0: v; row 1 + r: e^{a_{hi-r}/n}
+    xv = np.tile(np.asarray(x, dtype=float), rows.shape[0])  # x in every row
+    steps = rows.swapaxes(0, 1).reshape(n, -1)  # (n, B d), a view for rows from _draw_rows
+
+    def fill(lo, hi, f, w):
+        vals = steps[lo:hi][::-1]  # vals[r] = a_{hi-r}
+        np.exp(vals / n, out=f)
+        dx = (vals - mid) * xv if w is not None or want_s_prime else None
+        if w is not None:
+            np.multiply((pk[lo:hi][::-1] * pk[n - hi : n - lo])[:, None], dx, out=w)
+        return qk[n - hi : n - lo, None] * dx if want_s_prime else None
+    return fill
+
+
+def _elementwise_sweep(kern, x, rows, want_s: bool, want_s_prime: bool):
+    """The sweep of a law whose draws act entrywise, on flat ``(B d,)`` state.
+
+    The family's ``fill(lo, hi, f, w)`` writes the factors of steps hi,
+    hi-1, ..., lo+1 into ``f`` and their S terms into ``w`` (None without S),
+    and returns their S' inputs.  ``multiply.reduce`` and :func:`_add_steps`
+    over blocks whose row 0 is the running v or s then multiply and add in
+    the per-step loop's order; the S' recurrence runs step by step in place.
+    """
+    e, B = kern.ensemble, rows.shape[0]
+    fill = (_support_terms if e.is_finite_support else _diagonal_terms)(
+        kern, x, rows, want_s, want_s_prime)
+    size = max(1, _SWEEP_BLOCK // (B * e.dim))
+    ev = np.empty((size + 1, B * e.dim))  # row 0: v; row 1 + r: step hi-r's factor
     sv = np.empty_like(ev) if want_s else None  # row 0: s; row 1 + r: step hi-r's term
-    v = np.tile(xv, (B, 1))
-    s = np.zeros((B, d)) if want_s else None
-    u = np.zeros((B, d)) if want_s_prime else None
-    for hi in range(n, 0, -size):
+    v = np.tile(np.asarray(x, dtype=float), B)
+    s = np.zeros_like(v) if want_s else None
+    u = np.zeros_like(v) if want_s_prime else None
+    for hi in range(kern.n, 0, -size):
         lo = max(0, hi - size)
         cnt = hi - lo
-        vals = steps[lo:hi][::-1]  # vals[r] = a_{hi-r}
-        np.exp(vals / n, out=ev[1 : cnt + 1])
-        if want_s or want_s_prime:
-            dx = (vals - mid) * xv
+        z = fill(lo, hi, ev[1 : cnt + 1], sv[1 : cnt + 1] if want_s else None)
         if want_s_prime:
-            z = qk[n - hi : n - lo, None, None] * dx
             for r in range(cnt):
                 np.multiply(ev[1 + r], u, out=u)
                 np.add(u, z[r], out=u)
         if want_s:
             sv[0] = s
-            np.multiply((pk[lo:hi][::-1] * pk[n - hi : n - lo])[:, None, None], dx,
-                        out=sv[1 : cnt + 1])
             s = _add_steps(sv[: cnt + 1])
         ev[0] = v
         v = np.multiply.reduce(ev[: cnt + 1], axis=0)
-    return v, s, u
+    return tuple(None if a is None else a.reshape(B, e.dim) for a in (v, s, u))
 
 
 def simulate_block(kern, x, rows, *, want_s: bool = False, want_s_prime: bool = False):
@@ -281,19 +279,17 @@ def simulate_block(kern, x, rows, *, want_s: bool = False, want_s_prime: bool = 
 
     Output dict keys: ``prod_x`` (B, d) always; ``s_x`` and ``s_prime_x``
     (B, d) when requested.  All downstream statistics are cheap functions of
-    these plus kernel constants.  diagonal_uniform runs
-    :func:`_diagonal_sweep` and finite support at d=1 :func:`_scalar_sweep`,
-    which give the same bits as a per-step loop; finite support at d >= 2
+    these plus kernel constants.  A law whose draws act entrywise (finite
+    support at d=1, diagonal_uniform) runs :func:`_elementwise_sweep`, which
+    gives the same bits as a per-step loop; finite support at d >= 2
     multiplies every step by the drawn support exponentials through
     :func:`_support_step`.
     """
     e = kern.ensemble
     n, d = kern.n, e.dim
     B = rows.shape[0]
-    if not e.is_finite_support:
-        v, s, u = _diagonal_sweep(kern, x, rows, want_s, want_s_prime)
-    elif d == 1:
-        v, s, u = _scalar_sweep(kern, x, rows, want_s, want_s_prime)
+    if not e.is_finite_support or d == 1:
+        v, s, u = _elementwise_sweep(kern, x, rows, want_s, want_s_prime)
     else:
         v = np.tile(np.asarray(x, dtype=float), (B, 1))
         s = np.zeros((B, d)) if want_s else None

@@ -178,7 +178,22 @@ _DIM = _test(lambda v: type(v) is int and 1 <= v <= _MAX_DIM,
              f"an integer >= 1 and <= {_MAX_DIM}")
 _REAL = (_REQUIRED, _test(lambda v: type(v) in (int, float) and math.isfinite(v),
                           "a finite number"))
-_MATRIX = (_REQUIRED, _test(lambda v: np.ndim(v) == 2, "a matrix (a list of rows)"))
+
+
+def _matrices(ndim: int, what: str):
+    """Check for ``ndim`` nested lists whose matrices are at most _MAX_DIM on a
+    side, so the factory's SVD never runs on a larger one."""
+    def check(v):
+        shape = np.shape(v)
+        if len(shape) != ndim:
+            raise ValueError(f"must be {what}, got {v!r}")
+        if max(shape[-2:]) > _MAX_DIM:
+            raise ValueError(f"must be at most {_MAX_DIM} x {_MAX_DIM}, got shape {shape}")
+        return v
+    return _REQUIRED, check
+
+
+_MATRIX = _matrices(2, "a matrix (a list of rows)")
 
 # Each family's fields besides "family" and an optional "dim", and the factory
 # that takes them as keyword arguments. The factory converts them and checks
@@ -186,8 +201,7 @@ _MATRIX = (_REQUIRED, _test(lambda v: np.ndim(v) == 2, "a matrix (a list of rows
 _FAMILIES = {
     "two_point": (two_point, {"a0": _MATRIX, "a1": _MATRIX, "p": _REAL}),
     "finite_support": (finite_support, {
-        "matrices": (_REQUIRED, _test(lambda v: np.ndim(v) == 3,
-                                      "a list of matrices of one shape")),
+        "matrices": _matrices(3, "a list of matrices of one shape"),
         "probabilities": (_REQUIRED, _test(lambda v: np.ndim(v) == 1,
                                            "a list of numbers"))}),
     "diagonal_uniform": (diagonal_uniform, {"dim": (_REQUIRED, _DIM),
@@ -587,7 +601,8 @@ def _suite_martingale(cfg: ExperimentConfig, key: str, pool) -> SuiteResult:
             return None
         return fit_slope(pts)
 
-    if _is_effectively_deterministic(e):
+    point_mass = _is_effectively_deterministic(e)
+    if point_mass:
         # Point-mass law: every martingale quantity is an exact zero up to
         # rounding, so there is no decay rate to fit.
         fits["marker"] = "exact-zero"
@@ -641,7 +656,14 @@ def _suite_martingale(cfg: ExperimentConfig, key: str, pool) -> SuiteResult:
         "orthogonality": ortho_stats,
         "orthogonality_ok": bool(ortho_ok),
     }
-    passed = slopes_ok and bound_ok and structure_ok and ortho_ok
+    if not point_mass and all(v == 0.0 for r in rows for v in r[1:]):
+        # A random law whose every curve is exactly 0: the probes miss its
+        # fluctuations, and each decay claim would hold vacuously.
+        details["error"] = ("probes: every martingale curve is exactly 0 although the "
+                            "law is not a point mass; choose probes x, y that see its "
+                            "fluctuations")
+    passed = (slopes_ok and bound_ok and structure_ok and ortho_ok
+              and "error" not in details)
     return SuiteResult("martingale", bool(passed), details, header, tuple(rows))
 
 

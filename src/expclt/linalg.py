@@ -17,8 +17,6 @@ __all__ = [
     "as_matrix",
     "as_vector",
     "mat_exp",
-    "kron2",
-    "tensor_square",
     "op_norm",
     "gauss_legendre",
 ]
@@ -100,24 +98,6 @@ def mat_exp(a) -> np.ndarray:
     for _ in range(squarings):
         f = f @ f
     return f
-
-
-def kron2(a, b) -> np.ndarray:
-    """Kronecker product with the row-major vec convention.
-
-    ``(x (x) y)[i*d + j] = x[i] * y[j]``, so that
-    ``kron2(A, B) @ np.kron(x, y) == np.kron(A @ x, B @ y)``.
-    """
-    ma = as_matrix(a, "first factor")
-    mb = as_matrix(b, "second factor")
-    if ma.shape != mb.shape:
-        raise ValueError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
-    return np.kron(ma, mb)
-
-
-def tensor_square(a) -> np.ndarray:
-    """Second Kronecker power ``A (x) A``."""
-    return kron2(a, a)
 
 
 def op_norm(a) -> float:

@@ -10,7 +10,6 @@ from expclt import (
     two_point,
 )
 from expclt.covariance import (
-    CovarianceOperator,
     _interval_exp_integral,
     sigma_full_at,
     sigma_projected_at,
@@ -118,12 +117,6 @@ class TestGuardsAndShapes:
             op.project([1.0, 2.0], [1.0, 0.0, 0.0])
         with pytest.raises(ValueError):
             op.project([np.nan, 0.0, 0.0], [1.0, 0.0, 0.0])
-
-    def test_symmetry_defect_needs_matrix(self):
-        op = CovarianceOperator(dim=1, full=None, evaluator=lambda x, y: 0.0,
-                                nodes=0, rel_change=0.0)
-        with pytest.raises(ValueError):
-            symmetry_defect(op)
 
     def test_full_matrix_is_frozen(self, dense3):
         op = sigma_full(dense3)

@@ -4,6 +4,7 @@ import pytest
 from expclt import (
     RngStream,
     deterministic,
+    diagonal_uniform,
     precompute_kernel,
     sample_xi,
     sigma_projected,
@@ -251,6 +252,23 @@ class TestDoob:
         draws = [point2.support[0]] * n
         for k in (1, 3, 6):
             chk = doob_check(point2, n, k, draws, [1.0, 1.0], kern)
+            assert chk.identity_residual <= 1e-10
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("law", [
+        lambda: two_point(np.zeros((2, 2)), np.zeros((2, 2)), 0.5),
+        lambda: diagonal_uniform(2, 0.0, 0.0),
+    ], ids=["two_point", "diagonal_uniform"])
+    def test_zero_rho_bound_is_not_divided(self, law):
+        # rho = 0: the bound (2 rho/n)^|P| e^{k rho/n} and every subset
+        # product are exactly 0, a ratio of 0 rather than 0/0
+        e = law()
+        assert e.rho == 0.0
+        n = 16
+        kern = precompute_kernel(e, n)
+        for k in (1, 4):
+            chk = doob_check(e, n, k, _draws(e, n), [1.0, 0.5], kern)
+            assert chk.max_subset_bound_ratio == 0.0
             assert chk.identity_residual <= 1e-10
 
 

@@ -218,11 +218,12 @@ class TestStackedSweep:
 class TestScalarSweep:
     # At d=1 simulate_block multiplies (B,) vectors, blocks of steps at a
     # time; it must perform the matmul sweep's operations in the same order,
-    # so the outputs agree bit for bit. n = 7 and 300 are not multiples of
-    # the step block.
+    # so the outputs agree bit for bit. A block holds
+    # engine._SWEEP_BLOCK // B steps, 885 at B = 37: n = 1025 takes a full
+    # block and a partial one, and n = 7, 64 and 300 one partial block.
 
     @pytest.mark.parametrize("m", [2, 5])
-    @pytest.mark.parametrize("n", [7, 64, 300])
+    @pytest.mark.parametrize("n", [7, 64, 300, 1025])
     @pytest.mark.parametrize("want_s", [False, True])
     @pytest.mark.parametrize("want_s_prime", [False, True])
     def test_bit_identical_to_matmul_sweep(self, m, n, want_s, want_s_prime):
@@ -290,13 +291,13 @@ def _diagonal_cumsum_diff_pairs(kern, x, rows, ks):
 class TestDiagonalSweep:
     # The blocked diagonal kernel must perform the per-step loop's multiplies
     # and adds in the same order, so every bit agrees. A block holds
-    # engine._FILL_BLOCK // (B d) steps, at least one: at d = 8, B = 1, 2
-    # and 37 give 8192, 4096 and 221 steps, so n = 1025 ends in a partial
-    # block; B = 4096 and 4097 sit on both sides of the edge from two-step to
-    # one-step blocks, and past B = 8192 a single step holds more than
-    # _FILL_BLOCK entries. B = 1 at d = 1 has one entry per step, which
-    # numpy would sum pairwise. n = 7 and 300 are not multiples of anything
-    # in the kernel.
+    # engine._SWEEP_BLOCK // (B d) steps, at least one: at d = 8, B = 1, 2
+    # and 37 give 4096, 2048 and 110 steps, so n = 1025 ends in a partial
+    # block; B = 2048 and 2049 sit on both sides of the edge from two-step to
+    # one-step blocks, B = 4096 fills a block with one step, and from
+    # B = 4097 a single step holds more than _SWEEP_BLOCK entries. B = 1 at
+    # d = 1 has one entry per step, which numpy would sum pairwise. n = 7 and
+    # 300 are not multiples of anything in the kernel.
 
     @pytest.mark.parametrize("d", [1, 3, 8])
     @pytest.mark.parametrize("n", [7, 64, 300, 1025])
@@ -306,7 +307,7 @@ class TestDiagonalSweep:
     def test_bit_identical_to_step_loop(self, d, n, B, flags):
         self._check(diagonal_uniform(d, -0.5, 1.0), n, B, *flags)
 
-    @pytest.mark.parametrize("B", [4096, 4097, 8192, 8193])
+    @pytest.mark.parametrize("B", [2048, 2049, 4096, 4097, 8192, 8193])
     def test_block_edges(self, B):
         self._check(diagonal_uniform(8, -0.5, 1.0), 5, B, True, True)
 

@@ -39,6 +39,10 @@ def _base_config(tmp_path, **over):
     return cfg
 
 
+# a matrix one row and one column past the dimension cap
+_BIG = [[0.0] * (experiment._MAX_DIM + 1)] * (experiment._MAX_DIM + 1)
+
+
 class TestLoadConfig:
     def test_minimal_valid(self, tmp_path):
         cfg = load_config(_write(tmp_path, "c.json", _base_config(tmp_path)))
@@ -151,6 +155,11 @@ class TestLoadConfig:
         ("ensemble.low", {"family": "diagonal_uniform", "dim": 2, "low": True, "high": 1.0}),
         ("ensemble.high", {"family": "diagonal_uniform", "dim": 2, "low": 0.0,
                            "high": False}),
+        # matrices past the ensemble.dim cap, rejected before any SVD runs
+        ("ensemble.a0", {"family": "two_point", "a0": _BIG, "a1": [[2.0]], "p": 0.5}),
+        ("ensemble.matrices", {"family": "finite_support", "matrices": [_BIG],
+                               "probabilities": [1.0]}),
+        ("ensemble.matrix", {"family": "deterministic", "matrix": _BIG}),
     ])
     def test_ensemble_fields_are_named_by_path(self, tmp_path, path, ensemble):
         raw = _base_config(tmp_path, ensemble=ensemble)
@@ -508,6 +517,23 @@ class TestCli:
         # same keys as a verdict that simulated, with nothing per n
         assert clt["details"]["per_n"] == {}
         assert {"degenerate", "variance_rtol", "pass_rule"} <= set(clt["details"])
+
+    def test_zero_curves_of_random_law_fail_martingale(self, tmp_path, capsys):
+        # canonical x = e1 lies in the kernel of both draws: every martingale
+        # curve is exactly 0, which must not read as a PASS of each decay claim
+        raw = _base_config(tmp_path, n_grid=[16, 32, 64], replicates=200,
+                           structure_draws=1000, suites=["martingale"],
+                           ensemble={"family": "two_point", "a0": [[0.0, 0.0], [0.0, 0.0]],
+                                     "a1": [[0.0, 0.0], [0.0, 1.0]], "p": 0.5})
+        assert main(["run", _write(tmp_path, "c.json", raw), "--workers", "1"]) == 1
+        assert "[FAIL] martingale" in capsys.readouterr().out
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        details = summary["suites"]["martingale"]["details"]
+        assert details["error"].startswith("probes:")
+        assert all(v == {"marker": "exact-zero"} for v in details["slopes"].values())
+        rows = (tmp_path / "out" / "martingale.csv").read_text().splitlines()[1:]
+        assert len(rows) == 3
+        assert all(float(v) == 0.0 for row in rows for v in row.split(",")[1:])
 
     @pytest.mark.parametrize("ensemble", [
         {"family": "two_point", "a0": [[0.0]], "a1": [[2.0]], "p": 1.0},

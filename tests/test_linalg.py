@@ -6,10 +6,8 @@ from expclt.linalg import (
     as_matrix,
     as_vector,
     gauss_legendre,
-    kron2,
     mat_exp,
     op_norm,
-    tensor_square,
 )
 
 
@@ -77,30 +75,6 @@ class TestValidators:
     def test_as_vector_dim_check(self):
         with pytest.raises(ValueError):
             as_vector([1.0, 2.0], 3, "x")
-
-
-class TestKron:
-    def test_kron2_matches_numpy(self):
-        rng = np.random.default_rng(2)
-        a, b = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
-        assert np.array_equal(kron2(a, b), np.kron(a, b))
-
-    def test_tensor_square_matrix(self):
-        a = np.array([[0.0, 1.0], [2.0, 3.0]])
-        assert np.array_equal(tensor_square(a), np.kron(a, a))
-
-    def test_kron2_vec_identity(self):
-        # kron2(A, B) (x ox y) = (A x) ox (B y), the lift the covariance uses.
-        rng = np.random.default_rng(8)
-        a, b = rng.standard_normal((3, 3)), rng.standard_normal((3, 3))
-        x, y = rng.standard_normal(3), rng.standard_normal(3)
-        lhs = kron2(a, b) @ np.kron(x, y)
-        rhs = np.kron(a @ x, b @ y)
-        assert np.allclose(lhs, rhs, rtol=1e-13, atol=1e-13)
-
-    def test_kron2_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            kron2(np.eye(2), np.eye(3))
 
 
 class TestOpNorm:
