@@ -8,14 +8,13 @@ normal limit. Everything downstream of a master seed is reproducible
 bit-for-bit, independent of worker count.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .covariance import (
     CovarianceOperator,
     sigma_commuting_oracle,
     sigma_full,
     sigma_projected,
-    symmetry_defect,
 )
 from .dynamics import (
     DoobCheck,
@@ -74,7 +73,6 @@ __all__ = [
     "sigma_commuting_oracle",
     "sigma_full",
     "sigma_projected",
-    "symmetry_defect",
     "DoobCheck",
     "LemmaSpeedPoint",
     "PrecomputedKernel",

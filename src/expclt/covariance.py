@@ -8,8 +8,8 @@ form <y (x) y, Sigma (x (x) x)> with
 where E is the ensemble mean and C the centered second tensor moment.
 Three independent routes compute it:
 
-* :func:`sigma_full`             -- materialized d^2 x d^2 Gauss-Legendre
-  quadrature (d <= 16 only);
+* :func:`sigma_full`             -- Van Loan's block exponential, exact and
+  matrix-free at any d (``.full`` materializes Sigma for d <= 16);
 * :func:`sigma_projected`        -- matrix-free scalar quadrature of
   q(s) = E <w(s), (A - EA) u(s)>^2, never touching d^4 storage;
 * :func:`sigma_commuting_oracle` -- exact entrywise closed form for
@@ -20,7 +20,9 @@ Route agreement is the correctness oracle; nothing here is stochastic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from functools import cached_property
+from itertools import count
 
 import numpy as np
 
@@ -30,11 +32,9 @@ from .linalg import as_vector, gauss_legendre, mat_exp
 __all__ = [
     "CovarianceOperator",
     "sigma_full",
-    "sigma_full_at",
     "sigma_projected",
     "sigma_projected_at",
     "sigma_commuting_oracle",
-    "symmetry_defect",
 ]
 
 # Adaptive quadrature policy: start small, double until the answer moves by
@@ -45,43 +45,63 @@ _QUAD_START = 8
 _QUAD_MAX = 256
 
 
-@dataclass(frozen=True)
 class CovarianceOperator:
-    """The limit covariance as a materialized matrix.
+    """Sigma of one ensemble, by Van Loan's block exponential.
 
-    ``full`` is the d^2 x d^2 matrix.  ``nodes`` and ``rel_change`` record
-    where the adaptive quadrature stopped (nodes=0, rel_change=0 for the
-    quadrature-free oracle).
+    On d x d matrices X (x x^T stands for x (x) x), K X = E X + X E^T and
+    C X = E[(A - EA) X (A - EA)^T].  L(T, B) = (K T + C B, K B) has
+    exp(L)(0, X) = (Sigma X, e^K X) (C. Van Loan, IEEE TAC 23(3), 1978), so
+    :meth:`project` is exact and matrix-free at any d.  ``full`` is built on
+    first access, d <= 16 only; ``nodes`` is 0, as no quadrature runs.
     """
 
-    dim: int
-    full: np.ndarray
-    nodes: int
-    rel_change: float
+    nodes = 0
+
+    def __init__(self, e: Ensemble):
+        self.ensemble, self.dim = e, e.dim
 
     def project(self, x, y) -> float:
         """Projected variance <y^{(x)2}, Sigma x^{(x)2}>."""
-        x = as_vector(x, self.dim, "x")
-        y = as_vector(y, self.dim, "y")
-        return float(np.kron(y, y) @ self.full @ np.kron(x, x))
+        return self._project(as_vector(x, self.dim, "x"), as_vector(y, self.dim, "y"))
+
+    @cached_property
+    def full(self) -> np.ndarray:
+        """The d^2 x d^2 matrix of Sigma, read-only (d <= 16)."""
+        if self.dim > 16:
+            raise ValueError(f"d={self.dim} too large to materialize Sigma; use project")
+        full = self._full()
+        full.flags.writeable = False
+        return full
+
+    def _project(self, x, y) -> float:
+        # s steps of exp(L/s), with s >= 2 rho >= ||K||; each step sums its
+        # Taylor series until the next term leaves both blocks unchanged.
+        e, mean = self.ensemble, self.ensemble.mean()
+        steps = max(1, math.ceil(2.0 * e.rho))
+        t, b = np.zeros((self.dim, self.dim)), np.outer(x, x)
+        for _ in range(steps):
+            dt, db = t, b
+            for j in count(1):
+                dt, db = ((mean @ dt + dt @ mean.T + e.centered_action(db)) / (steps * j),
+                          (mean @ db + db @ mean.T) / (steps * j))
+                nt, nb = t + dt, b + db
+                if np.array_equal(nt, t) and np.array_equal(nb, b):
+                    break
+                t, b = nt, nb
+        return float(y @ t @ y)
+
+    def _full(self) -> np.ndarray:
+        # the top-right block of exp [[K, C], [0, K]] as d^2 x d^2 matrices
+        e, n = self.ensemble, self.dim * self.dim
+        eye = np.eye(self.dim)
+        k = np.kron(e.mean(), eye) + np.kron(eye, e.mean())
+        block = np.block([[k, e.central_second_moment()], [np.zeros((n, n)), k]])
+        return mat_exp(block)[:n, n:].copy()
 
 
-def sigma_full_at(e: Ensemble, m: int) -> np.ndarray:
-    """Sigma by m-node Gauss-Legendre quadrature, materialized (d <= 16)."""
-    d = e.dim
-    if d > 16:
-        raise ValueError(f"d={d} too large to materialize Sigma; use sigma_projected")
-    rule = gauss_legendre(m)
-    mean = e.mean()
-    c = e.central_second_moment()
-    # One integrand slab per node, combined in fixed node order (numpy's
-    # pairwise-summing dot), so the result is scheduling independent.
-    slabs = np.empty((m, d * d, d * d))
-    for j, s in enumerate(rule.nodes):
-        p = mat_exp(mean * s)
-        q = mat_exp(mean * (1.0 - s))
-        slabs[j] = np.kron(p, p) @ c @ np.kron(q, q)
-    return np.tensordot(rule.weights, slabs, axes=1)
+def sigma_full(e: Ensemble) -> CovarianceOperator:
+    """Sigma by Van Loan's block exponential: exact, at any d."""
+    return CovarianceOperator(e)
 
 
 def sigma_projected_at(e: Ensemble, x, y, m: int) -> float:
@@ -103,36 +123,15 @@ def sigma_projected_at(e: Ensemble, x, y, m: int) -> float:
     return float(rule.weights @ values)
 
 
-def _adapt(evaluate, norm, tol: float):
-    """Double the node count until the result stabilizes to tol relative."""
-    m = _QUAD_START
-    prev = evaluate(m)
+def sigma_projected(e: Ensemble, x, y) -> float:
+    """Matrix-free projected variance, by the node-doubling policy above."""
+    m, prev = _QUAD_START, sigma_projected_at(e, x, y, _QUAD_START)
     while True:
         m *= 2
-        cur = evaluate(m)
-        denom = max(norm(cur), np.finfo(float).tiny)
-        delta = norm(cur - prev) / denom
-        if delta <= tol or m >= _QUAD_MAX:
-            return cur, m, delta
+        cur = sigma_projected_at(e, x, y, m)
+        if abs(cur - prev) / max(abs(cur), np.finfo(float).tiny) <= _QUAD_TOL or m >= _QUAD_MAX:
+            return cur
         prev = cur
-
-
-def sigma_full(e: Ensemble, *, tol: float = _QUAD_TOL) -> CovarianceOperator:
-    """Materialized Sigma with adaptive node doubling (d <= 16)."""
-    full, m, delta = _adapt(lambda k: sigma_full_at(e, k), np.linalg.norm, tol)
-    full.flags.writeable = False
-    return CovarianceOperator(
-        dim=e.dim,
-        full=full,
-        nodes=m,
-        rel_change=delta,
-    )
-
-
-def sigma_projected(e: Ensemble, x, y, *, tol: float = _QUAD_TOL) -> float:
-    """Matrix-free projected variance with the same adaptive policy."""
-    value, _, _ = _adapt(lambda k: sigma_projected_at(e, x, y, k), abs, tol)
-    return value
 
 
 def _interval_exp_integral(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -149,35 +148,31 @@ def _interval_exp_integral(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return np.exp(beta) * ratio
 
 
-def sigma_commuting_oracle(e: Ensemble) -> CovarianceOperator:
-    """Closed-form Sigma for diagonal families; no quadrature involved.
+class _CommutingOracle(CovarianceOperator):
+    """Closed-form Sigma of a diagonal ensemble; no quadrature involved.
 
     With E[A] = diag(b), the propagators are diagonal, so entry
     ((i,j),(k,l)) of Sigma is C[(i,j),(k,l)] times the scalar integral
-    int_0^1 e^{(b_i+b_j)s} e^{(b_k+b_l)(1-s)} ds in closed form.
+    int_0^1 e^{(b_i+b_j)s} e^{(b_k+b_l)(1-s)} ds in closed form.  Diagonal
+    draws make C vanish off (i,j) = (k,l), where C is E[delta_i delta_j] =
+    C(ones)_ij and the integral is e^{b_i+b_j}: a projection costs O(d^2).
     """
+
+    def _project(self, x, y) -> float:
+        b = np.diagonal(self.ensemble.mean())
+        moment = self.ensemble.centered_action(np.ones((self.dim, self.dim)))
+        z = x * y
+        return float(z @ (moment * np.exp(b[:, None] + b[None, :])) @ z)
+
+    def _full(self) -> np.ndarray:
+        b = np.diagonal(self.ensemble.mean())
+        pair = (b[:, None] + b[None, :]).reshape(-1)  # alpha_(i,j) = b_i + b_j
+        factors = _interval_exp_integral(pair[:, None], pair[None, :])
+        return self.ensemble.central_second_moment() * factors
+
+
+def sigma_commuting_oracle(e: Ensemble) -> CovarianceOperator:
+    """Closed-form Sigma for diagonal families (see :class:`_CommutingOracle`)."""
     if not e.is_diagonal:
         raise ValueError("commuting oracle requires a diagonal ensemble")
-    d = e.dim
-    b = np.diagonal(e.mean())
-    pair = (b[:, None] + b[None, :]).reshape(d * d)  # alpha_(i,j) = b_i + b_j
-    factors = _interval_exp_integral(pair[:, None], pair[None, :])
-    full = e.central_second_moment() * factors
-    full.flags.writeable = False
-    return CovarianceOperator(
-        dim=d,
-        full=full,
-        nodes=0,
-        rel_change=0.0,
-    )
-
-
-def symmetry_defect(op: CovarianceOperator) -> float:
-    """Relative Frobenius asymmetry of the materialized matrix.
-
-    Reported, never asserted: Sigma is symmetric as an operator on the
-    tensor square, but its matrix need not equal its transpose entrywise
-    for non-symmetric A.
-    """
-    scale = max(float(np.linalg.norm(op.full)), np.finfo(float).tiny)
-    return float(np.linalg.norm(op.full - op.full.T)) / scale
+    return _CommutingOracle(e)

@@ -20,6 +20,7 @@ of workers without changing a single bit of output.
 from __future__ import annotations
 
 import hashlib
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -237,10 +238,15 @@ class Ensemble:
                 acc += p * np.kron(delta, delta)
             return acc
         var = (self.high - self.low) ** 2 / 12.0
-        acc = np.zeros((d * d, d * d))
-        for i in range(d):
-            acc[i * d + i, i * d + i] = var
-        return acc
+        return np.diag(var * np.eye(d).reshape(-1))  # var at each (i,i),(i,i)
+
+    def centered_action(self, x: np.ndarray) -> np.ndarray:
+        """``E[(A - EA) x (A - EA)^T]`` for a d x d ``x``: the C of Sigma
+        acting on x, without forming the d^2 x d^2 moment."""
+        if self.is_finite_support:
+            return sum(p * (delta @ x @ delta.T)
+                       for p, delta in zip(self.probabilities, self._deltas))
+        return np.diag((self.high - self.low) ** 2 / 12.0 * np.diagonal(x))
 
     def centered_projection(self, w: np.ndarray, u: np.ndarray) -> float:
         """``E <w, (A - EA) u>^2`` without forming the d^2 x d^2 moment.
@@ -331,7 +337,7 @@ def finite_support(matrices, probabilities, *, family: str = "finite_support") -
             raise ValueError(f"support matrix {i} has dimension {m.shape[0]}, expected {dim}")
     probs = np.asarray(probabilities, dtype=float)
     if not np.all(np.isfinite(probs)):
-        raise ValueError(f"probabilities must be finite, got {probs.tolist()}")
+        raise ValueError(f"probabilities must be finite, got {reprlib.repr(probs.tolist())}")
     if np.any(probs < 0.0) or abs(float(probs.sum()) - 1.0) > 1e-12:
         raise ValueError("probabilities must be nonnegative and sum to 1")
     probs = _freeze(probs)

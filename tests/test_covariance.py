@@ -1,20 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from expclt import (
+    deterministic,
     diagonal_uniform,
+    finite_support,
     gauss_legendre,
     sigma_commuting_oracle,
     sigma_full,
     sigma_projected,
     two_point,
 )
-from expclt.covariance import (
-    _interval_exp_integral,
-    sigma_full_at,
-    sigma_projected_at,
-    symmetry_defect,
-)
+from expclt.covariance import _interval_exp_integral, sigma_projected_at
 
 
 class TestScalarClosedForms:
@@ -38,7 +37,7 @@ class TestScalarClosedForms:
 
     def test_oracle_route_agrees(self, scalar01):
         op = sigma_commuting_oracle(scalar01)
-        assert op.nodes == 0 and op.rel_change == 0.0
+        assert op.nodes == 0
         assert op.project([1.0], [1.0]) == pytest.approx(np.e / 4, rel=1e-14)
 
 
@@ -106,10 +105,11 @@ class TestGuardsAndShapes:
 
     def test_full_rejects_large_dimension(self):
         big = diagonal_uniform(17, 0.0, 1.0)
-        with pytest.raises(ValueError, match="sigma_projected"):
-            sigma_full_at(big, 8)
-        with pytest.raises(ValueError):
-            sigma_full(big)
+        op = sigma_full(big)
+        with pytest.raises(ValueError, match="use project"):
+            op.full
+        x = np.ones(17)
+        assert op.project(x, x) == pytest.approx(17 * np.exp(1.0) / 12, rel=1e-13)
 
     def test_project_validates_probes(self, dense3):
         op = sigma_full(dense3)
@@ -147,19 +147,98 @@ class TestStructuralProperties:
         b = sigma_projected_at(dense3, x, y, 128)
         assert abs(a - b) <= 1e-12 * abs(b)
 
-    def test_adaptive_metadata(self, dense3):
-        op = sigma_full(dense3)
-        assert op.nodes >= 16 and op.rel_change <= 1e-12
-
     def test_deterministic_family_gives_zero(self, point2):
         op = sigma_full(point2)
         assert np.all(op.full == 0.0)
-        assert symmetry_defect(op) == 0.0
+        assert op.project([1.0, -2.0], [0.5, 1.0]) == 0.0
         assert sigma_projected(point2, [1.0, 1.0], [1.0, 1.0]) == 0.0
 
     def test_diagonal_oracle_is_symmetric(self, diag3):
-        assert symmetry_defect(sigma_commuting_oracle(diag3)) == 0.0
+        full = sigma_commuting_oracle(diag3).full
+        assert np.array_equal(full, full.T)
 
     def test_dense_defect_small_but_reported(self, dense3):
-        defect = symmetry_defect(sigma_full(dense3))
-        assert np.isfinite(defect) and defect >= 0.0
+        # Sigma(x, y) and Sigma(y, x) are different numbers for a dense law
+        op = sigma_full(dense3)
+        x, y = np.array([1.0, 0.2, -0.4]), np.array([-0.3, 1.0, 0.6])
+        a, b = op.project(x, y), op.project(y, x)
+        assert a > 0.0 and b > 0.0 and a != pytest.approx(b, rel=1e-6)
+
+
+# entries on a grid of eighths: no subnormal products, and a spectral norm of 0
+# or at least 1/8 before scaling
+_GRID = st.integers(-8, 8).map(lambda k: k / 8.0)
+
+
+def _scaled(rho):
+    """Square matrices scaled to spectral norm rho (the zero matrix stays 0)."""
+    def scale(a):
+        a = np.array(a, dtype=float)
+        norm = np.linalg.norm(a, 2)
+        return a * (rho / norm) if norm > 0.0 else a
+    return scale
+
+
+@st.composite
+def _ensembles(draw):
+    d = draw(st.integers(1, 6))
+    rho = draw(st.floats(0.0, 10.0))
+    family = draw(st.sampled_from(["two_point", "finite_support", "diagonal_uniform"]))
+    if family == "diagonal_uniform":
+        low, high = sorted(draw(st.lists(st.floats(-rho, rho), min_size=2, max_size=2)))
+        return diagonal_uniform(d, low, high)
+    entries = st.lists(st.lists(_GRID, min_size=d, max_size=d),
+                       min_size=d, max_size=d).map(_scaled(rho))
+    if family == "two_point":
+        return two_point(draw(entries), draw(entries), draw(st.floats(0.0, 1.0)))
+    mats = draw(st.lists(entries, min_size=1, max_size=4))
+    weights = draw(st.lists(st.integers(1, 4), min_size=len(mats), max_size=len(mats)))
+    return finite_support(mats, [w / sum(weights) for w in weights])
+
+
+class TestVanLoan:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_project_agrees_with_quadrature(self, data):
+        e = data.draw(_ensembles())
+        probe = st.lists(_GRID, min_size=e.dim, max_size=e.dim)
+        x, y = data.draw(probe), data.draw(probe)
+        a = sigma_projected(e, x, y)
+        b = sigma_full(e).project(x, y)
+        assert abs(a - b) <= 1e-10 * max(abs(a), abs(b), np.finfo(float).tiny)
+
+    @pytest.mark.parametrize("e", [
+        diagonal_uniform(3, -0.5, 1.0),
+        diagonal_uniform(7, 2.0, 2.5),
+        two_point(np.diag([0.4, -0.2]), np.diag([-0.1, 0.6]), 0.35),
+        finite_support([np.diag([0.9, 0.0, -0.3]), np.diag([-0.5, 0.2, 0.1]),
+                        np.diag([0.0, -0.8, 0.7])], [0.2, 0.5, 0.3]),
+    ], ids=["diag3", "diag7", "two_point2", "finite_support3"])
+    def test_oracle_agrees_on_diagonal_laws(self, e):
+        op, oracle = sigma_full(e), sigma_commuting_oracle(e)
+        rng = np.random.default_rng(5)
+        for _ in range(10):
+            x, y = rng.standard_normal(e.dim), rng.standard_normal(e.dim)
+            assert oracle.project(x, y) == pytest.approx(op.project(x, y), rel=1e-12)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_full_agrees_with_project(self, d):
+        rng = np.random.default_rng(40 + d)
+        mats = [rng.uniform(-1.0, 1.0, (d, d)) for _ in range(3)]
+        op = sigma_full(finite_support(mats, [0.5, 0.3, 0.2]))
+        for _ in range(5):
+            x, y = rng.standard_normal(d), rng.standard_normal(d)
+            quad = float(np.kron(y, y) @ op.full @ np.kron(x, x))
+            assert quad == pytest.approx(op.project(x, y), rel=1e-12)
+
+    @pytest.mark.parametrize("e", [
+        diagonal_uniform(3, -0.5, 1.0),
+        two_point(np.array([[0.2, -0.7], [0.4, 0.1]]), np.array([[0.0, 0.3], [-0.6, 0.5]]),
+                  0.3),
+        deterministic(np.array([[0.3, 0.1], [0.0, -0.2]])),
+    ], ids=["diagonal_uniform", "two_point", "deterministic"])
+    def test_centered_action_is_the_central_moment(self, e):
+        x = np.random.default_rng(8).standard_normal((e.dim, e.dim))  # not symmetric
+        got = e.centered_action(x).reshape(-1)
+        want = e.central_second_moment() @ x.reshape(-1)
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=1e-15)

@@ -502,6 +502,27 @@ class TestCli:
         assert main(["run", _write(tmp_path, "c.json", raw)]) == 2
         assert "ensemble.dim: must be an integer >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("path, over", [
+        ("ensemble.matrix", {"ensemble": {"family": "deterministic", "matrix": [0.5] * 200_000}}),
+        ("n_grid", {"n_grid": list(range(100_000, 0, -1))}),
+    ], ids=["long_matrix", "long_n_grid"])
+    def test_rejected_value_is_echoed_briefly(self, tmp_path, capsys, path, over):
+        raw = _base_config(tmp_path, **over)
+        assert main(["run", _write(tmp_path, "c.json", raw)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: must be" in err and len(err.encode()) < 1000
+
+    def test_covariance_passes_past_d_16(self, tmp_path, capsys):
+        # Sigma is projected matrix-free, so no dimension cap applies
+        rng = np.random.default_rng(17)
+        mats = [rng.uniform(-1.0, 1.0, (18, 18)) / 18 for _ in range(2)]
+        for ensemble in ({"family": "diagonal_uniform", "dim": 17, "low": -0.5, "high": 1.0},
+                         {"family": "two_point", "a0": mats[0].tolist(),
+                          "a1": mats[1].tolist(), "p": 0.4}):
+            raw = _base_config(tmp_path, suites=["covariance"], ensemble=ensemble)
+            assert main(["run", _write(tmp_path, "c.json", raw), "--workers", "1"]) == 0
+            assert "[PASS] covariance" in capsys.readouterr().out
+
     def test_zero_projected_variance_of_random_law_fails_clt(self, tmp_path, capsys):
         # canonical probes (e1, e2) see nothing of a diagonal law: sigma^2 = 0
         # and every sample is 0, which must not read as a degenerate PASS
