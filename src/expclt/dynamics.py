@@ -73,13 +73,13 @@ class PrecomputedKernel:
     p_powers[k] = e^{EA k/n} and q_powers[k] = (E e^{A/n})^k for k = 0..n,
     both filled by index doubling (k = floor(k/2) + ceil(k/2)), so the
     rounding error stays O(log n) units.  ``exps`` holds e^{A_i/n} for each
-    support matrix of a finite-support family, which makes a replicate pure
-    table lookup.
+    support matrix of a finite-support family (none for diagonal_uniform),
+    which makes a replicate pure table lookup.
     """
 
     ensemble: Ensemble
     n: int
-    exps: tuple | None
+    exps: tuple
     p_powers: np.ndarray  # (n+1, d, d)
     q_powers: np.ndarray  # (n+1, d, d)
 
@@ -105,11 +105,9 @@ def precompute_kernel(e: Ensemble, n: int) -> PrecomputedKernel:
     """Build the per-(ensemble, n) exponential tables."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    exps = None
-    if e.is_finite_support:
-        exps = tuple(mat_exp(a / n) for a in e.support)
-        for m in exps:
-            m.flags.writeable = False
+    exps = tuple(mat_exp(a / n) for a in e.support or ())
+    for m in exps:
+        m.flags.writeable = False
     p = _doubling_table(mat_exp(e.mean() / n), n)
     q = _doubling_table(e.mean_exp_scaled(n), n)
     p.flags.writeable = False
@@ -135,8 +133,9 @@ def sample_xi(e: Ensemble, n: int, x, r: RngStream,
     """One replicate of (xi_n x, S_n x) from a single stream of draws.
 
     ``y`` is the projection probe for the scalar records; it defaults to x.
-    Reference (unbatched) implementation: O(n d^2) per call for finite
-    support and diagonal families alike.
+    Reference (unbatched) implementation for every family: the draws of
+    :meth:`Ensemble.sample`, one at a time, enter as e^{A_k/n} and as
+    P_{k-1} (A_k - EA) P_{n-k} x; O(n d^3) per call.
     """
     kern = kern if kern is not None else precompute_kernel(e, n)
     if kern.n != n or kern.ensemble is not e:
@@ -144,23 +143,14 @@ def sample_xi(e: Ensemble, n: int, x, r: RngStream,
     x = as_vector(x, e.dim, "x")
     y = x if y is None else as_vector(y, e.dim, "y")
     root_n = np.sqrt(float(n))
-
-    if e.is_finite_support:
-        idx = e.sample_indices(r, n)
-        v = x.copy()
-        for k in range(n, 0, -1):
-            v = kern.exps[idx[k - 1]] @ v
-        px = np.einsum("kij,j->ki", kern.p_powers, x)
-        s = np.zeros(e.dim)
-        for k in range(1, n + 1):
-            s += kern.p_powers[k - 1] @ (e._deltas[idx[k - 1]] @ px[n - k])
-    else:
-        vals = e.sample_diagonal_values(r, n)
-        mid = 0.5 * (e.low + e.high)
-        v = x * np.prod(np.exp(vals / n), axis=0)
-        pk = np.exp(mid * np.arange(n + 1) / n)
-        coeff = pk[: n][::-1] * pk[:n]  # pk[n-k] * pk[k-1] for k = 1..n
-        s = x * ((vals - mid) * coeff[:, None]).sum(axis=0)
+    draws = [e.sample(r) for _ in range(n)]
+    v = x.copy()
+    for a in reversed(draws):
+        v = mat_exp(a / n) @ v
+    px = np.einsum("kij,j->ki", kern.p_powers, x)
+    mean, s = e.mean(), np.zeros(e.dim)
+    for k, a in enumerate(draws, 1):
+        s += kern.p_powers[k - 1] @ ((a - mean) @ px[n - k])
 
     xi_x = root_n * (v - kern.exp_mean @ x)
     s_x = s / root_n

@@ -80,15 +80,17 @@ _SWEEP_BLOCK = 32_768
 _STACKED_MAX_SUPPORT = 8
 
 
-def batch_size(family: str, n: int, dim: int) -> int:
+def batch_size(e, n: int) -> int:
     """Deterministic chunk width; a pure function of the problem shape only."""
-    per_row = n * (dim if family == "diagonal_uniform" else 1)
+    per_row = n * e.uniforms_per_draw
     return max(32, min(8192, _CHUNK_TARGET // max(1, per_row)))
 
 
 def chunk_ranges(e, n: int, reps: int) -> list:
     """The replicate ranges ``[lo, hi)`` of one pass, in index order."""
-    chunk = batch_size(e.family, n, e.dim)
+    if reps < 1:
+        raise ValueError(f"reps must be >= 1, got {reps}")
+    chunk = batch_size(e, n)
     return [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
 
 
@@ -104,7 +106,7 @@ def _by_chunk(e, n: int, stream_for, reps: int, fn) -> dict:
 
 
 def _draw_rows(e, streams, n: int):
-    """One draw row per stream: indices (finite support) or diagonal values.
+    """One row of n draws per stream, as :meth:`Ensemble.from_uniforms` maps them.
 
     Rows are stored step-major, as the transpose of a C-contiguous buffer
     whose first axis is the step, so that the sweeps' per-step slice
@@ -112,22 +114,16 @@ def _draw_rows(e, streams, n: int):
     the indices of ``e.sample_indices(stream, n)``, or a ``(B, n, d)`` array
     holding the values of ``e.sample_diagonal_values(stream, n)``.  Uniforms
     are drawn a few rows at a time into a small scratch block by
-    :meth:`RngStream.fill_rows` and mapped as those methods map them.
+    :meth:`RngStream.fill_rows`.
     """
-    B, finite = len(streams), e.is_finite_support
-    buf = np.empty((n, B), dtype=np.uint16) if finite else np.empty((n, B, e.dim))
-    width = n if finite else n * e.dim
+    B, width = len(streams), n * e.uniforms_per_draw
     u = np.empty((max(1, min(B, _FILL_BLOCK // width)), width))
+    empty = e.from_uniforms(u[:0])  # no rows, but the draws' shape and dtype
+    buf = np.empty((n, B) + empty.shape[2:], dtype=empty.dtype)
     for lo in range(0, B, len(u)):
         group = streams[lo : lo + len(u)]
-        block = u[: len(group)]
-        RngStream.fill_rows(group, block)
-        if finite:
-            buf[:, lo : lo + len(group)] = e.support_indices(block).T
-        else:
-            block *= e.high - e.low  # low + (high - low) * u, as sample_diagonal_values
-            block += e.low
-            buf[:, lo : lo + len(group)] = block.reshape(len(group), n, e.dim).swapaxes(0, 1)
+        RngStream.fill_rows(group, u[: len(group)])
+        buf[:, lo : lo + len(group)] = e.from_uniforms(u[: len(group)]).swapaxes(0, 1)
     return buf.swapaxes(0, 1)
 
 
@@ -351,7 +347,7 @@ def simulate_paths(e, kern, x, y, stream_for, reps: int, *, want_s: bool = False
 
 
 def diff_pair_block(kern, x, rows, ks):
-    """Rows of d_{n,k} x - d'_{n,k} x for each k in ks (finite support only).
+    """Rows of d_{n,k} x - d'_{n,k} x for each k in ks.
 
     d_{n,k} x comes from a per-support gather table; d'_{n,k} x applies the
     random prefix e^{A_1/n} ... e^{A_{k-1}/n} to (A_k - EA) Q^{n-k} x by a

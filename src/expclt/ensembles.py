@@ -15,6 +15,13 @@ estimates.  Sampling is driven by :class:`RngStream`, a counter-based keyed
 stream: the draw sequence is a pure function of ``(master_seed,
 stream_index, draw counter)``, so replicates can be farmed out to any number
 of workers without changing a single bit of output.
+
+Callers see a law through one interface: a draw takes ``uniforms_per_draw``
+uniforms, ``from_uniforms`` maps uniforms to draws (support indices or
+diagonal entries), ``sample`` returns one draw as a matrix, ``is_point_mass``
+marks a law without fluctuations, and ``mean``, ``central_second_moment``,
+``centered_action``, ``centered_projection`` and ``mean_exp_scaled`` are its
+exact moments.  A new finite-support law needs nothing more than a factory.
 """
 
 from __future__ import annotations
@@ -147,12 +154,26 @@ class Ensemble:
     def is_finite_support(self) -> bool:
         return self.family in _FINITE_FAMILIES
 
+    @property
+    def uniforms_per_draw(self) -> int:
+        """Uniforms one draw consumes: 1 (a support index) or d (diagonal entries)."""
+        return 1 if self.is_finite_support else self.dim
+
     @cached_property
     def is_diagonal(self) -> bool:
         """True when every possible draw is a diagonal matrix."""
         if self.family == "diagonal_uniform":
             return True
         return all(np.count_nonzero(a - np.diag(np.diagonal(a))) == 0 for a in self.support)
+
+    @cached_property
+    def is_point_mass(self) -> bool:
+        """True when the law is a point mass, so every fluctuation is exactly 0."""
+        if self.is_finite_support:
+            # a zero-weight matrix is never drawn, so it does not make the law random
+            drawn = [m for p, m in zip(self.probabilities, self.support) if p > 0.0]
+            return all(np.array_equal(m, drawn[0]) for m in drawn[1:])
+        return self.low == self.high
 
     @cached_property
     def _cum_probs(self) -> np.ndarray:
@@ -175,30 +196,31 @@ class Ensemble:
     # --- sampling ---------------------------------------------------------
 
     def sample(self, stream: RngStream) -> np.ndarray:
-        """One draw; consumes one uniform (or d uniforms for diagonal_uniform)."""
+        """One draw as a matrix; consumes ``uniforms_per_draw`` uniforms."""
+        (draw,) = self.from_uniforms(stream.uniform(self.uniforms_per_draw))
+        return self.support[draw] if self.is_finite_support else np.diag(draw)
+
+    def from_uniforms(self, u: np.ndarray) -> np.ndarray:
+        """The draws of the uniforms ``u``, whose last axis holds whole draws:
+        :meth:`support_indices`, shaped as ``u``, or the diagonal entries
+        ``low + (high - low) u``, shaped ``(..., count, d)``.  Every sampler
+        maps uniforms here, so a stream gives the same draws through any."""
         if self.is_finite_support:
-            idx = int(np.searchsorted(self._cum_probs, stream.uniform(), side="right"))
-            return self.support[min(idx, len(self.support) - 1)]
-        vals = self.low + (self.high - self.low) * stream.uniform(self.dim)
-        return np.diag(vals)
+            return self.support_indices(u)
+        vals = self.low + (self.high - self.low) * u
+        return vals.reshape(*u.shape[:-1], u.shape[-1] // self.dim, self.dim)
 
     def sample_indices(self, stream: RngStream, count: int) -> np.ndarray:
-        """``count`` support indices in draw order (finite-support families).
-
-        Equivalent to ``count`` successive :meth:`sample` calls: one uniform
-        per draw, mapped through the same cumulative-probability bins.
-        """
-        if not self.is_finite_support:
-            raise ValueError(f"{self.family} ensemble has no finite support")
+        """``count`` support indices in draw order (finite-support families)."""
         return self.support_indices(stream.uniform(count))
 
     def support_indices(self, u: np.ndarray) -> np.ndarray:
         """uint16 support indices of the uniforms ``u`` (any shape).
 
-        The bins of :meth:`sample`: ``searchsorted(_cum_probs, u,
-        side="right")``, clipped to the last index.  For u in [0, 1) that is
-        the number of interior cut points ``<= u``, which small supports count
-        with one elementwise compare per cut point; larger ones binary-search.
+        ``searchsorted(_cum_probs, u, side="right")``, clipped to the last
+        index.  For u in [0, 1) that is the number of interior cut points
+        ``<= u``, which small supports count with one elementwise compare per
+        cut point; larger ones binary-search.
         """
         if not self.is_finite_support:
             raise ValueError(f"{self.family} ensemble has no finite support")
@@ -215,8 +237,7 @@ class Ensemble:
         """``(count, d)`` diagonal entries in draw order (diagonal_uniform)."""
         if self.family != "diagonal_uniform":
             raise ValueError(f"{self.family} ensemble is not diagonal_uniform")
-        u = stream.uniform((count, self.dim))
-        return self.low + (self.high - self.low) * u
+        return self.from_uniforms(stream.uniform(count * self.dim))
 
     # --- exact moments ----------------------------------------------------
 

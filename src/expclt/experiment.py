@@ -24,7 +24,8 @@ run writes a summary.json mirroring the RunReport.  Replicate streams are
 keyed by (master_seed, suite tag, n, replicate index), replicate chunks are a
 fixed function of the problem shape, and chunk results are reduced in index
 order, so all emitted numbers are independent of the worker count.  A run
-keeps at most one process pool, which every Monte Carlo pass shares.
+keeps at most one process pool, which every Monte Carlo pass shares, with no
+more processes than its largest pass has chunks.
 """
 
 from __future__ import annotations
@@ -408,21 +409,10 @@ def _degenerate_bound(e: Ensemble, n: int) -> float:
     return math.sqrt(n) * math.exp(e.rho) * 1e-11
 
 
-def _is_effectively_deterministic(e: Ensemble) -> bool:
-    """True when the law is a point mass, so every fluctuation is exactly 0."""
-    if e.family == "deterministic":
-        return True
-    if e.is_finite_support:
-        # a zero-weight matrix is never drawn, so it does not make the law random
-        drawn = [m for p, m in zip(e.probabilities, e.support) if p > 0.0]
-        return all(np.array_equal(m, drawn[0]) for m in drawn[1:])
-    return e.low == e.high
-
-
 def _suite_clt(cfg: ExperimentConfig, key: str, pool) -> SuiteResult:
     e = cfg.ensemble
     sigma2_ref = sigma_projected(e, cfg.x, cfg.y)
-    degenerate = _is_effectively_deterministic(e)
+    degenerate = e.is_point_mass
     header = ("n", "replicate_count", "sigma2_ref", "sample_mean", "sample_variance",
               "skewness", "excess_kurtosis", "ks_distance", "ks_threshold_01")
     if sigma2_ref == 0.0 and not degenerate:
@@ -478,7 +468,7 @@ def _suite_lemma_speed(cfg: ExperimentConfig, key: str, pool) -> SuiteResult:
     points = lemma_speed_curve(e, cfg.n_grid)
     header = ("n", "norm_outer", "norm_inner", "k_max_norm")
     rows = tuple((p.n, p.norm_outer, p.norm_inner, p.k_max_norm) for p in points)
-    if _is_effectively_deterministic(e):
+    if e.is_point_mass:
         # Point mass: each norm compares powers, of order k <= n, of one
         # matrix computed two ways.  The two differ by under 1e-10 relative
         # (weights sum to 1 within 1e-12; a weighted sum of up to 65,536 terms
@@ -605,8 +595,7 @@ def _suite_martingale(cfg: ExperimentConfig, key: str, pool) -> SuiteResult:
             return None
         return fit_slope(pts)
 
-    point_mass = _is_effectively_deterministic(e)
-    if point_mass:
+    if e.is_point_mass:
         # Point-mass law: every martingale quantity is an exact zero up to
         # rounding, so there is no decay rate to fit.
         fits["marker"] = "exact-zero"
@@ -660,7 +649,7 @@ def _suite_martingale(cfg: ExperimentConfig, key: str, pool) -> SuiteResult:
         "orthogonality": ortho_stats,
         "orthogonality_ok": bool(ortho_ok),
     }
-    if not point_mass and all(v == 0.0 for r in rows for v in r[1:]):
+    if not e.is_point_mass and all(v == 0.0 for r in rows for v in r[1:]):
         # A random law whose every curve is exactly 0: the probes miss its
         # fluctuations, and each decay claim would hold vacuously.
         details["error"] = ("probes: every martingale curve is exactly 0 although the "
@@ -750,7 +739,7 @@ def _suite_covariance(cfg: ExperimentConfig, key: str, pool) -> SuiteResult:
         "symmetry_defect": sym,
         "probe_pairs_checked": len(probes),
     }
-    if _is_effectively_deterministic(e):
+    if e.is_point_mass:
         # Point mass: Sigma = 0, so every value above is rounding noise and
         # the relative deltas divide it by zero.  Each centered draw A_i - EA
         # rounds a weighted mean, to under 1e-10 (rho + 1) for the law and
@@ -832,7 +821,10 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> RunReport:
     suites = {}
     timings = {}
     csv_paths = {}
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    # a process beyond the largest pass's chunk count would only be forked to idle
+    processes = min(workers, max(len(engine.chunk_ranges(cfg.ensemble, n, cfg.replicates))
+                                 for n in cfg.n_grid))
+    pool = ProcessPoolExecutor(max_workers=processes) if processes > 1 else None
     try:
         for name in cfg.suites:
             t0 = time.perf_counter()

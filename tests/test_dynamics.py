@@ -65,7 +65,7 @@ class TestKernel:
             assert np.allclose(kern.q_powers[k], ref, rtol=1e-12, atol=1e-15)
 
     def test_diagonal_family_has_no_exp_table(self, diag3):
-        assert precompute_kernel(diag3, 4).exps is None
+        assert precompute_kernel(diag3, 4).exps == ()
 
 
 class TestSampleXi:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from expclt import (RngStream, diagonal_uniform, finite_support, precompute_kernel,
-                    sample_xi)
+                    sample_xi, two_point)
 from expclt import engine, experiment
 from expclt.dynamics import decompose_xi_prime, diff_moment_curve
 from expclt.experiment import ExperimentConfig
@@ -14,19 +14,18 @@ def _streams_root(seed):
 
 
 class TestBatchSize:
-    def test_bounds(self):
-        assert engine.batch_size("two_point", 1, 1) == 8192
-        assert engine.batch_size("diagonal_uniform", 2_097_152, 4) == 32
-        assert engine.batch_size("two_point", 256, 3) == 8192
+    def test_bounds(self, scalar01, dense3):
+        assert engine.batch_size(scalar01, 1) == 8192
+        assert engine.batch_size(diagonal_uniform(4, 0.0, 1.0), 2_097_152) == 32
+        assert engine.batch_size(dense3, 256) == 8192
 
     def test_diagonal_accounts_for_dim(self):
-        wide = engine.batch_size("diagonal_uniform", 1024, 16)
-        narrow = engine.batch_size("two_point", 1024, 16)
+        wide = engine.batch_size(diagonal_uniform(16, 0.0, 1.0), 1024)
+        narrow = engine.batch_size(two_point(np.eye(16), np.eye(16), 0.5), 1024)
         assert wide <= narrow
 
-    def test_pure_function(self):
-        assert engine.batch_size("two_point", 100, 3) == engine.batch_size(
-            "two_point", 100, 3)
+    def test_pure_function(self, dense3):
+        assert engine.batch_size(dense3, 100) == engine.batch_size(dense3, 100)
 
 
 class TestReferenceParity:
@@ -86,6 +85,10 @@ class TestReferenceParity:
         full = engine.simulate_paths(dense3, kern, x, x, _streams_root(1), 4,
                                      want_s=True, want_s_prime=True)
         assert set(full) == {"proj_xi", "proj_s", "diff_norm", "r_norm", "mk_norm"}
+        with pytest.raises(ValueError, match="reps"):
+            engine.simulate_paths(dense3, kern, x, x, _streams_root(1), 0)
+        with pytest.raises(ValueError, match="reps"):
+            engine.diff_pairs(dense3, kern, x, _streams_root(1), 0, ks=[1])
 
 
 def _matmul_sweep(kern, x, rows, want_s, want_s_prime):

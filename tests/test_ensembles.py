@@ -166,6 +166,68 @@ class TestSampling:
         assert np.array_equal(m, np.diag(np.diagonal(m)))
 
 
+_A = np.array([[0.3, 0.1], [0.0, -0.2]])
+_B = np.array([[0.3, 0.1], [0.0, 0.2]])
+
+# One law of each sampling shape: support_indices counts cut points for m = 2
+# and 3 and binary-searches for m = 129; diagonal draws take 1 or d uniforms.
+_LAWS = {
+    "two_point": two_point(np.array([[0.0]]), np.array([[1.0]]), 0.3),
+    "finite_support_m3": finite_support([np.eye(2) * i for i in range(3)],
+                                        [0.2, 0.5, 0.3]),
+    "finite_support_m129": finite_support([np.eye(1) * i for i in range(_CUT + 1)],
+                                          np.full(_CUT + 1, 1.0 / (_CUT + 1))),
+    "diagonal_uniform_d1": diagonal_uniform(1, -0.5, 1.0),
+    "diagonal_uniform_d3": diagonal_uniform(3, -0.5, 1.0),
+}
+
+
+def _bulk_sample(e, stream, count):
+    if e.is_finite_support:
+        return e.sample_indices(stream, count)
+    return e.sample_diagonal_values(stream, count)
+
+
+class TestFromUniforms:
+    """One uniform-to-draw map behind every sampler."""
+
+    @pytest.mark.parametrize("law", sorted(_LAWS))
+    def test_one_stream_gives_the_same_draws_everywhere(self, law):
+        e, count = _LAWS[law], 300
+        draws = e.from_uniforms(RngStream(21).uniform(count * e.uniforms_per_draw))
+        assert np.array_equal(draws, _bulk_sample(e, RngStream(21), count))
+        r = RngStream(21)
+        for draw in draws:
+            ref = e.support[draw] if e.is_finite_support else np.diag(draw)
+            assert np.array_equal(e.sample(r), ref)
+
+    @pytest.mark.parametrize("law", sorted(_LAWS))
+    def test_a_block_maps_row_by_row(self, law):
+        e, count = _LAWS[law], 50
+        u = np.stack([RngStream(22, b).uniform(count * e.uniforms_per_draw)
+                      for b in range(4)])
+        block = e.from_uniforms(u)
+        assert block.shape[:2] == (4, count)
+        assert e.from_uniforms(u[:0]).shape == (0,) + block.shape[1:]
+        for b in range(4):
+            assert np.array_equal(block[b], _bulk_sample(e, RngStream(22, b), count))
+
+
+@pytest.mark.parametrize("law, expected", [
+    (deterministic(_A), True),
+    (two_point(_A, _A, 0.4), True),
+    (two_point(_A, _B, 0.0), True),
+    (finite_support([_A, _A, _B], [0.5, 0.5, 0.0]), True),
+    (diagonal_uniform(3, 0.7, 0.7), True),
+    (two_point(_A, _B, 0.4), False),
+    (finite_support([_A, _A, _B], [0.45, 0.45, 0.1]), False),
+    (diagonal_uniform(3, -0.5, 1.0), False),
+], ids=["deterministic", "two_point_equal", "two_point_p0", "zero_weight_outlier",
+        "diagonal_low_eq_high", "two_point", "finite_support", "diagonal_uniform"])
+def test_is_point_mass(law, expected):
+    assert law.is_point_mass is expected
+
+
 def _searchsorted_oracle(e, u):
     idx = np.searchsorted(e._cum_probs, u, side="right")
     return np.minimum(idx, len(e.support) - 1).astype(np.uint16)

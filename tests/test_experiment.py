@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from expclt import experiment
+from expclt import engine, experiment
 from expclt.cli import main
 from expclt.experiment import (
     ConfigError,
@@ -292,6 +292,26 @@ def executors(monkeypatch):
     return made
 
 
+@pytest.fixture
+def fake_pools(monkeypatch):
+    """The ``max_workers`` of every pool that experiment creates; the pools
+    map in the test process and start none."""
+    sizes = []
+
+    class InProcess:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+        def shutdown(self, **kwargs):
+            pass
+
+    monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcess)
+    return sizes
+
+
 class TestRun:
     def _cfg(self, tmp_path, **over):
         return load_config(_write(tmp_path, "cfg.json",
@@ -376,6 +396,7 @@ class TestRun:
             raise RuntimeError("suite failed to run")
 
         monkeypatch.setitem(experiment._SUITES, "doob", broken)
+        monkeypatch.setattr(experiment.engine, "batch_size", lambda *a: 32)  # 2 chunks
         cfg = self._cfg(tmp_path, suites=["clt", "doob"], n_grid=[16, 32],
                         replicates=60)
         with pytest.raises(RuntimeError, match="suite failed to run"):
@@ -383,6 +404,23 @@ class TestRun:
         assert len(executors) == 1
         assert executors[0].shut_down
         assert experiment._KERNEL_CACHE == {}
+
+    @pytest.mark.parametrize("workers, size", [(2, 2), (5, 5), (5000, 7)])
+    def test_pool_is_sized_by_the_largest_pass(self, tmp_path, fake_pools, monkeypatch,
+                                               workers, size):
+        # width n: 100 replicates make 7 chunks at n = 16 and 4 at n = 32
+        monkeypatch.setattr(experiment.engine, "batch_size", lambda e, n: n)
+        cfg = self._cfg(tmp_path, suites=["clt"], n_grid=[16, 32], replicates=100)
+        run(cfg, workers=workers)
+        assert fake_pools == [size]
+
+    def test_no_pool_when_every_pass_is_one_chunk(self, tmp_path, fake_pools):
+        cfg = self._cfg(tmp_path, suites=["clt", "martingale"], n_grid=[16, 32, 64],
+                        replicates=100, structure_draws=1000)
+        assert all(len(engine.chunk_ranges(cfg.ensemble, n, 100)) == 1
+                   for n in cfg.n_grid)
+        run(cfg, workers=4)
+        assert fake_pools == []
 
     def test_kernel_cache_is_scoped_to_one_run(self, tmp_path):
         cfg = self._cfg(tmp_path, suites=["clt"], n_grid=[16, 32], replicates=50)
