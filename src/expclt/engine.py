@@ -39,10 +39,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ensembles import RngStream
-
 __all__ = [
     "batch_size",
+    "pass_bytes",
     "chunk_ranges",
     "concat_chunks",
     "simulate_block",
@@ -86,6 +85,12 @@ def batch_size(e, n: int) -> int:
     return max(32, min(8192, _CHUNK_TARGET // max(1, per_row)))
 
 
+def pass_bytes(e, n: int) -> tuple:
+    """Bytes of a pass's largest arrays besides its kernel: a finite support's
+    (m, n, d) S and S' tables, and its widest chunk of draws as float64."""
+    return 16 * len(e.support or ()) * n * e.dim, 8 * batch_size(e, n) * n * e.uniforms_per_draw
+
+
 def chunk_ranges(e, n: int, reps: int) -> list:
     """The replicate ranges ``[lo, hi)`` of one pass, in index order."""
     if reps < 1:
@@ -112,9 +117,9 @@ def _draw_rows(e, streams, n: int):
     whose first axis is the step, so that the sweeps' per-step slice
     ``rows[:, k-1]`` is contiguous: a ``(B, n)`` uint16 index array holding
     the indices of ``e.sample_indices(stream, n)``, or a ``(B, n, d)`` array
-    holding the values of ``e.sample_diagonal_values(stream, n)``.  Uniforms
-    are drawn a few rows at a time into a small scratch block by
-    :meth:`RngStream.fill_rows`.
+    holding the values of ``e.sample_diagonal_values(stream, n)``.  Each
+    stream fills its row of a small scratch block of uniforms, a few rows at a
+    time, by ``stream.uniform(out=row)``.
     """
     B, width = len(streams), n * e.uniforms_per_draw
     u = np.empty((max(1, min(B, _FILL_BLOCK // width)), width))
@@ -122,7 +127,8 @@ def _draw_rows(e, streams, n: int):
     buf = np.empty((n, B) + empty.shape[2:], dtype=empty.dtype)
     for lo in range(0, B, len(u)):
         group = streams[lo : lo + len(u)]
-        RngStream.fill_rows(group, u[: len(group)])
+        for stream, row in zip(group, u):
+            stream.uniform(out=row)
         buf[:, lo : lo + len(group)] = e.from_uniforms(u[: len(group)]).swapaxes(0, 1)
     return buf.swapaxes(0, 1)
 

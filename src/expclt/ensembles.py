@@ -12,9 +12,11 @@ Four families are supported:
 The first two and the last are stored uniformly as (support, probabilities);
 all first and second moments are exact finite sums or closed forms, never
 estimates.  Sampling is driven by :class:`RngStream`, a counter-based keyed
-stream: the draw sequence is a pure function of ``(master_seed,
-stream_index, draw counter)``, so replicates can be farmed out to any number
-of workers without changing a single bit of output.
+stream: a stream is its key ``(master_seed, stream_index)`` and the count of
+uniforms it has drawn, and every draw is a pure function of the two, so
+replicates can be farmed out to any number of workers without changing a
+single bit of output.  This module is the only one that touches the Philox
+generator behind the streams.
 
 Callers see a law through one interface: a draw takes ``uniforms_per_draw``
 uniforms, ``from_uniforms`` maps uniforms to draws (support indices or
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import hashlib
 import reprlib
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,6 +49,28 @@ __all__ = [
 
 _FINITE_FAMILIES = ("two_point", "finite_support", "deterministic")
 
+_SCRATCH = threading.local()  # each thread's own Philox, which every stream moves
+
+
+def _philox_at(master_seed: int, stream_index: int, drawn: int) -> np.random.Generator:
+    """The thread's scratch generator, moved to key ``(master_seed,
+    stream_index)`` and ``drawn`` uniforms past counter 0.
+
+    A Philox counter step yields 4 words, and a float64 uniform takes one, so
+    the counter goes to ``drawn // 4`` (as ``advance`` from counter 0 would)
+    and ``drawn % 4`` words are discarded.
+    """
+    gen = getattr(_SCRATCH, "gen", None)
+    if gen is None:
+        gen = _SCRATCH.gen = np.random.Generator(np.random.Philox(key=(0, 0)))
+    gen.bit_generator.state = {
+        "bit_generator": "Philox", "buffer": (0, 0, 0, 0), "buffer_pos": 4,
+        "has_uint32": 0, "uinteger": 0,
+        "state": {"counter": (drawn // 4, 0, 0, 0), "key": (master_seed, stream_index)}}
+    if drawn % 4:
+        gen.bit_generator.random_raw(drawn % 4)
+    return gen
+
 
 def _hash64(*parts) -> int:
     """Stable 64-bit hash of the stringified parts (platform independent)."""
@@ -56,65 +81,27 @@ def _hash64(*parts) -> int:
 class RngStream:
     """One reproducible stream of uniforms, keyed by (master_seed, stream_index).
 
-    Backed by the counter-based Philox generator, keyed with the two 64-bit
-    integers, so distinct keys give statistically independent streams and a
-    reconstructed stream replays bit-identically.  Consecutive calls advance
-    the internal draw counter.
-
-    The stream's own generator is built lazily, by the first :meth:`uniform`
-    call.  Until then :meth:`fill_rows` serves the stream from a scratch
-    Philox set to the stream's key at counter 0, which yields the uniforms the
-    stream's own generator would, and counts them; a generator built later
-    skips that many draws.  So any interleaving of :meth:`fill_rows` and
-    :meth:`uniform` calls replays the sequence of a fresh stream with the same
-    key.
+    A stream is its key and a position: it holds the two 64-bit key words and
+    the count of uniforms it has drawn, and nothing else.  Each :meth:`uniform`
+    call moves its thread's scratch Philox (counter-based, Salmon et al.,
+    SC'11) to that key and count and draws from there, so distinct keys give
+    statistically independent streams, and any split of a stream's draws into
+    calls replays the uniforms of one plain draw from counter 0.
     """
 
-    __slots__ = ("master_seed", "stream_index", "_gen", "_filled")
+    __slots__ = ("master_seed", "stream_index", "_drawn")
 
     def __init__(self, master_seed: int, stream_index: int = 0):
         self.master_seed = int(master_seed) % (1 << 64)
         self.stream_index = int(stream_index) % (1 << 64)
-        self._gen = None
-        self._filled = 0  # uniforms fill_rows() drew from a scratch Philox
+        self._drawn = 0
 
-    def _generator(self) -> np.random.Generator:
-        if self._gen is None:
-            key = np.array([self.master_seed, self.stream_index], dtype=np.uint64)
-            self._gen = np.random.Generator(np.random.Philox(key=key))
-            if self._filled:
-                self._gen.random(self._filled)
-        return self._gen
-
-    def uniform(self, size=None):
-        """Next uniform draw(s) in [0, 1)."""
-        return self._generator().random(size)
-
-    @staticmethod
-    def fill_rows(streams, out: np.ndarray) -> None:
-        """Fill row j of the C-contiguous float64 ``out`` from ``streams[j]``.
-
-        Same values as ``out[j] = streams[j].uniform(out.shape[1])``, but a
-        stream that has not drawn yet builds no generator of its own.
-        """
-        scratch = None
-        for r, row in zip(streams, out):
-            if r._gen is not None or r._filled:
-                r._generator().random(out=row)
-                continue
-            if scratch is None:
-                scratch = np.random.Generator(np.random.Philox())
-            scratch.bit_generator.state = {
-                "bit_generator": "Philox",
-                "state": {"counter": np.zeros(4, dtype=np.uint64),
-                          "key": (r.master_seed, r.stream_index)},
-                "buffer": np.zeros(4, dtype=np.uint64),
-                "buffer_pos": 4,
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            scratch.random(out=row)
-            r._filled = row.size
+    def uniform(self, size=None, out=None):
+        """Next uniform draw(s) in [0, 1): ``size`` of them, or enough to fill
+        the float64 array ``out``, which is then returned."""
+        u = _philox_at(self.master_seed, self.stream_index, self._drawn).random(size, out=out)
+        self._drawn += 1 if size is None and out is None else u.size
+        return u
 
     def child(self, *parts) -> "RngStream":
         """Derived independent stream; same parts always give the same child."""

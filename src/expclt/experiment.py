@@ -99,6 +99,18 @@ _MAX_RHO = 100.0
 # 75 s at d = 2048.
 _MAX_DIM = 1024
 
+# Byte caps on the largest arrays of a run, checked before it starts, so that a
+# config too large for memory exits 2 instead of raising MemoryError. The
+# table cap bounds the kernel tables that a run keeps for every n of its grid,
+# plus the martingale suite's S and S' tables at the largest n; on a 2-core
+# host a clt run of a diagonal law at d = 1024, n = 63 (1 GiB of tables, two
+# replicates) peaks at 1080 MiB in 5.8 s. The draw cap bounds one chunk of
+# draw rows and the structure check's structure_draws x uniforms_per_draw
+# float64 uniforms, whose default takes 781 MiB at d = 1024; at d = 512
+# (390 MiB) the smallest martingale run peaks at 1347 MiB in 4.4 s.
+_MAX_TABLE_BYTES = 1 << 30
+_MAX_DRAW_BYTES = 1 << 30
+
 
 class ConfigError(ValueError):
     """Config rejected; the message lists every violation found."""
@@ -298,9 +310,32 @@ def validate_config(raw: dict) -> ExperimentConfig:
         x, y = np.eye(e.dim)[[0, min(1, e.dim - 1)]] if probes == "canonical" else probes
         errors += [f"probes.{name}: probe has dimension {len(v)}, expected {e.dim}"
                    for name, v in zip("xy", (x, y)) if len(v) != e.dim]
+    if e is not None and {"n_grid", "suites", "structure_draws"} <= set(f):
+        errors += _size_errors(e, f)
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
     return ExperimentConfig(x=x, y=y, **f)
+
+
+def _size_errors(e: Ensemble, f: dict) -> list:
+    """A line naming ``n_grid`` or ``structure_draws`` for each array of the
+    run whose bytes would pass its cap."""
+    n, suites, per_draw = f["n_grid"][-1], set(f["suites"]), e.uniforms_per_draw
+    s_tables, chunk = engine.pass_bytes(e, n)
+    sizes = []  # (field, arrays, bytes, cap) of the arrays the suites allocate
+    if suites & {"clt", "martingale", "doob"}:
+        tables = sum(16 * (k + 1) * e.dim**2 for k in f["n_grid"])  # p and q powers
+        sizes.append(("n_grid", f"the kernel tables of the grid and the S tables at "
+                      f"n = {n}", tables + s_tables * ("martingale" in suites),
+                      _MAX_TABLE_BYTES))
+    if suites & {"clt", "martingale"}:
+        sizes.append(("n_grid", f"the draw rows of one chunk at n = {n}", chunk,
+                      _MAX_DRAW_BYTES))
+    if "martingale" in suites:
+        sizes.append(("structure_draws", f"{f['structure_draws']} draws of {per_draw} "
+                      "uniforms", 8 * f["structure_draws"] * per_draw, _MAX_DRAW_BYTES))
+    return [f"{field}: {arrays} take {size / 2**30:.4g} GiB, above the cap of "
+            f"{cap / 2**30:g} GiB" for field, arrays, size, cap in sizes if size > cap]
 
 
 def load_config(path) -> ExperimentConfig:

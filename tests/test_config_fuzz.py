@@ -12,7 +12,7 @@ import json
 import string
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from expclt import experiment
@@ -154,6 +154,27 @@ def test_accepted_configs_run_to_a_verdict(raw, tmp_path_factory):
     # the default of 100000 structure draws would make each example take seconds
     raw = dict(raw, output_dir=str(out), structure_draws=raw.get("structure_draws", 1000))
     path = out / "c.json"
+    path.write_text(json.dumps(raw))
+    assert main(["run", str(path), "--workers", "1"]) in (0, 1)
+    summary = json.loads((out / "summary.json").read_text(), parse_constant=_reject)
+    assert set(summary["suites"]) == set(raw["suites"])
+
+
+@settings(max_examples=30, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(raw=configs(mutations=4))
+def test_accepted_mutated_configs_run_to_a_verdict(raw, tmp_path_factory):
+    out = tmp_path_factory.mktemp("mutated")
+    path = out / "c.json"
+    path.write_text(json.dumps(raw))
+    try:
+        load_config(str(path))
+    except ConfigError:
+        assume(False)
+    # junk that happens to validate can be a huge count; keep each run small
+    raw = dict(raw, output_dir=str(out), replicates=min(raw["replicates"], 64),
+               n_grid=sorted({min(n, 64) for n in raw["n_grid"]}),
+               structure_draws=min(raw.get("structure_draws", 1000), 1000))
     path.write_text(json.dumps(raw))
     assert main(["run", str(path), "--workers", "1"]) in (0, 1)
     summary = json.loads((out / "summary.json").read_text(), parse_constant=_reject)

@@ -537,7 +537,7 @@ class TestDrawRows:
         assert rows[:, 7].flags.c_contiguous
 
     def test_filled_stream_replays_with_uniform(self, dense3):
-        # a stream drawn lazily through _draw_rows continues, on a later
+        # a stream drawn through _draw_rows continues, on a later
         # uniform call, exactly where a fresh stream with its key would
         n = 41
         stream = _streams_root(17)(3)
@@ -549,7 +549,7 @@ class TestDrawRows:
         assert np.array_equal(tail, fresh.uniform(9))
 
     def test_diagonal_rows_replay_values(self, diag3):
-        # stream 2 drew before, so fill_rows serves it from its own generator
+        # stream 2 drew before, so its row starts 5 uniforms in
         streams = [_streams_root(13)(i) for i in range(4)]
         head = streams[2].uniform(5)
         rows = engine._draw_rows(diag3, streams, 9)

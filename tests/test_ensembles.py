@@ -1,8 +1,12 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from expclt import engine
 from expclt import (
     RngStream,
     deterministic,
@@ -49,27 +53,104 @@ class TestRngStream:
     def test_seed_wraps_to_64_bits(self):
         assert RngStream(2**64 + 5).master_seed == 5
 
-    def test_fill_rows_then_uniform_continues_the_sequence(self):
+    def test_uniform_out_then_uniform_continues_the_sequence(self):
         ref = RngStream(9, 4).uniform(3 + 5 + 6 + 2)
         r = RngStream(9, 4)
         a = np.empty((1, 3))
         b = np.empty((1, 5))
         d = np.empty((1, 2))
-        RngStream.fill_rows([r], a)  # from the scratch Philox: r has not drawn yet
-        RngStream.fill_rows([r], b)  # builds r's own generator, skipping the first 3
+        r.uniform(out=a[0])  # from counter 0: r has not drawn yet
+        r.uniform(out=b[0])  # 3 words into the first counter block
         c = r.uniform(6)
-        RngStream.fill_rows([r], d)
+        r.uniform(out=d[0])
         assert np.array_equal(np.concatenate([a[0], b[0], c, d[0]]), ref)
 
-    def test_fill_rows_mixes_fresh_and_drawn_streams(self):
+    def test_uniform_out_mixes_fresh_and_drawn_streams(self):
         r, s = RngStream(2, 1), RngStream(2, 2)
         head = r.uniform(4)
         out = np.empty((3, 7))
-        RngStream.fill_rows([s, r, RngStream(2, 3)], out)
+        for stream, row in zip([s, r, RngStream(2, 3)], out):
+            stream.uniform(out=row)
         assert np.array_equal(out[0], RngStream(2, 2).uniform(7))
         assert np.array_equal(np.concatenate([head, out[1], r.uniform(3)]),
                               RngStream(2, 1).uniform(14))
         assert np.array_equal(out[2], RngStream(2, 3).uniform(7))
+
+
+def _plain(seed, index, count):
+    """``count`` uniforms of a plain Philox keyed (seed, index), drawn at once."""
+    key = np.array([seed, index], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).random(count)
+
+
+# A uniform law on [0, 1) maps each uniform u to 0 + 1 u = u, so its engine
+# rows are the stream's uniforms in draw order.
+_UNIT = diagonal_uniform(2, 0.0, 1.0)
+
+
+def _draw(r, op, k):
+    """Flat uniforms of one call on the stream ``r``, in draw order."""
+    if op == "one":
+        return np.array([r.uniform()])
+    if op == "size":
+        return r.uniform(k)
+    if op == "out":
+        row = np.empty(k)
+        assert r.uniform(out=row) is row
+        return row
+    return engine._draw_rows(_UNIT, [r], k + 1).reshape(-1)  # k + 1 steps of 2 uniforms
+
+
+_CALLS = st.lists(st.tuples(st.sampled_from(["one", "size", "out", "rows"]),
+                            st.integers(0, 9)), max_size=12)
+
+
+class TestStreamOracle:
+    """A stream, however its draws are split into calls, replays a plain Philox."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), index=st.integers(0, 2**64 - 1), calls=_CALLS)
+    def test_any_interleaving_replays_one_plain_draw(self, seed, index, calls):
+        r = RngStream(seed, index)
+        got = np.concatenate([np.empty(0)] + [_draw(r, op, k) for op, k in calls])
+        assert np.array_equal(got, _plain(seed, index, got.size))
+
+    def test_engine_rows_of_fresh_and_drawn_streams(self):
+        streams = [RngStream(5, i) for i in range(40)]
+        for i, r in enumerate(streams[::3]):
+            r.uniform(i % 7)
+        head = [r._drawn for r in streams]
+        rows = engine._draw_rows(_UNIT, streams, 300).reshape(len(streams), -1)
+        for i, (h, row) in enumerate(zip(head, rows)):
+            assert np.array_equal(row, _plain(5, i, h + row.size)[h:])
+
+    def test_threads_drawing_at_once_get_the_serial_bits(self):
+        # more threads than cores, switching as often as the interpreter allows,
+        # so that a generator shared between threads would hand one stream's
+        # position to another
+        calls = [("size", 3), ("one", 0), ("out", 5), ("rows", 1)] * 300
+        indices = range(1, 5)
+        barrier = threading.Barrier(len(indices))
+        got = {}
+
+        def work(index):
+            r = RngStream(11, index)
+            barrier.wait(timeout=10)
+            got[index] = np.concatenate([_draw(r, op, k) for op, k in calls])
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in indices]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for i in indices:
+            assert np.array_equal(got[i], _plain(11, i, got[i].size))
 
 
 class TestFactoriesAndValidation:

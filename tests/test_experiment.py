@@ -42,6 +42,11 @@ def _base_config(tmp_path, **over):
 # a matrix one row and one column past the dimension cap
 _BIG = [[0.0] * (experiment._MAX_DIM + 1)] * (experiment._MAX_DIM + 1)
 
+_SCALAR = {"family": "two_point", "a0": [[0.0]], "a1": [[1.0]], "p": 0.5}
+_DIAG_MAX = {"family": "diagonal_uniform", "dim": experiment._MAX_DIM, "low": -0.5,
+             "high": 1.0}
+_PROBES_MAX = {"x": [1.0] * experiment._MAX_DIM, "y": [0.5] * experiment._MAX_DIM}
+
 
 class TestLoadConfig:
     def test_minimal_valid(self, tmp_path):
@@ -182,6 +187,31 @@ class TestLoadConfig:
             "family": "finite_support", "matrices": [[[0.0]]] * 65_537,
             "probabilities": [1.0 / 65_537] * 65_537})
         with pytest.raises(ConfigError, match="ensemble: at most 65536 support"):
+            load_config(_write(tmp_path, "c.json", raw))
+
+    def test_largest_arrays_at_the_caps_are_accepted(self, tmp_path):
+        # 2 (63 + 1) tables of 1024 x 1024 float64: 1 GiB, the table cap; the
+        # default 100,000 structure draws of 1024 uniforms take 781 MiB
+        ok = _base_config(tmp_path, ensemble=_DIAG_MAX, probes=_PROBES_MAX, n_grid=[63],
+                          suites=["clt", "martingale", "doob"])
+        assert load_config(_write(tmp_path, "ok.json", ok)).structure_draws == 100000
+        # the grid's kernels are all kept for the run, so they count together
+        for grid in ([64], [31, 32]):
+            raw = dict(ok, n_grid=grid)
+            with pytest.raises(ConfigError, match=r"n_grid: the kernel tables"):
+                load_config(_write(tmp_path, "big.json", raw))
+        # suites that build no kernel and draw no rows are not capped by n
+        raw = dict(ok, n_grid=[4096], suites=["lemma_speed", "covariance"])
+        assert load_config(_write(tmp_path, "free.json", raw)).n_grid == (4096,)
+
+    def test_support_tables_count_toward_the_cap(self, tmp_path):
+        # 65,536 scalar matrices: the S and S' tables at n = 2048 take 2 GiB
+        mats = [[[i / 65_536]] for i in range(65_536)]
+        ens = {"family": "finite_support", "matrices": mats,
+               "probabilities": [1 / 65_536] * 65_536}
+        raw = _base_config(tmp_path, ensemble=ens, n_grid=[1024, 2048],
+                           suites=["martingale"])
+        with pytest.raises(ConfigError, match=r"S tables at n = 2048 take 2(\.\d+)? GiB"):
             load_config(_write(tmp_path, "c.json", raw))
 
     def test_optional_field_ranges(self, tmp_path):
@@ -549,6 +579,21 @@ class TestCli:
         assert main(["run", _write(tmp_path, "c.json", raw)]) == 2
         err = capsys.readouterr().err
         assert f"{path}: must be" in err and len(err.encode()) < 1000
+
+    @pytest.mark.parametrize("field, over", [
+        ("n_grid", {"ensemble": _SCALAR, "n_grid": [2**40], "suites": ["clt"]}),
+        ("structure_draws", {"ensemble": _SCALAR, "n_grid": [16, 32, 64],
+                             "structure_draws": 2**40, "suites": ["martingale"]}),
+        ("n_grid", {"ensemble": _DIAG_MAX, "probes": _PROBES_MAX, "n_grid": [4096],
+                    "suites": ["clt"]}),
+    ], ids=["kernel_tables_at_n_2_40", "structure_draws_2_40", "kernel_tables_at_max_dim"])
+    def test_config_too_large_for_memory_is_exit_2(self, tmp_path, capsys, field, over):
+        # each used to pass validation and then exit 3 with a MemoryError
+        raw = _base_config(tmp_path, **over)
+        assert main(["run", _write(tmp_path, "c.json", raw), "--workers", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"\n  {field}: " in err and "GiB, above the cap of 1 GiB" in err
+        assert not os.path.exists(raw["output_dir"])
 
     def test_covariance_passes_past_d_16(self, tmp_path, capsys):
         # Sigma is projected matrix-free, so no dimension cap applies

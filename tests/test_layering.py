@@ -1,4 +1,5 @@
-"""Family knowledge stays behind the ``Ensemble`` interface.
+"""Family knowledge stays behind the ``Ensemble`` interface, and the
+generator behind the ``RngStream`` interface.
 
 Outside ``ensembles.py`` and the engine's algebra, code reaches a law
 through ``uniforms_per_draw``, ``from_uniforms``, ``sample``,
@@ -6,12 +7,18 @@ through ``uniforms_per_draw``, ``from_uniforms``, ``sample``,
 is or that family's parameters.  The functions allowed below are closed
 forms of one family by design: their numbers are emitted, or they build the
 per-law tables and digests.  A new family must pass without adding to them.
+
+Outside ``ensembles.py``, code draws uniforms only through a stream's
+``uniform``: it never names numpy's random module, a Philox or a bit
+generator, and never reads the stream's private state.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from expclt import RngStream
 
 _SRC = Path(__file__).resolve().parents[1] / "src" / "expclt"
 
@@ -60,3 +67,51 @@ def test_guard_sees_reads_in_nested_functions_only_outside_the_allowlist():
     assert _family_reads(source, set()) == [
         (3, "run.inner", "low"), (4, "run", "is_finite_support"), (7, "main", "support")]
     assert _family_reads(source, {"run", "main"}) == []
+
+
+_STREAM_PRIVATE = {a for a in vars(RngStream) if a.startswith("_") and not a.startswith("__")}
+
+
+def _generator_names(source: str) -> list:
+    """``(line, name)`` for each use of numpy's random module, of a name that
+    mentions Philox or a bit generator, or of a private ``RngStream`` attribute."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Attribute):
+            base = node.value.id if isinstance(node.value, ast.Name) else ""
+            names = [f"{base}.{node.attr}"]
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if (name.startswith(("np.random", "numpy.random"))
+                    or any("philox" in p.lower() or p == "bit_generator" for p in parts)
+                    or parts[-1] in _STREAM_PRIVATE):
+                found.append((node.lineno, name))
+    return found
+
+
+@pytest.mark.parametrize("module", sorted(p.stem for p in _SRC.glob("*.py")
+                                          if p.name != "ensembles.py"))
+def test_no_generator_outside_the_stream(module):
+    source = (_SRC / f"{module}.py").read_text(encoding="utf-8")
+    assert _generator_names(source) == []
+
+
+def test_guard_sees_generators_and_private_stream_state():
+    assert _STREAM_PRIVATE == {"_drawn"}
+    source = ("import numpy.random\n"
+              "from numpy import random\n"
+              "from .ensembles import _philox_at\n"
+              "def f(r, np):\n"
+              "    g = np.random.Generator(Philox())\n"
+              "    return g.bit_generator, r._drawn, r.uniform(3)\n")
+    assert sorted(_generator_names(source)) == [
+        (1, "numpy.random"), (2, "numpy.random"), (3, "ensembles._philox_at"),
+        (5, "Philox"), (5, "np.random"), (6, "g.bit_generator"), (6, "r._drawn")]
