@@ -24,8 +24,11 @@ run writes a summary.json mirroring the RunReport.  Replicate streams are
 keyed by (master_seed, suite tag, n, replicate index), replicate chunks are a
 fixed function of the problem shape, and chunk results are reduced in index
 order, so all emitted numbers are independent of the worker count.  A run
-keeps at most one process pool, which every Monte Carlo pass shares, with no
-more processes than its largest pass has chunks.
+keeps at most one process pool, with no more processes than its largest
+Monte Carlo pass has chunks.  Its chunk queue maps the chunks of every pass
+on that pool from the start, in the order the suites take the passes, as far
+ahead as the results not yet taken fit a byte budget; meanwhile the main
+process runs the suites that draw no pass.
 """
 
 from __future__ import annotations
@@ -37,8 +40,11 @@ import math
 import os
 import reprlib
 import time
+from collections import deque
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -396,9 +402,20 @@ def emit_csv(header, rows, path) -> None:
 # --- parallel replicate machinery -------------------------------------------
 
 # Kernels by (config digest, n), shared by the suites of one run() and emptied
-# when it returns: a kernel holds about 16 MB at d=16, n=4096.  Each worker
-# process keeps its own for the run, as its pool lives as long as the run.
+# when it returns: a kernel holds about 16 MB at d=16, n=4096.  The workers
+# fork when the run's chunk queue starts, before the main process has built
+# any kernel, so each worker builds and keeps its own for the run.
 _KERNEL_CACHE: dict = {}
+
+# Bytes of pass results that the chunk queue keeps mapped ahead of the suites,
+# besides the next pass, which it always maps. On a 2-core host the main
+# process of a covariance and martingale run of a diagonal law at d = 256
+# (n_grid [4, 8, 16, 32, 64], 16000 replicates, two workers), whose
+# difference passes return 94 MiB each, peaks at 367 MiB with this budget, as
+# with one pass mapped at a time (369 MiB), and at 485 MiB with every pass
+# mapped at the start. A run of every suite at 2000 replicates of a diagonal
+# law at d = 8, n_grid [128, 256, 512, 1024], maps its 1.8 MiB all at once.
+_MAX_AHEAD_BYTES = 64 << 20
 
 
 def _kernel(e: Ensemble, key: str, n: int):
@@ -409,23 +426,107 @@ def _kernel(e: Ensemble, key: str, n: int):
     return kern
 
 
-def _chunk_task(payload):
-    fn, e, key, n, probes, seed, tag, lo, hi, kw = payload
-    root = RngStream(seed)
-    return fn(e, _kernel(e, key, n), *probes, lambda i: root.child(tag, n, lo + i),
-              hi - lo, **kw)
+@dataclass(frozen=True)
+class _Pass:
+    """Engine pass ``fn`` over all replicates at one n, keyed by (tag, n, index),
+    whose results take ``nbytes``."""
+    tag: str
+    n: int
+    fn: Callable
+    probes: tuple
+    kw: dict
+    nbytes: int
+
+
+def _clt_passes(cfg: ExperimentConfig, n: int) -> tuple:
+    return (_Pass("clt", n, engine.simulate_paths, (cfg.x, cfg.y), {},
+                  8 * cfg.replicates),)  # proj_xi
+
+
+def _martingale_passes(cfg: ExperimentConfig, n: int) -> tuple:
+    ks = sorted({1, (n + 1) // 2, n})  # the steps of the difference pairs
+    return (_Pass("martingale", n, engine.simulate_paths, (cfg.x, cfg.y),
+                  {"want_s": True, "want_s_prime": True}, 40 * cfg.replicates),  # 5 numbers
+            _Pass("martingale-diff", n, engine.diff_pairs, (cfg.x,), {"ks": ks},
+                  8 * cfg.ensemble.dim * len(ks) * cfg.replicates))  # a d-vector per k
+
+
+# The passes that a suite takes at one n, in the order it takes them; the
+# other suites draw no pass.
+_PASSES = {"clt": _clt_passes, "martingale": _martingale_passes}
+
+
+class _Chunk(NamedTuple):
+    """Engine pass ``fn`` over replicates [lo, hi) at one n."""
+    fn: Callable
+    e: Ensemble
+    key: str
+    n: int
+    probes: tuple
+    seed: int
+    tag: str
+    lo: int
+    hi: int
+    kw: dict
+
+
+def _chunk_task(c: _Chunk):
+    root = RngStream(c.seed)
+    return c.fn(c.e, _kernel(c.e, c.key, c.n), *c.probes,
+                lambda i: root.child(c.tag, c.n, c.lo + i), c.hi - c.lo, **c.kw)
+
+
+def _chunks(cfg, key, tag, n, fn, probes, kw) -> list:
+    """The chunks of a pass, one per range of :func:`engine.chunk_ranges`."""
+    return [_Chunk(fn, cfg.ensemble, key, n, probes, cfg.master_seed, tag, lo, hi, kw)
+            for lo, hi in engine.chunk_ranges(cfg.ensemble, n, cfg.replicates)]
+
+
+class _ChunkQueue:
+    """The pool on which a run's suites map their passes. It maps the chunks
+    of each listed pass on the process pool in the order the suites take the
+    passes: ahead of time while the results mapped and not yet taken fit in
+    _MAX_AHEAD_BYTES, and always the next pass."""
+
+    def __init__(self, pool, passes):
+        self._pool = pool
+        self._todo = deque(passes)  # (chunks, nbytes) not yet mapped
+        self._ahead = deque()  # ((tag, n), nbytes, results) mapped and not yet taken
+        self._bytes = 0  # the nbytes of the passes ahead
+        self._fill()
+
+    def _fill(self):
+        while self._todo and (not self._ahead or self._bytes + self._todo[0][1]
+                              <= _MAX_AHEAD_BYTES):
+            chunks, nbytes = self._todo.popleft()
+            self._ahead.append(((chunks[0].tag, chunks[0].n), nbytes,
+                                self._pool.map(_chunk_task, chunks)))
+            self._bytes += nbytes
+
+    def _release(self):
+        self._bytes -= self._ahead.popleft()[1]
+        self._fill()
+
+    def map(self, fn, chunks) -> list:
+        """``fn``, which is :func:`_chunk_task`, over the chunks of one pass, as
+        mapped ahead, in index order. Passes mapped before it and never taken,
+        which a suite that stopped early leaves, are dropped."""
+        while self._ahead[0][0] != (chunks[0].tag, chunks[0].n):
+            self._release()
+        results = list(self._ahead[0][2])
+        self._release()
+        return results
 
 
 def _run_chunks(cfg, key, tag, n, pool, fn, probes, **kw):
     """Engine pass ``fn`` over all replicates at one n, keyed by (tag, n, index):
-    one call per chunk of :func:`engine.chunk_ranges`, on the run's process
-    pool when there is one and the pass has more than one chunk."""
-    e = cfg.ensemble
-    payloads = [(fn, e, key, n, probes, cfg.master_seed, tag, lo, hi, kw)
-                for lo, hi in engine.chunk_ranges(e, n, cfg.replicates)]
-    if pool is None or len(payloads) <= 1:
-        return engine.concat_chunks([_chunk_task(p) for p in payloads])
-    return engine.concat_chunks(list(pool.map(_chunk_task, payloads)))
+    one call per chunk of :func:`engine.chunk_ranges`, on ``pool`` (the run's
+    chunk queue, or a process pool) or here when it is None, joined in index
+    order."""
+    chunks = _chunks(cfg, key, tag, n, fn, probes, kw)
+    if pool is None:
+        return engine.concat_chunks([_chunk_task(c) for c in chunks])
+    return engine.concat_chunks(list(pool.map(_chunk_task, chunks)))
 
 
 # --- suites ------------------------------------------------------------------
@@ -464,8 +565,8 @@ def _suite_clt(cfg: ExperimentConfig, key: str, pool) -> SuiteResult:
     per_n = {}
     checks = {}
     for n in cfg.n_grid:
-        samples = _run_chunks(cfg, key, "clt", n, pool, engine.simulate_paths,
-                              (cfg.x, cfg.y))["proj_xi"]
+        (p,) = _clt_passes(cfg, n)
+        samples = _run_chunks(cfg, key, p.tag, n, pool, p.fn, p.probes, **p.kw)["proj_xi"]
         stats = summarize(samples, sigma2_ref)
         if degenerate:
             bound = _degenerate_bound(e, n)
@@ -577,12 +678,12 @@ def _suite_martingale(cfg: ExperimentConfig, key: str, pool) -> SuiteResult:
     ortho_stats = {}
     n_star = lindeberg_threshold(e, _LINDEBERG_EPS)
     for n in cfg.n_grid:
-        stats = _run_chunks(cfg, key, "martingale", n, pool, engine.simulate_paths,
-                            (cfg.x, cfg.y), want_s=True, want_s_prime=True)
+        paths, diffs = _martingale_passes(cfg, n)
+        stats = _run_chunks(cfg, key, paths.tag, n, pool, paths.fn, paths.probes, **paths.kw)
         kern = _kernel(e, key, n)
-        ks = sorted({1, (n + 1) // 2, n})
-        diff = diff_moments(n, _run_chunks(cfg, key, "martingale-diff", n, pool,
-                                           engine.diff_pairs, (cfg.x,), ks=ks))
+        ks = diffs.kw["ks"]
+        diff = diff_moments(n, _run_chunks(cfg, key, diffs.tag, n, pool, diffs.fn,
+                                           diffs.probes, **diffs.kw))
         for _, _, mean_dot, se in diff.ortho:
             if abs(mean_dot) > 4.0 * se + 1e-30:
                 ortho_ok = False
@@ -814,7 +915,9 @@ class RunReport:
     version: str
     config_digest: str
     suites: dict  # name -> {"passed": bool, "details": {...}} (deterministic)
-    timings_seconds: dict  # name -> wall clock (not part of the determinism contract)
+    # name -> the main process's wall clock in the suite, which pool work
+    # overlaps (not part of the determinism contract)
+    timings_seconds: dict
     csv_paths: dict
     all_passed: bool
 
@@ -853,17 +956,21 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> RunReport:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"output_dir: cannot create {cfg.output_dir!r}: {exc}") from exc
 
-    suites = {}
-    timings = {}
-    csv_paths = {}
+    passes = [(_chunks(cfg, key, p.tag, n, p.fn, p.probes, p.kw), p.nbytes)
+              for name in cfg.suites if name in _PASSES
+              for n in cfg.n_grid for p in _PASSES[name](cfg, n)]
     # a process beyond the largest pass's chunk count would only be forked to idle
-    processes = min(workers, max(len(engine.chunk_ranges(cfg.ensemble, n, cfg.replicates))
-                                 for n in cfg.n_grid))
+    processes = min(workers, max((len(chunks) for chunks, _ in passes), default=1))
     pool = ProcessPoolExecutor(max_workers=processes) if processes > 1 else None
+    # filled in the order the suites run, reported in config order
+    suites, timings, csv_paths = (dict.fromkeys(cfg.suites) for _ in range(3))
     try:
-        for name in cfg.suites:
+        queue = None if pool is None else _ChunkQueue(pool, passes)
+        # while the workers run the queue, the suites that draw no pass run here
+        order = cfg.suites if pool is None else sorted(cfg.suites, key=_PASSES.__contains__)
+        for name in order:
             t0 = time.perf_counter()
-            result = _SUITES[name](cfg, key, pool)
+            result = _SUITES[name](cfg, key, queue)
             timings[name] = time.perf_counter() - t0
             path = os.path.join(cfg.output_dir, f"{name}.csv")
             emit_csv(result.header, result.rows, path)

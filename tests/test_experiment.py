@@ -452,6 +452,104 @@ class TestRun:
         run(cfg, workers=4)
         assert fake_pools == []
 
+    def test_no_pool_when_no_suite_draws_a_pass(self, tmp_path, fake_pools, monkeypatch):
+        monkeypatch.setattr(experiment.engine, "batch_size", lambda *a: 32)  # 10 chunks
+        cfg = self._cfg(tmp_path, suites=["doob", "covariance"])
+        run(cfg, workers=4)
+        assert fake_pools == []
+
+    def test_suite_order_and_worker_count_never_change_bytes(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # Passes of one chunk (n = 16) and of four (12, 12, 12, 4) share the
+        # queue, and the suites that draw no pass run first at 2 and 3 workers.
+        suites = ["doob", "martingale", "lemma_speed", "clt", "covariance"]
+        rng = np.random.default_rng(9)
+        path = _write(tmp_path, "c.json", _base_config(
+            tmp_path, suites=suites, n_grid=[16, 32, 64], replicates=40,
+            structure_draws=1000,
+            ensemble={"family": "diagonal_uniform", "dim": 4, "low": -0.5, "high": 1.0},
+            probes={"x": rng.uniform(-1, 1, 4).tolist(), "y": rng.uniform(-1, 1, 4).tolist()}))
+        monkeypatch.setattr(experiment.engine, "batch_size",
+                            lambda e, n: 64 if n == 16 else 12)
+        out, outputs = tmp_path / "out", []
+        for w in (1, 2, 3):
+            assert main(["run", path, "--workers", str(w)]) in (0, 1)
+            lines = re.findall(r"^\[(?:PASS|FAIL)\] (\w+)", capsys.readouterr().out, re.M)
+            assert lines == suites
+            summary = json.loads((out / "summary.json").read_text())
+            assert list(summary.pop("timings_seconds")) == sorted(suites)
+            outputs.append((summary, {p.name: p.read_bytes() for p in out.glob("*.csv")}))
+            assert list(run(load_config(path), workers=w).suites) == suites
+        assert outputs[0] == outputs[1] == outputs[2]
+        assert len(outputs[0][1]) == len(suites)
+
+    def test_look_ahead_stays_within_its_budget(self, tmp_path, executors, monkeypatch):
+        # Passes of 3 chunks whose results take 240 (clt), 1200 (martingale
+        # paths) and 720 bytes (difference pairs at d = 1, three ks).
+        monkeypatch.setattr(experiment.engine, "batch_size", lambda *a: 10)
+        monkeypatch.setattr(experiment, "_MAX_AHEAD_BYTES", 2000)
+        cfg = self._cfg(tmp_path, suites=["clt", "martingale"], n_grid=[16, 32, 64],
+                        replicates=30, structure_draws=1000)
+        taken = []  # (chunks submitted before the take, result bytes) per pass
+        real = experiment._run_chunks
+
+        def spy(*args, **kwargs):
+            submitted = executors[0].tasks
+            out = real(*args, **kwargs)
+            taken.append((submitted, sum(v.nbytes for v in out.values())))
+            return out
+
+        monkeypatch.setattr(experiment, "_run_chunks", spy)
+        run(cfg, workers=2)
+        assert len(taken) == 9 and executors[0].tasks == 27
+        sizes = [nbytes for _, nbytes in taken]
+        ahead = []
+        for j, (submitted, _) in enumerate(taken):
+            assert submitted % 3 == 0 and submitted // 3 > j  # pass j is mapped
+            # passes j .. m-1 are mapped and not yet taken; all but the last fit
+            m = submitted // 3
+            assert sum(sizes[j:m - 1]) <= experiment._MAX_AHEAD_BYTES
+            ahead.append(m - j)
+        assert max(ahead) >= 2 and taken[0][0] < 27  # it looks ahead, within bounds
+
+    def test_chunk_raising_in_a_worker_is_exit_3(self, tmp_path, capsys, executors,
+                                                 monkeypatch):
+        main_pid = os.getpid()
+        real = experiment.engine.simulate_block
+
+        def sweep(kern, *args, **kwargs):
+            if os.getpid() != main_pid and kern.n == 32:
+                raise RuntimeError("chunk failed in a worker")
+            return real(kern, *args, **kwargs)
+
+        monkeypatch.setattr(experiment.engine, "simulate_block", sweep)
+        monkeypatch.setattr(experiment.engine, "batch_size", lambda *a: 32)  # 2 chunks
+        path = _write(tmp_path, "c.json", _base_config(
+            tmp_path, suites=["clt", "doob"], n_grid=[16, 32, 64], replicates=60))
+        assert main(["run", path, "--workers", "2"]) == 3
+        assert "chunk failed in a worker" in capsys.readouterr().err
+        assert len(executors) == 1 and executors[0].shut_down
+        assert experiment._KERNEL_CACHE == {}
+
+    def test_passes_a_suite_leaves_untaken_are_dropped(self, tmp_path, monkeypatch):
+        # Canonical probes project a diagonal law's limit to 0, so the clt
+        # suite stops before it takes a pass; the martingale suite still gets
+        # its own passes from the queue.
+        monkeypatch.setattr(experiment.engine, "batch_size", lambda *a: 12)
+        raw = _base_config(tmp_path, suites=["clt", "martingale"], n_grid=[16, 32, 64],
+                           replicates=40, structure_draws=1000,
+                           ensemble={"family": "diagonal_uniform", "dim": 3,
+                                     "low": -0.5, "high": 1.0})
+        reports = []
+        for w in (1, 2):
+            raw["output_dir"] = str(tmp_path / f"w{w}")
+            reports.append(run(load_config(_write(tmp_path, f"w{w}.json", raw)), workers=w))
+        assert "error" in reports[1].suites["clt"]["details"]
+        assert reports[0].suites == reports[1].suites
+        for name in raw["suites"]:
+            assert (open(reports[0].csv_paths[name], "rb").read()
+                    == open(reports[1].csv_paths[name], "rb").read())
+
     def test_kernel_cache_is_scoped_to_one_run(self, tmp_path):
         cfg = self._cfg(tmp_path, suites=["clt"], n_grid=[16, 32], replicates=50)
         run(cfg, workers=1)
