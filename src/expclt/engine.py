@@ -46,8 +46,10 @@ __all__ = [
     "concat_chunks",
     "simulate_block",
     "simulate_paths",
+    "paths_row_bytes",
     "diff_pair_block",
     "diff_pairs",
+    "diff_row_bytes",
 ]
 
 # Replicate rows per chunk: keep the per-chunk draw buffer near 2^21 entries
@@ -352,6 +354,12 @@ def simulate_paths(e, kern, x, y, stream_for, reps: int, *, want_s: bool = False
     return _by_chunk(e, n, stream_for, reps, stats)
 
 
+def paths_row_bytes(*, want_s: bool = False, want_s_prime: bool = False) -> int:
+    """Bytes per replicate of a :func:`simulate_paths` result: one float64 for
+    ``proj_xi`` and two for each of ``want_s`` and ``want_s_prime``."""
+    return 8 * (1 + 2 * want_s + 2 * want_s_prime)
+
+
 def diff_pair_block(kern, x, rows, ks):
     """Rows of d_{n,k} x - d'_{n,k} x for each k in ks.
 
@@ -399,3 +407,9 @@ def diff_pairs(e, kern, x, stream_for, reps: int, *, ks):
     as in :func:`simulate_paths` and joined in index order."""
     return _by_chunk(e, kern.n, stream_for, reps,
                      lambda rows: diff_pair_block(kern, x, rows, ks))
+
+
+def diff_row_bytes(e, ks) -> int:
+    """Bytes per replicate of a :func:`diff_pairs` result: a float64
+    d-vector for each k in ``ks``."""
+    return 8 * e.dim * len(ks)

@@ -25,10 +25,10 @@ keyed by (master_seed, suite tag, n, replicate index), replicate chunks are a
 fixed function of the problem shape, and chunk results are reduced in index
 order, so all emitted numbers are independent of the worker count.  A run
 keeps at most one process pool, with no more processes than its largest
-Monte Carlo pass has chunks.  Its chunk queue maps the chunks of every pass
-on that pool from the start, in the order the suites take the passes, as far
-ahead as the results not yet taken fit a byte budget; meanwhile the main
-process runs the suites that draw no pass.
+Monte Carlo pass has chunks.  The suites that draw no pass run first.  With
+a pool, a chunk queue maps the chunks of every pass on it from the start, in
+the order the suites take the passes, as far ahead as the results not yet
+taken fit a byte budget.
 """
 
 from __future__ import annotations
@@ -438,22 +438,41 @@ class _Pass:
     nbytes: int
 
 
-def _clt_passes(cfg: ExperimentConfig, n: int) -> tuple:
-    return (_Pass("clt", n, engine.simulate_paths, (cfg.x, cfg.y), {},
-                  8 * cfg.replicates),)  # proj_xi
+def _clt_vacuous(e: Ensemble, sigma2_ref: float) -> bool:
+    """Whether the clt suite stops before its first pass: a law that is not a
+    point mass, seen through probes that project its limit to zero (canonical
+    probes on a diagonal family), would make every check vacuous."""
+    return sigma2_ref == 0.0 and not e.is_point_mass
+
+
+def _clt_pass(cfg: ExperimentConfig, n: int) -> _Pass:
+    return _Pass("clt", n, engine.simulate_paths, (cfg.x, cfg.y), {},
+                 engine.paths_row_bytes() * cfg.replicates)
 
 
 def _martingale_passes(cfg: ExperimentConfig, n: int) -> tuple:
     ks = sorted({1, (n + 1) // 2, n})  # the steps of the difference pairs
-    return (_Pass("martingale", n, engine.simulate_paths, (cfg.x, cfg.y),
-                  {"want_s": True, "want_s_prime": True}, 40 * cfg.replicates),  # 5 numbers
+    kw = {"want_s": True, "want_s_prime": True}
+    return (_Pass("martingale", n, engine.simulate_paths, (cfg.x, cfg.y), kw,
+                  engine.paths_row_bytes(**kw) * cfg.replicates),
             _Pass("martingale-diff", n, engine.diff_pairs, (cfg.x,), {"ks": ks},
-                  8 * cfg.ensemble.dim * len(ks) * cfg.replicates))  # a d-vector per k
+                  engine.diff_row_bytes(cfg.ensemble, ks) * cfg.replicates))
 
 
-# The passes that a suite takes at one n, in the order it takes them; the
-# other suites draw no pass.
-_PASSES = {"clt": _clt_passes, "martingale": _martingale_passes}
+# The suites that take passes; the others draw no pass.
+_PASS_SUITES = ("clt", "martingale")
+
+
+def _passes(cfg: ExperimentConfig) -> list:
+    """The passes of the configured suites, in the order the suites take them."""
+    e = cfg.ensemble
+    out = []
+    for name in cfg.suites:
+        if name == "clt" and not _clt_vacuous(e, sigma_projected(e, cfg.x, cfg.y)):
+            out += [_clt_pass(cfg, n) for n in cfg.n_grid]
+        elif name == "martingale":
+            out += [p for n in cfg.n_grid for p in _martingale_passes(cfg, n)]
+    return out
 
 
 class _Chunk(NamedTuple):
@@ -483,50 +502,53 @@ def _chunks(cfg, key, tag, n, fn, probes, kw) -> list:
 
 
 class _ChunkQueue:
-    """The pool on which a run's suites map their passes. It maps the chunks
-    of each listed pass on the process pool in the order the suites take the
-    passes: ahead of time while the results mapped and not yet taken fit in
-    _MAX_AHEAD_BYTES, and always the next pass."""
+    """A run's passes, their chunks mapped on its process pool in the order
+    the suites take them: ahead of time while the results mapped and not yet
+    taken fit in _MAX_AHEAD_BYTES, and always the next pass."""
 
-    def __init__(self, pool, passes):
-        self._pool = pool
-        self._todo = deque(passes)  # (chunks, nbytes) not yet mapped
-        self._ahead = deque()  # ((tag, n), nbytes, results) mapped and not yet taken
+    def __init__(self, pool, cfg, key, passes):
+        self._pool, self._cfg, self._key = pool, cfg, key
+        self._todo = deque(passes)  # not yet mapped
+        self._ahead = deque()  # (pass, results) mapped and not yet taken
         self._bytes = 0  # the nbytes of the passes ahead
         self._fill()
 
     def _fill(self):
-        while self._todo and (not self._ahead or self._bytes + self._todo[0][1]
+        while self._todo and (not self._ahead or self._bytes + self._todo[0].nbytes
                               <= _MAX_AHEAD_BYTES):
-            chunks, nbytes = self._todo.popleft()
-            self._ahead.append(((chunks[0].tag, chunks[0].n), nbytes,
-                                self._pool.map(_chunk_task, chunks)))
-            self._bytes += nbytes
+            p = self._todo.popleft()
+            chunks = _chunks(self._cfg, self._key, p.tag, p.n, p.fn, p.probes, p.kw)
+            self._ahead.append((p, self._pool.map(_chunk_task, chunks)))
+            self._bytes += p.nbytes
 
-    def _release(self):
-        self._bytes -= self._ahead.popleft()[1]
+    def take(self, p: _Pass) -> list:
+        """The chunk results of ``p``, the next pass listed, in index order."""
+        head, results = self._ahead.popleft()
+        if (head.tag, head.n) != (p.tag, p.n):
+            raise RuntimeError(f"pass {p.tag!r} at n = {p.n} taken where "
+                               f"{head.tag!r} at n = {head.n} is next")
+        results = list(results)
+        self._bytes -= head.nbytes
         self._fill()
-
-    def map(self, fn, chunks) -> list:
-        """``fn``, which is :func:`_chunk_task`, over the chunks of one pass, as
-        mapped ahead, in index order. Passes mapped before it and never taken,
-        which a suite that stopped early leaves, are dropped."""
-        while self._ahead[0][0] != (chunks[0].tag, chunks[0].n):
-            self._release()
-        results = list(self._ahead[0][2])
-        self._release()
         return results
 
 
 def _run_chunks(cfg, key, tag, n, pool, fn, probes, **kw):
     """Engine pass ``fn`` over all replicates at one n, keyed by (tag, n, index):
-    one call per chunk of :func:`engine.chunk_ranges`, on ``pool`` (the run's
-    chunk queue, or a process pool) or here when it is None, joined in index
-    order."""
+    one call per chunk of :func:`engine.chunk_ranges`, on the process pool
+    ``pool`` or here when it is None, joined in index order."""
     chunks = _chunks(cfg, key, tag, n, fn, probes, kw)
     if pool is None:
         return engine.concat_chunks([_chunk_task(c) for c in chunks])
     return engine.concat_chunks(list(pool.map(_chunk_task, chunks)))
+
+
+def _run_pass(cfg, key, p: _Pass, queue) -> dict:
+    """The results of pass ``p``, joined in index order: taken from the run's
+    chunk queue, or computed here when it is None."""
+    if queue is None:
+        return _run_chunks(cfg, key, p.tag, p.n, None, p.fn, p.probes, **p.kw)
+    return engine.concat_chunks(queue.take(p))
 
 
 # --- suites ------------------------------------------------------------------
@@ -545,15 +567,13 @@ def _degenerate_bound(e: Ensemble, n: int) -> float:
     return math.sqrt(n) * math.exp(e.rho) * 1e-11
 
 
-def _suite_clt(cfg: ExperimentConfig, key: str, pool) -> SuiteResult:
+def _suite_clt(cfg: ExperimentConfig, key: str, queue) -> SuiteResult:
     e = cfg.ensemble
     sigma2_ref = sigma_projected(e, cfg.x, cfg.y)
     degenerate = e.is_point_mass
     header = ("n", "replicate_count", "sigma2_ref", "sample_mean", "sample_variance",
               "skewness", "excess_kurtosis", "ks_distance", "ks_threshold_01")
-    if sigma2_ref == 0.0 and not degenerate:
-        # A random law seen through probes that project its limit to zero
-        # (canonical probes on a diagonal family): every check would be vacuous.
+    if _clt_vacuous(e, sigma2_ref):
         details = {"sigma2_ref": sigma2_ref, "degenerate": False,
                    "variance_rtol": cfg.variance_rtol, "per_n": {},
                    "pass_rule": "never: sigma2_ref = 0 for a law that is not a point mass",
@@ -565,8 +585,7 @@ def _suite_clt(cfg: ExperimentConfig, key: str, pool) -> SuiteResult:
     per_n = {}
     checks = {}
     for n in cfg.n_grid:
-        (p,) = _clt_passes(cfg, n)
-        samples = _run_chunks(cfg, key, p.tag, n, pool, p.fn, p.probes, **p.kw)["proj_xi"]
+        samples = _run_pass(cfg, key, _clt_pass(cfg, n), queue)["proj_xi"]
         stats = summarize(samples, sigma2_ref)
         if degenerate:
             bound = _degenerate_bound(e, n)
@@ -599,7 +618,7 @@ def _suite_clt(cfg: ExperimentConfig, key: str, pool) -> SuiteResult:
     return SuiteResult("clt", bool(passed), details, header, tuple(rows))
 
 
-def _suite_lemma_speed(cfg: ExperimentConfig, key: str, pool) -> SuiteResult:
+def _suite_lemma_speed(cfg: ExperimentConfig, key: str, queue) -> SuiteResult:
     e = cfg.ensemble
     points = lemma_speed_curve(e, cfg.n_grid)
     header = ("n", "norm_outer", "norm_inner", "k_max_norm")
@@ -667,7 +686,7 @@ def _structure_check(cfg: ExperimentConfig, key: str, n: int):
     return out
 
 
-def _suite_martingale(cfg: ExperimentConfig, key: str, pool) -> SuiteResult:
+def _suite_martingale(cfg: ExperimentConfig, key: str, queue) -> SuiteResult:
     e = cfg.ensemble
     header = ("n", "mean_Rn_norm", "mean_diff_sq", "mean_Mn_norm", "mean_Mn_norm_sq",
               "riemann_cov_error", "median_Rn_norm", "q90_diff_norm")
@@ -679,11 +698,10 @@ def _suite_martingale(cfg: ExperimentConfig, key: str, pool) -> SuiteResult:
     n_star = lindeberg_threshold(e, _LINDEBERG_EPS)
     for n in cfg.n_grid:
         paths, diffs = _martingale_passes(cfg, n)
-        stats = _run_chunks(cfg, key, paths.tag, n, pool, paths.fn, paths.probes, **paths.kw)
+        stats = _run_pass(cfg, key, paths, queue)
         kern = _kernel(e, key, n)
         ks = diffs.kw["ks"]
-        diff = diff_moments(n, _run_chunks(cfg, key, diffs.tag, n, pool, diffs.fn,
-                                           diffs.probes, **diffs.kw))
+        diff = diff_moments(n, _run_pass(cfg, key, diffs, queue))
         for _, _, mean_dot, se in diff.ortho:
             if abs(mean_dot) > 4.0 * se + 1e-30:
                 ortho_ok = False
@@ -796,7 +814,7 @@ def _suite_martingale(cfg: ExperimentConfig, key: str, pool) -> SuiteResult:
     return SuiteResult("martingale", bool(passed), details, header, tuple(rows))
 
 
-def _suite_doob(cfg: ExperimentConfig, key: str, pool) -> SuiteResult:
+def _suite_doob(cfg: ExperimentConfig, key: str, queue) -> SuiteResult:
     e = cfg.ensemble
     n = cfg.n_grid[-1]
     kern = _kernel(e, key, n)
@@ -820,7 +838,7 @@ def _suite_doob(cfg: ExperimentConfig, key: str, pool) -> SuiteResult:
     return SuiteResult("doob", bool(ok), details, header, tuple(rows))
 
 
-def _suite_covariance(cfg: ExperimentConfig, key: str, pool) -> SuiteResult:
+def _suite_covariance(cfg: ExperimentConfig, key: str, queue) -> SuiteResult:
     e = cfg.ensemble
     header = ("max_route_delta", "oracle_delta", "node_doubling_delta",
               "min_projected_variance", "max_shift_delta", "symmetry_defect")
@@ -956,19 +974,17 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> RunReport:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"output_dir: cannot create {cfg.output_dir!r}: {exc}") from exc
 
-    passes = [(_chunks(cfg, key, p.tag, n, p.fn, p.probes, p.kw), p.nbytes)
-              for name in cfg.suites if name in _PASSES
-              for n in cfg.n_grid for p in _PASSES[name](cfg, n)]
+    passes = _passes(cfg) if workers > 1 else []  # one worker has no pool to size
     # a process beyond the largest pass's chunk count would only be forked to idle
-    processes = min(workers, max((len(chunks) for chunks, _ in passes), default=1))
+    chunks = (len(engine.chunk_ranges(cfg.ensemble, p.n, cfg.replicates)) for p in passes)
+    processes = min(workers, max(chunks, default=1))
     pool = ProcessPoolExecutor(max_workers=processes) if processes > 1 else None
-    # filled in the order the suites run, reported in config order
+    # keyed in config order, whatever order the suites run in
     suites, timings, csv_paths = (dict.fromkeys(cfg.suites) for _ in range(3))
     try:
-        queue = None if pool is None else _ChunkQueue(pool, passes)
-        # while the workers run the queue, the suites that draw no pass run here
-        order = cfg.suites if pool is None else sorted(cfg.suites, key=_PASSES.__contains__)
-        for name in order:
+        queue = None if pool is None else _ChunkQueue(pool, cfg, key, passes)
+        # the suites that draw no pass run first, while a pool runs the queue
+        for name in sorted(cfg.suites, key=_PASS_SUITES.__contains__):
             t0 = time.perf_counter()
             result = _SUITES[name](cfg, key, queue)
             timings[name] = time.perf_counter() - t0

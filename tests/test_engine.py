@@ -425,6 +425,27 @@ class TestChunkingInvariance:
             assert w.mean_sq == s.mean_sq
 
 
+class TestRowBytes:
+    # The chunk queue budgets its look-ahead by these sizes, so they must
+    # match what simulate_paths and diff_pairs return.
+    @pytest.mark.parametrize("fix", ["diag3", "dense3", "fs9"])
+    def test_row_bytes_match_the_results(self, fix, request):
+        e = request.getfixturevalue(fix)
+        x = np.linspace(1.0, -0.5, e.dim)
+        kern = precompute_kernel(e, 8)
+        reps = 5
+        for want_s in (False, True):
+            for want_s_prime in (False, True):
+                out = engine.simulate_paths(e, kern, x, x, _streams_root(3), reps,
+                                            want_s=want_s, want_s_prime=want_s_prime)
+                assert (sum(v.nbytes for v in out.values())
+                        == reps * engine.paths_row_bytes(want_s=want_s,
+                                                         want_s_prime=want_s_prime))
+        ks = (1, 4, 8)
+        out = engine.diff_pairs(e, kern, x, _streams_root(3), reps, ks=ks)
+        assert sum(v.nbytes for v in out.values()) == reps * engine.diff_row_bytes(e, ks)
+
+
 class TestWorkerPool:
     # experiment._run_chunks sends each chunk of engine.chunk_ranges to the
     # run's process pool. A forced width of 3, which forked workers inherit,

@@ -491,7 +491,7 @@ class TestRun:
         cfg = self._cfg(tmp_path, suites=["clt", "martingale"], n_grid=[16, 32, 64],
                         replicates=30, structure_draws=1000)
         taken = []  # (chunks submitted before the take, result bytes) per pass
-        real = experiment._run_chunks
+        real = experiment._run_pass
 
         def spy(*args, **kwargs):
             submitted = executors[0].tasks
@@ -499,10 +499,11 @@ class TestRun:
             taken.append((submitted, sum(v.nbytes for v in out.values())))
             return out
 
-        monkeypatch.setattr(experiment, "_run_chunks", spy)
+        monkeypatch.setattr(experiment, "_run_pass", spy)
         run(cfg, workers=2)
         assert len(taken) == 9 and executors[0].tasks == 27
         sizes = [nbytes for _, nbytes in taken]
+        assert sizes == [p.nbytes for p in experiment._passes(cfg)]  # the budget's sizes
         ahead = []
         for j, (submitted, _) in enumerate(taken):
             assert submitted % 3 == 0 and submitted // 3 > j  # pass j is mapped
@@ -531,10 +532,11 @@ class TestRun:
         assert len(executors) == 1 and executors[0].shut_down
         assert experiment._KERNEL_CACHE == {}
 
-    def test_passes_a_suite_leaves_untaken_are_dropped(self, tmp_path, monkeypatch):
+    def test_a_clt_suite_that_stops_early_queues_no_pass(self, tmp_path, executors,
+                                                         monkeypatch):
         # Canonical probes project a diagonal law's limit to 0, so the clt
-        # suite stops before it takes a pass; the martingale suite still gets
-        # its own passes from the queue.
+        # suite stops before it takes a pass: the queue gets only the
+        # martingale suite's six passes of four chunks each.
         monkeypatch.setattr(experiment.engine, "batch_size", lambda *a: 12)
         raw = _base_config(tmp_path, suites=["clt", "martingale"], n_grid=[16, 32, 64],
                            replicates=40, structure_draws=1000,
@@ -544,6 +546,7 @@ class TestRun:
         for w in (1, 2):
             raw["output_dir"] = str(tmp_path / f"w{w}")
             reports.append(run(load_config(_write(tmp_path, f"w{w}.json", raw)), workers=w))
+        assert len(executors) == 1 and executors[0].tasks == 6 * 4
         assert "error" in reports[1].suites["clt"]["details"]
         assert reports[0].suites == reports[1].suites
         for name in raw["suites"]:
