@@ -14,8 +14,8 @@ brute-force oracle.
 
 Monte Carlo curves run on the replicate driver of :mod:`expclt.engine`, where
 each replicate owns a derived RngStream, so they are reproducible for any
-chunking or worker count.  :func:`diff_moments`, which the martingale suite
-shares, reduces difference rows to moments and orthogonality statistics.
+chunking or worker count.  :func:`dot_moments`, which the martingale suite
+shares, reduces difference-row dots to moments and orthogonality statistics.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ __all__ = [
     "mk_moment_curve",
     "DiffMomentPoint",
     "diff_moments",
+    "dot_moments",
     "diff_moment_curve",
     "riemann_cov_value",
 ]
@@ -403,22 +404,23 @@ class DiffMomentPoint:
 
 
 def diff_moments(n: int, deltas) -> DiffMomentPoint:
-    """Second moments and cross-k orthogonality of difference rows at one n.
+    """:func:`dot_moments` of the ``(reps, d)`` rows ``deltas[k]`` of
+    d_{n,k} x - d'_{n,k} x at each probe k."""
+    return dot_moments(n, sorted(deltas), engine.diff_dots(deltas))
 
-    ``deltas`` maps each probe k to its ``(reps, d)`` rows of
-    d_{n,k} x - d'_{n,k} x.  Each pair k < l gets the mean of the per-replicate
-    dots <delta_k, delta_l> and its standard error std(ddof=1) / sqrt(reps).
+
+def dot_moments(n: int, ks, dots) -> DiffMomentPoint:
+    """Second moments and cross-k orthogonality of difference rows at one n,
+    from their per-replicate dots ``dots[k, l]`` (:func:`engine.diff_dots`) at
+    the sorted probe ``ks``.  Each pair k < l gets the mean of its dots and
+    their standard error std(ddof=1) / sqrt(reps).
     """
-    ks = sorted(deltas)
-    per_k = {k: float(np.mean(np.sum(deltas[k] ** 2, axis=1))) for k in ks}
-    ortho = []
-    for a, k in enumerate(ks):
-        for l in ks[a + 1 :]:
-            dots = np.sum(deltas[k] * deltas[l], axis=1)
-            se = float(np.std(dots, ddof=1) / np.sqrt(dots.size))
-            ortho.append((k, l, float(np.mean(dots)), se))
+    per_k = {k: float(np.mean(dots[k, k])) for k in ks}
+    ortho = tuple((k, l, float(np.mean(dots[k, l])),
+                   float(np.std(dots[k, l], ddof=1) / np.sqrt(dots[k, l].size)))
+                  for a, k in enumerate(ks) for l in ks[a + 1 :])
     return DiffMomentPoint(n=n, mean_sq=float(np.mean(list(per_k.values()))),
-                           per_k=per_k, ortho=tuple(ortho))
+                           per_k=per_k, ortho=ortho)
 
 
 def diff_moment_curve(e: Ensemble, n_grid, x, reps: int, r: RngStream) -> list:

@@ -23,6 +23,8 @@ Both Monte Carlo passes, :func:`simulate_paths` and :func:`diff_pairs`, run
 on one replicate driver: :func:`chunk_ranges` fixes the chunks from the
 problem shape alone, each chunk draws its rows from its own replicates'
 streams, and :func:`concat_chunks` joins the chunk results in index order.
+:func:`simulate_paths` can run :func:`diff_pair_block` on the rows it drew,
+and reduces each result row by row, so one pass serves every statistic.
 
 Per chunk of B replicates and one k-sweep (k = n .. 1) the engine updates
 
@@ -49,6 +51,7 @@ __all__ = [
     "paths_row_bytes",
     "diff_pair_block",
     "diff_pairs",
+    "diff_dots",
     "diff_row_bytes",
 ]
 
@@ -319,7 +322,7 @@ def simulate_block(kern, x, rows, *, want_s: bool = False, want_s_prime: bool = 
 
 
 def simulate_paths(e, kern, x, y, stream_for, reps: int, *, want_s: bool = False,
-                   want_s_prime: bool = False):
+                   want_s_prime: bool = False, ks=()):
     """All requested per-replicate statistics over ``reps`` replicates.
 
     ``stream_for(rep_index)`` must return the replicate's own RngStream;
@@ -327,7 +330,8 @@ def simulate_paths(e, kern, x, y, stream_for, reps: int, *, want_s: bool = False
 
     Returns a dict of float arrays of length ``reps``: ``proj_xi`` always;
     ``proj_s`` and ``diff_norm`` with ``want_s``; ``r_norm`` and ``mk_norm``
-    with ``want_s_prime``.
+    with ``want_s_prime``; and with ``ks``, the :func:`diff_dots` of the
+    :func:`diff_pair_block` rows that the same draws give at those ks.
     """
     n = kern.n
     x = np.asarray(x, dtype=float)
@@ -339,25 +343,30 @@ def simulate_paths(e, kern, x, y, stream_for, reps: int, *, want_s: bool = False
     def stats(rows):
         block = simulate_block(kern, x, rows, want_s=want_s, want_s_prime=want_s_prime)
         xi = root_n * (block["prod_x"] - ex_x)
-        out = {"proj_xi": xi @ y}
+        # a sum along each row, whose bits no other row changes (a BLAS
+        # matrix-vector product rounds a row by the rows multiplied with it)
+        out = {"proj_xi": (xi * y).sum(axis=1)}
         if want_s:
             s = block["s_x"] / root_n
-            out["proj_s"] = s @ y
+            out["proj_s"] = (s * y).sum(axis=1)
             out["diff_norm"] = np.linalg.norm(xi - s, axis=1)
         if want_s_prime:
             mk = block["prod_x"] - qn_x
             s_prime = block["s_prime_x"] / root_n
             out["r_norm"] = np.linalg.norm(root_n * mk - s_prime, axis=1)
             out["mk_norm"] = np.linalg.norm(mk, axis=1)
+        if ks:
+            out.update(diff_dots(diff_pair_block(kern, x, rows, ks)))
         return out
 
     return _by_chunk(e, n, stream_for, reps, stats)
 
 
-def paths_row_bytes(*, want_s: bool = False, want_s_prime: bool = False) -> int:
+def paths_row_bytes(*, want_s: bool = False, want_s_prime: bool = False, ks=()) -> int:
     """Bytes per replicate of a :func:`simulate_paths` result: one float64 for
-    ``proj_xi`` and two for each of ``want_s`` and ``want_s_prime``."""
-    return 8 * (1 + 2 * want_s + 2 * want_s_prime)
+    ``proj_xi``, two for each of ``want_s`` and ``want_s_prime``, and one for
+    each pair k <= l of ``ks``."""
+    return 8 * (1 + 2 * want_s + 2 * want_s_prime + len(ks) * (len(ks) + 1) // 2)
 
 
 def diff_pair_block(kern, x, rows, ks):
@@ -407,6 +416,15 @@ def diff_pairs(e, kern, x, stream_for, reps: int, *, ks):
     as in :func:`simulate_paths` and joined in index order."""
     return _by_chunk(e, kern.n, stream_for, reps,
                      lambda rows: diff_pair_block(kern, x, rows, ks))
+
+
+def diff_dots(deltas) -> dict:
+    """Per-replicate dots ``<delta_k, delta_l>`` of the difference rows
+    ``deltas[k]``, keyed ``(k, l)`` for each pair k <= l of its ks.  Each is a
+    sum along its own row, so a chunk's dots are those of the whole pass."""
+    ks = sorted(deltas)
+    return {(k, l): np.sum(deltas[k] * deltas[l], axis=1)
+            for a, k in enumerate(ks) for l in ks[a:]}
 
 
 def diff_row_bytes(e, ks) -> int:

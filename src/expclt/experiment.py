@@ -20,20 +20,22 @@ Families and their parameters: ``two_point`` (a0, a1, p), ``finite_support``
 "canonical" probe token means x = e1, y = e2 (x = y = e1 when dim is 1).
 
 Each suite writes one CSV (RFC-4180, LF, shortest round-trip floats) and the
-run writes a summary.json mirroring the RunReport.  Replicate streams are
-keyed by (master_seed, suite tag, n, replicate index), replicate chunks are a
-fixed function of the problem shape, and chunk results are reduced in index
-order, so all emitted numbers are independent of the worker count.  A run
-keeps at most one process pool, with no more processes than its largest
-Monte Carlo pass has chunks.  The suites that draw no pass run first.  With
-a pool, a chunk queue maps the chunks of every pass on it from the start, in
-the order the suites take the passes, as far ahead as the results not yet
-taken fit a byte budget.
+run writes a summary.json mirroring the RunReport.  The clt and martingale
+suites share one Monte Carlo pass per n, computed once: each replicate's path
+is drawn from the stream keyed by (master_seed, "clt", n, replicate index)
+and reduced row by row in its chunk.  Chunks are a fixed function of the
+problem shape and their results are joined in index order, so no emitted
+number depends on the worker count or on the other suites configured.  A run
+keeps at most one process pool, with no more processes than a pass has
+chunks.  The suites that draw no pass run first.  A chunk queue maps the
+chunks of every pass on the pool from the start, in grid order, as far ahead
+as the results not yet taken fit a byte budget.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -41,7 +43,6 @@ import os
 import reprlib
 import time
 from collections import deque
-from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -56,9 +57,9 @@ from .covariance import (
     sigma_projected_at,
 )
 from .dynamics import (
-    diff_moments,
     dnk_norm_bound,
     doob_check,
+    dot_moments,
     lemma_speed_curve,
     lindeberg_max_norm,
     lindeberg_threshold,
@@ -111,11 +112,12 @@ _MAX_DIM = 1024
 # plus the martingale suite's S and S' tables at the largest n; on a 2-core
 # host a clt run of a diagonal law at d = 1024, n = 63 (1 GiB of tables, two
 # replicates) peaks at 1080 MiB in 5.8 s. The draw cap bounds one chunk of
-# draw rows and the structure check's structure_draws x uniforms_per_draw
-# float64 uniforms, whose default takes 781 MiB at d = 1024; at d = 512
-# (390 MiB) the smallest martingale run peaks at 1347 MiB in 4.4 s.
+# draw rows, and the structure check's structure_draws x uniforms_per_draw
+# float64 uniforms (781 MiB by default at d = 1024), which it draws in blocks
+# of _STRUCTURE_BLOCK: they bound its time, not its memory.
 _MAX_TABLE_BYTES = 1 << 30
 _MAX_DRAW_BYTES = 1 << 30
+_STRUCTURE_BLOCK = 1 << 20
 
 
 class ConfigError(ValueError):
@@ -408,13 +410,11 @@ def emit_csv(header, rows, path) -> None:
 _KERNEL_CACHE: dict = {}
 
 # Bytes of pass results that the chunk queue keeps mapped ahead of the suites,
-# besides the next pass, which it always maps. On a 2-core host the main
-# process of a covariance and martingale run of a diagonal law at d = 256
-# (n_grid [4, 8, 16, 32, 64], 16000 replicates, two workers), whose
-# difference passes return 94 MiB each, peaks at 367 MiB with this budget, as
-# with one pass mapped at a time (369 MiB), and at 485 MiB with every pass
-# mapped at the start. A run of every suite at 2000 replicates of a diagonal
-# law at d = 8, n_grid [128, 256, 512, 1024], maps its 1.8 MiB all at once.
+# besides the next pass, which it always maps: 8 bytes a replicate, or 88 with
+# the martingale suite. On a 2-core host a covariance and martingale run of a
+# diagonal law at d = 256 (n_grid [4, 8, 16, 32, 64], 16000 replicates, 1000
+# structure draws, two workers) maps its five 1.3 MiB passes at once and peaks
+# at 190 MiB in 8.8-9.9 s, where three passes per n took 369 MiB and 15.6-17.8 s.
 _MAX_AHEAD_BYTES = 64 << 20
 
 
@@ -426,14 +426,11 @@ def _kernel(e: Ensemble, key: str, n: int):
     return kern
 
 
-@dataclass(frozen=True)
-class _Pass:
-    """Engine pass ``fn`` over all replicates at one n, keyed by (tag, n, index),
-    whose results take ``nbytes``."""
-    tag: str
+class _Pass(NamedTuple):
+    """The path pass at one n: engine.simulate_paths over all replicates with
+    the wants ``kw``, keyed by ("clt", n, index) as the clt suite's own pass
+    was; its results take ``nbytes``."""
     n: int
-    fn: Callable
-    probes: tuple
     kw: dict
     nbytes: int
 
@@ -445,66 +442,47 @@ def _clt_vacuous(e: Ensemble, sigma2_ref: float) -> bool:
     return sigma2_ref == 0.0 and not e.is_point_mass
 
 
-def _clt_pass(cfg: ExperimentConfig, n: int) -> _Pass:
-    return _Pass("clt", n, engine.simulate_paths, (cfg.x, cfg.y), {},
-                 engine.paths_row_bytes() * cfg.replicates)
-
-
-def _martingale_passes(cfg: ExperimentConfig, n: int) -> tuple:
-    ks = sorted({1, (n + 1) // 2, n})  # the steps of the difference pairs
-    kw = {"want_s": True, "want_s_prime": True}
-    return (_Pass("martingale", n, engine.simulate_paths, (cfg.x, cfg.y), kw,
-                  engine.paths_row_bytes(**kw) * cfg.replicates),
-            _Pass("martingale-diff", n, engine.diff_pairs, (cfg.x,), {"ks": ks},
-                  engine.diff_row_bytes(cfg.ensemble, ks) * cfg.replicates))
-
-
-# The suites that take passes; the others draw no pass.
-_PASS_SUITES = ("clt", "martingale")
+def _path_pass(cfg: ExperimentConfig, n: int) -> _Pass:
+    """The pass at n: the clt suite reads its projections, which no want
+    changes, and the martingale suite what it wants of the same draws."""
+    kw = {}
+    if "martingale" in cfg.suites:  # ks: the steps of the difference pairs
+        kw = {"want_s": True, "want_s_prime": True, "ks": sorted({1, (n + 1) // 2, n})}
+    return _Pass(n, kw, engine.paths_row_bytes(**kw) * cfg.replicates)
 
 
 def _passes(cfg: ExperimentConfig) -> list:
-    """The passes of the configured suites, in the order the suites take them."""
+    """The path passes of the run, one per n in grid order, when a suite takes
+    them: the martingale suite, or a clt suite that does not stop early."""
     e = cfg.ensemble
-    out = []
-    for name in cfg.suites:
-        if name == "clt" and not _clt_vacuous(e, sigma_projected(e, cfg.x, cfg.y)):
-            out += [_clt_pass(cfg, n) for n in cfg.n_grid]
-        elif name == "martingale":
-            out += [p for n in cfg.n_grid for p in _martingale_passes(cfg, n)]
-    return out
+    drawn = "martingale" in cfg.suites or (
+        "clt" in cfg.suites and not _clt_vacuous(e, sigma_projected(e, cfg.x, cfg.y)))
+    return [_path_pass(cfg, n) for n in cfg.n_grid] if drawn else []
 
 
-class _Chunk(NamedTuple):
-    """Engine pass ``fn`` over replicates [lo, hi) at one n."""
-    fn: Callable
-    e: Ensemble
-    key: str
-    n: int
-    probes: tuple
-    seed: int
-    tag: str
-    lo: int
-    hi: int
-    kw: dict
+def _chunk_task(fn, e, key, n, probes, seed, tag, kw, bounds):
+    """Engine pass ``fn`` over the replicates [lo, hi) = ``bounds`` at one n,
+    keyed by (tag, n, index)."""
+    (lo, hi), root = bounds, RngStream(seed)
+    return fn(e, _kernel(e, key, n), *probes, lambda i: root.child(tag, n, lo + i),
+              hi - lo, **kw)
 
 
-def _chunk_task(c: _Chunk):
-    root = RngStream(c.seed)
-    return c.fn(c.e, _kernel(c.e, c.key, c.n), *c.probes,
-                lambda i: root.child(c.tag, c.n, c.lo + i), c.hi - c.lo, **c.kw)
-
-
-def _chunks(cfg, key, tag, n, fn, probes, kw) -> list:
-    """The chunks of a pass, one per range of :func:`engine.chunk_ranges`."""
-    return [_Chunk(fn, cfg.ensemble, key, n, probes, cfg.master_seed, tag, lo, hi, kw)
-            for lo, hi in engine.chunk_ranges(cfg.ensemble, n, cfg.replicates)]
+def _map_chunks(cfg, key, tag, n, pool, fn, probes, kw):
+    """The results of :func:`_chunk_task` on each range of
+    :func:`engine.chunk_ranges`, in index order, mapped on the process pool
+    ``pool``, or computed here as they are read when it is None."""
+    task = functools.partial(_chunk_task, fn, cfg.ensemble, key, n, probes,
+                             cfg.master_seed, tag, kw)
+    return (map if pool is None else pool.map)(
+        task, engine.chunk_ranges(cfg.ensemble, n, cfg.replicates))
 
 
 class _ChunkQueue:
-    """A run's passes, their chunks mapped on its process pool in the order
-    the suites take them: ahead of time while the results mapped and not yet
-    taken fit in _MAX_AHEAD_BYTES, and always the next pass."""
+    """A run's passes in grid order, their chunks mapped on its process pool,
+    or computed here as they are taken when it has none: ahead of time while
+    the results mapped and not yet taken fit in _MAX_AHEAD_BYTES, and always
+    the next pass."""
 
     def __init__(self, pool, cfg, key, passes):
         self._pool, self._cfg, self._key = pool, cfg, key
@@ -516,17 +494,16 @@ class _ChunkQueue:
     def _fill(self):
         while self._todo and (not self._ahead or self._bytes + self._todo[0].nbytes
                               <= _MAX_AHEAD_BYTES):
-            p = self._todo.popleft()
-            chunks = _chunks(self._cfg, self._key, p.tag, p.n, p.fn, p.probes, p.kw)
-            self._ahead.append((p, self._pool.map(_chunk_task, chunks)))
+            p, cfg = self._todo.popleft(), self._cfg
+            self._ahead.append((p, _map_chunks(cfg, self._key, "clt", p.n, self._pool,
+                                               engine.simulate_paths, (cfg.x, cfg.y), p.kw)))
             self._bytes += p.nbytes
 
-    def take(self, p: _Pass) -> list:
-        """The chunk results of ``p``, the next pass listed, in index order."""
+    def take(self, n: int) -> list:
+        """The chunk results of the pass at n, the next listed, in index order."""
         head, results = self._ahead.popleft()
-        if (head.tag, head.n) != (p.tag, p.n):
-            raise RuntimeError(f"pass {p.tag!r} at n = {p.n} taken where "
-                               f"{head.tag!r} at n = {head.n} is next")
+        if head.n != n:
+            raise RuntimeError(f"pass at n = {n} taken where n = {head.n} is next")
         results = list(results)
         self._bytes -= head.nbytes
         self._fill()
@@ -537,18 +514,12 @@ def _run_chunks(cfg, key, tag, n, pool, fn, probes, **kw):
     """Engine pass ``fn`` over all replicates at one n, keyed by (tag, n, index):
     one call per chunk of :func:`engine.chunk_ranges`, on the process pool
     ``pool`` or here when it is None, joined in index order."""
-    chunks = _chunks(cfg, key, tag, n, fn, probes, kw)
-    if pool is None:
-        return engine.concat_chunks([_chunk_task(c) for c in chunks])
-    return engine.concat_chunks(list(pool.map(_chunk_task, chunks)))
+    return engine.concat_chunks(list(_map_chunks(cfg, key, tag, n, pool, fn, probes, kw)))
 
 
-def _run_pass(cfg, key, p: _Pass, queue) -> dict:
-    """The results of pass ``p``, joined in index order: taken from the run's
-    chunk queue, or computed here when it is None."""
-    if queue is None:
-        return _run_chunks(cfg, key, p.tag, p.n, None, p.fn, p.probes, **p.kw)
-    return engine.concat_chunks(queue.take(p))
+def _run_pass(queue: _ChunkQueue, n: int) -> dict:
+    """The results of the path pass at n, joined in index order."""
+    return engine.concat_chunks(queue.take(n))
 
 
 # --- suites ------------------------------------------------------------------
@@ -567,7 +538,7 @@ def _degenerate_bound(e: Ensemble, n: int) -> float:
     return math.sqrt(n) * math.exp(e.rho) * 1e-11
 
 
-def _suite_clt(cfg: ExperimentConfig, key: str, queue) -> SuiteResult:
+def _suite_clt(cfg: ExperimentConfig, key: str, paths) -> SuiteResult:
     e = cfg.ensemble
     sigma2_ref = sigma_projected(e, cfg.x, cfg.y)
     degenerate = e.is_point_mass
@@ -585,7 +556,7 @@ def _suite_clt(cfg: ExperimentConfig, key: str, queue) -> SuiteResult:
     per_n = {}
     checks = {}
     for n in cfg.n_grid:
-        samples = _run_pass(cfg, key, _clt_pass(cfg, n), queue)["proj_xi"]
+        samples = paths(n)["proj_xi"]
         stats = summarize(samples, sigma2_ref)
         if degenerate:
             bound = _degenerate_bound(e, n)
@@ -618,7 +589,7 @@ def _suite_clt(cfg: ExperimentConfig, key: str, queue) -> SuiteResult:
     return SuiteResult("clt", bool(passed), details, header, tuple(rows))
 
 
-def _suite_lemma_speed(cfg: ExperimentConfig, key: str, queue) -> SuiteResult:
+def _suite_lemma_speed(cfg: ExperimentConfig, key: str, paths) -> SuiteResult:
     e = cfg.ensemble
     points = lemma_speed_curve(e, cfg.n_grid)
     header = ("n", "norm_outer", "norm_inner", "k_max_norm")
@@ -658,12 +629,15 @@ def _structure_check(cfg: ExperimentConfig, key: str, n: int):
     kern = _kernel(e, key, n)
     root = RngStream(cfg.master_seed)
     reps = cfg.structure_draws
+    # the stream's draws in blocks of at most _STRUCTURE_BLOCK uniforms
+    step = max(1, _STRUCTURE_BLOCK // e.uniforms_per_draw)
+    blocks = [min(step, reps - lo) for lo in range(0, reps, step)]
     out = {}
     for k in sorted({1, max(1, n // 2), n}):
         r = root.child("martingale-structure", n, k)
         if e.is_finite_support:
-            idx = e.sample_indices(r, reps)
-            counts = np.bincount(idx, minlength=len(e.support)) / reps
+            counts = sum(np.bincount(e.sample_indices(r, b), minlength=len(e.support))
+                         for b in blocks) / reps
             mats = [
                 kern.p_powers[k - 1] @ delta @ kern.p_powers[n - k] / math.sqrt(n)
                 for delta in e._deltas
@@ -671,12 +645,17 @@ def _structure_check(cfg: ExperimentConfig, key: str, n: int):
             mean_mat = sum(c * m for c, m in zip(counts, mats))
             var_entries = sum(c * (m - mean_mat) ** 2 for c, m in zip(counts, mats))
         else:
-            vals = e.sample_diagonal_values(r, reps) - 0.5 * (e.low + e.high)
-            coeff = math.exp(0.5 * (e.low + e.high) * (n - 1) / n) / math.sqrt(n)
-            diag_mean = coeff * vals.mean(axis=0)
-            diag_var = coeff**2 * vals.var(axis=0)
-            mean_mat = np.diag(diag_mean)
-            var_entries = np.diag(diag_var)
+            mid = 0.5 * (e.low + e.high)
+            total, sq = np.zeros(e.dim), np.zeros(e.dim)
+            for b in blocks:
+                vals = e.sample_diagonal_values(r, b) - mid
+                total += vals.sum(axis=0)
+                sq += (vals * vals).sum(axis=0)
+            mean = total / reps
+            coeff = math.exp(mid * (n - 1) / n) / math.sqrt(n)
+            mean_mat = np.diag(coeff * mean)
+            # centred at the midpoint, mean^2 is far below E vals^2
+            var_entries = np.diag(coeff**2 * (sq / reps - mean * mean))
         se_frob = math.sqrt(float(np.sum(var_entries)) / reps)
         out[k] = {
             "mean_norm": float(op_norm(mean_mat)),
@@ -686,7 +665,7 @@ def _structure_check(cfg: ExperimentConfig, key: str, n: int):
     return out
 
 
-def _suite_martingale(cfg: ExperimentConfig, key: str, queue) -> SuiteResult:
+def _suite_martingale(cfg: ExperimentConfig, key: str, paths) -> SuiteResult:
     e = cfg.ensemble
     header = ("n", "mean_Rn_norm", "mean_diff_sq", "mean_Mn_norm", "mean_Mn_norm_sq",
               "riemann_cov_error", "median_Rn_norm", "q90_diff_norm")
@@ -697,11 +676,10 @@ def _suite_martingale(cfg: ExperimentConfig, key: str, queue) -> SuiteResult:
     ortho_stats = {}
     n_star = lindeberg_threshold(e, _LINDEBERG_EPS)
     for n in cfg.n_grid:
-        paths, diffs = _martingale_passes(cfg, n)
-        stats = _run_pass(cfg, key, paths, queue)
+        stats = paths(n)
         kern = _kernel(e, key, n)
-        ks = diffs.kw["ks"]
-        diff = diff_moments(n, _run_pass(cfg, key, diffs, queue))
+        ks = _path_pass(cfg, n).kw["ks"]
+        diff = dot_moments(n, ks, stats)
         for _, _, mean_dot, se in diff.ortho:
             if abs(mean_dot) > 4.0 * se + 1e-30:
                 ortho_ok = False
@@ -814,7 +792,7 @@ def _suite_martingale(cfg: ExperimentConfig, key: str, queue) -> SuiteResult:
     return SuiteResult("martingale", bool(passed), details, header, tuple(rows))
 
 
-def _suite_doob(cfg: ExperimentConfig, key: str, queue) -> SuiteResult:
+def _suite_doob(cfg: ExperimentConfig, key: str, paths) -> SuiteResult:
     e = cfg.ensemble
     n = cfg.n_grid[-1]
     kern = _kernel(e, key, n)
@@ -838,7 +816,7 @@ def _suite_doob(cfg: ExperimentConfig, key: str, queue) -> SuiteResult:
     return SuiteResult("doob", bool(ok), details, header, tuple(rows))
 
 
-def _suite_covariance(cfg: ExperimentConfig, key: str, queue) -> SuiteResult:
+def _suite_covariance(cfg: ExperimentConfig, key: str, paths) -> SuiteResult:
     e = cfg.ensemble
     header = ("max_route_delta", "oracle_delta", "node_doubling_delta",
               "min_projected_variance", "max_shift_delta", "symmetry_defect")
@@ -974,7 +952,7 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> RunReport:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"output_dir: cannot create {cfg.output_dir!r}: {exc}") from exc
 
-    passes = _passes(cfg) if workers > 1 else []  # one worker has no pool to size
+    passes = _passes(cfg)
     # a process beyond the largest pass's chunk count would only be forked to idle
     chunks = (len(engine.chunk_ranges(cfg.ensemble, p.n, cfg.replicates)) for p in passes)
     processes = min(workers, max(chunks, default=1))
@@ -982,11 +960,13 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> RunReport:
     # keyed in config order, whatever order the suites run in
     suites, timings, csv_paths = (dict.fromkeys(cfg.suites) for _ in range(3))
     try:
-        queue = None if pool is None else _ChunkQueue(pool, cfg, key, passes)
+        queue = _ChunkQueue(pool, cfg, key, passes)
+        # the path pass at n, computed for the first suite that asks and kept
+        paths = functools.cache(lambda n: _run_pass(queue, n))
         # the suites that draw no pass run first, while a pool runs the queue
-        for name in sorted(cfg.suites, key=_PASS_SUITES.__contains__):
+        for name in sorted(cfg.suites, key=("clt", "martingale").__contains__):
             t0 = time.perf_counter()
-            result = _SUITES[name](cfg, key, queue)
+            result = _SUITES[name](cfg, key, paths)
             timings[name] = time.perf_counter() - t0
             path = os.path.join(cfg.output_dir, f"{name}.csv")
             emit_csv(result.header, result.rows, path)

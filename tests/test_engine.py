@@ -4,7 +4,8 @@ import pytest
 from expclt import (RngStream, diagonal_uniform, finite_support, precompute_kernel,
                     sample_xi, two_point)
 from expclt import engine, experiment
-from expclt.dynamics import decompose_xi_prime, diff_moment_curve
+from expclt.dynamics import (decompose_xi_prime, diff_moment_curve, diff_moments,
+                             dot_moments)
 from expclt.experiment import ExperimentConfig
 
 
@@ -424,6 +425,42 @@ class TestChunkingInvariance:
             assert np.array_equal(w.ortho, s.ortho)
             assert w.mean_sq == s.mean_sq
 
+    # The projections are sums along each row. A BLAS matrix-vector product
+    # rounds a row by the other rows of its product, which at d = 8 changes
+    # most 7-row parts of a 23-row product.
+    @pytest.mark.parametrize("law", ["diagonal", "finite_support"])
+    def test_projections_are_row_local(self, law, monkeypatch):
+        e = diagonal_uniform(8, -0.5, 1.0) if law == "diagonal" else _random_support(8, 4)
+        kern = precompute_kernel(e, 16)
+        x, y = np.random.default_rng(5).uniform(-1.0, 1.0, (2, 8))
+        stream_for = _streams_root(31)
+
+        def projections(reps):
+            out = engine.simulate_paths(e, kern, x, y, stream_for, reps, want_s=True)
+            return out["proj_xi"], out["proj_s"]
+
+        whole, small = projections(23), projections(7)
+        with monkeypatch.context() as mp:
+            mp.setattr(engine, "batch_size", lambda *a: 3)
+            split = projections(23)
+        for w, s, c in zip(whole, small, split):
+            assert np.array_equal(w[:7], s) and np.array_equal(w, c)
+
+    # A path pass with ks reduces each chunk's difference rows to dots; the
+    # moments of those dots are the moments of the whole pass's rows.
+    @pytest.mark.parametrize("fix", ["dense3", "fs9", "diag3", "fs16m4"])
+    def test_pass_dots_give_the_moments_of_the_rows(self, fix, request, monkeypatch):
+        e = request.getfixturevalue(fix)
+        kern = precompute_kernel(e, 16)
+        x = np.linspace(1.0, -0.5, e.dim)
+        ks = [1, 8, 16]
+        ref = diff_moments(16, engine.diff_pairs(e, kern, x, _streams_root(5), 50, ks=ks))
+        with monkeypatch.context() as mp:
+            mp.setattr(engine, "batch_size", lambda *a: 3)
+            out = engine.simulate_paths(e, kern, x, x, _streams_root(5), 50,
+                                        want_s=True, want_s_prime=True, ks=ks)
+        assert dot_moments(16, ks, out) == ref
+
 
 class TestRowBytes:
     # The chunk queue budgets its look-ahead by these sizes, so they must
@@ -444,6 +481,14 @@ class TestRowBytes:
         ks = (1, 4, 8)
         out = engine.diff_pairs(e, kern, x, _streams_root(3), reps, ks=ks)
         assert sum(v.nbytes for v in out.values()) == reps * engine.diff_row_bytes(e, ks)
+
+    @pytest.mark.parametrize("ks", [(1,), (1, 2), (1, 4, 8)])
+    def test_path_pass_bytes_count_the_dots(self, dense3, ks):
+        x = np.array([1.0, -0.3, 0.4])
+        kw = {"want_s": True, "want_s_prime": True, "ks": ks}
+        out = engine.simulate_paths(dense3, precompute_kernel(dense3, 8), x, x,
+                                    _streams_root(3), 5, **kw)
+        assert sum(v.nbytes for v in out.values()) == 5 * engine.paths_row_bytes(**kw)
 
 
 class TestWorkerPool:

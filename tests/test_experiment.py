@@ -417,8 +417,8 @@ class TestRun:
         run(cfg, workers=1)
         assert executors == []
         run(cfg, workers=2)
-        assert len(executors) == 1  # nine passes of two chunks, one pool
-        assert executors[0].tasks == 18
+        assert len(executors) == 1  # one pass per n of two chunks, one pool
+        assert executors[0].tasks == 6
         assert executors[0].shut_down
 
     def test_pool_shut_down_when_a_suite_raises(self, tmp_path, executors, monkeypatch):
@@ -484,10 +484,11 @@ class TestRun:
         assert len(outputs[0][1]) == len(suites)
 
     def test_look_ahead_stays_within_its_budget(self, tmp_path, executors, monkeypatch):
-        # Passes of 3 chunks whose results take 240 (clt), 1200 (martingale
-        # paths) and 720 bytes (difference pairs at d = 1, three ks).
+        # One pass per n of 3 chunks, whose results take 2640 bytes: 11
+        # float64 a replicate (five path statistics and six dots of three ks).
+        # The budget fits two passes, so the third waits for the first take.
         monkeypatch.setattr(experiment.engine, "batch_size", lambda *a: 10)
-        monkeypatch.setattr(experiment, "_MAX_AHEAD_BYTES", 2000)
+        monkeypatch.setattr(experiment, "_MAX_AHEAD_BYTES", 6000)
         cfg = self._cfg(tmp_path, suites=["clt", "martingale"], n_grid=[16, 32, 64],
                         replicates=30, structure_draws=1000)
         taken = []  # (chunks submitted before the take, result bytes) per pass
@@ -501,7 +502,7 @@ class TestRun:
 
         monkeypatch.setattr(experiment, "_run_pass", spy)
         run(cfg, workers=2)
-        assert len(taken) == 9 and executors[0].tasks == 27
+        assert len(taken) == 3 and executors[0].tasks == 9
         sizes = [nbytes for _, nbytes in taken]
         assert sizes == [p.nbytes for p in experiment._passes(cfg)]  # the budget's sizes
         ahead = []
@@ -511,7 +512,7 @@ class TestRun:
             m = submitted // 3
             assert sum(sizes[j:m - 1]) <= experiment._MAX_AHEAD_BYTES
             ahead.append(m - j)
-        assert max(ahead) >= 2 and taken[0][0] < 27  # it looks ahead, within bounds
+        assert max(ahead) >= 2 and taken[0][0] < 9  # it looks ahead, within bounds
 
     def test_chunk_raising_in_a_worker_is_exit_3(self, tmp_path, capsys, executors,
                                                  monkeypatch):
@@ -536,7 +537,7 @@ class TestRun:
                                                          monkeypatch):
         # Canonical probes project a diagonal law's limit to 0, so the clt
         # suite stops before it takes a pass: the queue gets only the
-        # martingale suite's six passes of four chunks each.
+        # martingale suite's three passes of four chunks each.
         monkeypatch.setattr(experiment.engine, "batch_size", lambda *a: 12)
         raw = _base_config(tmp_path, suites=["clt", "martingale"], n_grid=[16, 32, 64],
                            replicates=40, structure_draws=1000,
@@ -546,12 +547,60 @@ class TestRun:
         for w in (1, 2):
             raw["output_dir"] = str(tmp_path / f"w{w}")
             reports.append(run(load_config(_write(tmp_path, f"w{w}.json", raw)), workers=w))
-        assert len(executors) == 1 and executors[0].tasks == 6 * 4
+        assert len(executors) == 1 and executors[0].tasks == 3 * 4
+        assert experiment._passes(load_config(_write(
+            tmp_path, "clt.json", dict(raw, suites=["clt"])))) == []  # alone, no pass
         assert "error" in reports[1].suites["clt"]["details"]
         assert reports[0].suites == reports[1].suites
         for name in raw["suites"]:
             assert (open(reports[0].csv_paths[name], "rb").read()
                     == open(reports[1].csv_paths[name], "rb").read())
+
+    # The clt and martingale suites read one path pass per n. Neither suite's
+    # bytes may depend on whether the other is configured, at any worker
+    # count; a forced width of 12 cuts 40 replicates into 4 chunks.
+    @pytest.mark.parametrize("ensemble", [
+        {"family": "diagonal_uniform", "dim": 4, "low": -0.5, "high": 1.0},
+        {"family": "finite_support", "probabilities": [0.2, 0.3, 0.5],
+         "matrices": np.random.default_rng(4).uniform(-0.3, 0.3, (3, 3, 3)).tolist()},
+    ], ids=["diagonal", "finite_support"])
+    def test_shared_pass_bytes_do_not_depend_on_the_other_suites(self, tmp_path,
+                                                                   monkeypatch, ensemble):
+        monkeypatch.setattr(experiment.engine, "batch_size", lambda *a: 12)
+        rng = np.random.default_rng(10)
+        d = ensemble.get("dim", 3)
+        raw = _base_config(tmp_path, ensemble=ensemble, n_grid=[16, 32, 64],
+                           replicates=40, structure_draws=1000,
+                           probes={"x": rng.uniform(-1, 1, d).tolist(),
+                                   "y": rng.uniform(-1, 1, d).tolist()})
+        csv = {}
+        for suites in (["clt"], ["martingale"], list(SUITE_NAMES)):
+            for w in (1, 2):
+                out = tmp_path / f"{'-'.join(suites)}-w{w}"
+                cfg = load_config(_write(tmp_path, "c.json", dict(
+                    raw, suites=suites, output_dir=str(out))))
+                run(cfg, workers=w)
+                for name in set(suites) & {"clt", "martingale"}:
+                    csv.setdefault(name, []).append((out / f"{name}.csv").read_bytes())
+        for name in ("clt", "martingale"):
+            assert len(csv[name]) == 4 and len(set(csv[name])) == 1
+
+    def test_one_stream_per_replicate_and_n(self, tmp_path, monkeypatch):
+        # one path pass per n keys each replicate once, where the clt pass and
+        # the martingale suite's two passes used to key it three times
+        tags = []
+        child = experiment.RngStream.child
+
+        def spy(self, *parts):
+            tags.append(parts[0])
+            return child(self, *parts)
+
+        monkeypatch.setattr(experiment.RngStream, "child", spy)
+        cfg = self._cfg(tmp_path, suites=["clt", "martingale"], n_grid=[16, 32, 64],
+                        replicates=50, structure_draws=1000)
+        run(cfg, workers=1)
+        assert sorted(set(tags)) == ["clt", "martingale-structure"]
+        assert tags.count("clt") == 50 * 3
 
     def test_kernel_cache_is_scoped_to_one_run(self, tmp_path):
         cfg = self._cfg(tmp_path, suites=["clt"], n_grid=[16, 32], replicates=50)
