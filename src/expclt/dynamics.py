@@ -312,12 +312,14 @@ def _doob_subset_products(exps_k, q1, k: int):
 
 
 def doob_decomposition(e: Ensemble, n: int, k: int, draws, x,
-                       kern: PrecomputedKernel) -> tuple:
+                       kern: PrecomputedKernel, *, visit=None) -> tuple:
     """(M_k x, [D_{k,1} x, ..., D_{k,k} x]) by explicit subset enumeration.
 
     D_{k,m} collects the subset products whose maximum element is m; the
     identity M_k = sum_m D_{k,m} is the brute-force oracle for the Doob
     martingale. Enumeration is capped at k = 12 (2^k products).
+    ``visit(mask, F_P)``, when given, sees each subset product as it is
+    enumerated.
     """
     if k > 12:
         raise ValueError(f"subset enumeration capped at k=12, got {k}")
@@ -334,6 +336,8 @@ def doob_decomposition(e: Ensemble, n: int, k: int, draws, x,
     d_list = [np.zeros(e.dim) for _ in range(k)]
     for mask, f in _doob_subset_products(exps, kern.q_powers[1], k):
         d_list[mask.bit_length() - 1] += f @ x
+        if visit is not None:
+            visit(mask, f)
     return m_k, d_list
 
 
@@ -356,21 +360,21 @@ def doob_check(e: Ensemble, n: int, k: int, draws, x,
     be meaningless; any structural error still lands orders of magnitude
     above 1e-10.
     """
-    m_k, d_list = doob_decomposition(e, n, k, draws, x, kern)
+    base = 2.0 * e.rho / n
+    ratios = [0.0]
+
+    def bound_ratio(mask, f):
+        norm = op_norm(f)
+        if norm > 0.0:  # at rho = 0 the bound and every product are exactly 0
+            ratios.append(norm / (base ** int(mask.bit_count()) * np.exp(k * e.rho / n)))
+
+    m_k, d_list = doob_decomposition(e, n, k, draws, x, kern, visit=bound_ratio)
     floor = 1e-3 * np.exp(k * e.rho / n) * np.linalg.norm(x)
     residual = float(
         np.linalg.norm(m_k - np.sum(d_list, axis=0))
         / max(np.linalg.norm(m_k), floor, np.finfo(float).tiny)
     )
-    exps = _exp_draws(n, draws[:k])
-    base = 2.0 * e.rho / n
-    ratio = 0.0
-    for mask, f in _doob_subset_products(exps, kern.q_powers[1], k):
-        bound = base ** int(mask.bit_count()) * np.exp(k * e.rho / n)
-        norm = op_norm(f)
-        if norm > 0.0:  # at rho = 0 the bound and every product are exactly 0
-            ratio = max(ratio, norm / bound)
-    return DoobCheck(k=k, identity_residual=residual, max_subset_bound_ratio=ratio)
+    return DoobCheck(k=k, identity_residual=residual, max_subset_bound_ratio=max(ratios))
 
 
 def mk_moment_curve(e: Ensemble, n_grid, x, reps: int, r: RngStream) -> list:

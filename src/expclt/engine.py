@@ -3,21 +3,28 @@
 Everything here is an internal performance layer: the public semantics live
 in :mod:`expclt.dynamics`, and each batched routine mirrors a single-replicate
 reference implementation there.  The key structural property is that every
-replicate row is computed from its own keyed stream with row-local numpy
-operations only: its uniforms come from its own stream and map to support
-indices or diagonal values elementwise.  There are two sweeps, one per
-algebra.  Where every draw acts entrywise (finite support at d=1,
+replicate row is computed from its own keyed stream by arithmetic whose bits
+depend on that row alone: its uniforms come from its own stream and map to
+support indices or diagonal values elementwise.  There are two sweeps, one
+per algebra.  Where every draw acts entrywise (finite support at d=1,
 diagonal_uniform), :func:`_elementwise_sweep` takes a block of steps at
 once: ``multiply.reduce`` and ``add.reduce`` over blocks whose row 0 is the
 running product or sum, in the per-step order.  Finite support at d >= 2
-multiplies matrices: a step over at most ``_STACKED_MAX_SUPPORT`` support
-matrices is one GEMM against all of them plus a per-row selection
-(:func:`_support_step`), whose rows have the same bits in any part of two
-or more rows (a property of the BLAS, which the chunk-width tests check);
-larger supports gather each row's matrix and multiply per row.  So results
-are bitwise identical for any batch size, chunking, or worker count.  Draw
-rows, index or diagonal, are stored step-major, so each step of a sweep
-reads one contiguous slice.
+multiplies matrices (:func:`_grouped_sweep`): at every step the rows are
+sorted by the support index they drew, and each group is multiplied by its
+own support exponential in GEMMs of exactly ``_TILE`` rows.  The row count
+is fixed because the BLAS rounds a GEMM row by the number of rows in its
+call: with OpenBLAS 0.3.31 at d >= 32, a row multiplied in a 3-row call and
+in a 64-row call differs in its last bits, while calls of one row count give
+a row the same bits whatever its position or neighbours (checked at
+d = 2..69, 80, 96, 100, 127..129, 200, 256 and 512 with one BLAS thread;
+the chunk-width tests check it at d up to 49).  So results are bitwise
+identical for any batch size, chunking, or worker count.  With two OpenBLAS
+threads, at some d from 126 on (126, 127, 129 and 300 among those tried), a
+64-row call is split between them and a row's bits depend on its place in
+the call, so there this holds with one BLAS thread only.  Draw rows, index
+or diagonal, are stored step-major, so each step of a sweep reads one
+contiguous slice.
 
 Both Monte Carlo passes, :func:`simulate_paths` and :func:`diff_pairs`, run
 on one replicate driver: :func:`chunk_ranges` fixes the chunks from the
@@ -33,8 +40,7 @@ Per chunk of B replicates and one k-sweep (k = n .. 1) the engine updates
     u <- z_k + exp(A_k/n) u              (backward recurrence, so that
                                           u_1 = sum_k Pref_{k-1} z_k)
 
-which yields xi_n x, S_n x, S'_n x, R_n x and M_n x in O(n d^2) per row
-(O(n m d^2) on the stacked-GEMM path).
+which yields xi_n x, S_n x, S'_n x, R_n x and M_n x in O(n d^2) per row.
 """
 
 from __future__ import annotations
@@ -73,15 +79,15 @@ _FILL_BLOCK = 65_536
 # x86 host, one BLAS thread).
 _SWEEP_BLOCK = 32_768
 
-# Largest support whose finite-support steps run as one GEMM
-# against all m support exponentials: m times the flops of the per-row
-# products, in one BLAS call instead of B.  Speedup of simulate_block over
-# the per-row path (n = 256, B = 2000, one BLAS thread, 2-core x86 host;
-# plain sweep / with S and S'): d = 16: 4.7x/2.2x at m = 4, 1.7x/1.3x at
-# m = 8, 0.87x/0.72x at m = 16; d = 8: 1.7x/1.5x at m = 8, 0.78x at m = 16;
-# d = 3: 2.4x/1.5x at m = 8, 0.37x/0.41x at m = 64.  Small d would still
-# gain up to m = 16..32; one cap keeps the choice a function of m alone.
-_STACKED_MAX_SUPPORT = 8
+# Replicate-steps per block of _tile_layout (16384 entries: 128 KiB for each
+# of its intp arrays), at least one step; twice that raised the fs16
+# benchmark pass's traced peak by 0.6 MiB and was no faster.
+_LAYOUT_BLOCK = 16_384
+
+# Rows per BLAS call of the grouped sweep.  OpenBLAS rounds a GEMM row by
+# the number of rows in its call (at d >= 32, a 3-row product differs from a
+# 64-row one), so every call the sweep makes has exactly _TILE rows.
+_TILE = 64
 
 
 def batch_size(e, n: int) -> int:
@@ -170,37 +176,112 @@ def _s_tables(kern, x, want_s: bool, want_s_prime: bool):
     return ws, zs
 
 
-def _support_step(exps, B: int):
-    """``step(idx, *vs)``: for each ``(B, d)`` v, the rows ``exps[idx[b]] @ v[b]``.
+def _tile_layout(idx, m: int, prev):
+    """Where each replicate's row sits at each of a block of grouped steps.
 
-    Up to ``_STACKED_MAX_SUPPORT`` support matrices, one GEMM ``v @ stack_t``
-    forms ``E_s v_b`` for every s at once and a take keeps the product each
-    row drew.  A GEMM row has the same bits in any part of two or more rows,
-    but numpy runs a 1-row matmul as a gemv, whose bits differ; so a single
-    row is multiplied as two copies of itself.  Larger supports gather each
-    row's ``(d, d)`` matrix and multiply row by row.
+    ``idx`` holds the support indices drawn at S consecutive steps, one row a
+    step in sweep order, and ``prev`` the slot of each replicate before the
+    first of them.  At every step the replicates are stable-sorted by the
+    index they drew, and each group fills whole tiles of ``_TILE`` slots from
+    the front, so a tile holds rows of one group only.  Returns the slot of
+    each replicate after the last step; per step, the tile count and the
+    previous slot that fills each slot (a slot past its group's rows takes
+    slot 0, which always holds a row); and the group of every tile, all
+    steps' tiles in one array.
     """
-    m, d = exps.shape[:2]
-    if m > _STACKED_MAX_SUPPORT:
-        def step(idx, *vs):
-            ek = exps.take(idx, axis=0)  # (B, d, d) gather
-            return [np.matmul(ek, v[:, :, None])[:, :, 0] for v in vs]
-        return step
+    S, B = idx.shape
+    T = _TILE
+    step = np.arange(S)[:, None]
+    # sorted position i of row r is flat position B r + i: takes and puts on
+    # raveled arrays run several times faster than take_along_axis
+    order = np.argsort(idx, axis=1, kind="stable")
+    order += B * step
+    counts = np.bincount((idx + m * step).ravel(), minlength=S * m).reshape(S, m)
+    tiles = -(-counts // T)
+    # the slot of sorted position i in group s is i + first[s]
+    first = T * (np.cumsum(tiles, axis=1) - tiles) - (np.cumsum(counts, axis=1) - counts)
+    pos = np.repeat(first.ravel(), counts.ravel()).reshape(S, B) + np.arange(B)
+    slots = np.empty((S + 1, B), dtype=np.intp)  # row 0: prev; row 1 + r: after step r
+    slots[0] = prev
+    slots[1:].ravel()[order] = pos
+    ntiles = tiles.sum(axis=1)
+    width = T * int(ntiles.max())
+    fill = np.zeros((S, width), dtype=np.intp)
+    fill.ravel()[slots[1:] + width * step] = slots[:-1]
+    group = np.repeat(np.tile(np.arange(m), S), tiles.ravel())
+    return slots[-1], ntiles.tolist(), fill, group
 
-    stack_t = exps.reshape(m * d, d).T  # column s*d + i is row i of E_s
-    w = np.empty((max(B, 2), m * d))
-    products = w.reshape(-1, d)  # row b*m + s is E_s v_b
-    base = np.arange(B) * m
-    pos = np.empty(B, dtype=np.intp)
 
-    def step(idx, *vs):
-        np.add(base, idx, out=pos)
-        out = []
-        for v in vs:
-            np.matmul(v if B > 1 else np.repeat(v, 2, axis=0), stack_t, out=w)
-            out.append(products.take(pos, axis=0))
-        return out
-    return step
+def _grouped_sweep(kern, x, rows, *, want_v: bool, want_s: bool, want_s_prime: bool,
+                   ks=()):
+    """The sweep of finite support at d >= 2, grouped by the drawn index.
+
+    Returns the end states asked for, in replicate order: ``v`` (the product
+    applied to x) with ``want_v``, ``s`` and ``u`` as in
+    :func:`simulate_block`, and a dict of ``pref[k]``, the prefix product
+    e^{A_1/n} ... e^{A_{k-1}/n} applied to (A_k - EA) Q^{n-k} x, for each k
+    in ``ks``: a state that starts at zero and has z_k added at step k, as u
+    has every z_k.
+
+    The states are planes of one array, their rows laid out in tiles of
+    ``_TILE`` rows by :func:`_tile_layout`.  Each step gathers the planes into
+    its own layout and multiplies every tile by its group's E_s^T in one
+    matmul over the stack of tiles, a GEMM of exactly ``_TILE`` rows each.
+    Rows past a group's end repeat another row and are never read back.  A
+    GEMM row's bits depend on its own values and on the row count of its
+    call, not on the rows beside it, so no output depends on the chunk.  S is
+    summed in replicate order.  The difference planes come by descending k,
+    so the planes a step multiplies are always the leading ``live`` ones.
+    """
+    e, n = kern.ensemble, kern.n
+    d, B, T = e.dim, rows.shape[0], _TILE
+    # E_s^T, C-contiguous: as a transposed view the GEMM took twice as long
+    ets = np.ascontiguousarray(np.stack(kern.exps).transpose(0, 2, 1))
+    m = len(ets)
+    deltas = np.stack(e._deltas)
+    ws, zs = _s_tables(kern, x, want_s, want_s_prime)
+    ks = sorted(set(ks), reverse=True)
+    zk = [deltas @ (kern.q_powers[n - k] @ x) for k in ks]  # (m, d) each
+    live = want_v + want_s_prime  # planes multiplied at the current step
+    planes = live + len(ks)
+    state = np.zeros((live, B, d))  # in replicate order before the first step
+    if want_v:
+        state[0] = x
+    slot = np.arange(B)
+    s = np.zeros((B, d)) if want_s else None
+    widest = T * (-(-B // T) + min(m, B))  # slots of any layout
+    # a plane started at step 1 is never multiplied, so never gathered
+    src, dst = np.empty((planes - (1 in ks)) * widest * d), np.empty(planes * widest * d)
+    steps = rows.T  # (n, B), contiguous for rows from _draw_rows
+    size = max(1, _LAYOUT_BLOCK // max(B, m))
+    nxt = 0  # the next difference plane to start
+    for hi in range(n if live else ks[0], 0, -size):
+        lo = max(0, hi - size)
+        slot, ntiles, fill, group = _tile_layout(steps[lo:hi][::-1], m, slot)
+        t0 = 0
+        for r, k in enumerate(range(hi, lo, -1)):
+            nt = ntiles[r]
+            g = group[t0 : t0 + nt]
+            t0 += nt
+            grow = nxt < len(ks) and ks[nxt] == k
+            out = dst[: (live + grow) * nt * T * d].reshape(live + grow, nt, T, d)
+            if live:
+                tiles = src[: live * nt * T * d].reshape(live, nt * T, d)
+                np.take(state, fill[r, : nt * T], axis=1, out=tiles, mode="clip")
+                np.matmul(tiles.reshape(live, nt, T, d), ets.take(g, axis=0),
+                          out=out[:live])
+            if want_s_prime:
+                out[int(want_v)] += zs[:, k - 1].take(g, axis=0)[:, None]
+            if grow:
+                out[live] = zk[nxt].take(g, axis=0)[:, None]
+                live, nxt = live + 1, nxt + 1
+            state = out.reshape(live, nt * T, d)
+            if want_s:
+                s += ws[:, k - 1].take(steps[k - 1], axis=0)
+    ends = list(np.take(state, slot, axis=1))  # back to replicate order
+    v = ends.pop(0) if want_v else None
+    u = ends.pop(0) if want_s_prime else None
+    return v, s, u, dict(zip(ks, ends))
 
 
 def _support_terms(kern, x, rows, want_s: bool, want_s_prime: bool):
@@ -288,31 +369,15 @@ def simulate_block(kern, x, rows, *, want_s: bool = False, want_s_prime: bool = 
     (B, d) when requested.  All downstream statistics are cheap functions of
     these plus kernel constants.  A law whose draws act entrywise (finite
     support at d=1, diagonal_uniform) runs :func:`_elementwise_sweep`, which
-    gives the same bits as a per-step loop; finite support at d >= 2
-    multiplies every step by the drawn support exponentials through
-    :func:`_support_step`.
+    gives the same bits as a per-step loop; finite support at d >= 2 runs
+    :func:`_grouped_sweep`.
     """
     e = kern.ensemble
-    n, d = kern.n, e.dim
-    B = rows.shape[0]
-    if not e.is_finite_support or d == 1:
+    if not e.is_finite_support or e.dim == 1:
         v, s, u = _elementwise_sweep(kern, x, rows, want_s, want_s_prime)
     else:
-        v = np.tile(np.asarray(x, dtype=float), (B, 1))
-        s = np.zeros((B, d)) if want_s else None
-        u = np.zeros((B, d)) if want_s_prime else None
-        step = _support_step(np.stack(kern.exps), B)
-        ws, zs = _s_tables(kern, x, want_s, want_s_prime)
-        for k in range(n, 0, -1):
-            idx = rows[:, k - 1]
-            if want_s_prime:
-                v, eu = step(idx, v, u)
-                u = zs[idx, k - 1] + eu
-            else:
-                (v,) = step(idx, v)
-            if want_s:
-                s += ws[idx, k - 1]
-
+        v, s, u, _ = _grouped_sweep(kern, x, rows, want_v=True, want_s=want_s,
+                                    want_s_prime=want_s_prime)
     out = {"prod_x": v}
     if want_s:
         out["s_x"] = s
@@ -373,12 +438,12 @@ def diff_pair_block(kern, x, rows, ks):
     """Rows of d_{n,k} x - d'_{n,k} x for each k in ks.
 
     d_{n,k} x comes from a per-support gather table; d'_{n,k} x applies the
-    random prefix e^{A_1/n} ... e^{A_{k-1}/n} to (A_k - EA) Q^{n-k} x by a
-    forward sweep. Cost O(sum(ks) d^2) per row.
+    random prefix e^{A_1/n} ... e^{A_{k-1}/n} to (A_k - EA) Q^{n-k} x, which
+    for finite support is :func:`_grouped_sweep` with only ks asked for.
+    Cost O(sum(ks) d^2) per row.
     """
     e = kern.ensemble
-    n, d = kern.n, e.dim
-    B = rows.shape[0]
+    n = kern.n
     root_n = np.sqrt(float(n))
     out = {}
     if not e.is_finite_support:
@@ -395,19 +460,13 @@ def diff_pair_block(kern, x, rows, ks):
             z = pref * (delta * (qc ** (n - k) * xv))
             out[k] = (d_rows - z) / root_n
         return out
-    step = _support_step(np.stack(kern.exps), B)
-    deltas = np.stack(kern.ensemble._deltas)
+    _, _, _, pref = _grouped_sweep(kern, x, rows, want_v=False, want_s=False,
+                                   want_s_prime=False, ks=ks)
+    deltas = np.stack(e._deltas)
     for k in ks:
         pnk_x = kern.p_powers[n - k] @ x
-        qnk_x = kern.q_powers[n - k] @ x
         d_table = np.einsum("ij,mj->mi", kern.p_powers[k - 1], deltas @ pnk_x) / root_n
-        z_table = deltas @ qnk_x  # (m, d)
-        idx_k = rows[:, k - 1]
-        d_rows = d_table[idx_k]
-        z = z_table[idx_k]
-        for j in range(k - 1, 0, -1):
-            (z,) = step(rows[:, j - 1], z)
-        out[k] = d_rows - z / root_n
+        out[k] = d_table[rows[:, k - 1]] - pref[k] / root_n
     return out
 
 

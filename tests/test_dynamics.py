@@ -245,6 +245,19 @@ class TestDoob:
         with pytest.raises(ValueError):
             doob_decomposition(dense3, 4, 5, _draws(dense3, 4), [1, 0, 0], kern)
 
+    def test_check_enumerates_the_subsets_once(self, dense3, monkeypatch):
+        # the identity and the norm bound read the same 2^k - 1 products
+        from expclt import dynamics
+        seen = []
+        products = dynamics._doob_subset_products
+        monkeypatch.setattr(dynamics, "_doob_subset_products",
+                            lambda *a: (seen.append(mask) or (mask, f)
+                                        for mask, f in products(*a)))
+        n, k = 16, 5
+        kern = precompute_kernel(dense3, n)
+        doob_check(dense3, n, k, _draws(dense3, n), [1.0, -0.5, 0.2], kern)
+        assert seen == list(range(1, 1 << k))
+
     def test_point_mass_residual_uses_floor(self, point2):
         # true M_k = 0; the floored residual must stay tiny, not blow up
         n = 32

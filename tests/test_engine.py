@@ -95,7 +95,7 @@ class TestReferenceParity:
 def _matmul_sweep(kern, x, rows, want_s, want_s_prime):
     """The finite-support sweep with one (B, d, d) gather and batched
     per-row matmul per step: the reference for the scalar kernel at d=1 and
-    for the stacked-GEMM kernel at d >= 2."""
+    for the grouped sweep at d >= 2."""
     exps = np.stack(kern.exps)
     ws, zs = engine._s_tables(kern, x, want_s, want_s_prime)
     B, d = rows.shape[0], kern.ensemble.dim
@@ -143,7 +143,7 @@ def _random_support(d, m):
 
 @pytest.fixture(scope="module")
 def fs9():
-    """One more support matrix than the stacked-GEMM sweep takes."""
+    """Nine support matrices at d = 3: a 3-row chunk has mostly 1-row groups."""
     return _random_support(3, 9)
 
 
@@ -155,26 +155,28 @@ def fs16m4():
 
 @pytest.fixture(scope="module")
 def fs16m8():
-    """The largest support the stacked-GEMM sweep takes, at d = 16."""
+    """Eight support matrices at d = 16."""
     return _random_support(16, 8)
 
 
 def _assert_rows_close(got, ref):
-    # The stacked GEMM sums each row's products in another order than the
-    # per-row matmul, so the two agree to rounding: 1e-12 relative to the
+    # The grouped sweep's GEMM sums each row's products in another order than
+    # the per-row matmul, so the two agree to rounding: 1e-12 relative to the
     # largest entry (n * d * eps is 1.1e-12 at n = 300, d = 16).
     assert got.shape == ref.shape
     np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
 class TestStackedSweep:
-    # At d >= 2 and up to engine._STACKED_MAX_SUPPORT support matrices,
-    # every step is one GEMM against all support exponentials; above it the
-    # engine keeps the per-row matmul. m = 9 covers that fallback, and
-    # n = 7 and 300 are not multiples of anything in the kernels.
+    # At d >= 2 every step multiplies each group of rows by its own support
+    # exponential, in GEMMs of engine._TILE rows over a stack of tiles. With
+    # 37 rows, m = 2 and 8 give groups of several rows and m = 9 and 32
+    # mostly 1-row groups; at d = 33 the BLAS rounds a row by the row count
+    # of its GEMM, and n = 7 and 300 are not multiples of anything in the
+    # kernels.
 
-    @pytest.mark.parametrize("d", [2, 3, 16])
-    @pytest.mark.parametrize("m", [2, 8, 9])
+    @pytest.mark.parametrize("d", [2, 3, 16, 33])
+    @pytest.mark.parametrize("m", [2, 8, 9, 32])
     @pytest.mark.parametrize("n", [7, 300])
     @pytest.mark.parametrize("want_s", [False, True])
     @pytest.mark.parametrize("want_s_prime", [False, True])
@@ -190,8 +192,8 @@ class TestStackedSweep:
         for key in ref:
             _assert_rows_close(got[key], ref[key])
 
-    @pytest.mark.parametrize("d", [2, 3, 16])
-    @pytest.mark.parametrize("m", [2, 8, 9])
+    @pytest.mark.parametrize("d", [2, 3, 16, 33])
+    @pytest.mark.parametrize("m", [2, 8, 9, 32])
     @pytest.mark.parametrize("n", [7, 300])
     def test_diff_pair_block_matches_matmul_prefix(self, d, m, n):
         e = _random_support(d, m)
@@ -204,19 +206,6 @@ class TestStackedSweep:
         assert set(got) == set(ref)
         for k in ks:
             _assert_rows_close(got[k], ref[k])
-
-    def test_fallback_is_the_matmul_sweep(self, fs9):
-        # above the stacked path's support cap the sweep is the reference's
-        assert len(fs9.support) > engine._STACKED_MAX_SUPPORT
-        kern = precompute_kernel(fs9, 40)
-        rows = engine._draw_rows(fs9, [_streams_root(4)(i) for i in range(9)], 40)
-        x = np.array([0.3, 1.0, -0.2])
-        got = engine.simulate_block(kern, x, rows, want_s=True, want_s_prime=True)
-        ref = _matmul_sweep(kern, x, rows, True, True)
-        for key in ref:
-            assert np.array_equal(got[key], ref[key])
-        assert np.array_equal(engine.diff_pair_block(kern, x, rows, [40])[40],
-                              _matmul_diff_pairs(kern, x, rows, [40])[40])
 
 
 class TestScalarSweep:
@@ -359,12 +348,11 @@ class TestChunkingInvariance:
         for key in small:
             assert np.array_equal(small[key], large[key][:7])
 
-    # dense3, fs16m4 and fs16m8 take the stacked-GEMM sweep, fs9 the per-row
-    # fallback and scalar01 the d=1 kernel. With width 3, 50 replicates end
-    # in a 2-row chunk and 49 in a 1-row chunk, which numpy would multiply by
-    # a gemv. The stacked path relies on the BLAS giving every part of 2 or
-    # more rows of a GEMM the bits of the whole product; fs16m4 and fs16m8
-    # check that at the sizes of the fs16 benchmark workload.
+    # dense3, fs9, fs16m4 and fs16m8 take the grouped sweep and scalar01 the
+    # d=1 kernel. With width 3, 50 replicates end in a 2-row chunk and 49 in
+    # a 1-row chunk. The grouped sweep relies on the BLAS giving a row the
+    # same bits in every GEMM of engine._TILE rows; fs16m4 and fs16m8 check
+    # that at the sizes of the fs16 benchmark workload.
 
     @pytest.mark.parametrize("fix", ["dense3", "scalar01", "fs9", "fs16m4", "fs16m8"])
     def test_forced_chunk_width_is_invisible(self, fix, request, monkeypatch):
@@ -403,6 +391,81 @@ class TestChunkingInvariance:
                 experiment._KERNEL_CACHE.clear()
             for k in ks:
                 assert np.array_equal(whole[k], split[k])
+
+    # Past d = 31 this BLAS rounds a GEMM row by the number of rows in its
+    # call: GEMMs with as many rows as the chunk change 9 of these 11
+    # per-replicate statistics at width 3 (d = 32, 33 and 49, m = 4). Every
+    # GEMM of the grouped sweep has engine._TILE rows.
+    @pytest.mark.parametrize("d", [17, 32, 33, 49])
+    @pytest.mark.parametrize("m", [2, 4, 9, 32])
+    def test_forced_chunk_width_is_invisible_at_large_d(self, d, m, monkeypatch):
+        e = _random_support(d, m)
+        kern = precompute_kernel(e, 16)
+        x, y = np.random.default_rng(d).uniform(-1.0, 1.0, (2, d))
+        for reps in (50, 49):
+            def paths():
+                return engine.simulate_paths(e, kern, x, y, _streams_root(29), reps,
+                                             want_s=True, want_s_prime=True, ks=(1, 8, 16))
+            whole = paths()
+            with monkeypatch.context() as mp:
+                mp.setattr(engine, "batch_size", lambda *a: 3)
+                split = paths()
+            assert len(whole) == 11
+            for key in whole:
+                assert np.array_equal(whole[key], split[key]), key
+
+    @pytest.mark.parametrize("d", [17, 32, 33, 49])
+    @pytest.mark.parametrize("m", [2, 4, 9, 32])
+    def test_forced_chunk_width_is_invisible_to_diff_pairs_at_large_d(self, d, m,
+                                                                      monkeypatch):
+        e = _random_support(d, m)
+        kern = precompute_kernel(e, 16)
+        x = np.linspace(1.0, -0.5, d)
+        for reps in (50, 49):
+            whole = engine.diff_pairs(e, kern, x, _streams_root(31), reps, ks=(1, 8, 16))
+            with monkeypatch.context() as mp:
+                mp.setattr(engine, "batch_size", lambda *a: 3)
+                split = engine.diff_pairs(e, kern, x, _streams_root(31), reps, ks=(1, 8, 16))
+            for k in (1, 8, 16):
+                assert np.array_equal(whole[k], split[k]), k
+
+    # Groups of _TILE - 1, _TILE, _TILE + 1 and 2 * _TILE + 1 rows at every
+    # step: a partial tile, a full one, a full one and one more row, and two
+    # full tiles and one more row. A row must keep its bits when the rows are
+    # reordered (new neighbours and tile positions) or swept on their own.
+    @pytest.mark.parametrize("d", [3, 17, 33])
+    def test_rows_keep_their_bits_at_tile_edges(self, d):
+        T, n = engine._TILE, 12
+        sizes = [T - 1, T, T + 1, 2 * T + 1]
+        e = _random_support(d, len(sizes))
+        kern = precompute_kernel(e, n)
+        rng = np.random.default_rng(d)
+        labels = np.repeat(np.arange(len(sizes), dtype=np.uint16), sizes)
+        rows = np.array([rng.permutation(labels) for _ in range(n)]).T  # step-major
+        x = np.linspace(1.0, -0.5, d)
+
+        def sweep(r):
+            out = engine.simulate_block(kern, x, r, want_s=True, want_s_prime=True)
+            out.update(engine.diff_pair_block(kern, x, r, [1, 6, n]))
+            return out
+
+        whole = sweep(rows)
+        perm = rng.permutation(len(labels))
+        for part, sel in ((sweep(rows[perm]), perm), (sweep(rows[:7]), slice(0, 7)),
+                          (sweep(rows[200:201]), slice(200, 201))):
+            for key in whole:
+                assert np.array_equal(part[key], whole[key][sel]), key
+
+    def test_products_do_not_depend_on_the_wants(self):
+        # at d = 33 a row's bits depend on the row count of its GEMM, which
+        # must not change with the states swept beside v
+        e = _random_support(33, 4)
+        kern = precompute_kernel(e, 16)
+        rows = engine._draw_rows(e, [_streams_root(3)(i) for i in range(50)], 16)
+        x = np.linspace(1.0, -0.5, 33)
+        alone = engine.simulate_block(kern, x, rows)["prod_x"]
+        full = engine.simulate_block(kern, x, rows, want_s=True, want_s_prime=True)
+        assert np.array_equal(alone, full["prod_x"])
 
     @pytest.mark.parametrize("fix", ["dense3", "fs9", "diag3", "fs16m4"])
     def test_forced_chunk_width_is_invisible_to_diff_moment_curve(self, fix, request,
