@@ -84,6 +84,12 @@ _SWEEP_BLOCK = 32_768
 # benchmark pass's traced peak by 0.6 MiB and was no faster.
 _LAYOUT_BLOCK = 16_384
 
+# Entries of the support matrices that one matmul call of the grouped sweep
+# gathers, one per tile (2 MiB of float64), at least one matrix.  Every tile
+# of a fs16-shaped step fits one call; at d = 256 and 8192 rows a step's 130
+# tiles would otherwise copy 68 MiB of matrices.
+_GEMM_BLOCK = 262_144
+
 # Rows per BLAS call of the grouped sweep.  OpenBLAS rounds a GEMM row by
 # the number of rows in its call (at d >= 32, a 3-row product differs from a
 # 64-row one), so every call the sweep makes has exactly _TILE rows.
@@ -225,8 +231,9 @@ def _grouped_sweep(kern, x, rows, *, want_v: bool, want_s: bool, want_s_prime: b
 
     The states are planes of one array, their rows laid out in tiles of
     ``_TILE`` rows by :func:`_tile_layout`.  Each step gathers the planes into
-    its own layout and multiplies every tile by its group's E_s^T in one
-    matmul over the stack of tiles, a GEMM of exactly ``_TILE`` rows each.
+    its own layout and multiplies every tile by its group's E_s^T in matmuls
+    over stacks of tiles (one call per ``_GEMM_BLOCK`` entries of gathered
+    matrices), a GEMM of exactly ``_TILE`` rows each.
     Rows past a group's end repeat another row and are never read back.  A
     GEMM row's bits depend on its own values and on the row count of its
     call, not on the rows beside it, so no output depends on the chunk.  S is
@@ -244,9 +251,10 @@ def _grouped_sweep(kern, x, rows, *, want_v: bool, want_s: bool, want_s_prime: b
     zk = [deltas @ (kern.q_powers[n - k] @ x) for k in ks]  # (m, d) each
     live = want_v + want_s_prime  # planes multiplied at the current step
     planes = live + len(ks)
-    state = np.zeros((live, B, d))  # in replicate order before the first step
+    start = np.zeros((live, d))  # every row starts as v = x, u = 0
     if want_v:
-        state[0] = x
+        start[0] = x
+    state = np.broadcast_to(start[:, None], (live, B, d))  # in replicate order
     slot = np.arange(B)
     s = np.zeros((B, d)) if want_s else None
     widest = T * (-(-B // T) + min(m, B))  # slots of any layout
@@ -254,6 +262,7 @@ def _grouped_sweep(kern, x, rows, *, want_v: bool, want_s: bool, want_s_prime: b
     src, dst = np.empty((planes - (1 in ks)) * widest * d), np.empty(planes * widest * d)
     steps = rows.T  # (n, B), contiguous for rows from _draw_rows
     size = max(1, _LAYOUT_BLOCK // max(B, m))
+    per_call = max(1, _GEMM_BLOCK // (d * d))  # tiles per matmul call
     nxt = 0  # the next difference plane to start
     for hi in range(n if live else ks[0], 0, -size):
         lo = max(0, hi - size)
@@ -268,8 +277,10 @@ def _grouped_sweep(kern, x, rows, *, want_v: bool, want_s: bool, want_s_prime: b
             if live:
                 tiles = src[: live * nt * T * d].reshape(live, nt * T, d)
                 np.take(state, fill[r, : nt * T], axis=1, out=tiles, mode="clip")
-                np.matmul(tiles.reshape(live, nt, T, d), ets.take(g, axis=0),
-                          out=out[:live])
+                tiles = tiles.reshape(live, nt, T, d)
+                for a in range(0, nt, per_call):
+                    np.matmul(tiles[:, a : a + per_call], ets.take(g[a : a + per_call], axis=0),
+                              out=out[:live, a : a + per_call])
             if want_s_prime:
                 out[int(want_v)] += zs[:, k - 1].take(g, axis=0)[:, None]
             if grow:

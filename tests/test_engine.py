@@ -456,6 +456,27 @@ class TestChunkingInvariance:
             for key in whole:
                 assert np.array_equal(part[key], whole[key][sel]), key
 
+    @pytest.mark.parametrize("d", [3, 33])
+    def test_gemm_blocks_do_not_change_the_rows(self, d, monkeypatch):
+        # engine._GEMM_BLOCK bounds the support matrices one matmul call
+        # gathers; at one tile per call every row keeps its bits
+        e = _random_support(d, 3)
+        kern = precompute_kernel(e, 12)
+        rows = engine._draw_rows(e, [_streams_root(7)(i) for i in range(300)], 12)
+        x = np.linspace(1.0, -0.5, d)
+
+        def sweep():
+            out = engine.simulate_block(kern, x, rows, want_s=True, want_s_prime=True)
+            out.update(engine.diff_pair_block(kern, x, rows, [1, 6, 12]))
+            return out
+
+        whole = sweep()
+        with monkeypatch.context() as mp:
+            mp.setattr(engine, "_GEMM_BLOCK", d * d)
+            split = sweep()
+        for key in whole:
+            assert np.array_equal(whole[key], split[key]), key
+
     def test_products_do_not_depend_on_the_wants(self):
         # at d = 33 a row's bits depend on the row count of its GEMM, which
         # must not change with the states swept beside v
