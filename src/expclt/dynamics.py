@@ -48,7 +48,6 @@ __all__ = [
     "doob_check",
     "mk_moment_curve",
     "DiffMomentPoint",
-    "diff_moments",
     "dot_moments",
     "diff_moment_curve",
     "riemann_cov_value",
@@ -407,12 +406,6 @@ class DiffMomentPoint:
     ortho: tuple  # ((k, l, mean <delta_k, delta_l>, stderr), ...)
 
 
-def diff_moments(n: int, deltas) -> DiffMomentPoint:
-    """:func:`dot_moments` of the ``(reps, d)`` rows ``deltas[k]`` of
-    d_{n,k} x - d'_{n,k} x at each probe k."""
-    return dot_moments(n, sorted(deltas), engine.diff_dots(deltas))
-
-
 def dot_moments(n: int, ks, dots) -> DiffMomentPoint:
     """Second moments and cross-k orthogonality of difference rows at one n,
     from their per-replicate dots ``dots[k, l]`` (:func:`engine.diff_dots`) at
@@ -428,17 +421,18 @@ def dot_moments(n: int, ks, dots) -> DiffMomentPoint:
 
 
 def diff_moment_curve(e: Ensemble, n_grid, x, reps: int, r: RngStream) -> list:
-    """:func:`diff_moments` at k in {1, ceil(n/2), n} over the grid;
-    replicate i at size n draws from r.child(n, i)."""
+    """:func:`dot_moments` of d_{n,k} x - d'_{n,k} x at k in {1, ceil(n/2), n}
+    over the grid, from the dots of a :func:`engine.simulate_paths` pass with
+    those ks; replicate i at size n draws from r.child(n, i)."""
     if reps < 100:
         raise ValueError("reps must be >= 100")
     x = as_vector(x, e.dim, "x")
     out = []
     for n in n_grid:
-        deltas = engine.diff_pairs(e, precompute_kernel(e, n), x,
-                                   lambda i, n=n: r.child(n, i), reps,
-                                   ks=sorted({1, (n + 1) // 2, n}))
-        out.append(diff_moments(n, deltas))
+        ks = sorted({1, (n + 1) // 2, n})
+        dots = engine.simulate_paths(e, precompute_kernel(e, n), x, x,
+                                     lambda i, n=n: r.child(n, i), reps, ks=ks)
+        out.append(dot_moments(n, ks, dots))
     return out
 
 

@@ -26,12 +26,12 @@ the call, so there this holds with one BLAS thread only.  Draw rows, index
 or diagonal, are stored step-major, so each step of a sweep reads one
 contiguous slice.
 
-Both Monte Carlo passes, :func:`simulate_paths` and :func:`diff_pairs`, run
-on one replicate driver: :func:`chunk_ranges` fixes the chunks from the
-problem shape alone, each chunk draws its rows from its own replicates'
-streams, and :func:`concat_chunks` joins the chunk results in index order.
-:func:`simulate_paths` can run :func:`diff_pair_block` on the rows it drew,
-and reduces each result row by row, so one pass serves every statistic.
+The one Monte Carlo pass, :func:`simulate_paths`, is the replicate driver:
+:func:`chunk_ranges` fixes the chunks from the problem shape alone, each
+chunk draws its rows from its own replicates' streams, and
+:func:`concat_chunks` joins the chunk results in index order.  It can run
+:func:`diff_pair_block` on the rows it drew, and reduces each result row by
+row, so one pass serves every statistic.
 
 Per chunk of B replicates and one k-sweep (k = n .. 1) the engine updates
 
@@ -54,11 +54,8 @@ __all__ = [
     "concat_chunks",
     "simulate_block",
     "simulate_paths",
-    "paths_row_bytes",
     "diff_pair_block",
-    "diff_pairs",
     "diff_dots",
-    "diff_row_bytes",
 ]
 
 # Replicate rows per chunk: keep the per-chunk draw buffer near 2^21 entries
@@ -119,12 +116,6 @@ def chunk_ranges(e, n: int, reps: int) -> list:
 def concat_chunks(parts) -> dict:
     """Per-chunk dicts of row arrays joined into one dict, in chunk order."""
     return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
-
-
-def _by_chunk(e, n: int, stream_for, reps: int, fn) -> dict:
-    """``fn(rows)`` on each chunk's draw rows, joined in index order."""
-    return concat_chunks([fn(_draw_rows(e, [stream_for(i) for i in range(lo, hi)], n))
-                          for lo, hi in chunk_ranges(e, n, reps)])
 
 
 def _draw_rows(e, streams, n: int):
@@ -435,14 +426,8 @@ def simulate_paths(e, kern, x, y, stream_for, reps: int, *, want_s: bool = False
             out.update(diff_dots(diff_pair_block(kern, x, rows, ks)))
         return out
 
-    return _by_chunk(e, n, stream_for, reps, stats)
-
-
-def paths_row_bytes(*, want_s: bool = False, want_s_prime: bool = False, ks=()) -> int:
-    """Bytes per replicate of a :func:`simulate_paths` result: one float64 for
-    ``proj_xi``, two for each of ``want_s`` and ``want_s_prime``, and one for
-    each pair k <= l of ``ks``."""
-    return 8 * (1 + 2 * want_s + 2 * want_s_prime + len(ks) * (len(ks) + 1) // 2)
+    return concat_chunks([stats(_draw_rows(e, [stream_for(i) for i in range(lo, hi)], n))
+                          for lo, hi in chunk_ranges(e, n, reps)])
 
 
 def diff_pair_block(kern, x, rows, ks):
@@ -481,13 +466,6 @@ def diff_pair_block(kern, x, rows, ks):
     return out
 
 
-def diff_pairs(e, kern, x, stream_for, reps: int, *, ks):
-    """:func:`diff_pair_block` rows for ``reps`` replicates, drawn and chunked
-    as in :func:`simulate_paths` and joined in index order."""
-    return _by_chunk(e, kern.n, stream_for, reps,
-                     lambda rows: diff_pair_block(kern, x, rows, ks))
-
-
 def diff_dots(deltas) -> dict:
     """Per-replicate dots ``<delta_k, delta_l>`` of the difference rows
     ``deltas[k]``, keyed ``(k, l)`` for each pair k <= l of its ks.  Each is a
@@ -495,9 +473,3 @@ def diff_dots(deltas) -> dict:
     ks = sorted(deltas)
     return {(k, l): np.sum(deltas[k] * deltas[l], axis=1)
             for a, k in enumerate(ks) for l in ks[a:]}
-
-
-def diff_row_bytes(e, ks) -> int:
-    """Bytes per replicate of a :func:`diff_pairs` result: a float64
-    d-vector for each k in ``ks``."""
-    return 8 * e.dim * len(ks)

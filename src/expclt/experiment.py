@@ -27,9 +27,8 @@ and reduced row by row in its chunk.  Chunks are a fixed function of the
 problem shape and their results are joined in index order, so no emitted
 number depends on the worker count or on the other suites configured.  A run
 keeps at most one process pool, with no more processes than a pass has
-chunks.  The suites that draw no pass run first.  A chunk queue maps the
-chunks of every pass on the pool from the start, in grid order, as far ahead
-as the results not yet taken fit a byte budget.
+chunks.  The suites that draw no pass run first.  The chunks of every pass
+are sent to the pool as the run starts, in grid order.
 """
 
 from __future__ import annotations
@@ -42,10 +41,8 @@ import math
 import os
 import reprlib
 import time
-from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -405,17 +402,9 @@ def emit_csv(header, rows, path) -> None:
 
 # Kernels by (config digest, n), shared by the suites of one run() and emptied
 # when it returns: a kernel holds about 16 MB at d=16, n=4096.  The workers
-# fork when the run's chunk queue starts, before the main process has built
-# any kernel, so each worker builds and keeps its own for the run.
+# fork when the run maps its passes, before the main process has built any
+# kernel, so each worker builds and keeps its own for the run.
 _KERNEL_CACHE: dict = {}
-
-# Bytes of pass results that the chunk queue keeps mapped ahead of the suites,
-# besides the next pass, which it always maps: 8 bytes a replicate, or 88 with
-# the martingale suite. On a 2-core host a covariance and martingale run of a
-# diagonal law at d = 256 (n_grid [4, 8, 16, 32, 64], 16000 replicates, 1000
-# structure draws, two workers) maps its five 1.3 MiB passes at once and peaks
-# at 190 MiB in 8.8-9.9 s, where three passes per n took 369 MiB and 15.6-17.8 s.
-_MAX_AHEAD_BYTES = 64 << 20
 
 
 def _kernel(e: Ensemble, key: str, n: int):
@@ -426,15 +415,6 @@ def _kernel(e: Ensemble, key: str, n: int):
     return kern
 
 
-class _Pass(NamedTuple):
-    """The path pass at one n: engine.simulate_paths over all replicates with
-    the wants ``kw``, keyed by ("clt", n, index) as the clt suite's own pass
-    was; its results take ``nbytes``."""
-    n: int
-    kw: dict
-    nbytes: int
-
-
 def _clt_vacuous(e: Ensemble, sigma2_ref: float) -> bool:
     """Whether the clt suite stops before its first pass: a law that is not a
     point mass, seen through probes that project its limit to zero (canonical
@@ -442,84 +422,39 @@ def _clt_vacuous(e: Ensemble, sigma2_ref: float) -> bool:
     return sigma2_ref == 0.0 and not e.is_point_mass
 
 
-def _path_pass(cfg: ExperimentConfig, n: int) -> _Pass:
-    """The pass at n: the clt suite reads its projections, which no want
-    changes, and the martingale suite what it wants of the same draws."""
-    kw = {}
-    if "martingale" in cfg.suites:  # ks: the steps of the difference pairs
-        kw = {"want_s": True, "want_s_prime": True, "ks": sorted({1, (n + 1) // 2, n})}
-    return _Pass(n, kw, engine.paths_row_bytes(**kw) * cfg.replicates)
+def _pass_kw(cfg: ExperimentConfig, n: int) -> dict:
+    """The wants of the path pass at n: the clt suite reads its projections,
+    which no want changes, and the martingale suite what it wants of the same
+    draws."""
+    if "martingale" not in cfg.suites:
+        return {}
+    # ks: the steps of the difference pairs
+    return {"want_s": True, "want_s_prime": True, "ks": sorted({1, (n + 1) // 2, n})}
 
 
 def _passes(cfg: ExperimentConfig) -> list:
-    """The path passes of the run, one per n in grid order, when a suite takes
+    """The n of each path pass of the run, in grid order, when a suite takes
     them: the martingale suite, or a clt suite that does not stop early."""
     e = cfg.ensemble
     drawn = "martingale" in cfg.suites or (
         "clt" in cfg.suites and not _clt_vacuous(e, sigma_projected(e, cfg.x, cfg.y)))
-    return [_path_pass(cfg, n) for n in cfg.n_grid] if drawn else []
+    return list(cfg.n_grid) if drawn else []
 
 
-def _chunk_task(fn, e, key, n, probes, seed, tag, kw, bounds):
-    """Engine pass ``fn`` over the replicates [lo, hi) = ``bounds`` at one n,
-    keyed by (tag, n, index)."""
-    (lo, hi), root = bounds, RngStream(seed)
-    return fn(e, _kernel(e, key, n), *probes, lambda i: root.child(tag, n, lo + i),
-              hi - lo, **kw)
+def _chunk_task(cfg, key, n, kw, bounds):
+    """The path pass at n over the replicates [lo, hi) = ``bounds``."""
+    (lo, hi), root, e = bounds, RngStream(cfg.master_seed), cfg.ensemble
+    return engine.simulate_paths(e, _kernel(e, key, n), cfg.x, cfg.y,
+                                 lambda i: root.child("clt", n, lo + i), hi - lo, **kw)
 
 
-def _map_chunks(cfg, key, tag, n, pool, fn, probes, kw):
-    """The results of :func:`_chunk_task` on each range of
-    :func:`engine.chunk_ranges`, in index order, mapped on the process pool
-    ``pool``, or computed here as they are read when it is None."""
-    task = functools.partial(_chunk_task, fn, cfg.ensemble, key, n, probes,
-                             cfg.master_seed, tag, kw)
+def _map_pass(cfg: ExperimentConfig, key: str, n: int, pool):
+    """The chunk results of the path pass at n, one per range of
+    :func:`engine.chunk_ranges` in index order: all sent to the process pool
+    ``pool`` now, or computed here as they are read when it is None."""
+    task = functools.partial(_chunk_task, cfg, key, n, _pass_kw(cfg, n))
     return (map if pool is None else pool.map)(
         task, engine.chunk_ranges(cfg.ensemble, n, cfg.replicates))
-
-
-class _ChunkQueue:
-    """A run's passes in grid order, their chunks mapped on its process pool,
-    or computed here as they are taken when it has none: ahead of time while
-    the results mapped and not yet taken fit in _MAX_AHEAD_BYTES, and always
-    the next pass."""
-
-    def __init__(self, pool, cfg, key, passes):
-        self._pool, self._cfg, self._key = pool, cfg, key
-        self._todo = deque(passes)  # not yet mapped
-        self._ahead = deque()  # (pass, results) mapped and not yet taken
-        self._bytes = 0  # the nbytes of the passes ahead
-        self._fill()
-
-    def _fill(self):
-        while self._todo and (not self._ahead or self._bytes + self._todo[0].nbytes
-                              <= _MAX_AHEAD_BYTES):
-            p, cfg = self._todo.popleft(), self._cfg
-            self._ahead.append((p, _map_chunks(cfg, self._key, "clt", p.n, self._pool,
-                                               engine.simulate_paths, (cfg.x, cfg.y), p.kw)))
-            self._bytes += p.nbytes
-
-    def take(self, n: int) -> list:
-        """The chunk results of the pass at n, the next listed, in index order."""
-        head, results = self._ahead.popleft()
-        if head.n != n:
-            raise RuntimeError(f"pass at n = {n} taken where n = {head.n} is next")
-        results = list(results)
-        self._bytes -= head.nbytes
-        self._fill()
-        return results
-
-
-def _run_chunks(cfg, key, tag, n, pool, fn, probes, **kw):
-    """Engine pass ``fn`` over all replicates at one n, keyed by (tag, n, index):
-    one call per chunk of :func:`engine.chunk_ranges`, on the process pool
-    ``pool`` or here when it is None, joined in index order."""
-    return engine.concat_chunks(list(_map_chunks(cfg, key, tag, n, pool, fn, probes, kw)))
-
-
-def _run_pass(queue: _ChunkQueue, n: int) -> dict:
-    """The results of the path pass at n, joined in index order."""
-    return engine.concat_chunks(queue.take(n))
 
 
 # --- suites ------------------------------------------------------------------
@@ -678,7 +613,7 @@ def _suite_martingale(cfg: ExperimentConfig, key: str, paths) -> SuiteResult:
     for n in cfg.n_grid:
         stats = paths(n)
         kern = _kernel(e, key, n)
-        ks = _path_pass(cfg, n).kw["ks"]
+        ks = _pass_kw(cfg, n)["ks"]
         diff = dot_moments(n, ks, stats)
         for _, _, mean_dot, se in diff.ortho:
             if abs(mean_dot) > 4.0 * se + 1e-30:
@@ -954,16 +889,16 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> RunReport:
 
     passes = _passes(cfg)
     # a process beyond the largest pass's chunk count would only be forked to idle
-    chunks = (len(engine.chunk_ranges(cfg.ensemble, p.n, cfg.replicates)) for p in passes)
+    chunks = (len(engine.chunk_ranges(cfg.ensemble, n, cfg.replicates)) for n in passes)
     processes = min(workers, max(chunks, default=1))
     pool = ProcessPoolExecutor(max_workers=processes) if processes > 1 else None
     # keyed in config order, whatever order the suites run in
     suites, timings, csv_paths = (dict.fromkeys(cfg.suites) for _ in range(3))
     try:
-        queue = _ChunkQueue(pool, cfg, key, passes)
-        # the path pass at n, computed for the first suite that asks and kept
-        paths = functools.cache(lambda n: _run_pass(queue, n))
-        # the suites that draw no pass run first, while a pool runs the queue
+        mapped = {n: _map_pass(cfg, key, n, pool) for n in passes}
+        # the path pass at n, joined for the first suite that asks and kept
+        paths = functools.cache(lambda n: engine.concat_chunks(list(mapped.pop(n))))
+        # the suites that draw no pass run first, while a pool runs the passes
         for name in sorted(cfg.suites, key=("clt", "martingale").__contains__):
             t0 = time.perf_counter()
             result = _SUITES[name](cfg, key, paths)

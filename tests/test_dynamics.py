@@ -5,6 +5,7 @@ from expclt import (
     RngStream,
     deterministic,
     diagonal_uniform,
+    engine,
     precompute_kernel,
     sample_xi,
     sigma_projected,
@@ -13,10 +14,10 @@ from expclt import (
 from expclt.dynamics import (
     decompose_xi_prime,
     diff_moment_curve,
-    diff_moments,
     dnk_norm_bound,
     doob_check,
     doob_decomposition,
+    dot_moments,
     kernel_consistency,
     lemma_speed_curve,
     lindeberg_max_norm,
@@ -352,7 +353,7 @@ class TestMomentCurves:
         # 4 replicates, d = 2; rows given out of k order
         d1 = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [2.0, 0.0]])
         d2 = np.array([[1.0, 1.0], [1.0, -1.0], [0.0, 2.0], [0.0, 0.0]])
-        pt = diff_moments(9, {2: d2, 1: d1})
+        pt = dot_moments(9, [1, 2], engine.diff_dots({2: d2, 1: d1}))
         assert pt.n == 9
         assert pt.per_k == {1: 2.0, 2: 2.0}  # means of |d|^2: (1+1+2+4)/4, (2+2+4+0)/4
         assert pt.mean_sq == 2.0

@@ -4,14 +4,23 @@ import pytest
 from expclt import (RngStream, diagonal_uniform, finite_support, precompute_kernel,
                     sample_xi, two_point)
 from expclt import engine, experiment
-from expclt.dynamics import (decompose_xi_prime, diff_moment_curve, diff_moments,
-                             dot_moments)
+from expclt.dynamics import decompose_xi_prime, diff_moment_curve, dot_moments
 from expclt.experiment import ExperimentConfig
 
 
 def _streams_root(seed):
     root = RngStream(seed, 0)
     return lambda i: root.child("test", i)
+
+
+def _diff_rows(e, kern, x, stream_for, reps, ks, width=None):
+    """engine.diff_pair_block rows of replicates 0 .. reps-1, drawn in one
+    block, or in blocks of ``width`` and joined in index order."""
+    width = width or reps
+    return engine.concat_chunks([
+        engine.diff_pair_block(kern, x, engine._draw_rows(
+            e, [stream_for(i) for i in range(lo, min(lo + width, reps))], kern.n), ks)
+        for lo in range(0, reps, width)])
 
 
 class TestBatchSize:
@@ -88,8 +97,6 @@ class TestReferenceParity:
         assert set(full) == {"proj_xi", "proj_s", "diff_norm", "r_norm", "mk_norm"}
         with pytest.raises(ValueError, match="reps"):
             engine.simulate_paths(dense3, kern, x, x, _streams_root(1), 0)
-        with pytest.raises(ValueError, match="reps"):
-            engine.diff_pairs(dense3, kern, x, _streams_root(1), 0, ks=[1])
 
 
 def _matmul_sweep(kern, x, rows, want_s, want_s_prime):
@@ -371,24 +378,14 @@ class TestChunkingInvariance:
                 assert np.array_equal(whole[key], split[key])
 
     @pytest.mark.parametrize("fix", ["dense3", "fs9", "diag3", "fs16m4", "fs16m8"])
-    def test_forced_chunk_width_is_invisible_to_diff_pairs(self, fix, request,
-                                                           monkeypatch):
+    def test_forced_chunk_width_is_invisible_to_diff_pairs(self, fix, request):
         e = request.getfixturevalue(fix)
+        kern = precompute_kernel(e, 16)
         x = np.linspace(1.0, -0.5, e.dim)
         ks = (1, 8, 16)
         for reps in (50, 49):
-            cfg = ExperimentConfig(ensemble=e, x=x, y=x, n_grid=(16,), replicates=reps,
-                                   master_seed=23, suites=("martingale",),
-                                   output_dir="unused")
-            try:
-                whole = experiment._run_chunks(cfg, fix, "diff", 16, None,
-                                               engine.diff_pairs, (x,), ks=ks)
-                with monkeypatch.context() as mp:
-                    mp.setattr(engine, "batch_size", lambda *a: 3)
-                    split = experiment._run_chunks(cfg, fix, "diff", 16, None,
-                                                   engine.diff_pairs, (x,), ks=ks)
-            finally:
-                experiment._KERNEL_CACHE.clear()
+            whole = _diff_rows(e, kern, x, _streams_root(23), reps, ks)
+            split = _diff_rows(e, kern, x, _streams_root(23), reps, ks, width=3)
             for k in ks:
                 assert np.array_equal(whole[k], split[k])
 
@@ -416,16 +413,13 @@ class TestChunkingInvariance:
 
     @pytest.mark.parametrize("d", [17, 32, 33, 49])
     @pytest.mark.parametrize("m", [2, 4, 9, 32])
-    def test_forced_chunk_width_is_invisible_to_diff_pairs_at_large_d(self, d, m,
-                                                                      monkeypatch):
+    def test_forced_chunk_width_is_invisible_to_diff_pairs_at_large_d(self, d, m):
         e = _random_support(d, m)
         kern = precompute_kernel(e, 16)
         x = np.linspace(1.0, -0.5, d)
         for reps in (50, 49):
-            whole = engine.diff_pairs(e, kern, x, _streams_root(31), reps, ks=(1, 8, 16))
-            with monkeypatch.context() as mp:
-                mp.setattr(engine, "batch_size", lambda *a: 3)
-                split = engine.diff_pairs(e, kern, x, _streams_root(31), reps, ks=(1, 8, 16))
+            whole = _diff_rows(e, kern, x, _streams_root(31), reps, (1, 8, 16))
+            split = _diff_rows(e, kern, x, _streams_root(31), reps, (1, 8, 16), width=3)
             for k in (1, 8, 16):
                 assert np.array_equal(whole[k], split[k]), k
 
@@ -531,24 +525,37 @@ class TestChunkingInvariance:
             assert np.array_equal(w[:7], s) and np.array_equal(w, c)
 
     # A path pass with ks reduces each chunk's difference rows to dots; the
-    # moments of those dots are the moments of the whole pass's rows.
-    @pytest.mark.parametrize("fix", ["dense3", "fs9", "diag3", "fs16m4"])
+    # moments of those dots are the moments of the whole pass's rows, and
+    # diff_moment_curve reads the same dots of the rows r.child(n, i) draws.
+    @pytest.mark.parametrize("fix", ["dense3", "fs9", "diag3", "fs16m4", "scalar01"])
     def test_pass_dots_give_the_moments_of_the_rows(self, fix, request, monkeypatch):
         e = request.getfixturevalue(fix)
         kern = precompute_kernel(e, 16)
         x = np.linspace(1.0, -0.5, e.dim)
         ks = [1, 8, 16]
-        ref = diff_moments(16, engine.diff_pairs(e, kern, x, _streams_root(5), 50, ks=ks))
+        ref = dot_moments(16, ks, engine.diff_dots(
+            _diff_rows(e, kern, x, _streams_root(5), 50, ks)))
         with monkeypatch.context() as mp:
             mp.setattr(engine, "batch_size", lambda *a: 3)
             out = engine.simulate_paths(e, kern, x, x, _streams_root(5), 50,
                                         want_s=True, want_s_prime=True, ks=ks)
         assert dot_moments(16, ks, out) == ref
+        r = RngStream(5)
+        rows = _diff_rows(e, kern, x, lambda i: r.child(16, i), 100, ks)
+        assert diff_moment_curve(e, [16], x, 100, r) == [
+            dot_moments(16, ks, engine.diff_dots(rows))]
+
+
+def _paths_row_bytes(*, want_s=False, want_s_prime=False, ks=()):
+    """Bytes per replicate of a simulate_paths result: one float64 for
+    proj_xi, two for each of want_s and want_s_prime, one for each pair
+    k <= l of ks."""
+    return 8 * (1 + 2 * want_s + 2 * want_s_prime + len(ks) * (len(ks) + 1) // 2)
 
 
 class TestRowBytes:
-    # The chunk queue budgets its look-ahead by these sizes, so they must
-    # match what simulate_paths and diff_pairs return.
+    # Each statistic of a pass is one float64 per replicate (a d-vector per k
+    # for difference rows), and no key is missing or extra.
     @pytest.mark.parametrize("fix", ["diag3", "dense3", "fs9"])
     def test_row_bytes_match_the_results(self, fix, request):
         e = request.getfixturevalue(fix)
@@ -560,11 +567,11 @@ class TestRowBytes:
                 out = engine.simulate_paths(e, kern, x, x, _streams_root(3), reps,
                                             want_s=want_s, want_s_prime=want_s_prime)
                 assert (sum(v.nbytes for v in out.values())
-                        == reps * engine.paths_row_bytes(want_s=want_s,
-                                                         want_s_prime=want_s_prime))
+                        == reps * _paths_row_bytes(want_s=want_s,
+                                                   want_s_prime=want_s_prime))
         ks = (1, 4, 8)
-        out = engine.diff_pairs(e, kern, x, _streams_root(3), reps, ks=ks)
-        assert sum(v.nbytes for v in out.values()) == reps * engine.diff_row_bytes(e, ks)
+        out = _diff_rows(e, kern, x, _streams_root(3), reps, ks)
+        assert sum(v.nbytes for v in out.values()) == reps * 8 * e.dim * len(ks)
 
     @pytest.mark.parametrize("ks", [(1,), (1, 2), (1, 4, 8)])
     def test_path_pass_bytes_count_the_dots(self, dense3, ks):
@@ -572,15 +579,15 @@ class TestRowBytes:
         kw = {"want_s": True, "want_s_prime": True, "ks": ks}
         out = engine.simulate_paths(dense3, precompute_kernel(dense3, 8), x, x,
                                     _streams_root(3), 5, **kw)
-        assert sum(v.nbytes for v in out.values()) == 5 * engine.paths_row_bytes(**kw)
+        assert sum(v.nbytes for v in out.values()) == 5 * _paths_row_bytes(**kw)
 
 
 class TestWorkerPool:
-    # experiment._run_chunks sends each chunk of engine.chunk_ranges to the
+    # experiment._map_pass sends each chunk of engine.chunk_ranges to the
     # run's process pool. A forced width of 3, which forked workers inherit,
     # cuts 49 replicates into 17 chunks, the last of 1 row, which 2 or 3
-    # workers take in uneven shares. The pooled rows must equal the serial
-    # ones bit for bit.
+    # workers take in uneven shares. The pooled statistics must equal the
+    # serial ones bit for bit.
 
     @pytest.mark.parametrize("fix", ["diag3", "fs9", "fs16m4", "dense3"])
     @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -589,27 +596,22 @@ class TestWorkerPool:
         x = np.linspace(1.0, -0.5, e.dim)
         y = np.linspace(-0.5, 1.0, e.dim)
         cfg = ExperimentConfig(ensemble=e, x=x, y=y, n_grid=(16,), replicates=49,
-                               master_seed=29, suites=("martingale",),
+                               master_seed=29, suites=("clt", "martingale"),
                                output_dir="unused")
         monkeypatch.setattr(engine, "batch_size", lambda *a: 3)
         assert len(engine.chunk_ranges(e, 16, 49)) == 17
 
-        def both(pool):
+        def joined(pool):
             try:
-                paths = experiment._run_chunks(cfg, fix, "paths", 16, pool,
-                                               engine.simulate_paths, (x, y),
-                                               want_s=True, want_s_prime=True)
-                diff = experiment._run_chunks(cfg, fix, "diff", 16, pool,
-                                              engine.diff_pairs, (x,), ks=(1, 8, 16))
+                return engine.concat_chunks(list(experiment._map_pass(cfg, fix, 16, pool)))
             finally:
                 if pool is not None:
                     pool.shutdown()
                 experiment._KERNEL_CACHE.clear()
-            return {**paths, **diff}
 
-        serial = both(None)
-        pooled = both(experiment.ProcessPoolExecutor(workers) if workers > 1 else None)
-        assert set(serial) == set(pooled)
+        serial = joined(None)
+        pooled = joined(experiment.ProcessPoolExecutor(workers) if workers > 1 else None)
+        assert len(serial) == 11 and set(serial) == set(pooled)
         for key in serial:
             assert pooled[key].shape[0] == 49
             assert np.array_equal(serial[key], pooled[key])

@@ -461,7 +461,7 @@ class TestRun:
     def test_suite_order_and_worker_count_never_change_bytes(self, tmp_path, capsys,
                                                              monkeypatch):
         # Passes of one chunk (n = 16) and of four (12, 12, 12, 4) share the
-        # queue, and the suites that draw no pass run first at 2 and 3 workers.
+        # pool, and the suites that draw no pass run first at 2 and 3 workers.
         suites = ["doob", "martingale", "lemma_speed", "clt", "covariance"]
         rng = np.random.default_rng(9)
         path = _write(tmp_path, "c.json", _base_config(
@@ -483,36 +483,23 @@ class TestRun:
         assert outputs[0] == outputs[1] == outputs[2]
         assert len(outputs[0][1]) == len(suites)
 
-    def test_look_ahead_stays_within_its_budget(self, tmp_path, executors, monkeypatch):
-        # One pass per n of 3 chunks, whose results take 2640 bytes: 11
-        # float64 a replicate (five path statistics and six dots of three ks).
-        # The budget fits two passes, so the third waits for the first take.
+    def test_every_chunk_is_sent_before_the_first_pass_is_joined(self, tmp_path,
+                                                                 executors, monkeypatch):
+        # One pass per n of 3 chunks: the run sends all 9 to the pool as it
+        # starts, before the main process joins the first pass.
         monkeypatch.setattr(experiment.engine, "batch_size", lambda *a: 10)
-        monkeypatch.setattr(experiment, "_MAX_AHEAD_BYTES", 6000)
         cfg = self._cfg(tmp_path, suites=["clt", "martingale"], n_grid=[16, 32, 64],
                         replicates=30, structure_draws=1000)
-        taken = []  # (chunks submitted before the take, result bytes) per pass
-        real = experiment._run_pass
+        joined = []  # (chunks submitted, chunks joined) as each pass is joined
+        real = experiment.engine.concat_chunks
 
-        def spy(*args, **kwargs):
-            submitted = executors[0].tasks
-            out = real(*args, **kwargs)
-            taken.append((submitted, sum(v.nbytes for v in out.values())))
-            return out
+        def spy(parts):
+            joined.append((executors[0].tasks, len(parts)))
+            return real(parts)
 
-        monkeypatch.setattr(experiment, "_run_pass", spy)
+        monkeypatch.setattr(experiment.engine, "concat_chunks", spy)
         run(cfg, workers=2)
-        assert len(taken) == 3 and executors[0].tasks == 9
-        sizes = [nbytes for _, nbytes in taken]
-        assert sizes == [p.nbytes for p in experiment._passes(cfg)]  # the budget's sizes
-        ahead = []
-        for j, (submitted, _) in enumerate(taken):
-            assert submitted % 3 == 0 and submitted // 3 > j  # pass j is mapped
-            # passes j .. m-1 are mapped and not yet taken; all but the last fit
-            m = submitted // 3
-            assert sum(sizes[j:m - 1]) <= experiment._MAX_AHEAD_BYTES
-            ahead.append(m - j)
-        assert max(ahead) >= 2 and taken[0][0] < 9  # it looks ahead, within bounds
+        assert joined == [(9, 3)] * 3
 
     def test_chunk_raising_in_a_worker_is_exit_3(self, tmp_path, capsys, executors,
                                                  monkeypatch):
@@ -536,7 +523,7 @@ class TestRun:
     def test_a_clt_suite_that_stops_early_queues_no_pass(self, tmp_path, executors,
                                                          monkeypatch):
         # Canonical probes project a diagonal law's limit to 0, so the clt
-        # suite stops before it takes a pass: the queue gets only the
+        # suite stops before it takes a pass: the pool gets only the
         # martingale suite's three passes of four chunks each.
         monkeypatch.setattr(experiment.engine, "batch_size", lambda *a: 12)
         raw = _base_config(tmp_path, suites=["clt", "martingale"], n_grid=[16, 32, 64],

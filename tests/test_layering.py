@@ -11,6 +11,9 @@ per-law tables and digests.  A new family must pass without adding to them.
 Outside ``ensembles.py``, code draws uniforms only through a stream's
 ``uniform``: it never names numpy's random module, a Philox or a bit
 generator, and never reads the stream's private state.
+
+Every module-level function or class is named by other code in
+``src/expclt`` or exported by ``expclt``: no helper lives on for tests alone.
 """
 
 import ast
@@ -18,6 +21,7 @@ from pathlib import Path
 
 import pytest
 
+import expclt
 from expclt import RngStream
 
 _SRC = Path(__file__).resolve().parents[1] / "src" / "expclt"
@@ -115,3 +119,51 @@ def test_guard_sees_generators_and_private_stream_state():
     assert sorted(_generator_names(source)) == [
         (1, "numpy.random"), (2, "numpy.random"), (3, "ensembles._philox_at"),
         (5, "Philox"), (5, "np.random"), (6, "g.bit_generator"), (6, "r._drawn")]
+
+
+def _unnamed(sources: dict, exported) -> list:
+    """``(module, name)`` for each module-level function or class of
+    ``sources`` (module -> source) that no code names outside its own
+    definition, by identifier, attribute or import, unless it is ``exported``."""
+    def names(node):
+        out = []
+        for n in ast.walk(node):
+            if isinstance(n, ast.Name):
+                out.append(n.id)
+            elif isinstance(n, ast.Attribute):
+                out.append(n.attr)
+            elif isinstance(n, ast.alias):
+                out.append(n.name.rsplit(".", 1)[-1])
+        return out
+
+    trees = {m: ast.parse(s) for m, s in sources.items()}
+    everywhere = [name for tree in trees.values() for name in names(tree)]
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name not in exported
+                    and everywhere.count(node.name) == names(node).count(node.name)):
+                found.append((module, node.name))
+    return found
+
+
+def test_every_definition_is_used_or_exported():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(_SRC.glob("*.py"))}
+    assert _unnamed(sources, set(expclt.__all__)) == []
+
+
+def test_guard_sees_definitions_named_only_by_themselves():
+    sources = {"a": ("__all__ = ['dead']\n"
+                     "def dead():\n"
+                     "    return dead()\n"
+                     "def used():\n"
+                     "    return 1\n"
+                     "class Kept:\n"
+                     "    pass\n"),
+               "b": ("from .a import used\n"
+                     "import a\n"
+                     "def main():\n"
+                     "    return a.Kept, used()\n")}
+    assert _unnamed(sources, set()) == [("a", "dead"), ("b", "main")]
+    assert _unnamed(sources, {"main"}) == [("a", "dead")]
