@@ -423,14 +423,15 @@ def dot_moments(n: int, ks, dots) -> DiffMomentPoint:
 def diff_moment_curve(e: Ensemble, n_grid, x, reps: int, r: RngStream) -> list:
     """:func:`dot_moments` of d_{n,k} x - d'_{n,k} x at k in {1, ceil(n/2), n}
     over the grid, from the dots of a :func:`engine.simulate_paths` pass with
-    those ks; replicate i at size n draws from r.child(n, i)."""
+    those ks and no projection, which sweeps no product; replicate i at size
+    n draws from r.child(n, i)."""
     if reps < 100:
         raise ValueError("reps must be >= 100")
     x = as_vector(x, e.dim, "x")
     out = []
     for n in n_grid:
         ks = sorted({1, (n + 1) // 2, n})
-        dots = engine.simulate_paths(e, precompute_kernel(e, n), x, x,
+        dots = engine.simulate_paths(e, precompute_kernel(e, n), x, None,
                                      lambda i, n=n: r.child(n, i), reps, ks=ks)
         out.append(dot_moments(n, ks, dots))
     return out

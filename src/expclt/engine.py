@@ -395,33 +395,39 @@ def simulate_paths(e, kern, x, y, stream_for, reps: int, *, want_s: bool = False
     ``stream_for(rep_index)`` must return the replicate's own RngStream;
     chunking is internal and cannot affect any output bit.
 
-    Returns a dict of float arrays of length ``reps``: ``proj_xi`` always;
-    ``proj_s`` and ``diff_norm`` with ``want_s``; ``r_norm`` and ``mk_norm``
-    with ``want_s_prime``; and with ``ks``, the :func:`diff_dots` of the
-    :func:`diff_pair_block` rows that the same draws give at those ks.
+    Returns a dict of float arrays of length ``reps``: ``proj_xi``, and
+    ``proj_s`` with ``want_s``, unless ``y`` is None; ``diff_norm`` with
+    ``want_s``; ``r_norm`` and ``mk_norm`` with ``want_s_prime``; and with
+    ``ks``, the :func:`diff_dots` of the :func:`diff_pair_block` rows that the
+    same draws give at those ks.  A pass with no projection and neither want
+    sweeps no product.
     """
     n = kern.n
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    y = None if y is None else np.asarray(y, dtype=float)
     root_n = np.sqrt(float(n))
     ex_x = kern.p_powers[n] @ x  # e^{EA} x
     qn_x = kern.q_powers[n] @ x  # (E e^{A/n})^n x
 
     def stats(rows):
-        block = simulate_block(kern, x, rows, want_s=want_s, want_s_prime=want_s_prime)
-        xi = root_n * (block["prod_x"] - ex_x)
-        # a sum along each row, whose bits no other row changes (a BLAS
-        # matrix-vector product rounds a row by the rows multiplied with it)
-        out = {"proj_xi": (xi * y).sum(axis=1)}
-        if want_s:
-            s = block["s_x"] / root_n
-            out["proj_s"] = (s * y).sum(axis=1)
-            out["diff_norm"] = np.linalg.norm(xi - s, axis=1)
-        if want_s_prime:
-            mk = block["prod_x"] - qn_x
-            s_prime = block["s_prime_x"] / root_n
-            out["r_norm"] = np.linalg.norm(root_n * mk - s_prime, axis=1)
-            out["mk_norm"] = np.linalg.norm(mk, axis=1)
+        out = {}
+        if y is not None or want_s or want_s_prime:
+            block = simulate_block(kern, x, rows, want_s=want_s, want_s_prime=want_s_prime)
+            xi = root_n * (block["prod_x"] - ex_x)
+            if y is not None:
+                # a sum along each row, whose bits no other row changes (a BLAS
+                # matrix-vector product rounds a row by the rows multiplied with it)
+                out["proj_xi"] = (xi * y).sum(axis=1)
+            if want_s:
+                s = block["s_x"] / root_n
+                if y is not None:
+                    out["proj_s"] = (s * y).sum(axis=1)
+                out["diff_norm"] = np.linalg.norm(xi - s, axis=1)
+            if want_s_prime:
+                mk = block["prod_x"] - qn_x
+                s_prime = block["s_prime_x"] / root_n
+                out["r_norm"] = np.linalg.norm(root_n * mk - s_prime, axis=1)
+                out["mk_norm"] = np.linalg.norm(mk, axis=1)
         if ks:
             out.update(diff_dots(diff_pair_block(kern, x, rows, ks)))
         return out

@@ -27,8 +27,9 @@ and reduced row by row in its chunk.  Chunks are a fixed function of the
 problem shape and their results are joined in index order, so no emitted
 number depends on the worker count or on the other suites configured.  A run
 keeps at most one process pool, with no more processes than a pass has
-chunks.  The suites that draw no pass run first.  The chunks of every pass
-are sent to the pool as the run starts, in grid order.
+chunks.  The suites that draw no pass run first, then martingale, then clt.
+The chunks of every pass are sent to the pool as the run starts, in grid
+order.  Each process keeps the kernel of one n at a time.
 """
 
 from __future__ import annotations
@@ -105,13 +106,14 @@ _MAX_DIM = 1024
 
 # Byte caps on the largest arrays of a run, checked before it starts, so that a
 # config too large for memory exits 2 instead of raising MemoryError. The
-# table cap bounds the kernel tables that a run keeps for every n of its grid,
-# plus the martingale suite's S and S' tables at the largest n; on a 2-core
-# host a clt run of a diagonal law at d = 1024, n = 63 (1 GiB of tables, two
-# replicates) peaks at 1080 MiB in 5.8 s. The draw cap bounds one chunk of
-# draw rows, and the structure check's structure_draws x uniforms_per_draw
-# float64 uniforms (781 MiB by default at d = 1024), which it draws in blocks
-# of _STRUCTURE_BLOCK: they bound its time, not its memory.
+# table cap bounds the kernel tables of every n of the grid, an upper bound on
+# the one kernel a process keeps at a time, plus the martingale suite's S and
+# S' tables at the largest n; on a 2-core host a clt run of a diagonal law at
+# d = 1024, n = 63 (1 GiB of tables, two replicates) peaks at 1080 MiB in
+# 5.8 s. The draw cap bounds one chunk of draw rows, and the structure
+# check's structure_draws x uniforms_per_draw float64 uniforms (781 MiB by
+# default at d = 1024), which it draws in blocks of _STRUCTURE_BLOCK: they
+# bound its time, not its memory.
 _MAX_TABLE_BYTES = 1 << 30
 _MAX_DRAW_BYTES = 1 << 30
 _STRUCTURE_BLOCK = 1 << 20
@@ -329,7 +331,8 @@ def _size_errors(e: Ensemble, f: dict) -> list:
     s_tables, chunk = engine.pass_bytes(e, n)
     sizes = []  # (field, arrays, bytes, cap) of the arrays the suites allocate
     if suites & {"clt", "martingale", "doob"}:
-        tables = sum(16 * (k + 1) * e.dim**2 for k in f["n_grid"])  # p and q powers
+        # p and q powers of every n: a bound on those of the one n a process holds
+        tables = sum(16 * (k + 1) * e.dim**2 for k in f["n_grid"])
         sizes.append(("n_grid", f"the kernel tables of the grid and the S tables at "
                       f"n = {n}", tables + s_tables * ("martingale" in suites),
                       _MAX_TABLE_BYTES))
@@ -400,18 +403,19 @@ def emit_csv(header, rows, path) -> None:
 
 # --- parallel replicate machinery -------------------------------------------
 
-# Kernels by (config digest, n), shared by the suites of one run() and emptied
-# when it returns: a kernel holds about 16 MB at d=16, n=4096.  The workers
-# fork when the run maps its passes, before the main process has built any
-# kernel, so each worker builds and keeps its own for the run.
+# The kernel of the last n asked for, by n, shared by the suites of one run()
+# and emptied when it returns: a kernel holds about 16 MB at d=16, n=4096, so
+# a process keeps one at a time.  The workers fork when the run maps its
+# passes, before the main process has built any kernel, so each worker builds
+# and keeps its own.
 _KERNEL_CACHE: dict = {}
 
 
-def _kernel(e: Ensemble, key: str, n: int):
-    kern = _KERNEL_CACHE.get((key, n))
+def _kernel(e: Ensemble, n: int):
+    kern = _KERNEL_CACHE.get(n)
     if kern is None:
-        kern = precompute_kernel(e, n)
-        _KERNEL_CACHE[(key, n)] = kern
+        _KERNEL_CACHE.clear()
+        kern = _KERNEL_CACHE[n] = precompute_kernel(e, n)
     return kern
 
 
@@ -441,18 +445,18 @@ def _passes(cfg: ExperimentConfig) -> list:
     return list(cfg.n_grid) if drawn else []
 
 
-def _chunk_task(cfg, key, n, kw, bounds):
+def _chunk_task(cfg, n, kw, bounds):
     """The path pass at n over the replicates [lo, hi) = ``bounds``."""
     (lo, hi), root, e = bounds, RngStream(cfg.master_seed), cfg.ensemble
-    return engine.simulate_paths(e, _kernel(e, key, n), cfg.x, cfg.y,
+    return engine.simulate_paths(e, _kernel(e, n), cfg.x, cfg.y,
                                  lambda i: root.child("clt", n, lo + i), hi - lo, **kw)
 
 
-def _map_pass(cfg: ExperimentConfig, key: str, n: int, pool):
+def _map_pass(cfg: ExperimentConfig, n: int, pool):
     """The chunk results of the path pass at n, one per range of
     :func:`engine.chunk_ranges` in index order: all sent to the process pool
     ``pool`` now, or computed here as they are read when it is None."""
-    task = functools.partial(_chunk_task, cfg, key, n, _pass_kw(cfg, n))
+    task = functools.partial(_chunk_task, cfg, n, _pass_kw(cfg, n))
     return (map if pool is None else pool.map)(
         task, engine.chunk_ranges(cfg.ensemble, n, cfg.replicates))
 
@@ -473,7 +477,7 @@ def _degenerate_bound(e: Ensemble, n: int) -> float:
     return math.sqrt(n) * math.exp(e.rho) * 1e-11
 
 
-def _suite_clt(cfg: ExperimentConfig, key: str, paths) -> SuiteResult:
+def _suite_clt(cfg: ExperimentConfig, paths) -> SuiteResult:
     e = cfg.ensemble
     sigma2_ref = sigma_projected(e, cfg.x, cfg.y)
     degenerate = e.is_point_mass
@@ -524,7 +528,7 @@ def _suite_clt(cfg: ExperimentConfig, key: str, paths) -> SuiteResult:
     return SuiteResult("clt", bool(passed), details, header, tuple(rows))
 
 
-def _suite_lemma_speed(cfg: ExperimentConfig, key: str, paths) -> SuiteResult:
+def _suite_lemma_speed(cfg: ExperimentConfig, paths) -> SuiteResult:
     e = cfg.ensemble
     points = lemma_speed_curve(e, cfg.n_grid)
     header = ("n", "norm_outer", "norm_inner", "k_max_norm")
@@ -558,10 +562,10 @@ def _suite_lemma_speed(cfg: ExperimentConfig, key: str, paths) -> SuiteResult:
     return SuiteResult("lemma_speed", bool(ok), details, header, rows)
 
 
-def _structure_check(cfg: ExperimentConfig, key: str, n: int):
+def _structure_check(cfg: ExperimentConfig, n: int):
     """MC mean of d_{n,k} at k in {1, n/2, n}: ||mean|| against 4 SEs of zero."""
     e = cfg.ensemble
-    kern = _kernel(e, key, n)
+    kern = _kernel(e, n)
     root = RngStream(cfg.master_seed)
     reps = cfg.structure_draws
     # the stream's draws in blocks of at most _STRUCTURE_BLOCK uniforms
@@ -600,7 +604,7 @@ def _structure_check(cfg: ExperimentConfig, key: str, n: int):
     return out
 
 
-def _suite_martingale(cfg: ExperimentConfig, key: str, paths) -> SuiteResult:
+def _suite_martingale(cfg: ExperimentConfig, paths) -> SuiteResult:
     e = cfg.ensemble
     header = ("n", "mean_Rn_norm", "mean_diff_sq", "mean_Mn_norm", "mean_Mn_norm_sq",
               "riemann_cov_error", "median_Rn_norm", "q90_diff_norm")
@@ -612,7 +616,7 @@ def _suite_martingale(cfg: ExperimentConfig, key: str, paths) -> SuiteResult:
     n_star = lindeberg_threshold(e, _LINDEBERG_EPS)
     for n in cfg.n_grid:
         stats = paths(n)
-        kern = _kernel(e, key, n)
+        kern = _kernel(e, n)
         ks = _pass_kw(cfg, n)["ks"]
         diff = dot_moments(n, ks, stats)
         for _, _, mean_dot, se in diff.ortho:
@@ -639,7 +643,7 @@ def _suite_martingale(cfg: ExperimentConfig, key: str, paths) -> SuiteResult:
             if worst > _LINDEBERG_EPS:
                 bound_ok = False
 
-    structure = _structure_check(cfg, key, cfg.n_grid[-1])
+    structure = _structure_check(cfg, cfg.n_grid[-1])
     structure_ok = all(v["ok"] for v in structure.values())
     curve = {h: [(r[0], r[j]) for r in rows] for j, h in enumerate(header)}  # (n, value)
 
@@ -727,10 +731,10 @@ def _suite_martingale(cfg: ExperimentConfig, key: str, paths) -> SuiteResult:
     return SuiteResult("martingale", bool(passed), details, header, tuple(rows))
 
 
-def _suite_doob(cfg: ExperimentConfig, key: str, paths) -> SuiteResult:
+def _suite_doob(cfg: ExperimentConfig, paths) -> SuiteResult:
     e = cfg.ensemble
     n = cfg.n_grid[-1]
-    kern = _kernel(e, key, n)
+    kern = _kernel(e, n)
     root = RngStream(cfg.master_seed)
     header = ("k", "identity_residual", "max_subset_bound_ratio")
     rows = []
@@ -751,7 +755,7 @@ def _suite_doob(cfg: ExperimentConfig, key: str, paths) -> SuiteResult:
     return SuiteResult("doob", bool(ok), details, header, tuple(rows))
 
 
-def _suite_covariance(cfg: ExperimentConfig, key: str, paths) -> SuiteResult:
+def _suite_covariance(cfg: ExperimentConfig, paths) -> SuiteResult:
     e = cfg.ensemble
     header = ("max_route_delta", "oracle_delta", "node_doubling_delta",
               "min_projected_variance", "max_shift_delta", "symmetry_defect")
@@ -881,7 +885,6 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> RunReport:
     A failing suite is recorded and the run continues.
     """
     workers = default_workers() if workers is None else max(1, int(workers))
-    key = config_digest(cfg)
     try:
         os.makedirs(cfg.output_dir, exist_ok=True)
     except (OSError, ValueError) as exc:
@@ -895,13 +898,14 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> RunReport:
     # keyed in config order, whatever order the suites run in
     suites, timings, csv_paths = (dict.fromkeys(cfg.suites) for _ in range(3))
     try:
-        mapped = {n: _map_pass(cfg, key, n, pool) for n in passes}
+        mapped = {n: _map_pass(cfg, n, pool) for n in passes}
         # the path pass at n, joined for the first suite that asks and kept
         paths = functools.cache(lambda n: engine.concat_chunks(list(mapped.pop(n))))
-        # the suites that draw no pass run first, while a pool runs the passes
-        for name in sorted(cfg.suites, key=("clt", "martingale").__contains__):
+        # the suites that draw no pass run first, while a pool runs the passes;
+        # then martingale, which asks for the kernels in grid order, then clt
+        for name in sorted(cfg.suites, key=lambda s: {"martingale": 1, "clt": 2}.get(s, 0)):
             t0 = time.perf_counter()
-            result = _SUITES[name](cfg, key, paths)
+            result = _SUITES[name](cfg, paths)
             timings[name] = time.perf_counter() - t0
             path = os.path.join(cfg.output_dir, f"{name}.csv")
             emit_csv(result.header, result.rows, path)
@@ -914,7 +918,7 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> RunReport:
 
     report = RunReport(
         version=__version__,
-        config_digest=key,
+        config_digest=config_digest(cfg),
         suites=suites,
         timings_seconds=timings,
         csv_paths=csv_paths,

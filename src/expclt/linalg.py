@@ -8,6 +8,7 @@ mutated.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,8 +140,10 @@ class QuadratureRule:
         return float(np.sum(self.weights * np.asarray(values, dtype=float)))
 
 
+@functools.cache
 def gauss_legendre(m: int) -> QuadratureRule:
-    """m-node Gauss-Legendre rule mapped from [-1, 1] to [0, 1].
+    """m-node Gauss-Legendre rule mapped from [-1, 1] to [0, 1], solved once
+    per m (the rule's arrays are read-only, so callers share them).
 
     Exact for polynomials of degree <= 2m - 1.
     """

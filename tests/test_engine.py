@@ -98,6 +98,23 @@ class TestReferenceParity:
         with pytest.raises(ValueError, match="reps"):
             engine.simulate_paths(dense3, kern, x, x, _streams_root(1), 0)
 
+    @pytest.mark.parametrize("fix", ["dense3", "diag3", "scalar01"])
+    def test_a_pass_without_projection_sweeps_no_product(self, fix, request,
+                                                         monkeypatch):
+        e = request.getfixturevalue(fix)
+        kern, ks = precompute_kernel(e, 16), (1, 8, 16)
+        x = np.linspace(1.0, -0.5, e.dim)
+        with_y = engine.simulate_paths(e, kern, x, x, _streams_root(2), 9, ks=ks)
+        sweeps = []
+        real = engine.simulate_block
+        monkeypatch.setattr(engine, "simulate_block",
+                            lambda *a, **kw: sweeps.append(1) or real(*a, **kw))
+        dots = engine.simulate_paths(e, kern, x, None, _streams_root(2), 9, ks=ks)
+        assert sweeps == []
+        assert set(dots) == {(k, l) for k in ks for l in ks if k <= l}
+        for key in dots:
+            assert np.array_equal(dots[key], with_y[key])
+
 
 def _matmul_sweep(kern, x, rows, want_s, want_s_prime):
     """The finite-support sweep with one (B, d, d) gather and batched
@@ -603,7 +620,7 @@ class TestWorkerPool:
 
         def joined(pool):
             try:
-                return engine.concat_chunks(list(experiment._map_pass(cfg, fix, 16, pool)))
+                return engine.concat_chunks(list(experiment._map_pass(cfg, 16, pool)))
             finally:
                 if pool is not None:
                     pool.shutdown()

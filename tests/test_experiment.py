@@ -594,6 +594,32 @@ class TestRun:
         run(cfg, workers=1)
         assert experiment._KERNEL_CACHE == {}
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_process_keeps_one_kernel_at_a_time(self, tmp_path, executors,
+                                                  monkeypatch, workers):
+        # Every process, the main one and each forked worker, empties its
+        # cache before it builds the kernel of another n; a worker's failed
+        # check reaches the main process through its chunk's result.
+        real, built = experiment.precompute_kernel, []
+
+        def build(e, n):
+            held = list(experiment._KERNEL_CACHE)
+            assert held == [], f"kernels of n = {held} held while building n = {n}"
+            built.append(n)
+            return real(e, n)
+
+        monkeypatch.setattr(experiment, "precompute_kernel", build)
+        monkeypatch.setattr(experiment.engine, "batch_size", lambda *a: 25)  # 2 chunks
+        cfg = self._cfg(tmp_path, suites=list(SUITE_NAMES), n_grid=[16, 32, 64],
+                        replicates=50, structure_draws=1000)
+        run(cfg, workers=workers)
+        assert len(executors) == workers - 1
+        if workers == 1:
+            # doob at the largest n, then martingale in grid order; clt
+            # reads the passes martingale joined and builds none
+            assert built == [64, 16, 32, 64]
+        assert experiment._KERNEL_CACHE == {}
+
     def test_failing_suite_recorded_and_run_continues(self, tmp_path):
         # two grid points cannot support a slope fit: lemma_speed fails,
         # doob still executes and passes
@@ -664,7 +690,7 @@ class TestCli:
 
     def test_non_finite_summary_is_exit_3_and_never_written(self, tmp_path, capsys,
                                                             monkeypatch):
-        def nan_suite(cfg, key, pool):
+        def nan_suite(cfg, paths):
             return experiment.SuiteResult("doob", True, {"value": float("nan")}, ("k",), ())
 
         monkeypatch.setitem(experiment._SUITES, "doob", nan_suite)

@@ -12,8 +12,9 @@ Outside ``ensembles.py``, code draws uniforms only through a stream's
 ``uniform``: it never names numpy's random module, a Philox or a bit
 generator, and never reads the stream's private state.
 
-Every module-level function or class is named by other code in
-``src/expclt`` or exported by ``expclt``: no helper lives on for tests alone.
+Every module-level function, class or constant is named by other code in
+``src/expclt`` or exported by ``expclt``: no helper lives on for tests
+alone, and no constant outlives the code that read it.
 """
 
 import ast
@@ -121,10 +122,22 @@ def test_guard_sees_generators_and_private_stream_state():
         (5, "Philox"), (5, "np.random"), (6, "g.bit_generator"), (6, "r._drawn")]
 
 
+def _defined(node) -> list:
+    """The names a module-level statement defines: a function or class, or
+    the plain names an assignment binds, dunders such as ``__all__`` aside."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t)
+            if isinstance(n, ast.Name) and not n.id.startswith("__")]
+
+
 def _unnamed(sources: dict, exported) -> list:
-    """``(module, name)`` for each module-level function or class of
-    ``sources`` (module -> source) that no code names outside its own
-    definition, by identifier, attribute or import, unless it is ``exported``."""
+    """``(module, name)`` for each module-level function, class or constant
+    of ``sources`` (module -> source) that no code names outside its own
+    definition or assignment, by identifier, attribute or import, unless it
+    is ``exported``."""
     def names(node):
         out = []
         for n in ast.walk(node):
@@ -141,10 +154,8 @@ def _unnamed(sources: dict, exported) -> list:
     found = []
     for module, tree in trees.items():
         for node in tree.body:
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name not in exported
-                    and everywhere.count(node.name) == names(node).count(node.name)):
-                found.append((module, node.name))
+            found += [(module, name) for name in _defined(node) if name not in exported
+                      and everywhere.count(name) == names(node).count(name)]
     return found
 
 
@@ -167,3 +178,19 @@ def test_guard_sees_definitions_named_only_by_themselves():
                      "    return a.Kept, used()\n")}
     assert _unnamed(sources, set()) == [("a", "dead"), ("b", "main")]
     assert _unnamed(sources, {"main"}) == [("a", "dead")]
+
+
+def test_guard_sees_constants_read_only_by_their_assignment():
+    sources = {"a": ("__all__ = ['STEP']\n"
+                     "_CHUNK = 65536\n"
+                     "STEP: int = 2\n"
+                     "_CACHE: dict = {}\n"
+                     "_LOW, _HIGH = 0, 1\n"
+                     "_N = _N + 1 if False else 3\n"
+                     "def f():\n"
+                     "    return _CACHE, _LOW\n"),
+               "b": ("from .a import f\n"
+                     "f()\n")}
+    assert _unnamed(sources, set()) == [("a", "_CHUNK"), ("a", "STEP"),
+                                        ("a", "_HIGH"), ("a", "_N")]
+    assert _unnamed(sources, {"STEP"}) == [("a", "_CHUNK"), ("a", "_HIGH"), ("a", "_N")]
