@@ -1,30 +1,31 @@
 """Batched replicate engine for the product-of-exponentials dynamics.
 
 Everything here is an internal performance layer: the public semantics live
-in :mod:`expclt.dynamics`, and each batched routine mirrors a single-replicate
-reference implementation there.  The key structural property is that every
-replicate row is computed from its own keyed stream by arithmetic whose bits
-depend on that row alone: its uniforms come from its own stream and map to
-support indices or diagonal values elementwise.  There are two sweeps, one
-per algebra.  Where every draw acts entrywise (finite support at d=1,
-diagonal_uniform), :func:`_elementwise_sweep` takes a block of steps at
-once: ``multiply.reduce`` and ``add.reduce`` over blocks whose row 0 is the
-running product or sum, in the per-step order.  Finite support at d >= 2
-multiplies matrices (:func:`_grouped_sweep`): at every step the rows are
-sorted by the support index they drew, and each group is multiplied by its
-own support exponential in GEMMs of exactly ``_TILE`` rows.  The row count
-is fixed because the BLAS rounds a GEMM row by the number of rows in its
-call: with OpenBLAS 0.3.31 at d >= 32, a row multiplied in a 3-row call and
-in a 64-row call differs in its last bits, while calls of one row count give
-a row the same bits whatever its position or neighbours (checked at
-d = 2..69, 80, 96, 100, 127..129, 200, 256 and 512 with one BLAS thread;
-the chunk-width tests check it at d up to 49).  So results are bitwise
-identical for any batch size, chunking, or worker count.  With two OpenBLAS
-threads, at some d from 126 on (126, 127, 129 and 300 among those tried), a
-64-row call is split between them and a row's bits depend on its place in
-the call, so there this holds with one BLAS thread only.  Draw rows, index
-or diagonal, are stored step-major, so each step of a sweep reads one
-contiguous slice.
+in :mod:`expclt.dynamics`, and each batched routine mirrors a
+single-replicate reference implementation there.  The key structural
+property is that every replicate row is computed from its own keyed stream
+by arithmetic whose bits depend on that row alone: its uniforms come from
+its own stream and map to support indices or diagonal values elementwise.
+There are two paths, one per algebra, picked by :func:`_entrywise` for
+sweeps and difference pairs alike.  Where every draw acts entrywise (finite
+support at d=1, diagonal_uniform), :func:`_elementwise_sweep` takes a block
+of steps of :func:`_entrywise_terms` at once: ``multiply.reduce`` and
+``add.reduce`` over blocks whose row 0 is the running product or sum, in the
+per-step order.  Finite support at d >= 2 multiplies matrices
+(:func:`_grouped_sweep`): at every step the rows are sorted by the support
+index they drew, and each group is multiplied by its own support exponential
+in GEMMs of exactly ``_TILE`` rows.  The row count is fixed because the BLAS
+rounds a GEMM row by the number of rows in its call: with OpenBLAS 0.3.31 at
+d >= 32, a row multiplied in a 3-row call and in a 64-row call differs in
+its last bits, while calls of one row count give a row the same bits
+whatever its position or neighbours (checked at d = 2..69, 80, 96, 100,
+127..129, 200, 256 and 512 with one BLAS thread; the chunk-width tests check
+it at d up to 49).  So results are bitwise identical for any batch size,
+chunking, or worker count.  With two OpenBLAS threads, at some d from 126 on
+(126, 127, 129 and 300 among those tried), a 64-row call is split between
+them and a row's bits depend on its place in the call, so there this holds
+with one BLAS thread only.  Draw rows, index or diagonal, are stored
+step-major, so each step of a sweep reads one contiguous slice.
 
 The one Monte Carlo pass, :func:`simulate_paths`, is the replicate driver:
 :func:`chunk_ranges` fixes the chunks from the problem shape alone, each
@@ -36,7 +37,7 @@ row, so one pass serves every statistic.
 Per chunk of B replicates and one k-sweep (k = n .. 1) the engine updates
 
     v <- exp(A_k/n) v                    (the random product, right to left)
-    s <- s + P_{k-1} (A_k - EA) P_{n-k} x   (gathered from a per-(i,k) table)
+    s <- s + P_{k-1} (A_k - EA) P_{n-k} x   (at d >= 2, gathered from a per-(i,k) table)
     u <- z_k + exp(A_k/n) u              (backward recurrence, so that
                                           u_1 = sum_k Pref_{k-1} z_k)
 
@@ -67,13 +68,14 @@ _CHUNK_TARGET = 2_097_152
 # rows (n entries a row) and diagonal rows (n d) alike, at least one row.
 _FILL_BLOCK = 65_536
 
-# Entries per block of _elementwise_sweep (256 KiB of float64): it takes this
-# many entries' worth of whole steps (B d entries each) at a time, at least
-# one step, so its (steps + 1, B d) blocks of factors and of S terms hold at
-# most _SWEEP_BLOCK + B d entries, or 2 B d when one step alone is larger.
-# At the criterion-1 chunk width (B = 512, d = 1) a block is 64 steps; at
-# twice this size that plain sweep took 24 ms a chunk against 7 ms (2-core
-# x86 host, one BLAS thread).
+# Entries per block of _elementwise_sweep, and of the d=1 difference pairs'
+# prefix sums (256 KiB of float64): each takes this many entries' worth of
+# whole steps (B d entries each) at a time, at least one step, so its
+# (steps + 1, B d) blocks of factors and of S terms hold at most
+# _SWEEP_BLOCK + B d entries, or 2 B d when one step alone is larger. At
+# the criterion-1 chunk width (B = 512, d = 1) a block is 64 steps; at twice
+# this size that plain sweep took 24 ms a chunk against 7 ms (2-core x86
+# host, one BLAS thread).
 _SWEEP_BLOCK = 32_768
 
 # Replicate-steps per block of _tile_layout (16384 entries: 128 KiB for each
@@ -286,62 +288,68 @@ def _grouped_sweep(kern, x, rows, *, want_v: bool, want_s: bool, want_s_prime: b
     return v, s, u, dict(zip(ks, ends))
 
 
-def _support_terms(kern, x, rows, want_s: bool, want_s_prime: bool):
-    """:func:`_elementwise_sweep`'s ``fill`` for finite support at d=1: the
-    drawn ``e^{a_s/n}`` and the drawn entries of the :func:`_s_tables`."""
-    n = kern.n
-    ev = np.array([float(m[0, 0]) for m in kern.exps])
-    # flat tables: take at flat positions gathers faster than fancy indexing
-    ws, zs = (None if t is None else t.reshape(-1)
-              for t in _s_tables(kern, x, want_s, want_s_prime))
-    steps = rows.T  # (n, B), contiguous for rows from _draw_rows
-
-    def fill(lo, hi, f, w):
-        idx = steps[lo:hi][::-1]  # idx[r]: the indices drawn at step hi - r
-        ev.take(idx, out=f)
-        if w is None and zs is None:
-            return None
-        # the flat position of entry (idx[r], k - 1) for step k = hi - r
-        at = n * idx.astype(np.intp) + np.arange(hi - 1, lo - 1, -1)[:, None]
-        if w is not None:
-            ws.take(at, out=w)
-        return None if zs is None else zs.take(at)
-    return fill
+def _entrywise(e) -> bool:
+    """Whether every draw acts entrywise: finite support at d=1, diagonal_uniform."""
+    return not e.is_finite_support or e.dim == 1
 
 
-def _diagonal_terms(kern, x, rows, want_s: bool, want_s_prime: bool):
-    """:func:`_elementwise_sweep`'s ``fill`` for diagonal_uniform, in closed
-    form: every operator in sight is diagonal and the mean is a multiple of
-    I, so P_j = e^{mid j/n} I and Q^j = (E e^{a/n})^j I."""
-    e, n = kern.ensemble, kern.n
-    mid = 0.5 * (e.low + e.high)
-    pk = np.exp(mid * np.arange(n + 1) / n)
-    qk = float(kern.q_powers[1][0, 0]) ** np.arange(n + 1)
-    xv = np.tile(np.asarray(x, dtype=float), rows.shape[0])  # x in every row
+def _entrywise_terms(kern, x, rows, want_s_prime: bool):
+    """``fill`` and ``prefix`` of an :func:`_entrywise` law, on flat ``(B d,)`` rows.
+
+    P_j = p_j I and Q^j = q_j I come from the kernel.  ``fill(lo, hi, f, w)``
+    writes the factors e^{a/n} of steps hi, hi-1, ..., lo+1 into ``f`` and
+    their S terms p_{k-1} (Δ (p_{n-k} x)) into ``w`` (either may be None),
+    and with ``want_s_prime`` returns their S' inputs Δ (q_{n-k} x), where a
+    is a step's drawn entries and Δ = a - EA.  ``prefix(k)`` is
+    a_1 + ... + a_{k-1}, added in step order.  At d=1 the rows hold support
+    indices, and a, Δ and e^{a/n} are gathered from per-index tables.
+    """
+    e, n, B = kern.ensemble, kern.n, rows.shape[0]
+    p, q = kern.p_powers[:, :1, 0], kern.q_powers[:, :1, 0]  # (n + 1, 1): p_j and q_j
+    xt = np.tile(np.asarray(x, dtype=float), B)  # x in every row
     steps = rows.swapaxes(0, 1).reshape(n, -1)  # (n, B d), a view for rows from _draw_rows
+    if e.is_finite_support:
+        ev, av, dv = (np.array([t[0, 0] for t in ts]) for ts in (kern.exps, e.support, e._deltas))
+        factor, delta, size = ev.take, dv.take, max(1, _SWEEP_BLOCK // B)
+
+        def prefix(k):  # a block of steps at a time: no float64 copy of the rows
+            acc = np.zeros((size + 1, B))  # row 0: the sum so far; row 1 + r: a_{lo+1+r}
+            for lo in range(0, k - 1, size):
+                hi = min(lo + size, k - 1)
+                av.take(steps[lo:hi], out=acc[1 : hi - lo + 1])
+                acc[0] = _add_steps(acc[: hi - lo + 1])
+            return acc[0]
+    else:
+        mean = e.mean()[0, 0]
+        factor = lambda a, out: np.exp(a / n, out=out)
+        delta = lambda a: a - mean
+        prefix = lambda k: _add_steps(steps[: k - 1]) if k >= 2 else 0.0
 
     def fill(lo, hi, f, w):
-        vals = steps[lo:hi][::-1]  # vals[r] = a_{hi-r}
-        np.exp(vals / n, out=f)
-        dx = (vals - mid) * xv if w is not None or want_s_prime else None
+        a = steps[lo:hi][::-1]  # a[r]: the draws of step hi - r
+        if f is not None:
+            factor(a, out=f)
+        dk = delta(a) if w is not None or want_s_prime else None
         if w is not None:
-            np.multiply((pk[lo:hi][::-1] * pk[n - hi : n - lo])[:, None], dx, out=w)
-        return qk[n - hi : n - lo, None] * dx if want_s_prime else None
-    return fill
+            np.multiply(p[n - hi : n - lo], xt, out=w)  # P_{n-k} x
+            w *= dk
+            w *= p[lo:hi][::-1]
+        if want_s_prime:
+            z = np.multiply(q[n - hi : n - lo], xt)  # Q^{n-k} x
+            z *= dk
+            return z
+    return fill, prefix
 
 
 def _elementwise_sweep(kern, x, rows, want_s: bool, want_s_prime: bool):
-    """The sweep of a law whose draws act entrywise, on flat ``(B d,)`` state.
+    """The sweep of an :func:`_entrywise` law, on flat ``(B d,)`` state.
 
-    The family's ``fill(lo, hi, f, w)`` writes the factors of steps hi,
-    hi-1, ..., lo+1 into ``f`` and their S terms into ``w`` (None without S),
-    and returns their S' inputs.  ``multiply.reduce`` and :func:`_add_steps`
-    over blocks whose row 0 is the running v or s then multiply and add in
-    the per-step loop's order; the S' recurrence runs step by step in place.
+    ``multiply.reduce`` and :func:`_add_steps` over blocks of steps whose row 0
+    is the running v or s multiply and add in the per-step loop's order; the
+    S' recurrence runs step by step in place.
     """
     e, B = kern.ensemble, rows.shape[0]
-    fill = (_support_terms if e.is_finite_support else _diagonal_terms)(
-        kern, x, rows, want_s, want_s_prime)
+    fill, _ = _entrywise_terms(kern, x, rows, want_s_prime)
     size = max(1, _SWEEP_BLOCK // (B * e.dim))
     ev = np.empty((size + 1, B * e.dim))  # row 0: v; row 1 + r: step hi-r's factor
     sv = np.empty_like(ev) if want_s else None  # row 0: s; row 1 + r: step hi-r's term
@@ -369,13 +377,12 @@ def simulate_block(kern, x, rows, *, want_s: bool = False, want_s_prime: bool = 
 
     Output dict keys: ``prod_x`` (B, d) always; ``s_x`` and ``s_prime_x``
     (B, d) when requested.  All downstream statistics are cheap functions of
-    these plus kernel constants.  A law whose draws act entrywise (finite
-    support at d=1, diagonal_uniform) runs :func:`_elementwise_sweep`, which
-    gives the same bits as a per-step loop; finite support at d >= 2 runs
+    these plus kernel constants.  An :func:`_entrywise` law (finite support
+    at d=1, diagonal_uniform) runs :func:`_elementwise_sweep`, which gives
+    the same bits as a per-step loop; finite support at d >= 2 runs
     :func:`_grouped_sweep`.
     """
-    e = kern.ensemble
-    if not e.is_finite_support or e.dim == 1:
+    if _entrywise(kern.ensemble):
         v, s, u = _elementwise_sweep(kern, x, rows, want_s, want_s_prime)
     else:
         v, s, u, _ = _grouped_sweep(kern, x, rows, want_v=True, want_s=want_s,
@@ -439,28 +446,21 @@ def simulate_paths(e, kern, x, y, stream_for, reps: int, *, want_s: bool = False
 def diff_pair_block(kern, x, rows, ks):
     """Rows of d_{n,k} x - d'_{n,k} x for each k in ks.
 
-    d_{n,k} x comes from a per-support gather table; d'_{n,k} x applies the
-    random prefix e^{A_1/n} ... e^{A_{k-1}/n} to (A_k - EA) Q^{n-k} x, which
-    for finite support is :func:`_grouped_sweep` with only ks asked for.
-    Cost O(sum(ks) d^2) per row.
+    d_{n,k} x is the S term of step k; d'_{n,k} x applies the random prefix
+    e^{A_1/n} ... e^{A_{k-1}/n} to its S' input (A_k - EA) Q^{n-k} x.  An
+    :func:`_entrywise` law takes both from :func:`_entrywise_terms`, the
+    prefix as e^{(a_1 + ... + a_{k-1})/n}; finite support at d >= 2 runs
+    :func:`_grouped_sweep` with only ks asked for.  Cost O(sum(ks) d^2) per row.
     """
-    e = kern.ensemble
-    n = kern.n
+    e, n = kern.ensemble, kern.n
     root_n = np.sqrt(float(n))
     out = {}
-    if not e.is_finite_support:
-        # Diagonal-uniform: both difference sequences are elementwise.
-        mid = 0.5 * (e.low + e.high)
-        pk = np.exp(mid * np.arange(n + 1) / n)
-        qc = float(kern.q_powers[1][0, 0])
-        xv = np.asarray(x, dtype=float)
-        steps = rows.swapaxes(0, 1)  # (n, B, d)
+    if _entrywise(e):
+        fill, prefix = _entrywise_terms(kern, x, rows, want_s_prime=True)
+        w = np.empty((1, rows.shape[0] * e.dim))  # the S term of step k
         for k in ks:
-            delta = rows[:, k - 1, :] - mid
-            d_rows = (pk[k - 1] * pk[n - k]) * (delta * xv)
-            pref = np.exp(_add_steps(steps[: k - 1]) / n) if k >= 2 else 1.0
-            z = pref * (delta * (qc ** (n - k) * xv))
-            out[k] = (d_rows - z) / root_n
+            z = fill(k - 1, k, None, w)
+            out[k] = ((w[0] - np.exp(prefix(k) / n) * z[0]) / root_n).reshape(-1, e.dim)
         return out
     _, _, _, pref = _grouped_sweep(kern, x, rows, want_v=False, want_s=False,
                                    want_s_prime=False, ks=ks)

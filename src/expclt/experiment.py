@@ -104,16 +104,17 @@ _MAX_RHO = 100.0
 # 75 s at d = 2048.
 _MAX_DIM = 1024
 
-# Byte caps on the largest arrays of a run, checked before it starts, so that a
-# config too large for memory exits 2 instead of raising MemoryError. The
-# table cap bounds the kernel tables of every n of the grid, an upper bound on
-# the one kernel a process keeps at a time, plus the martingale suite's S and
-# S' tables at the largest n; on a 2-core host a clt run of a diagonal law at
-# d = 1024, n = 63 (1 GiB of tables, two replicates) peaks at 1080 MiB in
-# 5.8 s. The draw cap bounds one chunk of draw rows, and the structure
-# check's structure_draws x uniforms_per_draw float64 uniforms (781 MiB by
-# default at d = 1024), which it draws in blocks of _STRUCTURE_BLOCK: they
-# bound its time, not its memory.
+# Byte caps on the largest arrays of a run, checked before it starts, so that
+# a config too large for memory exits 2 instead of raising MemoryError. The
+# table cap bounds the kernel tables of every n of the grid, an upper bound
+# on the one kernel a process keeps at a time, plus the martingale suite's S
+# and S' tables at the largest n; on a 2-core host a clt run of a diagonal
+# law at d = 1024, n = 63 (1 GiB of tables, two replicates) peaks at 1080 MiB
+# in 5.8 s. A pool has no more workers than leave a copy of those at the
+# largest n in every process under the cap. The draw cap bounds one chunk of
+# draw rows, and the structure check's structure_draws x uniforms_per_draw
+# float64 uniforms (781 MiB by default at d = 1024), which it draws in blocks
+# of _STRUCTURE_BLOCK: they bound its time, not its memory.
 _MAX_TABLE_BYTES = 1 << 30
 _MAX_DRAW_BYTES = 1 << 30
 _STRUCTURE_BLOCK = 1 << 20
@@ -324,18 +325,21 @@ def validate_config(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(x=x, y=y, **f)
 
 
+def _table_bytes(e: Ensemble, n_grid, suites) -> int:
+    """Bytes of each n's kernel tables, plus the martingale S tables at the last n."""
+    s_tables = engine.pass_bytes(e, n_grid[-1])[0] * ("martingale" in suites)
+    return sum(16 * (k + 1) * e.dim**2 for k in n_grid) + s_tables
+
+
 def _size_errors(e: Ensemble, f: dict) -> list:
     """A line naming ``n_grid`` or ``structure_draws`` for each array of the
     run whose bytes would pass its cap."""
     n, suites, per_draw = f["n_grid"][-1], set(f["suites"]), e.uniforms_per_draw
-    s_tables, chunk = engine.pass_bytes(e, n)
+    chunk = engine.pass_bytes(e, n)[1]
     sizes = []  # (field, arrays, bytes, cap) of the arrays the suites allocate
     if suites & {"clt", "martingale", "doob"}:
-        # p and q powers of every n: a bound on those of the one n a process holds
-        tables = sum(16 * (k + 1) * e.dim**2 for k in f["n_grid"])
         sizes.append(("n_grid", f"the kernel tables of the grid and the S tables at "
-                      f"n = {n}", tables + s_tables * ("martingale" in suites),
-                      _MAX_TABLE_BYTES))
+                      f"n = {n}", _table_bytes(e, f["n_grid"], suites), _MAX_TABLE_BYTES))
     if suites & {"clt", "martingale"}:
         sizes.append(("n_grid", f"the draw rows of one chunk at n = {n}", chunk,
                       _MAX_DRAW_BYTES))
@@ -893,7 +897,8 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> RunReport:
     passes = _passes(cfg)
     # a process beyond the largest pass's chunk count would only be forked to idle
     chunks = (len(engine.chunk_ranges(cfg.ensemble, n, cfg.replicates)) for n in passes)
-    processes = min(workers, max(chunks, default=1))
+    per_process = _table_bytes(cfg.ensemble, cfg.n_grid[-1:], cfg.suites)
+    processes = min(workers, max(chunks, default=1), _MAX_TABLE_BYTES // per_process - 1)
     pool = ProcessPoolExecutor(max_workers=processes) if processes > 1 else None
     # keyed in config order, whatever order the suites run in
     suites, timings, csv_paths = (dict.fromkeys(cfg.suites) for _ in range(3))

@@ -161,7 +161,10 @@ def _matmul_diff_pairs(kern, x, rows, ks):
 
 def _random_support(d, m):
     rng = np.random.default_rng(100 * d + m)
-    mats = [a * (0.9 / np.linalg.norm(a, 2)) for a in rng.standard_normal((m, d, d))]
+    if d == 1:  # m distinct entries: normalized 1x1 draws would all be +-0.9
+        mats = rng.uniform(-0.9, 0.9, (m, 1, 1))
+    else:
+        mats = [a * (0.9 / np.linalg.norm(a, 2)) for a in rng.standard_normal((m, d, d))]
     return finite_support(mats, rng.dirichlet(np.ones(m)))
 
 
@@ -216,7 +219,9 @@ class TestStackedSweep:
         for key in ref:
             _assert_rows_close(got[key], ref[key])
 
-    @pytest.mark.parametrize("d", [2, 3, 16, 33])
+    # d = 1 takes the entrywise rule, its prefix e^{(a_1 + ... + a_{k-1})/n}
+    # against the reference's product of the drawn e^{a/n}.
+    @pytest.mark.parametrize("d", [1, 2, 3, 16, 33])
     @pytest.mark.parametrize("m", [2, 8, 9, 32])
     @pytest.mark.parametrize("n", [7, 300])
     def test_diff_pair_block_matches_matmul_prefix(self, d, m, n):
@@ -258,14 +263,46 @@ class TestScalarSweep:
             assert got[key].shape == ref[key].shape
             assert np.array_equal(got[key], ref[key])
 
+    @pytest.mark.parametrize("m", [2, 5])
+    @pytest.mark.parametrize("n", [7, 300, 1025])
+    def test_diff_pairs_bit_identical_to_cumsum(self, m, n):
+        # the prefix sums gather 885 steps a block at B = 37: n = 1025 takes two
+        rng = np.random.default_rng(m)
+        e = finite_support([[[a]] for a in rng.uniform(-2.0, 2.0, m)],
+                           rng.dirichlet(np.ones(m)))
+        kern = precompute_kernel(e, n)
+        rows = engine._draw_rows(e, [_streams_root(n)(i) for i in range(37)], n)
+        x, ks = np.array([0.7]), sorted({1, 2, (n + 1) // 2, n})
+        got = engine.diff_pair_block(kern, x, rows, ks)
+        entries = np.array([a[0, 0] for a in e.support])[rows][:, :, None]
+        ref = _diagonal_cumsum_diff_pairs(kern, x, entries, ks)
+        for k in ks:
+            assert np.array_equal(got[k], ref[k])
+
+    def test_difference_pairs_never_group(self, monkeypatch):
+        # d = 1 sweeps and pairs its rows entrywise: no step sorts them
+        e = finite_support([[[-1.0]], [[0.5]], [[2.0]]], [0.2, 0.5, 0.3])
+        n, ks = 64, (1, 32, 64)
+        kern = precompute_kernel(e, n)
+        calls = []
+        real = engine._grouped_sweep
+        monkeypatch.setattr(engine, "_grouped_sweep",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        x = np.array([0.7])
+        engine.simulate_paths(e, kern, x, x, _streams_root(5), 40, want_s=True,
+                              want_s_prime=True, ks=ks)
+        rows = engine._draw_rows(e, [_streams_root(5)(i) for i in range(40)], n)
+        engine.diff_pair_block(kern, x, rows, ks)
+        assert calls == []
+
 
 def _diagonal_loop_sweep(kern, x, rows, want_s, want_s_prime):
-    """The diagonal_uniform sweep one step at a time on (B, d) arrays: the
-    reference for the blocked diagonal kernel."""
-    e, n = kern.ensemble, kern.n
-    mid = 0.5 * (e.low + e.high)
-    pk = np.exp(mid * np.arange(n + 1) / n)
-    qk = float(kern.q_powers[1][0, 0]) ** np.arange(n + 1)
+    """The diagonal_uniform sweep one step at a time on (B, d) arrays, with
+    P_j = p_j I and Q^j = q_j I from the kernel's tables: the reference for
+    the blocked diagonal kernel."""
+    n = kern.n
+    p, q = kern.p_powers[:, 0, 0], kern.q_powers[:, 0, 0]
+    mean = kern.ensemble.mean()[0, 0]
     xv = np.asarray(x, dtype=float)
     v = np.tile(xv, (rows.shape[0], 1))
     s = np.zeros_like(v)
@@ -273,11 +310,11 @@ def _diagonal_loop_sweep(kern, x, rows, want_s, want_s_prime):
     for k in range(n, 0, -1):
         vals = rows[:, k - 1, :]
         ek = np.exp(vals / n)
-        delta = vals - mid
+        delta = vals - mean
         if want_s_prime:
-            u = qk[n - k] * (delta * xv) + ek * u
+            u = delta * (q[n - k] * xv) + ek * u
         if want_s:
-            s += (pk[k - 1] * pk[n - k]) * (delta * xv)
+            s += p[k - 1] * (delta * (p[n - k] * xv))
         v = ek * v
     out = {"prod_x": v}
     if want_s:
@@ -288,20 +325,20 @@ def _diagonal_loop_sweep(kern, x, rows, want_s, want_s_prime):
 
 
 def _diagonal_cumsum_diff_pairs(kern, x, rows, ks):
-    """diff_pair_block's diagonal rows with the prefix sums of the draws
-    taken from one full cumsum: the reference for its per-k sums."""
-    e, n = kern.ensemble, kern.n
-    mid = 0.5 * (e.low + e.high)
-    pk = np.exp(mid * np.arange(n + 1) / n)
-    qc = float(kern.q_powers[1][0, 0])
+    """diff_pair_block's entrywise rows for the drawn entries ``rows`` (B, n, d),
+    the prefix sums of the draws taken from one full cumsum: the reference for
+    its step-order sums."""
+    n = kern.n
+    p, q = kern.p_powers[:, 0, 0], kern.q_powers[:, 0, 0]
+    mean = kern.ensemble.mean()[0, 0]
     xv = np.asarray(x, dtype=float)
     csum = np.cumsum(rows, axis=1)
     out = {}
     for k in ks:
-        delta = rows[:, k - 1, :] - mid
-        d_rows = (pk[k - 1] * pk[n - k]) * (delta * xv)
+        delta = rows[:, k - 1, :] - mean
+        d_rows = p[k - 1] * (delta * (p[n - k] * xv))
         pref = np.exp(csum[:, k - 2, :] / n) if k >= 2 else 1.0
-        out[k] = (d_rows - pref * (delta * (qc ** (n - k) * xv))) / np.sqrt(n)
+        out[k] = (d_rows - pref * (delta * (q[n - k] * xv))) / np.sqrt(n)
     return out
 
 

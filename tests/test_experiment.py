@@ -444,6 +444,22 @@ class TestRun:
         run(cfg, workers=workers)
         assert fake_pools == [size]
 
+    @pytest.mark.parametrize("copies, sizes", [(2, []), (3, [2]), (6, [5])])
+    def test_pool_keeps_each_process_kernel_under_the_table_cap(
+            self, tmp_path, fake_pools, monkeypatch, copies, sizes):
+        # width n: 100 replicates make 7 chunks at n = 16. Each process holds
+        # the two (33, 2, 2) kernel tables and the two (2, 32, 2) S tables of
+        # n = 32; a cap just above `copies` of them admits copies - 1 workers.
+        monkeypatch.setattr(experiment.engine, "batch_size", lambda e, n: n)
+        ens = {"family": "two_point", "a0": [[0.0, 0.0], [0.0, 0.0]],
+               "a1": [[0.0, 1.0], [1.0, 0.0]], "p": 0.5}
+        cfg = self._cfg(tmp_path, ensemble=ens, suites=["clt", "martingale"],
+                        n_grid=[16, 32], replicates=100, structure_draws=1000)
+        per_process = 2 * 8 * 33 * 4 + 2 * 8 * 2 * 32 * 2
+        monkeypatch.setattr(experiment, "_MAX_TABLE_BYTES", copies * per_process + 1)
+        run(cfg, workers=5)
+        assert fake_pools == sizes
+
     def test_no_pool_when_every_pass_is_one_chunk(self, tmp_path, fake_pools):
         cfg = self._cfg(tmp_path, suites=["clt", "martingale"], n_grid=[16, 32, 64],
                         replicates=100, structure_draws=1000)
