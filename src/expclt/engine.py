@@ -102,9 +102,10 @@ def batch_size(e, n: int) -> int:
 
 
 def pass_bytes(e, n: int) -> tuple:
-    """Bytes of a pass's largest arrays besides its kernel: a finite support's
-    (m, n, d) S and S' tables, and its widest chunk of draws as float64."""
-    return 16 * len(e.support or ()) * n * e.dim, 8 * batch_size(e, n) * n * e.uniforms_per_draw
+    """Bytes of a pass's largest arrays besides its kernel: the (m, n, d) S and S'
+    tables unless :func:`_entrywise`, and its widest chunk of draws as float64."""
+    tables = 0 if _entrywise(e) else 16 * len(e.support) * n * e.dim
+    return tables, 8 * batch_size(e, n) * n * e.uniforms_per_draw
 
 
 def chunk_ranges(e, n: int, reps: int) -> list:
@@ -396,7 +397,7 @@ def simulate_block(kern, x, rows, *, want_s: bool = False, want_s_prime: bool = 
 
 
 def simulate_paths(e, kern, x, y, stream_for, reps: int, *, want_s: bool = False,
-                   want_s_prime: bool = False, ks=()):
+                   want_s_prime: bool = False, want_tally: bool = False, ks=()):
     """All requested per-replicate statistics over ``reps`` replicates.
 
     ``stream_for(rep_index)`` must return the replicate's own RngStream;
@@ -406,8 +407,9 @@ def simulate_paths(e, kern, x, y, stream_for, reps: int, *, want_s: bool = False
     ``proj_s`` with ``want_s``, unless ``y`` is None; ``diff_norm`` with
     ``want_s``; ``r_norm`` and ``mk_norm`` with ``want_s_prime``; and with
     ``ks``, the :func:`diff_dots` of the :func:`diff_pair_block` rows that the
-    same draws give at those ks.  A pass with no projection and neither want
-    sweeps no product.
+    same draws give at those ks; with ``want_tally``, ``tally``, the stacked
+    ``e.tally`` rows of its chunks.  A pass with no projection and neither
+    want sweeps no product.
     """
     n = kern.n
     x = np.asarray(x, dtype=float)
@@ -437,6 +439,8 @@ def simulate_paths(e, kern, x, y, stream_for, reps: int, *, want_s: bool = False
                 out["mk_norm"] = np.linalg.norm(mk, axis=1)
         if ks:
             out.update(diff_dots(diff_pair_block(kern, x, rows, ks)))
+        if want_tally:
+            out["tally"] = e.tally(rows)
         return out
 
     return concat_chunks([stats(_draw_rows(e, [stream_for(i) for i in range(lo, hi)], n))

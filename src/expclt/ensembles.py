@@ -20,7 +20,8 @@ generator behind the streams.
 
 Callers see a law through one interface: a draw takes ``uniforms_per_draw``
 uniforms, ``from_uniforms`` maps uniforms to draws (support indices or
-diagonal entries), ``sample`` returns one draw as a matrix, ``is_point_mass``
+diagonal entries), ``sample`` returns one draw as a matrix, ``tally`` and
+``centered_total`` sum the centered draws of rows of draws, ``is_point_mass``
 marks a law without fluctuations, and ``mean``, ``central_second_moment``,
 ``centered_action``, ``centered_projection`` and ``mean_exp_scaled`` are its
 exact moments.  A new finite-support law needs nothing more than a factory.
@@ -118,6 +119,9 @@ _COMPARE_MAX_SUPPORT = 128
 
 # Support indices are drawn as uint16, so a support holds at most 2^16 matrices.
 _MAX_SUPPORT = 65_536
+
+# Indices per bincount call of Ensemble.tally, which copies them as intp.
+_COUNT_BLOCK = 65_536
 
 
 @dataclass(frozen=True)
@@ -225,6 +229,29 @@ class Ensemble:
         if self.family != "diagonal_uniform":
             raise ValueError(f"{self.family} ensemble is not diagonal_uniform")
         return self.from_uniforms(stream.uniform(count * self.dim))
+
+    def tally(self, rows: np.ndarray) -> np.ndarray:
+        """Rows that :meth:`centered_total` adds up, of ``rows`` of n draws per
+        replicate as :meth:`from_uniforms` maps them: a ``(1, m)`` int64 row of
+        index counts (finite support), or per replicate sum_k (a_k - EA), term
+        by term in step order (add.reduce sums one entry a step pairwise), so
+        that its bits are the replicate's own and a point mass's are 0."""
+        if self.is_finite_support:
+            m, flat = len(self.support), rows.ravel(order="K")  # a view of step-major rows
+            return sum(np.bincount(flat[i : i + _COUNT_BLOCK], minlength=m)
+                       for i in range(0, flat.size, _COUNT_BLOCK))[None]
+        total, mid = np.zeros(rows.shape[::2]), (self.low + self.high) / 2.0
+        for a in rows.swapaxes(0, 1):  # (B, d) draws of one step
+            total += a - mid
+        return total
+
+    def centered_total(self, tally: np.ndarray) -> np.ndarray:
+        """sum (A - EA) over the draws of the stacked :meth:`tally` rows
+        ``tally``, as a d x d matrix."""
+        total = tally.sum(axis=0)
+        if self.is_finite_support:
+            return sum(c * delta for c, delta in zip(total.tolist(), self._deltas))
+        return np.diag(total)
 
     # --- exact moments ----------------------------------------------------
 

@@ -10,8 +10,7 @@ A run is described by one JSON config file:
       "master_seed": 20260818,
       "suites": ["clt", "covariance"],
       "output_dir": "results",
-      "variance_rtol": 0.05,            // optional, default 0.07
-      "structure_draws": 100000         // optional, default 100000
+      "variance_rtol": 0.05             // optional, default 0.07
     }
 
 Families and their parameters: ``two_point`` (a0, a1, p), ``finite_support``
@@ -23,8 +22,9 @@ Each suite writes one CSV (RFC-4180, LF, shortest round-trip floats) and the
 run writes a summary.json mirroring the RunReport.  The clt and martingale
 suites share one Monte Carlo pass per n, computed once: each replicate's path
 is drawn from the stream keyed by (master_seed, "clt", n, replicate index)
-and reduced row by row in its chunk.  Chunks are a fixed function of the
-problem shape and their results are joined in index order, so no emitted
+and reduced row by row in its chunk; the martingale suite's structure check
+reads a tally of the draws at the largest n.  Chunks are a fixed function of
+the problem shape and their results are joined in index order, so no emitted
 number depends on the worker count or on the other suites configured.  A run
 keeps at most one process pool, with no more processes than a pass has
 chunks.  The suites that draw no pass run first, then martingale, then clt.
@@ -112,12 +112,9 @@ _MAX_DIM = 1024
 # law at d = 1024, n = 63 (1 GiB of tables, two replicates) peaks at 1080 MiB
 # in 5.8 s. A pool has no more workers than leave a copy of those at the
 # largest n in every process under the cap. The draw cap bounds one chunk of
-# draw rows, and the structure check's structure_draws x uniforms_per_draw
-# float64 uniforms (781 MiB by default at d = 1024), which it draws in blocks
-# of _STRUCTURE_BLOCK: they bound its time, not its memory.
+# draw rows.
 _MAX_TABLE_BYTES = 1 << 30
 _MAX_DRAW_BYTES = 1 << 30
-_STRUCTURE_BLOCK = 1 << 20
 
 
 class ConfigError(ValueError):
@@ -135,7 +132,6 @@ class ExperimentConfig:
     suites: tuple
     output_dir: str
     variance_rtol: float = 0.07
-    structure_draws: int = 100000
 
 
 # --- config schema ----------------------------------------------------------
@@ -287,8 +283,6 @@ _FIELDS = {
     "output_dir": (_REQUIRED, _test(lambda v: type(v) is str and v, "a nonempty string")),
     "variance_rtol": (ExperimentConfig.variance_rtol, _test(
         lambda v: type(v) in (int, float) and 0 < v < 1, "a number in (0, 1)")),
-    "structure_draws": (ExperimentConfig.structure_draws, _test(
-        lambda v: type(v) is int and v >= 100, "an integer >= 100")),
 }
 
 
@@ -318,7 +312,7 @@ def validate_config(raw: dict) -> ExperimentConfig:
         x, y = np.eye(e.dim)[[0, min(1, e.dim - 1)]] if probes == "canonical" else probes
         errors += [f"probes.{name}: probe has dimension {len(v)}, expected {e.dim}"
                    for name, v in zip("xy", (x, y)) if len(v) != e.dim]
-    if e is not None and {"n_grid", "suites", "structure_draws"} <= set(f):
+    if e is not None and {"n_grid", "suites"} <= set(f):
         errors += _size_errors(e, f)
     if errors:
         raise ConfigError("invalid config:\n  " + "\n  ".join(errors))
@@ -332,22 +326,18 @@ def _table_bytes(e: Ensemble, n_grid, suites) -> int:
 
 
 def _size_errors(e: Ensemble, f: dict) -> list:
-    """A line naming ``n_grid`` or ``structure_draws`` for each array of the
-    run whose bytes would pass its cap."""
-    n, suites, per_draw = f["n_grid"][-1], set(f["suites"]), e.uniforms_per_draw
-    chunk = engine.pass_bytes(e, n)[1]
-    sizes = []  # (field, arrays, bytes, cap) of the arrays the suites allocate
+    """A line naming ``n_grid`` for each array of the run whose bytes would
+    pass its cap."""
+    n, suites = f["n_grid"][-1], set(f["suites"])
+    sizes = []  # (arrays, bytes, cap) of the arrays the suites allocate
     if suites & {"clt", "martingale", "doob"}:
-        sizes.append(("n_grid", f"the kernel tables of the grid and the S tables at "
-                      f"n = {n}", _table_bytes(e, f["n_grid"], suites), _MAX_TABLE_BYTES))
+        sizes.append((f"the kernel tables of the grid and the S tables at n = {n}",
+                      _table_bytes(e, f["n_grid"], suites), _MAX_TABLE_BYTES))
     if suites & {"clt", "martingale"}:
-        sizes.append(("n_grid", f"the draw rows of one chunk at n = {n}", chunk,
+        sizes.append((f"the draw rows of one chunk at n = {n}", engine.pass_bytes(e, n)[1],
                       _MAX_DRAW_BYTES))
-    if "martingale" in suites:
-        sizes.append(("structure_draws", f"{f['structure_draws']} draws of {per_draw} "
-                      "uniforms", 8 * f["structure_draws"] * per_draw, _MAX_DRAW_BYTES))
-    return [f"{field}: {arrays} take {size / 2**30:.4g} GiB, above the cap of "
-            f"{cap / 2**30:g} GiB" for field, arrays, size, cap in sizes if size > cap]
+    return [f"n_grid: {arrays} take {size / 2**30:.4g} GiB, above the cap of "
+            f"{cap / 2**30:g} GiB" for arrays, size, cap in sizes if size > cap]
 
 
 def load_config(path) -> ExperimentConfig:
@@ -377,7 +367,6 @@ def config_digest(cfg: ExperimentConfig) -> str:
         "master_seed": cfg.master_seed,
         "suites": sorted(cfg.suites),
         "variance_rtol": cfg.variance_rtol,
-        "structure_draws": cfg.structure_draws,
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
@@ -437,7 +426,8 @@ def _pass_kw(cfg: ExperimentConfig, n: int) -> dict:
     if "martingale" not in cfg.suites:
         return {}
     # ks: the steps of the difference pairs
-    return {"want_s": True, "want_s_prime": True, "ks": sorted({1, (n + 1) // 2, n})}
+    return {"want_s": True, "want_s_prime": True, "want_tally": True,
+            "ks": sorted({1, (n + 1) // 2, n})}
 
 
 def _passes(cfg: ExperimentConfig) -> list:
@@ -566,45 +556,23 @@ def _suite_lemma_speed(cfg: ExperimentConfig, paths) -> SuiteResult:
     return SuiteResult("lemma_speed", bool(ok), details, header, rows)
 
 
-def _structure_check(cfg: ExperimentConfig, n: int):
-    """MC mean of d_{n,k} at k in {1, n/2, n}: ||mean|| against 4 SEs of zero."""
-    e = cfg.ensemble
+def _structure_check(cfg: ExperimentConfig, tally):
+    """Mean of d_{n,k} = P_{k-1} (A - EA) P_{n-k} / sqrt(n) over the draws that
+    ``tally`` holds of the path pass at the largest n, at k in {1, n/2, n}:
+    ||mean|| against 4 standard errors of zero, from the law's exact moment."""
+    e, n = cfg.ensemble, cfg.n_grid[-1]
     kern = _kernel(e, n)
-    root = RngStream(cfg.master_seed)
-    reps = cfg.structure_draws
-    # the stream's draws in blocks of at most _STRUCTURE_BLOCK uniforms
-    step = max(1, _STRUCTURE_BLOCK // e.uniforms_per_draw)
-    blocks = [min(step, reps - lo) for lo in range(0, reps, step)]
+    draws = n * cfg.replicates
+    mean = e.centered_total(tally) / draws
     out = {}
     for k in sorted({1, max(1, n // 2), n}):
-        r = root.child("martingale-structure", n, k)
-        if e.is_finite_support:
-            counts = sum(np.bincount(e.sample_indices(r, b), minlength=len(e.support))
-                         for b in blocks) / reps
-            mats = [
-                kern.p_powers[k - 1] @ delta @ kern.p_powers[n - k] / math.sqrt(n)
-                for delta in e._deltas
-            ]
-            mean_mat = sum(c * m for c, m in zip(counts, mats))
-            var_entries = sum(c * (m - mean_mat) ** 2 for c, m in zip(counts, mats))
-        else:
-            mid = 0.5 * (e.low + e.high)
-            total, sq = np.zeros(e.dim), np.zeros(e.dim)
-            for b in blocks:
-                vals = e.sample_diagonal_values(r, b) - mid
-                total += vals.sum(axis=0)
-                sq += (vals * vals).sum(axis=0)
-            mean = total / reps
-            coeff = math.exp(mid * (n - 1) / n) / math.sqrt(n)
-            mean_mat = np.diag(coeff * mean)
-            # centred at the midpoint, mean^2 is far below E vals^2
-            var_entries = np.diag(coeff**2 * (sq / reps - mean * mean))
-        se_frob = math.sqrt(float(np.sum(var_entries)) / reps)
-        out[k] = {
-            "mean_norm": float(op_norm(mean_mat)),
-            "se_4": 4.0 * se_frob,
-            "ok": bool(op_norm(mean_mat) <= 4.0 * se_frob + 1e-15),
-        }
+        p, q = kern.p_powers[k - 1], kern.p_powers[n - k]
+        # n E ||d_{n,k}||_F^2 = tr(P^T P C(Q Q^T)) = tr(P C(Q Q^T) P^T) >= 0, up to rounding
+        second = float(np.sum(p @ e.centered_action(q @ q.T) * p))
+        se_4 = 4.0 * math.sqrt(max(0.0, second) / (n * draws))
+        mean_norm = float(op_norm(p @ mean @ q)) / math.sqrt(n)
+        out[k] = {"mean_norm": mean_norm, "se_4": se_4, "draws": draws,
+                  "ok": bool(mean_norm <= se_4 + 1e-15)}
     return out
 
 
@@ -647,7 +615,7 @@ def _suite_martingale(cfg: ExperimentConfig, paths) -> SuiteResult:
             if worst > _LINDEBERG_EPS:
                 bound_ok = False
 
-    structure = _structure_check(cfg, cfg.n_grid[-1])
+    structure = _structure_check(cfg, paths(cfg.n_grid[-1])["tally"])
     structure_ok = all(v["ok"] for v in structure.values())
     curve = {h: [(r[0], r[j]) for r in rows] for j, h in enumerate(header)}  # (n, value)
 

@@ -57,7 +57,7 @@ def test_traced_all_suite_run_counts_spans(bench, monkeypatch, tmp_path, family)
         "ensemble": ENSEMBLES[family],
         "probes": {"x": [1.0, 0.5], "y": [0.3, -1.0]},
         "n_grid": [8, 16, 32], "replicates": 20, "master_seed": 3,
-        "suites": list(SUITE_NAMES), "structure_draws": 100,
+        "suites": list(SUITE_NAMES),
         "output_dir": str(tmp_path / "out"),
     })
     report = rec.call("experiment.run", run, cfg, workers=1)

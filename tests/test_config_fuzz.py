@@ -80,7 +80,6 @@ def _valid(d, m, family):
         "suites": st.lists(st.sampled_from(SUITE_NAMES), min_size=1, unique=True),
         "output_dir": st.just("out"),
         "variance_rtol": st.floats(0.01, 0.99),
-        "structure_draws": st.integers(100, 1000),
     }
 
 
@@ -151,8 +150,7 @@ def _reject(token):
 @given(raw=configs())
 def test_accepted_configs_run_to_a_verdict(raw, tmp_path_factory):
     out = tmp_path_factory.mktemp("run")
-    # the default of 100000 structure draws would make each example take seconds
-    raw = dict(raw, output_dir=str(out), structure_draws=raw.get("structure_draws", 1000))
+    raw = dict(raw, output_dir=str(out))
     path = out / "c.json"
     path.write_text(json.dumps(raw))
     assert main(["run", str(path), "--workers", "1"]) in (0, 1)
@@ -173,8 +171,7 @@ def test_accepted_mutated_configs_run_to_a_verdict(raw, tmp_path_factory):
         assume(False)
     # junk that happens to validate can be a huge count; keep each run small
     raw = dict(raw, output_dir=str(out), replicates=min(raw["replicates"], 64),
-               n_grid=sorted({min(n, 64) for n in raw["n_grid"]}),
-               structure_draws=min(raw.get("structure_draws", 1000), 1000))
+               n_grid=sorted({min(n, 64) for n in raw["n_grid"]}))
     path.write_text(json.dumps(raw))
     assert main(["run", str(path), "--workers", "1"]) in (0, 1)
     summary = json.loads((out / "summary.json").read_text(), parse_constant=_reject)

@@ -665,9 +665,12 @@ class TestWorkerPool:
 
         serial = joined(None)
         pooled = joined(experiment.ProcessPoolExecutor(workers) if workers > 1 else None)
-        assert len(serial) == 11 and set(serial) == set(pooled)
+        # 11 statistics of one row per replicate, and the structure check's
+        # tally, of one row per chunk for a finite support
+        assert len(serial) == 12 and set(serial) == set(pooled)
+        assert pooled["tally"].shape[0] == (17 if e.is_finite_support else 49)
         for key in serial:
-            assert pooled[key].shape[0] == 49
+            assert key == "tally" or pooled[key].shape[0] == 49
             assert np.array_equal(serial[key], pooled[key])
 
 

@@ -294,6 +294,41 @@ class TestFromUniforms:
             assert np.array_equal(block[b], _bulk_sample(e, RngStream(22, b), count))
 
 
+class TestTally:
+    """Tally rows of rows of draws add up to sum (A - EA) over the draws."""
+
+    @pytest.mark.parametrize("law", sorted(_LAWS))
+    def test_centered_total_sums_the_centered_draws(self, law):
+        e, n = _LAWS[law], 40
+        rows = engine._draw_rows(e, [RngStream(23, b) for b in range(7)], n)
+        # each stream's first n draws, one at a time
+        ref = sum(e.sample(r) - e.mean() for r in [RngStream(23, b) for b in range(7)]
+                  for _ in range(n))
+        total = e.centered_total(e.tally(rows))
+        assert total.shape == (e.dim, e.dim)
+        np.testing.assert_allclose(total, ref, rtol=1e-12, atol=1e-12)
+
+    def test_a_diagonal_point_mass_totals_exactly_zero(self):
+        # 100 draws of 0.3 added up are not 100 x 0.3 in floating point
+        e = diagonal_uniform(3, 0.3, 0.3)
+        rows = engine._draw_rows(e, [RngStream(25, b) for b in range(5)], 100)
+        assert not np.any(e.centered_total(e.tally(rows)))
+
+    @pytest.mark.parametrize("law", sorted(_LAWS))
+    def test_a_split_of_the_replicates_keeps_every_bit(self, law):
+        # the 1-row parts at d = 1 hold one entry a step, which numpy's
+        # add.reduce would sum pairwise
+        e, n = _LAWS[law], 100
+        streams = [RngStream(24, b) for b in range(9)]
+        whole = e.tally(engine._draw_rows(e, streams, n))
+        parts = [e.tally(engine._draw_rows(e, [RngStream(24, b) for b in range(lo, hi)], n))
+                 for lo, hi in ((0, 1), (1, 2), (2, 5), (5, 9))]
+        joined = np.concatenate(parts)
+        if not e.is_finite_support:  # one row per replicate, whose bits are its own
+            assert np.array_equal(whole, joined)
+        assert np.array_equal(e.centered_total(whole), e.centered_total(joined))
+
+
 @pytest.mark.parametrize("law, expected", [
     (deterministic(_A), True),
     (two_point(_A, _A, 0.4), True),

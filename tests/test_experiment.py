@@ -1,12 +1,14 @@
 import json
+import math
 import os
 import re
 
 import numpy as np
 import pytest
 
-from expclt import engine, experiment
+from expclt import RngStream, engine, experiment
 from expclt.cli import main
+from expclt.dynamics import precompute_kernel
 from expclt.experiment import (
     ConfigError,
     SUITE_NAMES,
@@ -17,6 +19,7 @@ from expclt.experiment import (
     load_config,
     run,
 )
+from expclt.linalg import op_norm
 
 
 def _write(tmp_path, name, payload):
@@ -54,7 +57,7 @@ class TestLoadConfig:
         assert cfg.ensemble.family == "two_point"
         assert cfg.n_grid == (16, 32, 64, 128)
         assert cfg.replicates == 300 and cfg.master_seed == 7
-        assert cfg.variance_rtol == 0.07 and cfg.structure_draws == 100000
+        assert cfg.variance_rtol == 0.07
         # canonical probes default: x = e1, y = e2 (or e1 in dimension 1)
         assert np.array_equal(cfg.x, [1.0]) and np.array_equal(cfg.y, [1.0])
 
@@ -133,7 +136,6 @@ class TestLoadConfig:
         ("replicates", 1),
         ("master_seed", True),
         ("n_grid", [True, 32]),
-        ("structure_draws", True),
     ])
     def test_integer_fields_reject_bool_and_too_few_replicates(self, tmp_path,
                                                                field, value):
@@ -190,11 +192,10 @@ class TestLoadConfig:
             load_config(_write(tmp_path, "c.json", raw))
 
     def test_largest_arrays_at_the_caps_are_accepted(self, tmp_path):
-        # 2 (63 + 1) tables of 1024 x 1024 float64: 1 GiB, the table cap; the
-        # default 100,000 structure draws of 1024 uniforms take 781 MiB
+        # 2 (63 + 1) tables of 1024 x 1024 float64: 1 GiB, the table cap
         ok = _base_config(tmp_path, ensemble=_DIAG_MAX, probes=_PROBES_MAX, n_grid=[63],
                           suites=["clt", "martingale", "doob"])
-        assert load_config(_write(tmp_path, "ok.json", ok)).structure_draws == 100000
+        assert load_config(_write(tmp_path, "ok.json", ok)).n_grid == (63,)
         # the grid's kernels are all kept for the run, so they count together
         for grid in ([64], [31, 32]):
             raw = dict(ok, n_grid=grid)
@@ -205,21 +206,31 @@ class TestLoadConfig:
         assert load_config(_write(tmp_path, "free.json", raw)).n_grid == (4096,)
 
     def test_support_tables_count_toward_the_cap(self, tmp_path):
-        # 65,536 scalar matrices: the S and S' tables at n = 2048 take 2 GiB
+        # 65,536 matrices of 2 x 2: the S and S' tables at n = 1024 take 2 GiB,
+        # the kernel tables 66 kB and a chunk of draw rows 16 MiB
+        mats = [[[i / 65_536, 0.0], [0.0, 0.0]] for i in range(65_536)]
+        ens = {"family": "finite_support", "matrices": mats,
+               "probabilities": [1 / 65_536] * 65_536}
+        raw = _base_config(tmp_path, ensemble=ens, n_grid=[1024], suites=["martingale"])
+        with pytest.raises(ConfigError, match=r"S tables at n = 1024 take 2(\.\d+)? GiB"):
+            load_config(_write(tmp_path, "c.json", raw))
+        # without the martingale suite no S tables are built
+        ok = dict(raw, suites=["clt", "doob"])
+        assert load_config(_write(tmp_path, "ok.json", ok)).n_grid == (1024,)
+
+    def test_entrywise_support_has_no_support_tables(self, tmp_path):
+        # 65,536 scalar matrices take the entrywise path, which builds no
+        # (m, n, d) S tables: the martingale suite at n = 2048 fits the caps
         mats = [[[i / 65_536]] for i in range(65_536)]
         ens = {"family": "finite_support", "matrices": mats,
                "probabilities": [1 / 65_536] * 65_536}
         raw = _base_config(tmp_path, ensemble=ens, n_grid=[1024, 2048],
                            suites=["martingale"])
-        with pytest.raises(ConfigError, match=r"S tables at n = 2048 take 2(\.\d+)? GiB"):
-            load_config(_write(tmp_path, "c.json", raw))
+        assert load_config(_write(tmp_path, "c.json", raw)).n_grid == (1024, 2048)
 
     def test_optional_field_ranges(self, tmp_path):
         raw = _base_config(tmp_path, variance_rtol=1.5)
         with pytest.raises(ConfigError, match="variance_rtol"):
-            load_config(_write(tmp_path, "c.json", raw))
-        raw = _base_config(tmp_path, structure_draws=10)
-        with pytest.raises(ConfigError, match="structure_draws"):
             load_config(_write(tmp_path, "c.json", raw))
 
 
@@ -389,31 +400,35 @@ class TestRun:
     def test_pooled_chunks_never_change_bytes(self, tmp_path, workers, monkeypatch):
         # A forced chunk width of 3, which forked workers inherit, cuts each
         # pass of 49 replicates into 17 chunks, the last of 1 row, which the
-        # workers of the run's one pool share unevenly.
+        # workers of the run's one pool share unevenly; a width of 49 makes
+        # one chunk a pass. The structure check's tally of the draws must not
+        # see the chunks either, as a sum of floats per chunk would.
         rng = np.random.default_rng(8)
         raw = _base_config(tmp_path, suites=["clt", "martingale"], n_grid=[16, 32, 64],
-                           replicates=49, structure_draws=1000,
+                           replicates=49,
                            ensemble={"family": "diagonal_uniform", "dim": 8,
                                      "low": -0.5, "high": 1.0},
                            probes={"x": rng.uniform(-1, 1, 8).tolist(),
                                    "y": rng.uniform(-1, 1, 8).tolist()})
-        monkeypatch.setattr(experiment.engine, "batch_size", lambda *a: 3)
         out = {}
-        for w in (1, workers):
-            raw["output_dir"] = str(tmp_path / f"w{w}")
-            path = _write(tmp_path, f"w{w}.json", raw)
+        for width, w in ((49, 1), (3, 1), (3, workers)):
+            monkeypatch.setattr(experiment.engine, "batch_size", lambda *a, b=width: b)
+            out[width, w] = tmp_path / f"b{width}w{w}"
+            raw["output_dir"] = str(out[width, w])
+            path = _write(tmp_path, f"b{width}w{w}.json", raw)
             assert main(["run", path, "--workers", str(w)]) in (0, 1)
-            out[w] = tmp_path / f"w{w}"
         for name in ("clt", "martingale"):
-            assert (out[workers] / f"{name}.csv").read_bytes() == (
-                (out[1] / f"{name}.csv").read_bytes())
-        summaries = [json.loads((out[w] / "summary.json").read_text()) for w in out]
-        assert summaries[0]["suites"] == summaries[-1]["suites"]
+            assert len({(d / f"{name}.csv").read_bytes() for d in out.values()}) == 1
+        summaries = [json.loads((d / "summary.json").read_text()) for d in out.values()]
+        assert all(s["suites"] == summaries[0]["suites"] for s in summaries)
+        checks = {json.dumps(s["suites"]["martingale"]["details"]["structure_check"])
+                  for s in summaries}
+        assert len(checks) == 1
 
     def test_one_executor_per_run(self, tmp_path, executors, monkeypatch):
         monkeypatch.setattr(experiment.engine, "batch_size", lambda *a: 32)
         cfg = self._cfg(tmp_path, suites=["clt", "martingale"], n_grid=[16, 32, 64],
-                        replicates=60, structure_draws=1000)
+                        replicates=60)
         run(cfg, workers=1)
         assert executors == []
         run(cfg, workers=2)
@@ -454,7 +469,7 @@ class TestRun:
         ens = {"family": "two_point", "a0": [[0.0, 0.0], [0.0, 0.0]],
                "a1": [[0.0, 1.0], [1.0, 0.0]], "p": 0.5}
         cfg = self._cfg(tmp_path, ensemble=ens, suites=["clt", "martingale"],
-                        n_grid=[16, 32], replicates=100, structure_draws=1000)
+                        n_grid=[16, 32], replicates=100)
         per_process = 2 * 8 * 33 * 4 + 2 * 8 * 2 * 32 * 2
         monkeypatch.setattr(experiment, "_MAX_TABLE_BYTES", copies * per_process + 1)
         run(cfg, workers=5)
@@ -462,7 +477,7 @@ class TestRun:
 
     def test_no_pool_when_every_pass_is_one_chunk(self, tmp_path, fake_pools):
         cfg = self._cfg(tmp_path, suites=["clt", "martingale"], n_grid=[16, 32, 64],
-                        replicates=100, structure_draws=1000)
+                        replicates=100)
         assert all(len(engine.chunk_ranges(cfg.ensemble, n, 100)) == 1
                    for n in cfg.n_grid)
         run(cfg, workers=4)
@@ -482,7 +497,6 @@ class TestRun:
         rng = np.random.default_rng(9)
         path = _write(tmp_path, "c.json", _base_config(
             tmp_path, suites=suites, n_grid=[16, 32, 64], replicates=40,
-            structure_draws=1000,
             ensemble={"family": "diagonal_uniform", "dim": 4, "low": -0.5, "high": 1.0},
             probes={"x": rng.uniform(-1, 1, 4).tolist(), "y": rng.uniform(-1, 1, 4).tolist()}))
         monkeypatch.setattr(experiment.engine, "batch_size",
@@ -505,7 +519,7 @@ class TestRun:
         # starts, before the main process joins the first pass.
         monkeypatch.setattr(experiment.engine, "batch_size", lambda *a: 10)
         cfg = self._cfg(tmp_path, suites=["clt", "martingale"], n_grid=[16, 32, 64],
-                        replicates=30, structure_draws=1000)
+                        replicates=30)
         joined = []  # (chunks submitted, chunks joined) as each pass is joined
         real = experiment.engine.concat_chunks
 
@@ -543,7 +557,7 @@ class TestRun:
         # martingale suite's three passes of four chunks each.
         monkeypatch.setattr(experiment.engine, "batch_size", lambda *a: 12)
         raw = _base_config(tmp_path, suites=["clt", "martingale"], n_grid=[16, 32, 64],
-                           replicates=40, structure_draws=1000,
+                           replicates=40,
                            ensemble={"family": "diagonal_uniform", "dim": 3,
                                      "low": -0.5, "high": 1.0})
         reports = []
@@ -573,7 +587,7 @@ class TestRun:
         rng = np.random.default_rng(10)
         d = ensemble.get("dim", 3)
         raw = _base_config(tmp_path, ensemble=ensemble, n_grid=[16, 32, 64],
-                           replicates=40, structure_draws=1000,
+                           replicates=40,
                            probes={"x": rng.uniform(-1, 1, d).tolist(),
                                    "y": rng.uniform(-1, 1, d).tolist()})
         csv = {}
@@ -600,10 +614,55 @@ class TestRun:
 
         monkeypatch.setattr(experiment.RngStream, "child", spy)
         cfg = self._cfg(tmp_path, suites=["clt", "martingale"], n_grid=[16, 32, 64],
-                        replicates=50, structure_draws=1000)
+                        replicates=50)
         run(cfg, workers=1)
-        assert sorted(set(tags)) == ["clt", "martingale-structure"]
+        assert sorted(set(tags)) == ["clt"]
         assert tags.count("clt") == 50 * 3
+
+    @pytest.mark.parametrize("ensemble", [
+        {"family": "diagonal_uniform", "dim": 3, "low": -0.5, "high": 1.0},
+        {"family": "finite_support", "probabilities": [0.2, 0.3, 0.5],
+         "matrices": np.random.default_rng(5).uniform(-0.5, 0.5, (3, 3, 3)).tolist()},
+    ], ids=["diagonal", "finite_support"])
+    def test_structure_check_reads_the_path_pass_draws(self, tmp_path, ensemble):
+        cfg = self._cfg(tmp_path, ensemble=ensemble, suites=["martingale"],
+                        n_grid=[8, 16, 32], replicates=60)
+        check = run(cfg, workers=1).suites["martingale"]["details"]["structure_check"]
+        ref = _structure_reference(cfg)
+        assert sorted(check) == sorted(ref) == ["1", "16", "32"]
+        for k, (mean_norm, se_4) in ref.items():
+            assert check[k]["draws"] == 32 * 60
+            assert check[k]["mean_norm"] == pytest.approx(mean_norm, rel=1e-9)
+            assert check[k]["se_4"] == pytest.approx(se_4, rel=1e-12)
+            assert check[k]["ok"] is (check[k]["mean_norm"] <= check[k]["se_4"] + 1e-15)
+
+    def test_structure_check_sees_a_fault_in_the_path_draws(self, tmp_path, monkeypatch):
+        # Every 20th step of the path pass turns its draws of a1 into a0: 5%
+        # of the a1 draws move, which shifts the mean of A - EA by 0.05 on
+        # an SD of 1, 14 standard errors at 80 x 1000 draws.
+        cfg = self._cfg(tmp_path, suites=["martingale"], n_grid=[20, 40, 80],
+                        replicates=1000)
+
+        def structure_check():
+            report = run(cfg, workers=1)
+            details = report.suites["martingale"]["details"]
+            return report.suites["martingale"]["passed"], details["structure_check"]
+
+        passed, check = structure_check()
+        assert passed and all(v["ok"] for v in check.values())
+        real = experiment.engine._draw_rows
+
+        def faulty(e, streams, n):
+            rows = real(e, streams, n)
+            steps = rows[:, ::20]
+            steps[steps == 1] = 0
+            return rows
+
+        monkeypatch.setattr(experiment.engine, "_draw_rows", faulty)
+        passed, check = structure_check()
+        assert not passed
+        assert not any(v["ok"] for v in check.values())
+        assert all(v["mean_norm"] > 2 * v["se_4"] for v in check.values())
 
     def test_kernel_cache_is_scoped_to_one_run(self, tmp_path):
         cfg = self._cfg(tmp_path, suites=["clt"], n_grid=[16, 32], replicates=50)
@@ -627,7 +686,7 @@ class TestRun:
         monkeypatch.setattr(experiment, "precompute_kernel", build)
         monkeypatch.setattr(experiment.engine, "batch_size", lambda *a: 25)  # 2 chunks
         cfg = self._cfg(tmp_path, suites=list(SUITE_NAMES), n_grid=[16, 32, 64],
-                        replicates=50, structure_draws=1000)
+                        replicates=50)
         run(cfg, workers=workers)
         assert len(executors) == workers - 1
         if workers == 1:
@@ -645,6 +704,39 @@ class TestRun:
         assert not report.suites["lemma_speed"]["passed"]
         assert report.suites["doob"]["passed"]
         assert os.path.exists(report.csv_paths["lemma_speed"])
+
+
+def _structure_reference(cfg):
+    """Per k, the structure check's mean norm and 4 standard errors: the path
+    pass's draws at the largest n redrawn by sample_indices or
+    sample_diagonal_values, and E ||d_{n,k}||_F^2 summed over the support or
+    over the independent diagonal entries."""
+    e, n, reps = cfg.ensemble, cfg.n_grid[-1], cfg.replicates
+    root = RngStream(cfg.master_seed)
+    streams = [root.child("clt", n, i) for i in range(reps)]
+    kern = precompute_kernel(e, n)
+    if e.is_finite_support:
+        idx = np.concatenate([e.sample_indices(r, n) for r in streams])
+        deltas = [a - e.mean() for a in e.support]
+        counts = np.bincount(idx, minlength=len(deltas))
+        total = sum(c * delta for c, delta in zip(counts, deltas))
+    else:
+        mid = (e.low + e.high) / 2
+        total = np.diag(sum(e.sample_diagonal_values(r, n).sum(axis=0) - n * mid
+                            for r in streams))
+    out = {}
+    for k in (1, n // 2, n):
+        p, q = kern.p_powers[k - 1], kern.p_powers[n - k]
+        if e.is_finite_support:
+            second = sum(w * np.sum((p @ delta @ q) ** 2)
+                         for w, delta in zip(e.probabilities, deltas))
+        else:
+            var = (e.high - e.low) ** 2 / 12
+            second = var * np.sum(np.sum(p**2, axis=0) * np.sum(q**2, axis=1))
+        draws = n * reps
+        out[str(k)] = (op_norm(p @ total @ q) / (draws * math.sqrt(n)),
+                       4 * math.sqrt(second / (n * draws)))
+    return out
 
 
 class TestDefaultWorkers:
@@ -761,17 +853,23 @@ class TestCli:
 
     @pytest.mark.parametrize("field, over", [
         ("n_grid", {"ensemble": _SCALAR, "n_grid": [2**40], "suites": ["clt"]}),
-        ("structure_draws", {"ensemble": _SCALAR, "n_grid": [16, 32, 64],
-                             "structure_draws": 2**40, "suites": ["martingale"]}),
         ("n_grid", {"ensemble": _DIAG_MAX, "probes": _PROBES_MAX, "n_grid": [4096],
                     "suites": ["clt"]}),
-    ], ids=["kernel_tables_at_n_2_40", "structure_draws_2_40", "kernel_tables_at_max_dim"])
+    ], ids=["kernel_tables_at_n_2_40", "kernel_tables_at_max_dim"])
     def test_config_too_large_for_memory_is_exit_2(self, tmp_path, capsys, field, over):
         # each used to pass validation and then exit 3 with a MemoryError
         raw = _base_config(tmp_path, **over)
         assert main(["run", _write(tmp_path, "c.json", raw), "--workers", "1"]) == 2
         err = capsys.readouterr().err
         assert f"\n  {field}: " in err and "GiB, above the cap of 1 GiB" in err
+        assert not os.path.exists(raw["output_dir"])
+
+    def test_structure_draws_is_an_unknown_field(self, tmp_path, capsys):
+        # the structure check reads the path pass's draws, so no field sizes it
+        raw = _base_config(tmp_path, n_grid=[16, 32, 64], structure_draws=2**40,
+                           suites=["martingale"])
+        assert main(["run", _write(tmp_path, "c.json", raw), "--workers", "1"]) == 2
+        assert "\n  structure_draws: unknown field" in capsys.readouterr().err
         assert not os.path.exists(raw["output_dir"])
 
     def test_covariance_passes_past_d_16(self, tmp_path, capsys):
@@ -805,7 +903,7 @@ class TestCli:
         # canonical x = e1 lies in the kernel of both draws: every martingale
         # curve is exactly 0, which must not read as a PASS of each decay claim
         raw = _base_config(tmp_path, n_grid=[16, 32, 64], replicates=200,
-                           structure_draws=1000, suites=["martingale"],
+                           suites=["martingale"],
                            ensemble={"family": "two_point", "a0": [[0.0, 0.0], [0.0, 0.0]],
                                      "a1": [[0.0, 0.0], [0.0, 1.0]], "p": 0.5})
         assert main(["run", _write(tmp_path, "c.json", raw), "--workers", "1"]) == 1
@@ -910,7 +1008,7 @@ class TestCli:
     def test_rho_at_cap_writes_strict_json(self, tmp_path):
         # beyond the cap the moments overflow into Infinity or NaN tokens
         raw = _base_config(tmp_path, n_grid=[16, 32, 64], replicates=200,
-                           structure_draws=1000, suites=list(SUITE_NAMES),
+                           suites=list(SUITE_NAMES),
                            ensemble={"family": "two_point", "a0": [[0.0]],
                                      "a1": [[experiment._MAX_RHO]], "p": 0.5})
         assert main(["run", _write(tmp_path, "c.json", raw), "--workers", "1"]) in (0, 1)

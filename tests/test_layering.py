@@ -32,7 +32,7 @@ _FAMILY_FIELDS = {"is_finite_support", "family", "low", "high", "support",
 
 _ALLOWED = {
     "dynamics": {"max_dnk_norm", "precompute_kernel"},
-    "experiment": {"_structure_check", "config_digest"},
+    "experiment": {"config_digest"},
     "covariance": set(),
     "cli": {"main"},
 }
