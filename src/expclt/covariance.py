@@ -109,18 +109,16 @@ def sigma_projected_at(e: Ensemble, x, y, m: int) -> float:
 
     At each node: u = e^{E(1-s)} x, w = e^{Es}^T y, and the integrand
     q(s) = E <w, (A - EA) u>^2 is a probability-weighted sum of squares,
-    hence >= 0 pointwise. Only d x d intermediates are formed.
+    hence >= 0 pointwise; one batched call takes every node's row.  Only
+    d x d propagators are formed.
     """
     x = as_vector(x, e.dim, "x")
     y = as_vector(y, e.dim, "y")
     rule = gauss_legendre(m)
     mean = e.mean()
-    values = np.empty(m)
-    for j, s in enumerate(rule.nodes):
-        u = mat_exp(mean * (1.0 - s)) @ x
-        w = mat_exp(mean * s).T @ y
-        values[j] = e.centered_projection(w, u)
-    return float(rule.weights @ values)
+    u = np.array([mat_exp(mean * (1.0 - s)) @ x for s in rule.nodes])
+    w = np.array([mat_exp(mean * s).T @ y for s in rule.nodes])
+    return float(rule.weights @ e.centered_projection(w, u))
 
 
 def sigma_projected(e: Ensemble, x, y) -> float:

@@ -72,14 +72,14 @@ class PrecomputedKernel:
 
     p_powers[k] = e^{EA k/n} and q_powers[k] = (E e^{A/n})^k for k = 0..n,
     both filled by index doubling (k = floor(k/2) + ceil(k/2)), so the
-    rounding error stays O(log n) units.  ``exps`` holds e^{A_i/n} for each
-    support matrix of a finite-support family (none for diagonal_uniform),
-    which makes a replicate pure table lookup.
+    rounding error stays O(log n) units.  ``exps`` stacks e^{A_i/n} for each
+    support matrix of a finite-support family, ``(m, d, d)``, or ``(0, d, d)``
+    for diagonal_uniform, which makes a replicate pure table lookup.
     """
 
     ensemble: Ensemble
     n: int
-    exps: tuple
+    exps: np.ndarray  # (m, d, d)
     p_powers: np.ndarray  # (n+1, d, d)
     q_powers: np.ndarray  # (n+1, d, d)
 
@@ -105,13 +105,12 @@ def precompute_kernel(e: Ensemble, n: int) -> PrecomputedKernel:
     """Build the per-(ensemble, n) exponential tables."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    exps = tuple(mat_exp(a / n) for a in e.support or ())
-    for m in exps:
-        m.flags.writeable = False
+    support = () if e.support is None else e.support
+    exps = np.array([mat_exp(a / n) for a in support]).reshape(-1, e.dim, e.dim)
     p = _doubling_table(mat_exp(e.mean() / n), n)
     q = _doubling_table(e.mean_exp_scaled(n), n)
-    p.flags.writeable = False
-    q.flags.writeable = False
+    for table in (exps, p, q):
+        table.flags.writeable = False
     return PrecomputedKernel(ensemble=e, n=n, exps=exps, p_powers=p, q_powers=q)
 
 
@@ -194,10 +193,9 @@ def max_dnk_norm(e: Ensemble, n: int, k: int, kern: PrecomputedKernel) -> float:
     """Exact max of ||d_{n,k}|| over every possible draw (not just sampled)."""
     root_n = np.sqrt(float(n))
     if e.is_finite_support:
-        return max(
-            op_norm(kern.p_powers[k - 1] @ delta @ kern.p_powers[n - k])
-            for delta in e._deltas
-        ) / root_n
+        # one batched SVD of P_{k-1} (A_i - EA) P_{n-k} over the support
+        stack = kern.p_powers[k - 1] @ e._deltas @ kern.p_powers[n - k]
+        return float(np.linalg.svd(stack, compute_uv=False)[:, 0].max()) / root_n
     # Diagonal-uniform: all factors diagonal, mean is mid*I, so the norm is
     # e^{mid(n-1)/n} times the largest attainable |entry| of A - EA.
     mid = 0.5 * (e.low + e.high)
@@ -444,12 +442,10 @@ def riemann_cov_value(e: Ensemble, n: int, x, y,
     kern = kern if kern is not None else precompute_kernel(e, n)
     x = as_vector(x, e.dim, "x")
     y = as_vector(y, e.dim, "y")
-    total = 0.0
-    for k in range(1, n + 1):
-        w = kern.p_powers[k - 1].T @ y
-        u = kern.p_powers[n - k] @ x
-        total += e.centered_projection(w, u)
-    return total / n
+    p = kern.p_powers
+    # row k - 1 of w is P_{k-1}^T y and of u is P_{n-k} x, for k = 1..n
+    w, u = y @ p[:n], p[n - 1 :: -1] @ x
+    return float(np.sum(e.centered_projection(w, u))) / n
 
 
 def riemann_cov_error(e: Ensemble, n: int, x, y,

@@ -164,7 +164,7 @@ def _s_tables(kern, x, want_s: bool, want_s_prime: bool):
     zs[i, k-1] = (A_i - EA) Q^{n-k} x           (backward-recurrence input)
     """
     n, d = kern.n, kern.ensemble.dim
-    deltas = np.stack(kern.ensemble._deltas)  # (m, d, d)
+    deltas = kern.ensemble._deltas  # (m, d, d)
     ws = zs = None
     if want_s:
         px = np.einsum("kij,j->ki", kern.p_powers, x)  # P_j x
@@ -237,12 +237,11 @@ def _grouped_sweep(kern, x, rows, *, want_v: bool, want_s: bool, want_s_prime: b
     e, n = kern.ensemble, kern.n
     d, B, T = e.dim, rows.shape[0], _TILE
     # E_s^T, C-contiguous: as a transposed view the GEMM took twice as long
-    ets = np.ascontiguousarray(np.stack(kern.exps).transpose(0, 2, 1))
+    ets = np.ascontiguousarray(kern.exps.transpose(0, 2, 1))
     m = len(ets)
-    deltas = np.stack(e._deltas)
     ws, zs = _s_tables(kern, x, want_s, want_s_prime)
     ks = sorted(set(ks), reverse=True)
-    zk = [deltas @ (kern.q_powers[n - k] @ x) for k in ks]  # (m, d) each
+    zk = [e._deltas @ (kern.q_powers[n - k] @ x) for k in ks]  # (m, d) each
     live = want_v + want_s_prime  # planes multiplied at the current step
     planes = live + len(ks)
     start = np.zeros((live, d))  # every row starts as v = x, u = 0
@@ -310,7 +309,7 @@ def _entrywise_terms(kern, x, rows, want_s_prime: bool):
     xt = np.tile(np.asarray(x, dtype=float), B)  # x in every row
     steps = rows.swapaxes(0, 1).reshape(n, -1)  # (n, B d), a view for rows from _draw_rows
     if e.is_finite_support:
-        ev, av, dv = (np.array([t[0, 0] for t in ts]) for ts in (kern.exps, e.support, e._deltas))
+        ev, av, dv = (t.reshape(-1) for t in (kern.exps, e.support, e._deltas))
         factor, delta, size = ev.take, dv.take, max(1, _SWEEP_BLOCK // B)
 
         def prefix(k):  # a block of steps at a time: no float64 copy of the rows
@@ -468,10 +467,9 @@ def diff_pair_block(kern, x, rows, ks):
         return out
     _, _, _, pref = _grouped_sweep(kern, x, rows, want_v=False, want_s=False,
                                    want_s_prime=False, ks=ks)
-    deltas = np.stack(e._deltas)
     for k in ks:
         pnk_x = kern.p_powers[n - k] @ x
-        d_table = np.einsum("ij,mj->mi", kern.p_powers[k - 1], deltas @ pnk_x) / root_n
+        d_table = np.einsum("ij,mj->mi", kern.p_powers[k - 1], e._deltas @ pnk_x) / root_n
         out[k] = d_table[rows[:, k - 1]] - pref[k] / root_n
     return out
 

@@ -9,14 +9,15 @@ Four families are supported:
 * ``diagonal_uniform``-- diagonal matrices with i.i.d. Uniform[lo, hi] entries;
 * ``deterministic``   -- a single fixed matrix (zero variance).
 
-The first two and the last are stored uniformly as (support, probabilities);
-all first and second moments are exact finite sums or closed forms, never
-estimates.  Sampling is driven by :class:`RngStream`, a counter-based keyed
-stream: a stream is its key ``(master_seed, stream_index)`` and the count of
-uniforms it has drawn, and every draw is a pure function of the two, so
-replicates can be farmed out to any number of workers without changing a
-single bit of output.  This module is the only one that touches the Philox
-generator behind the streams.
+The first two and the last are stored uniformly as (support, probabilities),
+the support one read-only ``(m, d, d)`` array; all first and second moments
+are exact finite sums or closed forms, never estimates, and the moments of
+probe vectors take batches of ``(..., d)`` rows.  Sampling is driven by
+:class:`RngStream`, a counter-based keyed stream: a stream is its key
+``(master_seed, stream_index)`` and the count of uniforms it has drawn, and
+every draw is a pure function of the two, so replicates can be farmed out to
+any number of workers without changing a single bit of output.  This module
+is the only one that touches the Philox generator behind the streams.
 
 Callers see a law through one interface: a draw takes ``uniforms_per_draw``
 uniforms, ``from_uniforms`` maps uniforms to draws (support indices or
@@ -120,8 +121,10 @@ _COMPARE_MAX_SUPPORT = 128
 # Support indices are drawn as uint16, so a support holds at most 2^16 matrices.
 _MAX_SUPPORT = 65_536
 
-# Indices per bincount call of Ensemble.tally, which copies them as intp.
-_COUNT_BLOCK = 65_536
+# Entries per block: indices per bincount call of Ensemble.tally, which
+# copies them as intp, and the m d rows of the deltas times the probe rows
+# of one block of Ensemble.centered_projection, at least one probe row.
+_BLOCK = 65_536
 
 
 @dataclass(frozen=True)
@@ -135,7 +138,7 @@ class Ensemble:
 
     dim: int
     family: str
-    support: tuple | None  # matrices, finite-support families only
+    support: np.ndarray | None  # (m, d, d) read-only, finite-support families only
     probabilities: np.ndarray | None
     low: float | None  # diagonal_uniform bounds
     high: float | None
@@ -155,15 +158,15 @@ class Ensemble:
         """True when every possible draw is a diagonal matrix."""
         if self.family == "diagonal_uniform":
             return True
-        return all(np.count_nonzero(a - np.diag(np.diagonal(a))) == 0 for a in self.support)
+        return not np.any(self.support[:, ~np.eye(self.dim, dtype=bool)])
 
     @cached_property
     def is_point_mass(self) -> bool:
         """True when the law is a point mass, so every fluctuation is exactly 0."""
         if self.is_finite_support:
             # a zero-weight matrix is never drawn, so it does not make the law random
-            drawn = [m for p, m in zip(self.probabilities, self.support) if p > 0.0]
-            return all(np.array_equal(m, drawn[0]) for m in drawn[1:])
+            drawn = self.support[self.probabilities > 0.0]
+            return bool(np.all(drawn == drawn[0]))
         return self.low == self.high
 
     @cached_property
@@ -174,15 +177,11 @@ class Ensemble:
         return c
 
     @cached_property
-    def _deltas(self) -> tuple:
-        """Centered support matrices ``A_i - E[A]``, read-only."""
-        mu = self.mean()
-        out = []
-        for a in self.support:
-            d = a - mu
-            d.flags.writeable = False
-            out.append(d)
-        return tuple(out)
+    def _deltas(self) -> np.ndarray:
+        """Centered support matrices ``A_i - E[A]``, ``(m, d, d)`` read-only."""
+        deltas = self.support - self.mean()
+        deltas.flags.writeable = False
+        return deltas
 
     # --- sampling ---------------------------------------------------------
 
@@ -238,8 +237,8 @@ class Ensemble:
         that its bits are the replicate's own and a point mass's are 0."""
         if self.is_finite_support:
             m, flat = len(self.support), rows.ravel(order="K")  # a view of step-major rows
-            return sum(np.bincount(flat[i : i + _COUNT_BLOCK], minlength=m)
-                       for i in range(0, flat.size, _COUNT_BLOCK))[None]
+            return sum(np.bincount(flat[i : i + _BLOCK], minlength=m)
+                       for i in range(0, flat.size, _BLOCK))[None]
         total, mid = np.zeros(rows.shape[::2]), (self.low + self.high) / 2.0
         for a in rows.swapaxes(0, 1):  # (B, d) draws of one step
             total += a - mid
@@ -250,7 +249,7 @@ class Ensemble:
         ``tally``, as a d x d matrix."""
         total = tally.sum(axis=0)
         if self.is_finite_support:
-            return sum(c * delta for c, delta in zip(total.tolist(), self._deltas))
+            return np.tensordot(total, self._deltas, axes=1)
         return np.diag(total)
 
     # --- exact moments ----------------------------------------------------
@@ -279,23 +278,27 @@ class Ensemble:
         """``E[(A - EA) x (A - EA)^T]`` for a d x d ``x``: the C of Sigma
         acting on x, without forming the d^2 x d^2 moment."""
         if self.is_finite_support:
-            return sum(p * (delta @ x @ delta.T)
-                       for p, delta in zip(self.probabilities, self._deltas))
+            deltas = self._deltas
+            return np.tensordot(self.probabilities, deltas @ x @ deltas.transpose(0, 2, 1), axes=1)
         return np.diag((self.high - self.low) ** 2 / 12.0 * np.diagonal(x))
 
-    def centered_projection(self, w: np.ndarray, u: np.ndarray) -> float:
-        """``E <w, (A - EA) u>^2`` without forming the d^2 x d^2 moment.
-
-        A finite sum of squares (or the uniform variance times a sum of
-        squares), so the result is nonnegative by construction.
+    def centered_projection(self, w: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """``E <w, (A - EA) u>^2`` for each pair of ``(..., d)`` rows of ``w``
+        and ``u``, shaped as their leading axes, without forming the d^2 x d^2
+        moment.  A p-weighted sum of squares (or the uniform variance times a
+        sum of squares), so every value is nonnegative by construction.
         """
-        if self.is_finite_support:
-            total = 0.0
-            for p, delta in zip(self.probabilities, self._deltas):
-                total += p * float(w @ (delta @ u)) ** 2
-            return total
-        var = (self.high - self.low) ** 2 / 12.0
-        return var * float(np.sum((w * u) ** 2))
+        if not self.is_finite_support:
+            return (self.high - self.low) ** 2 / 12.0 * np.sum((w * u) ** 2, axis=-1)
+        d, stacked = self.dim, self._deltas.reshape(-1, self.dim)  # the m d rows of the deltas
+        rows_w, rows_u = np.reshape(w, (-1, d)), np.reshape(u, (-1, d))
+        out, size = np.empty(len(rows_w)), max(1, _BLOCK // len(stacked))
+        for lo in range(0, len(out), size):  # one GEMM of the deltas by a block of u rows
+            block = rows_u[lo : lo + size]
+            du = (stacked @ block.T).reshape(-1, d, len(block))  # (delta_s u_r)_i
+            z = np.einsum("sir,ri->sr", du, rows_w[lo : lo + size])  # <w_r, delta_s u_r>
+            out[lo : lo + size] = self.probabilities @ (z * z)
+        return out.reshape(np.shape(w)[:-1])[()]
 
     def mean_exp_scaled(self, n: int) -> np.ndarray:
         """Exact ``E exp(A / n)``.
@@ -325,12 +328,8 @@ class Ensemble:
         if reps < 1:
             raise ValueError("reps must be >= 1")
         if self.is_finite_support:
-            idx = self.sample_indices(stream, reps)
-            counts = np.bincount(idx, minlength=len(self.support))
-            acc = np.zeros((self.dim, self.dim))
-            for c, a in zip(counts, self.support):
-                acc += (c / reps) * a
-            return acc
+            counts = np.bincount(self.sample_indices(stream, reps), minlength=len(self.support))
+            return np.tensordot(counts / reps, self.support, axes=1)
         total = np.zeros(self.dim)
         done = 0
         while done < reps:
@@ -344,16 +343,9 @@ class Ensemble:
     def shifted(self, c: float) -> "Ensemble":
         """The ensemble of ``A + c I`` (same centered part, shifted mean)."""
         if self.is_finite_support:
-            eye = np.eye(self.dim)
-            mats = [a + c * eye for a in self.support]
-            return finite_support(mats, list(self.probabilities), family=self.family)
+            return finite_support(self.support + c * np.eye(self.dim),
+                                  list(self.probabilities), family=self.family)
         return diagonal_uniform(self.dim, self.low + c, self.high + c)
-
-
-def _freeze(mat: np.ndarray) -> np.ndarray:
-    mat = mat.copy()
-    mat.flags.writeable = False
-    return mat
 
 
 def finite_support(matrices, probabilities, *, family: str = "finite_support") -> Ensemble:
@@ -370,17 +362,18 @@ def finite_support(matrices, probabilities, *, family: str = "finite_support") -
     for i, m in enumerate(mats):
         if m.shape[0] != dim:
             raise ValueError(f"support matrix {i} has dimension {m.shape[0]}, expected {dim}")
-    probs = np.asarray(probabilities, dtype=float)
+    probs = np.array(probabilities, dtype=float)
     if not np.all(np.isfinite(probs)):
         raise ValueError(f"probabilities must be finite, got {reprlib.repr(probs.tolist())}")
     if np.any(probs < 0.0) or abs(float(probs.sum()) - 1.0) > 1e-12:
         raise ValueError("probabilities must be nonnegative and sum to 1")
-    probs = _freeze(probs)
     rho = max(op_norm(m) for m in mats)
+    support = np.array(mats)
+    probs.flags.writeable = support.flags.writeable = False
     return Ensemble(
         dim=dim,
         family=family,
-        support=tuple(_freeze(m) for m in mats),
+        support=support,
         probabilities=probs,
         low=None,
         high=None,

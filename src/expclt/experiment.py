@@ -157,8 +157,16 @@ def _test(ok, what, convert=lambda v: v):
     return check
 
 
+def _only_numbers(v) -> bool:
+    """Whether every entry of the nested lists ``v`` is a JSON number: numpy
+    would read a string, true or false as one."""
+    return all(map(_only_numbers, v)) if type(v) is list else type(v) in (int, float)
+
+
 def _probe(v):
     x = as_vector(v, None, "probe")
+    if not _only_numbers(v):
+        raise ValueError(f"must be a list of numbers, got {_BRIEF.repr(v)}")
     if not np.any(x):  # a zero probe makes sigma^2 = 0 and every check vacuous
         raise ValueError("must not be the zero vector")
     return x
@@ -206,7 +214,7 @@ def _matrices(ndim: int, what: str):
     side, so the factory's SVD never runs on a larger one."""
     def check(v):
         shape = np.shape(v)
-        if len(shape) != ndim:
+        if len(shape) != ndim or not _only_numbers(v):
             raise ValueError(f"must be {what}, got {_BRIEF.repr(v)}")
         if max(shape[-2:]) > _MAX_DIM:
             raise ValueError(f"must be at most {_MAX_DIM} x {_MAX_DIM}, got shape {shape}")
@@ -223,7 +231,7 @@ _FAMILIES = {
     "two_point": (two_point, {"a0": _MATRIX, "a1": _MATRIX, "p": _REAL}),
     "finite_support": (finite_support, {
         "matrices": _matrices(3, "a list of matrices of one shape"),
-        "probabilities": (_REQUIRED, _test(lambda v: np.ndim(v) == 1,
+        "probabilities": (_REQUIRED, _test(lambda v: np.ndim(v) == 1 and _only_numbers(v),
                                            "a list of numbers"))}),
     "diagonal_uniform": (diagonal_uniform, {"dim": (_REQUIRED, _DIM),
                                             "low": _REAL, "high": _REAL}),
@@ -356,7 +364,7 @@ def config_digest(cfg: ExperimentConfig) -> str:
     payload = {
         "family": e.family,
         "dim": e.dim,
-        "support": None if e.support is None else [m.tolist() for m in e.support],
+        "support": None if e.support is None else e.support.tolist(),
         "probabilities": None if e.probabilities is None else e.probabilities.tolist(),
         "low": e.low,
         "high": e.high,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from expclt import deterministic, diagonal_uniform, two_point
+from expclt import deterministic, diagonal_uniform, finite_support, two_point
 
 # A dense non-commuting 3x3 pair, operator norms 0.85, frozen so Monte Carlo
 # rate measurements stay reproducible.
@@ -53,3 +53,36 @@ def diag3():
 @pytest.fixture(scope="session")
 def point2():
     return deterministic(np.array([[0.3, 0.1], [0.0, -0.2]]))
+
+
+@pytest.fixture(scope="session")
+def wide300():
+    """300 dense 3x3 matrices of norm 0.8 with unequal weights: a support past
+    the cut-point count of ``support_indices`` and wider than any block row."""
+    rng = np.random.default_rng(7)
+    mats = [m * (0.8 / np.linalg.norm(m, 2)) for m in rng.standard_normal((300, 3, 3))]
+    weights = rng.uniform(0.5, 1.5, 300)
+    return finite_support(mats, weights / weights.sum())
+
+
+@pytest.fixture(params=["dense3", "scalar01", "diag3", "wide300", "point2"])
+def moment_law(request):
+    """The laws the batched moments are checked on: dense, d = 1, diagonal, a
+    support past the cut-point count, and a point mass."""
+    return request.getfixturevalue(request.param)
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """``count_calls(owner, name)`` wraps ``owner.name`` for the test and
+    returns the list that each call appends its arguments to."""
+    def wrap(owner, name):
+        calls, inner = [], getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+        return calls
+    return wrap

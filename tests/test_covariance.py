@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from expclt import (
+    Ensemble,
     deterministic,
     diagonal_uniform,
     finite_support,
@@ -14,6 +15,27 @@ from expclt import (
     two_point,
 )
 from expclt.covariance import _interval_exp_integral, sigma_projected_at
+from expclt.linalg import mat_exp
+
+
+class TestProjectedQuadrature:
+    def test_matches_the_per_node_loop(self, moment_law):
+        e = moment_law
+        x, y = np.linspace(1.0, -0.5, e.dim), np.linspace(0.25, 1.0, e.dim)
+        rule = gauss_legendre(24)
+        ref = sum(wt * float(e.centered_projection(mat_exp(e.mean() * s).T @ y,
+                                                   mat_exp(e.mean() * (1.0 - s)) @ x))
+                  for s, wt in zip(rule.nodes, rule.weights))
+        got = sigma_projected_at(e, x, y, 24)
+        if e.is_point_mass:
+            assert got == 0.0
+        else:
+            assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    def test_one_moment_call_per_rule(self, dense3, count_calls):
+        calls = count_calls(Ensemble, "centered_projection")
+        sigma_projected_at(dense3, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], 64)
+        assert len(calls) == 1
 
 
 class TestScalarClosedForms:

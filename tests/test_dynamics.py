@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from expclt import (
+    Ensemble,
     RngStream,
     deterministic,
     diagonal_uniform,
+    dynamics,
     engine,
     precompute_kernel,
     sample_xi,
@@ -66,7 +68,7 @@ class TestKernel:
             assert np.allclose(kern.q_powers[k], ref, rtol=1e-12, atol=1e-15)
 
     def test_diagonal_family_has_no_exp_table(self, diag3):
-        assert precompute_kernel(diag3, 4).exps == ()
+        assert precompute_kernel(diag3, 4).exps.shape == (0, 3, 3)
 
 
 class TestSampleXi:
@@ -162,6 +164,25 @@ class TestMartingaleDifference:
         for _ in range(50):
             d = martingale_difference(diag3, n, k, diag3.sample(r), kern)
             assert op_norm(d) <= mx * (1 + 1e-12)
+
+    def test_exact_max_matches_the_per_matrix_loop(self, moment_law):
+        e, n = moment_law, 24
+        kern = precompute_kernel(e, n)
+        per_k = [max_dnk_norm(e, n, k, kern) for k in range(1, n + 1)]
+        if e.is_finite_support:
+            ref = [max(op_norm(kern.p_powers[k - 1] @ (a - e.mean()) @ kern.p_powers[n - k])
+                       for a in e.support) / np.sqrt(n) for k in range(1, n + 1)]
+            np.testing.assert_allclose(per_k, ref, rtol=1e-13, atol=0.0)
+        assert lindeberg_max_norm(e, n, kern) == max(per_k)
+        if e.is_point_mass:
+            assert max(per_k) == 0.0
+
+    def test_exact_max_takes_no_per_matrix_norm(self, wide300, count_calls):
+        calls = count_calls(dynamics, "op_norm")
+        kern = precompute_kernel(wide300, 16)
+        assert max_dnk_norm(wide300, 16, 5, kern) > 0.0
+        assert lindeberg_max_norm(wide300, 16, kern) > 0.0
+        assert calls == []
 
     def test_lindeberg_threshold_formula(self, dense3):
         eps = 0.25
@@ -384,6 +405,25 @@ class TestRiemann:
         got = riemann_cov_error(scalar02, n, [1.0], [1.0])
         want = np.e**2 - np.exp(2 * (n - 1) / n)
         assert got == pytest.approx(want, rel=1e-9)
+
+    def test_matches_the_per_step_loop(self, moment_law):
+        e, n = moment_law, 48
+        kern = precompute_kernel(e, n)
+        x = np.linspace(1.0, -0.5, e.dim)
+        y = np.linspace(0.25, 1.0, e.dim)
+        ref = sum(float(e.centered_projection(kern.p_powers[k - 1].T @ y,
+                                              kern.p_powers[n - k] @ x))
+                  for k in range(1, n + 1)) / n
+        got = riemann_cov_value(e, n, x, y, kern)
+        if e.is_point_mass:
+            assert got == 0.0
+        else:
+            assert got == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    def test_one_moment_call_per_curve(self, dense3, count_calls):
+        calls = count_calls(Ensemble, "centered_projection")
+        riemann_cov_value(dense3, 1024, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+        assert len(calls) == 1
 
     def test_converges_to_limit_covariance(self, dense3):
         x = np.array([1.0, 0.0, 0.0])

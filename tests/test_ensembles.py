@@ -401,6 +401,14 @@ class TestSupportIndices:
             diag3.support_indices(np.zeros(3))
 
 
+def _loop_projection(e, w, u) -> float:
+    """E <w, (A - EA) u>^2 of one pair, one support matrix at a time."""
+    if not e.is_finite_support:
+        return (e.high - e.low) ** 2 / 12.0 * float(np.sum((w * u) ** 2))
+    return sum(p * float(w @ ((a - e.mean()) @ u)) ** 2
+               for p, a in zip(e.probabilities, e.support))
+
+
 class TestMoments:
     def test_two_point_mean(self, nilp3):
         ref = 0.5 * (nilp3.support[0] + nilp3.support[1])
@@ -415,23 +423,46 @@ class TestMoments:
         ref = p * (1 - p) * np.kron(diff, diff)
         assert np.allclose(e.central_second_moment(), ref, rtol=1e-14, atol=1e-16)
 
-    def test_centered_projection_matches_kron_route(self, dense3):
+    def test_centered_projection_matches_kron_route(self, moment_law):
+        # ten (w, u) rows in one call, each against the lifted moment and the
+        # per-matrix loop
+        e = moment_law
         rng = np.random.default_rng(4)
-        c = dense3.central_second_moment()
-        for _ in range(10):
-            w, u = rng.standard_normal(3), rng.standard_normal(3)
-            direct = dense3.centered_projection(w, u)
-            lifted = float(np.kron(w, w) @ c @ np.kron(u, u))
-            assert direct == pytest.approx(lifted, rel=1e-12, abs=1e-15)
+        w, u = rng.standard_normal((2, 10, e.dim))
+        c = e.central_second_moment()
+        direct = e.centered_projection(w, u)
+        assert direct.shape == (10,)
+        for r in range(10):
+            lifted = float(np.kron(w[r], w[r]) @ c @ np.kron(u[r], u[r]))
+            assert direct[r] == pytest.approx(lifted, rel=1e-12, abs=1e-15)
+        np.testing.assert_allclose(direct, [_loop_projection(e, *r) for r in zip(w, u)],
+                                   rtol=1e-13, atol=0.0)
+        # leading axes are kept, and a single pair gives a scalar
+        assert e.centered_projection(w.reshape(2, 5, -1), u.reshape(2, 5, -1)).shape == (2, 5)
+        assert np.ndim(e.centered_projection(w[0], u[0])) == 0
 
-    def test_centered_projection_matches_kron_route_diagonal(self, diag3):
-        rng = np.random.default_rng(6)
-        c = diag3.central_second_moment()
-        for _ in range(10):
-            w, u = rng.standard_normal(3), rng.standard_normal(3)
-            direct = diag3.centered_projection(w, u)
-            lifted = float(np.kron(w, w) @ c @ np.kron(u, u))
-            assert direct == pytest.approx(lifted, rel=1e-12, abs=1e-15)
+    def test_centered_action_and_total_match_the_per_matrix_loops(self, moment_law):
+        e = moment_law
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((e.dim, e.dim))
+        tally = (rng.integers(0, 50, (3, len(e.support))) if e.is_finite_support
+                 else rng.standard_normal((3, e.dim)))
+        if e.is_finite_support:
+            deltas = [a - e.mean() for a in e.support]
+            action = sum(p * (dl @ x @ dl.T) for p, dl in zip(e.probabilities, deltas))
+            total = sum(c * dl for c, dl in zip(tally.sum(axis=0).tolist(), deltas))
+        else:
+            action = np.diag((e.high - e.low) ** 2 / 12.0 * np.diagonal(x))
+            total = np.diag(tally.sum(axis=0))
+        np.testing.assert_allclose(e.centered_action(x), action, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(e.centered_total(tally), total, rtol=1e-13, atol=1e-12)
+
+    def test_support_is_one_read_only_stack(self, wide300, diag3):
+        assert wide300.support.shape == (300, 3, 3)
+        assert not wide300.support.flags.writeable
+        assert not wide300._deltas.flags.writeable
+        assert np.array_equal(wide300._deltas, wide300.support - wide300.mean())
+        assert diag3.support is None
 
     def test_mean_exp_scaled_finite_sum(self, scalar02):
         n = 16
@@ -451,6 +482,8 @@ class TestMoments:
     def test_deterministic_moments_are_exact_zero(self, point2):
         assert np.all(point2.central_second_moment() == 0.0)
         assert point2.centered_projection(np.ones(2), np.ones(2)) == 0.0
+        rows = np.random.default_rng(9).standard_normal((7, 2))
+        assert np.array_equal(point2.centered_projection(rows, rows[::-1]), np.zeros(7))
 
     def test_estimate_mean_mc_consistency(self, nilp3):
         est = nilp3.estimate_mean_mc(200000, RngStream(13))

@@ -184,6 +184,31 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="cannot read config"):
             load_config(str(path))
 
+    @pytest.mark.parametrize("path, over", [
+        ("ensemble.probabilities", {"ensemble": {
+            "family": "finite_support", "matrices": [[[0.0]], [[1.0]]],
+            "probabilities": ["0.5", "0.5"]}}),
+        ("ensemble.probabilities", {"ensemble": {
+            "family": "finite_support", "matrices": [[[0.0]], [[1.0]]],
+            "probabilities": [True, False]}}),
+        ("ensemble.a0", {"ensemble": {"family": "two_point", "a0": [["0.1"]],
+                                      "a1": [[2.0]], "p": 0.5}}),
+        ("ensemble.matrices", {"ensemble": {"family": "finite_support",
+                                            "matrices": [[[0.5]], [[True]]],
+                                            "probabilities": [0.5, 0.5]}}),
+        ("ensemble.matrix", {"ensemble": {"family": "deterministic", "matrix": [[False]]}}),
+        ("probes.x", {"probes": {"x": ["1", True], "y": [1.0, 0.0]},
+                      "ensemble": {"family": "diagonal_uniform", "dim": 2, "low": -0.5,
+                                   "high": 1.0}}),
+        ("probes.y", {"probes": {"x": [1.0], "y": [True]}}),
+    ], ids=["string_probabilities", "bool_probabilities", "string_a0", "bool_matrices",
+            "bool_matrix", "string_and_bool_probe", "bool_probe"])
+    def test_array_entries_must_be_json_numbers(self, tmp_path, capsys, path, over):
+        # numpy reads "0.5", true and false as numbers, so they used to pass
+        raw = _base_config(tmp_path, **over)
+        assert main(["run", _write(tmp_path, "c.json", raw)]) == 2
+        assert f"\n  {path}: must be a" in capsys.readouterr().err
+
     def test_support_size_fits_uint16_indices(self, tmp_path):
         raw = _base_config(tmp_path, ensemble={
             "family": "finite_support", "matrices": [[[0.0]]] * 65_537,
@@ -263,6 +288,25 @@ class TestConfigDigest:
             other = load_config(_write(tmp_path, "b.json",
                                        _base_config(tmp_path, **over)))
             assert config_digest(base) != config_digest(other)
+
+    @pytest.mark.parametrize("ensemble, digest", [
+        ({"family": "two_point", "a0": [[0.1, -0.2], [0.3, 0.0]],
+          "a1": [[-0.4, 0.2], [0.1, 0.5]], "p": 0.3},
+         "e7d76a722a36bc875cd25f90c49d9d999c7f75819de6d9c6e3ef291fa5eb5109"),
+        ({"family": "finite_support", "matrices": [[[0.5]], [[-0.25]], [[1.0]]],
+          "probabilities": [0.5, 0.25, 0.25]},
+         "602a5f076073dbe47c3bb97978d8d556d2a90c5e2b3edf8cb260c76b686f92d6"),
+        ({"family": "diagonal_uniform", "dim": 3, "low": -0.5, "high": 1.0},
+         "84868647dff76030e35bea4c57f30eae482fccfb22f6797396c6beb1069496f4"),
+        ({"family": "deterministic", "matrix": [[0.3, 0.1], [0.0, -0.2]]},
+         "0793104116d0b4568cb89481e1345457280dc63ff0752a2779796b7c182f7774"),
+    ], ids=["two_point", "finite_support", "diagonal_uniform", "deterministic"])
+    def test_digest_literals(self, tmp_path, ensemble, digest):
+        # the digest of one config of each family, as version 0.7.0 computed it:
+        # it does not depend on how the law stores its support
+        raw = {"ensemble": ensemble, "n_grid": [16, 32], "replicates": 300,
+               "master_seed": 7, "suites": ["clt"], "output_dir": "out"}
+        assert config_digest(load_config(_write(tmp_path, "c.json", raw))) == digest
 
     def test_output_dir_is_not_semantic(self, tmp_path):
         a = load_config(_write(tmp_path, "a.json", _base_config(tmp_path)))
