@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import as_matrix, op_norm
+from .linalg import as_matrix, mat_exp, op_norm
 
 __all__ = [
     "RngStream",
@@ -177,6 +177,15 @@ class Ensemble:
         return c
 
     @cached_property
+    def _mean(self) -> np.ndarray:
+        if self.is_finite_support:
+            mean = self._expect(self.support)
+        else:
+            mean = np.eye(self.dim) * ((self.low + self.high) / 2.0)
+        mean.flags.writeable = False
+        return mean
+
+    @cached_property
     def _deltas(self) -> np.ndarray:
         """Centered support matrices ``A_i - E[A]``, ``(m, d, d)`` read-only."""
         deltas = self.support - self.mean()
@@ -254,25 +263,24 @@ class Ensemble:
 
     # --- exact moments ----------------------------------------------------
 
+    def _expect(self, values):
+        """sum_s p_s values[s] over a finite support, added one term at a time
+        in support order: the bits of the mean and of every kernel table."""
+        acc = 0.0
+        for p, v in zip(self.probabilities, values):
+            acc = acc + p * v
+        return acc
+
     def mean(self) -> np.ndarray:
-        """Exact expected matrix."""
-        if self.is_finite_support:
-            acc = np.zeros((self.dim, self.dim))
-            for p, a in zip(self.probabilities, self.support):
-                acc += p * a
-            return acc
-        return np.eye(self.dim) * ((self.low + self.high) / 2.0)
+        """Exact expected matrix, computed once per law (read-only)."""
+        return self._mean
 
     def central_second_moment(self) -> np.ndarray:
         """Exact ``E[(A - EA) (x) (A - EA)]`` as a d^2 x d^2 matrix."""
-        d = self.dim
         if self.is_finite_support:
-            acc = np.zeros((d * d, d * d))
-            for p, delta in zip(self.probabilities, self._deltas):
-                acc += p * np.kron(delta, delta)
-            return acc
+            return self._expect(np.kron(delta, delta) for delta in self._deltas)
         var = (self.high - self.low) ** 2 / 12.0
-        return np.diag(var * np.eye(d).reshape(-1))  # var at each (i,i),(i,i)
+        return np.diag(var * np.eye(self.dim).reshape(-1))  # var at each (i,i),(i,i)
 
     def centered_action(self, x: np.ndarray) -> np.ndarray:
         """``E[(A - EA) x (A - EA)^T]`` for a d x d ``x``: the C of Sigma
@@ -303,19 +311,14 @@ class Ensemble:
     def mean_exp_scaled(self, n: int) -> np.ndarray:
         """Exact ``E exp(A / n)``.
 
-        Finite support: probability-weighted sum of the support exponentials.
-        diagonal_uniform: closed form, entrywise
+        Finite support: probability-weighted sum of the support exponentials,
+        taken in one call.  diagonal_uniform: closed form, entrywise
         ``(exp(hi/n) - exp(lo/n)) / ((hi - lo)/n)`` on the diagonal.
         """
-        from .linalg import mat_exp
-
         if n < 1:
             raise ValueError("n must be >= 1")
         if self.is_finite_support:
-            acc = np.zeros((self.dim, self.dim))
-            for p, a in zip(self.probabilities, self.support):
-                acc += p * mat_exp(a / n)
-            return acc
+            return self._expect(mat_exp(self.support / n))
         lo, hi = self.low / n, self.high / n
         if hi == lo:
             val = float(np.exp(lo))
@@ -358,8 +361,10 @@ def finite_support(matrices, probabilities, *, family: str = "finite_support") -
     if len(matrices) != len(probabilities):
         raise ValueError("one probability per support matrix required")
     mats = [as_matrix(m, f"support matrix {i}") for i, m in enumerate(matrices)]
-    dim = mats[0].shape[0]
+    dim = mats[0].shape[-1]
     for i, m in enumerate(mats):
+        if m.ndim != 2:
+            raise ValueError(f"support matrix {i} must be one matrix, got shape {m.shape}")
         if m.shape[0] != dim:
             raise ValueError(f"support matrix {i} has dimension {m.shape[0]}, expected {dim}")
     probs = np.array(probabilities, dtype=float)
@@ -367,8 +372,8 @@ def finite_support(matrices, probabilities, *, family: str = "finite_support") -
         raise ValueError(f"probabilities must be finite, got {reprlib.repr(probs.tolist())}")
     if np.any(probs < 0.0) or abs(float(probs.sum()) - 1.0) > 1e-12:
         raise ValueError("probabilities must be nonnegative and sum to 1")
-    rho = max(op_norm(m) for m in mats)
     support = np.array(mats)
+    rho = float(op_norm(support).max())
     probs.flags.writeable = support.flags.writeable = False
     return Ensemble(
         dim=dim,

@@ -572,13 +572,14 @@ def _structure_check(cfg: ExperimentConfig, tally):
     kern = _kernel(e, n)
     draws = n * cfg.replicates
     mean = e.centered_total(tally) / draws
+    ks = sorted({1, max(1, n // 2), n})
+    ps, qs = kern.p_powers[[k - 1 for k in ks]], kern.p_powers[[n - k for k in ks]]
     out = {}
-    for k in sorted({1, max(1, n // 2), n}):
-        p, q = kern.p_powers[k - 1], kern.p_powers[n - k]
+    for k, p, q, norm in zip(ks, ps, qs, op_norm(ps @ mean @ qs)):
         # n E ||d_{n,k}||_F^2 = tr(P^T P C(Q Q^T)) = tr(P C(Q Q^T) P^T) >= 0, up to rounding
         second = float(np.sum(p @ e.centered_action(q @ q.T) * p))
         se_4 = 4.0 * math.sqrt(max(0.0, second) / (n * draws))
-        mean_norm = float(op_norm(p @ mean @ q)) / math.sqrt(n)
+        mean_norm = float(norm) / math.sqrt(n)
         out[k] = {"mean_norm": mean_norm, "se_4": se_4, "draws": draws,
                   "ok": bool(mean_norm <= se_4 + 1e-15)}
     return out
@@ -764,8 +765,11 @@ def _suite_covariance(cfg: ExperimentConfig, paths) -> SuiteResult:
         scale_floor = max(scale_floor,
                           float(px @ px) * float(py @ py) * max(1.0, abs(proj), abs(qf)))
 
-    v1 = sigma_projected_at(e, cfg.x, cfg.y, 64)
-    v2 = sigma_projected_at(e, cfg.x, cfg.y, 128)
+    # m nodes against 2m, m = max(64, 2^ceil(log2 2 rho)): the integrand moves on
+    # a scale of 1/(2 rho) in s, which 64 nodes stop resolving near rho = 45
+    m = max(64, 2 ** math.ceil(math.log2(max(2.0 * e.rho, 1.0))))
+    v1 = sigma_projected_at(e, cfg.x, cfg.y, m)
+    v2 = sigma_projected_at(e, cfg.x, cfg.y, 2 * m)
     doubling = abs(v2 - v1) / max(abs(v2), np.finfo(float).tiny)
 
     base = values[0]  # sigma_projected(e, cfg.x, cfg.y)

@@ -1,9 +1,9 @@
 """Dense small-matrix numerics shared by every other module.
 
 Everything here operates on plain float64 numpy arrays: square ``(d, d)``
-matrices stand for bounded operators on a truncated space, length-``d``
-vectors for probe directions.  All functions are pure; no input is ever
-mutated.
+matrices stand for bounded operators on a truncated space, ``(..., d, d)``
+arrays for stacks of them, length-``d`` vectors for probe directions.  All
+functions are pure; no input is ever mutated.
 """
 
 from __future__ import annotations
@@ -43,15 +43,20 @@ _PADE13_B = (
 # Largest 1-norm for which the degree-13 approximant alone is accurate.
 _PADE13_THETA = 5.371920351148152
 
+# Entries per block of a stack that mat_exp takes at once: the Pade step holds
+# about a dozen temporaries the size of its block, not of the whole stack.
+_EXP_BLOCK = 65_536
+
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return ``a`` as a finite square float64 array."""
+    """Validate and return ``a`` as a finite float64 square matrix, or a
+    ``(..., d, d)`` stack of them."""
     m = np.asarray(a, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    if m.shape[0] < 1:
+    if m.shape[-1] < 1:
         raise ValueError(f"{name} must have dimension >= 1")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} contains non-finite entries")
     return m
 
@@ -68,43 +73,68 @@ def as_vector(v, dim: int | None = None, name: str = "vector") -> np.ndarray:
     return x
 
 
-def _is_diagonal(a: np.ndarray) -> bool:
-    return np.count_nonzero(a - np.diag(np.diagonal(a))) == 0
-
-
-def mat_exp(a) -> np.ndarray:
-    """Matrix exponential by Pade-13 scaling and squaring.
-
-    Diagonal input takes an exact elementwise path, so 1x1 matrices and
-    diagonal operators are as accurate as ``exp`` itself.
-    """
-    m = as_matrix(a)
-    if _is_diagonal(m):
-        return np.diag(np.exp(np.diagonal(m)))
-
-    norm1 = float(np.max(np.sum(np.abs(m), axis=0)))
-    squarings = 0
-    if norm1 > _PADE13_THETA:
-        squarings = int(np.ceil(np.log2(norm1 / _PADE13_THETA)))
-        m = m / (2.0**squarings)
-
+def _pade_squared(x: np.ndarray) -> np.ndarray:
+    """Pade-13 exp of each matrix of the ``(k, d, d)`` stack ``x``, scaled by its
+    own power of two and squared back (Higham, SIAM J. Matrix Anal. Appl. 26(4), 2005)."""
+    norm1 = np.abs(x).sum(axis=1).max(axis=1)
+    squarings = np.ceil(np.log2(np.maximum(norm1, _PADE13_THETA) / _PADE13_THETA))
+    counts = squarings.tolist()
+    fewest, most = int(min(counts)), int(max(counts))
+    if most:  # else every divisor is 1
+        x = x / (2.0**squarings)[:, None, None]
     b = _PADE13_B
-    ident = np.eye(m.shape[0])
-    m2 = m @ m
-    m4 = m2 @ m2
-    m6 = m4 @ m2
-    u = m @ (m6 @ (b[13] * m6 + b[11] * m4 + b[9] * m2) + b[7] * m6 + b[5] * m4 + b[3] * m2 + b[1] * ident)
-    v = m6 @ (b[12] * m6 + b[10] * m4 + b[8] * m2) + b[6] * m6 + b[4] * m4 + b[2] * m2 + b[0] * ident
+    ident = np.eye(x.shape[-1])
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2) + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * ident)
+    v = x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2) + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * ident
     f = np.linalg.solve(v - u, v + u)
-    for _ in range(squarings):
+    for _ in range(fewest):
         f = f @ f
+    for j in range(fewest, most):  # the matrices that need more squarings
+        todo = squarings > j
+        f[todo] = f[todo] @ f[todo]
     return f
 
 
-def op_norm(a) -> float:
-    """Spectral norm (largest singular value), via full SVD."""
+def mat_exp(a) -> np.ndarray:
+    """Matrix exponential by Pade-13 scaling and squaring, of one matrix or of
+    each matrix of a ``(..., d, d)`` stack.
+
+    Each matrix is taken as if alone: a diagonal one by the exact elementwise
+    ``exp`` (so 1x1 matrices and diagonal operators are as accurate as ``exp``
+    itself), a dense one with its own number of squarings.  Stacked ``matmul``
+    and ``solve`` make the same BLAS and LAPACK call per matrix, so a matrix
+    gets the same bits in a stack as alone.
+    """
     m = as_matrix(a)
-    return float(np.linalg.svd(m, compute_uv=False)[0])
+    d = m.shape[-1]
+    k, step = m.size // (d * d), max(1, _EXP_BLOCK // (d * d))
+    if k > step:
+        blocks = np.split(m.reshape(k, d, d), range(step, k, step))
+        return np.concatenate([mat_exp(b) for b in blocks]).reshape(m.shape)
+    rows = m.reshape(k, d * d)  # row i holds matrix i, its diagonal at steps of d + 1
+    # a matrix is dense when one of its off-diagonal entries is nonzero
+    dense = rows[:, 1:].reshape(k, d - 1, d + 1)[:, :, :d].any(axis=(1, 2))
+    count = np.count_nonzero(dense)
+    if k and count == k:
+        return _pade_squared(m.reshape(k, d, d)).reshape(m.shape)
+    out = np.zeros((k, d * d))
+    diagonal = ~dense if count else slice(None)
+    out[diagonal, :: d + 1] = np.exp(rows[diagonal, :: d + 1])
+    if count:
+        out[dense] = _pade_squared(m.reshape(k, d, d)[dense]).reshape(count, d * d)
+    return out.reshape(m.shape)
+
+
+def op_norm(a):
+    """Spectral norm (largest singular value) of one matrix, as a float, or of
+    each matrix of a ``(..., d, d)`` stack: an absolute value at d = 1, else
+    the first singular value of a full SVD."""
+    m = as_matrix(a)
+    norms = np.abs(m[..., 0, 0]) if m.shape[-1] == 1 else np.linalg.svd(m, compute_uv=False)[..., 0]
+    return float(norms) if m.ndim == 2 else norms
 
 
 @dataclass(frozen=True)

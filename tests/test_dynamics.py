@@ -67,6 +67,18 @@ class TestKernel:
             ref = np.linalg.matrix_power(q1, k)
             assert np.allclose(kern.q_powers[k], ref, rtol=1e-12, atol=1e-15)
 
+    def test_support_is_exponentiated_once(self, wide300, count_calls):
+        exps = count_calls(dynamics, "mat_exp")
+        means = count_calls(Ensemble, "mean_exp_scaled")
+        kern = precompute_kernel(wide300, 16)
+        stacks = [args[0] for args in exps if np.ndim(args[0]) == 3]
+        assert len(stacks) == 1 and stacks[0].shape == (300, 3, 3)
+        assert means == []
+        # the bits of the per-matrix exponentials and of mean_exp_scaled
+        for a, got in zip(wide300.support, kern.exps):
+            assert np.array_equal(got, mat_exp(a / 16))
+        assert np.array_equal(kern.q_powers[1], wide300.mean_exp_scaled(16))
+
     def test_diagonal_family_has_no_exp_table(self, diag3):
         assert precompute_kernel(diag3, 4).exps.shape == (0, 3, 3)
 
@@ -182,7 +194,8 @@ class TestMartingaleDifference:
         kern = precompute_kernel(wide300, 16)
         assert max_dnk_norm(wide300, 16, 5, kern) > 0.0
         assert lindeberg_max_norm(wide300, 16, kern) > 0.0
-        assert calls == []
+        assert len(calls) == 17  # one for k = 5, one per k = 1..16
+        assert all(np.shape(args[0]) == (300, 3, 3) for args in calls)
 
     def test_lindeberg_threshold_formula(self, dense3):
         eps = 0.25

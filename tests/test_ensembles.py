@@ -15,6 +15,7 @@ from expclt import (
     two_point,
 )
 from expclt.ensembles import _COMPARE_MAX_SUPPORT as _CUT
+from expclt.linalg import mat_exp
 
 
 class TestRngStream:
@@ -188,6 +189,11 @@ class TestFactoriesAndValidation:
             finite_support([np.eye(2), np.eye(3)], [0.5, 0.5])
         with pytest.raises(ValueError):
             two_point(np.array([[np.inf]]), np.array([[0.0]]), 0.5)
+        # a stack is not one support matrix, even when the validator takes it
+        with pytest.raises(ValueError, match="support matrix 1 must be one matrix"):
+            finite_support([np.eye(2), np.zeros((1, 2, 2))], [0.5, 0.5])
+        with pytest.raises(ValueError, match="support matrix 0 must be one matrix"):
+            finite_support([np.zeros((1, 2, 2))], [1.0])
 
     def test_diagonal_uniform_validation(self):
         with pytest.raises(ValueError):
@@ -456,6 +462,26 @@ class TestMoments:
             total = np.diag(tally.sum(axis=0))
         np.testing.assert_allclose(e.centered_action(x), action, rtol=1e-13, atol=1e-15)
         np.testing.assert_allclose(e.centered_total(tally), total, rtol=1e-13, atol=1e-12)
+
+    def test_mean_is_computed_once_and_read_only(self, moment_law):
+        e = moment_law
+        assert e.mean() is e.mean()
+        assert not e.mean().flags.writeable
+        if e.is_finite_support:
+            acc = np.zeros((e.dim, e.dim))
+            for p, a in zip(e.probabilities, e.support):
+                acc += p * a
+        else:
+            acc = np.eye(e.dim) * ((e.low + e.high) / 2.0)
+        assert np.array_equal(e.mean(), acc)
+
+    @pytest.mark.parametrize("fix", ["dense3", "scalar01", "wide300", "point2"])
+    def test_mean_exp_scaled_is_the_loop_over_single_exponentials(self, fix, request):
+        e, n = request.getfixturevalue(fix), 16
+        acc = np.zeros((e.dim, e.dim))
+        for p, a in zip(e.probabilities, e.support):
+            acc += p * mat_exp(a / n)
+        assert np.array_equal(e.mean_exp_scaled(n), acc)
 
     def test_support_is_one_read_only_stack(self, wide300, diag3):
         assert wide300.support.shape == (300, 3, 3)

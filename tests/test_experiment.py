@@ -927,6 +927,32 @@ class TestCli:
             assert main(["run", _write(tmp_path, "c.json", raw), "--workers", "1"]) == 0
             assert "[PASS] covariance" in capsys.readouterr().out
 
+    def test_covariance_resolves_skew_dominated_laws(self, tmp_path, capsys, monkeypatch):
+        # rho ~ 70.5: fixed 64- and 128-node rules read a node-doubling delta of
+        # 0.107 here although both routes agree to 5e-15; the compared rules
+        # grow with rho (256 against 512 nodes here), the 1e-12 gate does not
+        rot = 70.0 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        tilt = np.array([[0.5, 0.2], [0.1, -0.3]])
+        raw = _base_config(tmp_path, suites=["covariance"],
+                           ensemble={"family": "two_point", "a0": (rot + tilt).tolist(),
+                                     "a1": (rot - tilt).tolist(), "p": 0.5})
+        path = _write(tmp_path, "c.json", raw)
+        assert main(["run", path, "--workers", "1"]) == 0
+        assert "[PASS] covariance" in capsys.readouterr().out
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["suites"]["covariance"]["details"]["node_doubling_delta"] < 1e-14
+        # a planted error of 1e-9 in the larger rule still fails the suite
+        rules, real = [], experiment.sigma_projected_at
+
+        def planted(e, x, y, m):
+            rules.append(m)
+            return real(e, x, y, m) * (1.0 + 1e-9 * (m == 512))
+
+        monkeypatch.setattr(experiment, "sigma_projected_at", planted)
+        assert main(["run", path, "--workers", "1"]) == 1
+        assert "[FAIL] covariance" in capsys.readouterr().out
+        assert rules == [256, 512]
+
     def test_zero_projected_variance_of_random_law_fails_clt(self, tmp_path, capsys):
         # canonical probes (e1, e2) see nothing of a diagonal law: sigma^2 = 0
         # and every sample is 0, which must not read as a degenerate PASS

@@ -1,6 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from expclt import linalg
 from expclt.linalg import (
     QuadratureRule,
     as_matrix,
@@ -65,6 +68,91 @@ class TestMatExp:
             mat_exp(np.zeros((2, 3)))
         with pytest.raises(ValueError):
             mat_exp(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+        with pytest.raises(ValueError, match="square"):
+            mat_exp(np.zeros((4, 2, 3)))
+        with pytest.raises(ValueError, match="square"):
+            mat_exp(np.zeros(3))
+        stack = np.zeros((5, 2, 2))
+        stack[3, 1, 0] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            mat_exp(stack)
+        with pytest.raises(ValueError, match="non-finite"):
+            op_norm(stack)
+
+
+def _mixed_stack(d, rng):
+    """Dense matrices with 1-norms below and above the Pade-13 threshold (so
+    their squaring counts differ), diagonal ones and a zero matrix."""
+    scales = [0.01, 0.5, 3.0, 5.371920351148152, 6.0, 20.0, 90.0]
+    dense = rng.standard_normal((len(scales), d, d))
+    dense *= (np.array(scales) / np.abs(dense).sum(axis=1).max(axis=1))[:, None, None]
+    diagonal = [np.diag(v) for v in rng.uniform(-3.0, 3.0, (3, d))]
+    return np.array([*dense[:4], diagonal[0], np.zeros((d, d)), *dense[4:], *diagonal[1:]])
+
+
+class TestStacks:
+    """A stack gives every matrix the bits of a single call."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 16, 33])
+    def test_mat_exp_stack_is_bit_equal_to_single_calls(self, d):
+        stack = _mixed_stack(d, np.random.default_rng(d))
+        got = mat_exp(stack)
+        assert got.shape == stack.shape
+        for a, g in zip(stack, got):
+            assert np.array_equal(g, mat_exp(a))
+
+    def test_squaring_counts_differ_within_the_stack(self):
+        norms = np.abs(_mixed_stack(3, np.random.default_rng(3))).sum(axis=1).max(axis=1)
+        assert np.any(norms == 0.0) and np.any((norms > 0.0) & (norms < 5.37))
+        assert len(set(np.ceil(np.log2(norms[norms > 5.372] / 5.371920351148152)))) >= 3
+
+    def test_one_by_one_stack_is_elementwise_exp(self):
+        v = np.random.default_rng(1).uniform(-5.0, 5.0, 50)
+        got = mat_exp(v[:, None, None])
+        assert np.array_equal(got[:, 0, 0], [mat_exp([[a]])[0, 0] for a in v])
+        assert np.array_equal(got[:, 0, 0], [np.exp(a) for a in v])
+
+    def test_four_dimensional_stack(self):
+        stack = np.random.default_rng(2).standard_normal((2, 3, 4, 4))
+        stack[1, 2] = np.diag([1.0, -2.0, 0.5, 0.0])
+        got = mat_exp(stack)
+        assert got.shape == (2, 3, 4, 4)
+        for i in range(2):
+            for j in range(3):
+                assert np.array_equal(got[i, j], mat_exp(stack[i, j]))
+        norms = op_norm(stack)
+        assert norms.shape == (2, 3)
+        assert all(norms[i, j] == op_norm(stack[i, j]) for i in range(2) for j in range(3))
+
+    def test_blocks_of_a_large_stack_keep_every_bit(self, monkeypatch):
+        stack = _mixed_stack(3, np.random.default_rng(6))[:10]
+        whole = mat_exp(stack)
+        monkeypatch.setattr(linalg, "_EXP_BLOCK", 4 * 9)  # 4 matrices a block
+        assert np.array_equal(mat_exp(stack), whole)
+        assert np.array_equal(mat_exp(stack.reshape(2, 5, 3, 3)), whole.reshape(2, 5, 3, 3))
+
+    def test_empty_stack(self):
+        assert mat_exp(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+        assert op_norm(np.zeros((0, 3, 3))).shape == (0,)
+
+    def test_zero_matrices_raise_no_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(mat_exp(np.zeros((4, 3, 3))), np.broadcast_to(np.eye(3), (4, 3, 3)))
+            mat_exp(_mixed_stack(3, np.random.default_rng(5)))
+
+    @pytest.mark.parametrize("d", [1, 3, 16])
+    def test_op_norm_stack_matches_single_calls(self, d):
+        stack = _mixed_stack(d, np.random.default_rng(10 + d))
+        got = op_norm(stack)
+        assert got.shape == (len(stack),)
+        assert [float(g) for g in got] == [op_norm(a) for a in stack]
+        assert isinstance(op_norm(stack[0]), float)
+
+    def test_one_by_one_norm_is_abs(self):
+        v = np.random.default_rng(4).standard_normal(100) * 10.0 ** np.arange(-50, 50)
+        assert np.array_equal(op_norm(v[:, None, None]), np.abs(v))
+        assert op_norm([[-2.5]]) == 2.5
 
 
 class TestValidators:
