@@ -120,8 +120,8 @@ def precompute_kernel(e: Ensemble, n: int) -> PrecomputedKernel:
 def kernel_consistency(kern: PrecomputedKernel, ks=None) -> float:
     """Max relative defect of p_powers[k] against a direct e^{EA k/n}."""
     n = kern.n
-    ks = np.asarray(ks if ks is not None else sorted({1, 2, 3, n // 3, n // 2, n - 1, n} - {0}),
-                    dtype=int)
+    ks = np.asarray(ks if ks is not None else  # every k within [1, n], p_powers' rows
+                    sorted({1, min(2, n), min(3, n), n // 3, n // 2, n - 1, n} - {0}), dtype=int)
     direct = mat_exp(kern.ensemble.mean() * (ks / n)[:, None, None])
     scale = np.maximum(op_norm(direct), 1.0)
     return float(np.max(op_norm(kern.p_powers[ks] - direct) / scale, initial=0.0))

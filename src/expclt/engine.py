@@ -109,11 +109,11 @@ def pass_bytes(e, n: int) -> tuple:
 
 
 def chunk_ranges(e, n: int, reps: int) -> list:
-    """The replicate ranges ``[lo, hi)`` of one pass, in index order."""
+    """Replicate ranges ``[lo, hi)`` of a pass: ceil(reps / batch_size) chunks, widths within 1."""
     if reps < 1:
         raise ValueError(f"reps must be >= 1, got {reps}")
-    chunk = batch_size(e, n)
-    return [(lo, min(lo + chunk, reps)) for lo in range(0, reps, chunk)]
+    count = -(-reps // batch_size(e, n))
+    return [(reps * i // count, reps * (i + 1) // count) for i in range(count)]
 
 
 def concat_chunks(parts) -> dict:

@@ -49,6 +49,7 @@ import numpy as np
 
 from . import __version__, engine
 from .covariance import (
+    quadrature_nodes,
     sigma_commuting_oracle,
     sigma_full,
     sigma_projected,
@@ -765,11 +766,8 @@ def _suite_covariance(cfg: ExperimentConfig, paths) -> SuiteResult:
         scale_floor = max(scale_floor,
                           float(px @ px) * float(py @ py) * max(1.0, abs(proj), abs(qf)))
 
-    # m nodes against 2m, m = max(64, 2^ceil(log2 2 rho)): the integrand moves on
-    # a scale of 1/(2 rho) in s, which 64 nodes stop resolving near rho = 45
-    m = max(64, 2 ** math.ceil(math.log2(max(2.0 * e.rho, 1.0))))
-    v1 = sigma_projected_at(e, cfg.x, cfg.y, m)
-    v2 = sigma_projected_at(e, cfg.x, cfg.y, 2 * m)
+    m = quadrature_nodes(e)  # the rule of every sigma_projected value, against 2m
+    v1, v2 = (sigma_projected_at(e, cfg.x, cfg.y, k) for k in (m, 2 * m))
     doubling = abs(v2 - v1) / max(abs(v2), np.finfo(float).tiny)
 
     base = values[0]  # sigma_projected(e, cfg.x, cfg.y)

@@ -17,6 +17,7 @@ __all__ = [
     "QuadratureRule",
     "as_matrix",
     "as_vector",
+    "exp_block",
     "mat_exp",
     "op_norm",
     "gauss_legendre",
@@ -98,6 +99,11 @@ def _pade_squared(x: np.ndarray) -> np.ndarray:
     return f
 
 
+def exp_block(d: int) -> int:
+    """Matrices per block that :func:`mat_exp` takes at once: ``_EXP_BLOCK`` entries, or one."""
+    return max(1, _EXP_BLOCK // (d * d))
+
+
 def mat_exp(a) -> np.ndarray:
     """Matrix exponential by Pade-13 scaling and squaring, of one matrix or of
     each matrix of a ``(..., d, d)`` stack.
@@ -110,7 +116,7 @@ def mat_exp(a) -> np.ndarray:
     """
     m = as_matrix(a)
     d = m.shape[-1]
-    k, step = m.size // (d * d), max(1, _EXP_BLOCK // (d * d))
+    k, step = m.size // (d * d), exp_block(d)
     if k > step:
         blocks = np.split(m.reshape(k, d, d), range(step, k, step))
         return np.concatenate([mat_exp(b) for b in blocks]).reshape(m.shape)

@@ -14,7 +14,8 @@ from expclt import (
     sigma_projected,
     two_point,
 )
-from expclt.covariance import _interval_exp_integral, sigma_projected_at
+from expclt import covariance
+from expclt.covariance import _interval_exp_integral, quadrature_nodes, sigma_projected_at
 from expclt.linalg import mat_exp
 
 
@@ -36,6 +37,32 @@ class TestProjectedQuadrature:
         calls = count_calls(Ensemble, "centered_projection")
         sigma_projected_at(dense3, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], 64)
         assert len(calls) == 1
+
+    def test_sigma_projected_is_the_rule_of_quadrature_nodes(self, moment_law):
+        e = moment_law
+        x, y = np.linspace(1.0, -0.5, e.dim), np.linspace(0.25, 1.0, e.dim)
+        assert sigma_projected(e, x, y) == sigma_projected_at(e, x, y, quadrature_nodes(e))
+
+    @pytest.mark.parametrize("rho, m", [(0.0, 16), (0.8, 16), (4.0, 16), (4.5, 32), (8.0, 32),
+                                        (12.5, 64), (70.5, 256), (100.0, 256), (300.0, 512)])
+    def test_node_count_follows_rho(self, rho, m):
+        e = deterministic(rho * np.eye(2))
+        assert e.rho == rho and quadrature_nodes(e) == m
+
+    @pytest.mark.parametrize("d", [100, 300])
+    def test_propagators_are_stacked_in_bounded_blocks(self, d, count_calls):
+        # a dense mean: one stacked exponential per block of nodes and side,
+        # each at most 65,536 entries or one node
+        rng = np.random.default_rng(d)
+        a0, a1 = (m * (0.8 / np.linalg.norm(m, 2)) for m in rng.standard_normal((2, d, d)))
+        e = two_point(a0, a1, 0.5)
+        calls = count_calls(covariance, "mat_exp")
+        x, y = np.eye(d)[0], np.eye(d)[1]
+        sigma_projected(e, x, y)
+        m = quadrature_nodes(e)
+        assert all(a.size <= max(65_536, d * d) for (a,) in calls)
+        assert sum(len(a) for (a,) in calls) == 2 * m
+        assert len(calls) == 2 * -(-m // max(1, 65_536 // (d * d)))
 
 
 class TestScalarClosedForms:

@@ -60,6 +60,11 @@ class TestKernel:
         kern = precompute_kernel(dense3, 64)
         assert kernel_consistency(kern) <= 1e-11
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_consistency_at_small_n_reads_only_rows_up_to_n(self, dense3, n):
+        # the default ks include 2 and 3, which lie past p_powers[n] for n < 3
+        assert kernel_consistency(precompute_kernel(dense3, n)) <= 1e-14
+
     def test_q_powers_match_matrix_power(self, dense3):
         kern = precompute_kernel(dense3, 32)
         q1 = dense3.mean_exp_scaled(32)

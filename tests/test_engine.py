@@ -37,6 +37,24 @@ class TestBatchSize:
     def test_pure_function(self, dense3):
         assert engine.batch_size(dense3, 100) == engine.batch_size(dense3, 100)
 
+    @pytest.mark.parametrize("reps, width", [(1, 1), (1, 32), (2, 1), (3, 2), (49, 3),
+                                             (100, 3), (2000, 256), (8193, 8192)])
+    def test_chunks_are_the_fewest_and_even(self, reps, width, monkeypatch):
+        monkeypatch.setattr(engine, "batch_size", lambda *a: width)
+        ranges = engine.chunk_ranges(None, 16, reps)
+        count = -(-reps // width)
+        assert len(ranges) == count
+        assert [lo for lo, _ in ranges] == [0] + [hi for _, hi in ranges[:-1]]
+        assert ranges[-1][1] == reps
+        assert {hi - lo for lo, hi in ranges} <= {reps // count, -(-reps // count)}
+
+    def test_pooled_draw_buffers_have_one_size(self):
+        # diagonal d = 8, 2,000 replicates: 1, 2, 4 and 8 chunks at n = 128 to
+        # 1,024, each of 256,000 draws, so no worker's buffer outgrows another's
+        e = diagonal_uniform(8, -0.5, 1.0)
+        for n in (128, 256, 512, 1024):
+            assert {(hi - lo) * n for lo, hi in engine.chunk_ranges(e, n, 2000)} == {256_000}
+
 
 class TestReferenceParity:
     # The batched sweep must reproduce the single-replicate route in
@@ -410,10 +428,11 @@ class TestChunkingInvariance:
             assert np.array_equal(small[key], large[key][:7])
 
     # dense3, fs9, fs16m4 and fs16m8 take the grouped sweep and scalar01 the
-    # d=1 kernel. With width 3, 50 replicates end in a 2-row chunk and 49 in
-    # a 1-row chunk. The grouped sweep relies on the BLAS giving a row the
-    # same bits in every GEMM of engine._TILE rows; fs16m4 and fs16m8 check
-    # that at the sizes of the fs16 benchmark workload.
+    # d=1 kernel. Width 3 cuts 50 replicates into chunks of 2 and 3 rows, and
+    # width 2 cuts 49 into chunks of 2 rows and one of 1 row. The grouped sweep
+    # relies on the BLAS giving a row the same bits in every GEMM of
+    # engine._TILE rows; fs16m4 and fs16m8 check that at the sizes of the fs16
+    # benchmark workload.
 
     @pytest.mark.parametrize("fix", ["dense3", "scalar01", "fs9", "fs16m4", "fs16m8"])
     def test_forced_chunk_width_is_invisible(self, fix, request, monkeypatch):
@@ -421,11 +440,11 @@ class TestChunkingInvariance:
         kern = precompute_kernel(e, 16)
         x = np.eye(e.dim)[0]
         stream_for = _streams_root(23)
-        for reps in (50, 49):
+        for reps, width in ((50, 3), (49, 2)):
             whole = engine.simulate_paths(e, kern, x, x, stream_for, reps,
                                           want_s=True, want_s_prime=True)
             with monkeypatch.context() as mp:
-                mp.setattr(engine, "batch_size", lambda *a: 3)
+                mp.setattr(engine, "batch_size", lambda *a, b=width: b)
                 split = engine.simulate_paths(e, kern, x, x, stream_for, reps,
                                               want_s=True, want_s_prime=True)
             for key in whole:
@@ -453,13 +472,13 @@ class TestChunkingInvariance:
         e = _random_support(d, m)
         kern = precompute_kernel(e, 16)
         x, y = np.random.default_rng(d).uniform(-1.0, 1.0, (2, d))
-        for reps in (50, 49):
+        for reps, width in ((50, 3), (49, 2)):
             def paths():
                 return engine.simulate_paths(e, kern, x, y, _streams_root(29), reps,
                                              want_s=True, want_s_prime=True, ks=(1, 8, 16))
             whole = paths()
             with monkeypatch.context() as mp:
-                mp.setattr(engine, "batch_size", lambda *a: 3)
+                mp.setattr(engine, "batch_size", lambda *a, b=width: b)
                 split = paths()
             assert len(whole) == 11
             for key in whole:
@@ -541,17 +560,19 @@ class TestChunkingInvariance:
                                                                   monkeypatch):
         e = request.getfixturevalue(fix)
         x = np.linspace(1.0, -0.5, e.dim)
-        # width 3 leaves a 1-row last chunk of 100 replicates, a 2-row one of 101
-        for reps in (100, 101):
+        # width 3 cuts 100 and 101 replicates into 34 chunks of 2 or 3 rows;
+        # width 2 cuts 101 into 51 chunks, the first of 1 row
+        for reps, width, widths in ((100, 3, ([2] + [3] * 16) * 2),
+                                    (101, 3, [2] + [3] * 33), (101, 2, [1] + [2] * 50)):
             whole = diff_moment_curve(e, [16], x, reps, RngStream(23))
             blocks = []
             with monkeypatch.context() as mp:
-                mp.setattr(engine, "batch_size", lambda *a: 3)
+                mp.setattr(engine, "batch_size", lambda *a, b=width: b)
                 block = engine.diff_pair_block
                 mp.setattr(engine, "diff_pair_block",
                            lambda *a: blocks.append(a[2].shape[0]) or block(*a))
                 split = diff_moment_curve(e, [16], x, reps, RngStream(23))
-            assert blocks == [3] * (reps // 3) + [reps % 3]
+            assert blocks == widths
             (w,), (s,) = whole, split
             assert np.array_equal(list(w.per_k.items()), list(s.per_k.items()))
             assert np.array_equal(w.ortho, s.ortho)
@@ -639,8 +660,8 @@ class TestRowBytes:
 class TestWorkerPool:
     # experiment._map_pass sends each chunk of engine.chunk_ranges to the
     # run's process pool. A forced width of 3, which forked workers inherit,
-    # cuts 49 replicates into 17 chunks, the last of 1 row, which 2 or 3
-    # workers take in uneven shares. The pooled statistics must equal the
+    # cuts 49 replicates into 17 chunks of 2 or 3 rows, which 2 or 3 workers
+    # take in uneven shares. The pooled statistics must equal the
     # serial ones bit for bit.
 
     @pytest.mark.parametrize("fix", ["diag3", "fs9", "fs16m4", "dense3"])

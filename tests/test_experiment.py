@@ -927,11 +927,14 @@ class TestCli:
             assert main(["run", _write(tmp_path, "c.json", raw), "--workers", "1"]) == 0
             assert "[PASS] covariance" in capsys.readouterr().out
 
-    def test_covariance_resolves_skew_dominated_laws(self, tmp_path, capsys, monkeypatch):
-        # rho ~ 70.5: fixed 64- and 128-node rules read a node-doubling delta of
-        # 0.107 here although both routes agree to 5e-15; the compared rules
-        # grow with rho (256 against 512 nodes here), the 1e-12 gate does not
-        rot = 70.0 * np.array([[0.0, 1.0], [-1.0, 0.0]])
+    @pytest.mark.parametrize("scale, m", [(6.0, 32), (7.0, 32), (7.5, 32), (70.0, 256)])
+    def test_covariance_resolves_skew_dominated_laws(self, tmp_path, capsys, monkeypatch,
+                                                     scale, m):
+        # rho ~ scale + 0.5: the integrand oscillates like cos(4 ||EA|| s), so 16
+        # nodes miss sigma^2 by 1e-9 at scale 7 and fixed 64- and 128-node rules
+        # read a node-doubling delta of 0.107 at scale 70, although both routes
+        # agree to 5e-15; the compared rules grow with rho, the 1e-12 gate does not
+        rot = scale * np.array([[0.0, 1.0], [-1.0, 0.0]])
         tilt = np.array([[0.5, 0.2], [0.1, -0.3]])
         raw = _base_config(tmp_path, suites=["covariance"],
                            ensemble={"family": "two_point", "a0": (rot + tilt).tolist(),
@@ -944,14 +947,43 @@ class TestCli:
         # a planted error of 1e-9 in the larger rule still fails the suite
         rules, real = [], experiment.sigma_projected_at
 
-        def planted(e, x, y, m):
-            rules.append(m)
-            return real(e, x, y, m) * (1.0 + 1e-9 * (m == 512))
+        def planted(e, x, y, k):
+            rules.append(k)
+            return real(e, x, y, k) * (1.0 + 1e-9 * (k == 2 * m))
 
         monkeypatch.setattr(experiment, "sigma_projected_at", planted)
         assert main(["run", path, "--workers", "1"]) == 1
         assert "[FAIL] covariance" in capsys.readouterr().out
-        assert rules == [256, 512]
+        assert rules == [m, 2 * m]
+
+    def test_covariance_certifies_the_emitted_rule(self, tmp_path, capsys, monkeypatch):
+        # rho = 0.8: every sigma_projected value takes 16 nodes, and the suite
+        # compares that rule with 32 nodes; a planted 1e-9 error in the 32-node
+        # rule fails the suite
+        a0 = [[0.3, -0.5], [0.2, 0.1]]
+        a1 = (0.8 * np.eye(2)).tolist()
+        raw = _base_config(tmp_path, suites=["covariance"],
+                           ensemble={"family": "two_point", "a0": a0, "a1": a1, "p": 0.5})
+        path = _write(tmp_path, "c.json", raw)
+        rules, real, error = [], experiment.sigma_projected_at, [0.0]
+
+        def planted(e, x, y, m):
+            rules.append(m)
+            return real(e, x, y, m) * (1.0 + error[0] * (m == 32))
+
+        monkeypatch.setattr(experiment, "sigma_projected_at", planted)
+        assert main(["run", path, "--workers", "1"]) == 0
+        assert "[PASS] covariance" in capsys.readouterr().out
+        assert rules == [16, 32]
+        e, x, y = experiment.load_config(path).ensemble, [1.0, 0.0], [0.0, 1.0]
+        v16, v32 = real(e, x, y, 16), real(e, x, y, 32)
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        details = summary["suites"]["covariance"]["details"]
+        assert details["node_doubling_delta"] == abs(v32 - v16) / abs(v32)
+        rules[:], error[0] = [], 1e-9
+        assert main(["run", path, "--workers", "1"]) == 1
+        assert "[FAIL] covariance" in capsys.readouterr().out
+        assert rules == [16, 32]
 
     def test_zero_projected_variance_of_random_law_fails_clt(self, tmp_path, capsys):
         # canonical probes (e1, e2) see nothing of a diagonal law: sigma^2 = 0
