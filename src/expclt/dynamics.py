@@ -13,9 +13,10 @@ right to left, except the small-k Doob enumeration which is an explicit
 brute-force oracle.
 
 Monte Carlo curves run on the replicate driver of :mod:`expclt.engine`, where
-each replicate owns a derived RngStream, so they are reproducible for any
-chunking or worker count.  :func:`dot_moments`, which the martingale suite
-shares, reduces difference-row dots to moments and orthogonality statistics.
+each pass keys one RngStream and each replicate owns a fixed range of its
+words, so they are reproducible for any chunking or worker count.
+:func:`dot_moments`, which the martingale suite shares, reduces
+difference-row dots to moments and orthogonality statistics.
 """
 
 from __future__ import annotations
@@ -131,6 +132,8 @@ def sample_xi(e: Ensemble, n: int, x, r: RngStream,
               kern: PrecomputedKernel | None = None, y=None) -> TrajectorySample:
     """One replicate of (xi_n x, S_n x) from a single stream of draws.
 
+    Replicate i of a :func:`engine.simulate_paths` pass over the stream
+    ``stream`` is the one of ``stream.at(i * n * e.words_per_draw)``.
     ``y`` is the projection probe for the scalar records; it defaults to x.
     Reference (unbatched) implementation for every family: the draws of
     :meth:`Ensemble.sample`, one at a time, enter as e^{A_k/n} and as
@@ -370,7 +373,7 @@ def mk_moment_curve(e: Ensemble, n_grid, x, reps: int, r: RngStream) -> list:
     """(n, mean ||M_n x||, mean ||M_n x||^2) over the grid, by Monte Carlo.
 
     M_n is computed directly as (product - mean-power) applied to x, O(n d^2)
-    per replicate; replicate i at size n draws from r.child(n, i).
+    per replicate; the pass at size n draws from the pass stream r.child(n).
     """
     if reps < 100:
         raise ValueError("reps must be >= 100")
@@ -378,9 +381,7 @@ def mk_moment_curve(e: Ensemble, n_grid, x, reps: int, r: RngStream) -> list:
     out = []
     for n in n_grid:
         kern = precompute_kernel(e, n)
-        stats = engine.simulate_paths(
-            e, kern, x, x, lambda i, n=n: r.child(n, i), reps, want_s_prime=True
-        )
+        stats = engine.simulate_paths(e, kern, x, x, r.child(n), reps, want_s_prime=True)
         mk = stats["mk_norm"]
         out.append((n, float(np.mean(mk)), float(np.mean(mk**2))))
     return out
@@ -413,8 +414,8 @@ def dot_moments(n: int, ks, dots) -> DiffMomentPoint:
 def diff_moment_curve(e: Ensemble, n_grid, x, reps: int, r: RngStream) -> list:
     """:func:`dot_moments` of d_{n,k} x - d'_{n,k} x at k in {1, ceil(n/2), n}
     over the grid, from the dots of a :func:`engine.simulate_paths` pass with
-    those ks and no projection, which sweeps no product; replicate i at size
-    n draws from r.child(n, i)."""
+    those ks and no projection, which sweeps no product; the pass at size n
+    draws from the pass stream r.child(n)."""
     if reps < 100:
         raise ValueError("reps must be >= 100")
     x = as_vector(x, e.dim, "x")
@@ -422,7 +423,7 @@ def diff_moment_curve(e: Ensemble, n_grid, x, reps: int, r: RngStream) -> list:
     for n in n_grid:
         ks = sorted({1, (n + 1) // 2, n})
         dots = engine.simulate_paths(e, precompute_kernel(e, n), x, None,
-                                     lambda i, n=n: r.child(n, i), reps, ks=ks)
+                                     r.child(n), reps, ks=ks)
         out.append(dot_moments(n, ks, dots))
     return out
 

@@ -3,9 +3,9 @@
 Everything here is an internal performance layer: the public semantics live
 in :mod:`expclt.dynamics`, and each batched routine mirrors a
 single-replicate reference implementation there.  The key structural
-property is that every replicate row is computed from its own keyed stream
-by arithmetic whose bits depend on that row alone: its uniforms come from
-its own stream and map to support indices or diagonal values elementwise.
+property is that every replicate row is computed from its own words of the
+pass's keyed stream by arithmetic whose bits depend on that row alone: its
+words map to support indices or diagonal values elementwise.
 There are two paths, one per algebra, picked by :func:`_entrywise` for
 sweeps and difference pairs alike.  Where every draw acts entrywise (finite
 support at d=1, diagonal_uniform), :func:`_elementwise_sweep` takes a block
@@ -29,7 +29,7 @@ step-major, so each step of a sweep reads one contiguous slice.
 
 The one Monte Carlo pass, :func:`simulate_paths`, is the replicate driver:
 :func:`chunk_ranges` fixes the chunks from the problem shape alone, each
-chunk draws its rows from its own replicates' streams, and
+chunk draws its rows from its own replicates' words of the pass stream, and
 :func:`concat_chunks` joins the chunk results in index order.  It can run
 :func:`diff_pair_block` on the rows it drew, and reduces each result row by
 row, so one pass serves every statistic.
@@ -63,9 +63,9 @@ __all__ = [
 # (16 MiB of float64 for diagonal draws, 4 MiB of uint16 for indices).
 _CHUNK_TARGET = 2_097_152
 
-# Entries per float64 scratch block of _draw_rows (512 KiB): it draws the
-# uniforms of this many entries' worth of whole rows at a time, for index
-# rows (n entries a row) and diagonal rows (n d) alike, at least one row.
+# Entries per block of _draw_rows: it draws this many entries' worth of whole
+# rows at a time, for index rows (n entries a row, 256 KiB of words) and
+# diagonal rows (n d, 512 KiB of uniforms) alike, at least one row.
 _FILL_BLOCK = 65_536
 
 # Entries per block of _elementwise_sweep, and of the d=1 difference pairs'
@@ -97,7 +97,7 @@ _TILE = 64
 
 def batch_size(e, n: int) -> int:
     """Deterministic chunk width; a pure function of the problem shape only."""
-    per_row = n * e.uniforms_per_draw
+    per_row = n * e.entries_per_draw
     return max(32, min(8192, _CHUNK_TARGET // max(1, per_row)))
 
 
@@ -105,7 +105,7 @@ def pass_bytes(e, n: int) -> tuple:
     """Bytes of a pass's largest arrays besides its kernel: the (m, n, d) S and S'
     tables unless :func:`_entrywise`, and its widest chunk of draws as float64."""
     tables = 0 if _entrywise(e) else 16 * len(e.support) * n * e.dim
-    return tables, 8 * batch_size(e, n) * n * e.uniforms_per_draw
+    return tables, 8 * batch_size(e, n) * n * e.entries_per_draw
 
 
 def chunk_ranges(e, n: int, reps: int) -> list:
@@ -121,26 +121,26 @@ def concat_chunks(parts) -> dict:
     return {k: np.concatenate([p[k] for p in parts]) for k in parts[0]}
 
 
-def _draw_rows(e, streams, n: int):
-    """One row of n draws per stream, as :meth:`Ensemble.from_uniforms` maps them.
+def _draw_rows(e, stream, n: int, lo: int, hi: int):
+    """The rows of n draws of replicates ``[lo, hi)`` of the pass ``stream``,
+    as :meth:`Ensemble.draws` gives them: replicate i draws the words
+    ``[i W, (i + 1) W)`` of the stream, W = ``n * e.words_per_draw``.
 
     Rows are stored step-major, as the transpose of a C-contiguous buffer
     whose first axis is the step, so that the sweeps' per-step slice
-    ``rows[:, k-1]`` is contiguous: a ``(B, n)`` uint16 index array holding
-    the indices of ``e.sample_indices(stream, n)``, or a ``(B, n, d)`` array
-    holding the values of ``e.sample_diagonal_values(stream, n)``.  Each
-    stream fills its row of a small scratch block of uniforms, a few rows at a
-    time, by ``stream.uniform(out=row)``.
+    ``rows[:, k-1]`` is contiguous: a ``(B, n)`` uint16 index array, or a
+    ``(B, n, d)`` array of diagonal entries.  The rows are drawn in blocks of
+    whole rows of at most ``_FILL_BLOCK`` entries (at least one row), one
+    :meth:`Ensemble.draws` call, so one stream positioning, per block.
     """
-    B, width = len(streams), n * e.uniforms_per_draw
-    u = np.empty((max(1, min(B, _FILL_BLOCK // width)), width))
-    empty = e.from_uniforms(u[:0])  # no rows, but the draws' shape and dtype
-    buf = np.empty((n, B) + empty.shape[2:], dtype=empty.dtype)
-    for lo in range(0, B, len(u)):
-        group = streams[lo : lo + len(u)]
-        for stream, row in zip(group, u):
-            stream.uniform(out=row)
-        buf[:, lo : lo + len(group)] = e.from_uniforms(u[: len(group)]).swapaxes(0, 1)
+    stream = stream.at(lo * n * e.words_per_draw)
+    size = max(1, _FILL_BLOCK // (n * e.entries_per_draw))
+    empty = e.draws(stream, 0)  # no draws, but their shape and dtype
+    shape = empty.shape[1:]
+    buf = np.empty((n, hi - lo) + shape, dtype=empty.dtype)
+    for a in range(0, hi - lo, size):
+        b = min(a + size, hi - lo)
+        buf[:, a:b] = e.draws(stream, (b - a) * n).reshape(b - a, n, *shape).swapaxes(0, 1)
     return buf.swapaxes(0, 1)
 
 
@@ -395,12 +395,15 @@ def simulate_block(kern, x, rows, *, want_s: bool = False, want_s_prime: bool = 
     return out
 
 
-def simulate_paths(e, kern, x, y, stream_for, reps: int, *, want_s: bool = False,
-                   want_s_prime: bool = False, want_tally: bool = False, ks=()):
-    """All requested per-replicate statistics over ``reps`` replicates.
+def simulate_paths(e, kern, x, y, stream, reps: int, *, first: int = 0,
+                   want_s: bool = False, want_s_prime: bool = False,
+                   want_tally: bool = False, ks=()):
+    """All requested per-replicate statistics of the replicates ``first`` to
+    ``first + reps - 1`` of the pass ``stream``.
 
-    ``stream_for(rep_index)`` must return the replicate's own RngStream;
-    chunking is internal and cannot affect any output bit.
+    Replicate i draws the words ``[i W, (i + 1) W)`` of ``stream``, W =
+    ``n * e.words_per_draw``, wherever the stream stands; chunking is
+    internal and cannot affect any output bit.
 
     Returns a dict of float arrays of length ``reps``: ``proj_xi``, and
     ``proj_s`` with ``want_s``, unless ``y`` is None; ``diff_norm`` with
@@ -442,7 +445,7 @@ def simulate_paths(e, kern, x, y, stream_for, reps: int, *, want_s: bool = False
             out["tally"] = e.tally(rows)
         return out
 
-    return concat_chunks([stats(_draw_rows(e, [stream_for(i) for i in range(lo, hi)], n))
+    return concat_chunks([stats(_draw_rows(e, stream, n, first + lo, first + hi))
                           for lo, hi in chunk_ranges(e, n, reps)])
 
 

@@ -13,19 +13,25 @@ The first two and the last are stored uniformly as (support, probabilities),
 the support one read-only ``(m, d, d)`` array; all first and second moments
 are exact finite sums or closed forms, never estimates, and the moments of
 probe vectors take batches of ``(..., d)`` rows.  Sampling is driven by
-:class:`RngStream`, a counter-based keyed stream: a stream is its key
-``(master_seed, stream_index)`` and the count of uniforms it has drawn, and
-every draw is a pure function of the two, so replicates can be farmed out to
-any number of workers without changing a single bit of output.  This module
-is the only one that touches the Philox generator behind the streams.
+:class:`RngStream`, a counter-based keyed stream of 32-bit words: a stream
+is its key ``(master_seed, stream_index)`` and the count of words it has
+drawn, and every draw is a pure function of the two.  A Monte Carlo pass
+keys one stream, and its replicate i owns the words ``[i W, (i + 1) W)``
+with ``W = n * words_per_draw``, so replicates can be farmed out to any
+number of workers, in any chunks, without changing a single bit of output.
+A support index takes one word, which it maps through integer cut points; a
+diagonal entry takes one 64-bit output (two words) as a float64 uniform.
+This module is the only one that touches the Philox generator behind the
+streams.
 
-Callers see a law through one interface: a draw takes ``uniforms_per_draw``
-uniforms, ``from_uniforms`` maps uniforms to draws (support indices or
-diagonal entries), ``sample`` returns one draw as a matrix, ``tally`` and
-``centered_total`` sum the centered draws of rows of draws, ``is_point_mass``
-marks a law without fluctuations, and ``mean``, ``central_second_moment``,
-``centered_action``, ``centered_projection`` and ``mean_exp_scaled`` are its
-exact moments.  A new finite-support law needs nothing more than a factory.
+Callers see a law through one interface: a draw takes ``words_per_draw``
+words and holds ``entries_per_draw`` values, ``draws`` takes a stream's
+next draws (support indices or diagonal entries), ``sample`` returns one
+draw as a matrix, ``tally`` and ``centered_total`` sum the centered draws
+of rows of draws, ``is_point_mass`` marks a law without fluctuations, and
+``mean``, ``central_second_moment``, ``centered_action``,
+``centered_projection`` and ``mean_exp_scaled`` are its exact moments.  A
+new finite-support law needs nothing more than a factory.
 """
 
 from __future__ import annotations
@@ -54,13 +60,13 @@ _FINITE_FAMILIES = ("two_point", "finite_support", "deterministic")
 _SCRATCH = threading.local()  # each thread's own Philox, which every stream moves
 
 
-def _philox_at(master_seed: int, stream_index: int, drawn: int) -> np.random.Generator:
+def _philox_at(master_seed: int, stream_index: int, output: int) -> np.random.Generator:
     """The thread's scratch generator, moved to key ``(master_seed,
-    stream_index)`` and ``drawn`` uniforms past counter 0.
+    stream_index)`` and ``output`` 64-bit outputs past counter 0.
 
-    A Philox counter step yields 4 words, and a float64 uniform takes one, so
-    the counter goes to ``drawn // 4`` (as ``advance`` from counter 0 would)
-    and ``drawn % 4`` words are discarded.
+    A Philox counter step yields 4 outputs, so the counter goes to
+    ``output // 4`` (as ``advance`` from counter 0 would) and ``output % 4``
+    outputs are discarded.
     """
     gen = getattr(_SCRATCH, "gen", None)
     if gen is None:
@@ -68,9 +74,9 @@ def _philox_at(master_seed: int, stream_index: int, drawn: int) -> np.random.Gen
     gen.bit_generator.state = {
         "bit_generator": "Philox", "buffer": (0, 0, 0, 0), "buffer_pos": 4,
         "has_uint32": 0, "uinteger": 0,
-        "state": {"counter": (drawn // 4, 0, 0, 0), "key": (master_seed, stream_index)}}
-    if drawn % 4:
-        gen.bit_generator.random_raw(drawn % 4)
+        "state": {"counter": (output // 4, 0, 0, 0), "key": (master_seed, stream_index)}}
+    if output % 4:
+        gen.bit_generator.random_raw(output % 4)
     return gen
 
 
@@ -81,14 +87,19 @@ def _hash64(*parts) -> int:
 
 
 class RngStream:
-    """One reproducible stream of uniforms, keyed by (master_seed, stream_index).
+    """One reproducible stream of 32-bit words, keyed by (master_seed, stream_index).
 
     A stream is its key and a position: it holds the two 64-bit key words and
-    the count of uniforms it has drawn, and nothing else.  Each :meth:`uniform`
-    call moves its thread's scratch Philox (counter-based, Salmon et al.,
-    SC'11) to that key and count and draws from there, so distinct keys give
-    statistically independent streams, and any split of a stream's draws into
-    calls replays the uniforms of one plain draw from counter 0.
+    the count of words it has drawn, and nothing else.  Its words are the
+    64-bit outputs of a Philox keyed so (counter-based, Salmon et al., SC'11),
+    each split in two, low half first.  :meth:`words` draws them one by one;
+    :meth:`uniform` spends one whole output per float64 uniform, mapped as
+    numpy's ``random`` maps it, starting at the next output boundary.  Each
+    call moves its thread's scratch Philox to that key and position and draws
+    from there, so distinct keys give statistically independent streams, any
+    split of a stream's draws into calls replays one plain draw from counter
+    0, and :meth:`at` reaches any word of the stream without drawing the ones
+    before it.
     """
 
     __slots__ = ("master_seed", "stream_index", "_drawn")
@@ -98,11 +109,28 @@ class RngStream:
         self.stream_index = int(stream_index) % (1 << 64)
         self._drawn = 0
 
+    def at(self, word: int) -> "RngStream":
+        """A stream with this key, positioned ``word`` words past counter 0."""
+        moved = RngStream(self.master_seed, self.stream_index)
+        moved._drawn = int(word)
+        return moved
+
+    def words(self, count: int) -> np.ndarray:
+        """The next ``count`` words, as uint32."""
+        first = self._drawn // 2  # the output that holds the next word
+        raw = _philox_at(self.master_seed, self.stream_index, first).bit_generator.random_raw(
+            (self._drawn + count + 1) // 2 - first)
+        skip, self._drawn = self._drawn % 2, self._drawn + count
+        # little-endian bytes, so each output reads as its low half, then its high half
+        return np.asarray(raw, dtype="<u8").view("<u4")[skip : skip + count]
+
     def uniform(self, size=None, out=None):
-        """Next uniform draw(s) in [0, 1): ``size`` of them, or enough to fill
-        the float64 array ``out``, which is then returned."""
-        u = _philox_at(self.master_seed, self.stream_index, self._drawn).random(size, out=out)
-        self._drawn += 1 if size is None and out is None else u.size
+        """Next uniform draw(s) in [0, 1), one 64-bit output each: ``size`` of
+        them, or enough to fill the float64 array ``out``, which is then
+        returned.  An odd position first skips the high half of its output."""
+        first = -(-self._drawn // 2)
+        u = _philox_at(self.master_seed, self.stream_index, first).random(size, out=out)
+        self._drawn = 2 * (first + (1 if size is None and out is None else u.size))
         return u
 
     def child(self, *parts) -> "RngStream":
@@ -113,9 +141,10 @@ class RngStream:
         return f"RngStream(master_seed={self.master_seed}, stream_index={self.stream_index})"
 
 
-# Largest support that Ensemble.support_indices maps by counting cut points.
-# Per 64 x 4096 uniforms on a 2-core x86 host, the m - 1 compares took 0.03x
-# searchsorted's time at m = 2, 0.5x at 64, 0.8x at 128 and 1.2x at 192.
+# Largest support that Ensemble.support_indices maps by counting cut points;
+# larger ones binary-search the same cuts.  Per 64 x 4096 uniforms on a 2-core
+# x86 host, the m - 1 compares took 0.03x searchsorted's time at m = 2, 0.5x
+# at 64, 0.8x at 128 and 1.2x at 192.
 _COMPARE_MAX_SUPPORT = 128
 
 # Support indices are drawn as uint16, so a support holds at most 2^16 matrices.
@@ -149,9 +178,15 @@ class Ensemble:
         return self.family in _FINITE_FAMILIES
 
     @property
-    def uniforms_per_draw(self) -> int:
-        """Uniforms one draw consumes: 1 (a support index) or d (diagonal entries)."""
+    def entries_per_draw(self) -> int:
+        """Values one draw holds: 1 (a support index) or d (diagonal entries)."""
         return 1 if self.is_finite_support else self.dim
+
+    @property
+    def words_per_draw(self) -> int:
+        """Stream words one draw consumes: 1 per support index, and 2 (one
+        64-bit output) per diagonal entry."""
+        return 1 if self.is_finite_support else 2 * self.dim
 
     @cached_property
     def is_diagonal(self) -> bool:
@@ -170,11 +205,15 @@ class Ensemble:
         return self.low == self.high
 
     @cached_property
-    def _cum_probs(self) -> np.ndarray:
-        c = np.cumsum(self.probabilities)
-        c[-1] = 1.0  # guard the last bin against rounding
-        c.flags.writeable = False
-        return c
+    def _cuts(self) -> np.ndarray:
+        """uint32 cut points c_j = floor(2^32 F_j) of the cumulative weights
+        F_j, j < m - 1, below 2^32: a word's index is the count of cuts <= it.
+        A cut of 2^32 (trailing weights past rounding or zero) is never <= a
+        word, so it is left out."""
+        cuts = np.floor(np.cumsum(self.probabilities)[:-1] * 2.0**32)
+        cuts = cuts[cuts < 2.0**32].astype(np.uint32)
+        cuts.flags.writeable = False
+        return cuts
 
     @cached_property
     def _mean(self) -> np.ndarray:
@@ -194,53 +233,56 @@ class Ensemble:
 
     # --- sampling ---------------------------------------------------------
 
+    def draws(self, stream: RngStream, count: int) -> np.ndarray:
+        """The next ``count`` draws of ``stream`` for either family:
+        :meth:`sample_indices` or :meth:`sample_diagonal_values`.  The engine
+        and :meth:`sample` draw here, so a stream gives the same draws through
+        any sampler."""
+        if self.is_finite_support:
+            return self.sample_indices(stream, count)
+        return self.sample_diagonal_values(stream, count)
+
     def sample(self, stream: RngStream) -> np.ndarray:
-        """One draw as a matrix; consumes ``uniforms_per_draw`` uniforms."""
-        (draw,) = self.from_uniforms(stream.uniform(self.uniforms_per_draw))
+        """One draw as a matrix; consumes ``words_per_draw`` words."""
+        (draw,) = self.draws(stream, 1)
         return self.support[draw] if self.is_finite_support else np.diag(draw)
 
-    def from_uniforms(self, u: np.ndarray) -> np.ndarray:
-        """The draws of the uniforms ``u``, whose last axis holds whole draws:
-        :meth:`support_indices`, shaped as ``u``, or the diagonal entries
-        ``low + (high - low) u``, shaped ``(..., count, d)``.  Every sampler
-        maps uniforms here, so a stream gives the same draws through any."""
-        if self.is_finite_support:
-            return self.support_indices(u)
-        vals = self.low + (self.high - self.low) * u
-        return vals.reshape(*u.shape[:-1], u.shape[-1] // self.dim, self.dim)
-
     def sample_indices(self, stream: RngStream, count: int) -> np.ndarray:
-        """``count`` support indices in draw order (finite-support families)."""
-        return self.support_indices(stream.uniform(count))
-
-    def support_indices(self, u: np.ndarray) -> np.ndarray:
-        """uint16 support indices of the uniforms ``u`` (any shape).
-
-        ``searchsorted(_cum_probs, u, side="right")``, clipped to the last
-        index.  For u in [0, 1) that is the number of interior cut points
-        ``<= u``, which small supports count with one elementwise compare per
-        cut point; larger ones binary-search.
-        """
+        """``count`` support indices in draw order, one word each (finite-support
+        families)."""
         if not self.is_finite_support:
             raise ValueError(f"{self.family} ensemble has no finite support")
-        m = len(self.support)
-        if m > _COMPARE_MAX_SUPPORT:
-            idx = np.searchsorted(self._cum_probs, u, side="right")
-            return np.minimum(idx, m - 1).astype(np.uint16)
-        idx = np.zeros(np.shape(u), dtype=np.uint16)
-        for c in self._cum_probs[:-1]:
-            idx += u >= c
+        return self.support_indices(stream.words(count))
+
+    def support_indices(self, words: np.ndarray) -> np.ndarray:
+        """uint16 support indices of the uint32 ``words`` (any shape): the
+        count of :attr:`_cuts` ``<= word``, so index j takes the words in
+        ``[c_{j-1}, c_j)`` and its probability moves from p_j by less than
+        2^-32, and a zero weight's bin is empty.  Small supports count with one
+        elementwise compare per cut; larger ones binary-search the cuts."""
+        if not self.is_finite_support:
+            raise ValueError(f"{self.family} ensemble has no finite support")
+        cuts = self._cuts
+        if len(self.support) > _COMPARE_MAX_SUPPORT:
+            return np.searchsorted(cuts, words, side="right").astype(np.uint16)
+        if not len(cuts):
+            return np.zeros(np.shape(words), dtype=np.uint16)
+        idx = (words >= cuts[0]).astype(np.uint16)
+        for c in cuts[1:]:
+            idx += words >= c
         return idx
 
     def sample_diagonal_values(self, stream: RngStream, count: int) -> np.ndarray:
-        """``(count, d)`` diagonal entries in draw order (diagonal_uniform)."""
+        """``(count, d)`` diagonal entries ``low + (high - low) u`` in draw
+        order, one uniform u each (diagonal_uniform)."""
         if self.family != "diagonal_uniform":
             raise ValueError(f"{self.family} ensemble is not diagonal_uniform")
-        return self.from_uniforms(stream.uniform(count * self.dim))
+        u = stream.uniform(count * self.dim)
+        return (self.low + (self.high - self.low) * u).reshape(count, self.dim)
 
     def tally(self, rows: np.ndarray) -> np.ndarray:
         """Rows that :meth:`centered_total` adds up, of ``rows`` of n draws per
-        replicate as :meth:`from_uniforms` maps them: a ``(1, m)`` int64 row of
+        replicate as :meth:`draws` gives them: a ``(1, m)`` int64 row of
         index counts (finite support), or per replicate sum_k (a_k - EA), term
         by term in step order (add.reduce sums one entry a step pairwise), so
         that its bits are the replicate's own and a point mass's are 0."""

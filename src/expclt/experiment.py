@@ -20,9 +20,10 @@ Families and their parameters: ``two_point`` (a0, a1, p), ``finite_support``
 
 Each suite writes one CSV (RFC-4180, LF, shortest round-trip floats) and the
 run writes a summary.json mirroring the RunReport.  The clt and martingale
-suites share one Monte Carlo pass per n, computed once: each replicate's path
-is drawn from the stream keyed by (master_seed, "clt", n, replicate index)
-and reduced row by row in its chunk; the martingale suite's structure check
+suites share one Monte Carlo pass per n, computed once: the pass draws from
+the stream keyed by (master_seed, "clt", n), replicate i's path from its own
+range of that stream's words, and each path is reduced row by row in its
+chunk; the martingale suite's structure check
 reads a tally of the draws at the largest n.  Chunks are a fixed function of
 the problem shape and their results are joined in index order, so no emitted
 number depends on the worker count or on the other suites configured.  A run
@@ -448,18 +449,21 @@ def _passes(cfg: ExperimentConfig) -> list:
     return list(cfg.n_grid) if drawn else []
 
 
-def _chunk_task(cfg, n, kw, bounds):
-    """The path pass at n over the replicates [lo, hi) = ``bounds``."""
-    (lo, hi), root, e = bounds, RngStream(cfg.master_seed), cfg.ensemble
-    return engine.simulate_paths(e, _kernel(e, n), cfg.x, cfg.y,
-                                 lambda i: root.child("clt", n, lo + i), hi - lo, **kw)
+def _chunk_task(cfg, n, kw, stream, bounds):
+    """The path pass at n over the replicates [lo, hi) = ``bounds`` of its
+    pass stream ``stream``."""
+    (lo, hi), e = bounds, cfg.ensemble
+    return engine.simulate_paths(e, _kernel(e, n), cfg.x, cfg.y, stream, hi - lo,
+                                 first=lo, **kw)
 
 
 def _map_pass(cfg: ExperimentConfig, n: int, pool):
     """The chunk results of the path pass at n, one per range of
-    :func:`engine.chunk_ranges` in index order: all sent to the process pool
-    ``pool`` now, or computed here as they are read when it is None."""
-    task = functools.partial(_chunk_task, cfg, n, _pass_kw(cfg, n))
+    :func:`engine.chunk_ranges` in index order, from the pass stream keyed
+    ``("clt", n)``: all sent to the process pool ``pool`` now, or computed
+    here as they are read when it is None."""
+    task = functools.partial(_chunk_task, cfg, n, _pass_kw(cfg, n),
+                             RngStream(cfg.master_seed).child("clt", n))
     return (map if pool is None else pool.map)(
         task, engine.chunk_ranges(cfg.ensemble, n, cfg.replicates))
 

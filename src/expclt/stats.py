@@ -52,6 +52,13 @@ def ks_test(samples, sigma2: float) -> tuple:
     and at N <= 2 (configs allow 2 replicates) the threshold exceeds 1, the
     largest possible distance.  sigma2 must be positive; the degenerate
     sigma2 = 0 case is a caller-side policy.
+
+    A sample with ties is read as a lattice sample (a d = 1 finite-support
+    law at finite n puts its mass on atoms): its empirical CDF is compared
+    with the normal CDF at the midpoints between consecutive distinct values,
+    Esseen's continuity correction (Acta Math. 77, 1945), and at the two ends
+    at the outer atoms, below the first and from the last on.  A sample
+    without ties takes the plain statistic.
     """
     x = np.asarray(samples, dtype=float).ravel()
     if x.size == 0:
@@ -59,9 +66,18 @@ def ks_test(samples, sigma2: float) -> tuple:
     if not sigma2 > 0.0:
         raise ValueError(f"sigma2 must be positive, got {sigma2}")
     n = x.size
-    f = _normal_cdf_array(np.sort(x) / math.sqrt(sigma2))
-    i = np.arange(1, n + 1, dtype=float)
-    distance = max(float(np.max(i / n - f)), float(np.max(f - (i - 1.0) / n)))
+    x = np.sort(x)
+    new = np.concatenate([[True], x[1:] != x[:-1]])  # first of each run of ties
+    if new.all():
+        f = _normal_cdf_array(x / math.sqrt(sigma2))
+        i = np.arange(1, n + 1, dtype=float)
+        distance = max(float(np.max(i / n - f)), float(np.max(f - (i - 1.0) / n)))
+        return distance, KS_CRITICAL_01 / math.sqrt(n)
+    atoms = x[new]
+    below = np.flatnonzero(new)[1:] / n  # the empirical CDF between consecutive atoms
+    at = np.concatenate([atoms[:1], 0.5 * (atoms[:-1] + atoms[1:]), atoms[-1:]])
+    f = _normal_cdf_array(at / math.sqrt(sigma2))
+    distance = float(np.max(np.abs(np.concatenate([[0.0], below, [1.0]]) - f)))
     return distance, KS_CRITICAL_01 / math.sqrt(n)
 
 

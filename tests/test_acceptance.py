@@ -65,9 +65,7 @@ def test_criterion_1_scalar_law():
     e = two_point(np.array([[0.0]]), np.array([[1.0]]), 0.5)
     n, reps = 4096, 20000
     kern = precompute_kernel(e, n)
-    root = RngStream(3)
-    out = engine.simulate_paths(e, kern, [1.0], [1.0],
-                                lambda i: root.child("clt", n, i), reps)
+    out = engine.simulate_paths(e, kern, [1.0], [1.0], RngStream(3).child("clt", n), reps)
     sigma2 = np.e / 4
     s = summarize(out["proj_xi"], sigma2)
     rel_var = abs(s.variance - sigma2) / sigma2
@@ -101,8 +99,7 @@ def test_criterion_2_matrix_law_finite_n():
     for j, (x, y, ref) in enumerate(pairs):
         sigma2 = sigma_projected(e, x, y)
         assert sigma2 == pytest.approx(ref, rel=1e-12)  # quadrature vs closed form
-        out = engine.simulate_paths(
-            e, kern, x, y, lambda i, j=j: root.child("matrix-clt", j, n, i), reps)
+        out = engine.simulate_paths(e, kern, x, y, root.child("matrix-clt", j, n), reps)
         s = summarize(out["proj_xi"], sigma2)
         worst_var = max(worst_var, abs(s.variance - sigma2) / sigma2)
         worst_ks = max(worst_ks, s.ks_distance)
@@ -188,8 +185,7 @@ def test_criterion_5_martingale_structure():
     n, reps = 256, 2000
     kern = precompute_kernel(e, n)
     root = RngStream(7)
-    rows = engine._draw_rows(
-        e, [root.child("structure", n, i) for i in range(reps)], n)
+    rows = engine._draw_rows(e, root.child("structure", n), n, 0, reps)
     worst_ratio = 0.0
     for k in (1, n // 2, n):
         table = np.stack(
@@ -230,9 +226,8 @@ def rate_curves():
     med_rn, mean_mk, mean_mk2 = [], [], []
     for m in grid:
         kern = precompute_kernel(e, m)
-        out = engine.simulate_paths(
-            e, kern, E1, E1, lambda i, m=m: root.child("rates", m, i), reps,
-            want_s_prime=True)
+        out = engine.simulate_paths(e, kern, E1, E1, root.child("rates", m), reps,
+                                    want_s_prime=True)
         med_rn.append((m, float(np.median(out["r_norm"]))))
         mean_mk.append((m, float(np.mean(out["mk_norm"]))))
         mean_mk2.append((m, float(np.mean(out["mk_norm"] ** 2))))

@@ -94,8 +94,10 @@ class TestSampleXi:
         n = 64
         kern = precompute_kernel(dense3, n)
         cap = 2.0 * np.sqrt(n) * np.exp(dense3.rho)
+        stream = RngStream(5).child("clt", n)  # replicate i of a pass
         for i in range(20):
-            t = sample_xi(dense3, n, [1.0, 0.0, 0.0], RngStream(5, i), kern)
+            t = sample_xi(dense3, n, [1.0, 0.0, 0.0],
+                          stream.at(i * n * dense3.words_per_draw), kern)
             assert np.linalg.norm(t.xi_x) <= cap
 
     def test_replay_determinism(self, dense3, diag3):

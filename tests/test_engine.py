@@ -8,18 +8,24 @@ from expclt.dynamics import decompose_xi_prime, diff_moment_curve, dot_moments
 from expclt.experiment import ExperimentConfig
 
 
-def _streams_root(seed):
-    root = RngStream(seed, 0)
-    return lambda i: root.child("test", i)
+def _pass(seed):
+    """A pass stream of the tests."""
+    return RngStream(seed, 0).child("test")
 
 
-def _diff_rows(e, kern, x, stream_for, reps, ks, width=None):
-    """engine.diff_pair_block rows of replicates 0 .. reps-1, drawn in one
-    block, or in blocks of ``width`` and joined in index order."""
+def _replicate(stream, e, n, i):
+    """The pass ``stream`` moved to replicate i's first word, i n words_per_draw."""
+    return stream.at(i * n * e.words_per_draw)
+
+
+def _diff_rows(e, kern, x, stream, reps, ks, width=None):
+    """engine.diff_pair_block rows of replicates 0 .. reps-1 of the pass
+    ``stream``, drawn in one block, or in blocks of ``width`` and joined in
+    index order."""
     width = width or reps
     return engine.concat_chunks([
         engine.diff_pair_block(kern, x, engine._draw_rows(
-            e, [stream_for(i) for i in range(lo, min(lo + width, reps))], kern.n), ks)
+            e, stream, kern.n, lo, min(lo + width, reps)), ks)
         for lo in range(0, reps, width)])
 
 
@@ -60,17 +66,23 @@ class TestReferenceParity:
     # The batched sweep must reproduce the single-replicate route in
     # dynamics up to reassociation of the same floating-point work.
 
-    @pytest.mark.parametrize("fix", ["dense3", "diag3"])
-    def test_simulate_paths_matches_sample_xi(self, fix, request):
+    # Replicate first + i replays sample_xi from its word of the pass stream
+    # at any chunk width (1 draws every row alone); wide300 binary-searches
+    # its cut points.
+    @pytest.mark.parametrize("fix", ["dense3", "diag3", "scalar01", "wide300"])
+    @pytest.mark.parametrize("width", [None, 1, 3, 7])
+    def test_simulate_paths_matches_sample_xi(self, fix, width, request, monkeypatch):
         e = request.getfixturevalue(fix)
-        n, reps = 24, 16
-        x = np.array([1.0, -0.3, 0.4])
-        y = np.array([0.2, 1.0, -0.5])
+        n, reps, first = 24, 16, 5
+        x = np.array([1.0, -0.3, 0.4])[: e.dim]
+        y = np.array([0.2, 1.0, -0.5])[: e.dim]
         kern = precompute_kernel(e, n)
-        stream_for = _streams_root(42)
-        got = engine.simulate_paths(e, kern, x, y, stream_for, reps, want_s=True)
+        if width is not None:
+            monkeypatch.setattr(engine, "batch_size", lambda *a: width)
+        stream = _pass(42)
+        got = engine.simulate_paths(e, kern, x, y, stream, reps, first=first, want_s=True)
         for i in range(reps):
-            ref = sample_xi(e, n, x, stream_for(i), kern, y=y)
+            ref = sample_xi(e, n, x, _replicate(stream, e, n, first + i), kern, y=y)
             assert got["proj_xi"][i] == pytest.approx(ref.projected_xi,
                                                       rel=1e-11, abs=1e-13)
             assert got["proj_s"][i] == pytest.approx(ref.projected_s,
@@ -82,11 +94,11 @@ class TestReferenceParity:
         n, reps = 16, 8
         x = np.array([0.7, 0.2, -1.0])
         kern = precompute_kernel(dense3, n)
-        stream_for = _streams_root(7)
-        got = engine.simulate_paths(dense3, kern, x, x, stream_for, reps,
+        stream = _pass(7)
+        got = engine.simulate_paths(dense3, kern, x, x, stream, reps,
                                     want_s_prime=True)
         for i in range(reps):
-            idx = dense3.sample_indices(stream_for(i), n)
+            idx = dense3.sample_indices(_replicate(stream, dense3, n, i), n)
             draws = [dense3.support[j] for j in idx]
             _, r_norm = decompose_xi_prime(dense3, n, draws, x, kern)
             assert got["r_norm"][i] == pytest.approx(r_norm, rel=1e-9, abs=1e-13)
@@ -95,12 +107,12 @@ class TestReferenceParity:
         n, reps = 12, 6
         x = np.ones(3)
         kern = precompute_kernel(diag3, n)
-        stream_for = _streams_root(3)
-        got = engine.simulate_paths(diag3, kern, x, x, stream_for, reps,
+        stream = _pass(3)
+        got = engine.simulate_paths(diag3, kern, x, x, stream, reps,
                                     want_s_prime=True)
         qn_x = kern.q_powers[n] @ x
         for i in range(reps):
-            vals = diag3.sample_diagonal_values(stream_for(i), n)
+            vals = diag3.sample_diagonal_values(_replicate(stream, diag3, n, i), n)
             prod = x * np.prod(np.exp(vals / n), axis=0)
             assert got["mk_norm"][i] == pytest.approx(
                 np.linalg.norm(prod - qn_x), rel=1e-11, abs=1e-15)
@@ -108,13 +120,13 @@ class TestReferenceParity:
     def test_output_keys_follow_flags(self, dense3):
         kern = precompute_kernel(dense3, 8)
         x = np.array([1.0, 0.0, 0.0])
-        base = engine.simulate_paths(dense3, kern, x, x, _streams_root(1), 4)
+        base = engine.simulate_paths(dense3, kern, x, x, _pass(1), 4)
         assert set(base) == {"proj_xi"}
-        full = engine.simulate_paths(dense3, kern, x, x, _streams_root(1), 4,
+        full = engine.simulate_paths(dense3, kern, x, x, _pass(1), 4,
                                      want_s=True, want_s_prime=True)
         assert set(full) == {"proj_xi", "proj_s", "diff_norm", "r_norm", "mk_norm"}
         with pytest.raises(ValueError, match="reps"):
-            engine.simulate_paths(dense3, kern, x, x, _streams_root(1), 0)
+            engine.simulate_paths(dense3, kern, x, x, _pass(1), 0)
 
     @pytest.mark.parametrize("fix", ["dense3", "diag3", "scalar01"])
     def test_a_pass_without_projection_sweeps_no_product(self, fix, request,
@@ -122,12 +134,12 @@ class TestReferenceParity:
         e = request.getfixturevalue(fix)
         kern, ks = precompute_kernel(e, 16), (1, 8, 16)
         x = np.linspace(1.0, -0.5, e.dim)
-        with_y = engine.simulate_paths(e, kern, x, x, _streams_root(2), 9, ks=ks)
+        with_y = engine.simulate_paths(e, kern, x, x, _pass(2), 9, ks=ks)
         sweeps = []
         real = engine.simulate_block
         monkeypatch.setattr(engine, "simulate_block",
                             lambda *a, **kw: sweeps.append(1) or real(*a, **kw))
-        dots = engine.simulate_paths(e, kern, x, None, _streams_root(2), 9, ks=ks)
+        dots = engine.simulate_paths(e, kern, x, None, _pass(2), 9, ks=ks)
         assert sweeps == []
         assert set(dots) == {(k, l) for k in ks for l in ks if k <= l}
         for key in dots:
@@ -228,7 +240,7 @@ class TestStackedSweep:
     def test_simulate_block_matches_matmul_sweep(self, d, m, n, want_s, want_s_prime):
         e = _random_support(d, m)
         kern = precompute_kernel(e, n)
-        rows = engine._draw_rows(e, [_streams_root(n)(i) for i in range(37)], n)
+        rows = engine._draw_rows(e, _pass(n), n, 0, 37)
         x = np.linspace(1.0, -0.5, d)
         got = engine.simulate_block(kern, x, rows, want_s=want_s,
                                     want_s_prime=want_s_prime)
@@ -245,7 +257,7 @@ class TestStackedSweep:
     def test_diff_pair_block_matches_matmul_prefix(self, d, m, n):
         e = _random_support(d, m)
         kern = precompute_kernel(e, n)
-        rows = engine._draw_rows(e, [_streams_root(n)(i) for i in range(37)], n)
+        rows = engine._draw_rows(e, _pass(n), n, 0, 37)
         x = np.linspace(1.0, -0.5, d)
         ks = sorted({1, (n + 1) // 2, n})
         got = engine.diff_pair_block(kern, x, rows, ks)
@@ -271,7 +283,7 @@ class TestScalarSweep:
         e = finite_support([[[a]] for a in rng.uniform(-2.0, 2.0, m)],
                            rng.dirichlet(np.ones(m)))
         kern = precompute_kernel(e, n)
-        rows = engine._draw_rows(e, [_streams_root(n)(i) for i in range(37)], n)
+        rows = engine._draw_rows(e, _pass(n), n, 0, 37)
         x = np.array([0.7])
         got = engine.simulate_block(kern, x, rows, want_s=want_s,
                                     want_s_prime=want_s_prime)
@@ -289,7 +301,7 @@ class TestScalarSweep:
         e = finite_support([[[a]] for a in rng.uniform(-2.0, 2.0, m)],
                            rng.dirichlet(np.ones(m)))
         kern = precompute_kernel(e, n)
-        rows = engine._draw_rows(e, [_streams_root(n)(i) for i in range(37)], n)
+        rows = engine._draw_rows(e, _pass(n), n, 0, 37)
         x, ks = np.array([0.7]), sorted({1, 2, (n + 1) // 2, n})
         got = engine.diff_pair_block(kern, x, rows, ks)
         entries = np.array([a[0, 0] for a in e.support])[rows][:, :, None]
@@ -307,9 +319,9 @@ class TestScalarSweep:
         monkeypatch.setattr(engine, "_grouped_sweep",
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
         x = np.array([0.7])
-        engine.simulate_paths(e, kern, x, x, _streams_root(5), 40, want_s=True,
+        engine.simulate_paths(e, kern, x, x, _pass(5), 40, want_s=True,
                               want_s_prime=True, ks=ks)
-        rows = engine._draw_rows(e, [_streams_root(5)(i) for i in range(40)], n)
+        rows = engine._draw_rows(e, _pass(5), n, 0, 40)
         engine.diff_pair_block(kern, x, rows, ks)
         assert calls == []
 
@@ -385,7 +397,7 @@ class TestDiagonalSweep:
 
     def _check(self, e, n, B, want_s, want_s_prime):
         kern = precompute_kernel(e, n)
-        rows = engine._draw_rows(e, [_streams_root(n)(i) for i in range(B)], n)
+        rows = engine._draw_rows(e, _pass(n), n, 0, B)
         x = np.linspace(1.0, -0.5, e.dim)
         got = engine.simulate_block(kern, x, rows, want_s=want_s,
                                     want_s_prime=want_s_prime)
@@ -401,7 +413,7 @@ class TestDiagonalSweep:
     def test_diff_pair_block_matches_cumsum(self, d, n, B):
         e = diagonal_uniform(d, -0.5, 1.0)
         kern = precompute_kernel(e, n)
-        rows = engine._draw_rows(e, [_streams_root(n)(i) for i in range(B)], n)
+        rows = engine._draw_rows(e, _pass(n), n, 0, B)
         x = np.linspace(1.0, -0.5, d)
         ks = sorted({1, 2, (n + 1) // 2, n})
         got = engine.diff_pair_block(kern, x, rows, ks)
@@ -411,18 +423,18 @@ class TestDiagonalSweep:
 
 
 class TestChunkingInvariance:
-    # Each replicate owns a keyed stream, so neither the replicate count nor
-    # the internal chunk width may change a single output bit.
+    # Each replicate owns its words of the pass stream, so neither the
+    # replicate count nor the internal chunk width may change a single output bit.
 
     @pytest.mark.parametrize("fix", ["dense3", "diag3"])
     def test_prefix_equality_across_reps(self, fix, request):
         e = request.getfixturevalue(fix)
         kern = precompute_kernel(e, 20)
         x = np.array([1.0, 0.5, -0.5])
-        stream_for = _streams_root(11)
-        small = engine.simulate_paths(e, kern, x, x, stream_for, 7,
+        stream = _pass(11)
+        small = engine.simulate_paths(e, kern, x, x, stream, 7,
                                       want_s=True, want_s_prime=True)
-        large = engine.simulate_paths(e, kern, x, x, stream_for, 23,
+        large = engine.simulate_paths(e, kern, x, x, stream, 23,
                                       want_s=True, want_s_prime=True)
         for key in small:
             assert np.array_equal(small[key], large[key][:7])
@@ -439,13 +451,13 @@ class TestChunkingInvariance:
         e = request.getfixturevalue(fix)
         kern = precompute_kernel(e, 16)
         x = np.eye(e.dim)[0]
-        stream_for = _streams_root(23)
+        stream = _pass(23)
         for reps, width in ((50, 3), (49, 2)):
-            whole = engine.simulate_paths(e, kern, x, x, stream_for, reps,
+            whole = engine.simulate_paths(e, kern, x, x, stream, reps,
                                           want_s=True, want_s_prime=True)
             with monkeypatch.context() as mp:
                 mp.setattr(engine, "batch_size", lambda *a, b=width: b)
-                split = engine.simulate_paths(e, kern, x, x, stream_for, reps,
+                split = engine.simulate_paths(e, kern, x, x, stream, reps,
                                               want_s=True, want_s_prime=True)
             for key in whole:
                 assert np.array_equal(whole[key], split[key])
@@ -457,8 +469,8 @@ class TestChunkingInvariance:
         x = np.linspace(1.0, -0.5, e.dim)
         ks = (1, 8, 16)
         for reps in (50, 49):
-            whole = _diff_rows(e, kern, x, _streams_root(23), reps, ks)
-            split = _diff_rows(e, kern, x, _streams_root(23), reps, ks, width=3)
+            whole = _diff_rows(e, kern, x, _pass(23), reps, ks)
+            split = _diff_rows(e, kern, x, _pass(23), reps, ks, width=3)
             for k in ks:
                 assert np.array_equal(whole[k], split[k])
 
@@ -474,7 +486,7 @@ class TestChunkingInvariance:
         x, y = np.random.default_rng(d).uniform(-1.0, 1.0, (2, d))
         for reps, width in ((50, 3), (49, 2)):
             def paths():
-                return engine.simulate_paths(e, kern, x, y, _streams_root(29), reps,
+                return engine.simulate_paths(e, kern, x, y, _pass(29), reps,
                                              want_s=True, want_s_prime=True, ks=(1, 8, 16))
             whole = paths()
             with monkeypatch.context() as mp:
@@ -491,8 +503,8 @@ class TestChunkingInvariance:
         kern = precompute_kernel(e, 16)
         x = np.linspace(1.0, -0.5, d)
         for reps in (50, 49):
-            whole = _diff_rows(e, kern, x, _streams_root(31), reps, (1, 8, 16))
-            split = _diff_rows(e, kern, x, _streams_root(31), reps, (1, 8, 16), width=3)
+            whole = _diff_rows(e, kern, x, _pass(31), reps, (1, 8, 16))
+            split = _diff_rows(e, kern, x, _pass(31), reps, (1, 8, 16), width=3)
             for k in (1, 8, 16):
                 assert np.array_equal(whole[k], split[k]), k
 
@@ -529,7 +541,7 @@ class TestChunkingInvariance:
         # gathers; at one tile per call every row keeps its bits
         e = _random_support(d, 3)
         kern = precompute_kernel(e, 12)
-        rows = engine._draw_rows(e, [_streams_root(7)(i) for i in range(300)], 12)
+        rows = engine._draw_rows(e, _pass(7), 12, 0, 300)
         x = np.linspace(1.0, -0.5, d)
 
         def sweep():
@@ -549,7 +561,7 @@ class TestChunkingInvariance:
         # must not change with the states swept beside v
         e = _random_support(33, 4)
         kern = precompute_kernel(e, 16)
-        rows = engine._draw_rows(e, [_streams_root(3)(i) for i in range(50)], 16)
+        rows = engine._draw_rows(e, _pass(3), 16, 0, 50)
         x = np.linspace(1.0, -0.5, 33)
         alone = engine.simulate_block(kern, x, rows)["prod_x"]
         full = engine.simulate_block(kern, x, rows, want_s=True, want_s_prime=True)
@@ -586,10 +598,10 @@ class TestChunkingInvariance:
         e = diagonal_uniform(8, -0.5, 1.0) if law == "diagonal" else _random_support(8, 4)
         kern = precompute_kernel(e, 16)
         x, y = np.random.default_rng(5).uniform(-1.0, 1.0, (2, 8))
-        stream_for = _streams_root(31)
+        stream = _pass(31)
 
         def projections(reps):
-            out = engine.simulate_paths(e, kern, x, y, stream_for, reps, want_s=True)
+            out = engine.simulate_paths(e, kern, x, y, stream, reps, want_s=True)
             return out["proj_xi"], out["proj_s"]
 
         whole, small = projections(23), projections(7)
@@ -601,7 +613,7 @@ class TestChunkingInvariance:
 
     # A path pass with ks reduces each chunk's difference rows to dots; the
     # moments of those dots are the moments of the whole pass's rows, and
-    # diff_moment_curve reads the same dots of the rows r.child(n, i) draws.
+    # diff_moment_curve reads the same dots of the rows of the pass r.child(n).
     @pytest.mark.parametrize("fix", ["dense3", "fs9", "diag3", "fs16m4", "scalar01"])
     def test_pass_dots_give_the_moments_of_the_rows(self, fix, request, monkeypatch):
         e = request.getfixturevalue(fix)
@@ -609,14 +621,14 @@ class TestChunkingInvariance:
         x = np.linspace(1.0, -0.5, e.dim)
         ks = [1, 8, 16]
         ref = dot_moments(16, ks, engine.diff_dots(
-            _diff_rows(e, kern, x, _streams_root(5), 50, ks)))
+            _diff_rows(e, kern, x, _pass(5), 50, ks)))
         with monkeypatch.context() as mp:
             mp.setattr(engine, "batch_size", lambda *a: 3)
-            out = engine.simulate_paths(e, kern, x, x, _streams_root(5), 50,
+            out = engine.simulate_paths(e, kern, x, x, _pass(5), 50,
                                         want_s=True, want_s_prime=True, ks=ks)
         assert dot_moments(16, ks, out) == ref
         r = RngStream(5)
-        rows = _diff_rows(e, kern, x, lambda i: r.child(16, i), 100, ks)
+        rows = _diff_rows(e, kern, x, r.child(16), 100, ks)
         assert diff_moment_curve(e, [16], x, 100, r) == [
             dot_moments(16, ks, engine.diff_dots(rows))]
 
@@ -639,13 +651,13 @@ class TestRowBytes:
         reps = 5
         for want_s in (False, True):
             for want_s_prime in (False, True):
-                out = engine.simulate_paths(e, kern, x, x, _streams_root(3), reps,
+                out = engine.simulate_paths(e, kern, x, x, _pass(3), reps,
                                             want_s=want_s, want_s_prime=want_s_prime)
                 assert (sum(v.nbytes for v in out.values())
                         == reps * _paths_row_bytes(want_s=want_s,
                                                    want_s_prime=want_s_prime))
         ks = (1, 4, 8)
-        out = _diff_rows(e, kern, x, _streams_root(3), reps, ks)
+        out = _diff_rows(e, kern, x, _pass(3), reps, ks)
         assert sum(v.nbytes for v in out.values()) == reps * 8 * e.dim * len(ks)
 
     @pytest.mark.parametrize("ks", [(1,), (1, 2), (1, 4, 8)])
@@ -653,7 +665,7 @@ class TestRowBytes:
         x = np.array([1.0, -0.3, 0.4])
         kw = {"want_s": True, "want_s_prime": True, "ks": ks}
         out = engine.simulate_paths(dense3, precompute_kernel(dense3, 8), x, x,
-                                    _streams_root(3), 5, **kw)
+                                    _pass(3), 5, **kw)
         assert sum(v.nbytes for v in out.values()) == 5 * _paths_row_bytes(**kw)
 
 
@@ -700,8 +712,7 @@ class TestDiffPairBlock:
         n, B = 12, 9
         x = np.array([1.0, -0.2, 0.3])
         kern = precompute_kernel(dense3, n)
-        streams = [_streams_root(5)(i) for i in range(B)]
-        rows = engine._draw_rows(dense3, streams, n)
+        rows = engine._draw_rows(dense3, _pass(5), n, 0, B)
         ks = [1, 6, 12]
         block = engine.diff_pair_block(kern, x, rows, ks)
         mean = dense3.mean()
@@ -720,8 +731,7 @@ class TestDiffPairBlock:
         n, B = 10, 7
         x = np.array([0.4, 1.0, -0.6])
         kern = precompute_kernel(diag3, n)
-        streams = [_streams_root(8)(i) for i in range(B)]
-        rows = engine._draw_rows(diag3, streams, n)
+        rows = engine._draw_rows(diag3, _pass(8), n, 0, B)
         ks = [1, 5, 10]
         block = engine.diff_pair_block(kern, x, rows, ks)
         mid = 0.5 * (diag3.low + diag3.high)
@@ -743,7 +753,7 @@ class TestDiffPairBlock:
         n = 8
         x = np.array([1.0, 0.0, 0.0])
         kern = precompute_kernel(dense3, n)
-        rows = engine._draw_rows(dense3, [_streams_root(2)(0)], n)
+        rows = engine._draw_rows(dense3, _pass(2), n, 0, 1)
         block = engine.diff_pair_block(kern, x, rows, [1])
         a1 = dense3.support[rows[0, 0]]
         d = kern.p_powers[0] @ (a1 - dense3.mean()) @ kern.p_powers[n - 1] @ x
@@ -753,55 +763,50 @@ class TestDiffPairBlock:
 
 class TestDrawRows:
     def test_finite_rows_replay_sample_indices(self, dense3):
-        streams = [_streams_root(31)(i) for i in range(5)]
-        rows = engine._draw_rows(dense3, streams, 40)
+        rows = engine._draw_rows(dense3, _pass(31), 40, 0, 5)
         assert rows.dtype == np.uint16
         for b in range(5):
-            ref = dense3.sample_indices(_streams_root(31)(b), 40)
+            ref = dense3.sample_indices(_replicate(_pass(31), dense3, 40, b), 40)
             assert np.array_equal(rows[b], ref)
 
     def test_finite_rows_are_step_major(self, dense3):
-        streams = [_streams_root(31)(i) for i in range(5)]
-        rows = engine._draw_rows(dense3, streams, 40)
+        rows = engine._draw_rows(dense3, _pass(31), 40, 0, 5)
         assert rows.shape == (5, 40)
         assert rows[:, 7].flags.c_contiguous
 
-    def test_filled_stream_replays_with_uniform(self, dense3):
-        # a stream drawn through _draw_rows continues, on a later
-        # uniform call, exactly where a fresh stream with its key would
-        n = 41
-        stream = _streams_root(17)(3)
-        rows = engine._draw_rows(dense3, [_streams_root(17)(2), stream], n)
-        tail = stream.uniform(9)
-        fresh = _streams_root(17)(3)
-        head = fresh.uniform(n)
-        assert np.array_equal(rows[1], dense3.support_indices(head))
-        assert np.array_equal(tail, fresh.uniform(9))
+    @pytest.mark.parametrize("fix", ["dense3", "diag3"])
+    def test_a_range_of_replicates_draws_their_own_words(self, fix, request):
+        # rows [lo, hi) are the rows lo..hi-1 of the whole pass, and the pass
+        # stream, which drew before, is read from its key, not moved
+        e, n = request.getfixturevalue(fix), 41
+        stream = _pass(17)
+        head = stream.words(7)
+        whole = engine._draw_rows(e, _pass(17), n, 0, 10)
+        part = engine._draw_rows(e, stream, n, 3, 7)
+        assert np.array_equal(part, whole[3:7])
+        fresh = _pass(17)
+        assert np.array_equal(fresh.words(7), head)
+        assert np.array_equal(stream.words(5), fresh.words(5))
 
     def test_diagonal_rows_replay_values(self, diag3):
-        # stream 2 drew before, so its row starts 5 uniforms in
-        streams = [_streams_root(13)(i) for i in range(4)]
-        head = streams[2].uniform(5)
-        rows = engine._draw_rows(diag3, streams, 9)
+        rows = engine._draw_rows(diag3, _pass(13), 9, 2, 6)
         assert rows.shape == (4, 9, 3)
         for b in range(4):
-            fresh = _streams_root(13)(b)
-            if b == 2:
-                assert np.array_equal(fresh.uniform(5), head)
-            ref = diag3.sample_diagonal_values(fresh, 9)
+            ref = diag3.sample_diagonal_values(_replicate(_pass(13), diag3, 9, 2 + b), 9)
             assert np.array_equal(rows[b], ref)
 
     def test_diagonal_rows_are_step_major(self, diag3):
-        rows = engine._draw_rows(diag3, [_streams_root(13)(i) for i in range(5)], 40)
+        rows = engine._draw_rows(diag3, _pass(13), 40, 0, 5)
         assert rows.strides == (3 * 8, 5 * 3 * 8, 8)
         assert rows[:, 7].flags.c_contiguous
 
-    def test_diagonal_rows_span_fill_blocks(self):
-        # 8 * 1000 uniforms per row: a scratch block holds 8 rows, so 19 rows
-        # take three blocks, the last one partial
-        e = diagonal_uniform(8, -2.0, 3.0)
-        assert engine._FILL_BLOCK // (8 * 1000) == 8
-        rows = engine._draw_rows(e, [_streams_root(3)(i) for i in range(19)], 1000)
+    @pytest.mark.parametrize("law, n, per_block", [("diagonal", 1000, 8), ("index", 8000, 8)])
+    def test_rows_span_fill_blocks(self, law, n, per_block):
+        # 8 * 1000 entries per diagonal row and 8000 per index row: a block
+        # holds 8 rows, so 19 rows take three blocks, the last one partial
+        e = diagonal_uniform(8, -2.0, 3.0) if law == "diagonal" else _random_support(2, 5)
+        assert engine._FILL_BLOCK // (n * e.entries_per_draw) == per_block
+        rows = engine._draw_rows(e, _pass(3), n, 0, 19)
         for b in (0, 7, 8, 15, 16, 18):
-            ref = e.sample_diagonal_values(_streams_root(3)(b), 1000)
+            ref = e.draws(_replicate(_pass(3), e, n, b), n)
             assert np.array_equal(rows[b], ref)

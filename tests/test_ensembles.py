@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from expclt import engine
+from expclt import engine, ensembles
 from expclt import (
     RngStream,
     deterministic,
@@ -61,7 +61,7 @@ class TestRngStream:
         b = np.empty((1, 5))
         d = np.empty((1, 2))
         r.uniform(out=a[0])  # from counter 0: r has not drawn yet
-        r.uniform(out=b[0])  # 3 words into the first counter block
+        r.uniform(out=b[0])  # 3 outputs into the first counter block
         c = r.uniform(6)
         r.uniform(out=d[0])
         assert np.array_equal(np.concatenate([a[0], b[0], c, d[0]]), ref)
@@ -84,26 +84,54 @@ def _plain(seed, index, count):
     return np.random.Generator(np.random.Philox(key=key)).random(count)
 
 
-# A uniform law on [0, 1) maps each uniform u to 0 + 1 u = u, so its engine
-# rows are the stream's uniforms in draw order.
-_UNIT = diagonal_uniform(2, 0.0, 1.0)
+def _raw(seed, index, count):
+    """``count`` 64-bit outputs of a plain Philox keyed (seed, index), as Python ints."""
+    key = np.array([seed, index], dtype=np.uint64)
+    return [int(v) for v in np.random.Philox(key=key).random_raw(count)]
+
+
+class _Model:
+    """A stream's draws rebuilt from one plain draw of 64-bit outputs: word
+    2j is output j's low half and word 2j + 1 its high half, and a uniform
+    takes the next whole output as numpy's ``random`` does, (v >> 11) 2^-53."""
+
+    def __init__(self, seed, index, size=4096):
+        self.raw, self.pos = _raw(seed, index, size), 0
+
+    def words(self, k):
+        got = [(self.raw[w // 2] >> (32 * (w % 2))) & 0xFFFFFFFF
+               for w in range(self.pos, self.pos + k)]
+        self.pos += k
+        return np.array(got, dtype=np.uint32)
+
+    def uniform(self, k):
+        j = -(-self.pos // 2)
+        self.pos = 2 * (j + k)
+        return np.array([(v >> 11) * 2.0**-53 for v in self.raw[j : j + k]])
 
 
 def _draw(r, op, k):
-    """Flat uniforms of one call on the stream ``r``, in draw order."""
+    """One call on the stream ``r``: (kind, draws), kind "u" or "w"."""
     if op == "one":
-        return np.array([r.uniform()])
+        return "u", np.array([r.uniform()])
     if op == "size":
-        return r.uniform(k)
+        return "u", r.uniform(k)
     if op == "out":
         row = np.empty(k)
         assert r.uniform(out=row) is row
-        return row
-    return engine._draw_rows(_UNIT, [r], k + 1).reshape(-1)  # k + 1 steps of 2 uniforms
+        return "u", row
+    return "w", r.words(k)
 
 
-_CALLS = st.lists(st.tuples(st.sampled_from(["one", "size", "out", "rows"]),
+_CALLS = st.lists(st.tuples(st.sampled_from(["one", "size", "out", "words"]),
                             st.integers(0, 9)), max_size=12)
+
+
+def _replay(seed, index, calls, got):
+    model = _Model(seed, index)
+    for (op, k), (kind, draws) in zip(calls, got):
+        ref = model.uniform(1 if op == "one" else k) if kind == "u" else model.words(k)
+        assert draws.dtype == ref.dtype and np.array_equal(draws, ref)
 
 
 class TestStreamOracle:
@@ -113,23 +141,39 @@ class TestStreamOracle:
     @given(seed=st.integers(0, 2**64 - 1), index=st.integers(0, 2**64 - 1), calls=_CALLS)
     def test_any_interleaving_replays_one_plain_draw(self, seed, index, calls):
         r = RngStream(seed, index)
-        got = np.concatenate([np.empty(0)] + [_draw(r, op, k) for op, k in calls])
-        assert np.array_equal(got, _plain(seed, index, got.size))
+        _replay(seed, index, calls, [_draw(r, op, k) for op, k in calls])
 
-    def test_engine_rows_of_fresh_and_drawn_streams(self):
-        streams = [RngStream(5, i) for i in range(40)]
-        for i, r in enumerate(streams[::3]):
-            r.uniform(i % 7)
-        head = [r._drawn for r in streams]
-        rows = engine._draw_rows(_UNIT, streams, 300).reshape(len(streams), -1)
-        for i, (h, row) in enumerate(zip(head, rows)):
-            assert np.array_equal(row, _plain(5, i, h + row.size)[h:])
+    def test_uniforms_alone_replay_plain_random(self):
+        r = RngStream(9, 4)
+        got = np.concatenate([r.uniform(3), [r.uniform()], r.uniform(6)])
+        assert np.array_equal(got, _plain(9, 4, 10))
+
+    @pytest.mark.parametrize("word", [0, 1, 2, 7, 8, 9, 15, 1001])
+    def test_at_reaches_any_word_without_drawing_the_ones_before(self, word):
+        ref = RngStream(5, 6).words(word + 20)[word:]
+        moved = RngStream(5, 6).at(word)
+        assert np.array_equal(np.concatenate([moved.words(11), moved.words(9)]), ref)
+        drawn = RngStream(5, 6)
+        drawn.words(3)
+        assert np.array_equal(drawn.at(word).words(20), ref)  # the key, not the position
+
+    def test_words_split_each_output_low_half_first(self):
+        raw = _raw(2, 3, 4)
+        words = RngStream(2, 3).words(8)
+        assert words.tolist() == [h for v in raw for h in (v & 0xFFFFFFFF, v >> 32)]
+
+    def test_engine_rows_are_each_replicates_words(self):
+        # replicate i of the pass owns the words [i n, (i + 1) n) of its stream
+        e, n, words = two_point(np.array([[0.0]]), np.array([[1.0]]), 0.3), 300, _Model(5, 1, 6000)
+        rows = engine._draw_rows(e, RngStream(5, 1), n, 0, 40)
+        for row in rows:
+            assert np.array_equal(row, e.support_indices(words.words(n)))
 
     def test_threads_drawing_at_once_get_the_serial_bits(self):
         # more threads than cores, switching as often as the interpreter allows,
         # so that a generator shared between threads would hand one stream's
         # position to another
-        calls = [("size", 3), ("one", 0), ("out", 5), ("rows", 1)] * 300
+        calls = [("size", 3), ("one", 0), ("words", 5), ("out", 5), ("words", 1)] * 240
         indices = range(1, 5)
         barrier = threading.Barrier(len(indices))
         got = {}
@@ -137,7 +181,7 @@ class TestStreamOracle:
         def work(index):
             r = RngStream(11, index)
             barrier.wait(timeout=10)
-            got[index] = np.concatenate([_draw(r, op, k) for op, k in calls])
+            got[index] = [_draw(r, op, k) for op, k in calls]
 
         threads = [threading.Thread(target=work, args=(i,)) for i in indices]
         interval = sys.getswitchinterval()
@@ -151,7 +195,7 @@ class TestStreamOracle:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         for i in indices:
-            assert np.array_equal(got[i], _plain(11, i, got[i].size))
+            _replay(11, i, calls, got[i])
 
 
 class TestFactoriesAndValidation:
@@ -257,7 +301,7 @@ _A = np.array([[0.3, 0.1], [0.0, -0.2]])
 _B = np.array([[0.3, 0.1], [0.0, 0.2]])
 
 # One law of each sampling shape: support_indices counts cut points for m = 2
-# and 3 and binary-searches for m = 129; diagonal draws take 1 or d uniforms.
+# and 3 and binary-searches for m = 129; diagonal draws take 2 or 2 d words.
 _LAWS = {
     "two_point": two_point(np.array([[0.0]]), np.array([[1.0]]), 0.3),
     "finite_support_m3": finite_support([np.eye(2) * i for i in range(3)],
@@ -275,29 +319,33 @@ def _bulk_sample(e, stream, count):
     return e.sample_diagonal_values(stream, count)
 
 
-class TestFromUniforms:
-    """One uniform-to-draw map behind every sampler."""
+class TestDraws:
+    """One words-to-draws map behind every sampler."""
 
     @pytest.mark.parametrize("law", sorted(_LAWS))
     def test_one_stream_gives_the_same_draws_everywhere(self, law):
         e, count = _LAWS[law], 300
-        draws = e.from_uniforms(RngStream(21).uniform(count * e.uniforms_per_draw))
+        draws = e.draws(RngStream(21), count)
         assert np.array_equal(draws, _bulk_sample(e, RngStream(21), count))
         r = RngStream(21)
         for draw in draws:
             ref = e.support[draw] if e.is_finite_support else np.diag(draw)
             assert np.array_equal(e.sample(r), ref)
+        # a draw takes words_per_draw words: the next draw starts where r stands
+        assert np.array_equal(e.draws(r, 5),
+                              e.draws(RngStream(21).at(count * e.words_per_draw), 5))
 
     @pytest.mark.parametrize("law", sorted(_LAWS))
-    def test_a_block_maps_row_by_row(self, law):
-        e, count = _LAWS[law], 50
-        u = np.stack([RngStream(22, b).uniform(count * e.uniforms_per_draw)
-                      for b in range(4)])
-        block = e.from_uniforms(u)
-        assert block.shape[:2] == (4, count)
-        assert e.from_uniforms(u[:0]).shape == (0,) + block.shape[1:]
-        for b in range(4):
-            assert np.array_equal(block[b], _bulk_sample(e, RngStream(22, b), count))
+    def test_draws_map_words_or_uniforms(self, law):
+        e, count = _LAWS[law], 64
+        draws = e.draws(RngStream(22), count)
+        assert draws.shape[1:] == e.draws(RngStream(22), 0).shape[1:]
+        assert draws[0].size == e.entries_per_draw
+        if e.is_finite_support:
+            assert np.array_equal(draws, e.support_indices(RngStream(22).words(count)))
+        else:
+            u = RngStream(22).uniform(count * e.dim).reshape(count, e.dim)
+            assert np.array_equal(draws, e.low + (e.high - e.low) * u)
 
 
 class TestTally:
@@ -306,10 +354,10 @@ class TestTally:
     @pytest.mark.parametrize("law", sorted(_LAWS))
     def test_centered_total_sums_the_centered_draws(self, law):
         e, n = _LAWS[law], 40
-        rows = engine._draw_rows(e, [RngStream(23, b) for b in range(7)], n)
-        # each stream's first n draws, one at a time
-        ref = sum(e.sample(r) - e.mean() for r in [RngStream(23, b) for b in range(7)]
-                  for _ in range(n))
+        rows = engine._draw_rows(e, RngStream(23), n, 0, 7)
+        # the pass's first 7 n draws, one at a time
+        r = RngStream(23)
+        ref = sum(e.sample(r) - e.mean() for _ in range(7 * n))
         total = e.centered_total(e.tally(rows))
         assert total.shape == (e.dim, e.dim)
         np.testing.assert_allclose(total, ref, rtol=1e-12, atol=1e-12)
@@ -317,7 +365,7 @@ class TestTally:
     def test_a_diagonal_point_mass_totals_exactly_zero(self):
         # 100 draws of 0.3 added up are not 100 x 0.3 in floating point
         e = diagonal_uniform(3, 0.3, 0.3)
-        rows = engine._draw_rows(e, [RngStream(25, b) for b in range(5)], 100)
+        rows = engine._draw_rows(e, RngStream(25), 100, 0, 5)
         assert not np.any(e.centered_total(e.tally(rows)))
 
     @pytest.mark.parametrize("law", sorted(_LAWS))
@@ -325,9 +373,8 @@ class TestTally:
         # the 1-row parts at d = 1 hold one entry a step, which numpy's
         # add.reduce would sum pairwise
         e, n = _LAWS[law], 100
-        streams = [RngStream(24, b) for b in range(9)]
-        whole = e.tally(engine._draw_rows(e, streams, n))
-        parts = [e.tally(engine._draw_rows(e, [RngStream(24, b) for b in range(lo, hi)], n))
+        whole = e.tally(engine._draw_rows(e, RngStream(24), n, 0, 9))
+        parts = [e.tally(engine._draw_rows(e, RngStream(24), n, lo, hi))
                  for lo, hi in ((0, 1), (1, 2), (2, 5), (5, 9))]
         joined = np.concatenate(parts)
         if not e.is_finite_support:  # one row per replicate, whose bits are its own
@@ -350,28 +397,31 @@ def test_is_point_mass(law, expected):
     assert law.is_point_mass is expected
 
 
-def _searchsorted_oracle(e, u):
-    idx = np.searchsorted(e._cum_probs, u, side="right")
-    return np.minimum(idx, len(e.support) - 1).astype(np.uint16)
+def _index_oracle(e, words):
+    """The index of each word, from the weights in exact integer arithmetic:
+    the smallest j with word < floor(2^32 (p_0 + ... + p_j)), and the last
+    index when there is none."""
+    edges = [int(np.floor(c * 2.0**32)) for c in np.cumsum(e.probabilities)[:-1]]
+    return np.array([sum(c <= int(w) for c in edges) for w in words], dtype=np.uint16)
 
 
-def _edge_uniforms(e, seed):
-    """Random uniforms plus every cut point below 1 and its two neighbours."""
-    cuts = e._cum_probs[e._cum_probs < 1.0]
-    edges = np.concatenate([cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, 1.0),
-                            [0.0, np.nextafter(1.0, 0.0)]])
-    edges = edges[(edges >= 0.0) & (edges < 1.0)]
-    return np.concatenate([edges, RngStream(seed).uniform(4096)])
+def _edge_words(e, seed):
+    """Random words plus every cut point below 2^32, its two neighbours and
+    both ends of the word range."""
+    cuts = e._cuts.astype(np.int64)
+    edges = np.concatenate([cuts, cuts - 1, cuts + 1, [0, 2**32 - 1]])
+    edges = edges[(edges >= 0) & (edges < 2**32)].astype(np.uint32)
+    return np.concatenate([edges, RngStream(seed).words(4096)])
 
 
 class TestSupportIndices:
-    """The compare-counting map against searchsorted(side="right")."""
+    """The cut-point map against an exact integer oracle."""
 
     @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 1.0])
     def test_two_point_including_zero_weights(self, p):
         e = two_point(np.array([[0.0]]), np.array([[1.0]]), p)
-        u = _edge_uniforms(e, 1)
-        assert np.array_equal(e.support_indices(u), _searchsorted_oracle(e, u))
+        w = _edge_words(e, 1)
+        assert np.array_equal(e.support_indices(w), _index_oracle(e, w))
 
     @pytest.mark.parametrize("probs", [
         [0.25, 0.0, 0.0, 0.75],
@@ -382,8 +432,8 @@ class TestSupportIndices:
     ])
     def test_repeated_and_overshooting_cut_points(self, probs):
         e = finite_support([np.eye(1) * i for i in range(len(probs))], probs)
-        u = _edge_uniforms(e, 2)
-        assert np.array_equal(e.support_indices(u), _searchsorted_oracle(e, u))
+        w = _edge_words(e, 2)
+        assert np.array_equal(e.support_indices(w), _index_oracle(e, w))
 
     @pytest.mark.parametrize("m", [1, 2, 3, _CUT - 1, _CUT, _CUT + 1, 2 * _CUT + 5])
     def test_both_sides_of_the_crossover(self, m):
@@ -391,20 +441,51 @@ class TestSupportIndices:
         w[::7] = 0.0
         w[-1] += 0.01
         e = finite_support([np.eye(1) * i for i in range(m)], w / w.sum())
-        u = _edge_uniforms(e, 3)
-        got = e.support_indices(u)
+        words = _edge_words(e, 3)
+        got = e.support_indices(words)
         assert got.dtype == np.uint16
-        assert np.array_equal(got, _searchsorted_oracle(e, u))
+        assert np.array_equal(got, _index_oracle(e, words))
+
+    @pytest.mark.parametrize("where, probs", [
+        ("leading", [0.0, 0.4, 0.6]),
+        ("middle", [0.4, 0.0, 0.6]),
+        ("trailing", [0.4, 0.6, 0.0]),
+        ("trailing_past_rounding", [0.5, 0.5 + 5e-13, 0.0]),
+    ])
+    def test_a_zero_weight_is_never_drawn(self, where, probs):
+        e = finite_support([np.eye(1) * i for i in range(3)], probs)
+        zero = probs.index(0.0)
+        words = _edge_words(e, 4)
+        assert zero not in e.support_indices(words)
+        assert zero not in e.sample_indices(RngStream(4), 100_000)
+        if where.startswith("trailing"):  # its cut is 2^32, which no word reaches
+            assert len(e._cuts) == 1
+
+    @pytest.mark.parametrize("probs", [[0.3, 0.7], [0.2, 0.5, 0.3], [1 / 3] * 3,
+                                       [0.1] * 10])
+    def test_each_bin_moves_by_less_than_2_to_the_minus_32(self, probs):
+        e = finite_support([np.eye(1) * i for i in range(len(probs))], probs)
+        edges = np.concatenate([[0], e._cuts.astype(np.int64), [2**32]])
+        assert np.all(np.abs(np.diff(edges) / 2.0**32 - e.probabilities) < 2.0**-32)
+
+    def test_binary_search_equals_the_compare_path(self, wide300, monkeypatch):
+        words = np.concatenate([_edge_words(wide300, 5), RngStream(6).words(65536)])
+        searched = wide300.support_indices(words)
+        monkeypatch.setattr(ensembles, "_COMPARE_MAX_SUPPORT", 10**6)
+        compared = wide300.support_indices(words)
+        assert compared.dtype == searched.dtype == np.uint16
+        assert np.array_equal(compared, searched)
+        assert np.array_equal(searched, _index_oracle(wide300, words))
 
     def test_keeps_the_shape(self, dense3):
-        u = RngStream(4).uniform((3, 5))
-        got = dense3.support_indices(u)
+        w = RngStream(4).words(15).reshape(3, 5)
+        got = dense3.support_indices(w)
         assert got.shape == (3, 5)
-        assert np.array_equal(got, _searchsorted_oracle(dense3, u))
+        assert np.array_equal(got, _index_oracle(dense3, w.ravel()).reshape(3, 5))
 
     def test_family_guard(self, diag3):
         with pytest.raises(ValueError):
-            diag3.support_indices(np.zeros(3))
+            diag3.support_indices(np.zeros(3, dtype=np.uint32))
 
 
 def _loop_projection(e, w, u) -> float:

@@ -8,7 +8,7 @@ import pytest
 
 from expclt import RngStream, engine, experiment
 from expclt.cli import main
-from expclt.dynamics import precompute_kernel
+from expclt.dynamics import precompute_kernel, sample_xi
 from expclt.experiment import (
     ConfigError,
     SUITE_NAMES,
@@ -646,22 +646,50 @@ class TestRun:
         for name in ("clt", "martingale"):
             assert len(csv[name]) == 4 and len(set(csv[name])) == 1
 
-    def test_one_stream_per_replicate_and_n(self, tmp_path, monkeypatch):
-        # one path pass per n keys each replicate once, where the clt pass and
-        # the martingale suite's two passes used to key it three times
+    def test_one_stream_per_pass(self, tmp_path, monkeypatch):
+        # one path pass per n keys one stream, whose words its replicates
+        # share out, where each replicate used to key a stream of its own
         tags = []
         child = experiment.RngStream.child
 
         def spy(self, *parts):
-            tags.append(parts[0])
+            tags.append(parts)
             return child(self, *parts)
 
         monkeypatch.setattr(experiment.RngStream, "child", spy)
+        monkeypatch.setattr(experiment.engine, "batch_size", lambda *a: 32)  # 2 chunks
         cfg = self._cfg(tmp_path, suites=["clt", "martingale"], n_grid=[16, 32, 64],
                         replicates=50)
         run(cfg, workers=1)
-        assert sorted(set(tags)) == ["clt"]
-        assert tags.count("clt") == 50 * 3
+        assert tags == [("clt", 16), ("clt", 32), ("clt", 64)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("ensemble", [
+        {"family": "diagonal_uniform", "dim": 3, "low": -0.5, "high": 1.0},
+        {"family": "finite_support", "probabilities": [0.2, 0.3, 0.5],
+         "matrices": np.random.default_rng(5).uniform(-0.5, 0.5, (3, 3, 3)).tolist()},
+    ], ids=["diagonal", "finite_support"])
+    def test_pass_replays_sample_xi_at_each_replicates_word(self, tmp_path, monkeypatch,
+                                                           workers, ensemble):
+        # replicate i of the pass at n is sample_xi from the pass stream
+        # ("clt", n) moved to word i n words_per_draw, in chunks of 3 rows
+        # (the last of 2) in this process or shared by a pool of two
+        monkeypatch.setattr(experiment.engine, "batch_size", lambda *a: 3)
+        monkeypatch.setattr(experiment, "_KERNEL_CACHE", {})  # run() clears it, _map_pass not
+        n, reps = 16, 20
+        cfg = self._cfg(tmp_path, ensemble=ensemble, suites=["clt"], n_grid=[n],
+                        replicates=reps)
+        pool = experiment.ProcessPoolExecutor(max_workers=2) if workers == 2 else None
+        try:
+            out = engine.concat_chunks(list(experiment._map_pass(cfg, n, pool)))
+        finally:
+            if pool is not None:
+                pool.shutdown()
+        e, kern = cfg.ensemble, precompute_kernel(cfg.ensemble, n)
+        stream = RngStream(cfg.master_seed).child("clt", n)
+        for i in range(reps):
+            ref = sample_xi(e, n, cfg.x, stream.at(i * n * e.words_per_draw), kern, y=cfg.y)
+            assert out["proj_xi"][i] == pytest.approx(ref.projected_xi, rel=1e-11, abs=1e-13)
 
     @pytest.mark.parametrize("ensemble", [
         {"family": "diagonal_uniform", "dim": 3, "low": -0.5, "high": 1.0},
@@ -696,8 +724,8 @@ class TestRun:
         assert passed and all(v["ok"] for v in check.values())
         real = experiment.engine._draw_rows
 
-        def faulty(e, streams, n):
-            rows = real(e, streams, n)
+        def faulty(e, stream, n, lo, hi):
+            rows = real(e, stream, n, lo, hi)
             steps = rows[:, ::20]
             steps[steps == 1] = 0
             return rows
@@ -756,8 +784,8 @@ def _structure_reference(cfg):
     sample_diagonal_values, and E ||d_{n,k}||_F^2 summed over the support or
     over the independent diagonal entries."""
     e, n, reps = cfg.ensemble, cfg.n_grid[-1], cfg.replicates
-    root = RngStream(cfg.master_seed)
-    streams = [root.child("clt", n, i) for i in range(reps)]
+    stream = RngStream(cfg.master_seed).child("clt", n)
+    streams = [stream.at(i * n * e.words_per_draw) for i in range(reps)]
     kern = precompute_kernel(e, n)
     if e.is_finite_support:
         idx = np.concatenate([e.sample_indices(r, n) for r in streams])

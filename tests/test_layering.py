@@ -2,14 +2,14 @@
 generator behind the ``RngStream`` interface.
 
 Outside ``ensembles.py`` and the engine's algebra, code reaches a law
-through ``uniforms_per_draw``, ``from_uniforms``, ``sample``,
+through ``words_per_draw``, ``entries_per_draw``, ``draws``, ``sample``,
 ``is_point_mass`` and the moment methods, and never reads which family it
 is or that family's parameters.  The functions allowed below are closed
 forms of one family by design: their numbers are emitted, or they build the
 per-law tables and digests.  A new family must pass without adding to them.
 
-Outside ``ensembles.py``, code draws uniforms only through a stream's
-``uniform``: it never names numpy's random module, a Philox or a bit
+Outside ``ensembles.py``, code draws only through a stream's ``words``
+and ``uniform``: it never names numpy's random module, a Philox or a bit
 generator, and never reads the stream's private state.
 
 Every module-level function, class or constant is named by other code in

@@ -59,6 +59,33 @@ class TestKsTest:
         assert d_good < thr
         assert d_bad > 10 * thr
 
+    def test_a_tie_free_sample_keeps_the_plain_statistic(self):
+        x = np.random.default_rng(6).standard_normal(777)
+        f = np.array([normal_cdf(v) for v in np.sort(x)])
+        i = np.arange(1, x.size + 1)
+        plain = max(np.max(i / x.size - f), np.max(f - (i - 1) / x.size))
+        assert ks_test(x, 1.0)[0] == plain
+
+    def test_ties_compare_at_midpoints_and_outer_atoms(self):
+        # atoms 0, 1, 2 with empirical CDF 2/6, 5/6, 1: compared below 0 at
+        # 0, at the midpoints 0.5 and 1.5, and from 2 on at 2
+        d, _ = ks_test([1.0, 0.0, 2.0, 1.0, 1.0, 0.0], 1.0)
+        ref = max(normal_cdf(0.0), abs(2 / 6 - normal_cdf(0.5)),
+                  abs(5 / 6 - normal_cdf(1.5)), 1.0 - normal_cdf(2.0))
+        assert d == pytest.approx(ref, abs=1e-15)
+
+    def test_a_lattice_law_is_judged_at_its_midpoints(self):
+        # a standardized Binomial(400, 1/2): atoms 0.1 apart, each about 0.04
+        # of mass, so the plain statistic reads half an atom however large the
+        # sample, while at the midpoints the lattice law is within the 1% threshold
+        k = np.random.default_rng(7).binomial(400, 0.5, 20000)
+        x = (k - 200) / 10.0
+        d, thr = ks_test(x, 1.0)
+        assert d < thr
+        f = np.array([normal_cdf(v) for v in np.sort(x)])
+        i = np.arange(1, x.size + 1)
+        assert max(np.max(i / x.size - f), np.max(f - (i - 1) / x.size)) > thr
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ks_test([], 1.0)
