@@ -8,10 +8,11 @@ pass's keyed stream by arithmetic whose bits depend on that row alone: its
 words map to support indices or diagonal values elementwise.
 There are two paths, one per algebra, picked by :func:`_entrywise` for
 sweeps and difference pairs alike.  Where every draw acts entrywise (finite
-support at d=1, diagonal_uniform), :func:`_elementwise_sweep` takes a block
-of steps of :func:`_entrywise_terms` at once: ``multiply.reduce`` and
-``add.reduce`` over blocks whose row 0 is the running product or sum, in the
-per-step order.  Finite support at d >= 2 multiplies matrices
+support at d=1, diagonal_uniform), the draws commute, so the product is the
+exponential of their sum: :func:`_elementwise_sweep` takes the product and
+the S term from the running sum of the centered draws, added in step order
+by ``add.reduce`` over blocks whose row 0 is the sum so far, and runs only
+the S' recurrence step by step.  Finite support at d >= 2 multiplies matrices
 (:func:`_grouped_sweep`): at every step the rows are sorted by the support
 index they drew, and each group is multiplied by its own support exponential
 in GEMMs of exactly ``_TILE`` rows.  The row count is fixed because the BLAS
@@ -37,11 +38,13 @@ row, so one pass serves every statistic.
 Per chunk of B replicates and one k-sweep (k = n .. 1) the engine updates
 
     v <- exp(A_k/n) v                    (the random product, right to left)
-    s <- s + P_{k-1} (A_k - EA) P_{n-k} x   (at d >= 2, gathered from a per-(i,k) table)
+    s <- s + P_{k-1} (A_k - EA) P_{n-k} x   (gathered from a per-(i,k) table)
     u <- z_k + exp(A_k/n) u              (backward recurrence, so that
                                           u_1 = sum_k Pref_{k-1} z_k)
 
 which yields xi_n x, S_n x, S'_n x, R_n x and M_n x in O(n d^2) per row.
+An entrywise law sweeps u alone: with T = sum_k (a_k - EA) its product is
+p_n e^{T/n} x and its S term p_{n-1} T x, where P_j = p_j I.
 """
 
 from __future__ import annotations
@@ -68,14 +71,13 @@ _CHUNK_TARGET = 2_097_152
 # diagonal rows (n d, 512 KiB of uniforms) alike, at least one row.
 _FILL_BLOCK = 65_536
 
-# Entries per block of _elementwise_sweep, and of the d=1 difference pairs'
-# prefix sums (256 KiB of float64): each takes this many entries' worth of
-# whole steps (B d entries each) at a time, at least one step, so its
-# (steps + 1, B d) blocks of factors and of S terms hold at most
-# _SWEEP_BLOCK + B d entries, or 2 B d when one step alone is larger. At
-# the criterion-1 chunk width (B = 512, d = 1) a block is 64 steps; at twice
-# this size that plain sweep took 24 ms a chunk against 7 ms (2-core x86
-# host, one BLAS thread).
+# Entries per block of an entrywise law's running sums and S' factors
+# (256 KiB of float64): each takes this many entries' worth of whole steps
+# (B d entries each) at a time, at least one step, so a (steps + 1, B d)
+# block holds at most _SWEEP_BLOCK + B d entries, or 2 B d when one step
+# alone is larger. At the criterion-1 chunk width (B = 512, d = 1) a block is
+# 64 steps; twice this size was no faster on that chunk (13-16 ms) or on a
+# d = 8, n = 1024 diagonal one (2-core x86 host, one BLAS thread).
 _SWEEP_BLOCK = 32_768
 
 # Replicate-steps per block of _tile_layout (16384 entries: 128 KiB for each
@@ -293,82 +295,72 @@ def _entrywise(e) -> bool:
     return not e.is_finite_support or e.dim == 1
 
 
-def _entrywise_terms(kern, x, rows, want_s_prime: bool):
-    """``fill`` and ``prefix`` of an :func:`_entrywise` law, on flat ``(B d,)`` rows.
+def _entrywise_terms(kern, rows):
+    """``centered``, ``factors`` and ``running`` of an :func:`_entrywise` law,
+    on flat ``(B d,)`` rows.
 
-    P_j = p_j I and Q^j = q_j I come from the kernel.  ``fill(lo, hi, f, w)``
-    writes the factors e^{a/n} of steps hi, hi-1, ..., lo+1 into ``f`` and
-    their S terms p_{k-1} (Δ (p_{n-k} x)) into ``w`` (either may be None),
-    and with ``want_s_prime`` returns their S' inputs Δ (q_{n-k} x), where a
-    is a step's drawn entries and Δ = a - EA.  ``prefix(k)`` is
-    a_1 + ... + a_{k-1}, added in step order.  At d=1 the rows hold support
-    indices, and a, Δ and e^{a/n} are gathered from per-index tables.
+    ``centered(lo, hi)`` gives Δ = a - EA and ``factors(lo, hi, out)`` writes
+    e^{a/n} for the steps lo+1, ..., hi, one row a step, where a is a step's
+    drawn entries.  ``running(counts)`` gives the running sum of the centered
+    draws, T_c = Δ_1 + ... + Δ_c, added in step order, for each of the
+    ascending ``counts``: a block of steps at a time, whose row 0 is the sum
+    so far.  At d=1 the rows hold support indices, and Δ and e^{a/n} are
+    gathered from per-index tables.
     """
-    e, n, B = kern.ensemble, kern.n, rows.shape[0]
-    p, q = kern.p_powers[:, :1, 0], kern.q_powers[:, :1, 0]  # (n + 1, 1): p_j and q_j
-    xt = np.tile(np.asarray(x, dtype=float), B)  # x in every row
+    e, n = kern.ensemble, kern.n
     steps = rows.swapaxes(0, 1).reshape(n, -1)  # (n, B d), a view for rows from _draw_rows
     if e.is_finite_support:
-        ev, av, dv = (t.reshape(-1) for t in (kern.exps, e.support, e._deltas))
-        factor, delta, size = ev.take, dv.take, max(1, _SWEEP_BLOCK // B)
-
-        def prefix(k):  # a block of steps at a time: no float64 copy of the rows
-            acc = np.zeros((size + 1, B))  # row 0: the sum so far; row 1 + r: a_{lo+1+r}
-            for lo in range(0, k - 1, size):
-                hi = min(lo + size, k - 1)
-                av.take(steps[lo:hi], out=acc[1 : hi - lo + 1])
-                acc[0] = _add_steps(acc[: hi - lo + 1])
-            return acc[0]
+        ev, dv = kern.exps.reshape(-1), e._deltas.reshape(-1)
+        factors = lambda lo, hi, out: ev.take(steps[lo:hi], out=out)
+        centered = lambda lo, hi, out=None: dv.take(steps[lo:hi], out=out)
     else:
         mean = e.mean()[0, 0]
-        factor = lambda a, out: np.exp(a / n, out=out)
-        delta = lambda a: a - mean
-        prefix = lambda k: _add_steps(steps[: k - 1]) if k >= 2 else 0.0
+        factors = lambda lo, hi, out: np.exp(steps[lo:hi] / n, out=out)
+        centered = lambda lo, hi, out=None: np.subtract(steps[lo:hi], mean, out=out)
 
-    def fill(lo, hi, f, w):
-        a = steps[lo:hi][::-1]  # a[r]: the draws of step hi - r
-        if f is not None:
-            factor(a, out=f)
-        dk = delta(a) if w is not None or want_s_prime else None
-        if w is not None:
-            np.multiply(p[n - hi : n - lo], xt, out=w)  # P_{n-k} x
-            w *= dk
-            w *= p[lo:hi][::-1]
-        if want_s_prime:
-            z = np.multiply(q[n - hi : n - lo], xt)  # Q^{n-k} x
-            z *= dk
-            return z
-    return fill, prefix
+    def running(counts):
+        width = steps.shape[1]
+        size = max(1, _SWEEP_BLOCK // width)
+        acc = np.zeros((size + 1, width))  # row 0: T so far; row 1 + r: Δ of step lo+1+r
+        sums, done = np.empty((len(counts), width)), 0
+        for i, c in enumerate(counts):
+            for lo in range(done, c, size):
+                hi = min(lo + size, c)
+                centered(lo, hi, acc[1 : hi - lo + 1])
+                acc[0] = _add_steps(acc[: hi - lo + 1])
+            sums[i], done = acc[0], c
+        return sums
+    return centered, factors, running
 
 
 def _elementwise_sweep(kern, x, rows, want_s: bool, want_s_prime: bool):
     """The sweep of an :func:`_entrywise` law, on flat ``(B d,)`` state.
 
-    ``multiply.reduce`` and :func:`_add_steps` over blocks of steps whose row 0
-    is the running v or s multiply and add in the per-step loop's order; the
-    S' recurrence runs step by step in place.
+    The draws commute, so the product is p_n e^{T_n/n} x and the S term
+    p_{n-1} T_n x, both from the running sum T_n of the centered draws
+    (P_{k-1} Δ_k P_{n-k} = p_{n-1} Δ_k).  Only the S' recurrence
+    u <- z_k + e^{a_k/n} u runs step by step, over blocks of factors.
     """
-    e, B = kern.ensemble, rows.shape[0]
-    fill, _ = _entrywise_terms(kern, x, rows, want_s_prime)
-    size = max(1, _SWEEP_BLOCK // (B * e.dim))
-    ev = np.empty((size + 1, B * e.dim))  # row 0: v; row 1 + r: step hi-r's factor
-    sv = np.empty_like(ev) if want_s else None  # row 0: s; row 1 + r: step hi-r's term
-    v = np.tile(np.asarray(x, dtype=float), B)
-    s = np.zeros_like(v) if want_s else None
-    u = np.zeros_like(v) if want_s_prime else None
-    for hi in range(kern.n, 0, -size):
-        lo = max(0, hi - size)
-        cnt = hi - lo
-        z = fill(lo, hi, ev[1 : cnt + 1], sv[1 : cnt + 1] if want_s else None)
-        if want_s_prime:
-            for r in range(cnt):
-                np.multiply(ev[1 + r], u, out=u)
+    e, n, B = kern.ensemble, kern.n, rows.shape[0]
+    p, q = kern.p_powers[:, 0, 0], kern.q_powers[:, 0, 0]
+    centered, factors, running = _entrywise_terms(kern, rows)
+    xt = np.tile(np.asarray(x, dtype=float), B)  # x in every row
+    t = running([n])[0]
+    v = np.exp(t / n) * (p[n] * xt)
+    s = p[n - 1] * (t * xt) if want_s else None
+    u = None
+    if want_s_prime:
+        u = np.zeros_like(xt)
+        size = max(1, _SWEEP_BLOCK // xt.size)
+        f = np.empty((size, xt.size))  # row r: the factor of step lo+1+r
+        for hi in range(n, 0, -size):
+            lo = max(0, hi - size)
+            factors(lo, hi, f[: hi - lo])
+            z = np.multiply(q[n - hi : n - lo][::-1, None], xt)  # Q^{n-k} x
+            z *= centered(lo, hi)
+            for r in range(hi - lo - 1, -1, -1):
+                np.multiply(f[r], u, out=u)
                 np.add(u, z[r], out=u)
-        if want_s:
-            sv[0] = s
-            s = _add_steps(sv[: cnt + 1])
-        ev[0] = v
-        v = np.multiply.reduce(ev[: cnt + 1], axis=0)
     return tuple(None if a is None else a.reshape(B, e.dim) for a in (v, s, u))
 
 
@@ -378,8 +370,8 @@ def simulate_block(kern, x, rows, *, want_s: bool = False, want_s_prime: bool = 
     Output dict keys: ``prod_x`` (B, d) always; ``s_x`` and ``s_prime_x``
     (B, d) when requested.  All downstream statistics are cheap functions of
     these plus kernel constants.  An :func:`_entrywise` law (finite support
-    at d=1, diagonal_uniform) runs :func:`_elementwise_sweep`, which gives
-    the same bits as a per-step loop; finite support at d >= 2 runs
+    at d=1, diagonal_uniform) runs :func:`_elementwise_sweep`, whose sums
+    give the same bits as a per-step loop; finite support at d >= 2 runs
     :func:`_grouped_sweep`.
     """
     if _entrywise(kern.ensemble):
@@ -454,19 +446,25 @@ def diff_pair_block(kern, x, rows, ks):
 
     d_{n,k} x is the S term of step k; d'_{n,k} x applies the random prefix
     e^{A_1/n} ... e^{A_{k-1}/n} to its S' input (A_k - EA) Q^{n-k} x.  An
-    :func:`_entrywise` law takes both from :func:`_entrywise_terms`, the
-    prefix as e^{(a_1 + ... + a_{k-1})/n}; finite support at d >= 2 runs
-    :func:`_grouped_sweep` with only ks asked for.  Cost O(sum(ks) d^2) per row.
+    :func:`_entrywise` law takes the S term as p_{n-1} Δ_k x and the prefix
+    as p_{k-1} e^{T_{k-1}/n}, from the running sums of
+    :func:`_entrywise_terms`; finite support at d >= 2 runs
+    :func:`_grouped_sweep` with only ks asked for.  Cost O(max(ks) d) per row
+    for an entrywise law, O(sum(ks) d^2) otherwise.
     """
     e, n = kern.ensemble, kern.n
     root_n = np.sqrt(float(n))
     out = {}
     if _entrywise(e):
-        fill, prefix = _entrywise_terms(kern, x, rows, want_s_prime=True)
-        w = np.empty((1, rows.shape[0] * e.dim))  # the S term of step k
-        for k in ks:
-            z = fill(k - 1, k, None, w)
-            out[k] = ((w[0] - np.exp(prefix(k) / n) * z[0]) / root_n).reshape(-1, e.dim)
+        p, q = kern.p_powers[:, 0, 0], kern.q_powers[:, 0, 0]
+        centered, _, running = _entrywise_terms(kern, rows)
+        xt = np.tile(np.asarray(x, dtype=float), rows.shape[0])
+        ks = sorted(ks)
+        for k, t in zip(ks, running([k - 1 for k in ks])):
+            dk = centered(k - 1, k)[0]
+            z = dk * (q[n - k] * xt)  # Δ_k Q^{n-k} x
+            out[k] = ((p[n - 1] * (dk * xt) - p[k - 1] * np.exp(t / n) * z)
+                      / root_n).reshape(-1, e.dim)
         return out
     _, _, _, pref = _grouped_sweep(kern, x, rows, want_v=False, want_s=False,
                                    want_s_prime=False, ks=ks)

@@ -406,9 +406,9 @@ def emit_csv(header, rows, path) -> None:
 
 # --- parallel replicate machinery -------------------------------------------
 
-# The kernel of the last n asked for, by n, shared by the suites of one run()
-# and emptied when it returns: a kernel holds about 16 MB at d=16, n=4096, so
-# a process keeps one at a time.  The workers fork when the run maps its
+# The kernel of the last law and n asked for, by n, shared by the suites of
+# one run() and emptied when it returns: a kernel holds about 16 MB at d=16,
+# n=4096, so a process keeps one at a time.  The workers fork when the run maps its
 # passes, before the main process has built any kernel, so each worker builds
 # and keeps its own.
 _KERNEL_CACHE: dict = {}
@@ -416,7 +416,7 @@ _KERNEL_CACHE: dict = {}
 
 def _kernel(e: Ensemble, n: int):
     kern = _KERNEL_CACHE.get(n)
-    if kern is None:
+    if kern is None or kern.ensemble is not e:
         _KERNEL_CACHE.clear()
         kern = _KERNEL_CACHE[n] = precompute_kernel(e, n)
     return kern

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from expclt import (RngStream, diagonal_uniform, finite_support, precompute_kernel,
-                    sample_xi, two_point)
+from expclt import (RngStream, deterministic, diagonal_uniform, finite_support,
+                    precompute_kernel, sample_xi, two_point)
 from expclt import engine, experiment
 from expclt.dynamics import decompose_xi_prime, diff_moment_curve, dot_moments
 from expclt.experiment import ExperimentConfig
@@ -268,11 +270,14 @@ class TestStackedSweep:
 
 
 class TestScalarSweep:
-    # At d=1 simulate_block multiplies (B,) vectors, blocks of steps at a
-    # time; it must perform the matmul sweep's operations in the same order,
-    # so the outputs agree bit for bit. A block holds
-    # engine._SWEEP_BLOCK // B steps, 885 at B = 37: n = 1025 takes a full
-    # block and a partial one, and n = 7, 64 and 300 one partial block.
+    # At d=1 the draws commute: simulate_block takes prod_x and s_x from the
+    # running sum of the centered draws, added in step order a block of
+    # engine._SWEEP_BLOCK // B steps at a time (885 at B = 37: n = 1025 takes
+    # a full block and a partial one, and n = 7, 64 and 300 one partial
+    # block), so they agree bit for bit with a per-step loop of that sum.
+    # s_prime_x multiplies the drawn factors one step at a time, as the
+    # matmul sweep does, so it agrees bit for bit with it; the matmul sweep's
+    # step products agree with prod_x and s_x to rounding.
 
     @pytest.mark.parametrize("m", [2, 5])
     @pytest.mark.parametrize("n", [7, 64, 300, 1025])
@@ -287,16 +292,20 @@ class TestScalarSweep:
         x = np.array([0.7])
         got = engine.simulate_block(kern, x, rows, want_s=want_s,
                                     want_s_prime=want_s_prime)
-        ref = _matmul_sweep(kern, x, rows, want_s, want_s_prime)
-        assert set(got) == set(ref)
+        ref = _running_sum_sweep(kern, x, e._deltas[rows, 0], want_s)
+        steps = _matmul_sweep(kern, x, rows, want_s, want_s_prime)
+        if want_s_prime:
+            ref["s_prime_x"] = steps["s_prime_x"]
+        assert set(got) == set(ref) == set(steps)
         for key in ref:
             assert got[key].shape == ref[key].shape
             assert np.array_equal(got[key], ref[key])
+            _assert_rows_close(got[key], steps[key])
 
     @pytest.mark.parametrize("m", [2, 5])
     @pytest.mark.parametrize("n", [7, 300, 1025])
     def test_diff_pairs_bit_identical_to_cumsum(self, m, n):
-        # the prefix sums gather 885 steps a block at B = 37: n = 1025 takes two
+        # the running sums take 885 steps a block at B = 37: n = 1025 takes two
         rng = np.random.default_rng(m)
         e = finite_support([[[a]] for a in rng.uniform(-2.0, 2.0, m)],
                            rng.dirichlet(np.ones(m)))
@@ -304,10 +313,22 @@ class TestScalarSweep:
         rows = engine._draw_rows(e, _pass(n), n, 0, 37)
         x, ks = np.array([0.7]), sorted({1, 2, (n + 1) // 2, n})
         got = engine.diff_pair_block(kern, x, rows, ks)
-        entries = np.array([a[0, 0] for a in e.support])[rows][:, :, None]
-        ref = _diagonal_cumsum_diff_pairs(kern, x, entries, ks)
+        ref = _running_sum_diff_pairs(kern, x, e._deltas[rows, 0], ks)
         for k in ks:
             assert np.array_equal(got[k], ref[k])
+
+    def test_step_order_does_not_change_the_bits(self):
+        # Δ = ±0.375 and every running sum of them is exact, so each
+        # permutation of one row's steps must give the same prod_x and s_x
+        e = two_point(np.array([[0.25]]), np.array([[1.0]]), 0.5)
+        n = 256
+        kern = precompute_kernel(e, n)
+        row = engine._draw_rows(e, _pass(4), n, 0, 1)[0]
+        rng = np.random.default_rng(4)
+        rows = np.stack([row[rng.permutation(n)] for _ in range(50)])
+        got = engine.simulate_block(kern, np.array([0.7]), rows, want_s=True)
+        assert len(np.unique(got["prod_x"])) == 1
+        assert len(np.unique(got["s_x"])) == 1
 
     def test_difference_pairs_never_group(self, monkeypatch):
         # d = 1 sweeps and pairs its rows entrywise: no step sorts them
@@ -329,7 +350,7 @@ class TestScalarSweep:
 def _diagonal_loop_sweep(kern, x, rows, want_s, want_s_prime):
     """The diagonal_uniform sweep one step at a time on (B, d) arrays, with
     P_j = p_j I and Q^j = q_j I from the kernel's tables: the reference for
-    the blocked diagonal kernel."""
+    the bits of the diagonal S' recurrence, and for the rest up to rounding."""
     n = kern.n
     p, q = kern.p_powers[:, 0, 0], kern.q_powers[:, 0, 0]
     mean = kern.ensemble.mean()[0, 0]
@@ -354,27 +375,47 @@ def _diagonal_loop_sweep(kern, x, rows, want_s, want_s_prime):
     return out
 
 
-def _diagonal_cumsum_diff_pairs(kern, x, rows, ks):
-    """diff_pair_block's entrywise rows for the drawn entries ``rows`` (B, n, d),
-    the prefix sums of the draws taken from one full cumsum: the reference for
-    its step-order sums."""
+def _running_sum_sweep(kern, x, deltas, want_s):
+    """prod_x = p_n e^{T_n/n} x, and s_x = p_{n-1} T_n x with ``want_s``, of an
+    entrywise law whose centered draws are ``deltas`` (B, n, d), with the
+    running sum T_n added one step at a time: the reference for the bits of
+    the entrywise sweep."""
+    n = kern.n
+    p = kern.p_powers[:, 0, 0]
+    xv = np.asarray(x, dtype=float)
+    t = np.zeros_like(deltas[:, 0])
+    for k in range(n):
+        t = t + deltas[:, k]
+    out = {"prod_x": np.exp(t / n) * (p[n] * xv)}
+    if want_s:
+        out["s_x"] = p[n - 1] * (t * xv)
+    return out
+
+
+def _running_sum_diff_pairs(kern, x, deltas, ks):
+    """diff_pair_block's entrywise rows for the centered draws ``deltas``
+    (B, n, d): the S term p_{n-1} Δ_k x less the prefix p_{k-1} e^{T_{k-1}/n}
+    applied to Δ_k Q^{n-k} x, with T added one step at a time: the
+    reference for its step-order sums."""
     n = kern.n
     p, q = kern.p_powers[:, 0, 0], kern.q_powers[:, 0, 0]
-    mean = kern.ensemble.mean()[0, 0]
     xv = np.asarray(x, dtype=float)
-    csum = np.cumsum(rows, axis=1)
+    t = np.zeros_like(deltas[:, 0])  # T_{k-1}
     out = {}
-    for k in ks:
-        delta = rows[:, k - 1, :] - mean
-        d_rows = p[k - 1] * (delta * (p[n - k] * xv))
-        pref = np.exp(csum[:, k - 2, :] / n) if k >= 2 else 1.0
-        out[k] = (d_rows - pref * (delta * (q[n - k] * xv))) / np.sqrt(n)
+    for k in range(1, max(ks) + 1):
+        if k in ks:
+            delta = deltas[:, k - 1]
+            z = delta * (q[n - k] * xv)
+            out[k] = (p[n - 1] * (delta * xv) - p[k - 1] * np.exp(t / n) * z) / np.sqrt(n)
+        t = t + deltas[:, k - 1]
     return out
 
 
 class TestDiagonalSweep:
-    # The blocked diagonal kernel must perform the per-step loop's multiplies
-    # and adds in the same order, so every bit agrees. A block holds
+    # The diagonal kernel must add the centered draws in the per-step loop's
+    # order, and run the S' recurrence's multiplies and adds in the step
+    # loop's order, so every bit agrees with each; the step loop's products
+    # agree with prod_x and s_x to rounding. A block holds
     # engine._SWEEP_BLOCK // (B d) steps, at least one: at d = 8, B = 1, 2
     # and 37 give 4096, 2048 and 110 steps, so n = 1025 ends in a partial
     # block; B = 2048 and 2049 sit on both sides of the edge from two-step to
@@ -401,11 +442,15 @@ class TestDiagonalSweep:
         x = np.linspace(1.0, -0.5, e.dim)
         got = engine.simulate_block(kern, x, rows, want_s=want_s,
                                     want_s_prime=want_s_prime)
-        ref = _diagonal_loop_sweep(kern, x, rows, want_s, want_s_prime)
-        assert set(got) == set(ref)
+        ref = _running_sum_sweep(kern, x, rows - e.mean()[0, 0], want_s)
+        steps = _diagonal_loop_sweep(kern, x, rows, want_s, want_s_prime)
+        if want_s_prime:
+            ref["s_prime_x"] = steps["s_prime_x"]
+        assert set(got) == set(ref) == set(steps)
         for key in ref:
             assert got[key].shape == ref[key].shape
             assert np.array_equal(got[key], ref[key])
+            _assert_rows_close(got[key], steps[key])
 
     @pytest.mark.parametrize("d", [1, 3, 8])
     @pytest.mark.parametrize("n", [7, 64, 300])
@@ -417,9 +462,58 @@ class TestDiagonalSweep:
         x = np.linspace(1.0, -0.5, d)
         ks = sorted({1, 2, (n + 1) // 2, n})
         got = engine.diff_pair_block(kern, x, rows, ks)
-        ref = _diagonal_cumsum_diff_pairs(kern, x, rows, ks)
+        ref = _running_sum_diff_pairs(kern, x, rows - e.mean()[0, 0], ks)
         for k in ks:
             assert np.array_equal(got[k], ref[k])
+
+
+@pytest.mark.parametrize("law", ["scalar", "diagonal"])
+def test_a_point_mass_has_no_fluctuation(law):
+    # every centered draw of a point mass is exactly 0, and so is its running
+    # sum: prod_x is p_n x, the e^{EA} x that xi subtracts
+    e = deterministic([[0.3]]) if law == "scalar" else diagonal_uniform(3, 0.4, 0.4)
+    n = 1024
+    kern = precompute_kernel(e, n)
+    x, y = np.array([0.7, -0.4, 1.0])[: e.dim], np.array([0.2, 1.0, -0.5])[: e.dim]
+    got = engine.simulate_paths(e, kern, x, y, _pass(6), 40, want_s=True)
+    for key in ("proj_xi", "proj_s", "diff_norm"):
+        assert np.all(got[key] == 0.0), key
+
+
+def _weights(m):
+    return st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(any).map(
+        lambda w: [k / sum(w) for k in w])
+
+
+_ENTRYWISE_LAWS = st.one_of(
+    st.integers(1, 8).flatmap(lambda m: st.tuples(
+        st.lists(st.floats(-2.0, 2.0), min_size=m, max_size=m), _weights(m))).map(
+        lambda t: finite_support([[[a]] for a in t[0]], t[1])),
+    st.tuples(st.integers(1, 8), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0)).map(
+        lambda t: diagonal_uniform(t[0], min(t[1:]), max(t[1:]))),
+)
+
+
+# An entrywise law's running sums add its steps in order whatever the width
+# of their blocks, so no chunk width may change a bit of any statistic; the
+# tally rows of finite support count a chunk's draws, so their sum is compared.
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(e=_ENTRYWISE_LAWS, n=st.integers(1, 300), reps=st.integers(1, 40),
+       width=st.integers(1, 40))
+def test_entrywise_statistics_do_not_depend_on_the_width(e, n, reps, width):
+    kern = precompute_kernel(e, n)
+    x, y = np.linspace(1.0, -0.5, e.dim), np.linspace(-0.3, 0.9, e.dim)
+    kw = dict(want_s=True, want_s_prime=True, want_tally=True,
+              ks=sorted({1, (n + 1) // 2, n}))
+    whole = engine.simulate_paths(e, kern, x, y, _pass(n), reps, **kw)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(engine, "batch_size", lambda *a: width)
+        split = engine.simulate_paths(e, kern, x, y, _pass(n), reps, **kw)
+    assert set(whole) == set(split)
+    for key in whole:
+        if key == "tally" and e.is_finite_support:
+            whole[key], split[key] = whole[key].sum(axis=0), split[key].sum(axis=0)
+        assert np.array_equal(whole[key], split[key]), key
 
 
 class TestChunkingInvariance:

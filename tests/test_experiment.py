@@ -675,7 +675,6 @@ class TestRun:
         # ("clt", n) moved to word i n words_per_draw, in chunks of 3 rows
         # (the last of 2) in this process or shared by a pool of two
         monkeypatch.setattr(experiment.engine, "batch_size", lambda *a: 3)
-        monkeypatch.setattr(experiment, "_KERNEL_CACHE", {})  # run() clears it, _map_pass not
         n, reps = 16, 20
         cfg = self._cfg(tmp_path, ensemble=ensemble, suites=["clt"], n_grid=[n],
                         replicates=reps)
@@ -690,6 +689,24 @@ class TestRun:
         for i in range(reps):
             ref = sample_xi(e, n, cfg.x, stream.at(i * n * e.words_per_draw), kern, y=cfg.y)
             assert out["proj_xi"][i] == pytest.approx(ref.projected_xi, rel=1e-11, abs=1e-13)
+
+    def test_a_pass_builds_the_kernel_of_its_own_law(self, tmp_path):
+        # the cache holds a kernel of one n, but a pass of another law at that
+        # n, with no run() between to clear it, must build its own
+        n = 16
+        for ensemble in ({"family": "diagonal_uniform", "dim": 3, "low": -0.5, "high": 1.0},
+                         {"family": "finite_support", "probabilities": [0.2, 0.3, 0.5],
+                          "matrices": np.random.default_rng(5).uniform(
+                              -0.5, 0.5, (3, 3, 3)).tolist()}):
+            cfg = self._cfg(tmp_path, ensemble=ensemble, suites=["clt"], n_grid=[n],
+                            replicates=20)
+            out = engine.concat_chunks(list(experiment._map_pass(cfg, n, None)))
+            assert experiment._KERNEL_CACHE[n].ensemble is cfg.ensemble
+            ref = engine.simulate_paths(cfg.ensemble, precompute_kernel(cfg.ensemble, n),
+                                        cfg.x, cfg.y, RngStream(cfg.master_seed).child("clt", n),
+                                        20, **experiment._pass_kw(cfg, n))
+            for key in ref:
+                assert np.array_equal(out[key], ref[key]), key
 
     @pytest.mark.parametrize("ensemble", [
         {"family": "diagonal_uniform", "dim": 3, "low": -0.5, "high": 1.0},
