@@ -9,10 +9,16 @@ words map to support indices or diagonal values elementwise.
 There are two paths, one per algebra, picked by :func:`_entrywise` for
 sweeps and difference pairs alike.  Where every draw acts entrywise (finite
 support at d=1, diagonal_uniform), the draws commute, so the product is the
-exponential of their sum: :func:`_elementwise_sweep` takes the product and
-the S term from the running sum of the centered draws, added in step order
-by ``add.reduce`` over blocks whose row 0 is the sum so far, and runs only
-the S' recurrence step by step.  Finite support at d >= 2 multiplies matrices
+exponential of their sum T_n of centered draws, which also gives the S term;
+only the S' recurrence runs step by step (:func:`_elementwise_sweep`).  At
+d=1 the sum is T_n = sum_j c_j Δ_j over the row's index counts c_j, added in
+index order (:func:`_count_sums`), whatever route the counts take: a pass
+that wants neither S' nor difference pairs draws no rows, and turns each
+block of words straight into per-row counts (:func:`_draw_counts`); a pass
+that wants them counts the rows it draws.  A support larger than n is
+counted sparsely, over each row's sorted indices, with the same bits.
+Diagonal draws are summed in step order by ``add.reduce`` over blocks whose
+row 0 is the sum so far.  Finite support at d >= 2 multiplies matrices
 (:func:`_grouped_sweep`): at every step the rows are sorted by the support
 index they drew, and each group is multiplied by its own support exponential
 in GEMMs of exactly ``_TILE`` rows.  The row count is fixed because the BLAS
@@ -30,10 +36,10 @@ step-major, so each step of a sweep reads one contiguous slice.
 
 The one Monte Carlo pass, :func:`simulate_paths`, is the replicate driver:
 :func:`chunk_ranges` fixes the chunks from the problem shape alone, each
-chunk draws its rows from its own replicates' words of the pass stream, and
-:func:`concat_chunks` joins the chunk results in index order.  It can run
-:func:`diff_pair_block` on the rows it drew, and reduces each result row by
-row, so one pass serves every statistic.
+chunk draws its rows, or its index counts, from its own replicates' words
+of the pass stream, and :func:`concat_chunks` joins the chunk results in
+index order.  It can run :func:`diff_pair_block` on the rows it drew, and
+reduces each result row by row, so one pass serves every statistic.
 
 Per chunk of B replicates and one k-sweep (k = n .. 1) the engine updates
 
@@ -44,7 +50,9 @@ Per chunk of B replicates and one k-sweep (k = n .. 1) the engine updates
 
 which yields xi_n x, S_n x, S'_n x, R_n x and M_n x in O(n d^2) per row.
 An entrywise law sweeps u alone: with T = sum_k (a_k - EA) its product is
-p_n e^{T/n} x and its S term p_{n-1} T x, where P_j = p_j I.
+p_n e^{T/n} x and its S term p_{n-1} T x, where P_j = p_j I.  The chunk's
+tally for the structure check comes from the same pass: index counts for
+finite support, each row's T for a diagonal law.
 """
 
 from __future__ import annotations
@@ -144,6 +152,101 @@ def _draw_rows(e, stream, n: int, lo: int, hi: int):
         b = min(a + size, hi - lo)
         buf[:, a:b] = e.draws(stream, (b - a) * n).reshape(b - a, n, *shape).swapaxes(0, 1)
     return buf.swapaxes(0, 1)
+
+
+def _counted(e) -> bool:
+    """Whether a row's draws enter its product and S term through its index
+    counts alone: finite support at d=1, whose draws commute."""
+    return e.is_finite_support and e.dim == 1
+
+
+def _sparse(e, n: int) -> bool:
+    """Whether rows of n index draws are counted sparsely, as their sorted
+    indices: the support has more than n matrices, so most counts are 0."""
+    return len(e.support) > n
+
+
+def _draw_counts(e, stream, n: int, lo: int, hi: int):
+    """The index counts of replicates ``[lo, hi)`` of the pass ``stream``, a
+    :func:`_counted` law's, straight from their words: each block of whole
+    rows that :func:`_draw_rows` would draw becomes its rows'
+    :meth:`Ensemble.index_counts`, a ``(B, m)`` array, or where
+    :func:`_sparse` each row's support indices, sorted."""
+    stream = stream.at(lo * n)  # one word a draw
+    size = max(1, _FILL_BLOCK // n)
+    parts = []
+    for a in range(lo, hi, size):
+        words = stream.words((min(a + size, hi) - a) * n).reshape(-1, n)
+        # sorted words map to sorted indices, and binary-search faster
+        parts.append(e.support_indices(np.sort(words, axis=1)) if _sparse(e, n)
+                     else e.index_counts(words))
+    return np.concatenate(parts)
+
+
+def _row_counts(e, rows):
+    """The counts of the ``(B, n)`` index ``rows`` in the form that
+    :func:`_draw_counts` gives: per-row index counts, or where
+    :func:`_sparse` each row sorted.  The counts come from one bincount per
+    block of ``_FILL_BLOCK`` entries (at least one row and one step), each
+    index offset by m times its row in the block.  A block holds whole
+    steps of at most ``_FILL_BLOCK // m`` rows, so it has no more bins than
+    entries."""
+    B, n = rows.shape
+    if _sparse(e, n):  # a contiguous copy sorts in half the time of step-major rows
+        return np.sort(np.ascontiguousarray(rows), axis=1)
+    m = len(e.support)
+    steps = rows.T  # contiguous for rows from _draw_rows
+    counts = np.zeros((B, m), dtype=np.int64)
+    width = max(1, _FILL_BLOCK // m)
+    for a in range(0, B, width):
+        block = steps[:, a : a + width]
+        r = block.shape[1]
+        offsets, size = m * np.arange(r), max(1, _FILL_BLOCK // r)
+        for lo in range(0, n, size):
+            counts[a : a + r] += np.bincount((block[lo : lo + size] + offsets).ravel(),
+                                             minlength=r * m).reshape(r, m)
+    return counts
+
+
+def _count_sums(e, counts):
+    """T_n = sum_j c_j Δ_j of each row of a :func:`_counted` law, c_j its count
+    of index j, and the chunk's ``(1, m)`` tally, from the ``counts`` of
+    :func:`_draw_counts` or :func:`_row_counts`: ``(B, m)`` int64 counts, or
+    in the sparse form ``(B, n)`` uint16 support indices sorted per row.
+
+    Each row's terms are added in index order, starting from +0.0, by
+    :func:`_add_steps` over a block of whole rows' terms (``_FILL_BLOCK``
+    of them, at least one row), place-major, whose row 0 is zero.  The
+    sparse form adds c_j Δ_j at the last place of each index j in the
+    sorted row and 0 Δ_j = ±0 at its other places, and skips the indices
+    the row did not draw, whose dense terms are ±0 too.  A sum that starts
+    at +0.0 never becomes -0.0, so a ±0 term leaves it as it is, and the
+    two forms give the same bits.
+    """
+    dv = e._deltas.reshape(-1)
+    (B, K), sparse = counts.shape, counts.dtype == np.uint16
+    t, tally = np.empty(B), 0
+    places = np.arange(1, K + 1, dtype=np.int32)[:, None]
+    size = max(1, _FILL_BLOCK // K)
+    for a in range(0, B, size):
+        block = counts[a : a + size].T  # place-major
+        terms = np.zeros((K + 1, block.shape[1]))  # row 0: the +0.0 the sums start from
+        if sparse:
+            idx = np.ascontiguousarray(block)
+            last = np.ones(idx.shape, dtype=bool)  # where a run of one index ends
+            np.not_equal(idx[1:], idx[:-1], out=last[:-1])
+            runs = np.zeros(idx.shape, dtype=np.int32)  # the places up to the run before's end
+            np.multiply(last[:-1], places[:-1], out=runs[1:])
+            np.maximum.accumulate(runs, axis=0, out=runs)
+            np.subtract(places, runs, out=runs)
+            np.multiply(runs, last, out=runs)  # a run's length at its end, 0 elsewhere
+            np.multiply(runs, dv.take(idx), out=terms[1:])
+            tally = tally + np.bincount(idx.ravel(), minlength=len(dv))
+        else:
+            np.multiply(block, dv[:, None], out=terms[1:])
+            tally = tally + block.sum(axis=1)
+        t[a : a + size] = _add_steps(terms)
+    return t, tally[None]
 
 
 def _add_steps(block):
@@ -333,23 +436,40 @@ def _entrywise_terms(kern, rows):
     return centered, factors, running
 
 
+def _sum_ends(kern, x, t, want_s: bool):
+    """``prod_x`` = p_n e^{T/n} x and, with ``want_s``, ``s_x`` = p_{n-1} T x
+    (else None) of an :func:`_entrywise` law, as ``(B, d)`` rows, from the
+    flat ``(B d,)`` sums T = T_n of the centered draws."""
+    n, d = kern.n, kern.ensemble.dim
+    p = kern.p_powers[:, 0, 0]
+    xt = np.tile(np.asarray(x, dtype=float), t.size // d)  # x in every row
+    v = np.exp(t / n) * (p[n] * xt)
+    s = p[n - 1] * (t * xt) if want_s else None
+    return v.reshape(-1, d), None if s is None else s.reshape(-1, d)
+
+
 def _elementwise_sweep(kern, x, rows, want_s: bool, want_s_prime: bool):
     """The sweep of an :func:`_entrywise` law, on flat ``(B d,)`` state.
 
     The draws commute, so the product is p_n e^{T_n/n} x and the S term
-    p_{n-1} T_n x, both from the running sum T_n of the centered draws
-    (P_{k-1} Δ_k P_{n-k} = p_{n-1} Δ_k).  Only the S' recurrence
-    u <- z_k + e^{a_k/n} u runs step by step, over blocks of factors.
+    p_{n-1} T_n x, both from T_n, the sum of the centered draws
+    (P_{k-1} Δ_k P_{n-k} = p_{n-1} Δ_k): at d=1 from the rows' index counts
+    (:func:`_count_sums`), and for diagonal draws their running sum, which
+    is also the tally.  Only the S' recurrence u <- z_k + e^{a_k/n} u runs
+    step by step, over blocks of factors.  Returns v, s, u and the tally.
     """
     e, n, B = kern.ensemble, kern.n, rows.shape[0]
-    p, q = kern.p_powers[:, 0, 0], kern.q_powers[:, 0, 0]
+    q = kern.q_powers[:, 0, 0]
     centered, factors, running = _entrywise_terms(kern, rows)
-    xt = np.tile(np.asarray(x, dtype=float), B)  # x in every row
-    t = running([n])[0]
-    v = np.exp(t / n) * (p[n] * xt)
-    s = p[n - 1] * (t * xt) if want_s else None
+    if _counted(e):
+        t, tally = _count_sums(e, _row_counts(e, rows))
+    else:
+        t = running([n])[0]
+        tally = t.reshape(B, e.dim)
+    v, s = _sum_ends(kern, x, t, want_s)
     u = None
     if want_s_prime:
+        xt = np.tile(np.asarray(x, dtype=float), B)
         u = np.zeros_like(xt)
         size = max(1, _SWEEP_BLOCK // xt.size)
         f = np.empty((size, xt.size))  # row r: the factor of step lo+1+r
@@ -361,30 +481,38 @@ def _elementwise_sweep(kern, x, rows, want_s: bool, want_s_prime: bool):
             for r in range(hi - lo - 1, -1, -1):
                 np.multiply(f[r], u, out=u)
                 np.add(u, z[r], out=u)
-    return tuple(None if a is None else a.reshape(B, e.dim) for a in (v, s, u))
+        u = u.reshape(B, e.dim)
+    return v, s, u, tally
 
 
-def simulate_block(kern, x, rows, *, want_s: bool = False, want_s_prime: bool = False):
+def _block(v, s=None, u=None, tally=None) -> dict:
+    """The dict of :func:`simulate_block` with the end states given."""
+    return {k: a for k, a in zip(("prod_x", "s_x", "s_prime_x", "tally"), (v, s, u, tally))
+            if a is not None}
+
+
+def simulate_block(kern, x, rows, *, want_s: bool = False, want_s_prime: bool = False,
+                   want_tally: bool = False):
     """Run one chunk of replicates; returns per-row end states.
 
     Output dict keys: ``prod_x`` (B, d) always; ``s_x`` and ``s_prime_x``
-    (B, d) when requested.  All downstream statistics are cheap functions of
-    these plus kernel constants.  An :func:`_entrywise` law (finite support
-    at d=1, diagonal_uniform) runs :func:`_elementwise_sweep`, whose sums
-    give the same bits as a per-step loop; finite support at d >= 2 runs
+    (B, d) when requested; with ``want_tally``, ``tally``, rows that
+    :meth:`Ensemble.centered_total` adds up: the chunk's (1, m) index counts
+    for finite support, each row's sum of centered draws for a diagonal
+    law.  All downstream statistics are cheap functions of these plus kernel
+    constants.  An :func:`_entrywise` law (finite support at d=1,
+    diagonal_uniform) runs :func:`_elementwise_sweep`, whose sums give the
+    same bits as a per-step loop of theirs; finite support at d >= 2 runs
     :func:`_grouped_sweep`.
     """
-    if _entrywise(kern.ensemble):
-        v, s, u = _elementwise_sweep(kern, x, rows, want_s, want_s_prime)
+    e = kern.ensemble
+    if _entrywise(e):
+        v, s, u, tally = _elementwise_sweep(kern, x, rows, want_s, want_s_prime)
     else:
         v, s, u, _ = _grouped_sweep(kern, x, rows, want_v=True, want_s=want_s,
                                     want_s_prime=want_s_prime)
-    out = {"prod_x": v}
-    if want_s:
-        out["s_x"] = s
-    if want_s_prime:
-        out["s_prime_x"] = u
-    return out
+        tally = e.tally(rows) if want_tally else None
+    return _block(v, s, u, tally if want_tally else None)
 
 
 def simulate_paths(e, kern, x, y, stream, reps: int, *, first: int = 0,
@@ -402,8 +530,11 @@ def simulate_paths(e, kern, x, y, stream, reps: int, *, first: int = 0,
     ``want_s``; ``r_norm`` and ``mk_norm`` with ``want_s_prime``; and with
     ``ks``, the :func:`diff_dots` of the :func:`diff_pair_block` rows that the
     same draws give at those ks; with ``want_tally``, ``tally``, the stacked
-    ``e.tally`` rows of its chunks.  A pass with no projection and neither
-    want sweeps no product.
+    :func:`simulate_block` tally rows of its chunks.  A pass with no
+    projection and neither want sweeps no product.  A :func:`_counted` pass
+    that wants neither S' nor ks draws no rows: each chunk's index counts
+    come straight from its words (:func:`_draw_counts`), and give the same
+    bits as the counts of its rows.
     """
     n = kern.n
     x = np.asarray(x, dtype=float)
@@ -411,11 +542,19 @@ def simulate_paths(e, kern, x, y, stream, reps: int, *, first: int = 0,
     root_n = np.sqrt(float(n))
     ex_x = kern.p_powers[n] @ x  # e^{EA} x
     qn_x = kern.q_powers[n] @ x  # (E e^{A/n})^n x
+    counted = _counted(e) and not (want_s_prime or ks)
+    sweep = y is not None or want_s or want_s_prime or want_tally
 
-    def stats(rows):
+    def stats(lo, hi):
         out = {}
+        if counted:
+            t, tally = _count_sums(e, _draw_counts(e, stream, n, lo, hi))
+            block = _block(*_sum_ends(kern, x, t, want_s), tally=tally)
+        else:
+            rows = _draw_rows(e, stream, n, lo, hi)
+            block = simulate_block(kern, x, rows, want_s=want_s, want_s_prime=want_s_prime,
+                                   want_tally=want_tally) if sweep else {}
         if y is not None or want_s or want_s_prime:
-            block = simulate_block(kern, x, rows, want_s=want_s, want_s_prime=want_s_prime)
             xi = root_n * (block["prod_x"] - ex_x)
             if y is not None:
                 # a sum along each row, whose bits no other row changes (a BLAS
@@ -434,10 +573,10 @@ def simulate_paths(e, kern, x, y, stream, reps: int, *, first: int = 0,
         if ks:
             out.update(diff_dots(diff_pair_block(kern, x, rows, ks)))
         if want_tally:
-            out["tally"] = e.tally(rows)
+            out["tally"] = block["tally"]
         return out
 
-    return concat_chunks([stats(_draw_rows(e, stream, n, first + lo, first + hi))
+    return concat_chunks([stats(first + lo, first + hi)
                           for lo, hi in chunk_ranges(e, n, reps)])
 
 

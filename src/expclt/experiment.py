@@ -410,13 +410,14 @@ def emit_csv(header, rows, path) -> None:
 # one run() and emptied when it returns: a kernel holds about 16 MB at d=16,
 # n=4096, so a process keeps one at a time.  The workers fork when the run maps its
 # passes, before the main process has built any kernel, so each worker builds
-# and keeps its own.
+# and keeps its own, and serves every chunk task of its n from it: each task
+# unpickles its own copy of the law, which Ensemble.same_law compares by value.
 _KERNEL_CACHE: dict = {}
 
 
 def _kernel(e: Ensemble, n: int):
     kern = _KERNEL_CACHE.get(n)
-    if kern is None or kern.ensemble is not e:
+    if kern is None or not kern.ensemble.same_law(e):
         _KERNEL_CACHE.clear()
         kern = _KERNEL_CACHE[n] = precompute_kernel(e, n)
     return kern

@@ -270,16 +270,15 @@ class TestStackedSweep:
 
 
 class TestScalarSweep:
-    # At d=1 the draws commute: simulate_block takes prod_x and s_x from the
-    # running sum of the centered draws, added in step order a block of
-    # engine._SWEEP_BLOCK // B steps at a time (885 at B = 37: n = 1025 takes
-    # a full block and a partial one, and n = 7, 64 and 300 one partial
-    # block), so they agree bit for bit with a per-step loop of that sum.
+    # At d=1 the draws commute: simulate_block takes prod_x and s_x from
+    # T_n = sum_j c_j Δ_j over each row's index counts, added in index order,
+    # so they agree bit for bit with a per-index loop of that sum.
     # s_prime_x multiplies the drawn factors one step at a time, as the
     # matmul sweep does, so it agrees bit for bit with it; the matmul sweep's
     # step products agree with prod_x and s_x to rounding.
 
-    @pytest.mark.parametrize("m", [2, 5])
+    # m = 300 counts sparsely at n = 7 and 64, where the support is larger
+    @pytest.mark.parametrize("m", [2, 5, 300])
     @pytest.mark.parametrize("n", [7, 64, 300, 1025])
     @pytest.mark.parametrize("want_s", [False, True])
     @pytest.mark.parametrize("want_s_prime", [False, True])
@@ -292,7 +291,7 @@ class TestScalarSweep:
         x = np.array([0.7])
         got = engine.simulate_block(kern, x, rows, want_s=want_s,
                                     want_s_prime=want_s_prime)
-        ref = _running_sum_sweep(kern, x, e._deltas[rows, 0], want_s)
+        ref = _count_sweep(kern, x, rows, want_s)
         steps = _matmul_sweep(kern, x, rows, want_s, want_s_prime)
         if want_s_prime:
             ref["s_prime_x"] = steps["s_prime_x"]
@@ -347,6 +346,74 @@ class TestScalarSweep:
         assert calls == []
 
 
+def _scalar_law(m):
+    rng = np.random.default_rng(m)
+    return finite_support([[[a]] for a in rng.uniform(-2.0, 2.0, m)],
+                          rng.dirichlet(np.ones(m)))
+
+
+class TestCountRoute:
+    # A d=1 pass that wants neither S' nor ks turns each block of words
+    # straight into per-row index counts; a pass that wants them counts its
+    # rows. Both give T_n = sum_j c_j Δ_j the same bits.
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 129, 300])
+    @pytest.mark.parametrize("n", [7, 301])
+    def test_counts_of_the_words_are_the_counts_of_the_rows(self, m, n, monkeypatch):
+        # blocks of 4 rows: replicates 3 .. 13 span three blocks, the last
+        # one partial; m = 129 and 300 count sparsely at n = 7
+        monkeypatch.setattr(engine, "_FILL_BLOCK", 4 * n)
+        e = _scalar_law(m)
+        got = engine._draw_counts(e, _pass(m), n, 3, 14)
+        rows = engine._draw_rows(e, _pass(m), n, 3, 14)
+        assert np.array_equal(got, engine._row_counts(e, rows))
+        if m > n:
+            assert np.array_equal(got, np.sort(rows, axis=1))
+        else:
+            ref = [np.bincount(row, minlength=m) for row in rows]
+            assert got.shape == (11, m) and np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("m, n, B", [(300, 7, 37), (300, 64, 37), (8192, 64, 5),
+                                         (40, 30, 1)])
+    def test_sparse_counts_have_the_bits_of_the_dense_sum(self, m, n, B):
+        # three indices carry most of the weight, so rows repeat them
+        rng = np.random.default_rng(m)
+        w = np.full(m, 0.1 / (m - 3))
+        w[[0, m // 2, m - 1]] = 0.3
+        e = finite_support([[[a]] for a in rng.uniform(-2.0, 2.0, m)], w)
+        rows = engine._draw_rows(e, _pass(n), n, 0, B)
+        dense = np.stack([np.bincount(row, minlength=m) for row in rows])
+        sparse = engine._row_counts(e, rows)
+        assert sparse.dtype == np.uint16 and sparse.shape == (B, n)
+        assert any(len(np.unique(row)) < n for row in rows)
+        t_dense, tally_dense = engine._count_sums(e, dense)
+        t_sparse, tally_sparse = engine._count_sums(e, sparse)
+        assert np.array_equal(t_sparse, t_dense)
+        assert np.array_equal(tally_sparse, tally_dense)
+        assert np.array_equal(tally_dense, dense.sum(axis=0)[None])
+
+    def test_a_clt_only_pass_draws_no_rows(self, monkeypatch):
+        e = finite_support([[[-1.0]], [[0.5]], [[2.0]]], [0.2, 0.5, 0.3])
+        n, ks = 64, (1, 32, 64)
+        kern = precompute_kernel(e, n)
+        x = np.array([0.7])
+        calls = []
+        real = engine._draw_rows
+        monkeypatch.setattr(engine, "_draw_rows",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        clt = engine.simulate_paths(e, kern, x, x, _pass(5), 40)
+        with_s = engine.simulate_paths(e, kern, x, x, _pass(5), 40, want_s=True,
+                                       want_tally=True)
+        assert calls == []
+        full = engine.simulate_paths(e, kern, x, x, _pass(5), 40, want_s=True,
+                                     want_s_prime=True, want_tally=True, ks=ks)
+        assert calls
+        # one set of bits, whichever route the pass takes
+        for key in ("proj_xi", "proj_s", "diff_norm", "tally"):
+            assert np.array_equal(with_s[key], full[key]), key
+        assert np.array_equal(clt["proj_xi"], full["proj_xi"])
+
+
 def _diagonal_loop_sweep(kern, x, rows, want_s, want_s_prime):
     """The diagonal_uniform sweep one step at a time on (B, d) arrays, with
     P_j = p_j I and Q^j = q_j I from the kernel's tables: the reference for
@@ -375,6 +442,15 @@ def _diagonal_loop_sweep(kern, x, rows, want_s, want_s_prime):
     return out
 
 
+def _diagonal_tally(e, rows):
+    """Each row's sum of the centered entries of its (B, n, d) diagonal draws,
+    added one step at a time: the reference for a diagonal law's tally."""
+    total, mid = np.zeros(rows.shape[::2]), (e.low + e.high) / 2.0
+    for a in rows.swapaxes(0, 1):  # (B, d) draws of one step
+        total += a - mid
+    return total
+
+
 def _running_sum_sweep(kern, x, deltas, want_s):
     """prod_x = p_n e^{T_n/n} x, and s_x = p_{n-1} T_n x with ``want_s``, of an
     entrywise law whose centered draws are ``deltas`` (B, n, d), with the
@@ -386,6 +462,24 @@ def _running_sum_sweep(kern, x, deltas, want_s):
     t = np.zeros_like(deltas[:, 0])
     for k in range(n):
         t = t + deltas[:, k]
+    out = {"prod_x": np.exp(t / n) * (p[n] * xv)}
+    if want_s:
+        out["s_x"] = p[n - 1] * (t * xv)
+    return out
+
+
+def _count_sweep(kern, x, rows, want_s):
+    """prod_x = p_n e^{T_n/n} x, and s_x = p_{n-1} T_n x with ``want_s``, of a
+    finite-support law at d=1 whose index rows are ``rows`` (B, n), with
+    T_n = sum_j c_j Δ_j added one index at a time from +0.0, c_j a row's
+    count of index j: the reference for the bits of the d=1 sweep."""
+    e, n = kern.ensemble, kern.n
+    p = kern.p_powers[:, 0, 0]
+    xv = np.asarray(x, dtype=float)
+    counts = np.stack([np.bincount(row, minlength=len(e.support)) for row in rows])
+    t = np.zeros((len(rows), 1))
+    for c, delta in zip(counts.T, e._deltas[:, 0]):
+        t = t + c[:, None] * delta
     out = {"prod_x": np.exp(t / n) * (p[n] * xv)}
     if want_s:
         out["s_x"] = p[n - 1] * (t * xv)
@@ -452,6 +546,18 @@ class TestDiagonalSweep:
             assert np.array_equal(got[key], ref[key])
             _assert_rows_close(got[key], steps[key])
 
+    @pytest.mark.parametrize("d", [1, 8])
+    @pytest.mark.parametrize("n", [7, 1025])
+    @pytest.mark.parametrize("B", [1, 37, 4097])
+    def test_tally_is_the_step_loop_sum(self, d, n, B):
+        # the tally is the T_n of the sweep's running sums
+        e = diagonal_uniform(d, -0.5, 1.0)
+        rows = engine._draw_rows(e, _pass(n), n, 0, B)
+        got = engine.simulate_block(precompute_kernel(e, n), np.ones(d), rows,
+                                    want_tally=True)
+        assert set(got) == {"prod_x", "tally"}
+        assert np.array_equal(got["tally"], _diagonal_tally(e, rows))
+
     @pytest.mark.parametrize("d", [1, 3, 8])
     @pytest.mark.parametrize("n", [7, 64, 300])
     @pytest.mark.parametrize("B", [1, 2, 37])
@@ -494,17 +600,13 @@ _ENTRYWISE_LAWS = st.one_of(
 )
 
 
-# An entrywise law's running sums add its steps in order whatever the width
-# of their blocks, so no chunk width may change a bit of any statistic; the
-# tally rows of finite support count a chunk's draws, so their sum is compared.
-@settings(max_examples=40, derandomize=True, deadline=None)
-@given(e=_ENTRYWISE_LAWS, n=st.integers(1, 300), reps=st.integers(1, 40),
-       width=st.integers(1, 40))
-def test_entrywise_statistics_do_not_depend_on_the_width(e, n, reps, width):
+# An entrywise law's sums add its steps or its index counts in order whatever
+# the width of their blocks, so no chunk width may change a bit of any
+# statistic; the tally rows of finite support count a chunk's draws, so their
+# sum is compared.
+def _width_invariance(e, n, reps, width, kw):
     kern = precompute_kernel(e, n)
     x, y = np.linspace(1.0, -0.5, e.dim), np.linspace(-0.3, 0.9, e.dim)
-    kw = dict(want_s=True, want_s_prime=True, want_tally=True,
-              ks=sorted({1, (n + 1) // 2, n}))
     whole = engine.simulate_paths(e, kern, x, y, _pass(n), reps, **kw)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "batch_size", lambda *a: width)
@@ -514,6 +616,24 @@ def test_entrywise_statistics_do_not_depend_on_the_width(e, n, reps, width):
         if key == "tally" and e.is_finite_support:
             whole[key], split[key] = whole[key].sum(axis=0), split[key].sum(axis=0)
         assert np.array_equal(whole[key], split[key]), key
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(e=_ENTRYWISE_LAWS, n=st.integers(1, 300), reps=st.integers(1, 40),
+       width=st.integers(1, 40))
+def test_entrywise_statistics_do_not_depend_on_the_width(e, n, reps, width):
+    _width_invariance(e, n, reps, width, dict(want_s=True, want_s_prime=True,
+                                              want_tally=True, ks=sorted({1, (n + 1) // 2, n})))
+
+
+# Without S' and ks a d = 1 pass counts its words, not its rows.
+@pytest.mark.parametrize("kw", [dict(want_s=True, want_tally=True), {}],
+                         ids=["s_and_tally", "none"])
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(e=_ENTRYWISE_LAWS, n=st.integers(1, 300), reps=st.integers(1, 40),
+       width=st.integers(1, 40))
+def test_counted_statistics_do_not_depend_on_the_width(kw, e, n, reps, width):
+    _width_invariance(e, n, reps, width, kw)
 
 
 class TestChunkingInvariance:

@@ -1,3 +1,4 @@
+import pickle
 import sys
 import threading
 
@@ -12,6 +13,7 @@ from expclt import (
     deterministic,
     diagonal_uniform,
     finite_support,
+    precompute_kernel,
     two_point,
 )
 from expclt.ensembles import _COMPARE_MAX_SUPPORT as _CUT
@@ -348,6 +350,38 @@ class TestDraws:
             assert np.array_equal(draws, e.low + (e.high - e.low) * u)
 
 
+class TestSameLaw:
+    """Laws compared by value, bit for bit."""
+
+    @pytest.mark.parametrize("law", sorted(_LAWS))
+    def test_a_copy_is_the_same_law(self, law):
+        e = _LAWS[law]
+        copy = pickle.loads(pickle.dumps(e))
+        assert copy is not e and copy.same_law(e) and e.same_law(copy)
+
+    @pytest.mark.parametrize("other", [
+        two_point(np.array([[0.0]]), np.array([[1.0]]), 0.31),
+        two_point(np.array([[0.0]]), np.array([[1.5]]), 0.3),
+        two_point(np.array([[-0.0]]), np.array([[1.0]]), 0.3),
+        finite_support([[[0.0]], [[1.0]]], [0.3, 0.7]),
+        diagonal_uniform(1, 0.0, 1.0),
+    ], ids=["weights", "support", "signed_zero", "family", "diagonal"])
+    def test_another_law_is_not(self, other):
+        assert not _LAWS["two_point"].same_law(other)
+
+    def test_diagonal_bounds_and_dim(self):
+        e = diagonal_uniform(3, -0.5, 1.0)
+        assert e.same_law(diagonal_uniform(3, -0.5, 1.0))
+        assert not e.same_law(diagonal_uniform(2, -0.5, 1.0))
+        assert not e.same_law(diagonal_uniform(3, -0.5, 1.25))
+
+
+def _tally(e, rows):
+    """The tally rows that the engine gives for ``rows`` of n draws."""
+    kern = precompute_kernel(e, rows.shape[1])
+    return engine.simulate_block(kern, np.ones(e.dim), rows, want_tally=True)["tally"]
+
+
 class TestTally:
     """Tally rows of rows of draws add up to sum (A - EA) over the draws."""
 
@@ -358,7 +392,7 @@ class TestTally:
         # the pass's first 7 n draws, one at a time
         r = RngStream(23)
         ref = sum(e.sample(r) - e.mean() for _ in range(7 * n))
-        total = e.centered_total(e.tally(rows))
+        total = e.centered_total(_tally(e, rows))
         assert total.shape == (e.dim, e.dim)
         np.testing.assert_allclose(total, ref, rtol=1e-12, atol=1e-12)
 
@@ -366,15 +400,15 @@ class TestTally:
         # 100 draws of 0.3 added up are not 100 x 0.3 in floating point
         e = diagonal_uniform(3, 0.3, 0.3)
         rows = engine._draw_rows(e, RngStream(25), 100, 0, 5)
-        assert not np.any(e.centered_total(e.tally(rows)))
+        assert not np.any(e.centered_total(_tally(e, rows)))
 
     @pytest.mark.parametrize("law", sorted(_LAWS))
     def test_a_split_of_the_replicates_keeps_every_bit(self, law):
         # the 1-row parts at d = 1 hold one entry a step, which numpy's
         # add.reduce would sum pairwise
         e, n = _LAWS[law], 100
-        whole = e.tally(engine._draw_rows(e, RngStream(24), n, 0, 9))
-        parts = [e.tally(engine._draw_rows(e, RngStream(24), n, lo, hi))
+        whole = _tally(e, engine._draw_rows(e, RngStream(24), n, 0, 9))
+        parts = [_tally(e, engine._draw_rows(e, RngStream(24), n, lo, hi))
                  for lo, hi in ((0, 1), (1, 2), (2, 5), (5, 9))]
         joined = np.concatenate(parts)
         if not e.is_finite_support:  # one row per replicate, whose bits are its own
@@ -486,6 +520,53 @@ class TestSupportIndices:
     def test_family_guard(self, diag3):
         with pytest.raises(ValueError):
             diag3.support_indices(np.zeros(3, dtype=np.uint32))
+
+
+class TestIndexCounts:
+    """Per-row index counts straight from the words, against the counts of
+    the row's support indices."""
+
+    @staticmethod
+    def _law(m, zeros):
+        w = RngStream(m).uniform(m) + 0.01
+        for where in zeros:  # a zero weight leading, in the middle or trailing
+            w[{"leading": 0, "middle": m // 2, "trailing": m - 1}[where]] = 0.0
+        return finite_support([np.eye(1) * i for i in range(m)], w / w.sum())
+
+    # counted by compares up to m = 16, by sorting each row from m = 17
+    @pytest.mark.parametrize("m", [1, 2, 5, 16, 17, _CUT, _CUT + 1, 300])
+    @pytest.mark.parametrize("zeros", [(), ("leading",), ("middle",), ("trailing",),
+                                       ("leading", "middle", "trailing")])
+    def test_counts_are_the_bincounts_of_the_indices(self, m, zeros):
+        if m < 3 and zeros:
+            zeros = zeros[-1:] if m == 2 else ()
+        e, n = self._law(m, zeros), 301  # odd n
+        words = RngStream(m).words(7 * n).reshape(7, n)
+        words[0, : len(e._cuts)] = e._cuts  # every cut point, and its neighbours
+        words[1, : len(e._cuts)] = e._cuts - (e._cuts > 0)
+        words[2, :2] = 0, 2**32 - 1
+        got = e.index_counts(words)
+        assert got.shape == (7, m) and got.dtype == np.int64
+        for row, counts in zip(words, got):
+            assert np.array_equal(counts, np.bincount(e.support_indices(row), minlength=m))
+
+    def test_sorted_search_equals_the_compare_path(self, wide300, monkeypatch):
+        words = RngStream(8).words(5 * 1001).reshape(5, 1001)
+        searched = wide300.index_counts(words)
+        monkeypatch.setattr(ensembles, "_COUNT_MAX_SUPPORT", 10**6)
+        assert np.array_equal(wide300.index_counts(words), searched)
+
+    @pytest.mark.parametrize("m", [1, 20])
+    def test_a_support_without_cuts(self, m):
+        # all weight on index 0: its cut is 2^32, which no word reaches
+        e = finite_support([np.eye(1) * i for i in range(m)], [1.0] + [0.0] * (m - 1))
+        assert len(e._cuts) == 0
+        got = e.index_counts(RngStream(9).words(3 * 7).reshape(3, 7))
+        assert np.array_equal(got, np.eye(1, m, dtype=np.int64).repeat(3, axis=0) * 7)
+
+    def test_family_guard(self, diag3):
+        with pytest.raises(ValueError):
+            diag3.index_counts(np.zeros((1, 3), dtype=np.uint32))
 
 
 def _loop_projection(e, w, u) -> float:

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import pickle
 import re
 
 import numpy as np
@@ -578,14 +579,14 @@ class TestRun:
     def test_chunk_raising_in_a_worker_is_exit_3(self, tmp_path, capsys, executors,
                                                  monkeypatch):
         main_pid = os.getpid()
-        real = experiment.engine.simulate_block
+        real = experiment.engine.simulate_paths
 
-        def sweep(kern, *args, **kwargs):
+        def chunk(e, kern, *args, **kwargs):
             if os.getpid() != main_pid and kern.n == 32:
                 raise RuntimeError("chunk failed in a worker")
-            return real(kern, *args, **kwargs)
+            return real(e, kern, *args, **kwargs)
 
-        monkeypatch.setattr(experiment.engine, "simulate_block", sweep)
+        monkeypatch.setattr(experiment.engine, "simulate_paths", chunk)
         monkeypatch.setattr(experiment.engine, "batch_size", lambda *a: 32)  # 2 chunks
         path = _write(tmp_path, "c.json", _base_config(
             tmp_path, suites=["clt", "doob"], n_grid=[16, 32, 64], replicates=60))
@@ -620,11 +621,15 @@ class TestRun:
     # The clt and martingale suites read one path pass per n. Neither suite's
     # bytes may depend on whether the other is configured, at any worker
     # count; a forced width of 12 cuts 40 replicates into 4 chunks.
+    # At d = 1 a clt-only pass counts its words and a martingale pass its rows.
     @pytest.mark.parametrize("ensemble", [
         {"family": "diagonal_uniform", "dim": 4, "low": -0.5, "high": 1.0},
         {"family": "finite_support", "probabilities": [0.2, 0.3, 0.5],
          "matrices": np.random.default_rng(4).uniform(-0.3, 0.3, (3, 3, 3)).tolist()},
-    ], ids=["diagonal", "finite_support"])
+        {"family": "two_point", "dim": 1, "a0": [[0.3]], "a1": [[1.0]], "p": 0.5},
+        {"family": "finite_support", "dim": 1, "probabilities": [0.1, 0.3, 0.2, 0.25, 0.15],
+         "matrices": np.random.default_rng(5).uniform(-1.0, 1.0, (5, 1, 1)).tolist()},
+    ], ids=["diagonal", "finite_support", "two_point_d1", "finite_support_d1_m5"])
     def test_shared_pass_bytes_do_not_depend_on_the_other_suites(self, tmp_path,
                                                                    monkeypatch, ensemble):
         monkeypatch.setattr(experiment.engine, "batch_size", lambda *a: 12)
@@ -752,6 +757,26 @@ class TestRun:
         assert not passed
         assert not any(v["ok"] for v in check.values())
         assert all(v["mean_norm"] > 2 * v["se_4"] for v in check.values())
+
+    def test_a_chunk_task_of_an_equal_law_builds_no_kernel(self, tmp_path, monkeypatch,
+                                                           count_calls):
+        # a pool worker unpickles each chunk task's law anew: a copy of the
+        # law its kernel was built for reuses that kernel, another law does not
+        monkeypatch.setattr(experiment, "_KERNEL_CACHE", {})
+        built = count_calls(experiment, "precompute_kernel")
+        cfg = self._cfg(tmp_path, suites=["clt"], n_grid=[16], replicates=20)
+        stream = RngStream(cfg.master_seed).child("clt", 16)
+        for bounds in ((0, 10), (10, 20)):
+            copy = pickle.loads(pickle.dumps(cfg))
+            assert copy.ensemble is not cfg.ensemble
+            experiment._chunk_task(copy, 16, {}, stream, bounds)
+        assert len(built) == 1
+        other = self._cfg(tmp_path, suites=["clt"], n_grid=[16], replicates=20,
+                          ensemble={"family": "two_point", "a0": [[0.0]], "a1": [[2.0]],
+                                    "p": 0.25})
+        experiment._chunk_task(other, 16, {}, stream, (0, 10))
+        assert len(built) == 2
+        assert experiment._KERNEL_CACHE[16].ensemble is other.ensemble
 
     def test_kernel_cache_is_scoped_to_one_run(self, tmp_path):
         cfg = self._cfg(tmp_path, suites=["clt"], n_grid=[16, 32], replicates=50)

@@ -48,6 +48,9 @@ def _fs33():
 CONFIGS = {
     "scalar_two_point": ({"family": "two_point", "a0": [[0.0]], "a1": [[1.0]], "p": 0.5},
                          "canonical"),
+    # d = 1 atoms whose centered sums round: the bits of the index-count sum
+    "scalar_two_point_03": ({"family": "two_point", "a0": [[0.3]], "a1": [[1.0]],
+                             "p": 0.5}, "canonical"),
     "diag4": ({"family": "diagonal_uniform", "dim": 4, "low": -0.6, "high": 0.9},
               {"x": [1.0, -0.5, 0.25, 0.8], "y": [0.3, 1.0, -0.7, 0.2]}),
     "dense3": ({"family": "two_point", "a0": A0_DENSE.tolist(), "a1": A1_DENSE.tolist(),
