@@ -8,7 +8,7 @@ normal limit. Everything downstream of a master seed is reproducible
 bit-for-bit, independent of worker count.
 """
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 from .covariance import (
     CovarianceOperator,

@@ -28,7 +28,7 @@ import numpy as np
 from . import engine
 from .covariance import sigma_projected
 from .ensembles import Ensemble, RngStream
-from .linalg import as_vector, mat_exp, op_norm
+from .linalg import as_vector, exp_block, mat_exp, op_norm
 
 __all__ = [
     "TrajectorySample",
@@ -291,46 +291,62 @@ def decompose_xi_prime(e: Ensemble, n: int, draws, x,
     return s_prime_x, float(np.linalg.norm(xi_prime_x - s_prime_x))
 
 
-def _doob_subset_products(exps_k, q1, k: int):
-    """Yield (mask, F_P) over all nonempty P of [k]; F_P multiplies, position
-    by position, B_j = e^{A_j/n} - Q for j in P and Q otherwise."""
-    bs = [ek - q1 for ek in exps_k]
-    for mask in range(1, 1 << k):
-        f = None
-        for j in range(k):
-            factor = bs[j] if (mask >> j) & 1 else q1
-            f = factor if f is None else f @ factor
-        yield mask, f
+def _subset_blocks(exps, q1):
+    """Yield (masks, F) over the nonempty subsets P of [k], k = len(exps), in
+    mask order, at most ``exp_block(d)`` at a time: F[i] multiplies, left to
+    right, B_j = e^{A_j/n} - Q for j in masks[i] and Q otherwise.  The low
+    bits' products come by doubling and each block extends them over its
+    high bits, so every product keeps the association of a left fold."""
+    k, d = exps.shape[:2]
+    pairs = [(q1, b) for b in exps - q1]  # factor j of F_P: Q, or B_j when j is in P
+    low = min(k, exp_block(d).bit_length() - 1)
+    head = None
+    for q, b in pairs[:low]:
+        head = np.stack((q, b)) if head is None else np.concatenate((head @ q, head @ b))
+    for high in range(1 << (k - low)):
+        f = head
+        for j, pair in enumerate(pairs[low:]):
+            g = pair[(high >> j) & 1]
+            f = g[None] if f is None else f @ g
+        first = int(high == 0)  # mask 0, the empty subset, is no product of the sum
+        if len(f) > first:
+            yield range((high << low) + first, (high + 1) << low), f[first:]
 
 
-def doob_decomposition(e: Ensemble, n: int, k: int, draws, x,
-                       kern: PrecomputedKernel, *, visit=None) -> tuple:
-    """(M_k x, [D_{k,1} x, ..., D_{k,k} x]) by explicit subset enumeration.
-
-    D_{k,m} collects the subset products whose maximum element is m; the
-    identity M_k = sum_m D_{k,m} is the brute-force oracle for the Doob
-    martingale. Enumeration is capped at k = 12 (2^k products).
-    ``visit(mask, F_P)``, when given, sees each subset product as it is
-    enumerated.
-    """
+def _doob(e: Ensemble, n: int, k: int, draws, x, kern: PrecomputedKernel, bounds):
+    """(M_k x, [D_{k,m} x], max_P ||F_P|| / bounds[|P|]) in one enumeration,
+    with one batched norm per block; no norms, and a ratio of 0, when
+    ``bounds`` is None."""
     if k > 12:
         raise ValueError(f"subset enumeration capped at k=12, got {k}")
     if k < 1 or k > n:
         raise ValueError(f"k must lie in [1, {n}], got {k}")
     x = as_vector(x, e.dim, "x")
     exps = mat_exp(np.asarray(draws[:k], dtype=float) / n)
-
     v = x.copy()
     for j in range(k, 0, -1):
         v = exps[j - 1] @ v
-    m_k = v - kern.q_powers[k] @ x
+    d_list, ratio = np.zeros((k, e.dim)), 0.0
+    for masks, f in _subset_blocks(exps, kern.q_powers[1]):
+        # D_{k,m} adds F_P x, in mask order, over the P whose maximum element is m
+        np.add.at(d_list, [mask.bit_length() - 1 for mask in masks], f @ x)
+        if bounds is not None:
+            norms = op_norm(f)
+            held = norms > 0.0  # at rho = 0 the bound and every product are exactly 0
+            sizes = np.array([mask.bit_count() for mask in masks])[held]
+            ratio = max(ratio, float(np.max(norms[held] / bounds[sizes], initial=0.0)))
+    return v - kern.q_powers[k] @ x, list(d_list), ratio
 
-    d_list = [np.zeros(e.dim) for _ in range(k)]
-    for mask, f in _doob_subset_products(exps, kern.q_powers[1], k):
-        d_list[mask.bit_length() - 1] += f @ x
-        if visit is not None:
-            visit(mask, f)
-    return m_k, d_list
+
+def doob_decomposition(e: Ensemble, n: int, k: int, draws, x,
+                       kern: PrecomputedKernel) -> tuple:
+    """(M_k x, [D_{k,1} x, ..., D_{k,k} x]) by explicit subset enumeration.
+
+    D_{k,m} collects the subset products whose maximum element is m; the
+    identity M_k = sum_m D_{k,m} is the brute-force oracle for the Doob
+    martingale. Enumeration is capped at k = 12 (2^k products).
+    """
+    return _doob(e, n, k, draws, x, kern, None)[:2]
 
 
 @dataclass(frozen=True)
@@ -353,20 +369,14 @@ def doob_check(e: Ensemble, n: int, k: int, draws, x,
     above 1e-10.
     """
     base = 2.0 * e.rho / n
-    ratios = [0.0]
-
-    def bound_ratio(mask, f):
-        norm = op_norm(f)
-        if norm > 0.0:  # at rho = 0 the bound and every product are exactly 0
-            ratios.append(norm / (base ** int(mask.bit_count()) * np.exp(k * e.rho / n)))
-
-    m_k, d_list = doob_decomposition(e, n, k, draws, x, kern, visit=bound_ratio)
+    bounds = np.array([base ** j * np.exp(k * e.rho / n) for j in range(k + 1)])  # by |P|
+    m_k, d_list, ratio = _doob(e, n, k, draws, x, kern, bounds)
     floor = 1e-3 * np.exp(k * e.rho / n) * np.linalg.norm(x)
     residual = float(
         np.linalg.norm(m_k - np.sum(d_list, axis=0))
         / max(np.linalg.norm(m_k), floor, np.finfo(float).tiny)
     )
-    return DoobCheck(k=k, identity_residual=residual, max_subset_bound_ratio=max(ratios))
+    return DoobCheck(k=k, identity_residual=residual, max_subset_bound_ratio=ratio)
 
 
 def mk_moment_curve(e: Ensemble, n_grid, x, reps: int, r: RngStream) -> list:

@@ -40,11 +40,12 @@ import functools
 import hashlib
 import json
 import math
+import operator
 import os
 import reprlib
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -85,6 +86,7 @@ __all__ = [
     "read_config",
     "validate_config",
     "config_digest",
+    "Check",
     "SuiteResult",
     "RunReport",
     "run",
@@ -441,12 +443,12 @@ def _pass_kw(cfg: ExperimentConfig, n: int) -> dict:
             "ks": sorted({1, (n + 1) // 2, n})}
 
 
-def _passes(cfg: ExperimentConfig) -> list:
+def _passes(cfg: ExperimentConfig, sigma2) -> list:
     """The n of each path pass of the run, in grid order, when a suite takes
-    them: the martingale suite, or a clt suite that does not stop early."""
-    e = cfg.ensemble
+    them: the martingale suite, or a clt suite that does not stop early on
+    the run's Sigma(x, y) = ``sigma2``."""
     drawn = "martingale" in cfg.suites or (
-        "clt" in cfg.suites and not _clt_vacuous(e, sigma_projected(e, cfg.x, cfg.y)))
+        "clt" in cfg.suites and not _clt_vacuous(cfg.ensemble, sigma2))
     return list(cfg.n_grid) if drawn else []
 
 
@@ -471,23 +473,51 @@ def _map_pass(cfg: ExperimentConfig, n: int, pool):
 
 # --- suites ------------------------------------------------------------------
 
+# The comparison of each Check rule: value <rule> bound holds
+_RULES = {"<=": operator.le, "<": operator.lt, ">=": operator.ge}
+
+
+@dataclass(frozen=True)
+class Check:
+    """One gate of a suite: ``value`` against ``bound`` by ``rule``, one of
+    ``<=``, ``<`` or ``>=``.  ``margin`` is how far the value lies on the
+    holding side of the bound, negative past it (0 at equality, where ``<``
+    fails)."""
+
+    name: str
+    value: float
+    bound: float
+    rule: str
+
+    @property
+    def ok(self) -> bool:
+        return bool(_RULES[self.rule](self.value, self.bound))
+
+    @property
+    def margin(self) -> float:
+        return float(self.value - self.bound if self.rule == ">=" else self.bound - self.value)
+
 
 @dataclass(frozen=True)
 class SuiteResult:
     name: str
-    passed: bool
-    details: dict
+    checks: tuple
+    details: dict  # evidence, and an "error" when the suite could not judge
     header: tuple
     rows: tuple
+
+    @property
+    def passed(self) -> bool:
+        """Every check holds and no error stopped the suite."""
+        return "error" not in self.details and all(c.ok for c in self.checks)
 
 
 def _degenerate_bound(e: Ensemble, n: int) -> float:
     return math.sqrt(n) * math.exp(e.rho) * 1e-11
 
 
-def _suite_clt(cfg: ExperimentConfig, paths) -> SuiteResult:
+def _suite_clt(cfg: ExperimentConfig, sigma2_ref: float, paths) -> SuiteResult:
     e = cfg.ensemble
-    sigma2_ref = sigma_projected(e, cfg.x, cfg.y)
     degenerate = e.is_point_mass
     header = ("n", "replicate_count", "sigma2_ref", "sample_mean", "sample_variance",
               "skewness", "excess_kurtosis", "ks_distance", "ks_threshold_01")
@@ -498,32 +528,30 @@ def _suite_clt(cfg: ExperimentConfig, paths) -> SuiteResult:
                    "error": "probes: the projected limit variance is 0 although the "
                             "law is not a point mass; choose probes x, y that see "
                             "its fluctuations"}
-        return SuiteResult("clt", False, details, header, ())
-    rows = []
-    per_n = {}
-    checks = {}
+        return SuiteResult("clt", (), details, header, ())
+    n_pass = cfg.n_grid[-1]  # the distributional claim is asymptotic in n
+    rows, per_n, checks = [], {}, []
     for n in cfg.n_grid:
-        samples = paths(n)["proj_xi"]
-        stats = summarize(samples, sigma2_ref)
+        stats = summarize(paths(n)["proj_xi"], sigma2_ref)
         if degenerate:
             bound = _degenerate_bound(e, n)
             max_abs = max(abs(stats.min), abs(stats.max))
-            rows.append((n, stats.count, sigma2_ref, stats.mean, stats.variance,
-                         stats.skewness, stats.excess_kurtosis, "degenerate", "degenerate"))
+            ks = ("degenerate", "degenerate")
             per_n[n] = {"max_abs": max_abs, "zero_bound": bound,
                         "ks": "skipped (degenerate sigma2_ref = 0)"}
-            checks[n] = max_abs <= bound
+            checks.append(Check(f"max_abs n={n}", max_abs, bound, "<="))
         else:
-            threshold = KS_CRITICAL_01 / math.sqrt(stats.count)
-            rows.append((n, stats.count, sigma2_ref, stats.mean, stats.variance,
-                         stats.skewness, stats.excess_kurtosis, stats.ks_distance,
-                         threshold))
+            ks = (stats.ks_distance, KS_CRITICAL_01 / math.sqrt(stats.count))
             rel_var_err = abs(stats.variance - sigma2_ref) / sigma2_ref
             per_n[n] = {"sample_variance": stats.variance,
                         "relative_variance_error": rel_var_err,
-                        "ks_distance": stats.ks_distance, "ks_threshold": threshold}
-            checks[n] = stats.ks_distance < threshold and rel_var_err <= cfg.variance_rtol
-    n_pass = cfg.n_grid[-1]  # the distributional claim is asymptotic in n
+                        "ks_distance": ks[0], "ks_threshold": ks[1]}
+            if n == n_pass:
+                checks += [Check(f"ks_distance n={n}", *ks, "<"),
+                           Check(f"relative_variance_error n={n}", rel_var_err,
+                                 cfg.variance_rtol, "<=")]
+        rows.append((n, stats.count, sigma2_ref, stats.mean, stats.variance,
+                     stats.skewness, stats.excess_kurtosis, *ks))
     details = {
         "sigma2_ref": sigma2_ref,
         "degenerate": bool(degenerate),
@@ -532,11 +560,10 @@ def _suite_clt(cfg: ExperimentConfig, paths) -> SuiteResult:
         "pass_rule": ("max|sample| within the zero bound at every n" if degenerate
                       else f"KS below threshold and variance within rtol at n = {n_pass}"),
     }
-    passed = all(checks.values()) if degenerate else checks[n_pass]
-    return SuiteResult("clt", bool(passed), details, header, tuple(rows))
+    return SuiteResult("clt", tuple(checks), details, header, tuple(rows))
 
 
-def _suite_lemma_speed(cfg: ExperimentConfig, paths) -> SuiteResult:
+def _suite_lemma_speed(cfg: ExperimentConfig, sigma2, paths) -> SuiteResult:
     e = cfg.ensemble
     points = lemma_speed_curve(e, cfg.n_grid)
     header = ("n", "norm_outer", "norm_inner", "k_max_norm")
@@ -546,31 +573,31 @@ def _suite_lemma_speed(cfg: ExperimentConfig, paths) -> SuiteResult:
         # matrix computed two ways.  The two differ by under 1e-10 relative
         # (weights sum to 1 within 1e-12; a weighted sum of up to 65,536 terms
         # rounds by under 2e-11), which a k-th power grows by at most n e^rho.
-        per_n = {str(p.n): {"max_norm": max(p.norm_outer, p.norm_inner, p.k_max_norm),
-                            "zero_bound": p.n * math.exp(e.rho) * 1e-10} for p in points}
-        details = {"marker": "exact-zero", "per_n": per_n,
+        checks = tuple(Check(f"max_norm n={p.n}", max(p.norm_outer, p.norm_inner, p.k_max_norm),
+                             p.n * math.exp(e.rho) * 1e-10, "<=") for p in points)
+        details = {"marker": "exact-zero",
+                   "per_n": {str(p.n): {"max_norm": c.value} for p, c in zip(points, checks)},
                    "pass_rule": "every norm within the zero bound n e^rho 1e-10"}
-        ok = all(v["max_norm"] <= v["zero_bound"] for v in per_n.values())
-        return SuiteResult("lemma_speed", ok, details, header, rows)
+        return SuiteResult("lemma_speed", checks, details, header, rows)
     # the norms of a law that is not a point mass can still round to 0
     if len(rows) < 3 or min(v for row in rows for v in row[1:]) <= 0.0:
         details = {"error": "need >= 3 grid points, and norms > 0 at each, for slope fits"}
-        return SuiteResult("lemma_speed", False, details, header, rows)
+        return SuiteResult("lemma_speed", (), details, header, rows)
     outer = fit_slope([(p.n, p.norm_outer) for p in points])
     inner = fit_slope([(p.n, p.norm_inner) for p in points])
     kmax = fit_slope([(p.n, p.k_max_norm) for p in points])
-    ok = (abs(outer.slope + 1.0) <= 0.1 and abs(inner.slope + 2.0) <= 0.1
-          and abs(kmax.slope + 1.0) <= 0.1)
+    checks = (Check("|outer_slope + 1|", abs(outer.slope + 1.0), 0.1, "<="),
+              Check("|inner_slope + 2|", abs(inner.slope + 2.0), 0.1, "<="),
+              Check("|k_max_slope + 1|", abs(kmax.slope + 1.0), 0.1, "<="))
     details = {
         "outer_slope": outer.slope, "outer_r2": outer.r_squared,
         "inner_slope": inner.slope, "inner_r2": inner.r_squared,
         "k_max_slope": kmax.slope,
-        "bands": {"outer": [-1.1, -0.9], "inner": [-2.1, -1.9], "k_max": [-1.1, -0.9]},
     }
-    return SuiteResult("lemma_speed", bool(ok), details, header, rows)
+    return SuiteResult("lemma_speed", checks, details, header, rows)
 
 
-def _structure_check(cfg: ExperimentConfig, tally):
+def _structure_checks(cfg: ExperimentConfig, tally) -> list:
     """Mean of d_{n,k} = P_{k-1} (A - EA) P_{n-k} / sqrt(n) over the draws that
     ``tally`` holds of the path pass at the largest n, at k in {1, n/2, n}:
     ||mean|| against 4 standard errors of zero, from the law's exact moment."""
@@ -580,38 +607,29 @@ def _structure_check(cfg: ExperimentConfig, tally):
     mean = e.centered_total(tally) / draws
     ks = sorted({1, max(1, n // 2), n})
     ps, qs = kern.p_powers[[k - 1 for k in ks]], kern.p_powers[[n - k for k in ks]]
-    out = {}
+    checks = []
     for k, p, q, norm in zip(ks, ps, qs, op_norm(ps @ mean @ qs)):
         # n E ||d_{n,k}||_F^2 = tr(P^T P C(Q Q^T)) = tr(P C(Q Q^T) P^T) >= 0, up to rounding
         second = float(np.sum(p @ e.centered_action(q @ q.T) * p))
         se_4 = 4.0 * math.sqrt(max(0.0, second) / (n * draws))
-        mean_norm = float(norm) / math.sqrt(n)
-        out[k] = {"mean_norm": mean_norm, "se_4": se_4, "draws": draws,
-                  "ok": bool(mean_norm <= se_4 + 1e-15)}
-    return out
+        checks.append(Check(f"structure |mean d_n,k| k={k}", float(norm) / math.sqrt(n),
+                            se_4 + 1e-15, "<="))
+    return checks
 
 
-def _suite_martingale(cfg: ExperimentConfig, paths) -> SuiteResult:
+def _suite_martingale(cfg: ExperimentConfig, sigma2, paths) -> SuiteResult:
     e = cfg.ensemble
     header = ("n", "mean_Rn_norm", "mean_diff_sq", "mean_Mn_norm", "mean_Mn_norm_sq",
               "riemann_cov_error", "median_Rn_norm", "q90_diff_norm")
-    rows = []
-    bound_ok = True
-    lindeberg = {}
-    ortho_ok = True
-    ortho_stats = {}
+    rows, checks = [], []
     n_star = lindeberg_threshold(e, _LINDEBERG_EPS)
     for n in cfg.n_grid:
         stats = paths(n)
         kern = _kernel(e, n)
         ks = _pass_kw(cfg, n)["ks"]
         diff = dot_moments(n, ks, stats)
-        for _, _, mean_dot, se in diff.ortho:
-            if abs(mean_dot) > 4.0 * se + 1e-30:
-                ortho_ok = False
-        ortho_stats[str(n)] = [
-            {"k": a, "l": b, "mean_dot": m, "se": s} for a, b, m, s in diff.ortho
-        ]
+        checks += [Check(f"|mean_dot| n={n} k={a} l={b}", abs(m), 4.0 * s + 1e-30, "<=")
+                   for a, b, m, s in diff.ortho]
 
         rn, mkn = stats["r_norm"], stats["mk_norm"]
         rows.append((n, float(np.mean(rn)), diff.mean_sq, float(np.mean(mkn)),
@@ -622,90 +640,62 @@ def _suite_martingale(cfg: ExperimentConfig, paths) -> SuiteResult:
         # Exact per-draw bound: the max is over the whole support, which
         # dominates anything actually sampled.
         bound = dnk_norm_bound(e, n) * (1.0 + 1e-12)
-        if any(max_dnk_norm(e, n, k, kern) > bound for k in ks):
-            bound_ok = False
+        checks += [Check(f"max_dnk_norm n={n} k={k}", max_dnk_norm(e, n, k, kern), bound, "<=")
+                   for k in ks]
         if n > n_star:
-            worst = lindeberg_max_norm(e, n, kern)
-            lindeberg[str(n)] = worst
-            if worst > _LINDEBERG_EPS:
-                bound_ok = False
+            checks.append(Check(f"lindeberg_max_norm n={n}", lindeberg_max_norm(e, n, kern),
+                                _LINDEBERG_EPS, "<="))
 
-    structure = _structure_check(cfg, paths(cfg.n_grid[-1])["tally"])
-    structure_ok = all(v["ok"] for v in structure.values())
+    checks += _structure_checks(cfg, paths(cfg.n_grid[-1])["tally"])
     curve = {h: [(r[0], r[j]) for r in rows] for j, h in enumerate(header)}  # (n, value)
-
-    slopes_ok = True
     fits = {}
-
-    def fit(name):
-        """Slope fit of one curve, or None with its marker or error in ``fits``."""
-        nonlocal slopes_ok
-        pts = curve[name]
-        if all(v == 0.0 for _, v in pts):
-            # Identically zero for this law and probe pair (e.g. projections
-            # that vanish structurally, or remainders of commuting draws); the
-            # decay claim holds trivially.
-            fits[name] = {"marker": "exact-zero"}
-            return None
-        if sum(v > 0.0 for _, v in pts) < 3:
-            fits[name] = {"error": "need >= 3 positive values for a slope fit"}
-            slopes_ok = False
-            return None
-        return fit_slope(pts)
-
     if e.is_point_mass:
         # Point-mass law: every martingale quantity is an exact zero up to
         # rounding, so there is no decay rate to fit.
         fits["marker"] = "exact-zero"
         for (n, v), (_, m2) in zip(curve["median_Rn_norm"], curve["mean_Mn_norm_sq"]):
             zb = _degenerate_bound(e, n)
-            if v > 1e-10 * math.sqrt(n) or m2 > zb * zb:
-                slopes_ok = False
+            checks += [Check(f"median_Rn_norm n={n}", v, 1e-10 * math.sqrt(n), "<="),
+                       Check(f"mean_Mn_norm_sq n={n}", m2, zb * zb, "<=")]
     elif len(cfg.n_grid) >= 3:
-        bands = {
-            "mean_diff_sq": (-2.0, 0.3),
-            "mean_Mn_norm": (-0.5, 0.2),
-            "mean_Mn_norm_sq": (-1.0, 0.25),
-            "riemann_cov_error": (-1.0, 0.2),
-        }
-        for name, (target, tol) in bands.items():
-            f = fit(name)
-            if f is None:
-                continue
-            fits[name] = {"slope": f.slope, "target": target, "tol": tol,
-                          "r_squared": f.r_squared}
-            if abs(f.slope - target) > tol:
-                slopes_ok = False
-        # The remainder is only upper-bounded by O(1/sqrt(n)); its true decay
-        # is O(1/n) (the Taylor remainders are themselves conditionally
-        # centered, so they add in quadrature). Check the bound one-sided.
-        rn_fit = fit("median_Rn_norm")
-        if rn_fit is not None:
-            fits["median_Rn_norm"] = {"slope": rn_fit.slope, "max_allowed": -0.3,
-                                      "r_squared": rn_fit.r_squared}
-            if rn_fit.slope > -0.3:
-                slopes_ok = False
-        q90_fit = fit("q90_diff_norm")
-        if q90_fit is not None:
-            q90 = [v for _, v in curve["q90_diff_norm"]]
-            q90_monotone = all(b <= a for a, b in zip(q90, q90[1:]))
-            fits["q90_diff_norm"] = {"slope": q90_fit.slope, "max_allowed": -0.4,
-                                     "monotone_decreasing": q90_monotone}
-            if q90_fit.slope > -0.4 or not q90_monotone:
-                slopes_ok = False
+        # (curve, target, tol): |slope - target| <= tol, or slope <= tol
+        # without a target.  The remainder is only upper-bounded by
+        # O(1/sqrt(n)); its true decay is O(1/n) (the Taylor remainders are
+        # themselves conditionally centered, so they add in quadrature), so
+        # its bound is checked one-sided, as is the q90 difference's.
+        for name, target, tol in (("mean_diff_sq", -2.0, 0.3), ("mean_Mn_norm", -0.5, 0.2),
+                                  ("mean_Mn_norm_sq", -1.0, 0.25),
+                                  ("riemann_cov_error", -1.0, 0.2),
+                                  ("median_Rn_norm", None, -0.3), ("q90_diff_norm", None, -0.4)):
+            pts = curve[name]
+            positive = sum(v > 0.0 for _, v in pts)
+            if all(v == 0.0 for _, v in pts):
+                # Identically zero for this law and probe pair (e.g. projections
+                # that vanish structurally, or remainders of commuting draws);
+                # the decay claim holds trivially.
+                fits[name] = {"marker": "exact-zero"}
+            elif positive < 3:
+                fits[name] = {"error": "need >= 3 positive values for a slope fit"}
+                checks.append(Check(f"{name} positive values", positive, 3, ">="))
+            else:
+                f = fit_slope(pts)
+                fits[name] = {"slope": f.slope, "r_squared": f.r_squared}
+                checks.append(Check(f"{name} slope", f.slope, tol, "<=") if target is None
+                              else Check(f"|{name} slope - ({target:g})|",
+                                         abs(f.slope - target), tol, "<="))
+        if "slope" in fits["q90_diff_norm"]:  # a fitted q90 must also fall at each step
+            q90 = curve["q90_diff_norm"]
+            checks += [Check(f"q90_diff_norm n={n}", v, prev, "<=")
+                       for (_, prev), (n, v) in zip(q90, q90[1:])]
     else:
-        slopes_ok = False
         fits["error"] = "need >= 3 grid points for slope fits"
+        checks.append(Check("n_grid points", len(cfg.n_grid), 3, ">="))
 
     details = {
         "slopes": fits,
-        "draw_bound_ok": bool(bound_ok),
         "lindeberg_threshold_n": n_star,
         "lindeberg_eps": _LINDEBERG_EPS,
-        "lindeberg_max_norms": lindeberg,
-        "structure_check": {str(k): v for k, v in structure.items()},
-        "orthogonality": ortho_stats,
-        "orthogonality_ok": bool(ortho_ok),
+        "structure_draws": cfg.n_grid[-1] * cfg.replicates,
     }
     if not e.is_point_mass and all(v == 0.0 for r in rows for v in r[1:]):
         # A random law whose every curve is exactly 0: the probes miss its
@@ -713,36 +703,33 @@ def _suite_martingale(cfg: ExperimentConfig, paths) -> SuiteResult:
         details["error"] = ("probes: every martingale curve is exactly 0 although the "
                             "law is not a point mass; choose probes x, y that see its "
                             "fluctuations")
-    passed = (slopes_ok and bound_ok and structure_ok and ortho_ok
-              and "error" not in details)
-    return SuiteResult("martingale", bool(passed), details, header, tuple(rows))
+    return SuiteResult("martingale", tuple(checks), details, header, tuple(rows))
 
 
-def _suite_doob(cfg: ExperimentConfig, paths) -> SuiteResult:
+def _suite_doob(cfg: ExperimentConfig, sigma2, paths) -> SuiteResult:
     e = cfg.ensemble
     n = cfg.n_grid[-1]
     kern = _kernel(e, n)
     root = RngStream(cfg.master_seed)
     header = ("k", "identity_residual", "max_subset_bound_ratio")
-    rows = []
-    ok = True
+    rows, checks = [], []
     for k in range(1, min(10, n) + 1):
         r = root.child("doob", n, k)
         draws = [e.sample(r) for _ in range(k)]
         chk = doob_check(e, n, k, draws, cfg.x, kern)
         rows.append((k, chk.identity_residual, chk.max_subset_bound_ratio))
-        if chk.identity_residual > 1e-10 or chk.max_subset_bound_ratio > 1.0 + 1e-9:
-            ok = False
+        checks += [Check(f"identity_residual k={k}", chk.identity_residual, 1e-10, "<="),
+                   Check(f"max_subset_bound_ratio k={k}", chk.max_subset_bound_ratio,
+                         1.0 + 1e-9, "<=")]
     details = {
         "n": n,
         "max_identity_residual": max(r[1] for r in rows),
         "max_subset_bound_ratio": max(r[2] for r in rows),
-        "tolerances": {"identity": 1e-10, "bound_ratio": 1.0},
     }
-    return SuiteResult("doob", bool(ok), details, header, tuple(rows))
+    return SuiteResult("doob", tuple(checks), details, header, tuple(rows))
 
 
-def _suite_covariance(cfg: ExperimentConfig, paths) -> SuiteResult:
+def _suite_covariance(cfg: ExperimentConfig, sigma2: float, paths) -> SuiteResult:
     e = cfg.ensemble
     header = ("max_route_delta", "oracle_delta", "node_doubling_delta",
               "min_projected_variance", "max_shift_delta", "symmetry_defect")
@@ -759,8 +746,8 @@ def _suite_covariance(cfg: ExperimentConfig, paths) -> SuiteResult:
     max_route, scale_floor, min_proj = 0.0, 0.0, np.inf
     oracle_delta = float("nan") if oracle is None else 0.0
     values = []  # every sigma computed, for the point-mass check
-    for px, py in probes:
-        proj = sigma_projected(e, px, py)
+    for i, (px, py) in enumerate(probes):
+        proj = sigma_projected(e, px, py) if i else sigma2
         qf = op.project(px, py)
         values += [proj, qf]
         max_route = max(max_route, rel(proj, qf))
@@ -775,11 +762,10 @@ def _suite_covariance(cfg: ExperimentConfig, paths) -> SuiteResult:
     v1, v2 = (sigma_projected_at(e, cfg.x, cfg.y, k) for k in (m, 2 * m))
     doubling = abs(v2 - v1) / max(abs(v2), np.finfo(float).tiny)
 
-    base = values[0]  # sigma_projected(e, cfg.x, cfg.y)
     max_shift = 0.0
     for c in (-1.0, 0.5):
         shifted = sigma_projected(e.shifted(c), cfg.x, cfg.y)
-        target = math.exp(2.0 * c) * base
+        target = math.exp(2.0 * c) * sigma2
         denom = max(abs(target), np.finfo(float).tiny)
         max_shift = max(max_shift, abs(shifted - target) / denom)
         values.append(shifted)
@@ -788,15 +774,8 @@ def _suite_covariance(cfg: ExperimentConfig, paths) -> SuiteResult:
     values += [v1, v2, swapped]
     sym = rel(values[1], swapped)  # values[1] is op.project(cfg.x, cfg.y)
     rows = ((max_route, oracle_delta, doubling, min_proj, max_shift, sym),)
-    details = {
-        "max_route_delta": max_route,
-        "oracle_delta": None if math.isnan(oracle_delta) else oracle_delta,
-        "node_doubling_delta": doubling,
-        "min_projected_variance": float(min_proj),
-        "max_shift_delta": max_shift,
-        "symmetry_defect": sym,
-        "probe_pairs_checked": len(probes),
-    }
+    details = dict(zip(header, rows[0]), probe_pairs_checked=len(probes),
+                   oracle_delta=None if math.isnan(oracle_delta) else oracle_delta)
     if e.is_point_mass:
         # Point mass: Sigma = 0, so every value above is rounding noise and
         # the relative deltas divide it by zero.  Each centered draw A_i - EA
@@ -806,18 +785,19 @@ def _suite_covariance(cfg: ExperimentConfig, paths) -> SuiteResult:
         probe_scale = max(float(px @ px) * float(py @ py) for px, py in probes)
         zero_bound = ((1e-10 * (e.rho + 1.0) * math.exp(e.rho + 1.0)) ** 2
                       * max(1.0, probe_scale))
-        max_abs = max(float(np.max(np.abs(v))) for v in values)
-        details.update({"marker": "exact-zero", "max_abs_sigma": max_abs,
-                        "zero_bound": zero_bound,
+        checks = (Check("max_abs_sigma", max(float(np.max(np.abs(v))) for v in values),
+                        zero_bound, "<="),)
+        details.update({"marker": "exact-zero",
                         "pass_rule": "every sigma within the zero bound "
                                      "(1e-10 (rho+1) e^(rho+1))^2 max(1, |x|^2 |y|^2)"})
-        return SuiteResult("covariance", bool(max_abs <= zero_bound), details, header, rows)
-    ok = (max_route <= 1e-10
-          and (math.isnan(oracle_delta) or oracle_delta <= 1e-10)
-          and doubling < 1e-12
-          and min_proj >= -1e-12 * scale_floor
-          and max_shift <= 1e-10)
-    return SuiteResult("covariance", bool(ok), details, header, rows)
+        return SuiteResult("covariance", checks, details, header, rows)
+    checks = [Check("max_route_delta", max_route, 1e-10, "<="),
+              Check("node_doubling_delta", doubling, 1e-12, "<"),
+              Check("min_projected_variance", min_proj, -1e-12 * scale_floor, ">="),
+              Check("max_shift_delta", max_shift, 1e-10, "<=")]
+    if not math.isnan(oracle_delta):
+        checks.append(Check("oracle_delta", oracle_delta, 1e-10, "<="))
+    return SuiteResult("covariance", tuple(checks), details, header, rows)
 
 
 _SUITES = {
@@ -836,22 +816,13 @@ _SUITES = {
 class RunReport:
     version: str
     config_digest: str
-    suites: dict  # name -> {"passed": bool, "details": {...}} (deterministic)
+    # name -> {"passed": bool, "checks": [...], "details": {...}} (deterministic)
+    suites: dict
     # name -> the main process's wall clock in the suite, which pool work
     # overlaps (not part of the determinism contract)
     timings_seconds: dict
     csv_paths: dict
     all_passed: bool
-
-    def to_json_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "config_digest": self.config_digest,
-            "suites": self.suites,
-            "timings_seconds": self.timings_seconds,
-            "csv_paths": self.csv_paths,
-            "all_passed": self.all_passed,
-        }
 
 
 def default_workers() -> int:
@@ -877,7 +848,10 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> RunReport:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"output_dir: cannot create {cfg.output_dir!r}: {exc}") from exc
 
-    passes = _passes(cfg)
+    # Sigma(x, y) of the run's law and probes, once, for the suites that read it
+    sigma2 = (sigma_projected(cfg.ensemble, cfg.x, cfg.y)
+              if {"clt", "covariance"} & set(cfg.suites) else None)
+    passes = _passes(cfg, sigma2)
     # a process beyond the largest pass's chunk count would only be forked to idle
     chunks = (len(engine.chunk_ranges(cfg.ensemble, n, cfg.replicates)) for n in passes)
     per_process = _table_bytes(cfg.ensemble, cfg.n_grid[-1:], cfg.suites)
@@ -893,12 +867,13 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> RunReport:
         # then martingale, which asks for the kernels in grid order, then clt
         for name in sorted(cfg.suites, key=lambda s: {"martingale": 1, "clt": 2}.get(s, 0)):
             t0 = time.perf_counter()
-            result = _SUITES[name](cfg, paths)
+            result = _SUITES[name](cfg, sigma2, paths)
             timings[name] = time.perf_counter() - t0
             path = os.path.join(cfg.output_dir, f"{name}.csv")
             emit_csv(result.header, result.rows, path)
             csv_paths[name] = path
-            suites[name] = {"passed": result.passed, "details": result.details}
+            suites[name] = {"passed": result.passed, "details": result.details, "checks": [
+                {**vars(c), "margin": c.margin, "ok": c.ok} for c in result.checks]}
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -913,7 +888,7 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> RunReport:
         all_passed=all(s["passed"] for s in suites.values()),
     )
     # built before the file is opened: a NaN raises and leaves no summary.json
-    text = json.dumps(report.to_json_dict(), indent=2, sort_keys=True, allow_nan=False)
+    text = json.dumps(asdict(report), indent=2, sort_keys=True, allow_nan=False)
     with open(os.path.join(cfg.output_dir, "summary.json"), "w", encoding="utf-8") as f:
         f.write(text + "\n")
     return report

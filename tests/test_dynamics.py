@@ -289,15 +289,32 @@ class TestDoob:
 
     def test_check_enumerates_the_subsets_once(self, dense3, monkeypatch):
         # the identity and the norm bound read the same 2^k - 1 products
-        from expclt import dynamics
         seen = []
-        products = dynamics._doob_subset_products
-        monkeypatch.setattr(dynamics, "_doob_subset_products",
-                            lambda *a: (seen.append(mask) or (mask, f)
-                                        for mask, f in products(*a)))
+        blocks = dynamics._subset_blocks
+        monkeypatch.setattr(dynamics, "_subset_blocks",
+                            lambda *a: (seen.extend(masks) or (masks, f)
+                                        for masks, f in blocks(*a)))
         n, k = 16, 5
         kern = precompute_kernel(dense3, n)
         doob_check(dense3, n, k, _draws(dense3, n), [1.0, -0.5, 0.2], kern)
+        assert seen == list(range(1, 1 << k))
+
+    @pytest.mark.parametrize("d, k", [(1, 10), (3, 9), (33, 8), (300, 3)])
+    def test_subset_blocks_equal_a_left_fold_per_mask(self, d, k):
+        # d = 33 holds 60 products a block (5 low bits), d = 300 one
+        rng = np.random.default_rng(d)
+        exps = mat_exp(0.1 * rng.standard_normal((k, d, d)))
+        q1 = mat_exp(0.05 * rng.standard_normal((d, d)))
+        seen = []
+        for masks, f in dynamics._subset_blocks(exps, q1):
+            assert len(masks) == len(f) <= dynamics.exp_block(d)
+            for mask, got in zip(masks, f):
+                ref = None
+                for j in range(k):
+                    factor = exps[j] - q1 if (mask >> j) & 1 else q1
+                    ref = factor if ref is None else ref @ factor
+                assert np.array_equal(got, ref)
+            seen.extend(masks)
         assert seen == list(range(1, 1 << k))
 
     def test_point_mass_residual_uses_floor(self, point2):

@@ -11,6 +11,7 @@ from expclt import RngStream, engine, experiment
 from expclt.cli import main
 from expclt.dynamics import precompute_kernel, sample_xi
 from expclt.experiment import (
+    Check,
     ConfigError,
     SUITE_NAMES,
     _cell,
@@ -466,8 +467,7 @@ class TestRun:
             assert len({(d / f"{name}.csv").read_bytes() for d in out.values()}) == 1
         summaries = [json.loads((d / "summary.json").read_text()) for d in out.values()]
         assert all(s["suites"] == summaries[0]["suites"] for s in summaries)
-        checks = {json.dumps(s["suites"]["martingale"]["details"]["structure_check"])
-                  for s in summaries}
+        checks = {json.dumps(_structure(s["suites"]["martingale"])) for s in summaries}
         assert len(checks) == 1
 
     def test_one_executor_per_run(self, tmp_path, executors, monkeypatch):
@@ -610,8 +610,9 @@ class TestRun:
             raw["output_dir"] = str(tmp_path / f"w{w}")
             reports.append(run(load_config(_write(tmp_path, f"w{w}.json", raw)), workers=w))
         assert len(executors) == 1 and executors[0].tasks == 3 * 4
-        assert experiment._passes(load_config(_write(
-            tmp_path, "clt.json", dict(raw, suites=["clt"])))) == []  # alone, no pass
+        alone = load_config(_write(tmp_path, "clt.json", dict(raw, suites=["clt"])))
+        sigma2 = experiment.sigma_projected(alone.ensemble, alone.x, alone.y)
+        assert experiment._passes(alone, sigma2) == []  # alone, no pass
         assert "error" in reports[1].suites["clt"]["details"]
         assert reports[0].suites == reports[1].suites
         for name in raw["suites"]:
@@ -721,14 +722,16 @@ class TestRun:
     def test_structure_check_reads_the_path_pass_draws(self, tmp_path, ensemble):
         cfg = self._cfg(tmp_path, ensemble=ensemble, suites=["martingale"],
                         n_grid=[8, 16, 32], replicates=60)
-        check = run(cfg, workers=1).suites["martingale"]["details"]["structure_check"]
+        martingale = run(cfg, workers=1).suites["martingale"]
+        check = _structure(martingale)
         ref = _structure_reference(cfg)
         assert sorted(check) == sorted(ref) == ["1", "16", "32"]
+        assert martingale["details"]["structure_draws"] == 32 * 60
         for k, (mean_norm, se_4) in ref.items():
-            assert check[k]["draws"] == 32 * 60
-            assert check[k]["mean_norm"] == pytest.approx(mean_norm, rel=1e-9)
-            assert check[k]["se_4"] == pytest.approx(se_4, rel=1e-12)
-            assert check[k]["ok"] is (check[k]["mean_norm"] <= check[k]["se_4"] + 1e-15)
+            assert check[k]["value"] == pytest.approx(mean_norm, rel=1e-9)
+            assert check[k]["bound"] == pytest.approx(se_4 + 1e-15, rel=1e-12)
+            assert check[k]["rule"] == "<="
+            assert check[k]["ok"] is (check[k]["value"] <= check[k]["bound"])
 
     def test_structure_check_sees_a_fault_in_the_path_draws(self, tmp_path, monkeypatch):
         # Every 20th step of the path pass turns its draws of a1 into a0: 5%
@@ -740,7 +743,7 @@ class TestRun:
         def structure_check():
             report = run(cfg, workers=1)
             details = report.suites["martingale"]["details"]
-            return report.suites["martingale"]["passed"], details["structure_check"]
+            return report.suites["martingale"]["passed"], _structure(report.suites["martingale"])
 
         passed, check = structure_check()
         assert passed and all(v["ok"] for v in check.values())
@@ -756,7 +759,7 @@ class TestRun:
         passed, check = structure_check()
         assert not passed
         assert not any(v["ok"] for v in check.values())
-        assert all(v["mean_norm"] > 2 * v["se_4"] for v in check.values())
+        assert all(v["value"] > 2 * (v["bound"] - 1e-15) for v in check.values())
 
     def test_a_chunk_task_of_an_equal_law_builds_no_kernel(self, tmp_path, monkeypatch,
                                                            count_calls):
@@ -820,6 +823,12 @@ class TestRun:
         assert os.path.exists(report.csv_paths["lemma_speed"])
 
 
+def _structure(suite):
+    """The martingale suite's structure checks in a summary, by k."""
+    return {c["name"].rpartition("k=")[2]: c for c in suite["checks"]
+            if c["name"].startswith("structure")}
+
+
 def _structure_reference(cfg):
     """Per k, the structure check's mean norm and 4 standard errors: the path
     pass's draws at the largest n redrawn by sample_indices or
@@ -851,6 +860,45 @@ def _structure_reference(cfg):
         out[str(k)] = (op_norm(p @ total @ q) / (draws * math.sqrt(n)),
                        4 * math.sqrt(second / (n * draws)))
     return out
+
+
+class TestCheck:
+    def test_strict_and_weak_rules_at_equality(self):
+        assert Check("a", 1.0, 1.0, "<=").ok
+        assert not Check("a", 1.0, 1.0, "<").ok
+        assert Check("a", 1.0, 1.0, ">=").ok
+        assert all(Check("a", 1.0, 1.0, rule).margin == 0.0 for rule in ("<=", "<", ">="))
+
+    @pytest.mark.parametrize("rule, inside, outside", [
+        ("<=", 0.5, 2.0), ("<", 0.5, 2.0), (">=", 2.0, 0.5)])
+    def test_margin_is_positive_inside_and_negative_outside(self, rule, inside, outside):
+        held, failed = Check("a", inside, 1.0, rule), Check("a", outside, 1.0, rule)
+        assert held.ok and held.margin == abs(inside - 1.0)
+        assert not failed.ok and failed.margin == -abs(outside - 1.0)
+
+    def test_suite_passes_when_every_check_holds_and_no_error(self):
+        held, failed = Check("a", 0.0, 1.0, "<="), Check("b", 2.0, 1.0, "<=")
+        result = experiment.SuiteResult
+        assert result("s", (held, held), {}, (), ()).passed
+        assert not result("s", (held, failed), {}, (), ()).passed
+        assert not result("s", (held,), {"error": "probes"}, (), ()).passed
+
+    @pytest.mark.parametrize("inflation, ok", [(1.0, True), (1.1, False)])
+    def test_clt_checks_a_planted_sample(self, tmp_path, inflation, ok):
+        # a seeded N(0, inflation sigma^2) sample stands in for the path
+        # pass: a variance 10% too large fails the 7% band, with no engine run
+        cfg = load_config(_write(tmp_path, "c.json", _base_config(
+            tmp_path, n_grid=[64, 4096], replicates=20_000, suites=["clt"])))
+        sigma2 = 0.25
+        sample = np.random.default_rng(11).normal(0.0, math.sqrt(inflation * sigma2), 20_000)
+        result = experiment._suite_clt(cfg, sigma2, lambda n: {"proj_xi": sample})
+        checks = {c.name: c for c in result.checks}
+        assert sorted(checks) == ["ks_distance n=4096", "relative_variance_error n=4096"]
+        variance = checks["relative_variance_error n=4096"]
+        assert (variance.bound, variance.rule) == (cfg.variance_rtol, "<=")
+        assert variance.value == pytest.approx(inflation - 1.0, abs=0.03)
+        assert variance.ok is ok and (variance.margin > 0.0) is ok
+        assert result.passed is (ok and checks["ks_distance n=4096"].ok)
 
 
 class TestDefaultWorkers:
@@ -912,8 +960,8 @@ class TestCli:
 
     def test_non_finite_summary_is_exit_3_and_never_written(self, tmp_path, capsys,
                                                             monkeypatch):
-        def nan_suite(cfg, paths):
-            return experiment.SuiteResult("doob", True, {"value": float("nan")}, ("k",), ())
+        def nan_suite(cfg, sigma2, paths):
+            return experiment.SuiteResult("doob", (), {"value": float("nan")}, ("k",), ())
 
         monkeypatch.setitem(experiment._SUITES, "doob", nan_suite)
         path = _write(tmp_path, "c.json", _base_config(tmp_path, suites=["doob"]))
@@ -1119,7 +1167,11 @@ class TestCli:
         assert details["marker"] == "exact-zero"
         assert sorted(details["per_n"]) == ["100", "1000", "300"]
         assert any(v["max_norm"] > 0.0 for v in details["per_n"].values())
-        assert all(v["max_norm"] <= v["zero_bound"] for v in details["per_n"].values())
+        checks = summary["suites"]["lemma_speed"]["checks"]
+        assert [c["name"] for c in checks] == [f"max_norm n={n}" for n in (100, 300, 1000)]
+        assert [c["value"] for c in checks] == [details["per_n"][str(n)]["max_norm"]
+                                                for n in (100, 300, 1000)]
+        assert all(c["ok"] and c["value"] <= c["bound"] for c in checks)
 
     @pytest.mark.parametrize("ensemble", [
         {"family": "finite_support", "matrices": [[[0.8]], [[0.8]], [[0.8]]],
@@ -1135,7 +1187,9 @@ class TestCli:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         details = summary["suites"]["covariance"]["details"]
         assert details["marker"] == "exact-zero"
-        assert 0.0 <= details["max_abs_sigma"] <= details["zero_bound"] < 1e-15
+        (check,) = summary["suites"]["covariance"]["checks"]
+        assert check["name"] == "max_abs_sigma" and check["ok"]
+        assert 0.0 <= check["value"] <= check["bound"] < 1e-15
 
     def test_random_law_with_zero_lemma_norms_fails_lemma_speed(self, tmp_path, capsys):
         # a spread of 1e-9 is below double precision in E e^{A/n} past n = 16

@@ -130,6 +130,17 @@ def test_same_version_same_bytes(name, pooled, tmp_path, monkeypatch):
     assert got == entry["configs"][name]
 
 
+@pytest.mark.parametrize("name", list(CONFIGS))
+def test_each_verdict_is_all_of_its_checks(name, tmp_path):
+    digests(name, tmp_path, 1)
+    summary = json.loads((tmp_path / "summary.json").read_text(encoding="utf-8"))
+    for suite in summary["suites"].values():
+        assert suite["checks"] and "error" not in suite["details"]
+        assert suite["passed"] == all(c["ok"] for c in suite["checks"])
+        assert all(c["ok"] == (c["margin"] > 0.0 or c["margin"] == 0.0 and c["rule"] != "<")
+                   for c in suite["checks"])
+
+
 def _add_entries() -> int:
     golden = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
     entry = golden.setdefault(__version__, {"environment": environment(), "configs": {}})
