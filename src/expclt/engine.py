@@ -113,9 +113,12 @@ def batch_size(e, n: int) -> int:
 
 def pass_bytes(e, n: int) -> tuple:
     """Bytes of a pass's largest arrays besides its kernel: the (m, n, d) S and S'
-    tables unless :func:`_entrywise`, and its widest chunk of draws as float64."""
+    tables unless :func:`_entrywise`, its widest chunk of draws as float64, and
+    that chunk's tally rows, (1, m) index counts or a (1, d) sum a replicate."""
+    width = batch_size(e, n)
     tables = 0 if _entrywise(e) else 16 * len(e.support) * n * e.dim
-    return tables, 8 * batch_size(e, n) * n * e.entries_per_draw
+    tally = 8 * len(e.support) if e.is_finite_support else 8 * width * e.dim
+    return tables, 8 * width * n * e.entries_per_draw, tally
 
 
 def chunk_ranges(e, n: int, reps: int) -> list:
@@ -291,8 +294,8 @@ def _tile_layout(idx, m: int, prev):
     the front, so a tile holds rows of one group only.  Returns the slot of
     each replicate after the last step; per step, the tile count and the
     previous slot that fills each slot (a slot past its group's rows takes
-    slot 0, which always holds a row); and the group of every tile, all
-    steps' tiles in one array.
+    slot 0, which always holds a row); the group of every tile, all steps'
+    tiles in one array; and the ``(m,)`` count of each index over the steps.
     """
     S, B = idx.shape
     T = _TILE
@@ -314,7 +317,7 @@ def _tile_layout(idx, m: int, prev):
     fill = np.zeros((S, width), dtype=np.intp)
     fill.ravel()[slots[1:] + width * step] = slots[:-1]
     group = np.repeat(np.tile(np.arange(m), S), tiles.ravel())
-    return slots[-1], ntiles.tolist(), fill, group
+    return slots[-1], ntiles.tolist(), fill, group, counts.sum(axis=0)
 
 
 def _grouped_sweep(kern, x, rows, *, want_v: bool, want_s: bool, want_s_prime: bool,
@@ -323,10 +326,11 @@ def _grouped_sweep(kern, x, rows, *, want_v: bool, want_s: bool, want_s_prime: b
 
     Returns the end states asked for, in replicate order: ``v`` (the product
     applied to x) with ``want_v``, ``s`` and ``u`` as in
-    :func:`simulate_block`, and a dict of ``pref[k]``, the prefix product
-    e^{A_1/n} ... e^{A_{k-1}/n} applied to (A_k - EA) Q^{n-k} x, for each k
-    in ``ks``: a state that starts at zero and has z_k added at step k, as u
-    has every z_k.
+    :func:`simulate_block`; the ``(1, m)`` tally of the indices drawn at the
+    steps swept, all n of them when it multiplies v or u; and a dict of
+    ``pref[k]``, the prefix product e^{A_1/n} ... e^{A_{k-1}/n} applied to
+    (A_k - EA) Q^{n-k} x, for each k in ``ks``: a state that starts at zero
+    and has z_k added at step k, as u has every z_k.
 
     The states are planes of one array, their rows laid out in tiles of
     ``_TILE`` rows by :func:`_tile_layout`.  Each step gathers the planes into
@@ -353,7 +357,7 @@ def _grouped_sweep(kern, x, rows, *, want_v: bool, want_s: bool, want_s_prime: b
     if want_v:
         start[0] = x
     state = np.broadcast_to(start[:, None], (live, B, d))  # in replicate order
-    slot = np.arange(B)
+    slot, tally = np.arange(B), 0
     s = np.zeros((B, d)) if want_s else None
     widest = T * (-(-B // T) + min(m, B))  # slots of any layout
     # a plane started at step 1 is never multiplied, so never gathered
@@ -364,7 +368,8 @@ def _grouped_sweep(kern, x, rows, *, want_v: bool, want_s: bool, want_s_prime: b
     nxt = 0  # the next difference plane to start
     for hi in range(n if live else ks[0], 0, -size):
         lo = max(0, hi - size)
-        slot, ntiles, fill, group = _tile_layout(steps[lo:hi][::-1], m, slot)
+        slot, ntiles, fill, group, counts = _tile_layout(steps[lo:hi][::-1], m, slot)
+        tally = tally + counts
         t0 = 0
         for r, k in enumerate(range(hi, lo, -1)):
             nt = ntiles[r]
@@ -390,7 +395,7 @@ def _grouped_sweep(kern, x, rows, *, want_v: bool, want_s: bool, want_s_prime: b
     ends = list(np.take(state, slot, axis=1))  # back to replicate order
     v = ends.pop(0) if want_v else None
     u = ends.pop(0) if want_s_prime else None
-    return v, s, u, dict(zip(ks, ends))
+    return v, s, u, tally[None], dict(zip(ks, ends))
 
 
 def _entrywise(e) -> bool:
@@ -505,13 +510,11 @@ def simulate_block(kern, x, rows, *, want_s: bool = False, want_s_prime: bool = 
     same bits as a per-step loop of theirs; finite support at d >= 2 runs
     :func:`_grouped_sweep`.
     """
-    e = kern.ensemble
-    if _entrywise(e):
+    if _entrywise(kern.ensemble):
         v, s, u, tally = _elementwise_sweep(kern, x, rows, want_s, want_s_prime)
     else:
-        v, s, u, _ = _grouped_sweep(kern, x, rows, want_v=True, want_s=want_s,
-                                    want_s_prime=want_s_prime)
-        tally = e.tally(rows) if want_tally else None
+        v, s, u, tally, _ = _grouped_sweep(kern, x, rows, want_v=True, want_s=want_s,
+                                           want_s_prime=want_s_prime)
     return _block(v, s, u, tally if want_tally else None)
 
 
@@ -605,8 +608,8 @@ def diff_pair_block(kern, x, rows, ks):
             out[k] = ((p[n - 1] * (dk * xt) - p[k - 1] * np.exp(t / n) * z)
                       / root_n).reshape(-1, e.dim)
         return out
-    _, _, _, pref = _grouped_sweep(kern, x, rows, want_v=False, want_s=False,
-                                   want_s_prime=False, ks=ks)
+    *_, pref = _grouped_sweep(kern, x, rows, want_v=False, want_s=False,
+                              want_s_prime=False, ks=ks)
     for k in ks:
         pnk_x = kern.p_powers[n - k] @ x
         d_table = np.einsum("ij,mj->mi", kern.p_powers[k - 1], e._deltas @ pnk_x) / root_n

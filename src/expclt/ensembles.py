@@ -24,13 +24,12 @@ diagonal entry takes one 64-bit output (two words) as a float64 uniform.
 This module is the only one that touches the Philox generator behind the
 streams.
 
-Callers see a law through one interface: a draw takes ``words_per_draw``
-words and holds ``entries_per_draw`` values, ``draws`` takes a stream's
-next draws (support indices or diagonal entries), ``index_counts`` counts
-each support index in rows of words, ``sample`` returns one draw as a
-matrix, ``centered_total`` sums the centered draws of tally rows,
-``same_law`` compares two laws bit for bit, ``is_point_mass`` marks a law
-without fluctuations, and ``mean``, ``central_second_moment``,
+Callers see a law through one interface: a draw takes ``words_per_draw`` words
+and holds ``entries_per_draw`` values, ``draws`` takes a stream's next draws
+(support indices or diagonal entries), ``index_counts`` counts each support
+index in rows of words, ``sample`` returns one draw as a matrix,
+``centered_total`` sums the centered draws of tally rows, ``is_point_mass``
+marks a law without fluctuations, and ``mean``, ``central_second_moment``,
 ``centered_action``, ``centered_projection`` and ``mean_exp_scaled`` are its
 exact moments.  A new finite-support law needs nothing more than a factory.
 """
@@ -159,9 +158,8 @@ _COUNT_MAX_SUPPORT = 16
 # Support indices are drawn as uint16, so a support holds at most 2^16 matrices.
 _MAX_SUPPORT = 65_536
 
-# Entries per block: indices per bincount call of Ensemble.tally, which
-# copies them as intp, and the m d rows of the deltas times the probe rows
-# of one block of Ensemble.centered_projection, at least one probe row.
+# Entries per block: the m d rows of the deltas times the probe rows of one
+# block of Ensemble.centered_projection, at least one probe row.
 _BLOCK = 65_536
 
 
@@ -240,21 +238,6 @@ class Ensemble:
         deltas.flags.writeable = False
         return deltas
 
-    def same_law(self, other: "Ensemble") -> bool:
-        """Whether ``other`` is this law bit for bit: the same family,
-        dimension, bounds, support and weights, signs of zeros included, so
-        that every table built from one serves the other.  A law that a pool
-        worker unpickles is a new object, but the same law."""
-        if self is other:
-            return True
-        if (self.family, self.dim) != (other.family, other.dim):
-            return False
-        pairs = ((self.support, other.support), (self.probabilities, other.probabilities),
-                 (self.low, other.low), (self.high, other.high))
-        return all(a is b or (np.shape(a) == np.shape(b) and np.array_equal(a, b)
-                              and np.array_equal(np.signbit(a), np.signbit(b)))
-                   for a, b in pairs)
-
     # --- sampling ---------------------------------------------------------
 
     def draws(self, stream: RngStream, count: int) -> np.ndarray:
@@ -331,20 +314,10 @@ class Ensemble:
                                            - n * np.arange(rows)[:, None])
         return np.diff(below, axis=1)
 
-    def tally(self, rows: np.ndarray) -> np.ndarray:
-        """The ``(1, m)`` int64 row of index counts of ``rows`` of support
-        indices, in any layout, that :meth:`centered_total` adds up (finite
-        support)."""
-        if not self.is_finite_support:
-            raise ValueError(f"{self.family} ensemble has no finite support")
-        m, flat = len(self.support), rows.ravel(order="K")  # a view of step-major rows
-        return sum(np.bincount(flat[i : i + _BLOCK], minlength=m)
-                   for i in range(0, flat.size, _BLOCK))[None]
-
     def centered_total(self, tally: np.ndarray) -> np.ndarray:
         """sum (A - EA) over the draws of the stacked ``tally`` rows, as a
-        d x d matrix: rows of index counts (finite support, :meth:`tally`),
-        or rows of sums of centered diagonal entries (diagonal_uniform)."""
+        d x d matrix: rows of index counts (finite support), or rows of sums
+        of centered diagonal entries (diagonal_uniform)."""
         total = tally.sum(axis=0)
         if self.is_finite_support:
             return np.tensordot(total, self._deltas, axes=1)

@@ -30,7 +30,9 @@ number depends on the worker count or on the other suites configured.  A run
 keeps at most one process pool, with no more processes than a pass has
 chunks.  The suites that draw no pass run first, then martingale, then clt.
 The chunks of every pass are sent to the pool as the run starts, in grid
-order.  Each process keeps the kernel of one n at a time.
+order.  A run's suites and chunks read its references, Sigma(x, y) when first
+read and the kernel of one n at a time; each pool worker builds its own once,
+as it starts, so a chunk task carries only its n, wants, stream and bounds.
 """
 
 from __future__ import annotations
@@ -108,17 +110,16 @@ _MAX_RHO = 100.0
 # 75 s at d = 2048.
 _MAX_DIM = 1024
 
-# Byte caps on the largest arrays of a run, checked before it starts, so that
-# a config too large for memory exits 2 instead of raising MemoryError. The
-# table cap bounds the kernel tables of every n of the grid, an upper bound
-# on the one kernel a process keeps at a time, plus the martingale suite's S
-# and S' tables at the largest n; on a 2-core host a clt run of a diagonal
-# law at d = 1024, n = 63 (1 GiB of tables, two replicates) peaks at 1080 MiB
-# in 5.8 s. A pool has no more workers than leave a copy of those at the
-# largest n in every process under the cap. The draw cap bounds one chunk of
-# draw rows.
-_MAX_TABLE_BYTES = 1 << 30
-_MAX_DRAW_BYTES = 1 << 30
+# Byte cap on each of the largest arrays of a run, checked before it starts,
+# so that a config too large for memory exits 2 instead of raising
+# MemoryError: the kernel tables of every n of the grid, an upper bound on the
+# one kernel a process keeps at a time, plus the martingale suite's S and S'
+# tables at the largest n; one chunk of draw rows; and the per-replicate
+# results of every pass, which the run keeps until it ends. On a 2-core host a
+# clt run of a diagonal law at d = 1024, n = 63 (1 GiB of tables, two
+# replicates) peaks at 1080 MiB in 5.8 s. A pool has no more workers than
+# leave a copy of the tables at the largest n in every process under the cap.
+_MAX_BYTES = 1 << 30
 
 
 class ConfigError(ValueError):
@@ -337,19 +338,31 @@ def _table_bytes(e: Ensemble, n_grid, suites) -> int:
     return sum(16 * (k + 1) * e.dim**2 for k in n_grid) + s_tables
 
 
+def _result_bytes(e: Ensemble, n_grid, reps: int, suites) -> int:
+    """At most the bytes of the arrays that the grid's passes return: 8 a
+    replicate for proj_xi and, for martingale, 80 for 10 more statistics and
+    dots, and each chunk's tally rows, as many chunks as chunk_ranges makes."""
+    wants = "martingale" in suites
+    return sum(8 * reps + wants * (80 * reps + -(-reps // engine.batch_size(e, n))
+                                   * engine.pass_bytes(e, n)[2]) for n in n_grid)
+
+
 def _size_errors(e: Ensemble, f: dict) -> list:
-    """A line naming ``n_grid`` for each array of the run whose bytes would
-    pass its cap."""
+    """A line naming ``n_grid`` or ``replicates`` for each array of the run
+    whose bytes would pass the cap."""
     n, suites = f["n_grid"][-1], set(f["suites"])
-    sizes = []  # (arrays, bytes, cap) of the arrays the suites allocate
+    sizes = []  # (field, arrays, bytes) of the arrays the suites allocate
     if suites & {"clt", "martingale", "doob"}:
-        sizes.append((f"the kernel tables of the grid and the S tables at n = {n}",
-                      _table_bytes(e, f["n_grid"], suites), _MAX_TABLE_BYTES))
+        sizes.append(("n_grid", f"the kernel tables of the grid and the S tables at n = {n}",
+                      _table_bytes(e, f["n_grid"], suites)))
     if suites & {"clt", "martingale"}:
-        sizes.append((f"the draw rows of one chunk at n = {n}", engine.pass_bytes(e, n)[1],
-                      _MAX_DRAW_BYTES))
-    return [f"n_grid: {arrays} take {size / 2**30:.4g} GiB, above the cap of "
-            f"{cap / 2**30:g} GiB" for arrays, size, cap in sizes if size > cap]
+        sizes.append(("n_grid", f"the draw rows of one chunk at n = {n}",
+                      engine.pass_bytes(e, n)[1]))
+        if "replicates" in f:
+            sizes.append(("replicates", "the per-replicate results of the passes",
+                          _result_bytes(e, f["n_grid"], f["replicates"], suites)))
+    return [f"{field}: {arrays} take {size / 2**30:.4g} GiB, above the cap of "
+            f"{_MAX_BYTES / 2**30:g} GiB" for field, arrays, size in sizes if size > _MAX_BYTES]
 
 
 def load_config(path) -> ExperimentConfig:
@@ -408,28 +421,37 @@ def emit_csv(header, rows, path) -> None:
 
 # --- parallel replicate machinery -------------------------------------------
 
-# The kernel of the last law and n asked for, by n, shared by the suites of
-# one run() and emptied when it returns: a kernel holds about 16 MB at d=16,
-# n=4096, so a process keeps one at a time.  The workers fork when the run maps its
-# passes, before the main process has built any kernel, so each worker builds
-# and keeps its own, and serves every chunk task of its n from it: each task
-# unpickles its own copy of the law, which Ensemble.same_law compares by value.
-_KERNEL_CACHE: dict = {}
 
+class _References:
+    """The references of one run of ``cfg``: Sigma(x, y) of its law and
+    probes, computed when first read, and the kernel of one n at a time, whose
+    tables go before another n's are built (16 MB at d=16, n=4096)."""
 
-def _kernel(e: Ensemble, n: int):
-    kern = _KERNEL_CACHE.get(n)
-    if kern is None or not kern.ensemble.same_law(e):
-        _KERNEL_CACHE.clear()
-        kern = _KERNEL_CACHE[n] = precompute_kernel(e, n)
-    return kern
+    worker = None  # a pool worker's own references, set by start_worker
 
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg, self._kern = cfg, None
 
-def _clt_vacuous(e: Ensemble, sigma2_ref: float) -> bool:
-    """Whether the clt suite stops before its first pass: a law that is not a
-    point mass, seen through probes that project its limit to zero (canonical
-    probes on a diagonal family), would make every check vacuous."""
-    return sigma2_ref == 0.0 and not e.is_point_mass
+    @classmethod
+    def start_worker(cls, cfg: ExperimentConfig) -> None:
+        """Pool initializer: the worker builds its own references of the run."""
+        cls.worker = cls(cfg)
+
+    @functools.cached_property
+    def sigma2(self) -> float:
+        return sigma_projected(self.cfg.ensemble, self.cfg.x, self.cfg.y)
+
+    @property
+    def clt_vacuous(self) -> bool:
+        """Whether the clt suite stops before its first pass: probes that project
+        the limit of a random law to zero would make every check vacuous."""
+        return self.sigma2 == 0.0 and not self.cfg.ensemble.is_point_mass
+
+    def kernel(self, n: int):
+        if self._kern is None or self._kern.n != n:
+            self._kern = None
+            self._kern = precompute_kernel(self.cfg.ensemble, n)
+        return self._kern
 
 
 def _pass_kw(cfg: ExperimentConfig, n: int) -> dict:
@@ -443,29 +465,29 @@ def _pass_kw(cfg: ExperimentConfig, n: int) -> dict:
             "ks": sorted({1, (n + 1) // 2, n})}
 
 
-def _passes(cfg: ExperimentConfig, sigma2) -> list:
+def _passes(refs: _References) -> list:
     """The n of each path pass of the run, in grid order, when a suite takes
-    them: the martingale suite, or a clt suite that does not stop early on
-    the run's Sigma(x, y) = ``sigma2``."""
-    drawn = "martingale" in cfg.suites or (
-        "clt" in cfg.suites and not _clt_vacuous(cfg.ensemble, sigma2))
+    them: the martingale suite, or a clt suite that does not stop early."""
+    cfg = refs.cfg
+    drawn = "martingale" in cfg.suites or ("clt" in cfg.suites and not refs.clt_vacuous)
     return list(cfg.n_grid) if drawn else []
 
 
-def _chunk_task(cfg, n, kw, stream, bounds):
-    """The path pass at n over the replicates [lo, hi) = ``bounds`` of its
-    pass stream ``stream``."""
-    (lo, hi), e = bounds, cfg.ensemble
-    return engine.simulate_paths(e, _kernel(e, n), cfg.x, cfg.y, stream, hi - lo,
-                                 first=lo, **kw)
+def _chunk_task(refs, n, kw, stream, bounds):
+    """The path pass at n over the replicates [lo, hi) = ``bounds`` of its pass
+    ``stream``, with the kernel of ``refs``, or of the pool worker's when None."""
+    (lo, hi), refs = bounds, refs or _References.worker
+    return engine.simulate_paths(refs.cfg.ensemble, refs.kernel(n), refs.cfg.x, refs.cfg.y,
+                                 stream, hi - lo, first=lo, **kw)
 
 
-def _map_pass(cfg: ExperimentConfig, n: int, pool):
+def _map_pass(refs: _References, n: int, pool):
     """The chunk results of the path pass at n, one per range of
     :func:`engine.chunk_ranges` in index order, from the pass stream keyed
-    ``("clt", n)``: all sent to the process pool ``pool`` now, or computed
-    here as they are read when it is None."""
-    task = functools.partial(_chunk_task, cfg, n, _pass_kw(cfg, n),
+    ``("clt", n)``: all sent now to the pool ``pool``, whose workers start with
+    :meth:`_References.start_worker`, or computed here as read when it is None."""
+    cfg = refs.cfg
+    task = functools.partial(_chunk_task, None if pool else refs, n, _pass_kw(cfg, n),
                              RngStream(cfg.master_seed).child("clt", n))
     return (map if pool is None else pool.map)(
         task, engine.chunk_ranges(cfg.ensemble, n, cfg.replicates))
@@ -516,12 +538,12 @@ def _degenerate_bound(e: Ensemble, n: int) -> float:
     return math.sqrt(n) * math.exp(e.rho) * 1e-11
 
 
-def _suite_clt(cfg: ExperimentConfig, sigma2_ref: float, paths) -> SuiteResult:
-    e = cfg.ensemble
+def _suite_clt(cfg: ExperimentConfig, refs: _References, paths) -> SuiteResult:
+    e, sigma2_ref = cfg.ensemble, refs.sigma2
     degenerate = e.is_point_mass
     header = ("n", "replicate_count", "sigma2_ref", "sample_mean", "sample_variance",
               "skewness", "excess_kurtosis", "ks_distance", "ks_threshold_01")
-    if _clt_vacuous(e, sigma2_ref):
+    if refs.clt_vacuous:
         details = {"sigma2_ref": sigma2_ref, "degenerate": False,
                    "variance_rtol": cfg.variance_rtol, "per_n": {},
                    "pass_rule": "never: sigma2_ref = 0 for a law that is not a point mass",
@@ -563,7 +585,7 @@ def _suite_clt(cfg: ExperimentConfig, sigma2_ref: float, paths) -> SuiteResult:
     return SuiteResult("clt", tuple(checks), details, header, tuple(rows))
 
 
-def _suite_lemma_speed(cfg: ExperimentConfig, sigma2, paths) -> SuiteResult:
+def _suite_lemma_speed(cfg: ExperimentConfig, refs: _References, paths) -> SuiteResult:
     e = cfg.ensemble
     points = lemma_speed_curve(e, cfg.n_grid)
     header = ("n", "norm_outer", "norm_inner", "k_max_norm")
@@ -597,12 +619,12 @@ def _suite_lemma_speed(cfg: ExperimentConfig, sigma2, paths) -> SuiteResult:
     return SuiteResult("lemma_speed", checks, details, header, rows)
 
 
-def _structure_checks(cfg: ExperimentConfig, tally) -> list:
+def _structure_checks(cfg: ExperimentConfig, refs: _References, tally) -> list:
     """Mean of d_{n,k} = P_{k-1} (A - EA) P_{n-k} / sqrt(n) over the draws that
     ``tally`` holds of the path pass at the largest n, at k in {1, n/2, n}:
     ||mean|| against 4 standard errors of zero, from the law's exact moment."""
     e, n = cfg.ensemble, cfg.n_grid[-1]
-    kern = _kernel(e, n)
+    kern = refs.kernel(n)
     draws = n * cfg.replicates
     mean = e.centered_total(tally) / draws
     ks = sorted({1, max(1, n // 2), n})
@@ -617,7 +639,7 @@ def _structure_checks(cfg: ExperimentConfig, tally) -> list:
     return checks
 
 
-def _suite_martingale(cfg: ExperimentConfig, sigma2, paths) -> SuiteResult:
+def _suite_martingale(cfg: ExperimentConfig, refs: _References, paths) -> SuiteResult:
     e = cfg.ensemble
     header = ("n", "mean_Rn_norm", "mean_diff_sq", "mean_Mn_norm", "mean_Mn_norm_sq",
               "riemann_cov_error", "median_Rn_norm", "q90_diff_norm")
@@ -625,7 +647,7 @@ def _suite_martingale(cfg: ExperimentConfig, sigma2, paths) -> SuiteResult:
     n_star = lindeberg_threshold(e, _LINDEBERG_EPS)
     for n in cfg.n_grid:
         stats = paths(n)
-        kern = _kernel(e, n)
+        kern = refs.kernel(n)
         ks = _pass_kw(cfg, n)["ks"]
         diff = dot_moments(n, ks, stats)
         checks += [Check(f"|mean_dot| n={n} k={a} l={b}", abs(m), 4.0 * s + 1e-30, "<=")
@@ -646,7 +668,7 @@ def _suite_martingale(cfg: ExperimentConfig, sigma2, paths) -> SuiteResult:
             checks.append(Check(f"lindeberg_max_norm n={n}", lindeberg_max_norm(e, n, kern),
                                 _LINDEBERG_EPS, "<="))
 
-    checks += _structure_checks(cfg, paths(cfg.n_grid[-1])["tally"])
+    checks += _structure_checks(cfg, refs, paths(cfg.n_grid[-1])["tally"])
     curve = {h: [(r[0], r[j]) for r in rows] for j, h in enumerate(header)}  # (n, value)
     fits = {}
     if e.is_point_mass:
@@ -706,10 +728,10 @@ def _suite_martingale(cfg: ExperimentConfig, sigma2, paths) -> SuiteResult:
     return SuiteResult("martingale", tuple(checks), details, header, tuple(rows))
 
 
-def _suite_doob(cfg: ExperimentConfig, sigma2, paths) -> SuiteResult:
+def _suite_doob(cfg: ExperimentConfig, refs: _References, paths) -> SuiteResult:
     e = cfg.ensemble
     n = cfg.n_grid[-1]
-    kern = _kernel(e, n)
+    kern = refs.kernel(n)
     root = RngStream(cfg.master_seed)
     header = ("k", "identity_residual", "max_subset_bound_ratio")
     rows, checks = [], []
@@ -729,8 +751,8 @@ def _suite_doob(cfg: ExperimentConfig, sigma2, paths) -> SuiteResult:
     return SuiteResult("doob", tuple(checks), details, header, tuple(rows))
 
 
-def _suite_covariance(cfg: ExperimentConfig, sigma2: float, paths) -> SuiteResult:
-    e = cfg.ensemble
+def _suite_covariance(cfg: ExperimentConfig, refs: _References, paths) -> SuiteResult:
+    e, sigma2 = cfg.ensemble, refs.sigma2
     header = ("max_route_delta", "oracle_delta", "node_doubling_delta",
               "min_projected_variance", "max_shift_delta", "symmetry_defect")
     op = sigma_full(e)
@@ -758,9 +780,9 @@ def _suite_covariance(cfg: ExperimentConfig, sigma2: float, paths) -> SuiteResul
         scale_floor = max(scale_floor,
                           float(px @ px) * float(py @ py) * max(1.0, abs(proj), abs(qf)))
 
-    m = quadrature_nodes(e)  # the rule of every sigma_projected value, against 2m
-    v1, v2 = (sigma_projected_at(e, cfg.x, cfg.y, k) for k in (m, 2 * m))
-    doubling = abs(v2 - v1) / max(abs(v2), np.finfo(float).tiny)
+    # the rule of every sigma_projected value, sigma2's too, against twice its nodes
+    doubled = sigma_projected_at(e, cfg.x, cfg.y, 2 * quadrature_nodes(e))
+    doubling = abs(doubled - sigma2) / max(abs(doubled), np.finfo(float).tiny)
 
     max_shift = 0.0
     for c in (-1.0, 0.5):
@@ -771,7 +793,7 @@ def _suite_covariance(cfg: ExperimentConfig, sigma2: float, paths) -> SuiteResul
         values.append(shifted)
     # reported, never asserted: Sigma(x, y) need not equal Sigma(y, x)
     swapped = op.project(cfg.y, cfg.x)
-    values += [v1, v2, swapped]
+    values += [doubled, swapped]  # sigma2 is values[0]
     sym = rel(values[1], swapped)  # values[1] is op.project(cfg.x, cfg.y)
     rows = ((max_route, oracle_delta, doubling, min_proj, max_shift, sym),)
     details = dict(zip(header, rows[0]), probe_pairs_checked=len(probes),
@@ -848,26 +870,25 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> RunReport:
     except (OSError, ValueError) as exc:
         raise ConfigError(f"output_dir: cannot create {cfg.output_dir!r}: {exc}") from exc
 
-    # Sigma(x, y) of the run's law and probes, once, for the suites that read it
-    sigma2 = (sigma_projected(cfg.ensemble, cfg.x, cfg.y)
-              if {"clt", "covariance"} & set(cfg.suites) else None)
-    passes = _passes(cfg, sigma2)
+    refs = _References(cfg)
+    passes = _passes(refs)
     # a process beyond the largest pass's chunk count would only be forked to idle
     chunks = (len(engine.chunk_ranges(cfg.ensemble, n, cfg.replicates)) for n in passes)
     per_process = _table_bytes(cfg.ensemble, cfg.n_grid[-1:], cfg.suites)
-    processes = min(workers, max(chunks, default=1), _MAX_TABLE_BYTES // per_process - 1)
-    pool = ProcessPoolExecutor(max_workers=processes) if processes > 1 else None
+    processes = min(workers, max(chunks, default=1), _MAX_BYTES // per_process - 1)
+    pool = (ProcessPoolExecutor(max_workers=processes, initializer=_References.start_worker,
+                                initargs=(cfg,)) if processes > 1 else None)
     # keyed in config order, whatever order the suites run in
     suites, timings, csv_paths = (dict.fromkeys(cfg.suites) for _ in range(3))
     try:
-        mapped = {n: _map_pass(cfg, n, pool) for n in passes}
+        mapped = {n: _map_pass(refs, n, pool) for n in passes}
         # the path pass at n, joined for the first suite that asks and kept
         paths = functools.cache(lambda n: engine.concat_chunks(list(mapped.pop(n))))
         # the suites that draw no pass run first, while a pool runs the passes;
         # then martingale, which asks for the kernels in grid order, then clt
         for name in sorted(cfg.suites, key=lambda s: {"martingale": 1, "clt": 2}.get(s, 0)):
             t0 = time.perf_counter()
-            result = _SUITES[name](cfg, sigma2, paths)
+            result = _SUITES[name](cfg, refs, paths)
             timings[name] = time.perf_counter() - t0
             path = os.path.join(cfg.output_dir, f"{name}.csv")
             emit_csv(result.header, result.rows, path)
@@ -877,7 +898,6 @@ def run(cfg: ExperimentConfig, workers: int | None = None) -> RunReport:
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
-        _KERNEL_CACHE.clear()
 
     report = RunReport(
         version=__version__,

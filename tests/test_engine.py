@@ -268,6 +268,18 @@ class TestStackedSweep:
         for k in ks:
             _assert_rows_close(got[k], ref[k])
 
+    # 3,000 rows make _tile_layout blocks of 5 steps: n = 23 takes five, the
+    # last of 3 steps, and m = 300 leaves most indices undrawn at some step.
+    @pytest.mark.parametrize("m", [4, 300])
+    def test_tally_counts_the_rows_over_several_layout_blocks(self, m):
+        e, n, B = _random_support(3, m), 23, 3000
+        assert engine._LAYOUT_BLOCK // B == 5
+        rows = engine._draw_rows(e, _pass(m), n, 0, B)
+        got = engine.simulate_block(precompute_kernel(e, n), np.ones(3), rows,
+                                    want_tally=True)["tally"]
+        ref = np.bincount(rows.ravel(), minlength=m)[None]
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
 
 class TestScalarSweep:
     # At d=1 the draws commute: simulate_block takes prod_x and s_x from
@@ -904,14 +916,15 @@ class TestWorkerPool:
 
         def joined(pool):
             try:
-                return engine.concat_chunks(list(experiment._map_pass(cfg, 16, pool)))
+                return engine.concat_chunks(list(experiment._map_pass(
+                    experiment._References(cfg), 16, pool)))
             finally:
                 if pool is not None:
                     pool.shutdown()
-                experiment._KERNEL_CACHE.clear()
 
         serial = joined(None)
-        pooled = joined(experiment.ProcessPoolExecutor(workers) if workers > 1 else None)
+        pooled = joined(None if workers == 1 else experiment.ProcessPoolExecutor(
+            workers, initializer=experiment._References.start_worker, initargs=(cfg,)))
         # 11 statistics of one row per replicate, and the structure check's
         # tally, of one row per chunk for a finite support
         assert len(serial) == 12 and set(serial) == set(pooled)

@@ -1,4 +1,3 @@
-import pickle
 import sys
 import threading
 
@@ -348,32 +347,6 @@ class TestDraws:
         else:
             u = RngStream(22).uniform(count * e.dim).reshape(count, e.dim)
             assert np.array_equal(draws, e.low + (e.high - e.low) * u)
-
-
-class TestSameLaw:
-    """Laws compared by value, bit for bit."""
-
-    @pytest.mark.parametrize("law", sorted(_LAWS))
-    def test_a_copy_is_the_same_law(self, law):
-        e = _LAWS[law]
-        copy = pickle.loads(pickle.dumps(e))
-        assert copy is not e and copy.same_law(e) and e.same_law(copy)
-
-    @pytest.mark.parametrize("other", [
-        two_point(np.array([[0.0]]), np.array([[1.0]]), 0.31),
-        two_point(np.array([[0.0]]), np.array([[1.5]]), 0.3),
-        two_point(np.array([[-0.0]]), np.array([[1.0]]), 0.3),
-        finite_support([[[0.0]], [[1.0]]], [0.3, 0.7]),
-        diagonal_uniform(1, 0.0, 1.0),
-    ], ids=["weights", "support", "signed_zero", "family", "diagonal"])
-    def test_another_law_is_not(self, other):
-        assert not _LAWS["two_point"].same_law(other)
-
-    def test_diagonal_bounds_and_dim(self):
-        e = diagonal_uniform(3, -0.5, 1.0)
-        assert e.same_law(diagonal_uniform(3, -0.5, 1.0))
-        assert not e.same_law(diagonal_uniform(2, -0.5, 1.0))
-        assert not e.same_law(diagonal_uniform(3, -0.5, 1.25))
 
 
 def _tally(e, rows):

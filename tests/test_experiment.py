@@ -1,14 +1,17 @@
+import gc
 import json
 import math
 import os
 import pickle
 import re
+import weakref
 
 import numpy as np
 import pytest
 
 from expclt import RngStream, engine, experiment
 from expclt.cli import main
+from expclt.covariance import quadrature_nodes, sigma_projected_at
 from expclt.dynamics import precompute_kernel, sample_xi
 from expclt.experiment import (
     Check,
@@ -382,12 +385,14 @@ def executors(monkeypatch):
 @pytest.fixture
 def fake_pools(monkeypatch):
     """The ``max_workers`` of every pool that experiment creates; the pools
-    map in the test process and start none."""
+    run their initializer and map in the test process, and start none."""
     sizes = []
+    monkeypatch.setattr(experiment._References, "worker", None)  # the initializer sets it
 
     class InProcess:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             sizes.append(max_workers)
+            initializer(*initargs)
 
         def map(self, fn, items):
             return map(fn, items)
@@ -397,6 +402,36 @@ def fake_pools(monkeypatch):
 
     monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcess)
     return sizes
+
+
+@pytest.fixture
+def kernels(monkeypatch):
+    """(n, weak reference) of each kernel that experiment builds in this
+    process, in build order.  A build, here or in a worker forked from here,
+    fails while any references of a run in that process hold a kernel."""
+    refs, built, real = weakref.WeakSet(), [], experiment.precompute_kernel
+
+    class Tracked(experiment._References):
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            refs.add(self)
+
+    def build(e, n):
+        held = [r._kern.n for r in refs if r._kern is not None]
+        assert held == [], f"kernels of n = {held} held while building n = {n}"
+        kern = real(e, n)
+        built.append((n, weakref.ref(kern)))
+        return kern
+
+    monkeypatch.setattr(experiment, "_References", Tracked)
+    monkeypatch.setattr(experiment, "precompute_kernel", build)
+    return built
+
+
+def _released(kernels) -> bool:
+    """Whether no kernel that ``kernels`` saw built is still alive."""
+    gc.collect()
+    return all(k() is None for _, k in kernels)
 
 
 class TestRun:
@@ -481,19 +516,21 @@ class TestRun:
         assert executors[0].tasks == 6
         assert executors[0].shut_down
 
-    def test_pool_shut_down_when_a_suite_raises(self, tmp_path, executors, monkeypatch):
+    def test_pool_shut_down_when_a_suite_raises(self, tmp_path, executors, kernels,
+                                                monkeypatch):
+        # martingale builds the kernels of the grid here before clt raises
         def broken(*args):
             raise RuntimeError("suite failed to run")
 
-        monkeypatch.setitem(experiment._SUITES, "doob", broken)
+        monkeypatch.setitem(experiment._SUITES, "clt", broken)
         monkeypatch.setattr(experiment.engine, "batch_size", lambda *a: 32)  # 2 chunks
-        cfg = self._cfg(tmp_path, suites=["clt", "doob"], n_grid=[16, 32],
+        cfg = self._cfg(tmp_path, suites=["clt", "martingale"], n_grid=[16, 32],
                         replicates=60)
         with pytest.raises(RuntimeError, match="suite failed to run"):
             run(cfg, workers=2)
         assert len(executors) == 1
         assert executors[0].shut_down
-        assert experiment._KERNEL_CACHE == {}
+        assert [n for n, _ in kernels] == [16, 32] and _released(kernels)
 
     @pytest.mark.parametrize("workers, size", [(2, 2), (5, 5), (5000, 7)])
     def test_pool_is_sized_by_the_largest_pass(self, tmp_path, fake_pools, monkeypatch,
@@ -516,7 +553,7 @@ class TestRun:
         cfg = self._cfg(tmp_path, ensemble=ens, suites=["clt", "martingale"],
                         n_grid=[16, 32], replicates=100)
         per_process = 2 * 8 * 33 * 4 + 2 * 8 * 2 * 32 * 2
-        monkeypatch.setattr(experiment, "_MAX_TABLE_BYTES", copies * per_process + 1)
+        monkeypatch.setattr(experiment, "_MAX_BYTES", copies * per_process + 1)
         run(cfg, workers=5)
         assert fake_pools == sizes
 
@@ -577,7 +614,7 @@ class TestRun:
         assert joined == [(9, 3)] * 3
 
     def test_chunk_raising_in_a_worker_is_exit_3(self, tmp_path, capsys, executors,
-                                                 monkeypatch):
+                                                 kernels, monkeypatch):
         main_pid = os.getpid()
         real = experiment.engine.simulate_paths
 
@@ -593,7 +630,7 @@ class TestRun:
         assert main(["run", path, "--workers", "2"]) == 3
         assert "chunk failed in a worker" in capsys.readouterr().err
         assert len(executors) == 1 and executors[0].shut_down
-        assert experiment._KERNEL_CACHE == {}
+        assert [n for n, _ in kernels] == [64] and _released(kernels)  # doob's
 
     def test_a_clt_suite_that_stops_early_queues_no_pass(self, tmp_path, executors,
                                                          monkeypatch):
@@ -611,8 +648,7 @@ class TestRun:
             reports.append(run(load_config(_write(tmp_path, f"w{w}.json", raw)), workers=w))
         assert len(executors) == 1 and executors[0].tasks == 3 * 4
         alone = load_config(_write(tmp_path, "clt.json", dict(raw, suites=["clt"])))
-        sigma2 = experiment.sigma_projected(alone.ensemble, alone.x, alone.y)
-        assert experiment._passes(alone, sigma2) == []  # alone, no pass
+        assert experiment._passes(experiment._References(alone)) == []  # alone, no pass
         assert "error" in reports[1].suites["clt"]["details"]
         assert reports[0].suites == reports[1].suites
         for name in raw["suites"]:
@@ -684,9 +720,11 @@ class TestRun:
         n, reps = 16, 20
         cfg = self._cfg(tmp_path, ensemble=ensemble, suites=["clt"], n_grid=[n],
                         replicates=reps)
-        pool = experiment.ProcessPoolExecutor(max_workers=2) if workers == 2 else None
+        pool = None if workers == 1 else experiment.ProcessPoolExecutor(
+            max_workers=2, initializer=experiment._References.start_worker, initargs=(cfg,))
         try:
-            out = engine.concat_chunks(list(experiment._map_pass(cfg, n, pool)))
+            out = engine.concat_chunks(list(experiment._map_pass(experiment._References(cfg),
+                                                                 n, pool)))
         finally:
             if pool is not None:
                 pool.shutdown()
@@ -697,8 +735,8 @@ class TestRun:
             assert out["proj_xi"][i] == pytest.approx(ref.projected_xi, rel=1e-11, abs=1e-13)
 
     def test_a_pass_builds_the_kernel_of_its_own_law(self, tmp_path):
-        # the cache holds a kernel of one n, but a pass of another law at that
-        # n, with no run() between to clear it, must build its own
+        # the passes of two laws at one n, with no run() between, each read
+        # the kernel of their own references
         n = 16
         for ensemble in ({"family": "diagonal_uniform", "dim": 3, "low": -0.5, "high": 1.0},
                          {"family": "finite_support", "probabilities": [0.2, 0.3, 0.5],
@@ -706,8 +744,9 @@ class TestRun:
                               -0.5, 0.5, (3, 3, 3)).tolist()}):
             cfg = self._cfg(tmp_path, ensemble=ensemble, suites=["clt"], n_grid=[n],
                             replicates=20)
-            out = engine.concat_chunks(list(experiment._map_pass(cfg, n, None)))
-            assert experiment._KERNEL_CACHE[n].ensemble is cfg.ensemble
+            refs = experiment._References(cfg)
+            out = engine.concat_chunks(list(experiment._map_pass(refs, n, None)))
+            assert refs.kernel(n).ensemble is cfg.ensemble
             ref = engine.simulate_paths(cfg.ensemble, precompute_kernel(cfg.ensemble, n),
                                         cfg.x, cfg.y, RngStream(cfg.master_seed).child("clt", n),
                                         20, **experiment._pass_kw(cfg, n))
@@ -761,56 +800,56 @@ class TestRun:
         assert not any(v["ok"] for v in check.values())
         assert all(v["value"] > 2 * (v["bound"] - 1e-15) for v in check.values())
 
-    def test_a_chunk_task_of_an_equal_law_builds_no_kernel(self, tmp_path, monkeypatch,
-                                                           count_calls):
-        # a pool worker unpickles each chunk task's law anew: a copy of the
-        # law its kernel was built for reuses that kernel, another law does not
-        monkeypatch.setattr(experiment, "_KERNEL_CACHE", {})
-        built = count_calls(experiment, "precompute_kernel")
-        cfg = self._cfg(tmp_path, suites=["clt"], n_grid=[16], replicates=20)
-        stream = RngStream(cfg.master_seed).child("clt", 16)
-        for bounds in ((0, 10), (10, 20)):
-            copy = pickle.loads(pickle.dumps(cfg))
-            assert copy.ensemble is not cfg.ensemble
-            experiment._chunk_task(copy, 16, {}, stream, bounds)
-        assert len(built) == 1
-        other = self._cfg(tmp_path, suites=["clt"], n_grid=[16], replicates=20,
-                          ensemble={"family": "two_point", "a0": [[0.0]], "a1": [[2.0]],
-                                    "p": 0.25})
-        experiment._chunk_task(other, 16, {}, stream, (0, 10))
-        assert len(built) == 2
-        assert experiment._KERNEL_CACHE[16].ensemble is other.ensemble
+    def test_a_worker_builds_one_kernel_per_n_and_no_task_carries_the_config(
+            self, tmp_path, monkeypatch, count_calls):
+        # A pool worker builds its references once, as it starts, and serves
+        # the chunk tasks of each n from one kernel. Each task crosses to the
+        # worker through pickle, which here refuses a config or a law.
+        def refuse(self, protocol):
+            raise AssertionError(f"a chunk task pickles a {type(self).__name__}")
 
-    def test_kernel_cache_is_scoped_to_one_run(self, tmp_path):
+        class Worker:  # runs each task as a pool worker would, after pickling it
+            def map(self, fn, items):
+                return [pickle.loads(pickle.dumps((fn, b), 5))[0](b) for b in items]
+
+        monkeypatch.setattr(experiment.engine, "batch_size", lambda *a: 5)  # 4 chunks
+        monkeypatch.setattr(experiment._References, "worker", None)
+        cfg = self._cfg(tmp_path, suites=["clt", "martingale"], n_grid=[16, 32],
+                        replicates=20)
+        here = {n: engine.concat_chunks(list(experiment._map_pass(
+            experiment._References(cfg), n, None))) for n in cfg.n_grid}
+        built = count_calls(experiment, "precompute_kernel")
+        experiment._References.start_worker(cfg)
+        for cls in (experiment.ExperimentConfig, experiment.Ensemble):
+            monkeypatch.setattr(cls, "__reduce_ex__", refuse)
+        pooled = {n: engine.concat_chunks(experiment._map_pass(
+            experiment._References(cfg), n, Worker())) for n in cfg.n_grid}
+        assert [n for _, n in built] == [16, 32]
+        for n in cfg.n_grid:
+            assert all(np.array_equal(here[n][k], pooled[n][k]) for k in here[n])
+
+    def test_a_run_keeps_no_kernel_after_it_returns(self, tmp_path, kernels):
         cfg = self._cfg(tmp_path, suites=["clt"], n_grid=[16, 32], replicates=50)
         run(cfg, workers=1)
-        assert experiment._KERNEL_CACHE == {}
+        assert [n for n, _ in kernels] == [16, 32] and _released(kernels)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_a_process_keeps_one_kernel_at_a_time(self, tmp_path, executors,
+    def test_a_process_keeps_one_kernel_at_a_time(self, tmp_path, executors, kernels,
                                                   monkeypatch, workers):
-        # Every process, the main one and each forked worker, empties its
-        # cache before it builds the kernel of another n; a worker's failed
-        # check reaches the main process through its chunk's result.
-        real, built = experiment.precompute_kernel, []
-
-        def build(e, n):
-            held = list(experiment._KERNEL_CACHE)
-            assert held == [], f"kernels of n = {held} held while building n = {n}"
-            built.append(n)
-            return real(e, n)
-
-        monkeypatch.setattr(experiment, "precompute_kernel", build)
+        # Every process, the main one and each forked worker, drops the
+        # kernel its references hold before it builds that of another n; a
+        # worker's failed check reaches the main process through its chunk's
+        # result.
         monkeypatch.setattr(experiment.engine, "batch_size", lambda *a: 25)  # 2 chunks
         cfg = self._cfg(tmp_path, suites=list(SUITE_NAMES), n_grid=[16, 32, 64],
                         replicates=50)
         run(cfg, workers=workers)
         assert len(executors) == workers - 1
-        if workers == 1:
-            # doob at the largest n, then martingale in grid order; clt
-            # reads the passes martingale joined and builds none
-            assert built == [64, 16, 32, 64]
-        assert experiment._KERNEL_CACHE == {}
+        # here doob at the largest n, then martingale in grid order, which the
+        # chunks of its passes share without a pool; clt reads the passes
+        # martingale joined and builds none
+        assert [n for n, _ in kernels] == [64, 16, 32, 64]
+        assert _released(kernels)
 
     def test_failing_suite_recorded_and_run_continues(self, tmp_path):
         # two grid points cannot support a slope fit: lemma_speed fails,
@@ -862,6 +901,65 @@ def _structure_reference(cfg):
     return out
 
 
+class TestReferences:
+    _DIAG = {"family": "diagonal_uniform", "dim": 3, "low": -0.5, "high": 1.0}
+    _PROBES = {"x": [0.6, -0.2, 0.9], "y": [0.4, 0.8, -0.3]}
+
+    @pytest.mark.parametrize("ensemble", [
+        {"family": "two_point", "a0": [[0.3, -0.5], [0.2, 0.1]],
+         "a1": [[7.0, 0.0], [0.0, 7.0]], "p": 0.5},
+        _DIAG,
+    ], ids=["two_point_32_nodes", "diagonal"])
+    def test_sigma2_is_the_m_node_rule_bit_for_bit(self, tmp_path, count_calls, ensemble):
+        d = ensemble.get("dim", 2)
+        cfg = load_config(_write(tmp_path, "c.json", _base_config(
+            tmp_path, ensemble=ensemble,
+            probes={"x": self._PROBES["x"][:d], "y": self._PROBES["y"][:d]})))
+        calls = count_calls(experiment, "sigma_projected")
+        refs, e = experiment._References(cfg), cfg.ensemble
+        ref = sigma_projected_at(e, cfg.x, cfg.y, quadrature_nodes(e))
+        assert np.float64(refs.sigma2).tobytes() == np.float64(ref).tobytes()
+        assert refs.sigma2 == ref and len(calls) == 1  # computed when first read, once
+
+    @pytest.mark.parametrize("suites, own", [
+        (["martingale", "doob", "lemma_speed"], 0), (["clt"], 1),
+        (["covariance", "martingale", "clt"], 1)])
+    def test_a_run_computes_its_sigma2_once_when_a_suite_reads_it(self, tmp_path,
+                                                                 count_calls, suites, own):
+        # the covariance suite projects other probes and shifted laws too
+        cfg = load_config(_write(tmp_path, "c.json", _base_config(
+            tmp_path, ensemble=self._DIAG, probes=self._PROBES, suites=suites,
+            n_grid=[8, 16, 32], replicates=20)))
+        calls = count_calls(experiment, "sigma_projected")
+        run(cfg, workers=1)
+        assert sum(e is cfg.ensemble and x is cfg.x and y is cfg.y
+                   for e, x, y in calls) == own
+
+    @pytest.mark.parametrize("ensemble", [
+        _DIAG,
+        {"family": "finite_support", "probabilities": [0.2, 0.3, 0.5],
+         "matrices": np.random.default_rng(4).uniform(-0.3, 0.3, (3, 3, 3)).tolist()},
+        {"family": "two_point", "dim": 1, "a0": [[0.3]], "a1": [[1.0]], "p": 0.5},
+    ], ids=["diagonal", "finite_support", "two_point_d1"])
+    @pytest.mark.parametrize("suites", [["clt"], ["martingale"]])
+    def test_result_bytes_count_every_array_the_passes_return(self, tmp_path, monkeypatch,
+                                                              ensemble, suites):
+        # 40 replicates in 4 chunks of at most 12: a finite support returns 4
+        # tally rows a pass, and a diagonal law 40, which the bound takes as
+        # 4 chunks of 12
+        monkeypatch.setattr(experiment.engine, "batch_size", lambda *a: 12)
+        d = ensemble.get("dim", 3)
+        cfg = load_config(_write(tmp_path, "c.json", _base_config(
+            tmp_path, ensemble=ensemble, suites=suites, n_grid=[8, 16], replicates=40,
+            probes={"x": self._PROBES["x"][:d], "y": self._PROBES["y"][:d]})))
+        refs = experiment._References(cfg)
+        kept = sum(a.nbytes for n in cfg.n_grid for a in engine.concat_chunks(
+            list(experiment._map_pass(refs, n, None))).values())
+        bound = experiment._result_bytes(cfg.ensemble, cfg.n_grid, 40, cfg.suites)
+        diagonal = "martingale" in suites and ensemble is self._DIAG
+        assert bound - kept == (2 * 8 * 8 * d if diagonal else 0)
+
+
 class TestCheck:
     def test_strict_and_weak_rules_at_equality(self):
         assert Check("a", 1.0, 1.0, "<=").ok
@@ -889,9 +987,10 @@ class TestCheck:
         # pass: a variance 10% too large fails the 7% band, with no engine run
         cfg = load_config(_write(tmp_path, "c.json", _base_config(
             tmp_path, n_grid=[64, 4096], replicates=20_000, suites=["clt"])))
-        sigma2 = 0.25
+        refs = experiment._References(cfg)
+        refs.sigma2 = sigma2 = 0.25  # in place of the law's own
         sample = np.random.default_rng(11).normal(0.0, math.sqrt(inflation * sigma2), 20_000)
-        result = experiment._suite_clt(cfg, sigma2, lambda n: {"proj_xi": sample})
+        result = experiment._suite_clt(cfg, refs, lambda n: {"proj_xi": sample})
         checks = {c.name: c for c in result.checks}
         assert sorted(checks) == ["ks_distance n=4096", "relative_variance_error n=4096"]
         variance = checks["relative_variance_error n=4096"]
@@ -960,7 +1059,7 @@ class TestCli:
 
     def test_non_finite_summary_is_exit_3_and_never_written(self, tmp_path, capsys,
                                                             monkeypatch):
-        def nan_suite(cfg, sigma2, paths):
+        def nan_suite(cfg, refs, paths):
             return experiment.SuiteResult("doob", (), {"value": float("nan")}, ("k",), ())
 
         monkeypatch.setitem(experiment._SUITES, "doob", nan_suite)
@@ -1017,7 +1116,9 @@ class TestCli:
         ("n_grid", {"ensemble": _SCALAR, "n_grid": [2**40], "suites": ["clt"]}),
         ("n_grid", {"ensemble": _DIAG_MAX, "probes": _PROBES_MAX, "n_grid": [4096],
                     "suites": ["clt"]}),
-    ], ids=["kernel_tables_at_n_2_40", "kernel_tables_at_max_dim"])
+        ("replicates", {"ensemble": _SCALAR, "n_grid": [4096], "replicates": 10**15,
+                        "suites": ["clt"]}),
+    ], ids=["kernel_tables_at_n_2_40", "kernel_tables_at_max_dim", "results_at_10_15_replicates"])
     def test_config_too_large_for_memory_is_exit_2(self, tmp_path, capsys, field, over):
         # each used to pass validation and then exit 3 with a MemoryError
         raw = _base_config(tmp_path, **over)
@@ -1072,12 +1173,12 @@ class TestCli:
         monkeypatch.setattr(experiment, "sigma_projected_at", planted)
         assert main(["run", path, "--workers", "1"]) == 1
         assert "[FAIL] covariance" in capsys.readouterr().out
-        assert rules == [m, 2 * m]
+        assert rules == [2 * m]  # the m-node rule is the run's sigma2
 
     def test_covariance_certifies_the_emitted_rule(self, tmp_path, capsys, monkeypatch):
-        # rho = 0.8: every sigma_projected value takes 16 nodes, and the suite
-        # compares that rule with 32 nodes; a planted 1e-9 error in the 32-node
-        # rule fails the suite
+        # rho = 0.8: every sigma_projected value, the run's sigma2 too, takes 16
+        # nodes, and the suite compares that rule with 32 nodes; a planted 1e-9
+        # error in the 32-node rule fails the suite
         a0 = [[0.3, -0.5], [0.2, 0.1]]
         a1 = (0.8 * np.eye(2)).tolist()
         raw = _base_config(tmp_path, suites=["covariance"],
@@ -1092,7 +1193,7 @@ class TestCli:
         monkeypatch.setattr(experiment, "sigma_projected_at", planted)
         assert main(["run", path, "--workers", "1"]) == 0
         assert "[PASS] covariance" in capsys.readouterr().out
-        assert rules == [16, 32]
+        assert rules == [32]
         e, x, y = experiment.load_config(path).ensemble, [1.0, 0.0], [0.0, 1.0]
         v16, v32 = real(e, x, y, 16), real(e, x, y, 32)
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
@@ -1101,7 +1202,7 @@ class TestCli:
         rules[:], error[0] = [], 1e-9
         assert main(["run", path, "--workers", "1"]) == 1
         assert "[FAIL] covariance" in capsys.readouterr().out
-        assert rules == [16, 32]
+        assert rules == [32]
 
     def test_zero_projected_variance_of_random_law_fails_clt(self, tmp_path, capsys):
         # canonical probes (e1, e2) see nothing of a diagonal law: sigma^2 = 0
