@@ -32,7 +32,6 @@ from .dynamics import (
     lindeberg_threshold,
     martingale_difference,
     max_dnk_norm,
-    mk_moment_curve,
     precompute_kernel,
     riemann_cov_error,
     riemann_cov_value,
@@ -88,7 +87,6 @@ __all__ = [
     "lindeberg_threshold",
     "martingale_difference",
     "max_dnk_norm",
-    "mk_moment_curve",
     "precompute_kernel",
     "riemann_cov_error",
     "riemann_cov_value",

@@ -47,7 +47,6 @@ __all__ = [
     "doob_decomposition",
     "DoobCheck",
     "doob_check",
-    "mk_moment_curve",
     "DiffMomentPoint",
     "dot_moments",
     "diff_moment_curve",
@@ -62,14 +61,12 @@ class TrajectorySample:
     n: int
     xi_x: np.ndarray  # xi_n applied to the probe x
     s_x: np.ndarray  # S_n applied to x, from the same draws
-    diff_norm: float  # || xi_n x - S_n x ||
-    projected_xi: float  # <y, xi_n x>
-    projected_s: float  # <y, S_n x>
 
 
 @dataclass(frozen=True)
 class PrecomputedKernel:
-    """Shared per-(ensemble, n) tables; immutable, safe to share across workers.
+    """Per-(ensemble, n) tables, read-only: the run's reference set builds one
+    per n in each process, and no task carries one.
 
     p_powers[k] = e^{EA k/n} and q_powers[k] = (E e^{A/n})^k for k = 0..n,
     both filled by index doubling (k = floor(k/2) + ceil(k/2)), so the
@@ -83,11 +80,6 @@ class PrecomputedKernel:
     exps: np.ndarray  # (m, d, d)
     p_powers: np.ndarray  # (n+1, d, d)
     q_powers: np.ndarray  # (n+1, d, d)
-
-    @property
-    def exp_mean(self) -> np.ndarray:
-        """e^{EA}."""
-        return self.p_powers[self.n]
 
 
 def _doubling_table(first: np.ndarray, n: int) -> np.ndarray:
@@ -129,12 +121,11 @@ def kernel_consistency(kern: PrecomputedKernel, ks=None) -> float:
 
 
 def sample_xi(e: Ensemble, n: int, x, r: RngStream,
-              kern: PrecomputedKernel | None = None, y=None) -> TrajectorySample:
+              kern: PrecomputedKernel | None = None) -> TrajectorySample:
     """One replicate of (xi_n x, S_n x) from a single stream of draws.
 
     Replicate i of a :func:`engine.simulate_paths` pass over the stream
     ``stream`` is the one of ``stream.at(i * n * e.words_per_draw)``.
-    ``y`` is the projection probe for the scalar records; it defaults to x.
     Reference (unbatched) implementation for every family: the draws of
     :meth:`Ensemble.sample`, one at a time, enter as e^{A_k/n} and as
     P_{k-1} (A_k - EA) P_{n-k} x; O(n d^3) per call.
@@ -143,7 +134,6 @@ def sample_xi(e: Ensemble, n: int, x, r: RngStream,
     if kern.n != n or kern.ensemble is not e:
         raise ValueError("kernel was built for a different (ensemble, n)")
     x = as_vector(x, e.dim, "x")
-    y = x if y is None else as_vector(y, e.dim, "y")
     root_n = np.sqrt(float(n))
     draws = np.array([e.sample(r) for _ in range(n)])
     v = x.copy()
@@ -154,16 +144,7 @@ def sample_xi(e: Ensemble, n: int, x, r: RngStream,
     for k, a in enumerate(draws, 1):
         s += kern.p_powers[k - 1] @ ((a - mean) @ px[n - k])
 
-    xi_x = root_n * (v - kern.exp_mean @ x)
-    s_x = s / root_n
-    return TrajectorySample(
-        n=n,
-        xi_x=xi_x,
-        s_x=s_x,
-        diff_norm=float(np.linalg.norm(xi_x - s_x)),
-        projected_xi=float(y @ xi_x),
-        projected_s=float(y @ s_x),
-    )
+    return TrajectorySample(n=n, xi_x=root_n * (v - kern.p_powers[n] @ x), s_x=s / root_n)
 
 
 def dnk_norm_bound(e: Ensemble, n: int, *, tight: bool = False) -> float:
@@ -377,24 +358,6 @@ def doob_check(e: Ensemble, n: int, k: int, draws, x,
         / max(np.linalg.norm(m_k), floor, np.finfo(float).tiny)
     )
     return DoobCheck(k=k, identity_residual=residual, max_subset_bound_ratio=ratio)
-
-
-def mk_moment_curve(e: Ensemble, n_grid, x, reps: int, r: RngStream) -> list:
-    """(n, mean ||M_n x||, mean ||M_n x||^2) over the grid, by Monte Carlo.
-
-    M_n is computed directly as (product - mean-power) applied to x, O(n d^2)
-    per replicate; the pass at size n draws from the pass stream r.child(n).
-    """
-    if reps < 100:
-        raise ValueError("reps must be >= 100")
-    x = as_vector(x, e.dim, "x")
-    out = []
-    for n in n_grid:
-        kern = precompute_kernel(e, n)
-        stats = engine.simulate_paths(e, kern, x, x, r.child(n), reps, want_s_prime=True)
-        mk = stats["mk_norm"]
-        out.append((n, float(np.mean(mk)), float(np.mean(mk**2))))
-    return out
 
 
 @dataclass(frozen=True)

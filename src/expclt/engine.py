@@ -265,22 +265,19 @@ def _add_steps(block):
     return np.add.reduce(block, axis=0)
 
 
-def _s_tables(kern, x, want_s: bool, want_s_prime: bool):
+def _s_tables(kern, x):
     """Per-(support index, step) gather tables for the S and S' recurrences.
 
     ws[i, k-1] = P_{k-1} (A_i - EA) P_{n-k} x   (so S_n x = ws-sum / sqrt(n))
     zs[i, k-1] = (A_i - EA) Q^{n-k} x           (backward-recurrence input)
     """
-    n, d = kern.n, kern.ensemble.dim
+    n = kern.n
     deltas = kern.ensemble._deltas  # (m, d, d)
-    ws = zs = None
-    if want_s:
-        px = np.einsum("kij,j->ki", kern.p_powers, x)  # P_j x
-        mid = np.einsum("mij,kj->mki", deltas, px[n - 1 :: -1])  # delta_i P_{n-k} x
-        ws = np.einsum("kij,mkj->mki", kern.p_powers[:n], mid)
-    if want_s_prime:
-        qx = np.einsum("kij,j->ki", kern.q_powers, x)  # Q^j x
-        zs = np.einsum("mij,kj->mki", deltas, qx[n - 1 :: -1])
+    px = np.einsum("kij,j->ki", kern.p_powers, x)  # P_j x
+    mid = np.einsum("mij,kj->mki", deltas, px[n - 1 :: -1])  # delta_i P_{n-k} x
+    ws = np.einsum("kij,mkj->mki", kern.p_powers[:n], mid)
+    qx = np.einsum("kij,j->ki", kern.q_powers, x)  # Q^j x
+    zs = np.einsum("mij,kj->mki", deltas, qx[n - 1 :: -1])
     return ws, zs
 
 
@@ -320,12 +317,11 @@ def _tile_layout(idx, m: int, prev):
     return slots[-1], ntiles.tolist(), fill, group, counts.sum(axis=0)
 
 
-def _grouped_sweep(kern, x, rows, *, want_v: bool, want_s: bool, want_s_prime: bool,
-                   ks=()):
+def _grouped_sweep(kern, x, rows, *, want_v: bool, want_s_prime: bool, ks=()):
     """The sweep of finite support at d >= 2, grouped by the drawn index.
 
     Returns the end states asked for, in replicate order: ``v`` (the product
-    applied to x) with ``want_v``, ``s`` and ``u`` as in
+    applied to x) with ``want_v``, ``s`` and ``u`` with ``want_s_prime``, as in
     :func:`simulate_block`; the ``(1, m)`` tally of the indices drawn at the
     steps swept, all n of them when it multiplies v or u; and a dict of
     ``pref[k]``, the prefix product e^{A_1/n} ... e^{A_{k-1}/n} applied to
@@ -348,7 +344,7 @@ def _grouped_sweep(kern, x, rows, *, want_v: bool, want_s: bool, want_s_prime: b
     # E_s^T, C-contiguous: as a transposed view the GEMM took twice as long
     ets = np.ascontiguousarray(kern.exps.transpose(0, 2, 1))
     m = len(ets)
-    ws, zs = _s_tables(kern, x, want_s, want_s_prime)
+    ws, zs = _s_tables(kern, x) if want_s_prime else (None, None)
     ks = sorted(set(ks), reverse=True)
     zk = [e._deltas @ (kern.q_powers[n - k] @ x) for k in ks]  # (m, d) each
     live = want_v + want_s_prime  # planes multiplied at the current step
@@ -358,7 +354,7 @@ def _grouped_sweep(kern, x, rows, *, want_v: bool, want_s: bool, want_s_prime: b
         start[0] = x
     state = np.broadcast_to(start[:, None], (live, B, d))  # in replicate order
     slot, tally = np.arange(B), 0
-    s = np.zeros((B, d)) if want_s else None
+    s = np.zeros((B, d)) if want_s_prime else None
     widest = T * (-(-B // T) + min(m, B))  # slots of any layout
     # a plane started at step 1 is never multiplied, so never gathered
     src, dst = np.empty((planes - (1 in ks)) * widest * d), np.empty(planes * widest * d)
@@ -390,7 +386,7 @@ def _grouped_sweep(kern, x, rows, *, want_v: bool, want_s: bool, want_s_prime: b
                 out[live] = zk[nxt].take(g, axis=0)[:, None]
                 live, nxt = live + 1, nxt + 1
             state = out.reshape(live, nt * T, d)
-            if want_s:
+            if want_s_prime:
                 s += ws[:, k - 1].take(steps[k - 1], axis=0)
     ends = list(np.take(state, slot, axis=1))  # back to replicate order
     v = ends.pop(0) if want_v else None
@@ -441,19 +437,19 @@ def _entrywise_terms(kern, rows):
     return centered, factors, running
 
 
-def _sum_ends(kern, x, t, want_s: bool):
-    """``prod_x`` = p_n e^{T/n} x and, with ``want_s``, ``s_x`` = p_{n-1} T x
-    (else None) of an :func:`_entrywise` law, as ``(B, d)`` rows, from the
-    flat ``(B d,)`` sums T = T_n of the centered draws."""
+def _sum_ends(kern, x, t):
+    """``prod_x`` = p_n e^{T/n} x and ``s_x`` = p_{n-1} T x of an
+    :func:`_entrywise` law, as ``(B, d)`` rows, from the flat ``(B d,)`` sums
+    T = T_n of the centered draws."""
     n, d = kern.n, kern.ensemble.dim
     p = kern.p_powers[:, 0, 0]
     xt = np.tile(np.asarray(x, dtype=float), t.size // d)  # x in every row
     v = np.exp(t / n) * (p[n] * xt)
-    s = p[n - 1] * (t * xt) if want_s else None
-    return v.reshape(-1, d), None if s is None else s.reshape(-1, d)
+    s = p[n - 1] * (t * xt)
+    return v.reshape(-1, d), s.reshape(-1, d)
 
 
-def _elementwise_sweep(kern, x, rows, want_s: bool, want_s_prime: bool):
+def _elementwise_sweep(kern, x, rows, want_s_prime: bool):
     """The sweep of an :func:`_entrywise` law, on flat ``(B d,)`` state.
 
     The draws commute, so the product is p_n e^{T_n/n} x and the S term
@@ -461,7 +457,8 @@ def _elementwise_sweep(kern, x, rows, want_s: bool, want_s_prime: bool):
     (P_{k-1} Δ_k P_{n-k} = p_{n-1} Δ_k): at d=1 from the rows' index counts
     (:func:`_count_sums`), and for diagonal draws their running sum, which
     is also the tally.  Only the S' recurrence u <- z_k + e^{a_k/n} u runs
-    step by step, over blocks of factors.  Returns v, s, u and the tally.
+    step by step, over blocks of factors, with ``want_s_prime``.  Returns v,
+    s, u (None without ``want_s_prime``) and the tally.
     """
     e, n, B = kern.ensemble, kern.n, rows.shape[0]
     q = kern.q_powers[:, 0, 0]
@@ -471,7 +468,7 @@ def _elementwise_sweep(kern, x, rows, want_s: bool, want_s_prime: bool):
     else:
         t = running([n])[0]
         tally = t.reshape(B, e.dim)
-    v, s = _sum_ends(kern, x, t, want_s)
+    v, s = _sum_ends(kern, x, t)
     u = None
     if want_s_prime:
         xt = np.tile(np.asarray(x, dtype=float), B)
@@ -490,37 +487,31 @@ def _elementwise_sweep(kern, x, rows, want_s: bool, want_s_prime: bool):
     return v, s, u, tally
 
 
-def _block(v, s=None, u=None, tally=None) -> dict:
-    """The dict of :func:`simulate_block` with the end states given."""
-    return {k: a for k, a in zip(("prod_x", "s_x", "s_prime_x", "tally"), (v, s, u, tally))
-            if a is not None}
-
-
-def simulate_block(kern, x, rows, *, want_s: bool = False, want_s_prime: bool = False,
-                   want_tally: bool = False):
+def simulate_block(kern, x, rows, *, want_s_prime: bool = False):
     """Run one chunk of replicates; returns per-row end states.
 
-    Output dict keys: ``prod_x`` (B, d) always; ``s_x`` and ``s_prime_x``
-    (B, d) when requested; with ``want_tally``, ``tally``, rows that
-    :meth:`Ensemble.centered_total` adds up: the chunk's (1, m) index counts
-    for finite support, each row's sum of centered draws for a diagonal
-    law.  All downstream statistics are cheap functions of these plus kernel
-    constants.  An :func:`_entrywise` law (finite support at d=1,
-    diagonal_uniform) runs :func:`_elementwise_sweep`, whose sums give the
-    same bits as a per-step loop of theirs; finite support at d >= 2 runs
-    :func:`_grouped_sweep`.
+    Output dict keys: ``prod_x`` (B, d) always; with ``want_s_prime``, the
+    martingale pass's ``s_x`` and ``s_prime_x`` (B, d) and ``tally``, rows
+    that :meth:`Ensemble.centered_total` adds up: the chunk's (1, m) index
+    counts for finite support, each row's sum of centered draws for a
+    diagonal law.  All downstream statistics are cheap functions of these
+    plus kernel constants.  An :func:`_entrywise` law (finite support at
+    d=1, diagonal_uniform) runs :func:`_elementwise_sweep`, whose sums give
+    the same bits as a per-step loop of theirs; finite support at d >= 2
+    runs :func:`_grouped_sweep`.
     """
     if _entrywise(kern.ensemble):
-        v, s, u, tally = _elementwise_sweep(kern, x, rows, want_s, want_s_prime)
+        v, s, u, tally = _elementwise_sweep(kern, x, rows, want_s_prime)
     else:
-        v, s, u, tally, _ = _grouped_sweep(kern, x, rows, want_v=True, want_s=want_s,
+        v, s, u, tally, _ = _grouped_sweep(kern, x, rows, want_v=True,
                                            want_s_prime=want_s_prime)
-    return _block(v, s, u, tally if want_tally else None)
+    if not want_s_prime:
+        return {"prod_x": v}
+    return {"prod_x": v, "s_x": s, "s_prime_x": u, "tally": tally}
 
 
 def simulate_paths(e, kern, x, y, stream, reps: int, *, first: int = 0,
-                   want_s: bool = False, want_s_prime: bool = False,
-                   want_tally: bool = False, ks=()):
+                   want_s_prime: bool = False, ks=()):
     """All requested per-replicate statistics of the replicates ``first`` to
     ``first + reps - 1`` of the pass ``stream``.
 
@@ -528,16 +519,16 @@ def simulate_paths(e, kern, x, y, stream, reps: int, *, first: int = 0,
     ``n * e.words_per_draw``, wherever the stream stands; chunking is
     internal and cannot affect any output bit.
 
-    Returns a dict of float arrays of length ``reps``: ``proj_xi``, and
-    ``proj_s`` with ``want_s``, unless ``y`` is None; ``diff_norm`` with
-    ``want_s``; ``r_norm`` and ``mk_norm`` with ``want_s_prime``; and with
-    ``ks``, the :func:`diff_dots` of the :func:`diff_pair_block` rows that the
-    same draws give at those ks; with ``want_tally``, ``tally``, the stacked
-    :func:`simulate_block` tally rows of its chunks.  A pass with no
-    projection and neither want sweeps no product.  A :func:`_counted` pass
-    that wants neither S' nor ks draws no rows: each chunk's index counts
-    come straight from its words (:func:`_draw_counts`), and give the same
-    bits as the counts of its rows.
+    Returns a dict of float arrays of length ``reps``: ``proj_xi`` = <y, xi_n
+    x> unless ``y`` is None; with ``want_s_prime``, the martingale pass,
+    ``diff_norm`` = ||xi_n x - S_n x||, ``r_norm`` = ||R_n x|| and
+    ``mk_norm`` = ||M_n x||, and ``tally``, the stacked :func:`simulate_block`
+    tally rows of its chunks; and with ``ks``, the :func:`diff_dots` of the
+    :func:`diff_pair_block` rows that the same draws give at those ks.  A
+    pass with no projection and no want sweeps no product.  A
+    :func:`_counted` pass that wants neither S' nor ks draws no rows: each
+    chunk's index counts come straight from its words (:func:`_draw_counts`),
+    and give the same bits as the counts of its rows.
     """
     n = kern.n
     x = np.asarray(x, dtype=float)
@@ -546,37 +537,29 @@ def simulate_paths(e, kern, x, y, stream, reps: int, *, first: int = 0,
     ex_x = kern.p_powers[n] @ x  # e^{EA} x
     qn_x = kern.q_powers[n] @ x  # (E e^{A/n})^n x
     counted = _counted(e) and not (want_s_prime or ks)
-    sweep = y is not None or want_s or want_s_prime or want_tally
 
     def stats(lo, hi):
         out = {}
         if counted:
-            t, tally = _count_sums(e, _draw_counts(e, stream, n, lo, hi))
-            block = _block(*_sum_ends(kern, x, t, want_s), tally=tally)
+            t, _ = _count_sums(e, _draw_counts(e, stream, n, lo, hi))
+            block = {"prod_x": _sum_ends(kern, x, t)[0]}
         else:
             rows = _draw_rows(e, stream, n, lo, hi)
-            block = simulate_block(kern, x, rows, want_s=want_s, want_s_prime=want_s_prime,
-                                   want_tally=want_tally) if sweep else {}
-        if y is not None or want_s or want_s_prime:
-            xi = root_n * (block["prod_x"] - ex_x)
-            if y is not None:
-                # a sum along each row, whose bits no other row changes (a BLAS
-                # matrix-vector product rounds a row by the rows multiplied with it)
-                out["proj_xi"] = (xi * y).sum(axis=1)
-            if want_s:
-                s = block["s_x"] / root_n
-                if y is not None:
-                    out["proj_s"] = (s * y).sum(axis=1)
-                out["diff_norm"] = np.linalg.norm(xi - s, axis=1)
-            if want_s_prime:
-                mk = block["prod_x"] - qn_x
-                s_prime = block["s_prime_x"] / root_n
-                out["r_norm"] = np.linalg.norm(root_n * mk - s_prime, axis=1)
-                out["mk_norm"] = np.linalg.norm(mk, axis=1)
+            block = (simulate_block(kern, x, rows, want_s_prime=want_s_prime)
+                     if y is not None or want_s_prime else {})
+        xi = root_n * (block["prod_x"] - ex_x) if block else None
+        if y is not None:
+            # a sum along each row, whose bits no other row changes (a BLAS
+            # matrix-vector product rounds a row by the rows multiplied with it)
+            out["proj_xi"] = (xi * y).sum(axis=1)
+        if want_s_prime:
+            mk = block["prod_x"] - qn_x
+            out["diff_norm"] = np.linalg.norm(xi - block["s_x"] / root_n, axis=1)
+            out["r_norm"] = np.linalg.norm(root_n * mk - block["s_prime_x"] / root_n, axis=1)
+            out["mk_norm"] = np.linalg.norm(mk, axis=1)
+            out["tally"] = block["tally"]
         if ks:
             out.update(diff_dots(diff_pair_block(kern, x, rows, ks)))
-        if want_tally:
-            out["tally"] = block["tally"]
         return out
 
     return concat_chunks([stats(first + lo, first + hi)
@@ -608,8 +591,7 @@ def diff_pair_block(kern, x, rows, ks):
             out[k] = ((p[n - 1] * (dk * xt) - p[k - 1] * np.exp(t / n) * z)
                       / root_n).reshape(-1, e.dim)
         return out
-    *_, pref = _grouped_sweep(kern, x, rows, want_v=False, want_s=False,
-                              want_s_prime=False, ks=ks)
+    *_, pref = _grouped_sweep(kern, x, rows, want_v=False, want_s_prime=False, ks=ks)
     for k in ks:
         pnk_x = kern.p_powers[n - k] @ x
         d_table = np.einsum("ij,mj->mi", kern.p_powers[k - 1], e._deltas @ pnk_x) / root_n

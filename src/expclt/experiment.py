@@ -340,10 +340,10 @@ def _table_bytes(e: Ensemble, n_grid, suites) -> int:
 
 def _result_bytes(e: Ensemble, n_grid, reps: int, suites) -> int:
     """At most the bytes of the arrays that the grid's passes return: 8 a
-    replicate for proj_xi and, for martingale, 80 for 10 more statistics and
+    replicate for proj_xi and, for martingale, 72 for 9 more statistics and
     dots, and each chunk's tally rows, as many chunks as chunk_ranges makes."""
     wants = "martingale" in suites
-    return sum(8 * reps + wants * (80 * reps + -(-reps // engine.batch_size(e, n))
+    return sum(8 * reps + wants * (72 * reps + -(-reps // engine.batch_size(e, n))
                                    * engine.pass_bytes(e, n)[2]) for n in n_grid)
 
 
@@ -461,8 +461,7 @@ def _pass_kw(cfg: ExperimentConfig, n: int) -> dict:
     if "martingale" not in cfg.suites:
         return {}
     # ks: the steps of the difference pairs
-    return {"want_s": True, "want_s_prime": True, "want_tally": True,
-            "ks": sorted({1, (n + 1) // 2, n})}
+    return {"want_s_prime": True, "ks": sorted({1, (n + 1) // 2, n})}
 
 
 def _passes(refs: _References) -> list:

@@ -168,13 +168,6 @@ class QuadratureRule:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
-    def __len__(self) -> int:
-        return self.nodes.shape[0]
-
-    def integrate(self, values: np.ndarray) -> float:
-        """Weighted sum of per-node values (fixed node order)."""
-        return float(np.sum(self.weights * np.asarray(values, dtype=float)))
-
 
 @functools.cache
 def gauss_legendre(m: int) -> QuadratureRule:

@@ -141,21 +141,16 @@ class SlopeFit:
     """OLS fit of log(value) against log(n) for a rate measurement."""
 
     slope: float
-    intercept: float
     r_squared: float
-    points: tuple  # the (log n, log value) pairs actually fitted
-    excluded: int  # points dropped because value <= 0
 
 
 def fit_slope(points) -> SlopeFit:
     """Least-squares slope on log-log axes over the positive-valued points.
 
-    Zero or negative values cannot be logged; they are excluded and counted
-    (an all-zero curve is the caller's exact-zero case, not a rate).
+    Zero or negative values cannot be logged; they are excluded (an
+    all-zero curve is the caller's exact-zero case, not a rate).
     """
-    pts = list(points)
-    kept = [(float(n), float(v)) for n, v in pts if v > 0.0]
-    excluded = len(pts) - len(kept)
+    kept = [(float(n), float(v)) for n, v in points if v > 0.0]
     if len(kept) < 3:
         raise ValueError(f"fit_slope needs >= 3 positive points, got {len(kept)}")
     lx = np.log([n for n, _ in kept])
@@ -168,10 +163,4 @@ def fit_slope(points) -> SlopeFit:
     resid = ly - (slope * lx + intercept)
     syy = float(np.sum((ly - my) ** 2))
     r2 = 1.0 if syy == 0.0 else max(0.0, 1.0 - float(np.sum(resid**2)) / syy)
-    return SlopeFit(
-        slope=float(slope),
-        intercept=intercept,
-        r_squared=r2,
-        points=tuple(zip(lx.tolist(), ly.tolist())),
-        excluded=excluded,
-    )
+    return SlopeFit(slope=float(slope), r_squared=r2)

@@ -26,7 +26,6 @@ from expclt.dynamics import (
     lindeberg_threshold,
     martingale_difference,
     max_dnk_norm,
-    mk_moment_curve,
     riemann_cov_error,
     riemann_cov_value,
     xi_prime_telescoping,
@@ -51,10 +50,6 @@ class TestKernel:
             kern.p_powers[2][0, 0] = 1.0
         with pytest.raises(ValueError):
             kern.exps[0][0, 0] = 1.0
-
-    def test_exp_mean_property(self, dense3):
-        kern = precompute_kernel(dense3, 64)
-        assert np.allclose(kern.exp_mean, mat_exp(dense3.mean()), rtol=1e-12)
 
     def test_doubling_matches_direct_exponentials(self, dense3):
         kern = precompute_kernel(dense3, 64)
@@ -107,14 +102,6 @@ class TestSampleXi:
             b = sample_xi(e, 32, [1.0, 0.0, 0.0], RngStream(4, 2), kern)
             assert np.array_equal(a.xi_x, b.xi_x)
             assert np.array_equal(a.s_x, b.s_x)
-
-    def test_projections_consistent(self, dense3):
-        y = np.array([0.0, 1.0, 0.0])
-        t = sample_xi(dense3, 16, [1.0, 0.0, 0.0], RngStream(1), y=y)
-        assert t.projected_xi == pytest.approx(float(y @ t.xi_x), abs=1e-15)
-        assert t.projected_s == pytest.approx(float(y @ t.s_x), abs=1e-15)
-        assert t.diff_norm == pytest.approx(
-            float(np.linalg.norm(t.xi_x - t.s_x)), abs=1e-15)
 
     def test_kernel_mismatch_rejected(self, dense3, nilp3):
         kern = precompute_kernel(dense3, 16)
@@ -377,18 +364,6 @@ class TestLemmaSpeed:
 
 
 class TestMomentCurves:
-    def test_mk_curve_shape_and_determinism(self, dense3):
-        grid = [16, 32]
-        a = mk_moment_curve(dense3, grid, [1.0, 0.0, 0.0], 100, RngStream(5, 7))
-        b = mk_moment_curve(dense3, grid, [1.0, 0.0, 0.0], 100, RngStream(5, 7))
-        assert a == b
-        assert [p[0] for p in a] == grid
-        assert all(p[1] > 0 and p[2] > 0 for p in a)
-
-    def test_mk_curve_rejects_few_reps(self, dense3):
-        with pytest.raises(ValueError):
-            mk_moment_curve(dense3, [8], [1.0, 0.0, 0.0], 99, RngStream(0))
-
     def test_diff_curve_ks_and_ortho(self, dense3):
         pts = diff_moment_curve(dense3, [15], [1.0, 0.0, 0.0], 200, RngStream(2, 3))
         (pt,) = pts

@@ -69,8 +69,9 @@ class TestReferenceParity:
     # dynamics up to reassociation of the same floating-point work.
 
     # Replicate first + i replays sample_xi from its word of the pass stream
-    # at any chunk width (1 draws every row alone); wide300 binary-searches
-    # its cut points.
+    # at any chunk width (1 draws every row alone), in a clt pass and in a
+    # martingale pass, which at d = 1 counts rows instead of words; wide300
+    # binary-searches its cut points.
     @pytest.mark.parametrize("fix", ["dense3", "diag3", "scalar01", "wide300"])
     @pytest.mark.parametrize("width", [None, 1, 3, 7])
     def test_simulate_paths_matches_sample_xi(self, fix, width, request, monkeypatch):
@@ -82,15 +83,16 @@ class TestReferenceParity:
         if width is not None:
             monkeypatch.setattr(engine, "batch_size", lambda *a: width)
         stream = _pass(42)
-        got = engine.simulate_paths(e, kern, x, y, stream, reps, first=first, want_s=True)
+        clt = engine.simulate_paths(e, kern, x, y, stream, reps, first=first)
+        got = engine.simulate_paths(e, kern, x, y, stream, reps, first=first,
+                                    want_s_prime=True)
         for i in range(reps):
-            ref = sample_xi(e, n, x, _replicate(stream, e, n, first + i), kern, y=y)
-            assert got["proj_xi"][i] == pytest.approx(ref.projected_xi,
-                                                      rel=1e-11, abs=1e-13)
-            assert got["proj_s"][i] == pytest.approx(ref.projected_s,
-                                                     rel=1e-11, abs=1e-13)
-            assert got["diff_norm"][i] == pytest.approx(ref.diff_norm,
-                                                        rel=1e-10, abs=1e-13)
+            ref = sample_xi(e, n, x, _replicate(stream, e, n, first + i), kern)
+            for out in (clt, got):
+                assert out["proj_xi"][i] == pytest.approx(float(y @ ref.xi_x),
+                                                          rel=1e-11, abs=1e-13)
+            assert got["diff_norm"][i] == pytest.approx(
+                float(np.linalg.norm(ref.xi_x - ref.s_x)), rel=1e-10, abs=1e-13)
 
     def test_r_norm_matches_decomposition(self, dense3):
         n, reps = 16, 8
@@ -124,9 +126,8 @@ class TestReferenceParity:
         x = np.array([1.0, 0.0, 0.0])
         base = engine.simulate_paths(dense3, kern, x, x, _pass(1), 4)
         assert set(base) == {"proj_xi"}
-        full = engine.simulate_paths(dense3, kern, x, x, _pass(1), 4,
-                                     want_s=True, want_s_prime=True)
-        assert set(full) == {"proj_xi", "proj_s", "diff_norm", "r_norm", "mk_norm"}
+        full = engine.simulate_paths(dense3, kern, x, x, _pass(1), 4, want_s_prime=True)
+        assert set(full) == {"proj_xi", "diff_norm", "r_norm", "mk_norm", "tally"}
         with pytest.raises(ValueError, match="reps"):
             engine.simulate_paths(dense3, kern, x, x, _pass(1), 0)
 
@@ -148,12 +149,12 @@ class TestReferenceParity:
             assert np.array_equal(dots[key], with_y[key])
 
 
-def _matmul_sweep(kern, x, rows, want_s, want_s_prime):
+def _matmul_sweep(kern, x, rows, want_s_prime):
     """The finite-support sweep with one (B, d, d) gather and batched
     per-row matmul per step: the reference for the scalar kernel at d=1 and
     for the grouped sweep at d >= 2."""
     exps = np.stack(kern.exps)
-    ws, zs = engine._s_tables(kern, x, want_s, want_s_prime)
+    ws, zs = engine._s_tables(kern, x)
     B, d = rows.shape[0], kern.ensemble.dim
     v = np.tile(np.asarray(x, dtype=float), (B, 1))
     s = np.zeros((B, d))
@@ -163,14 +164,11 @@ def _matmul_sweep(kern, x, rows, want_s, want_s_prime):
         ek = exps[idx]
         if want_s_prime:
             u = zs[idx, k - 1] + np.matmul(ek, u[:, :, None])[:, :, 0]
-        if want_s:
             s += ws[idx, k - 1]
         v = np.matmul(ek, v[:, :, None])[:, :, 0]
     out = {"prod_x": v}
-    if want_s:
-        out["s_x"] = s
     if want_s_prime:
-        out["s_prime_x"] = u
+        out.update(s_x=s, s_prime_x=u, tally=np.bincount(rows.ravel(), minlength=len(exps))[None])
     return out
 
 
@@ -230,23 +228,22 @@ class TestStackedSweep:
     # At d >= 2 every step multiplies each group of rows by its own support
     # exponential, in GEMMs of engine._TILE rows over a stack of tiles. With
     # 37 rows, m = 2 and 8 give groups of several rows and m = 9 and 32
-    # mostly 1-row groups; at d = 33 the BLAS rounds a row by the row count
-    # of its GEMM, and n = 7 and 300 are not multiples of anything in the
-    # kernels.
+    # mostly 1-row groups; one row makes every group a single row in a
+    # one-row stack. At d = 33 the BLAS rounds a row by the row count of its
+    # GEMM, and n = 7 and 300 are not multiples of anything in the kernels.
 
     @pytest.mark.parametrize("d", [2, 3, 16, 33])
     @pytest.mark.parametrize("m", [2, 8, 9, 32])
     @pytest.mark.parametrize("n", [7, 300])
-    @pytest.mark.parametrize("want_s", [False, True])
+    @pytest.mark.parametrize("B", [1, 37])
     @pytest.mark.parametrize("want_s_prime", [False, True])
-    def test_simulate_block_matches_matmul_sweep(self, d, m, n, want_s, want_s_prime):
+    def test_simulate_block_matches_matmul_sweep(self, d, m, n, B, want_s_prime):
         e = _random_support(d, m)
         kern = precompute_kernel(e, n)
-        rows = engine._draw_rows(e, _pass(n), n, 0, 37)
+        rows = engine._draw_rows(e, _pass(n), n, 0, B)
         x = np.linspace(1.0, -0.5, d)
-        got = engine.simulate_block(kern, x, rows, want_s=want_s,
-                                    want_s_prime=want_s_prime)
-        ref = _matmul_sweep(kern, x, rows, want_s, want_s_prime)
+        got = engine.simulate_block(kern, x, rows, want_s_prime=want_s_prime)
+        ref = _matmul_sweep(kern, x, rows, want_s_prime)
         assert set(got) == set(ref)
         for key in ref:
             _assert_rows_close(got[key], ref[key])
@@ -276,7 +273,7 @@ class TestStackedSweep:
         assert engine._LAYOUT_BLOCK // B == 5
         rows = engine._draw_rows(e, _pass(m), n, 0, B)
         got = engine.simulate_block(precompute_kernel(e, n), np.ones(3), rows,
-                                    want_tally=True)["tally"]
+                                    want_s_prime=True)["tally"]
         ref = np.bincount(rows.ravel(), minlength=m)[None]
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
@@ -284,27 +281,28 @@ class TestStackedSweep:
 class TestScalarSweep:
     # At d=1 the draws commute: simulate_block takes prod_x and s_x from
     # T_n = sum_j c_j Δ_j over each row's index counts, added in index order,
-    # so they agree bit for bit with a per-index loop of that sum.
+    # so they agree bit for bit with a per-index loop of that sum, and the
+    # tally with those counts.
     # s_prime_x multiplies the drawn factors one step at a time, as the
     # matmul sweep does, so it agrees bit for bit with it; the matmul sweep's
     # step products agree with prod_x and s_x to rounding.
 
-    # m = 300 counts sparsely at n = 7 and 64, where the support is larger
+    # m = 300 counts sparsely at n = 7 and 64, where the support is larger;
+    # one row makes a tally and a block of one row's counts
     @pytest.mark.parametrize("m", [2, 5, 300])
     @pytest.mark.parametrize("n", [7, 64, 300, 1025])
-    @pytest.mark.parametrize("want_s", [False, True])
+    @pytest.mark.parametrize("B", [1, 37])
     @pytest.mark.parametrize("want_s_prime", [False, True])
-    def test_bit_identical_to_matmul_sweep(self, m, n, want_s, want_s_prime):
+    def test_bit_identical_to_matmul_sweep(self, m, n, B, want_s_prime):
         rng = np.random.default_rng(m)
         e = finite_support([[[a]] for a in rng.uniform(-2.0, 2.0, m)],
                            rng.dirichlet(np.ones(m)))
         kern = precompute_kernel(e, n)
-        rows = engine._draw_rows(e, _pass(n), n, 0, 37)
+        rows = engine._draw_rows(e, _pass(n), n, 0, B)
         x = np.array([0.7])
-        got = engine.simulate_block(kern, x, rows, want_s=want_s,
-                                    want_s_prime=want_s_prime)
-        ref = _count_sweep(kern, x, rows, want_s)
-        steps = _matmul_sweep(kern, x, rows, want_s, want_s_prime)
+        got = engine.simulate_block(kern, x, rows, want_s_prime=want_s_prime)
+        ref = _count_sweep(kern, x, rows, want_s_prime)
+        steps = _matmul_sweep(kern, x, rows, want_s_prime)
         if want_s_prime:
             ref["s_prime_x"] = steps["s_prime_x"]
         assert set(got) == set(ref) == set(steps)
@@ -337,7 +335,7 @@ class TestScalarSweep:
         row = engine._draw_rows(e, _pass(4), n, 0, 1)[0]
         rng = np.random.default_rng(4)
         rows = np.stack([row[rng.permutation(n)] for _ in range(50)])
-        got = engine.simulate_block(kern, np.array([0.7]), rows, want_s=True)
+        got = engine.simulate_block(kern, np.array([0.7]), rows, want_s_prime=True)
         assert len(np.unique(got["prod_x"])) == 1
         assert len(np.unique(got["s_x"])) == 1
 
@@ -351,8 +349,7 @@ class TestScalarSweep:
         monkeypatch.setattr(engine, "_grouped_sweep",
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
         x = np.array([0.7])
-        engine.simulate_paths(e, kern, x, x, _pass(5), 40, want_s=True,
-                              want_s_prime=True, ks=ks)
+        engine.simulate_paths(e, kern, x, x, _pass(5), 40, want_s_prime=True, ks=ks)
         rows = engine._draw_rows(e, _pass(5), n, 0, 40)
         engine.diff_pair_block(kern, x, rows, ks)
         assert calls == []
@@ -362,6 +359,17 @@ def _scalar_law(m):
     rng = np.random.default_rng(m)
     return finite_support([[[a]] for a in rng.uniform(-2.0, 2.0, m)],
                           rng.dirichlet(np.ones(m)))
+
+
+def _assert_sparse_sums_are_dense(e, sparse):
+    """The sparse rows ``sparse``, sorted per row, give the T_n and tally
+    bits of their dense index counts."""
+    dense = np.stack([np.bincount(row, minlength=len(e.support)) for row in sparse])
+    t_dense, tally_dense = engine._count_sums(e, dense)
+    t_sparse, tally_sparse = engine._count_sums(e, sparse)
+    assert np.array_equal(t_sparse, t_dense)
+    assert np.array_equal(tally_sparse, tally_dense)
+    assert np.array_equal(tally_dense, dense.sum(axis=0)[None])
 
 
 class TestCountRoute:
@@ -394,15 +402,33 @@ class TestCountRoute:
         w[[0, m // 2, m - 1]] = 0.3
         e = finite_support([[[a]] for a in rng.uniform(-2.0, 2.0, m)], w)
         rows = engine._draw_rows(e, _pass(n), n, 0, B)
-        dense = np.stack([np.bincount(row, minlength=m) for row in rows])
         sparse = engine._row_counts(e, rows)
         assert sparse.dtype == np.uint16 and sparse.shape == (B, n)
         assert any(len(np.unique(row)) < n for row in rows)
-        t_dense, tally_dense = engine._count_sums(e, dense)
-        t_sparse, tally_sparse = engine._count_sums(e, sparse)
-        assert np.array_equal(t_sparse, t_dense)
-        assert np.array_equal(tally_sparse, tally_dense)
-        assert np.array_equal(tally_dense, dense.sum(axis=0)[None])
+        _assert_sparse_sums_are_dense(e, sparse)
+
+    # A sparse row's runs end at its own last place: at n = 1 every place
+    # ends a run, a row of one index is one run of n, and a row that starts
+    # on the index its predecessor ended on starts a run of its own. 2,500
+    # rows of 64 leave a partial last block of _FILL_BLOCK // 64 rows.
+    @pytest.mark.parametrize("case", ["n1", "one_index", "shared_edges", "partial_block"])
+    def test_sparse_runs_end_at_each_row_end(self, case):
+        rng = np.random.default_rng(11)
+        e = _scalar_law(300)
+        if case == "n1":
+            rows = rng.integers(0, 300, (37, 1))
+        elif case == "one_index":
+            rows = np.sort(rng.integers(0, 300, (5, 64)), axis=1)
+            rows[2] = 7
+        elif case == "shared_edges":  # row i runs from 10 i to 10 (i + 1)
+            rows = np.stack([np.sort(np.r_[10 * i, 10 * i + 10,
+                                           rng.integers(10 * i, 10 * i + 11, 62)])
+                             for i in range(6)])
+            assert np.array_equal(rows[1:, 0], rows[:-1, -1])
+        else:
+            rows = np.sort(rng.integers(0, 300, (2500, 64)), axis=1)
+            assert 2500 % (engine._FILL_BLOCK // 64) != 0
+        _assert_sparse_sums_are_dense(e, rows.astype(np.uint16))
 
     def test_a_clt_only_pass_draws_no_rows(self, monkeypatch):
         e = finite_support([[[-1.0]], [[0.5]], [[2.0]]], [0.2, 0.5, 0.3])
@@ -414,19 +440,14 @@ class TestCountRoute:
         monkeypatch.setattr(engine, "_draw_rows",
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
         clt = engine.simulate_paths(e, kern, x, x, _pass(5), 40)
-        with_s = engine.simulate_paths(e, kern, x, x, _pass(5), 40, want_s=True,
-                                       want_tally=True)
         assert calls == []
-        full = engine.simulate_paths(e, kern, x, x, _pass(5), 40, want_s=True,
-                                     want_s_prime=True, want_tally=True, ks=ks)
+        full = engine.simulate_paths(e, kern, x, x, _pass(5), 40, want_s_prime=True, ks=ks)
         assert calls
         # one set of bits, whichever route the pass takes
-        for key in ("proj_xi", "proj_s", "diff_norm", "tally"):
-            assert np.array_equal(with_s[key], full[key]), key
         assert np.array_equal(clt["proj_xi"], full["proj_xi"])
 
 
-def _diagonal_loop_sweep(kern, x, rows, want_s, want_s_prime):
+def _diagonal_loop_sweep(kern, x, rows, want_s_prime):
     """The diagonal_uniform sweep one step at a time on (B, d) arrays, with
     P_j = p_j I and Q^j = q_j I from the kernel's tables: the reference for
     the bits of the diagonal S' recurrence, and for the rest up to rounding."""
@@ -443,14 +464,11 @@ def _diagonal_loop_sweep(kern, x, rows, want_s, want_s_prime):
         delta = vals - mean
         if want_s_prime:
             u = delta * (q[n - k] * xv) + ek * u
-        if want_s:
             s += p[k - 1] * (delta * (p[n - k] * xv))
         v = ek * v
     out = {"prod_x": v}
-    if want_s:
-        out["s_x"] = s
     if want_s_prime:
-        out["s_prime_x"] = u
+        out.update(s_x=s, s_prime_x=u, tally=_diagonal_tally(kern.ensemble, rows))
     return out
 
 
@@ -463,11 +481,11 @@ def _diagonal_tally(e, rows):
     return total
 
 
-def _running_sum_sweep(kern, x, deltas, want_s):
-    """prod_x = p_n e^{T_n/n} x, and s_x = p_{n-1} T_n x with ``want_s``, of an
-    entrywise law whose centered draws are ``deltas`` (B, n, d), with the
-    running sum T_n added one step at a time: the reference for the bits of
-    the entrywise sweep."""
+def _running_sum_sweep(kern, x, deltas, want_s_prime):
+    """prod_x = p_n e^{T_n/n} x, and with ``want_s_prime`` s_x = p_{n-1} T_n x
+    and the tally T_n, of an entrywise law whose centered draws are ``deltas``
+    (B, n, d), with the running sum T_n added one step at a time: the
+    reference for the bits of the entrywise sweep."""
     n = kern.n
     p = kern.p_powers[:, 0, 0]
     xv = np.asarray(x, dtype=float)
@@ -475,16 +493,17 @@ def _running_sum_sweep(kern, x, deltas, want_s):
     for k in range(n):
         t = t + deltas[:, k]
     out = {"prod_x": np.exp(t / n) * (p[n] * xv)}
-    if want_s:
-        out["s_x"] = p[n - 1] * (t * xv)
+    if want_s_prime:
+        out.update(s_x=p[n - 1] * (t * xv), tally=t)
     return out
 
 
-def _count_sweep(kern, x, rows, want_s):
-    """prod_x = p_n e^{T_n/n} x, and s_x = p_{n-1} T_n x with ``want_s``, of a
-    finite-support law at d=1 whose index rows are ``rows`` (B, n), with
-    T_n = sum_j c_j Δ_j added one index at a time from +0.0, c_j a row's
-    count of index j: the reference for the bits of the d=1 sweep."""
+def _count_sweep(kern, x, rows, want_s_prime):
+    """prod_x = p_n e^{T_n/n} x, and with ``want_s_prime`` s_x = p_{n-1} T_n x
+    and the tally of index counts, of a finite-support law at d=1 whose index
+    rows are ``rows`` (B, n), with T_n = sum_j c_j Δ_j added one index at a
+    time from +0.0, c_j a row's count of index j: the reference for the bits
+    of the d=1 sweep."""
     e, n = kern.ensemble, kern.n
     p = kern.p_powers[:, 0, 0]
     xv = np.asarray(x, dtype=float)
@@ -493,8 +512,8 @@ def _count_sweep(kern, x, rows, want_s):
     for c, delta in zip(counts.T, e._deltas[:, 0]):
         t = t + c[:, None] * delta
     out = {"prod_x": np.exp(t / n) * (p[n] * xv)}
-    if want_s:
-        out["s_x"] = p[n - 1] * (t * xv)
+    if want_s_prime:
+        out.update(s_x=p[n - 1] * (t * xv), tally=counts.sum(axis=0)[None])
     return out
 
 
@@ -528,28 +547,30 @@ class TestDiagonalSweep:
     # one-step blocks, B = 4096 fills a block with one step, and from
     # B = 4097 a single step holds more than _SWEEP_BLOCK entries. B = 1 at
     # d = 1 has one entry per step, which numpy would sum pairwise. n = 7 and
-    # 300 are not multiples of anything in the kernel.
+    # 300 are not multiples of anything in the kernel. The entries of
+    # U[-0.5, 1] straddle 0 with mean 0.25; those of U[-3, -1] lie on one
+    # side of 0, spread four times as wide, with mean -2.
 
     @pytest.mark.parametrize("d", [1, 3, 8])
     @pytest.mark.parametrize("n", [7, 64, 300, 1025])
     @pytest.mark.parametrize("B", [1, 2, 37])
-    @pytest.mark.parametrize("flags", [(False, False), (True, False), (False, True),
-                                       (True, True)])
-    def test_bit_identical_to_step_loop(self, d, n, B, flags):
-        self._check(diagonal_uniform(d, -0.5, 1.0), n, B, *flags)
+    @pytest.mark.parametrize("bounds", [(-0.5, 1.0), (-3.0, -1.0)],
+                             ids=["straddles0", "negative"])
+    @pytest.mark.parametrize("want_s_prime", [False, True])
+    def test_bit_identical_to_step_loop(self, d, n, B, bounds, want_s_prime):
+        self._check(diagonal_uniform(d, *bounds), n, B, want_s_prime)
 
     @pytest.mark.parametrize("B", [2048, 2049, 4096, 4097, 8192, 8193])
     def test_block_edges(self, B):
-        self._check(diagonal_uniform(8, -0.5, 1.0), 5, B, True, True)
+        self._check(diagonal_uniform(8, -0.5, 1.0), 5, B, True)
 
-    def _check(self, e, n, B, want_s, want_s_prime):
+    def _check(self, e, n, B, want_s_prime):
         kern = precompute_kernel(e, n)
         rows = engine._draw_rows(e, _pass(n), n, 0, B)
         x = np.linspace(1.0, -0.5, e.dim)
-        got = engine.simulate_block(kern, x, rows, want_s=want_s,
-                                    want_s_prime=want_s_prime)
-        ref = _running_sum_sweep(kern, x, rows - e.mean()[0, 0], want_s)
-        steps = _diagonal_loop_sweep(kern, x, rows, want_s, want_s_prime)
+        got = engine.simulate_block(kern, x, rows, want_s_prime=want_s_prime)
+        ref = _running_sum_sweep(kern, x, rows - e.mean()[0, 0], want_s_prime)
+        steps = _diagonal_loop_sweep(kern, x, rows, want_s_prime)
         if want_s_prime:
             ref["s_prime_x"] = steps["s_prime_x"]
         assert set(got) == set(ref) == set(steps)
@@ -566,8 +587,8 @@ class TestDiagonalSweep:
         e = diagonal_uniform(d, -0.5, 1.0)
         rows = engine._draw_rows(e, _pass(n), n, 0, B)
         got = engine.simulate_block(precompute_kernel(e, n), np.ones(d), rows,
-                                    want_tally=True)
-        assert set(got) == {"prod_x", "tally"}
+                                    want_s_prime=True)
+        assert set(got) == {"prod_x", "s_x", "s_prime_x", "tally"}
         assert np.array_equal(got["tally"], _diagonal_tally(e, rows))
 
     @pytest.mark.parametrize("d", [1, 3, 8])
@@ -593,8 +614,8 @@ def test_a_point_mass_has_no_fluctuation(law):
     n = 1024
     kern = precompute_kernel(e, n)
     x, y = np.array([0.7, -0.4, 1.0])[: e.dim], np.array([0.2, 1.0, -0.5])[: e.dim]
-    got = engine.simulate_paths(e, kern, x, y, _pass(6), 40, want_s=True)
-    for key in ("proj_xi", "proj_s", "diff_norm"):
+    got = engine.simulate_paths(e, kern, x, y, _pass(6), 40, want_s_prime=True)
+    for key in ("proj_xi", "diff_norm"):
         assert np.all(got[key] == 0.0), key
 
 
@@ -616,6 +637,15 @@ _ENTRYWISE_LAWS = st.one_of(
 # the width of their blocks, so no chunk width may change a bit of any
 # statistic; the tally rows of finite support count a chunk's draws, so their
 # sum is compared.
+def _assert_same_statistics(e, whole, split):
+    assert set(whole) == set(split)
+    for key in whole:
+        if key == "tally" and e.is_finite_support:
+            assert np.array_equal(whole[key].sum(axis=0), split[key].sum(axis=0)), key
+        else:
+            assert np.array_equal(whole[key], split[key]), key
+
+
 def _width_invariance(e, n, reps, width, kw):
     kern = precompute_kernel(e, n)
     x, y = np.linspace(1.0, -0.5, e.dim), np.linspace(-0.3, 0.9, e.dim)
@@ -623,24 +653,21 @@ def _width_invariance(e, n, reps, width, kw):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(engine, "batch_size", lambda *a: width)
         split = engine.simulate_paths(e, kern, x, y, _pass(n), reps, **kw)
-    assert set(whole) == set(split)
-    for key in whole:
-        if key == "tally" and e.is_finite_support:
-            whole[key], split[key] = whole[key].sum(axis=0), split[key].sum(axis=0)
-        assert np.array_equal(whole[key], split[key]), key
+    _assert_same_statistics(e, whole, split)
 
 
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(e=_ENTRYWISE_LAWS, n=st.integers(1, 300), reps=st.integers(1, 40),
        width=st.integers(1, 40))
 def test_entrywise_statistics_do_not_depend_on_the_width(e, n, reps, width):
-    _width_invariance(e, n, reps, width, dict(want_s=True, want_s_prime=True,
-                                              want_tally=True, ks=sorted({1, (n + 1) // 2, n})))
+    _width_invariance(e, n, reps, width,
+                      dict(want_s_prime=True, ks=sorted({1, (n + 1) // 2, n})))
 
 
-# Without S' and ks a d = 1 pass counts its words, not its rows.
-@pytest.mark.parametrize("kw", [dict(want_s=True, want_tally=True), {}],
-                         ids=["s_and_tally", "none"])
+# Without S' and ks a d = 1 pass counts its words, not its rows; with S' and
+# no ks it counts its rows and draws no difference pairs.
+@pytest.mark.parametrize("kw", [dict(want_s_prime=True), {}],
+                         ids=["martingale_without_ks", "none"])
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(e=_ENTRYWISE_LAWS, n=st.integers(1, 300), reps=st.integers(1, 40),
        width=st.integers(1, 40))
@@ -658,12 +685,11 @@ class TestChunkingInvariance:
         kern = precompute_kernel(e, 20)
         x = np.array([1.0, 0.5, -0.5])
         stream = _pass(11)
-        small = engine.simulate_paths(e, kern, x, x, stream, 7,
-                                      want_s=True, want_s_prime=True)
-        large = engine.simulate_paths(e, kern, x, x, stream, 23,
-                                      want_s=True, want_s_prime=True)
+        small = engine.simulate_paths(e, kern, x, x, stream, 7, want_s_prime=True)
+        large = engine.simulate_paths(e, kern, x, x, stream, 23, want_s_prime=True)
         for key in small:
-            assert np.array_equal(small[key], large[key][:7])
+            if key != "tally" or not e.is_finite_support:  # a chunk's counts, not a row's
+                assert np.array_equal(small[key], large[key][:7]), key
 
     # dense3, fs9, fs16m4 and fs16m8 take the grouped sweep and scalar01 the
     # d=1 kernel. Width 3 cuts 50 replicates into chunks of 2 and 3 rows, and
@@ -679,14 +705,11 @@ class TestChunkingInvariance:
         x = np.eye(e.dim)[0]
         stream = _pass(23)
         for reps, width in ((50, 3), (49, 2)):
-            whole = engine.simulate_paths(e, kern, x, x, stream, reps,
-                                          want_s=True, want_s_prime=True)
+            whole = engine.simulate_paths(e, kern, x, x, stream, reps, want_s_prime=True)
             with monkeypatch.context() as mp:
                 mp.setattr(engine, "batch_size", lambda *a, b=width: b)
-                split = engine.simulate_paths(e, kern, x, x, stream, reps,
-                                              want_s=True, want_s_prime=True)
-            for key in whole:
-                assert np.array_equal(whole[key], split[key])
+                split = engine.simulate_paths(e, kern, x, x, stream, reps, want_s_prime=True)
+            _assert_same_statistics(e, whole, split)
 
     @pytest.mark.parametrize("fix", ["dense3", "fs9", "diag3", "fs16m4", "fs16m8"])
     def test_forced_chunk_width_is_invisible_to_diff_pairs(self, fix, request):
@@ -701,7 +724,7 @@ class TestChunkingInvariance:
                 assert np.array_equal(whole[k], split[k])
 
     # Past d = 31 this BLAS rounds a GEMM row by the number of rows in its
-    # call: GEMMs with as many rows as the chunk change 9 of these 11
+    # call: GEMMs with as many rows as the chunk change most of these 10
     # per-replicate statistics at width 3 (d = 32, 33 and 49, m = 4). Every
     # GEMM of the grouped sweep has engine._TILE rows.
     @pytest.mark.parametrize("d", [17, 32, 33, 49])
@@ -713,14 +736,13 @@ class TestChunkingInvariance:
         for reps, width in ((50, 3), (49, 2)):
             def paths():
                 return engine.simulate_paths(e, kern, x, y, _pass(29), reps,
-                                             want_s=True, want_s_prime=True, ks=(1, 8, 16))
+                                             want_s_prime=True, ks=(1, 8, 16))
             whole = paths()
             with monkeypatch.context() as mp:
                 mp.setattr(engine, "batch_size", lambda *a, b=width: b)
                 split = paths()
-            assert len(whole) == 11
-            for key in whole:
-                assert np.array_equal(whole[key], split[key]), key
+            assert len(whole) == 11  # with the tally
+            _assert_same_statistics(e, whole, split)
 
     @pytest.mark.parametrize("d", [17, 32, 33, 49])
     @pytest.mark.parametrize("m", [2, 4, 9, 32])
@@ -750,7 +772,8 @@ class TestChunkingInvariance:
         x = np.linspace(1.0, -0.5, d)
 
         def sweep(r):
-            out = engine.simulate_block(kern, x, r, want_s=True, want_s_prime=True)
+            out = engine.simulate_block(kern, x, r, want_s_prime=True)
+            del out["tally"]  # a chunk's counts, not a row's
             out.update(engine.diff_pair_block(kern, x, r, [1, 6, n]))
             return out
 
@@ -771,7 +794,7 @@ class TestChunkingInvariance:
         x = np.linspace(1.0, -0.5, d)
 
         def sweep():
-            out = engine.simulate_block(kern, x, rows, want_s=True, want_s_prime=True)
+            out = engine.simulate_block(kern, x, rows, want_s_prime=True)
             out.update(engine.diff_pair_block(kern, x, rows, [1, 6, 12]))
             return out
 
@@ -790,7 +813,7 @@ class TestChunkingInvariance:
         rows = engine._draw_rows(e, _pass(3), 16, 0, 50)
         x = np.linspace(1.0, -0.5, 33)
         alone = engine.simulate_block(kern, x, rows)["prod_x"]
-        full = engine.simulate_block(kern, x, rows, want_s=True, want_s_prime=True)
+        full = engine.simulate_block(kern, x, rows, want_s_prime=True)
         assert np.array_equal(alone, full["prod_x"])
 
     @pytest.mark.parametrize("fix", ["dense3", "fs9", "diag3", "fs16m4"])
@@ -827,15 +850,13 @@ class TestChunkingInvariance:
         stream = _pass(31)
 
         def projections(reps):
-            out = engine.simulate_paths(e, kern, x, y, stream, reps, want_s=True)
-            return out["proj_xi"], out["proj_s"]
+            return engine.simulate_paths(e, kern, x, y, stream, reps)["proj_xi"]
 
         whole, small = projections(23), projections(7)
         with monkeypatch.context() as mp:
             mp.setattr(engine, "batch_size", lambda *a: 3)
             split = projections(23)
-        for w, s, c in zip(whole, small, split):
-            assert np.array_equal(w[:7], s) and np.array_equal(w, c)
+        assert np.array_equal(whole[:7], small) and np.array_equal(whole, split)
 
     # A path pass with ks reduces each chunk's difference rows to dots; the
     # moments of those dots are the moments of the whole pass's rows, and
@@ -850,8 +871,7 @@ class TestChunkingInvariance:
             _diff_rows(e, kern, x, _pass(5), 50, ks)))
         with monkeypatch.context() as mp:
             mp.setattr(engine, "batch_size", lambda *a: 3)
-            out = engine.simulate_paths(e, kern, x, x, _pass(5), 50,
-                                        want_s=True, want_s_prime=True, ks=ks)
+            out = engine.simulate_paths(e, kern, x, x, _pass(5), 50, want_s_prime=True, ks=ks)
         assert dot_moments(16, ks, out) == ref
         r = RngStream(5)
         rows = _diff_rows(e, kern, x, r.child(16), 100, ks)
@@ -859,29 +879,34 @@ class TestChunkingInvariance:
             dot_moments(16, ks, engine.diff_dots(rows))]
 
 
-def _paths_row_bytes(*, want_s=False, want_s_prime=False, ks=()):
-    """Bytes per replicate of a simulate_paths result: one float64 for
-    proj_xi, two for each of want_s and want_s_prime, one for each pair
-    k <= l of ks."""
-    return 8 * (1 + 2 * want_s + 2 * want_s_prime + len(ks) * (len(ks) + 1) // 2)
+def _paths_row_bytes(*, want_s_prime=False, ks=()):
+    """Bytes per replicate of a simulate_paths result besides its tally: one
+    float64 for proj_xi, three for want_s_prime, one for each pair k <= l of
+    ks."""
+    return 8 * (1 + 3 * want_s_prime + len(ks) * (len(ks) + 1) // 2)
+
+
+def _row_bytes(out) -> int:
+    return sum(v.nbytes for key, v in out.items() if key != "tally")
 
 
 class TestRowBytes:
     # Each statistic of a pass is one float64 per replicate (a d-vector per k
-    # for difference rows), and no key is missing or extra.
+    # for difference rows), and no key is missing or extra; the tally takes
+    # at most engine.pass_bytes' tally bytes a chunk.
     @pytest.mark.parametrize("fix", ["diag3", "dense3", "fs9"])
     def test_row_bytes_match_the_results(self, fix, request):
         e = request.getfixturevalue(fix)
         x = np.linspace(1.0, -0.5, e.dim)
         kern = precompute_kernel(e, 8)
         reps = 5
-        for want_s in (False, True):
-            for want_s_prime in (False, True):
-                out = engine.simulate_paths(e, kern, x, x, _pass(3), reps,
-                                            want_s=want_s, want_s_prime=want_s_prime)
-                assert (sum(v.nbytes for v in out.values())
-                        == reps * _paths_row_bytes(want_s=want_s,
-                                                   want_s_prime=want_s_prime))
+        for want_s_prime in (False, True):
+            out = engine.simulate_paths(e, kern, x, x, _pass(3), reps,
+                                        want_s_prime=want_s_prime)
+            assert _row_bytes(out) == reps * _paths_row_bytes(want_s_prime=want_s_prime)
+            assert ("tally" in out) == want_s_prime
+        chunks = len(engine.chunk_ranges(e, 8, reps))
+        assert out["tally"].nbytes <= chunks * engine.pass_bytes(e, 8)[2]
         ks = (1, 4, 8)
         out = _diff_rows(e, kern, x, _pass(3), reps, ks)
         assert sum(v.nbytes for v in out.values()) == reps * 8 * e.dim * len(ks)
@@ -889,10 +914,10 @@ class TestRowBytes:
     @pytest.mark.parametrize("ks", [(1,), (1, 2), (1, 4, 8)])
     def test_path_pass_bytes_count_the_dots(self, dense3, ks):
         x = np.array([1.0, -0.3, 0.4])
-        kw = {"want_s": True, "want_s_prime": True, "ks": ks}
+        kw = {"want_s_prime": True, "ks": ks}
         out = engine.simulate_paths(dense3, precompute_kernel(dense3, 8), x, x,
                                     _pass(3), 5, **kw)
-        assert sum(v.nbytes for v in out.values()) == 5 * _paths_row_bytes(**kw)
+        assert _row_bytes(out) == 5 * _paths_row_bytes(**kw)
 
 
 class TestWorkerPool:
@@ -925,9 +950,9 @@ class TestWorkerPool:
         serial = joined(None)
         pooled = joined(None if workers == 1 else experiment.ProcessPoolExecutor(
             workers, initializer=experiment._References.start_worker, initargs=(cfg,)))
-        # 11 statistics of one row per replicate, and the structure check's
+        # 10 statistics of one row per replicate, and the structure check's
         # tally, of one row per chunk for a finite support
-        assert len(serial) == 12 and set(serial) == set(pooled)
+        assert len(serial) == 11 and set(serial) == set(pooled)
         assert pooled["tally"].shape[0] == (17 if e.is_finite_support else 49)
         for key in serial:
             assert key == "tally" or pooled[key].shape[0] == 49

@@ -731,8 +731,9 @@ class TestRun:
         e, kern = cfg.ensemble, precompute_kernel(cfg.ensemble, n)
         stream = RngStream(cfg.master_seed).child("clt", n)
         for i in range(reps):
-            ref = sample_xi(e, n, cfg.x, stream.at(i * n * e.words_per_draw), kern, y=cfg.y)
-            assert out["proj_xi"][i] == pytest.approx(ref.projected_xi, rel=1e-11, abs=1e-13)
+            ref = sample_xi(e, n, cfg.x, stream.at(i * n * e.words_per_draw), kern)
+            assert out["proj_xi"][i] == pytest.approx(float(cfg.y @ ref.xi_x),
+                                                      rel=1e-11, abs=1e-13)
 
     def test_a_pass_builds_the_kernel_of_its_own_law(self, tmp_path):
         # the passes of two laws at one n, with no run() between, each read
