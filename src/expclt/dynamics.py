@@ -125,7 +125,7 @@ def sample_xi(e: Ensemble, n: int, x, r: RngStream,
     """One replicate of (xi_n x, S_n x) from a single stream of draws.
 
     Replicate i of a :func:`engine.simulate_paths` pass over the stream
-    ``stream`` is the one of ``stream.at(i * n * e.words_per_draw)``.
+    ``stream`` is the one of ``stream.at(i * n * e.entries_per_draw)``.
     Reference (unbatched) implementation for every family: the draws of
     :meth:`Ensemble.sample`, one at a time, enter as e^{A_k/n} and as
     P_{k-1} (A_k - EA) P_{n-k} x; O(n d^3) per call.

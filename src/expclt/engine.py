@@ -75,8 +75,8 @@ __all__ = [
 _CHUNK_TARGET = 2_097_152
 
 # Entries per block of _draw_rows: it draws this many entries' worth of whole
-# rows at a time, for index rows (n entries a row, 256 KiB of words) and
-# diagonal rows (n d, 512 KiB of uniforms) alike, at least one row.
+# rows at a time, for index rows (n entries a row) and diagonal rows (n d)
+# alike, at least one row: 256 KiB of words, one an entry.
 _FILL_BLOCK = 65_536
 
 # Entries per block of an entrywise law's running sums and S' factors
@@ -137,7 +137,7 @@ def concat_chunks(parts) -> dict:
 def _draw_rows(e, stream, n: int, lo: int, hi: int):
     """The rows of n draws of replicates ``[lo, hi)`` of the pass ``stream``,
     as :meth:`Ensemble.draws` gives them: replicate i draws the words
-    ``[i W, (i + 1) W)`` of the stream, W = ``n * e.words_per_draw``.
+    ``[i W, (i + 1) W)`` of the stream, W = ``n * e.entries_per_draw``.
 
     Rows are stored step-major, as the transpose of a C-contiguous buffer
     whose first axis is the step, so that the sweeps' per-step slice
@@ -146,7 +146,7 @@ def _draw_rows(e, stream, n: int, lo: int, hi: int):
     whole rows of at most ``_FILL_BLOCK`` entries (at least one row), one
     :meth:`Ensemble.draws` call, so one stream positioning, per block.
     """
-    stream = stream.at(lo * n * e.words_per_draw)
+    stream = stream.at(lo * n * e.entries_per_draw)
     size = max(1, _FILL_BLOCK // (n * e.entries_per_draw))
     empty = e.draws(stream, 0)  # no draws, but their shape and dtype
     shape = empty.shape[1:]
@@ -516,7 +516,7 @@ def simulate_paths(e, kern, x, y, stream, reps: int, *, first: int = 0,
     ``first + reps - 1`` of the pass ``stream``.
 
     Replicate i draws the words ``[i W, (i + 1) W)`` of ``stream``, W =
-    ``n * e.words_per_draw``, wherever the stream stands; chunking is
+    ``n * e.entries_per_draw``, wherever the stream stands; chunking is
     internal and cannot affect any output bit.
 
     Returns a dict of float arrays of length ``reps``: ``proj_xi`` = <y, xi_n

@@ -13,19 +13,19 @@ The first two and the last are stored uniformly as (support, probabilities),
 the support one read-only ``(m, d, d)`` array; all first and second moments
 are exact finite sums or closed forms, never estimates, and the moments of
 probe vectors take batches of ``(..., d)`` rows.  Sampling is driven by
-:class:`RngStream`, a counter-based keyed stream of 32-bit words: a stream
-is its key ``(master_seed, stream_index)`` and the count of words it has
-drawn, and every draw is a pure function of the two.  A Monte Carlo pass
-keys one stream, and its replicate i owns the words ``[i W, (i + 1) W)``
-with ``W = n * words_per_draw``, so replicates can be farmed out to any
-number of workers, in any chunks, without changing a single bit of output.
-A support index takes one word, which it maps through integer cut points; a
-diagonal entry takes one 64-bit output (two words) as a float64 uniform.
-This module is the only one that touches the Philox generator behind the
-streams.
+:class:`RngStream`, a keyed stream of 32-bit words: a stream is its key
+``(master_seed, stream_index)`` and the count of words it has drawn, and
+every draw is a pure function of the two.  A Monte Carlo pass keys one
+stream, and its replicate i owns the words ``[i W, (i + 1) W)`` with
+``W = n * entries_per_draw``, so replicates can be farmed out to any number
+of workers, in any chunks, without changing a single bit of output.  Every
+value of a draw takes one word: a support index maps it through integer cut
+points, and a diagonal entry takes the midpoint of its 2^-32 bin of
+``[low, high]``.  This module is the only one that touches the PCG64DXSM
+generator behind the streams.
 
-Callers see a law through one interface: a draw takes ``words_per_draw`` words
-and holds ``entries_per_draw`` values, ``draws`` takes a stream's next draws
+Callers see a law through one interface: a draw holds ``entries_per_draw``
+values and takes as many words, ``draws`` takes a stream's next draws
 (support indices or diagonal entries), ``index_counts`` counts each support
 index in rows of words, ``sample`` returns one draw as a matrix,
 ``centered_total`` sums the centered draws of tally rows, ``is_point_mass``
@@ -57,26 +57,17 @@ __all__ = [
 
 _FINITE_FAMILIES = ("two_point", "finite_support", "deterministic")
 
-_SCRATCH = threading.local()  # each thread's own Philox, which every stream moves
+_SCRATCH = threading.local()  # each thread's own PCG64DXSM, which every stream moves
 
 
-def _philox_at(master_seed: int, stream_index: int, output: int) -> np.random.Generator:
-    """The thread's scratch generator, moved to key ``(master_seed,
-    stream_index)`` and ``output`` 64-bit outputs past counter 0.
-
-    A Philox counter step yields 4 outputs, so the counter goes to
-    ``output // 4`` (as ``advance`` from counter 0 would) and ``output % 4``
-    outputs are discarded.
-    """
+def _pcg_at(origin: dict, output: int) -> np.random.Generator:
+    """The thread's scratch generator, set to a key's ``origin`` state and
+    advanced ``output`` 64-bit outputs past it, in O(log output) steps."""
     gen = getattr(_SCRATCH, "gen", None)
     if gen is None:
-        gen = _SCRATCH.gen = np.random.Generator(np.random.Philox(key=(0, 0)))
-    gen.bit_generator.state = {
-        "bit_generator": "Philox", "buffer": (0, 0, 0, 0), "buffer_pos": 4,
-        "has_uint32": 0, "uinteger": 0,
-        "state": {"counter": (output // 4, 0, 0, 0), "key": (master_seed, stream_index)}}
-    if output % 4:
-        gen.bit_generator.random_raw(output % 4)
+        gen = _SCRATCH.gen = np.random.Generator(np.random.PCG64DXSM(0))
+    gen.bit_generator.state = origin
+    gen.bit_generator.advance(output)
     return gen
 
 
@@ -89,36 +80,41 @@ def _hash64(*parts) -> int:
 class RngStream:
     """One reproducible stream of 32-bit words, keyed by (master_seed, stream_index).
 
-    A stream is its key and a position: it holds the two 64-bit key words and
-    the count of words it has drawn, and nothing else.  Its words are the
-    64-bit outputs of a Philox keyed so (counter-based, Salmon et al., SC'11),
-    each split in two, low half first.  :meth:`words` draws them one by one;
+    A stream is its key and a position: it holds the two 64-bit key words,
+    the key's origin and the count of words it has drawn.  The origin is the
+    state of a PCG64DXSM (O'Neill, HMC-CS-2014-0905) seeded with
+    ``SeedSequence([master_seed, stream_index])``, derived once per key, and
+    the stream's words are that generator's 64-bit outputs, each split in
+    two, low half first.  :meth:`words` draws them one by one;
     :meth:`uniform` spends one whole output per float64 uniform, mapped as
     numpy's ``random`` maps it, starting at the next output boundary.  Each
-    call moves its thread's scratch Philox to that key and position and draws
-    from there, so distinct keys give statistically independent streams, any
-    split of a stream's draws into calls replays one plain draw from counter
-    0, and :meth:`at` reaches any word of the stream without drawing the ones
-    before it.
+    call sets its thread's scratch generator to the origin and advances it to
+    the position, so distinct keys give statistically independent streams,
+    any split of a stream's draws into calls replays one plain draw from the
+    origin, and :meth:`at` reaches any word of the stream without drawing the
+    ones before it.
     """
 
-    __slots__ = ("master_seed", "stream_index", "_drawn")
+    __slots__ = ("master_seed", "stream_index", "_origin", "_drawn")
 
     def __init__(self, master_seed: int, stream_index: int = 0):
         self.master_seed = int(master_seed) % (1 << 64)
         self.stream_index = int(stream_index) % (1 << 64)
+        seeds = np.random.SeedSequence([self.master_seed, self.stream_index])
+        self._origin = np.random.PCG64DXSM(seeds).state  # read-only, shared by at()
         self._drawn = 0
 
     def at(self, word: int) -> "RngStream":
-        """A stream with this key, positioned ``word`` words past counter 0."""
-        moved = RngStream(self.master_seed, self.stream_index)
-        moved._drawn = int(word)
+        """A stream with this key, positioned ``word`` words past its origin."""
+        moved = object.__new__(RngStream)  # the key's origin, not derived again
+        moved.master_seed, moved.stream_index = self.master_seed, self.stream_index
+        moved._origin, moved._drawn = self._origin, int(word)
         return moved
 
     def words(self, count: int) -> np.ndarray:
         """The next ``count`` words, as uint32."""
         first = self._drawn // 2  # the output that holds the next word
-        raw = _philox_at(self.master_seed, self.stream_index, first).bit_generator.random_raw(
+        raw = _pcg_at(self._origin, first).bit_generator.random_raw(
             (self._drawn + count + 1) // 2 - first)
         skip, self._drawn = self._drawn % 2, self._drawn + count
         # little-endian bytes, so each output reads as its low half, then its high half
@@ -129,7 +125,7 @@ class RngStream:
         them, or enough to fill the float64 array ``out``, which is then
         returned.  An odd position first skips the high half of its output."""
         first = -(-self._drawn // 2)
-        u = _philox_at(self.master_seed, self.stream_index, first).random(size, out=out)
+        u = _pcg_at(self._origin, first).random(size, out=out)
         self._drawn = 2 * (first + (1 if size is None and out is None else u.size))
         return u
 
@@ -186,14 +182,9 @@ class Ensemble:
 
     @property
     def entries_per_draw(self) -> int:
-        """Values one draw holds: 1 (a support index) or d (diagonal entries)."""
+        """Values one draw holds, and stream words it takes: 1 (a support
+        index) or d (diagonal entries)."""
         return 1 if self.is_finite_support else self.dim
-
-    @property
-    def words_per_draw(self) -> int:
-        """Stream words one draw consumes: 1 per support index, and 2 (one
-        64-bit output) per diagonal entry."""
-        return 1 if self.is_finite_support else 2 * self.dim
 
     @cached_property
     def is_diagonal(self) -> bool:
@@ -250,7 +241,7 @@ class Ensemble:
         return self.sample_diagonal_values(stream, count)
 
     def sample(self, stream: RngStream) -> np.ndarray:
-        """One draw as a matrix; consumes ``words_per_draw`` words."""
+        """One draw as a matrix; consumes ``entries_per_draw`` words."""
         (draw,) = self.draws(stream, 1)
         return self.support[draw] if self.is_finite_support else np.diag(draw)
 
@@ -280,12 +271,17 @@ class Ensemble:
         return idx
 
     def sample_diagonal_values(self, stream: RngStream, count: int) -> np.ndarray:
-        """``(count, d)`` diagonal entries ``low + (high - low) u`` in draw
-        order, one uniform u each (diagonal_uniform)."""
+        """``(count, d)`` diagonal entries ``low + (high - low) 2^-32 (w + 1/2)``
+        in draw order, one word w each (diagonal_uniform): the midpoints of
+        2^32 equal bins of ``[low, high]``, with mean exactly ``(low + high) / 2``
+        and variance ``(high - low)^2 (1 - 2^-64) / 12``, the closed forms to
+        rounding."""
         if self.family != "diagonal_uniform":
             raise ValueError(f"{self.family} ensemble is not diagonal_uniform")
-        u = stream.uniform(count * self.dim)
-        return (self.low + (self.high - self.low) * u).reshape(count, self.dim)
+        entries = stream.words(count * self.dim) + 0.5
+        entries *= (self.high - self.low) * 2.0**-32
+        entries += self.low
+        return entries.reshape(count, self.dim)
 
     def index_counts(self, words: np.ndarray) -> np.ndarray:
         """``(R, m)`` int64 counts of each support index among the words of

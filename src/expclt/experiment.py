@@ -44,6 +44,7 @@ import json
 import math
 import operator
 import os
+import pickle
 import reprlib
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -484,10 +485,14 @@ def _map_pass(refs: _References, n: int, pool):
     """The chunk results of the path pass at n, one per range of
     :func:`engine.chunk_ranges` in index order, from the pass stream keyed
     ``("clt", n)``: all sent now to the pool ``pool``, whose workers start with
-    :meth:`_References.start_worker`, or computed here as read when it is None."""
+    :meth:`_References.start_worker`, or computed here as read when it is None.
+    A pooled task is pickled here first: one that cannot be raises in the run,
+    where the pool's feeder thread would leave its results waited for forever."""
     cfg = refs.cfg
     task = functools.partial(_chunk_task, None if pool else refs, n, _pass_kw(cfg, n),
                              RngStream(cfg.master_seed).child("clt", n))
+    if pool is not None:
+        pickle.dumps(task)
     return (map if pool is None else pool.map)(
         task, engine.chunk_ranges(cfg.ensemble, n, cfg.replicates))
 

@@ -92,7 +92,7 @@ class TestSampleXi:
         stream = RngStream(5).child("clt", n)  # replicate i of a pass
         for i in range(20):
             t = sample_xi(dense3, n, [1.0, 0.0, 0.0],
-                          stream.at(i * n * dense3.words_per_draw), kern)
+                          stream.at(i * n * dense3.entries_per_draw), kern)
             assert np.linalg.norm(t.xi_x) <= cap
 
     def test_replay_determinism(self, dense3, diag3):

@@ -16,8 +16,8 @@ def _pass(seed):
 
 
 def _replicate(stream, e, n, i):
-    """The pass ``stream`` moved to replicate i's first word, i n words_per_draw."""
-    return stream.at(i * n * e.words_per_draw)
+    """The pass ``stream`` moved to replicate i's first word, i n entries_per_draw."""
+    return stream.at(i * n * e.entries_per_draw)
 
 
 def _diff_rows(e, kern, x, stream, reps, ks, width=None):

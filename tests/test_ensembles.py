@@ -61,8 +61,8 @@ class TestRngStream:
         a = np.empty((1, 3))
         b = np.empty((1, 5))
         d = np.empty((1, 2))
-        r.uniform(out=a[0])  # from counter 0: r has not drawn yet
-        r.uniform(out=b[0])  # 3 outputs into the first counter block
+        r.uniform(out=a[0])  # from the origin: r has not drawn yet
+        r.uniform(out=b[0])  # 3 outputs past the origin
         c = r.uniform(6)
         r.uniform(out=d[0])
         assert np.array_equal(np.concatenate([a[0], b[0], c, d[0]]), ref)
@@ -79,16 +79,19 @@ class TestRngStream:
         assert np.array_equal(out[2], RngStream(2, 3).uniform(7))
 
 
+def _pcg(seed, index):
+    """A plain PCG64DXSM seeded with SeedSequence([seed, index]), at output 0."""
+    return np.random.PCG64DXSM(np.random.SeedSequence([seed, index]))
+
+
 def _plain(seed, index, count):
-    """``count`` uniforms of a plain Philox keyed (seed, index), drawn at once."""
-    key = np.array([seed, index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key)).random(count)
+    """``count`` uniforms of a plain PCG64DXSM of the key (seed, index), drawn at once."""
+    return np.random.Generator(_pcg(seed, index)).random(count)
 
 
 def _raw(seed, index, count):
-    """``count`` 64-bit outputs of a plain Philox keyed (seed, index), as Python ints."""
-    key = np.array([seed, index], dtype=np.uint64)
-    return [int(v) for v in np.random.Philox(key=key).random_raw(count)]
+    """``count`` 64-bit outputs of a plain PCG64DXSM of the key (seed, index), as Python ints."""
+    return [int(v) for v in _pcg(seed, index).random_raw(count)]
 
 
 class _Model:
@@ -136,7 +139,7 @@ def _replay(seed, index, calls, got):
 
 
 class TestStreamOracle:
-    """A stream, however its draws are split into calls, replays a plain Philox."""
+    """A stream, however its draws are split into calls, replays a plain PCG64DXSM."""
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), index=st.integers(0, 2**64 - 1), calls=_CALLS)
@@ -157,6 +160,23 @@ class TestStreamOracle:
         drawn = RngStream(5, 6)
         drawn.words(3)
         assert np.array_equal(drawn.at(word).words(20), ref)  # the key, not the position
+
+    @pytest.mark.parametrize("word", [2**40 + 2, 2**40 + 3, 2**64 + 1])
+    def test_at_a_far_word_replays_numpys_advance(self, word):
+        plain = _pcg(5, 6)
+        plain.advance(word // 2)  # the output that holds the word
+        raw = [int(v) for v in plain.random_raw(11)]
+        ref = [h for v in raw for h in (v & 0xFFFFFFFF, v >> 32)][word % 2 : word % 2 + 20]
+        assert RngStream(5, 6).at(word).words(20).tolist() == ref
+        for drawn_first in (0, 1, 4097):
+            drawn = RngStream(5, 6)
+            drawn.words(drawn_first)
+            moved = drawn.at(word)  # however far the stream had drawn
+            assert np.concatenate([moved.words(7), moved.words(13)]).tolist() == ref
+        u = RngStream(5, 6).at(word).uniform(10)  # from the next whole output
+        plain = _pcg(5, 6)
+        plain.advance(-(-word // 2))
+        assert np.array_equal(u, np.random.Generator(plain).random(10))
 
     def test_words_split_each_output_low_half_first(self):
         raw = _raw(2, 3, 4)
@@ -302,7 +322,7 @@ _A = np.array([[0.3, 0.1], [0.0, -0.2]])
 _B = np.array([[0.3, 0.1], [0.0, 0.2]])
 
 # One law of each sampling shape: support_indices counts cut points for m = 2
-# and 3 and binary-searches for m = 129; diagonal draws take 2 or 2 d words.
+# and 3 and binary-searches for m = 129; diagonal draws take 1 or d words.
 _LAWS = {
     "two_point": two_point(np.array([[0.0]]), np.array([[1.0]]), 0.3),
     "finite_support_m3": finite_support([np.eye(2) * i for i in range(3)],
@@ -332,9 +352,9 @@ class TestDraws:
         for draw in draws:
             ref = e.support[draw] if e.is_finite_support else np.diag(draw)
             assert np.array_equal(e.sample(r), ref)
-        # a draw takes words_per_draw words: the next draw starts where r stands
+        # a draw takes entries_per_draw words: the next draw starts where r stands
         assert np.array_equal(e.draws(r, 5),
-                              e.draws(RngStream(21).at(count * e.words_per_draw), 5))
+                              e.draws(RngStream(21).at(count * e.entries_per_draw), 5))
 
     @pytest.mark.parametrize("law", sorted(_LAWS))
     def test_draws_map_words_or_uniforms(self, law):
@@ -342,11 +362,28 @@ class TestDraws:
         draws = e.draws(RngStream(22), count)
         assert draws.shape[1:] == e.draws(RngStream(22), 0).shape[1:]
         assert draws[0].size == e.entries_per_draw
+        words = RngStream(22).words(count * e.entries_per_draw)
         if e.is_finite_support:
-            assert np.array_equal(draws, e.support_indices(RngStream(22).words(count)))
-        else:
-            u = RngStream(22).uniform(count * e.dim).reshape(count, e.dim)
-            assert np.array_equal(draws, e.low + (e.high - e.low) * u)
+            assert np.array_equal(draws, e.support_indices(words))
+        else:  # the midpoint of the word's 2^-32 bin of [low, high]
+            w = words.reshape(count, e.dim).astype(float)
+            assert np.array_equal(draws, e.low + (e.high - e.low) * 2.0**-32 * (w + 0.5))
+
+    @pytest.mark.parametrize("low, high, strict", [
+        (-0.5, 1.0, True), (-1e300, 1e300, True), (0.3, 0.3, False),
+        (1.0, 1.0 + 2.0**-40, False),  # bins far below the spacing of floats near 1
+    ])
+    def test_diagonal_entries_stay_inside_the_bounds(self, low, high, strict):
+        class Ends:  # the end words, whose bin midpoints lie closest to the bounds
+            def words(self, count):
+                return np.resize(np.array([0, 2**32 - 1], dtype=np.uint32), count)
+
+        e = diagonal_uniform(2, low, high)
+        entries = e.draws(Ends(), 3)
+        assert np.all(low <= entries) and np.all(entries <= high)
+        assert np.all(np.abs(entries) <= e.rho)
+        if strict:
+            assert np.all(low < entries[:, 0]) and np.all(entries[:, 1] < high)
 
 
 def _tally(e, rows):

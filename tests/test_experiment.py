@@ -4,6 +4,9 @@ import math
 import os
 import pickle
 import re
+import signal
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -632,6 +635,45 @@ class TestRun:
         assert len(executors) == 1 and executors[0].shut_down
         assert [n for n, _ in kernels] == [64] and _released(kernels)  # doob's
 
+    # A pooled run whose chunk task cannot reach or finish in a worker ends
+    # at once with exit 3, in a fresh interpreter that a hang cannot stall.
+    _BROKEN_POOL = {
+        "unpicklable": ("experiment._chunk_task = lambda *args: None",
+                        "Can't pickle"),
+        "worker_dies": ("main_pid, real = os.getpid(), engine.simulate_paths\n"
+                        "def chunk(*args, **kwargs):\n"
+                        "    if os.getpid() != main_pid:\n"
+                        "        os._exit(1)\n"
+                        "    return real(*args, **kwargs)\n"
+                        "engine.simulate_paths = chunk",
+                        "BrokenProcessPool"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(_BROKEN_POOL))
+    def test_a_broken_pooled_task_is_exit_3_not_a_hang(self, tmp_path, case):
+        patch, message = self._BROKEN_POOL[case]
+        path = _write(tmp_path, "c.json", _base_config(
+            tmp_path, suites=["clt"], n_grid=[16, 32], replicates=60))
+        script = ("import os, sys\n"
+                  "from expclt import engine, experiment\n"
+                  "from expclt.cli import main\n"
+                  "engine.batch_size = lambda *args: 32  # 2 chunks a pass, so a pool of 2\n"
+                  f"{patch}\n"
+                  f"sys.exit(main(['run', {path!r}, '--workers', '2']))\n")
+        src = os.path.dirname(os.path.dirname(experiment.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        with subprocess.Popen([sys.executable, "-c", script], env=env, text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              start_new_session=True) as proc:
+            try:
+                _, err = proc.communicate(timeout=60)
+            except subprocess.TimeoutExpired:
+                os.killpg(proc.pid, signal.SIGKILL)  # the run and its pool workers
+                raise
+        assert proc.returncode == 3, err
+        assert err.startswith("error: ") and message in err
+
     def test_a_clt_suite_that_stops_early_queues_no_pass(self, tmp_path, executors,
                                                          monkeypatch):
         # Canonical probes project a diagonal law's limit to 0, so the clt
@@ -714,7 +756,7 @@ class TestRun:
     def test_pass_replays_sample_xi_at_each_replicates_word(self, tmp_path, monkeypatch,
                                                            workers, ensemble):
         # replicate i of the pass at n is sample_xi from the pass stream
-        # ("clt", n) moved to word i n words_per_draw, in chunks of 3 rows
+        # ("clt", n) moved to word i n entries_per_draw, in chunks of 3 rows
         # (the last of 2) in this process or shared by a pool of two
         monkeypatch.setattr(experiment.engine, "batch_size", lambda *a: 3)
         n, reps = 16, 20
@@ -731,7 +773,7 @@ class TestRun:
         e, kern = cfg.ensemble, precompute_kernel(cfg.ensemble, n)
         stream = RngStream(cfg.master_seed).child("clt", n)
         for i in range(reps):
-            ref = sample_xi(e, n, cfg.x, stream.at(i * n * e.words_per_draw), kern)
+            ref = sample_xi(e, n, cfg.x, stream.at(i * n * e.entries_per_draw), kern)
             assert out["proj_xi"][i] == pytest.approx(float(cfg.y @ ref.xi_x),
                                                       rel=1e-11, abs=1e-13)
 
@@ -876,7 +918,7 @@ def _structure_reference(cfg):
     over the independent diagonal entries."""
     e, n, reps = cfg.ensemble, cfg.n_grid[-1], cfg.replicates
     stream = RngStream(cfg.master_seed).child("clt", n)
-    streams = [stream.at(i * n * e.words_per_draw) for i in range(reps)]
+    streams = [stream.at(i * n * e.entries_per_draw) for i in range(reps)]
     kern = precompute_kernel(e, n)
     if e.is_finite_support:
         idx = np.concatenate([e.sample_indices(r, n) for r in streams])

@@ -2,14 +2,14 @@
 generator behind the ``RngStream`` interface.
 
 Outside ``ensembles.py`` and the engine's algebra, code reaches a law
-through ``words_per_draw``, ``entries_per_draw``, ``draws``, ``sample``,
+through ``entries_per_draw``, ``draws``, ``sample``,
 ``is_point_mass`` and the moment methods, and never reads which family it
 is or that family's parameters.  The functions allowed below are closed
 forms of one family by design: their numbers are emitted, or they build the
 per-law tables and digests.  A new family must pass without adding to them.
 
 Outside ``ensembles.py``, code draws only through a stream's ``words``
-and ``uniform``: it never names numpy's random module, a Philox or a bit
+and ``uniform``: it never names numpy's random module, a PCG, a Philox or a bit
 generator, and never reads the stream's private state.
 
 Every module-level function, class or constant is named by other code in
@@ -87,7 +87,8 @@ _STREAM_PRIVATE = {a for a in vars(RngStream) if a.startswith("_") and not a.sta
 
 def _generator_names(source: str) -> list:
     """``(line, name)`` for each use of numpy's random module, of a name that
-    mentions Philox or a bit generator, or of a private ``RngStream`` attribute."""
+    mentions PCG, Philox or a bit generator, or of a private ``RngStream``
+    attribute."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -104,7 +105,8 @@ def _generator_names(source: str) -> list:
         for name in names:
             parts = name.split(".")
             if (name.startswith(("np.random", "numpy.random"))
-                    or any("philox" in p.lower() or p == "bit_generator" for p in parts)
+                    or any("philox" in p.lower() or "pcg" in p.lower()
+                           or p == "bit_generator" for p in parts)
                     or parts[-1] in _STREAM_PRIVATE):
                 found.append((node.lineno, name))
     return found
@@ -118,16 +120,18 @@ def test_no_generator_outside_the_stream(module):
 
 
 def test_guard_sees_generators_and_private_stream_state():
-    assert _STREAM_PRIVATE == {"_drawn"}
+    assert _STREAM_PRIVATE == {"_drawn", "_origin"}
     source = ("import numpy.random\n"
               "from numpy import random\n"
-              "from .ensembles import _philox_at\n"
+              "from .ensembles import _pcg_at\n"
               "def f(r, np):\n"
               "    g = np.random.Generator(Philox())\n"
+              "    h = PCG64DXSM(r._origin)\n"
               "    return g.bit_generator, r._drawn, r.uniform(3)\n")
     assert sorted(_generator_names(source)) == [
-        (1, "numpy.random"), (2, "numpy.random"), (3, "ensembles._philox_at"),
-        (5, "Philox"), (5, "np.random"), (6, "g.bit_generator"), (6, "r._drawn")]
+        (1, "numpy.random"), (2, "numpy.random"), (3, "ensembles._pcg_at"),
+        (5, "Philox"), (5, "np.random"), (6, "PCG64DXSM"), (6, "r._origin"),
+        (7, "g.bit_generator"), (7, "r._drawn")]
 
 
 def _defined(node) -> list:
