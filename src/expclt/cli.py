@@ -10,8 +10,8 @@ Exit codes: 0 when every executed suite passed, 1 when one failed, 2 when the
 config, an override, the worker count or the output directory is rejected,
 and 3 when anything else raised (one ``error:`` line on stderr).
 
---workers beats EXPCLT_WORKERS, which beats min(4, cpu_count); either must be
-an integer >= 1. The worker count never changes any emitted byte.
+--workers, an integer >= 1, defaults to min(4, cpu_count). The worker count
+never changes any emitted byte.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import sys
 from .experiment import (
     SUITE_NAMES,
     ConfigError,
-    default_workers,
     read_config,
     run,
     validate_config,
@@ -46,7 +45,7 @@ def main(argv=None) -> int:
                       help="comma-separated subset of: " + ", ".join(SUITE_NAMES))
     runp.add_argument("--workers", type=int, default=None,
                       help="process count for replicate chunks "
-                      "(default: EXPCLT_WORKERS or min(4, cpu_count))")
+                      "(default: min(4, cpu_count))")
     args = parser.parse_args(argv)
     overrides = {"master_seed": args.seed, "output_dir": args.out, "suites": args.suites
                  and [s.strip() for s in args.suites.split(",") if s.strip()]}
@@ -54,12 +53,9 @@ def main(argv=None) -> int:
         raw = read_config(args.config)
         raw.update((k, v) for k, v in overrides.items() if v is not None)
         cfg = validate_config(raw)
-        workers = default_workers() if args.workers is None else args.workers
-        if workers < 1:
-            raise ConfigError(f"--workers must be an integer >= 1, got {workers}")
         print(f"ensemble: {cfg.ensemble.family} d={cfg.ensemble.dim} "
               f"rho={cfg.ensemble.rho:.6g}")
-        report = run(cfg, workers=workers)
+        report = run(cfg, workers=args.workers)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -110,11 +110,11 @@ def precompute_kernel(e: Ensemble, n: int) -> PrecomputedKernel:
     return PrecomputedKernel(ensemble=e, n=n, exps=exps, p_powers=p, q_powers=q)
 
 
-def kernel_consistency(kern: PrecomputedKernel, ks=None) -> float:
-    """Max relative defect of p_powers[k] against a direct e^{EA k/n}."""
+def kernel_consistency(kern: PrecomputedKernel) -> float:
+    """Max relative defect of p_powers[k] against a direct e^{EA k/n}, at a
+    few k within [1, n], rows of p_powers."""
     n = kern.n
-    ks = np.asarray(ks if ks is not None else  # every k within [1, n], p_powers' rows
-                    sorted({1, min(2, n), min(3, n), n // 3, n // 2, n - 1, n} - {0}), dtype=int)
+    ks = np.array(sorted({1, min(2, n), min(3, n), n // 3, n // 2, n - 1, n} - {0}))
     direct = mat_exp(kern.ensemble.mean() * (ks / n)[:, None, None])
     scale = np.maximum(op_norm(direct), 1.0)
     return float(np.max(op_norm(kern.p_powers[ks] - direct) / scale, initial=0.0))
@@ -203,7 +203,7 @@ class LemmaSpeedPoint:
     n: int
     norm_outer: float  # ||(E e^{A/n})^n - e^{EA}||
     norm_inner: float  # ||E e^{A/n} - e^{EA/n}||
-    k_max_norm: float  # max over k in {1, n/2, n} of ||(E e^{A/n})^k - e^{EA k/n}||
+    k_max_norm: float  # max over k in {1, ceil(n/2), n} of ||(E e^{A/n})^k - e^{EA k/n}||
 
 
 def lemma_speed_curve(e: Ensemble, n_grid) -> list:
@@ -220,7 +220,7 @@ def lemma_speed_curve(e: Ensemble, n_grid) -> list:
         inner = op_norm(x_mat - y_mat)
         k_norms = op_norm(np.array([
             np.linalg.matrix_power(x_mat, k) - np.linalg.matrix_power(y_mat, k)
-            for k in sorted({1, max(1, n // 2), n})]))
+            for k in engine.probe_steps(n)]))
         points.append(
             LemmaSpeedPoint(
                 n=n, norm_outer=float(k_norms[-1]), norm_inner=inner,
@@ -385,20 +385,17 @@ def dot_moments(n: int, ks, dots) -> DiffMomentPoint:
 
 
 def diff_moment_curve(e: Ensemble, n_grid, x, reps: int, r: RngStream) -> list:
-    """:func:`dot_moments` of d_{n,k} x - d'_{n,k} x at k in {1, ceil(n/2), n}
-    over the grid, from the dots of a :func:`engine.simulate_paths` pass with
-    those ks and no projection, which sweeps no product; the pass at size n
-    draws from the pass stream r.child(n)."""
+    """:func:`dot_moments` of d_{n,k} x - d'_{n,k} x at the
+    :func:`engine.probe_steps` of each n of the grid, from the dots of a
+    martingale :func:`engine.simulate_paths` pass with y = x; the pass at
+    size n draws from the pass stream r.child(n)."""
     if reps < 100:
         raise ValueError("reps must be >= 100")
     x = as_vector(x, e.dim, "x")
-    out = []
-    for n in n_grid:
-        ks = sorted({1, (n + 1) // 2, n})
-        dots = engine.simulate_paths(e, precompute_kernel(e, n), x, None,
-                                     r.child(n), reps, ks=ks)
-        out.append(dot_moments(n, ks, dots))
-    return out
+    return [dot_moments(n, engine.probe_steps(n),
+                        engine.simulate_paths(e, precompute_kernel(e, n), x, x, r.child(n),
+                                              reps, want_s_prime=True))
+            for n in n_grid]
 
 
 def riemann_cov_value(e: Ensemble, n: int, x, y,

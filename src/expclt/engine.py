@@ -13,10 +13,10 @@ exponential of their sum T_n of centered draws, which also gives the S term;
 only the S' recurrence runs step by step (:func:`_elementwise_sweep`).  At
 d=1 the sum is T_n = sum_j c_j Δ_j over the row's index counts c_j, added in
 index order (:func:`_count_sums`), whatever route the counts take: a pass
-that wants neither S' nor difference pairs draws no rows, and turns each
-block of words straight into per-row counts (:func:`_draw_counts`); a pass
-that wants them counts the rows it draws.  A support larger than n is
-counted sparsely, over each row's sorted indices, with the same bits.
+that does not want S' draws no rows, and turns each block of words straight
+into per-row counts (:func:`_draw_counts`); a martingale pass counts the
+rows it draws.  A support larger than n is counted sparsely, over each
+row's sorted indices, with the same bits.
 Diagonal draws are summed in step order by ``add.reduce`` over blocks whose
 row 0 is the sum so far.  Finite support at d >= 2 multiplies matrices
 (:func:`_grouped_sweep`): at every step the rows are sorted by the support
@@ -38,8 +38,9 @@ The one Monte Carlo pass, :func:`simulate_paths`, is the replicate driver:
 :func:`chunk_ranges` fixes the chunks from the problem shape alone, each
 chunk draws its rows, or its index counts, from its own replicates' words
 of the pass stream, and :func:`concat_chunks` joins the chunk results in
-index order.  It can run :func:`diff_pair_block` on the rows it drew, and
-reduces each result row by row, so one pass serves every statistic.
+index order.  A martingale pass also runs :func:`diff_pair_block` on the
+rows it drew, at the :func:`probe_steps` of n, and each result is reduced
+row by row, so one pass serves every statistic.
 
 Per chunk of B replicates and one k-sweep (k = n .. 1) the engine updates
 
@@ -61,6 +62,7 @@ import numpy as np
 
 __all__ = [
     "batch_size",
+    "probe_steps",
     "pass_bytes",
     "chunk_ranges",
     "concat_chunks",
@@ -109,6 +111,12 @@ def batch_size(e, n: int) -> int:
     """Deterministic chunk width; a pure function of the problem shape only."""
     per_row = n * e.entries_per_draw
     return max(32, min(8192, _CHUNK_TARGET // max(1, per_row)))
+
+
+def probe_steps(n: int) -> list:
+    """The steps k at which a martingale pass takes its difference pairs and
+    the suites probe d_{n,k}: 1, ceil(n/2) and n, sorted and distinct."""
+    return sorted({1, (n + 1) // 2, n})
 
 
 def pass_bytes(e, n: int) -> tuple:
@@ -511,7 +519,7 @@ def simulate_block(kern, x, rows, *, want_s_prime: bool = False):
 
 
 def simulate_paths(e, kern, x, y, stream, reps: int, *, first: int = 0,
-                   want_s_prime: bool = False, ks=()):
+                   want_s_prime: bool = False):
     """All requested per-replicate statistics of the replicates ``first`` to
     ``first + reps - 1`` of the pass ``stream``.
 
@@ -520,46 +528,39 @@ def simulate_paths(e, kern, x, y, stream, reps: int, *, first: int = 0,
     internal and cannot affect any output bit.
 
     Returns a dict of float arrays of length ``reps``: ``proj_xi`` = <y, xi_n
-    x> unless ``y`` is None; with ``want_s_prime``, the martingale pass,
-    ``diff_norm`` = ||xi_n x - S_n x||, ``r_norm`` = ||R_n x|| and
-    ``mk_norm`` = ||M_n x||, and ``tally``, the stacked :func:`simulate_block`
-    tally rows of its chunks; and with ``ks``, the :func:`diff_dots` of the
-    :func:`diff_pair_block` rows that the same draws give at those ks.  A
-    pass with no projection and no want sweeps no product.  A
-    :func:`_counted` pass that wants neither S' nor ks draws no rows: each
-    chunk's index counts come straight from its words (:func:`_draw_counts`),
-    and give the same bits as the counts of its rows.
+    x>; with ``want_s_prime``, the martingale pass, also ``diff_norm`` =
+    ||xi_n x - S_n x||, ``r_norm`` = ||R_n x|| and ``mk_norm`` = ||M_n x||,
+    ``tally``, the stacked :func:`simulate_block` tally rows of its chunks,
+    and the :func:`diff_dots` of the :func:`diff_pair_block` rows that the
+    same draws give at the :func:`probe_steps` of n.  A :func:`_counted` pass
+    without S' draws no rows: each chunk's index counts come straight from
+    its words (:func:`_draw_counts`), with the bits of its rows' counts.
     """
     n = kern.n
-    x = np.asarray(x, dtype=float)
-    y = None if y is None else np.asarray(y, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     root_n = np.sqrt(float(n))
     ex_x = kern.p_powers[n] @ x  # e^{EA} x
     qn_x = kern.q_powers[n] @ x  # (E e^{A/n})^n x
-    counted = _counted(e) and not (want_s_prime or ks)
+    counted = _counted(e) and not want_s_prime
 
     def stats(lo, hi):
-        out = {}
         if counted:
             t, _ = _count_sums(e, _draw_counts(e, stream, n, lo, hi))
             block = {"prod_x": _sum_ends(kern, x, t)[0]}
         else:
             rows = _draw_rows(e, stream, n, lo, hi)
-            block = (simulate_block(kern, x, rows, want_s_prime=want_s_prime)
-                     if y is not None or want_s_prime else {})
-        xi = root_n * (block["prod_x"] - ex_x) if block else None
-        if y is not None:
-            # a sum along each row, whose bits no other row changes (a BLAS
-            # matrix-vector product rounds a row by the rows multiplied with it)
-            out["proj_xi"] = (xi * y).sum(axis=1)
+            block = simulate_block(kern, x, rows, want_s_prime=want_s_prime)
+        xi = root_n * (block["prod_x"] - ex_x)
+        # a sum along each row, whose bits no other row changes (a BLAS
+        # matrix-vector product rounds a row by the rows multiplied with it)
+        out = {"proj_xi": (xi * y).sum(axis=1)}
         if want_s_prime:
             mk = block["prod_x"] - qn_x
             out["diff_norm"] = np.linalg.norm(xi - block["s_x"] / root_n, axis=1)
             out["r_norm"] = np.linalg.norm(root_n * mk - block["s_prime_x"] / root_n, axis=1)
             out["mk_norm"] = np.linalg.norm(mk, axis=1)
             out["tally"] = block["tally"]
-        if ks:
-            out.update(diff_dots(diff_pair_block(kern, x, rows, ks)))
+            out.update(diff_dots(diff_pair_block(kern, x, rows, probe_steps(n))))
         return out
 
     return concat_chunks([stats(first + lo, first + hi)

@@ -19,10 +19,10 @@ every draw is a pure function of the two.  A Monte Carlo pass keys one
 stream, and its replicate i owns the words ``[i W, (i + 1) W)`` with
 ``W = n * entries_per_draw``, so replicates can be farmed out to any number
 of workers, in any chunks, without changing a single bit of output.  Every
-value of a draw takes one word: a support index maps it through integer cut
-points, and a diagonal entry takes the midpoint of its 2^-32 bin of
-``[low, high]``.  This module is the only one that touches the PCG64DXSM
-generator behind the streams.
+random value, probe pairs included, is one word mapped by a law: a support
+index maps it through integer cut points, and a diagonal entry takes the
+midpoint of its 2^-32 bin of ``[low, high]``.  This module is the only one
+that touches the PCG64DXSM generator behind the streams.
 
 Callers see a law through one interface: a draw holds ``entries_per_draw``
 values and takes as many words, ``draws`` takes a stream's next draws
@@ -60,17 +60,6 @@ _FINITE_FAMILIES = ("two_point", "finite_support", "deterministic")
 _SCRATCH = threading.local()  # each thread's own PCG64DXSM, which every stream moves
 
 
-def _pcg_at(origin: dict, output: int) -> np.random.Generator:
-    """The thread's scratch generator, set to a key's ``origin`` state and
-    advanced ``output`` 64-bit outputs past it, in O(log output) steps."""
-    gen = getattr(_SCRATCH, "gen", None)
-    if gen is None:
-        gen = _SCRATCH.gen = np.random.Generator(np.random.PCG64DXSM(0))
-    gen.bit_generator.state = origin
-    gen.bit_generator.advance(output)
-    return gen
-
-
 def _hash64(*parts) -> int:
     """Stable 64-bit hash of the stringified parts (platform independent)."""
     data = "|".join(str(p) for p in parts).encode("utf-8")
@@ -85,14 +74,13 @@ class RngStream:
     state of a PCG64DXSM (O'Neill, HMC-CS-2014-0905) seeded with
     ``SeedSequence([master_seed, stream_index])``, derived once per key, and
     the stream's words are that generator's 64-bit outputs, each split in
-    two, low half first.  :meth:`words` draws them one by one;
-    :meth:`uniform` spends one whole output per float64 uniform, mapped as
-    numpy's ``random`` maps it, starting at the next output boundary.  Each
-    call sets its thread's scratch generator to the origin and advances it to
-    the position, so distinct keys give statistically independent streams,
-    any split of a stream's draws into calls replays one plain draw from the
-    origin, and :meth:`at` reaches any word of the stream without drawing the
-    ones before it.
+    two, low half first.  A stream serves words only: every random value is
+    one word that a law maps.  Each :meth:`words` call sets its thread's
+    scratch generator to the origin and advances it to the position, so
+    distinct keys give statistically independent streams, any split of a
+    stream's words into calls replays one plain draw from the origin, and
+    :meth:`at` reaches any word of the stream without drawing the ones
+    before it.
     """
 
     __slots__ = ("master_seed", "stream_index", "_origin", "_drawn")
@@ -113,21 +101,16 @@ class RngStream:
 
     def words(self, count: int) -> np.ndarray:
         """The next ``count`` words, as uint32."""
+        pcg = getattr(_SCRATCH, "pcg", None)
+        if pcg is None:
+            pcg = _SCRATCH.pcg = np.random.PCG64DXSM(0)
         first = self._drawn // 2  # the output that holds the next word
-        raw = _pcg_at(self._origin, first).bit_generator.random_raw(
-            (self._drawn + count + 1) // 2 - first)
+        pcg.state = self._origin
+        pcg.advance(first)  # in O(log first) steps
+        raw = pcg.random_raw((self._drawn + count + 1) // 2 - first)
         skip, self._drawn = self._drawn % 2, self._drawn + count
         # little-endian bytes, so each output reads as its low half, then its high half
         return np.asarray(raw, dtype="<u8").view("<u4")[skip : skip + count]
-
-    def uniform(self, size=None, out=None):
-        """Next uniform draw(s) in [0, 1), one 64-bit output each: ``size`` of
-        them, or enough to fill the float64 array ``out``, which is then
-        returned.  An odd position first skips the high half of its output."""
-        first = -(-self._drawn // 2)
-        u = _pcg_at(self._origin, first).random(size, out=out)
-        self._drawn = 2 * (first + (1 if size is None and out is None else u.size))
-        return u
 
     def child(self, *parts) -> "RngStream":
         """Derived independent stream; same parts always give the same child."""

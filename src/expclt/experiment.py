@@ -32,7 +32,7 @@ chunks.  The suites that draw no pass run first, then martingale, then clt.
 The chunks of every pass are sent to the pool as the run starts, in grid
 order.  A run's suites and chunks read its references, Sigma(x, y) when first
 read and the kernel of one n at a time; each pool worker builds its own once,
-as it starts, so a chunk task carries only its n, wants, stream and bounds.
+as it starts, so a chunk task carries only its n, stream and bounds.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ import operator
 import os
 import pickle
 import reprlib
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
@@ -435,8 +436,14 @@ class _References:
 
     @classmethod
     def start_worker(cls, cfg: ExperimentConfig) -> None:
-        """Pool initializer: the worker builds its own references of the run."""
-        cls.worker = cls(cfg)
+        """Pool initializer: the worker builds its own references of the run,
+        and a thread ends it once its parent is gone, killed without a shutdown."""
+        cls.worker, parent = cls(cfg), os.getppid()
+        def watch():
+            while os.getppid() == parent:
+                time.sleep(0.5)
+            os._exit(1)
+        threading.Thread(target=watch, daemon=True).start()
 
     @functools.cached_property
     def sigma2(self) -> float:
@@ -455,16 +462,6 @@ class _References:
         return self._kern
 
 
-def _pass_kw(cfg: ExperimentConfig, n: int) -> dict:
-    """The wants of the path pass at n: the clt suite reads its projections,
-    which no want changes, and the martingale suite what it wants of the same
-    draws."""
-    if "martingale" not in cfg.suites:
-        return {}
-    # ks: the steps of the difference pairs
-    return {"want_s_prime": True, "ks": sorted({1, (n + 1) // 2, n})}
-
-
 def _passes(refs: _References) -> list:
     """The n of each path pass of the run, in grid order, when a suite takes
     them: the martingale suite, or a clt suite that does not stop early."""
@@ -473,12 +470,14 @@ def _passes(refs: _References) -> list:
     return list(cfg.n_grid) if drawn else []
 
 
-def _chunk_task(refs, n, kw, stream, bounds):
+def _chunk_task(refs, n, stream, bounds):
     """The path pass at n over the replicates [lo, hi) = ``bounds`` of its pass
-    ``stream``, with the kernel of ``refs``, or of the pool worker's when None."""
+    ``stream``, a martingale pass when the run has that suite, with the kernel
+    of ``refs``, or of the pool worker's when None."""
     (lo, hi), refs = bounds, refs or _References.worker
-    return engine.simulate_paths(refs.cfg.ensemble, refs.kernel(n), refs.cfg.x, refs.cfg.y,
-                                 stream, hi - lo, first=lo, **kw)
+    cfg = refs.cfg
+    return engine.simulate_paths(cfg.ensemble, refs.kernel(n), cfg.x, cfg.y, stream, hi - lo,
+                                 first=lo, want_s_prime="martingale" in cfg.suites)
 
 
 def _map_pass(refs: _References, n: int, pool):
@@ -489,7 +488,7 @@ def _map_pass(refs: _References, n: int, pool):
     A pooled task is pickled here first: one that cannot be raises in the run,
     where the pool's feeder thread would leave its results waited for forever."""
     cfg = refs.cfg
-    task = functools.partial(_chunk_task, None if pool else refs, n, _pass_kw(cfg, n),
+    task = functools.partial(_chunk_task, None if pool else refs, n,
                              RngStream(cfg.master_seed).child("clt", n))
     if pool is not None:
         pickle.dumps(task)
@@ -625,13 +624,13 @@ def _suite_lemma_speed(cfg: ExperimentConfig, refs: _References, paths) -> Suite
 
 def _structure_checks(cfg: ExperimentConfig, refs: _References, tally) -> list:
     """Mean of d_{n,k} = P_{k-1} (A - EA) P_{n-k} / sqrt(n) over the draws that
-    ``tally`` holds of the path pass at the largest n, at k in {1, n/2, n}:
+    ``tally`` holds of the path pass at the largest n, at its probe steps k:
     ||mean|| against 4 standard errors of zero, from the law's exact moment."""
     e, n = cfg.ensemble, cfg.n_grid[-1]
     kern = refs.kernel(n)
     draws = n * cfg.replicates
     mean = e.centered_total(tally) / draws
-    ks = sorted({1, max(1, n // 2), n})
+    ks = engine.probe_steps(n)
     ps, qs = kern.p_powers[[k - 1 for k in ks]], kern.p_powers[[n - k for k in ks]]
     checks = []
     for k, p, q, norm in zip(ks, ps, qs, op_norm(ps @ mean @ qs)):
@@ -652,7 +651,7 @@ def _suite_martingale(cfg: ExperimentConfig, refs: _References, paths) -> SuiteR
     for n in cfg.n_grid:
         stats = paths(n)
         kern = refs.kernel(n)
-        ks = _pass_kw(cfg, n)["ks"]
+        ks = engine.probe_steps(n)
         diff = dot_moments(n, ks, stats)
         checks += [Check(f"|mean_dot| n={n} k={a} l={b}", abs(m), 4.0 * s + 1e-30, "<=")
                    for a, b, m, s in diff.ortho]
@@ -761,10 +760,10 @@ def _suite_covariance(cfg: ExperimentConfig, refs: _References, paths) -> SuiteR
               "min_projected_variance", "max_shift_delta", "symmetry_defect")
     op = sigma_full(e)
     oracle = sigma_commuting_oracle(e) if e.is_diagonal else None
-    probes = [(cfg.x, cfg.y)]
-    r = RngStream(cfg.master_seed).child("covariance-probes")
-    for _ in range(20):
-        probes.append((2.0 * r.uniform(e.dim) - 1.0, 2.0 * r.uniform(e.dim) - 1.0))
+    # 20 more probe pairs, each two consecutive draws of a diagonal law's entries
+    draws = diagonal_uniform(e.dim, -1.0, 1.0).draws(
+        RngStream(cfg.master_seed).child("covariance-probes"), 40)
+    probes = [(cfg.x, cfg.y), *zip(draws[0::2], draws[1::2])]
 
     def rel(a, b):
         return abs(a - b) / max(abs(a), abs(b), np.finfo(float).tiny)
@@ -851,24 +850,18 @@ class RunReport:
     all_passed: bool
 
 
-def default_workers() -> int:
-    """EXPCLT_WORKERS, an integer >= 1, when it is set; else min(4, cpu_count)."""
-    env = os.environ.get("EXPCLT_WORKERS")
-    if not env:
-        return min(4, os.cpu_count() or 1)
-    if not env.strip().isdecimal() or int(env) < 1:
-        raise ConfigError(f"EXPCLT_WORKERS must be an integer >= 1, got {env!r}")
-    return int(env)
-
-
 def run(cfg: ExperimentConfig, workers: int | None = None) -> RunReport:
     """Execute the configured suites and write CSVs plus summary.json.
 
     Every number in the CSVs and in the deterministic part of the report is
-    a pure function of the config; the worker count only changes wall time.
-    A failing suite is recorded and the run continues.
+    a pure function of the config; the worker count, an integer >= 1 that
+    defaults to min(4, cpu_count), only changes wall time.  A failing suite
+    is recorded and the run continues.
     """
-    workers = default_workers() if workers is None else max(1, int(workers))
+    if workers is None:
+        workers = min(4, os.cpu_count() or 1)
+    elif type(workers) is not int or workers < 1:
+        raise ConfigError(f"workers: must be an integer >= 1, got {_BRIEF.repr(workers)}")
     try:
         os.makedirs(cfg.output_dir, exist_ok=True)
     except (OSError, ValueError) as exc:

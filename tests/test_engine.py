@@ -127,26 +127,34 @@ class TestReferenceParity:
         base = engine.simulate_paths(dense3, kern, x, x, _pass(1), 4)
         assert set(base) == {"proj_xi"}
         full = engine.simulate_paths(dense3, kern, x, x, _pass(1), 4, want_s_prime=True)
-        assert set(full) == {"proj_xi", "diff_norm", "r_norm", "mk_norm", "tally"}
+        dots = {(1, 1), (1, 4), (1, 8), (4, 4), (4, 8), (8, 8)}  # of probe_steps(8)
+        assert set(full) == {"proj_xi", "diff_norm", "r_norm", "mk_norm", "tally", *dots}
         with pytest.raises(ValueError, match="reps"):
             engine.simulate_paths(dense3, kern, x, x, _pass(1), 0)
 
     @pytest.mark.parametrize("fix", ["dense3", "diag3", "scalar01"])
-    def test_a_pass_without_projection_sweeps_no_product(self, fix, request,
-                                                         monkeypatch):
+    @pytest.mark.parametrize("n", [15, 16])
+    def test_a_martingale_pass_reads_the_dots_of_its_rows(self, fix, n, request):
+        # the dots at probe_steps(n), odd n's ceil(n/2) included, are those of
+        # the difference pairs of the rows the pass drew
         e = request.getfixturevalue(fix)
-        kern, ks = precompute_kernel(e, 16), (1, 8, 16)
+        kern = precompute_kernel(e, n)
         x = np.linspace(1.0, -0.5, e.dim)
-        with_y = engine.simulate_paths(e, kern, x, x, _pass(2), 9, ks=ks)
-        sweeps = []
-        real = engine.simulate_block
-        monkeypatch.setattr(engine, "simulate_block",
-                            lambda *a, **kw: sweeps.append(1) or real(*a, **kw))
-        dots = engine.simulate_paths(e, kern, x, None, _pass(2), 9, ks=ks)
-        assert sweeps == []
-        assert set(dots) == {(k, l) for k in ks for l in ks if k <= l}
-        for key in dots:
-            assert np.array_equal(dots[key], with_y[key])
+        ks = engine.probe_steps(n)
+        out = engine.simulate_paths(e, kern, x, x, _pass(2), 9, want_s_prime=True)
+        ref = engine.diff_dots(_diff_rows(e, kern, x, _pass(2), 9, ks))
+        assert ks == [1, (n + 1) // 2, n] and set(ref) <= set(out)
+        for key in ref:
+            assert np.array_equal(out[key], ref[key])
+
+
+@pytest.mark.parametrize("n, steps", [(1, [1]), (2, [1, 2]), (3, [1, 2, 3]), (5, [1, 3, 5]),
+                                      (64, [1, 32, 64]), (4096, [1, 2048, 4096])])
+def test_probe_steps_are_1_the_upper_half_and_n(n, steps):
+    got = engine.probe_steps(n)
+    assert got == steps
+    assert got == sorted(set(got)) and all(1 <= k <= n for k in got)
+    assert {1, -(-n // 2), n} == set(got)
 
 
 def _matmul_sweep(kern, x, rows, want_s_prime):
@@ -349,7 +357,8 @@ class TestScalarSweep:
         monkeypatch.setattr(engine, "_grouped_sweep",
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
         x = np.array([0.7])
-        engine.simulate_paths(e, kern, x, x, _pass(5), 40, want_s_prime=True, ks=ks)
+        assert engine.probe_steps(n) == list(ks)
+        engine.simulate_paths(e, kern, x, x, _pass(5), 40, want_s_prime=True)
         rows = engine._draw_rows(e, _pass(5), n, 0, 40)
         engine.diff_pair_block(kern, x, rows, ks)
         assert calls == []
@@ -373,9 +382,9 @@ def _assert_sparse_sums_are_dense(e, sparse):
 
 
 class TestCountRoute:
-    # A d=1 pass that wants neither S' nor ks turns each block of words
-    # straight into per-row index counts; a pass that wants them counts its
-    # rows. Both give T_n = sum_j c_j Δ_j the same bits.
+    # A d=1 pass that does not want S' turns each block of words straight
+    # into per-row index counts; a martingale pass counts its rows. Both give
+    # T_n = sum_j c_j Δ_j the same bits.
 
     @pytest.mark.parametrize("m", [1, 2, 5, 129, 300])
     @pytest.mark.parametrize("n", [7, 301])
@@ -432,7 +441,7 @@ class TestCountRoute:
 
     def test_a_clt_only_pass_draws_no_rows(self, monkeypatch):
         e = finite_support([[[-1.0]], [[0.5]], [[2.0]]], [0.2, 0.5, 0.3])
-        n, ks = 64, (1, 32, 64)
+        n = 64
         kern = precompute_kernel(e, n)
         x = np.array([0.7])
         calls = []
@@ -441,7 +450,7 @@ class TestCountRoute:
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
         clt = engine.simulate_paths(e, kern, x, x, _pass(5), 40)
         assert calls == []
-        full = engine.simulate_paths(e, kern, x, x, _pass(5), 40, want_s_prime=True, ks=ks)
+        full = engine.simulate_paths(e, kern, x, x, _pass(5), 40, want_s_prime=True)
         assert calls
         # one set of bits, whichever route the pass takes
         assert np.array_equal(clt["proj_xi"], full["proj_xi"])
@@ -660,19 +669,15 @@ def _width_invariance(e, n, reps, width, kw):
 @given(e=_ENTRYWISE_LAWS, n=st.integers(1, 300), reps=st.integers(1, 40),
        width=st.integers(1, 40))
 def test_entrywise_statistics_do_not_depend_on_the_width(e, n, reps, width):
-    _width_invariance(e, n, reps, width,
-                      dict(want_s_prime=True, ks=sorted({1, (n + 1) // 2, n})))
+    _width_invariance(e, n, reps, width, dict(want_s_prime=True))
 
 
-# Without S' and ks a d = 1 pass counts its words, not its rows; with S' and
-# no ks it counts its rows and draws no difference pairs.
-@pytest.mark.parametrize("kw", [dict(want_s_prime=True), {}],
-                         ids=["martingale_without_ks", "none"])
+# Without S' a d = 1 pass counts its words, not its rows.
 @settings(max_examples=40, derandomize=True, deadline=None)
 @given(e=_ENTRYWISE_LAWS, n=st.integers(1, 300), reps=st.integers(1, 40),
        width=st.integers(1, 40))
-def test_counted_statistics_do_not_depend_on_the_width(kw, e, n, reps, width):
-    _width_invariance(e, n, reps, width, kw)
+def test_counted_statistics_do_not_depend_on_the_width(e, n, reps, width):
+    _width_invariance(e, n, reps, width, {})
 
 
 class TestChunkingInvariance:
@@ -736,7 +741,7 @@ class TestChunkingInvariance:
         for reps, width in ((50, 3), (49, 2)):
             def paths():
                 return engine.simulate_paths(e, kern, x, y, _pass(29), reps,
-                                             want_s_prime=True, ks=(1, 8, 16))
+                                             want_s_prime=True)
             whole = paths()
             with monkeypatch.context() as mp:
                 mp.setattr(engine, "batch_size", lambda *a, b=width: b)
@@ -858,7 +863,7 @@ class TestChunkingInvariance:
             split = projections(23)
         assert np.array_equal(whole[:7], small) and np.array_equal(whole, split)
 
-    # A path pass with ks reduces each chunk's difference rows to dots; the
+    # A martingale pass reduces each chunk's difference rows to dots; the
     # moments of those dots are the moments of the whole pass's rows, and
     # diff_moment_curve reads the same dots of the rows of the pass r.child(n).
     @pytest.mark.parametrize("fix", ["dense3", "fs9", "diag3", "fs16m4", "scalar01"])
@@ -866,12 +871,12 @@ class TestChunkingInvariance:
         e = request.getfixturevalue(fix)
         kern = precompute_kernel(e, 16)
         x = np.linspace(1.0, -0.5, e.dim)
-        ks = [1, 8, 16]
+        ks = engine.probe_steps(16)
         ref = dot_moments(16, ks, engine.diff_dots(
             _diff_rows(e, kern, x, _pass(5), 50, ks)))
         with monkeypatch.context() as mp:
             mp.setattr(engine, "batch_size", lambda *a: 3)
-            out = engine.simulate_paths(e, kern, x, x, _pass(5), 50, want_s_prime=True, ks=ks)
+            out = engine.simulate_paths(e, kern, x, x, _pass(5), 50, want_s_prime=True)
         assert dot_moments(16, ks, out) == ref
         r = RngStream(5)
         rows = _diff_rows(e, kern, x, r.child(16), 100, ks)
@@ -879,11 +884,12 @@ class TestChunkingInvariance:
             dot_moments(16, ks, engine.diff_dots(rows))]
 
 
-def _paths_row_bytes(*, want_s_prime=False, ks=()):
-    """Bytes per replicate of a simulate_paths result besides its tally: one
-    float64 for proj_xi, three for want_s_prime, one for each pair k <= l of
-    ks."""
-    return 8 * (1 + 3 * want_s_prime + len(ks) * (len(ks) + 1) // 2)
+def _paths_row_bytes(n, want_s_prime):
+    """Bytes per replicate of a simulate_paths result at n besides its tally:
+    one float64 for proj_xi, and with want_s_prime three more and one for
+    each pair k <= l of probe_steps(n)."""
+    p = len(engine.probe_steps(n))
+    return 8 * (1 + want_s_prime * (3 + p * (p + 1) // 2))
 
 
 def _row_bytes(out) -> int:
@@ -903,7 +909,7 @@ class TestRowBytes:
         for want_s_prime in (False, True):
             out = engine.simulate_paths(e, kern, x, x, _pass(3), reps,
                                         want_s_prime=want_s_prime)
-            assert _row_bytes(out) == reps * _paths_row_bytes(want_s_prime=want_s_prime)
+            assert _row_bytes(out) == reps * _paths_row_bytes(8, want_s_prime)
             assert ("tally" in out) == want_s_prime
         chunks = len(engine.chunk_ranges(e, 8, reps))
         assert out["tally"].nbytes <= chunks * engine.pass_bytes(e, 8)[2]
@@ -911,13 +917,12 @@ class TestRowBytes:
         out = _diff_rows(e, kern, x, _pass(3), reps, ks)
         assert sum(v.nbytes for v in out.values()) == reps * 8 * e.dim * len(ks)
 
-    @pytest.mark.parametrize("ks", [(1,), (1, 2), (1, 4, 8)])
-    def test_path_pass_bytes_count_the_dots(self, dense3, ks):
+    @pytest.mark.parametrize("n", [1, 2, 8])  # 1, 2 and 3 probe steps
+    def test_path_pass_bytes_count_the_dots(self, dense3, n):
         x = np.array([1.0, -0.3, 0.4])
-        kw = {"want_s_prime": True, "ks": ks}
-        out = engine.simulate_paths(dense3, precompute_kernel(dense3, 8), x, x,
-                                    _pass(3), 5, **kw)
-        assert _row_bytes(out) == 5 * _paths_row_bytes(**kw)
+        out = engine.simulate_paths(dense3, precompute_kernel(dense3, n), x, x,
+                                    _pass(3), 5, want_s_prime=True)
+        assert _row_bytes(out) == 5 * _paths_row_bytes(n, True)
 
 
 class TestWorkerPool:

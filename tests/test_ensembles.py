@@ -21,13 +21,13 @@ from expclt.linalg import mat_exp
 
 class TestRngStream:
     def test_replay_is_bitwise(self):
-        a = RngStream(123, 45).uniform(64)
-        b = RngStream(123, 45).uniform(64)
+        a = RngStream(123, 45).words(64)
+        b = RngStream(123, 45).words(64)
         assert np.array_equal(a, b)
 
     def test_consecutive_calls_advance(self):
         r = RngStream(123)
-        assert not np.array_equal(r.uniform(8), r.uniform(8))
+        assert not np.array_equal(r.words(8), r.words(8))
 
     def test_child_is_stable_and_keyed(self):
         r = RngStream(7, 1)
@@ -35,7 +35,7 @@ class TestRngStream:
         c2 = r.child("clt", 64, 3)
         assert c1.stream_index == c2.stream_index
         assert c1.master_seed == 7
-        assert np.array_equal(c1.uniform(16), c2.uniform(16))
+        assert np.array_equal(c1.words(16), c2.words(16))
 
     def test_children_differ_by_any_part(self):
         r = RngStream(7, 1)
@@ -48,45 +48,17 @@ class TestRngStream:
         assert len(keys) == 4
 
     def test_distinct_seeds_decorrelate(self):
-        a = RngStream(1).uniform(1024)
-        b = RngStream(2).uniform(1024)
+        a = RngStream(1).words(1024).astype(float)
+        b = RngStream(2).words(1024).astype(float)
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.1
 
     def test_seed_wraps_to_64_bits(self):
         assert RngStream(2**64 + 5).master_seed == 5
 
-    def test_uniform_out_then_uniform_continues_the_sequence(self):
-        ref = RngStream(9, 4).uniform(3 + 5 + 6 + 2)
-        r = RngStream(9, 4)
-        a = np.empty((1, 3))
-        b = np.empty((1, 5))
-        d = np.empty((1, 2))
-        r.uniform(out=a[0])  # from the origin: r has not drawn yet
-        r.uniform(out=b[0])  # 3 outputs past the origin
-        c = r.uniform(6)
-        r.uniform(out=d[0])
-        assert np.array_equal(np.concatenate([a[0], b[0], c, d[0]]), ref)
-
-    def test_uniform_out_mixes_fresh_and_drawn_streams(self):
-        r, s = RngStream(2, 1), RngStream(2, 2)
-        head = r.uniform(4)
-        out = np.empty((3, 7))
-        for stream, row in zip([s, r, RngStream(2, 3)], out):
-            stream.uniform(out=row)
-        assert np.array_equal(out[0], RngStream(2, 2).uniform(7))
-        assert np.array_equal(np.concatenate([head, out[1], r.uniform(3)]),
-                              RngStream(2, 1).uniform(14))
-        assert np.array_equal(out[2], RngStream(2, 3).uniform(7))
-
 
 def _pcg(seed, index):
     """A plain PCG64DXSM seeded with SeedSequence([seed, index]), at output 0."""
     return np.random.PCG64DXSM(np.random.SeedSequence([seed, index]))
-
-
-def _plain(seed, index, count):
-    """``count`` uniforms of a plain PCG64DXSM of the key (seed, index), drawn at once."""
-    return np.random.Generator(_pcg(seed, index)).random(count)
 
 
 def _raw(seed, index, count):
@@ -95,9 +67,8 @@ def _raw(seed, index, count):
 
 
 class _Model:
-    """A stream's draws rebuilt from one plain draw of 64-bit outputs: word
-    2j is output j's low half and word 2j + 1 its high half, and a uniform
-    takes the next whole output as numpy's ``random`` does, (v >> 11) 2^-53."""
+    """A stream's words rebuilt from one plain draw of 64-bit outputs: word
+    2j is output j's low half and word 2j + 1 its high half."""
 
     def __init__(self, seed, index, size=4096):
         self.raw, self.pos = _raw(seed, index, size), 0
@@ -108,49 +79,26 @@ class _Model:
         self.pos += k
         return np.array(got, dtype=np.uint32)
 
-    def uniform(self, k):
-        j = -(-self.pos // 2)
-        self.pos = 2 * (j + k)
-        return np.array([(v >> 11) * 2.0**-53 for v in self.raw[j : j + k]])
 
-
-def _draw(r, op, k):
-    """One call on the stream ``r``: (kind, draws), kind "u" or "w"."""
-    if op == "one":
-        return "u", np.array([r.uniform()])
-    if op == "size":
-        return "u", r.uniform(k)
-    if op == "out":
-        row = np.empty(k)
-        assert r.uniform(out=row) is row
-        return "u", row
-    return "w", r.words(k)
-
-
-_CALLS = st.lists(st.tuples(st.sampled_from(["one", "size", "out", "words"]),
-                            st.integers(0, 9)), max_size=12)
+# the word counts of a stream's calls, in call order
+_CALLS = st.lists(st.integers(0, 9), max_size=12)
 
 
 def _replay(seed, index, calls, got):
     model = _Model(seed, index)
-    for (op, k), (kind, draws) in zip(calls, got):
-        ref = model.uniform(1 if op == "one" else k) if kind == "u" else model.words(k)
-        assert draws.dtype == ref.dtype and np.array_equal(draws, ref)
+    for k, words in zip(calls, got):
+        ref = model.words(k)
+        assert words.dtype == ref.dtype and np.array_equal(words, ref)
 
 
 class TestStreamOracle:
-    """A stream, however its draws are split into calls, replays a plain PCG64DXSM."""
+    """A stream, however its words are split into calls, replays a plain PCG64DXSM."""
 
     @settings(max_examples=300, derandomize=True, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), index=st.integers(0, 2**64 - 1), calls=_CALLS)
     def test_any_interleaving_replays_one_plain_draw(self, seed, index, calls):
         r = RngStream(seed, index)
-        _replay(seed, index, calls, [_draw(r, op, k) for op, k in calls])
-
-    def test_uniforms_alone_replay_plain_random(self):
-        r = RngStream(9, 4)
-        got = np.concatenate([r.uniform(3), [r.uniform()], r.uniform(6)])
-        assert np.array_equal(got, _plain(9, 4, 10))
+        _replay(seed, index, calls, [r.words(k) for k in calls])
 
     @pytest.mark.parametrize("word", [0, 1, 2, 7, 8, 9, 15, 1001])
     def test_at_reaches_any_word_without_drawing_the_ones_before(self, word):
@@ -173,10 +121,6 @@ class TestStreamOracle:
             drawn.words(drawn_first)
             moved = drawn.at(word)  # however far the stream had drawn
             assert np.concatenate([moved.words(7), moved.words(13)]).tolist() == ref
-        u = RngStream(5, 6).at(word).uniform(10)  # from the next whole output
-        plain = _pcg(5, 6)
-        plain.advance(-(-word // 2))
-        assert np.array_equal(u, np.random.Generator(plain).random(10))
 
     def test_words_split_each_output_low_half_first(self):
         raw = _raw(2, 3, 4)
@@ -194,7 +138,7 @@ class TestStreamOracle:
         # more threads than cores, switching as often as the interpreter allows,
         # so that a generator shared between threads would hand one stream's
         # position to another
-        calls = [("size", 3), ("one", 0), ("words", 5), ("out", 5), ("words", 1)] * 240
+        calls = [3, 0, 5, 4, 1] * 240
         indices = range(1, 5)
         barrier = threading.Barrier(len(indices))
         got = {}
@@ -202,7 +146,7 @@ class TestStreamOracle:
         def work(index):
             r = RngStream(11, index)
             barrier.wait(timeout=10)
-            got[index] = [_draw(r, op, k) for op, k in calls]
+            got[index] = [r.words(k) for k in calls]
 
         threads = [threading.Thread(target=work, args=(i,)) for i in indices]
         interval = sys.getswitchinterval()
@@ -481,7 +425,7 @@ class TestSupportIndices:
 
     @pytest.mark.parametrize("m", [1, 2, 3, _CUT - 1, _CUT, _CUT + 1, 2 * _CUT + 5])
     def test_both_sides_of_the_crossover(self, m):
-        w = RngStream(m).uniform(m) + 0.01
+        w = RngStream(m).words(m) * 2.0**-32 + 0.01
         w[::7] = 0.0
         w[-1] += 0.01
         e = finite_support([np.eye(1) * i for i in range(m)], w / w.sum())
@@ -538,7 +482,7 @@ class TestIndexCounts:
 
     @staticmethod
     def _law(m, zeros):
-        w = RngStream(m).uniform(m) + 0.01
+        w = RngStream(m).words(m) * 2.0**-32 + 0.01
         for where in zeros:  # a zero weight leading, in the middle or trailing
             w[{"leading": 0, "middle": m // 2, "trailing": m - 1}[where]] = 0.0
         return finite_support([np.eye(1) * i for i in range(m)], w / w.sum())
@@ -750,6 +694,6 @@ def test_centered_projection_nonnegative(entries, p, wu):
 @given(seed=st.integers(min_value=0, max_value=2**64 + 10),
        parts=st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=3))
 def test_child_streams_replay(seed, parts):
-    a = RngStream(seed).child(*parts).uniform(4)
-    b = RngStream(seed).child(*parts).uniform(4)
+    a = RngStream(seed).child(*parts).words(4)
+    b = RngStream(seed).child(*parts).words(4)
     assert np.array_equal(a, b)

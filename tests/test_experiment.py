@@ -7,14 +7,15 @@ import re
 import signal
 import subprocess
 import sys
+import time
 import weakref
 
 import numpy as np
 import pytest
 
-from expclt import RngStream, engine, experiment
+from expclt import RngStream, diagonal_uniform, engine, experiment
 from expclt.cli import main
-from expclt.covariance import quadrature_nodes, sigma_projected_at
+from expclt.covariance import CovarianceOperator, quadrature_nodes, sigma_projected_at
 from expclt.dynamics import precompute_kernel, sample_xi
 from expclt.experiment import (
     Check,
@@ -22,7 +23,6 @@ from expclt.experiment import (
     SUITE_NAMES,
     _cell,
     config_digest,
-    default_workers,
     emit_csv,
     load_config,
     run,
@@ -437,6 +437,16 @@ def _released(kernels) -> bool:
     return all(k() is None for _, k in kernels)
 
 
+def _running(pid: int) -> bool:
+    """Whether process ``pid`` exists and has not exited: a zombie, which
+    its parent has not reaped yet, has."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as f:
+            return f.read().rpartition(")")[2].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 class TestRun:
     def _cfg(self, tmp_path, **over):
         return load_config(_write(tmp_path, "cfg.json",
@@ -674,6 +684,50 @@ class TestRun:
         assert proc.returncode == 3, err
         assert err.startswith("error: ") and message in err
 
+    @pytest.mark.skipif(not os.path.exists(f"/proc/{os.getpid()}/stat"),
+                        reason="reads a process's state from /proc")
+    def test_pool_workers_end_when_the_run_is_killed(self, tmp_path):
+        # The main process of a 2-worker run is SIGKILLed while each worker
+        # holds a chunk, so no pool.shutdown runs; a worker that outlived it
+        # would wait on the call queue forever.
+        pids = tmp_path / "pids"
+        pids.mkdir()
+        path = _write(tmp_path, "c.json", _base_config(
+            tmp_path, suites=["clt"], n_grid=[16, 32], replicates=60))
+        script = ("import os, sys, time\n"
+                  "from expclt import engine\n"
+                  "from expclt.cli import main\n"
+                  "engine.batch_size = lambda *args: 32  # 2 chunks a pass, so a pool of 2\n"
+                  "def chunk(*args, **kwargs):  # runs in a worker only\n"
+                  f"    open(os.path.join({str(pids)!r}, str(os.getpid())), 'w').close()\n"
+                  "    time.sleep(60)\n"
+                  "engine.simulate_paths = chunk\n"
+                  f"sys.exit(main(['run', {path!r}, '--workers', '2']))\n")
+        src = os.path.dirname(os.path.dirname(experiment.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                                start_new_session=True)
+        try:
+            deadline = time.monotonic() + 60
+            while len(os.listdir(pids)) < 2:
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            workers = [int(name) for name in os.listdir(pids)]
+            os.kill(proc.pid, signal.SIGKILL)
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not any(map(_running, workers))
+        finally:
+            try:
+                os.killpg(proc.pid, signal.SIGKILL)  # any worker left of the run
+            except ProcessLookupError:
+                pass
+            proc.wait(timeout=10)
+
     def test_a_clt_suite_that_stops_early_queues_no_pass(self, tmp_path, executors,
                                                          monkeypatch):
         # Canonical probes project a diagonal law's limit to 0, so the clt
@@ -792,7 +846,7 @@ class TestRun:
             assert refs.kernel(n).ensemble is cfg.ensemble
             ref = engine.simulate_paths(cfg.ensemble, precompute_kernel(cfg.ensemble, n),
                                         cfg.x, cfg.y, RngStream(cfg.master_seed).child("clt", n),
-                                        20, **experiment._pass_kw(cfg, n))
+                                        20)
             for key in ref:
                 assert np.array_equal(out[key], ref[key]), key
 
@@ -814,6 +868,55 @@ class TestRun:
             assert check[k]["bound"] == pytest.approx(se_4 + 1e-15, rel=1e-12)
             assert check[k]["rule"] == "<="
             assert check[k]["ok"] is (check[k]["value"] <= check[k]["bound"])
+
+    def test_odd_n_suites_probe_the_same_steps(self, tmp_path, monkeypatch):
+        # at odd n every suite that probes steps k takes 1, (n + 1) / 2 and n:
+        # the lemma_speed powers, the martingale dots and norm bounds, and
+        # the structure check at the largest n
+        powers, real = [], np.linalg.matrix_power
+        monkeypatch.setattr(np.linalg, "matrix_power",
+                            lambda a, k: powers.append(k) or real(a, k))
+        cfg = self._cfg(tmp_path, ensemble={"family": "two_point", "a0": [[0.3, -0.5],
+                                                                          [0.2, 0.1]],
+                                            "a1": [[0.5, 0.2], [-0.1, 0.4]], "p": 0.5},
+                        suites=["lemma_speed", "martingale"], n_grid=[7, 9, 15],
+                        replicates=50)
+        martingale = run(cfg, workers=1).suites["martingale"]
+        steps = {n: engine.probe_steps(n) for n in cfg.n_grid}
+        assert steps == {7: [1, 4, 7], 9: [1, 5, 9], 15: [1, 8, 15]}
+        assert powers == [k for ks in steps.values() for k in ks for _ in "xy"]
+        names = {c["name"] for c in martingale["checks"]}
+        dots = {f"|mean_dot| n={n} k={k} l={l}"
+                for n, ks in steps.items() for i, k in enumerate(ks) for l in ks[i + 1 :]}
+        bounds = {f"max_dnk_norm n={n} k={k}" for n, ks in steps.items() for k in ks}
+        assert {c for c in names if c.startswith("|mean_dot|")} == dots
+        assert {c for c in names if c.startswith("max_dnk_norm")} == bounds
+        assert sorted(_structure(martingale), key=int) == ["1", "8", "15"]
+
+    def test_covariance_probes_are_consecutive_diagonal_draws(self, tmp_path, monkeypatch):
+        pairs, real = [], CovarianceOperator.project
+
+        def project(op, x, y):
+            if type(op) is CovarianceOperator:  # not the commuting oracle
+                pairs.append((np.array(x), np.array(y)))
+            return real(op, x, y)
+
+        monkeypatch.setattr(CovarianceOperator, "project", project)
+        cfg = self._cfg(tmp_path, ensemble={"family": "two_point", "a0": [[0.3, -0.5, 0.0],
+                                                                          [0.2, 0.1, 0.4],
+                                                                          [0.0, 0.6, -0.2]],
+                                            "a1": np.eye(3).tolist(), "p": 0.3},
+                        probes={"x": [1.0, 0.5, -0.2], "y": [0.3, -1.0, 0.7]},
+                        suites=["covariance"])
+        run(cfg, workers=1)
+        stream = RngStream(cfg.master_seed).child("covariance-probes")
+        law = diagonal_uniform(3, -1.0, 1.0)
+        draws = [law.draws(stream, 1)[0] for _ in range(40)]
+        assert len(pairs) == 22  # the 21 probe pairs, then (y, x)
+        assert np.array_equal(pairs[0][0], cfg.x) and np.array_equal(pairs[0][1], cfg.y)
+        for (px, py), i in zip(pairs[1:21], range(0, 40, 2)):
+            assert np.array_equal(px, draws[i]) and np.array_equal(py, draws[i + 1])
+        assert np.array_equal(pairs[21][0], cfg.y) and np.array_equal(pairs[21][1], cfg.x)
 
     def test_structure_check_sees_a_fault_in_the_path_draws(self, tmp_path, monkeypatch):
         # Every 20th step of the path pass turns its draws of a1 into a0: 5%
@@ -930,7 +1033,7 @@ def _structure_reference(cfg):
         total = np.diag(sum(e.sample_diagonal_values(r, n).sum(axis=0) - n * mid
                             for r in streams))
     out = {}
-    for k in (1, n // 2, n):
+    for k in engine.probe_steps(n):
         p, q = kern.p_powers[k - 1], kern.p_powers[n - k]
         if e.is_finite_support:
             second = sum(w * np.sum((p @ delta @ q) ** 2)
@@ -1043,25 +1146,24 @@ class TestCheck:
         assert result.passed is (ok and checks["ks_distance n=4096"].ok)
 
 
-class TestDefaultWorkers:
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("EXPCLT_WORKERS", "9")
-        assert default_workers() == 9
+class TestWorkers:
+    @pytest.mark.parametrize("workers", [0, -4, 2.0, "2", True])
+    def test_run_rejects_a_count_that_is_not_an_integer_above_0(self, tmp_path, workers):
+        cfg = load_config(_write(tmp_path, "c.json", _base_config(tmp_path)))
+        with pytest.raises(ConfigError, match="workers: must be an integer >= 1, got "):
+            run(cfg, workers=workers)
+        assert not os.path.exists(cfg.output_dir)  # rejected before anything is written
 
-    def test_env_invalid(self, monkeypatch):
-        monkeypatch.setenv("EXPCLT_WORKERS", "many")
-        with pytest.raises(ConfigError):
-            default_workers()
-
-    @pytest.mark.parametrize("value", ["0", "-4"])
-    def test_env_below_one_is_rejected(self, monkeypatch, value):
-        monkeypatch.setenv("EXPCLT_WORKERS", value)
-        with pytest.raises(ConfigError, match="EXPCLT_WORKERS must be an integer >= 1"):
-            default_workers()
-
-    def test_default_bound(self, monkeypatch):
-        monkeypatch.delenv("EXPCLT_WORKERS", raising=False)
-        assert 1 <= default_workers() <= 4
+    @pytest.mark.parametrize("cpus, sizes", [(None, []), (1, []), (3, [3]), (8, [4])])
+    def test_the_default_is_min_of_4_and_the_cpu_count(self, tmp_path, fake_pools,
+                                                       monkeypatch, cpus, sizes):
+        # width n: 100 replicates make 7 chunks at n = 16
+        monkeypatch.setattr(experiment.engine, "batch_size", lambda e, n: n)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cfg = load_config(_write(tmp_path, "c.json", _base_config(
+            tmp_path, suites=["clt"], n_grid=[16, 32], replicates=100)))
+        run(cfg)
+        assert fake_pools == sizes
 
 
 class TestCli:
@@ -1070,10 +1172,11 @@ class TestCli:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_bad_seed_and_workers(self, tmp_path):
+    def test_bad_seed_and_workers(self, tmp_path, capsys):
         path = _write(tmp_path, "c.json", _base_config(tmp_path))
         assert main(["run", path, "--seed", "-3"]) == 2
         assert main(["run", path, "--workers", "0"]) == 2
+        assert "error: workers: must be an integer >= 1, got 0" in capsys.readouterr().err
 
     def test_unknown_suites_flag(self, tmp_path):
         path = _write(tmp_path, "c.json", _base_config(tmp_path))

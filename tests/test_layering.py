@@ -8,9 +8,10 @@ is or that family's parameters.  The functions allowed below are closed
 forms of one family by design: their numbers are emitted, or they build the
 per-law tables and digests.  A new family must pass without adding to them.
 
-Outside ``ensembles.py``, code draws only through a stream's ``words``
-and ``uniform``: it never names numpy's random module, a PCG, a Philox or a bit
-generator, and never reads the stream's private state.
+Outside ``ensembles.py``, code draws only through a stream's ``words``, and
+every random value is a word that a law maps: it never names numpy's random
+module, a PCG, a Philox, a bit generator or a ``uniform`` attribute, and never
+reads the stream's private state.
 
 Every module-level function, class or constant is named by other code in
 ``src/expclt``, the package's ``__init__.py`` aside, or is one of the
@@ -87,8 +88,8 @@ _STREAM_PRIVATE = {a for a in vars(RngStream) if a.startswith("_") and not a.sta
 
 def _generator_names(source: str) -> list:
     """``(line, name)`` for each use of numpy's random module, of a name that
-    mentions PCG, Philox or a bit generator, or of a private ``RngStream``
-    attribute."""
+    mentions PCG, Philox or a bit generator, of an attribute named ``uniform``
+    (a float draw beside the words), or of a private ``RngStream`` attribute."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -107,7 +108,8 @@ def _generator_names(source: str) -> list:
             if (name.startswith(("np.random", "numpy.random"))
                     or any("philox" in p.lower() or "pcg" in p.lower()
                            or p == "bit_generator" for p in parts)
-                    or parts[-1] in _STREAM_PRIVATE):
+                    or parts[-1] in _STREAM_PRIVATE
+                    or isinstance(node, ast.Attribute) and node.attr == "uniform"):
                 found.append((node.lineno, name))
     return found
 
@@ -127,11 +129,11 @@ def test_guard_sees_generators_and_private_stream_state():
               "def f(r, np):\n"
               "    g = np.random.Generator(Philox())\n"
               "    h = PCG64DXSM(r._origin)\n"
-              "    return g.bit_generator, r._drawn, r.uniform(3)\n")
+              "    return g.bit_generator, r._drawn, r.uniform(3), diagonal_uniform\n")
     assert sorted(_generator_names(source)) == [
         (1, "numpy.random"), (2, "numpy.random"), (3, "ensembles._pcg_at"),
         (5, "Philox"), (5, "np.random"), (6, "PCG64DXSM"), (6, "r._origin"),
-        (7, "g.bit_generator"), (7, "r._drawn")]
+        (7, "g.bit_generator"), (7, "r._drawn"), (7, "r.uniform")]
 
 
 def _defined(node) -> list:
