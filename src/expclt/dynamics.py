@@ -83,14 +83,22 @@ class PrecomputedKernel:
 
 
 def _doubling_table(first: np.ndarray, n: int) -> np.ndarray:
+    """t[k] = first^k for k = 0..n, as t[floor(k/2)] @ t[ceil(k/2)], level by
+    level: t[2j] = t[j] t[j], then t[2j + 1] = t[j] t[j + 1], each in one
+    stacked matmul on views.  A stacked matmul makes the BLAS call per
+    matrix that a matmul of one pair makes, so every power has the bits of
+    a per-k loop."""
     d = first.shape[0]
     t = np.empty((n + 1, d, d))
     t[0] = np.eye(d)
     if n >= 1:
         t[1] = first
-    for k in range(2, n + 1):
-        h = k // 2
-        t[k] = t[h] @ t[k - h]
+    h = 1
+    while 2 * h <= n:  # this level: k = 2h .. min(4h, n + 1) - 1
+        end = min(4 * h, n + 1)
+        np.matmul(t[h : (end + 1) // 2], t[h : (end + 1) // 2], out=t[2 * h : end : 2])
+        np.matmul(t[h : end // 2], t[h + 1 : end // 2 + 1], out=t[2 * h + 1 : end : 2])
+        h *= 2
     return t
 
 
@@ -295,9 +303,15 @@ def _subset_blocks(exps, q1):
 
 
 def _doob(e: Ensemble, n: int, k: int, draws, x, kern: PrecomputedKernel, bounds):
-    """(M_k x, [D_{k,m} x], max_P ||F_P|| / bounds[|P|]) in one enumeration,
-    with one batched norm per block; no norms, and a ratio of 0, when
-    ``bounds`` is None."""
+    """(M_k x, [D_{k,m} x], max_P ||F_P|| / bounds[|P|]) in one enumeration;
+    no norms, and a ratio of 0, when ``bounds`` is None.
+
+    ||F_P|| <= ||F_P||_F, so a product whose Frobenius ratio is below the
+    largest ratio so far cannot raise it.  Each block visits its products by
+    descending Frobenius ratio, widened by 1e-10 against its rounding, and
+    takes the spectral norm of each until that ratio falls below the
+    maximum.  A stack's norms are those of its matrices alone, so the ratio
+    has the bits of a norm of every product."""
     if k > 12:
         raise ValueError(f"subset enumeration capped at k=12, got {k}")
     if k < 1 or k > n:
@@ -312,10 +326,19 @@ def _doob(e: Ensemble, n: int, k: int, draws, x, kern: PrecomputedKernel, bounds
         # D_{k,m} adds F_P x, in mask order, over the P whose maximum element is m
         np.add.at(d_list, [mask.bit_length() - 1 for mask in masks], f @ x)
         if bounds is not None:
-            norms = op_norm(f)
-            held = norms > 0.0  # at rho = 0 the bound and every product are exactly 0
-            sizes = np.array([mask.bit_count() for mask in masks])[held]
-            ratio = max(ratio, float(np.max(norms[held] / bounds[sizes], initial=0.0)))
+            # at rho = 0 the bound and every product are exactly 0
+            frob = np.linalg.norm(f, axis=(1, 2))
+            held = np.flatnonzero(frob > 0.0)
+            bound = bounds[[masks[i].bit_count() for i in held]]
+            reach = frob[held] * (1.0 + 1e-10) / bound
+            while reach.size:  # by descending reach, the first of equal ones first
+                i = int(np.argmax(reach))
+                if reach[i] < ratio:
+                    break
+                reach[i] = -1.0
+                norm = op_norm(f[held[i]])
+                if norm > 0.0:
+                    ratio = max(ratio, float(norm / bound[i]))
     return v - kern.q_powers[k] @ x, list(d_list), ratio
 
 

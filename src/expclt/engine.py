@@ -38,9 +38,13 @@ The one Monte Carlo pass, :func:`simulate_paths`, is the replicate driver:
 :func:`chunk_ranges` fixes the chunks from the problem shape alone, each
 chunk draws its rows, or its index counts, from its own replicates' words
 of the pass stream, and :func:`concat_chunks` joins the chunk results in
-index order.  A martingale pass also runs :func:`diff_pair_block` on the
-rows it drew, at the :func:`probe_steps` of n, and each result is reduced
-row by row, so one pass serves every statistic.
+index order.  A martingale chunk sweeps its rows once: the sweep of
+:func:`simulate_block` also carries the prefix states of the difference
+pairs at the :func:`probe_steps` of n (three more planes of the grouped
+sweep; for an entrywise law, the running sums T_{k-1} that its walk to T_n
+passes), and :func:`diff_pair_block` makes the pairs from them.  Each result
+is reduced row by row, so one pass serves every statistic.  Chunks of the
+grouped sweep are narrow enough for its state planes to stay in L2.
 
 Per chunk of B replicates and one k-sweep (k = n .. 1) the engine updates
 
@@ -48,8 +52,11 @@ Per chunk of B replicates and one k-sweep (k = n .. 1) the engine updates
     s <- s + P_{k-1} (A_k - EA) P_{n-k} x   (gathered from a per-(i,k) table)
     u <- z_k + exp(A_k/n) u              (backward recurrence, so that
                                           u_1 = sum_k Pref_{k-1} z_k)
+    w_j <- exp(A_k/n) w_j for k < j      (one per probe step j, started at
+                                          z_j: it ends as Pref_{j-1} z_j)
 
-which yields xi_n x, S_n x, S'_n x, R_n x and M_n x in O(n d^2) per row.
+which yields xi_n x, S_n x, S'_n x, R_n x, M_n x and the difference pairs
+in O(n d^2) per row.
 An entrywise law sweeps u alone: with T = sum_k (a_k - EA) its product is
 p_n e^{T/n} x and its S term p_{n-1} T x, where P_j = p_j I.  The chunk's
 tally for the structure check comes from the same pass: index counts for
@@ -101,6 +108,18 @@ _LAYOUT_BLOCK = 16_384
 # tiles would otherwise copy 68 MiB of matrices.
 _GEMM_BLOCK = 262_144
 
+# Rows times d of a grouped sweep's chunk.  A martingale chunk sweeps five
+# state planes (v, u and three prefix states), held twice, as the source and
+# the target of each step's GEMMs: at d = 16, m = 4 and 1,024 rows they take
+# 1.5 MiB, which fits a 2 MiB L2.  A chunk keeps at least 16 tiles of rows:
+# narrower chunks pad more of their tiles and repeat each step's fixed costs
+# more often.  On a 2-core x86 host (2 MiB L2 a core, one BLAS thread), best
+# of 5 to 9 martingale passes: d = 16, n = 512, 2,000 rows took 133 ms in
+# chunks of 1,000 against 150 ms in one; d = 3 ran as fast in chunks of
+# 5,461 rows as of 8,192; and a cap of 2^14 / d rows alone, 496 at d = 33
+# and 256 at d = 64, was 10-27% slower than chunks of 1,000.
+_GROUPED_ENTRIES = 16_384
+
 # Rows per BLAS call of the grouped sweep.  OpenBLAS rounds a GEMM row by
 # the number of rows in its call (at d >= 32, a 3-row product differs from a
 # 64-row one), so every call the sweep makes has exactly _TILE rows.
@@ -108,9 +127,13 @@ _TILE = 64
 
 
 def batch_size(e, n: int) -> int:
-    """Deterministic chunk width; a pure function of the problem shape only."""
-    per_row = n * e.entries_per_draw
-    return max(32, min(8192, _CHUNK_TARGET // max(1, per_row)))
+    """Deterministic chunk width; a pure function of the problem shape only.
+    A :func:`_grouped_sweep` chunk also keeps to ``_GROUPED_ENTRIES // d``
+    rows, and at least ``16 * _TILE``."""
+    width = min(8192, _CHUNK_TARGET // max(1, n * e.entries_per_draw))
+    if not _entrywise(e):
+        width = min(width, max(16 * _TILE, _GROUPED_ENTRIES // e.dim))
+    return max(32, width)
 
 
 def probe_steps(n: int) -> list:
@@ -464,58 +487,92 @@ def _elementwise_sweep(kern, x, rows, want_s_prime: bool):
     p_{n-1} T_n x, both from T_n, the sum of the centered draws
     (P_{k-1} Δ_k P_{n-k} = p_{n-1} Δ_k): at d=1 from the rows' index counts
     (:func:`_count_sums`), and for diagonal draws their running sum, which
-    is also the tally.  Only the S' recurrence u <- z_k + e^{a_k/n} u runs
-    step by step, over blocks of factors, with ``want_s_prime``.  Returns v,
-    s, u (None without ``want_s_prime``) and the tally.
+    is also the tally.  With ``want_s_prime`` only the S' recurrence runs
+    step by step (:func:`_backward_sum`), and the prefix states at the
+    :func:`probe_steps` of n come from the running sums T_{k-1}; for
+    diagonal draws the walk that gives T_n passes them on its way.  The
+    recurrence runs first, so that its blocks are freed before the sums are
+    taken: with the sums held through it, a worker of the diag8 benchmark
+    workload peaked 0.3 MiB higher.  Returns v, s, u (None without
+    ``want_s_prime``), the tally, and the prefixes (None without
+    ``want_s_prime``).
     """
     e, n, B = kern.ensemble, kern.n, rows.shape[0]
-    q = kern.q_powers[:, 0, 0]
     centered, factors, running = _entrywise_terms(kern, rows)
+    u = xt = None
+    if want_s_prime:
+        xt = np.tile(np.asarray(x, dtype=float), B)  # x in every row
+        u = _backward_sum(kern, xt, centered, factors).reshape(B, e.dim)
+    ks = probe_steps(n) if want_s_prime else []
     if _counted(e):
         t, tally = _count_sums(e, _row_counts(e, rows))
+        sums = running([k - 1 for k in ks])
     else:
-        t = running([n])[0]
+        *sums, t = running([k - 1 for k in ks] + [n])
         tally = t.reshape(B, e.dim)
     v, s = _sum_ends(kern, x, t)
-    u = None
-    if want_s_prime:
-        xt = np.tile(np.asarray(x, dtype=float), B)
-        u = np.zeros_like(xt)
-        size = max(1, _SWEEP_BLOCK // xt.size)
-        f = np.empty((size, xt.size))  # row r: the factor of step lo+1+r
-        for hi in range(n, 0, -size):
-            lo = max(0, hi - size)
-            factors(lo, hi, f[: hi - lo])
-            z = np.multiply(q[n - hi : n - lo][::-1, None], xt)  # Q^{n-k} x
-            z *= centered(lo, hi)
-            for r in range(hi - lo - 1, -1, -1):
-                np.multiply(f[r], u, out=u)
-                np.add(u, z[r], out=u)
-        u = u.reshape(B, e.dim)
-    return v, s, u, tally
+    pref = _entrywise_prefixes(kern, xt, centered, ks, sums) if want_s_prime else None
+    return v, s, u, tally, pref
+
+
+def _backward_sum(kern, xt, centered, factors):
+    """u_1 = sum_k e^{a_1/n} ... e^{a_{k-1}/n} Δ_k Q^{n-k} x of an
+    :func:`_entrywise` law, flat, by the recurrence u <- z_k + e^{a_k/n} u
+    for k = n .. 1 over blocks of factors; ``xt`` is x in every row."""
+    n = kern.n
+    q = kern.q_powers[:, 0, 0]
+    u = np.zeros_like(xt)
+    size = max(1, _SWEEP_BLOCK // xt.size)
+    f = np.empty((size, xt.size))  # row r: the factor of step lo+1+r
+    for hi in range(n, 0, -size):
+        lo = max(0, hi - size)
+        factors(lo, hi, f[: hi - lo])
+        z = np.multiply(q[n - hi : n - lo][::-1, None], xt)  # Q^{n-k} x
+        z *= centered(lo, hi)
+        for r in range(hi - lo - 1, -1, -1):
+            np.multiply(f[r], u, out=u)
+            np.add(u, z[r], out=u)
+    return u
+
+
+def _entrywise_prefixes(kern, xt, centered, ks, sums):
+    """The prefix states of an :func:`_entrywise` law, as ``(B, d)`` rows:
+    p_{k-1} e^{T_{k-1}/n} Δ_k Q^{n-k} x for each k of the ascending ``ks``,
+    from ``sums``, the flat running sums T_{k-1} of :func:`_entrywise_terms`,
+    and ``xt``, x in every row, flat."""
+    n = kern.n
+    p, q = kern.p_powers[:, 0, 0], kern.q_powers[:, 0, 0]
+    out = {}
+    for k, t in zip(ks, sums):
+        z = centered(k - 1, k)[0] * (q[n - k] * xt)  # Δ_k Q^{n-k} x
+        out[k] = (p[k - 1] * np.exp(t / n) * z).reshape(-1, kern.ensemble.dim)
+    return out
 
 
 def simulate_block(kern, x, rows, *, want_s_prime: bool = False):
     """Run one chunk of replicates; returns per-row end states.
 
     Output dict keys: ``prod_x`` (B, d) always; with ``want_s_prime``, the
-    martingale pass's ``s_x`` and ``s_prime_x`` (B, d) and ``tally``, rows
+    martingale pass's ``s_x`` and ``s_prime_x`` (B, d), ``tally``, rows
     that :meth:`Ensemble.centered_total` adds up: the chunk's (1, m) index
     counts for finite support, each row's sum of centered draws for a
-    diagonal law.  All downstream statistics are cheap functions of these
-    plus kernel constants.  An :func:`_entrywise` law (finite support at
-    d=1, diagonal_uniform) runs :func:`_elementwise_sweep`, whose sums give
-    the same bits as a per-step loop of theirs; finite support at d >= 2
-    runs :func:`_grouped_sweep`.
+    diagonal law, and ``prefixes``, for each of the :func:`probe_steps` k of
+    n the (B, d) rows of e^{A_1/n} ... e^{A_{k-1}/n} (A_k - EA) Q^{n-k} x
+    that :func:`diff_pair_block` takes, from the same sweep.  All downstream
+    statistics are cheap functions of these plus kernel constants.  An
+    :func:`_entrywise` law (finite support at d=1, diagonal_uniform) runs
+    :func:`_elementwise_sweep`, whose sums give the same bits as a per-step
+    loop of theirs; finite support at d >= 2 runs :func:`_grouped_sweep`.
     """
     if _entrywise(kern.ensemble):
-        v, s, u, tally = _elementwise_sweep(kern, x, rows, want_s_prime)
+        v, s, u, tally, pref = _elementwise_sweep(kern, x, rows, want_s_prime)
     else:
-        v, s, u, tally, _ = _grouped_sweep(kern, x, rows, want_v=True,
-                                           want_s_prime=want_s_prime)
+        ks = probe_steps(kern.n) if want_s_prime else ()
+        v, s, u, tally, pref = _grouped_sweep(kern, x, rows, want_v=True,
+                                              want_s_prime=want_s_prime, ks=ks)
     if not want_s_prime:
         return {"prod_x": v}
-    return {"prod_x": v, "s_x": s, "s_prime_x": u, "tally": tally}
+    return {"prod_x": v, "s_x": s, "s_prime_x": u, "tally": tally, "prefixes": pref}
 
 
 def simulate_paths(e, kern, x, y, stream, reps: int, *, first: int = 0,
@@ -531,10 +588,13 @@ def simulate_paths(e, kern, x, y, stream, reps: int, *, first: int = 0,
     x>; with ``want_s_prime``, the martingale pass, also ``diff_norm`` =
     ||xi_n x - S_n x||, ``r_norm`` = ||R_n x|| and ``mk_norm`` = ||M_n x||,
     ``tally``, the stacked :func:`simulate_block` tally rows of its chunks,
-    and the :func:`diff_dots` of the :func:`diff_pair_block` rows that the
-    same draws give at the :func:`probe_steps` of n.  A :func:`_counted` pass
-    without S' draws no rows: each chunk's index counts come straight from
-    its words (:func:`_draw_counts`), with the bits of its rows' counts.
+    and the :func:`diff_dots` of the difference pairs at the
+    :func:`probe_steps` of n.  Each chunk sweeps its rows once: the
+    :func:`diff_pair_block` call of a martingale chunk takes the prefix
+    states that :func:`simulate_block` swept, with the bits that its own
+    sweep would give.  A :func:`_counted` pass without S' draws no rows:
+    each chunk's index counts come straight from its words
+    (:func:`_draw_counts`), with the bits of its rows' counts.
     """
     n = kern.n
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -560,43 +620,49 @@ def simulate_paths(e, kern, x, y, stream, reps: int, *, first: int = 0,
             out["r_norm"] = np.linalg.norm(root_n * mk - block["s_prime_x"] / root_n, axis=1)
             out["mk_norm"] = np.linalg.norm(mk, axis=1)
             out["tally"] = block["tally"]
-            out.update(diff_dots(diff_pair_block(kern, x, rows, probe_steps(n))))
+            out.update(diff_dots(diff_pair_block(kern, x, rows, probe_steps(n),
+                                                 block["prefixes"])))
         return out
 
     return concat_chunks([stats(first + lo, first + hi)
                           for lo, hi in chunk_ranges(e, n, reps)])
 
 
-def diff_pair_block(kern, x, rows, ks):
+def diff_pair_block(kern, x, rows, ks, prefixes=None):
     """Rows of d_{n,k} x - d'_{n,k} x for each k in ks.
 
     d_{n,k} x is the S term of step k; d'_{n,k} x applies the random prefix
-    e^{A_1/n} ... e^{A_{k-1}/n} to its S' input (A_k - EA) Q^{n-k} x.  An
-    :func:`_entrywise` law takes the S term as p_{n-1} Δ_k x and the prefix
-    as p_{k-1} e^{T_{k-1}/n}, from the running sums of
-    :func:`_entrywise_terms`; finite support at d >= 2 runs
-    :func:`_grouped_sweep` with only ks asked for.  Cost O(max(ks) d) per row
-    for an entrywise law, O(sum(ks) d^2) otherwise.
+    e^{A_1/n} ... e^{A_{k-1}/n} to its S' input (A_k - EA) Q^{n-k} x, and
+    ``prefixes`` may give those prefix states, keyed by k, as
+    :func:`simulate_block` returns them for the rows it swept.  Without them
+    they are swept here: an :func:`_entrywise` law takes the prefix as
+    p_{k-1} e^{T_{k-1}/n} from the running sums of :func:`_entrywise_terms`,
+    and finite support at d >= 2 runs :func:`_grouped_sweep` with only ks
+    asked for; either gives the bits of the sweep's own prefixes.  An
+    entrywise law takes the S term as p_{n-1} Δ_k x.  Cost O(max(ks) d) per
+    row for an entrywise law, O(sum(ks) d^2) otherwise, or O(len(ks) d)
+    with ``prefixes``.
     """
     e, n = kern.ensemble, kern.n
     root_n = np.sqrt(float(n))
+    ks = sorted(ks)
     out = {}
     if _entrywise(e):
-        p, q = kern.p_powers[:, 0, 0], kern.q_powers[:, 0, 0]
+        p = kern.p_powers[:, 0, 0]
         centered, _, running = _entrywise_terms(kern, rows)
         xt = np.tile(np.asarray(x, dtype=float), rows.shape[0])
-        ks = sorted(ks)
-        for k, t in zip(ks, running([k - 1 for k in ks])):
-            dk = centered(k - 1, k)[0]
-            z = dk * (q[n - k] * xt)  # Δ_k Q^{n-k} x
-            out[k] = ((p[n - 1] * (dk * xt) - p[k - 1] * np.exp(t / n) * z)
-                      / root_n).reshape(-1, e.dim)
+        if prefixes is None:
+            prefixes = _entrywise_prefixes(kern, xt, centered, ks, running([k - 1 for k in ks]))
+        for k in ks:
+            s_k = (p[n - 1] * (centered(k - 1, k)[0] * xt)).reshape(-1, e.dim)
+            out[k] = (s_k - prefixes[k]) / root_n
         return out
-    *_, pref = _grouped_sweep(kern, x, rows, want_v=False, want_s_prime=False, ks=ks)
+    if prefixes is None:
+        *_, prefixes = _grouped_sweep(kern, x, rows, want_v=False, want_s_prime=False, ks=ks)
     for k in ks:
         pnk_x = kern.p_powers[n - k] @ x
         d_table = np.einsum("ij,mj->mi", kern.p_powers[k - 1], e._deltas @ pnk_x) / root_n
-        out[k] = d_table[rows[:, k - 1]] - pref[k] / root_n
+        out[k] = d_table[rows[:, k - 1]] - prefixes[k] / root_n
     return out
 
 

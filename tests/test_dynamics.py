@@ -8,6 +8,7 @@ from expclt import (
     diagonal_uniform,
     dynamics,
     engine,
+    finite_support,
     precompute_kernel,
     sample_xi,
     sigma_projected,
@@ -54,6 +55,18 @@ class TestKernel:
     def test_doubling_matches_direct_exponentials(self, dense3):
         kern = precompute_kernel(dense3, 64)
         assert kernel_consistency(kern) <= 1e-11
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 16, 40, 64])
+    def test_doubling_levels_match_the_per_k_loop(self, d):
+        # each level's stacked matmuls make one call per matrix, as the loop
+        # does, so every power keeps its bits
+        first = mat_exp(0.01 * np.random.default_rng(d).standard_normal((d, d)))
+        for n in (1, 2, 3, 4, 5, 7, 8, 9, 31, 64, 65, 513) + ((1000, 4096) if d <= 16 else ()):
+            ref = np.empty((n + 1, d, d))
+            ref[0], ref[1] = np.eye(d), first
+            for k in range(2, n + 1):
+                ref[k] = ref[k // 2] @ ref[k - k // 2]
+            assert np.array_equal(dynamics._doubling_table(first, n), ref), n
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_consistency_at_small_n_reads_only_rows_up_to_n(self, dense3, n):
@@ -329,6 +342,51 @@ class TestDoob:
             chk = doob_check(e, n, k, _draws(e, n), [1.0, 0.5], kern)
             assert chk.max_subset_bound_ratio == 0.0
             assert chk.identity_residual <= 1e-10
+
+
+def _full_subset_ratio(e, n, k, draws, kern):
+    """max_P ||F_P|| / ((2 rho/n)^|P| e^{k rho/n}) over every nonzero subset
+    product, each norm taken: the reference for doob_check's pruned ratio."""
+    bounds = np.array([(2.0 * e.rho / n) ** j * np.exp(k * e.rho / n) for j in range(k + 1)])
+    exps = mat_exp(np.asarray(draws[:k], dtype=float) / n)
+    ratio = 0.0
+    for masks, f in dynamics._subset_blocks(exps, kern.q_powers[1]):
+        norms = op_norm(f)
+        held = norms > 0.0
+        sizes = np.array([mask.bit_count() for mask in masks])[held]
+        ratio = max(ratio, float(np.max(norms[held] / bounds[sizes], initial=0.0)))
+    return ratio
+
+
+def _fs16():
+    """Four random 16x16 support matrices of norm 0.8: the fs16 benchmark's shape."""
+    rng = np.random.default_rng(16)
+    mats = [m * (0.8 / np.linalg.norm(m, 2)) for m in rng.standard_normal((4, 16, 16))]
+    return finite_support(mats, [0.25] * 4)
+
+
+class TestDoobPruning:
+    # doob_check takes the spectral norm only of subset products whose
+    # Frobenius ratio can still reach the running maximum; the maximum must
+    # keep the bits of the one over every product's norm.
+
+    @pytest.mark.parametrize("law", ["dense3", "fs16", "wide300", "diag3", "scalar01", "point2"])
+    def test_pruned_ratio_is_the_full_maximum(self, law, request):
+        e = _fs16() if law == "fs16" else request.getfixturevalue(law)
+        n = 64
+        kern = precompute_kernel(e, n)
+        x = np.linspace(1.0, -0.5, e.dim)
+        for seed, k in ((1, 1), (2, 5), (3, 9), (4, 12)):
+            draws = _draws(e, n, seed=seed)
+            chk = doob_check(e, n, k, draws, x, kern)
+            assert chk.max_subset_bound_ratio == _full_subset_ratio(e, n, k, draws, kern)
+
+    def test_most_norms_are_skipped(self, count_calls):
+        e, n, k = _fs16(), 64, 12
+        kern = precompute_kernel(e, n)
+        norms = count_calls(dynamics, "op_norm")
+        doob_check(e, n, k, _draws(e, n), np.ones(16), kern)
+        assert 1 <= len(norms) < (1 << k) // 10
 
 
 class TestLemmaSpeed:

@@ -31,11 +31,31 @@ def _diff_rows(e, kern, x, stream, reps, ks, width=None):
         for lo in range(0, reps, width)])
 
 
+def _simulate_block(kern, x, rows, *, want_s_prime=False):
+    """engine.simulate_block's end states. With ``want_s_prime`` the prefix
+    states it returns must give diff_pair_block the bits of the prefixes
+    that diff_pair_block sweeps on its own; they are checked and removed."""
+    got = engine.simulate_block(kern, x, rows, want_s_prime=want_s_prime)
+    if want_s_prime:
+        ks = engine.probe_steps(kern.n)
+        prefixes = got.pop("prefixes")
+        assert sorted(prefixes) == ks
+        alone = engine.diff_pair_block(kern, x, rows, ks)
+        fused = engine.diff_pair_block(kern, x, rows, ks, prefixes)
+        for k in ks:
+            assert np.array_equal(fused[k], alone[k]), k
+    return got
+
+
 class TestBatchSize:
     def test_bounds(self, scalar01, dense3):
         assert engine.batch_size(scalar01, 1) == 8192
         assert engine.batch_size(diagonal_uniform(4, 0.0, 1.0), 2_097_152) == 32
-        assert engine.batch_size(dense3, 256) == 8192
+        # a grouped chunk keeps to 2^14 / d rows, and at least 1024
+        assert engine.batch_size(dense3, 256) == 5461
+        assert engine.batch_size(_random_support(16, 4), 64) == 1024
+        assert engine.batch_size(_random_support(64, 4), 64) == 1024
+        assert engine.batch_size(_random_support(2, 4), 64) == 8192
 
     def test_diagonal_accounts_for_dim(self):
         wide = engine.batch_size(diagonal_uniform(16, 0.0, 1.0), 1024)
@@ -132,17 +152,24 @@ class TestReferenceParity:
         with pytest.raises(ValueError, match="reps"):
             engine.simulate_paths(dense3, kern, x, x, _pass(1), 0)
 
-    @pytest.mark.parametrize("fix", ["dense3", "diag3", "scalar01"])
+    @pytest.mark.parametrize("fix", ["dense3", "fs16m4", "diag3", "scalar01"])
     @pytest.mark.parametrize("n", [15, 16])
-    def test_a_martingale_pass_reads_the_dots_of_its_rows(self, fix, n, request):
+    @pytest.mark.parametrize("width", [None, 1, 3, 64])
+    def test_a_martingale_pass_reads_the_dots_of_its_rows(self, fix, n, width, request,
+                                                          monkeypatch):
         # the dots at probe_steps(n), odd n's ceil(n/2) included, are those of
-        # the difference pairs of the rows the pass drew
+        # the difference pairs of the rows the pass drew, bit for bit: the
+        # pass takes their prefixes from its path sweep, at any chunk width
+        # (64 cuts 70 rows in two chunks), and diff_pair_block sweeps all 70
+        # rows on its own
         e = request.getfixturevalue(fix)
         kern = precompute_kernel(e, n)
         x = np.linspace(1.0, -0.5, e.dim)
         ks = engine.probe_steps(n)
-        out = engine.simulate_paths(e, kern, x, x, _pass(2), 9, want_s_prime=True)
-        ref = engine.diff_dots(_diff_rows(e, kern, x, _pass(2), 9, ks))
+        ref = engine.diff_dots(_diff_rows(e, kern, x, _pass(2), 70, ks))
+        if width is not None:
+            monkeypatch.setattr(engine, "batch_size", lambda *a: width)
+        out = engine.simulate_paths(e, kern, x, x, _pass(2), 70, want_s_prime=True)
         assert ks == [1, (n + 1) // 2, n] and set(ref) <= set(out)
         for key in ref:
             assert np.array_equal(out[key], ref[key])
@@ -250,7 +277,7 @@ class TestStackedSweep:
         kern = precompute_kernel(e, n)
         rows = engine._draw_rows(e, _pass(n), n, 0, B)
         x = np.linspace(1.0, -0.5, d)
-        got = engine.simulate_block(kern, x, rows, want_s_prime=want_s_prime)
+        got = _simulate_block(kern, x, rows, want_s_prime=want_s_prime)
         ref = _matmul_sweep(kern, x, rows, want_s_prime)
         assert set(got) == set(ref)
         for key in ref:
@@ -280,8 +307,8 @@ class TestStackedSweep:
         e, n, B = _random_support(3, m), 23, 3000
         assert engine._LAYOUT_BLOCK // B == 5
         rows = engine._draw_rows(e, _pass(m), n, 0, B)
-        got = engine.simulate_block(precompute_kernel(e, n), np.ones(3), rows,
-                                    want_s_prime=True)["tally"]
+        got = _simulate_block(precompute_kernel(e, n), np.ones(3), rows,
+                              want_s_prime=True)["tally"]
         ref = np.bincount(rows.ravel(), minlength=m)[None]
         assert got.dtype == ref.dtype and np.array_equal(got, ref)
 
@@ -308,7 +335,7 @@ class TestScalarSweep:
         kern = precompute_kernel(e, n)
         rows = engine._draw_rows(e, _pass(n), n, 0, B)
         x = np.array([0.7])
-        got = engine.simulate_block(kern, x, rows, want_s_prime=want_s_prime)
+        got = _simulate_block(kern, x, rows, want_s_prime=want_s_prime)
         ref = _count_sweep(kern, x, rows, want_s_prime)
         steps = _matmul_sweep(kern, x, rows, want_s_prime)
         if want_s_prime:
@@ -343,7 +370,7 @@ class TestScalarSweep:
         row = engine._draw_rows(e, _pass(4), n, 0, 1)[0]
         rng = np.random.default_rng(4)
         rows = np.stack([row[rng.permutation(n)] for _ in range(50)])
-        got = engine.simulate_block(kern, np.array([0.7]), rows, want_s_prime=True)
+        got = _simulate_block(kern, np.array([0.7]), rows, want_s_prime=True)
         assert len(np.unique(got["prod_x"])) == 1
         assert len(np.unique(got["s_x"])) == 1
 
@@ -577,7 +604,7 @@ class TestDiagonalSweep:
         kern = precompute_kernel(e, n)
         rows = engine._draw_rows(e, _pass(n), n, 0, B)
         x = np.linspace(1.0, -0.5, e.dim)
-        got = engine.simulate_block(kern, x, rows, want_s_prime=want_s_prime)
+        got = _simulate_block(kern, x, rows, want_s_prime=want_s_prime)
         ref = _running_sum_sweep(kern, x, rows - e.mean()[0, 0], want_s_prime)
         steps = _diagonal_loop_sweep(kern, x, rows, want_s_prime)
         if want_s_prime:
@@ -595,8 +622,8 @@ class TestDiagonalSweep:
         # the tally is the T_n of the sweep's running sums
         e = diagonal_uniform(d, -0.5, 1.0)
         rows = engine._draw_rows(e, _pass(n), n, 0, B)
-        got = engine.simulate_block(precompute_kernel(e, n), np.ones(d), rows,
-                                    want_s_prime=True)
+        got = _simulate_block(precompute_kernel(e, n), np.ones(d), rows,
+                              want_s_prime=True)
         assert set(got) == {"prod_x", "s_x", "s_prime_x", "tally"}
         assert np.array_equal(got["tally"], _diagonal_tally(e, rows))
 
@@ -777,7 +804,7 @@ class TestChunkingInvariance:
         x = np.linspace(1.0, -0.5, d)
 
         def sweep(r):
-            out = engine.simulate_block(kern, x, r, want_s_prime=True)
+            out = _simulate_block(kern, x, r, want_s_prime=True)
             del out["tally"]  # a chunk's counts, not a row's
             out.update(engine.diff_pair_block(kern, x, r, [1, 6, n]))
             return out
@@ -799,7 +826,7 @@ class TestChunkingInvariance:
         x = np.linspace(1.0, -0.5, d)
 
         def sweep():
-            out = engine.simulate_block(kern, x, rows, want_s_prime=True)
+            out = _simulate_block(kern, x, rows, want_s_prime=True)
             out.update(engine.diff_pair_block(kern, x, rows, [1, 6, 12]))
             return out
 
@@ -817,8 +844,8 @@ class TestChunkingInvariance:
         kern = precompute_kernel(e, 16)
         rows = engine._draw_rows(e, _pass(3), 16, 0, 50)
         x = np.linspace(1.0, -0.5, 33)
-        alone = engine.simulate_block(kern, x, rows)["prod_x"]
-        full = engine.simulate_block(kern, x, rows, want_s_prime=True)
+        alone = _simulate_block(kern, x, rows)["prod_x"]
+        full = _simulate_block(kern, x, rows, want_s_prime=True)
         assert np.array_equal(alone, full["prod_x"])
 
     @pytest.mark.parametrize("fix", ["dense3", "fs9", "diag3", "fs16m4"])
