@@ -42,9 +42,10 @@ index order.  A martingale chunk sweeps its rows once: the sweep of
 :func:`simulate_block` also carries the prefix states of the difference
 pairs at the :func:`probe_steps` of n (three more planes of the grouped
 sweep; for an entrywise law, the running sums T_{k-1} that its walk to T_n
-passes), and :func:`diff_pair_block` makes the pairs from them.  Each result
-is reduced row by row, so one pass serves every statistic.  Chunks of the
-grouped sweep are narrow enough for its state planes to stay in L2.
+passes), and :func:`diff_pair_block` makes the pairs from them; no other
+code sweeps for them.  Each result is reduced row by row, so one pass
+serves every statistic.  Chunks of the grouped sweep are narrow enough for
+its state planes to stay in L2.
 
 Per chunk of B replicates and one k-sweep (k = n .. 1) the engine updates
 
@@ -348,16 +349,16 @@ def _tile_layout(idx, m: int, prev):
     return slots[-1], ntiles.tolist(), fill, group, counts.sum(axis=0)
 
 
-def _grouped_sweep(kern, x, rows, *, want_v: bool, want_s_prime: bool, ks=()):
+def _grouped_sweep(kern, x, rows, want_s_prime: bool):
     """The sweep of finite support at d >= 2, grouped by the drawn index.
 
-    Returns the end states asked for, in replicate order: ``v`` (the product
-    applied to x) with ``want_v``, ``s`` and ``u`` with ``want_s_prime``, as in
-    :func:`simulate_block`; the ``(1, m)`` tally of the indices drawn at the
-    steps swept, all n of them when it multiplies v or u; and a dict of
-    ``pref[k]``, the prefix product e^{A_1/n} ... e^{A_{k-1}/n} applied to
-    (A_k - EA) Q^{n-k} x, for each k in ``ks``: a state that starts at zero
-    and has z_k added at step k, as u has every z_k.
+    Returns the end states, in replicate order: ``v``, the product applied
+    to x; with ``want_s_prime`` ``s`` and ``u``, as in :func:`simulate_block`
+    (else None); the ``(1, m)`` tally of the indices drawn at all n steps;
+    and a dict of ``pref[k]``, the prefix product e^{A_1/n} ... e^{A_{k-1}/n}
+    applied to (A_k - EA) Q^{n-k} x, for each of the :func:`probe_steps` k
+    of n with ``want_s_prime`` (else empty): a state that starts at zero and
+    has z_k added at step k, as u has every z_k.
 
     The states are planes of one array, their rows laid out in tiles of
     ``_TILE`` rows by :func:`_tile_layout`.  Each step gathers the planes into
@@ -367,8 +368,8 @@ def _grouped_sweep(kern, x, rows, *, want_v: bool, want_s_prime: bool, ks=()):
     Rows past a group's end repeat another row and are never read back.  A
     GEMM row's bits depend on its own values and on the row count of its
     call, not on the rows beside it, so no output depends on the chunk.  S is
-    summed in replicate order.  The difference planes come by descending k,
-    so the planes a step multiplies are always the leading ``live`` ones.
+    summed in replicate order.  The prefix planes come by descending k, so
+    the planes a step multiplies are always the leading ``live`` ones.
     """
     e, n = kern.ensemble, kern.n
     d, B, T = e.dim, rows.shape[0], _TILE
@@ -376,13 +377,12 @@ def _grouped_sweep(kern, x, rows, *, want_v: bool, want_s_prime: bool, ks=()):
     ets = np.ascontiguousarray(kern.exps.transpose(0, 2, 1))
     m = len(ets)
     ws, zs = _s_tables(kern, x) if want_s_prime else (None, None)
-    ks = sorted(set(ks), reverse=True)
+    ks = probe_steps(n)[::-1] if want_s_prime else []
     zk = [e._deltas @ (kern.q_powers[n - k] @ x) for k in ks]  # (m, d) each
-    live = want_v + want_s_prime  # planes multiplied at the current step
+    live = 1 + want_s_prime  # planes multiplied at the current step: v, u
     planes = live + len(ks)
     start = np.zeros((live, d))  # every row starts as v = x, u = 0
-    if want_v:
-        start[0] = x
+    start[0] = x
     state = np.broadcast_to(start[:, None], (live, B, d))  # in replicate order
     slot, tally = np.arange(B), 0
     s = np.zeros((B, d)) if want_s_prime else None
@@ -392,8 +392,8 @@ def _grouped_sweep(kern, x, rows, *, want_v: bool, want_s_prime: bool, ks=()):
     steps = rows.T  # (n, B), contiguous for rows from _draw_rows
     size = max(1, _LAYOUT_BLOCK // max(B, m))
     per_call = max(1, _GEMM_BLOCK // (d * d))  # tiles per matmul call
-    nxt = 0  # the next difference plane to start
-    for hi in range(n if live else ks[0], 0, -size):
+    nxt = 0  # the next prefix plane to start
+    for hi in range(n, 0, -size):
         lo = max(0, hi - size)
         slot, ntiles, fill, group, counts = _tile_layout(steps[lo:hi][::-1], m, slot)
         tally = tally + counts
@@ -404,23 +404,20 @@ def _grouped_sweep(kern, x, rows, *, want_v: bool, want_s_prime: bool, ks=()):
             t0 += nt
             grow = nxt < len(ks) and ks[nxt] == k
             out = dst[: (live + grow) * nt * T * d].reshape(live + grow, nt, T, d)
-            if live:
-                tiles = src[: live * nt * T * d].reshape(live, nt * T, d)
-                np.take(state, fill[r, : nt * T], axis=1, out=tiles, mode="clip")
-                tiles = tiles.reshape(live, nt, T, d)
-                for a in range(0, nt, per_call):
-                    np.matmul(tiles[:, a : a + per_call], ets.take(g[a : a + per_call], axis=0),
-                              out=out[:live, a : a + per_call])
+            tiles = src[: live * nt * T * d].reshape(live, nt * T, d)
+            np.take(state, fill[r, : nt * T], axis=1, out=tiles, mode="clip")
+            tiles = tiles.reshape(live, nt, T, d)
+            for a in range(0, nt, per_call):
+                np.matmul(tiles[:, a : a + per_call], ets.take(g[a : a + per_call], axis=0),
+                          out=out[:live, a : a + per_call])
             if want_s_prime:
-                out[int(want_v)] += zs[:, k - 1].take(g, axis=0)[:, None]
+                out[1] += zs[:, k - 1].take(g, axis=0)[:, None]
+                s += ws[:, k - 1].take(steps[k - 1], axis=0)
             if grow:
                 out[live] = zk[nxt].take(g, axis=0)[:, None]
                 live, nxt = live + 1, nxt + 1
             state = out.reshape(live, nt * T, d)
-            if want_s_prime:
-                s += ws[:, k - 1].take(steps[k - 1], axis=0)
-    ends = list(np.take(state, slot, axis=1))  # back to replicate order
-    v = ends.pop(0) if want_v else None
+    v, *ends = np.take(state, slot, axis=1)  # back to replicate order
     u = ends.pop(0) if want_s_prime else None
     return v, s, u, tally[None], dict(zip(ks, ends))
 
@@ -431,16 +428,13 @@ def _entrywise(e) -> bool:
 
 
 def _entrywise_terms(kern, rows):
-    """``centered``, ``factors`` and ``running`` of an :func:`_entrywise` law,
-    on flat ``(B d,)`` rows.
+    """``centered`` and ``factors`` of an :func:`_entrywise` law, on flat
+    ``(B d,)`` rows.
 
     ``centered(lo, hi)`` gives Δ = a - EA and ``factors(lo, hi, out)`` writes
     e^{a/n} for the steps lo+1, ..., hi, one row a step, where a is a step's
-    drawn entries.  ``running(counts)`` gives the running sum of the centered
-    draws, T_c = Δ_1 + ... + Δ_c, added in step order, for each of the
-    ascending ``counts``: a block of steps at a time, whose row 0 is the sum
-    so far.  At d=1 the rows hold support indices, and Δ and e^{a/n} are
-    gathered from per-index tables.
+    drawn entries.  At d=1 the rows hold support indices, and Δ and e^{a/n}
+    are gathered from per-index tables.
     """
     e, n = kern.ensemble, kern.n
     steps = rows.swapaxes(0, 1).reshape(n, -1)  # (n, B d), a view for rows from _draw_rows
@@ -452,20 +446,7 @@ def _entrywise_terms(kern, rows):
         mean = e.mean()[0, 0]
         factors = lambda lo, hi, out: np.exp(steps[lo:hi] / n, out=out)
         centered = lambda lo, hi, out=None: np.subtract(steps[lo:hi], mean, out=out)
-
-    def running(counts):
-        width = steps.shape[1]
-        size = max(1, _SWEEP_BLOCK // width)
-        acc = np.zeros((size + 1, width))  # row 0: T so far; row 1 + r: Δ of step lo+1+r
-        sums, done = np.empty((len(counts), width)), 0
-        for i, c in enumerate(counts):
-            for lo in range(done, c, size):
-                hi = min(lo + size, c)
-                centered(lo, hi, acc[1 : hi - lo + 1])
-                acc[0] = _add_steps(acc[: hi - lo + 1])
-            sums[i], done = acc[0], c
-        return sums
-    return centered, factors, running
+    return centered, factors
 
 
 def _sum_ends(kern, x, t):
@@ -488,30 +469,50 @@ def _elementwise_sweep(kern, x, rows, want_s_prime: bool):
     (P_{k-1} Δ_k P_{n-k} = p_{n-1} Δ_k): at d=1 from the rows' index counts
     (:func:`_count_sums`), and for diagonal draws their running sum, which
     is also the tally.  With ``want_s_prime`` only the S' recurrence runs
-    step by step (:func:`_backward_sum`), and the prefix states at the
-    :func:`probe_steps` of n come from the running sums T_{k-1}; for
-    diagonal draws the walk that gives T_n passes them on its way.  The
-    recurrence runs first, so that its blocks are freed before the sums are
-    taken: with the sums held through it, a worker of the diag8 benchmark
-    workload peaked 0.3 MiB higher.  Returns v, s, u (None without
-    ``want_s_prime``), the tally, and the prefixes (None without
-    ``want_s_prime``).
+    step by step (:func:`_backward_sum`), and the prefix state at each of
+    the :func:`probe_steps` k of n is p_{k-1} e^{T_{k-1}/n} Δ_k Q^{n-k} x,
+    from the running sum T_{k-1}; for diagonal draws the walk that gives
+    T_n passes them on its way.  The running sums are added in step order,
+    a block of ``_SWEEP_BLOCK`` entries' worth of steps at a time, whose
+    row 0 is the sum so far.  The recurrence runs first, so that its blocks
+    are freed before the sums are taken: with the sums held through it, a
+    worker of the diag8 benchmark workload peaked 0.3 MiB higher.  Returns
+    v, s, u (None without ``want_s_prime``), the tally, and the prefixes
+    (None without ``want_s_prime``).
     """
     e, n, B = kern.ensemble, kern.n, rows.shape[0]
-    centered, factors, running = _entrywise_terms(kern, rows)
-    u = xt = None
+    centered, factors = _entrywise_terms(kern, rows)
     if want_s_prime:
         xt = np.tile(np.asarray(x, dtype=float), B)  # x in every row
         u = _backward_sum(kern, xt, centered, factors).reshape(B, e.dim)
     ks = probe_steps(n) if want_s_prime else []
+    counts = [k - 1 for k in ks]  # the c of each running sum T_c taken, ascending
     if _counted(e):
         t, tally = _count_sums(e, _row_counts(e, rows))
-        sums = running([k - 1 for k in ks])
     else:
-        *sums, t = running([k - 1 for k in ks] + [n])
+        counts.append(n)
+    width = B * e.dim
+    size = max(1, _SWEEP_BLOCK // width)
+    acc = np.zeros((size + 1, width))  # row 0: T so far; row 1 + r: Δ of step lo+1+r
+    sums, done = np.empty((len(counts), width)), 0
+    for i, c in enumerate(counts):
+        for lo in range(done, c, size):
+            hi = min(lo + size, c)
+            centered(lo, hi, acc[1 : hi - lo + 1])
+            acc[0] = _add_steps(acc[: hi - lo + 1])
+        sums[i], done = acc[0], c
+    del acc  # not held through the end states: it would raise a chunk's peak
+    if not _counted(e):
+        *sums, t = sums
         tally = t.reshape(B, e.dim)
     v, s = _sum_ends(kern, x, t)
-    pref = _entrywise_prefixes(kern, xt, centered, ks, sums) if want_s_prime else None
+    if not want_s_prime:
+        return v, s, None, tally, None
+    p, q = kern.p_powers[:, 0, 0], kern.q_powers[:, 0, 0]
+    pref = {}
+    for k, tk in zip(ks, sums):
+        z = centered(k - 1, k)[0] * (q[n - k] * xt)  # Δ_k Q^{n-k} x
+        pref[k] = (p[k - 1] * np.exp(tk / n) * z).reshape(B, e.dim)
     return v, s, u, tally, pref
 
 
@@ -535,20 +536,6 @@ def _backward_sum(kern, xt, centered, factors):
     return u
 
 
-def _entrywise_prefixes(kern, xt, centered, ks, sums):
-    """The prefix states of an :func:`_entrywise` law, as ``(B, d)`` rows:
-    p_{k-1} e^{T_{k-1}/n} Δ_k Q^{n-k} x for each k of the ascending ``ks``,
-    from ``sums``, the flat running sums T_{k-1} of :func:`_entrywise_terms`,
-    and ``xt``, x in every row, flat."""
-    n = kern.n
-    p, q = kern.p_powers[:, 0, 0], kern.q_powers[:, 0, 0]
-    out = {}
-    for k, t in zip(ks, sums):
-        z = centered(k - 1, k)[0] * (q[n - k] * xt)  # Δ_k Q^{n-k} x
-        out[k] = (p[k - 1] * np.exp(t / n) * z).reshape(-1, kern.ensemble.dim)
-    return out
-
-
 def simulate_block(kern, x, rows, *, want_s_prime: bool = False):
     """Run one chunk of replicates; returns per-row end states.
 
@@ -564,12 +551,8 @@ def simulate_block(kern, x, rows, *, want_s_prime: bool = False):
     :func:`_elementwise_sweep`, whose sums give the same bits as a per-step
     loop of theirs; finite support at d >= 2 runs :func:`_grouped_sweep`.
     """
-    if _entrywise(kern.ensemble):
-        v, s, u, tally, pref = _elementwise_sweep(kern, x, rows, want_s_prime)
-    else:
-        ks = probe_steps(kern.n) if want_s_prime else ()
-        v, s, u, tally, pref = _grouped_sweep(kern, x, rows, want_v=True,
-                                              want_s_prime=want_s_prime, ks=ks)
+    sweep = _elementwise_sweep if _entrywise(kern.ensemble) else _grouped_sweep
+    v, s, u, tally, pref = sweep(kern, x, rows, want_s_prime)
     if not want_s_prime:
         return {"prod_x": v}
     return {"prod_x": v, "s_x": s, "s_prime_x": u, "tally": tally, "prefixes": pref}
@@ -591,10 +574,9 @@ def simulate_paths(e, kern, x, y, stream, reps: int, *, first: int = 0,
     and the :func:`diff_dots` of the difference pairs at the
     :func:`probe_steps` of n.  Each chunk sweeps its rows once: the
     :func:`diff_pair_block` call of a martingale chunk takes the prefix
-    states that :func:`simulate_block` swept, with the bits that its own
-    sweep would give.  A :func:`_counted` pass without S' draws no rows:
-    each chunk's index counts come straight from its words
-    (:func:`_draw_counts`), with the bits of its rows' counts.
+    states that :func:`simulate_block` swept.  A :func:`_counted` pass
+    without S' draws no rows: each chunk's index counts come straight from
+    its words (:func:`_draw_counts`), with the bits of its rows' counts.
     """
     n = kern.n
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -628,37 +610,27 @@ def simulate_paths(e, kern, x, y, stream, reps: int, *, first: int = 0,
                           for lo, hi in chunk_ranges(e, n, reps)])
 
 
-def diff_pair_block(kern, x, rows, ks, prefixes=None):
+def diff_pair_block(kern, x, rows, ks, prefixes):
     """Rows of d_{n,k} x - d'_{n,k} x for each k in ks.
 
     d_{n,k} x is the S term of step k; d'_{n,k} x applies the random prefix
     e^{A_1/n} ... e^{A_{k-1}/n} to its S' input (A_k - EA) Q^{n-k} x, and
-    ``prefixes`` may give those prefix states, keyed by k, as
-    :func:`simulate_block` returns them for the rows it swept.  Without them
-    they are swept here: an :func:`_entrywise` law takes the prefix as
-    p_{k-1} e^{T_{k-1}/n} from the running sums of :func:`_entrywise_terms`,
-    and finite support at d >= 2 runs :func:`_grouped_sweep` with only ks
-    asked for; either gives the bits of the sweep's own prefixes.  An
-    entrywise law takes the S term as p_{n-1} Δ_k x.  Cost O(max(ks) d) per
-    row for an entrywise law, O(sum(ks) d^2) otherwise, or O(len(ks) d)
-    with ``prefixes``.
+    ``prefixes`` gives those prefix states, keyed by k, as
+    :func:`simulate_block` returns them for the rows it swept.  The S term
+    is p_{n-1} Δ_k x for an :func:`_entrywise` law, and a lookup in a
+    per-index table otherwise.  Cost O(len(ks) d) per row.
     """
     e, n = kern.ensemble, kern.n
     root_n = np.sqrt(float(n))
-    ks = sorted(ks)
     out = {}
     if _entrywise(e):
         p = kern.p_powers[:, 0, 0]
-        centered, _, running = _entrywise_terms(kern, rows)
+        centered, _ = _entrywise_terms(kern, rows)
         xt = np.tile(np.asarray(x, dtype=float), rows.shape[0])
-        if prefixes is None:
-            prefixes = _entrywise_prefixes(kern, xt, centered, ks, running([k - 1 for k in ks]))
         for k in ks:
             s_k = (p[n - 1] * (centered(k - 1, k)[0] * xt)).reshape(-1, e.dim)
             out[k] = (s_k - prefixes[k]) / root_n
         return out
-    if prefixes is None:
-        *_, prefixes = _grouped_sweep(kern, x, rows, want_v=False, want_s_prime=False, ks=ks)
     for k in ks:
         pnk_x = kern.p_powers[n - k] @ x
         d_table = np.einsum("ij,mj->mi", kern.p_powers[k - 1], e._deltas @ pnk_x) / root_n

@@ -3,7 +3,7 @@
 ``perfbench/layers.py`` wraps expclt functions in span recorders and its
 counters read their arguments and results: ``Ensemble.is_finite_support``,
 ``sigma_full(...).nodes`` and ``diff_pair_block``'s positional
-``(kern, x, rows, ks)``. A rename there crashes only the traced benchmark
+``(kern, x, rows, ks, prefixes)``. A rename there crashes only the traced benchmark
 run, so this test runs a tiny all-suite config of each family through the
 same wraps. The benchmark files are imported without writing bytecode next
 to them, and monkeypatch restores every wrapped attribute.

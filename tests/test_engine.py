@@ -20,30 +20,31 @@ def _replicate(stream, e, n, i):
     return stream.at(i * n * e.entries_per_draw)
 
 
-def _diff_rows(e, kern, x, stream, reps, ks, width=None):
-    """engine.diff_pair_block rows of replicates 0 .. reps-1 of the pass
-    ``stream``, drawn in one block, or in blocks of ``width`` and joined in
-    index order."""
+def _pairs(kern, x, rows, ks=None):
+    """engine.diff_pair_block rows at ``ks`` (the probe steps of n unless
+    given, a subset of them) from the prefix states that simulate_block
+    sweeps for ``rows``."""
+    prefixes = engine.simulate_block(kern, x, rows, want_s_prime=True)["prefixes"]
+    return engine.diff_pair_block(kern, x, rows, sorted(prefixes) if ks is None else ks,
+                                  prefixes)
+
+
+def _diff_rows(e, kern, x, stream, reps, width=None):
+    """Difference rows at the probe steps of n of replicates 0 .. reps-1 of
+    the pass ``stream``, drawn in one block, or in blocks of ``width`` and
+    joined in index order."""
     width = width or reps
     return engine.concat_chunks([
-        engine.diff_pair_block(kern, x, engine._draw_rows(
-            e, stream, kern.n, lo, min(lo + width, reps)), ks)
+        _pairs(kern, x, engine._draw_rows(e, stream, kern.n, lo, min(lo + width, reps)))
         for lo in range(0, reps, width)])
 
 
 def _simulate_block(kern, x, rows, *, want_s_prime=False):
-    """engine.simulate_block's end states. With ``want_s_prime`` the prefix
-    states it returns must give diff_pair_block the bits of the prefixes
-    that diff_pair_block sweeps on its own; they are checked and removed."""
+    """engine.simulate_block's end states. With ``want_s_prime`` its prefix
+    states, one per probe step of n, are checked to be there and removed."""
     got = engine.simulate_block(kern, x, rows, want_s_prime=want_s_prime)
     if want_s_prime:
-        ks = engine.probe_steps(kern.n)
-        prefixes = got.pop("prefixes")
-        assert sorted(prefixes) == ks
-        alone = engine.diff_pair_block(kern, x, rows, ks)
-        fused = engine.diff_pair_block(kern, x, rows, ks, prefixes)
-        for k in ks:
-            assert np.array_equal(fused[k], alone[k]), k
+        assert sorted(got.pop("prefixes")) == engine.probe_steps(kern.n)
     return got
 
 
@@ -158,15 +159,14 @@ class TestReferenceParity:
     def test_a_martingale_pass_reads_the_dots_of_its_rows(self, fix, n, width, request,
                                                           monkeypatch):
         # the dots at probe_steps(n), odd n's ceil(n/2) included, are those of
-        # the difference pairs of the rows the pass drew, bit for bit: the
-        # pass takes their prefixes from its path sweep, at any chunk width
-        # (64 cuts 70 rows in two chunks), and diff_pair_block sweeps all 70
-        # rows on its own
+        # the difference pairs of the rows the pass drew, bit for bit, at any
+        # chunk width (64 cuts 70 rows in two chunks); the reference sweeps
+        # all 70 rows in one block
         e = request.getfixturevalue(fix)
         kern = precompute_kernel(e, n)
         x = np.linspace(1.0, -0.5, e.dim)
         ks = engine.probe_steps(n)
-        ref = engine.diff_dots(_diff_rows(e, kern, x, _pass(2), 70, ks))
+        ref = engine.diff_dots(_diff_rows(e, kern, x, _pass(2), 70))
         if width is not None:
             monkeypatch.setattr(engine, "batch_size", lambda *a: width)
         out = engine.simulate_paths(e, kern, x, x, _pass(2), 70, want_s_prime=True)
@@ -293,8 +293,8 @@ class TestStackedSweep:
         kern = precompute_kernel(e, n)
         rows = engine._draw_rows(e, _pass(n), n, 0, 37)
         x = np.linspace(1.0, -0.5, d)
-        ks = sorted({1, (n + 1) // 2, n})
-        got = engine.diff_pair_block(kern, x, rows, ks)
+        ks = engine.probe_steps(n)
+        got = _pairs(kern, x, rows)
         ref = _matmul_diff_pairs(kern, x, rows, ks)
         assert set(got) == set(ref)
         for k in ks:
@@ -347,16 +347,17 @@ class TestScalarSweep:
             _assert_rows_close(got[key], steps[key])
 
     @pytest.mark.parametrize("m", [2, 5])
-    @pytest.mark.parametrize("n", [7, 300, 1025])
+    @pytest.mark.parametrize("n", [3, 4, 7, 300, 1025])
     def test_diff_pairs_bit_identical_to_cumsum(self, m, n):
-        # the running sums take 885 steps a block at B = 37: n = 1025 takes two
+        # the running sums take 885 steps a block at B = 37: n = 1025 takes
+        # two; n = 3 and 4 probe k = 2
         rng = np.random.default_rng(m)
         e = finite_support([[[a]] for a in rng.uniform(-2.0, 2.0, m)],
                            rng.dirichlet(np.ones(m)))
         kern = precompute_kernel(e, n)
         rows = engine._draw_rows(e, _pass(n), n, 0, 37)
-        x, ks = np.array([0.7]), sorted({1, 2, (n + 1) // 2, n})
-        got = engine.diff_pair_block(kern, x, rows, ks)
+        x, ks = np.array([0.7]), engine.probe_steps(n)
+        got = _pairs(kern, x, rows)
         ref = _running_sum_diff_pairs(kern, x, e._deltas[rows, 0], ks)
         for k in ks:
             assert np.array_equal(got[k], ref[k])
@@ -377,17 +378,15 @@ class TestScalarSweep:
     def test_difference_pairs_never_group(self, monkeypatch):
         # d = 1 sweeps and pairs its rows entrywise: no step sorts them
         e = finite_support([[[-1.0]], [[0.5]], [[2.0]]], [0.2, 0.5, 0.3])
-        n, ks = 64, (1, 32, 64)
+        n = 64
         kern = precompute_kernel(e, n)
         calls = []
         real = engine._grouped_sweep
         monkeypatch.setattr(engine, "_grouped_sweep",
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
         x = np.array([0.7])
-        assert engine.probe_steps(n) == list(ks)
         engine.simulate_paths(e, kern, x, x, _pass(5), 40, want_s_prime=True)
-        rows = engine._draw_rows(e, _pass(5), n, 0, 40)
-        engine.diff_pair_block(kern, x, rows, ks)
+        _pairs(kern, x, engine._draw_rows(e, _pass(5), n, 0, 40))
         assert calls == []
 
 
@@ -628,15 +627,15 @@ class TestDiagonalSweep:
         assert np.array_equal(got["tally"], _diagonal_tally(e, rows))
 
     @pytest.mark.parametrize("d", [1, 3, 8])
-    @pytest.mark.parametrize("n", [7, 64, 300])
+    @pytest.mark.parametrize("n", [3, 4, 7, 64, 300])  # 3 and 4 probe k = 2
     @pytest.mark.parametrize("B", [1, 2, 37])
     def test_diff_pair_block_matches_cumsum(self, d, n, B):
         e = diagonal_uniform(d, -0.5, 1.0)
         kern = precompute_kernel(e, n)
         rows = engine._draw_rows(e, _pass(n), n, 0, B)
         x = np.linspace(1.0, -0.5, d)
-        ks = sorted({1, 2, (n + 1) // 2, n})
-        got = engine.diff_pair_block(kern, x, rows, ks)
+        ks = engine.probe_steps(n)
+        got = _pairs(kern, x, rows)
         ref = _running_sum_diff_pairs(kern, x, rows - e.mean()[0, 0], ks)
         for k in ks:
             assert np.array_equal(got[k], ref[k])
@@ -748,10 +747,10 @@ class TestChunkingInvariance:
         e = request.getfixturevalue(fix)
         kern = precompute_kernel(e, 16)
         x = np.linspace(1.0, -0.5, e.dim)
-        ks = (1, 8, 16)
+        ks = engine.probe_steps(16)
         for reps in (50, 49):
-            whole = _diff_rows(e, kern, x, _pass(23), reps, ks)
-            split = _diff_rows(e, kern, x, _pass(23), reps, ks, width=3)
+            whole = _diff_rows(e, kern, x, _pass(23), reps)
+            split = _diff_rows(e, kern, x, _pass(23), reps, width=3)
             for k in ks:
                 assert np.array_equal(whole[k], split[k])
 
@@ -783,8 +782,8 @@ class TestChunkingInvariance:
         kern = precompute_kernel(e, 16)
         x = np.linspace(1.0, -0.5, d)
         for reps in (50, 49):
-            whole = _diff_rows(e, kern, x, _pass(31), reps, (1, 8, 16))
-            split = _diff_rows(e, kern, x, _pass(31), reps, (1, 8, 16), width=3)
+            whole = _diff_rows(e, kern, x, _pass(31), reps)
+            split = _diff_rows(e, kern, x, _pass(31), reps, width=3)
             for k in (1, 8, 16):
                 assert np.array_equal(whole[k], split[k]), k
 
@@ -804,9 +803,10 @@ class TestChunkingInvariance:
         x = np.linspace(1.0, -0.5, d)
 
         def sweep(r):
-            out = _simulate_block(kern, x, r, want_s_prime=True)
+            out = engine.simulate_block(kern, x, r, want_s_prime=True)
             del out["tally"]  # a chunk's counts, not a row's
-            out.update(engine.diff_pair_block(kern, x, r, [1, 6, n]))
+            assert engine.probe_steps(n) == [1, 6, n]
+            out.update(engine.diff_pair_block(kern, x, r, [1, 6, n], out.pop("prefixes")))
             return out
 
         whole = sweep(rows)
@@ -826,8 +826,8 @@ class TestChunkingInvariance:
         x = np.linspace(1.0, -0.5, d)
 
         def sweep():
-            out = _simulate_block(kern, x, rows, want_s_prime=True)
-            out.update(engine.diff_pair_block(kern, x, rows, [1, 6, 12]))
+            out = engine.simulate_block(kern, x, rows, want_s_prime=True)
+            out.update(engine.diff_pair_block(kern, x, rows, [1, 6, 12], out.pop("prefixes")))
             return out
 
         whole = sweep()
@@ -899,14 +899,13 @@ class TestChunkingInvariance:
         kern = precompute_kernel(e, 16)
         x = np.linspace(1.0, -0.5, e.dim)
         ks = engine.probe_steps(16)
-        ref = dot_moments(16, ks, engine.diff_dots(
-            _diff_rows(e, kern, x, _pass(5), 50, ks)))
+        ref = dot_moments(16, ks, engine.diff_dots(_diff_rows(e, kern, x, _pass(5), 50)))
         with monkeypatch.context() as mp:
             mp.setattr(engine, "batch_size", lambda *a: 3)
             out = engine.simulate_paths(e, kern, x, x, _pass(5), 50, want_s_prime=True)
         assert dot_moments(16, ks, out) == ref
         r = RngStream(5)
-        rows = _diff_rows(e, kern, x, r.child(16), 100, ks)
+        rows = _diff_rows(e, kern, x, r.child(16), 100)
         assert diff_moment_curve(e, [16], x, 100, r) == [
             dot_moments(16, ks, engine.diff_dots(rows))]
 
@@ -940,9 +939,8 @@ class TestRowBytes:
             assert ("tally" in out) == want_s_prime
         chunks = len(engine.chunk_ranges(e, 8, reps))
         assert out["tally"].nbytes <= chunks * engine.pass_bytes(e, 8)[2]
-        ks = (1, 4, 8)
-        out = _diff_rows(e, kern, x, _pass(3), reps, ks)
-        assert sum(v.nbytes for v in out.values()) == reps * 8 * e.dim * len(ks)
+        out = _diff_rows(e, kern, x, _pass(3), reps)
+        assert sum(v.nbytes for v in out.values()) == reps * 8 * e.dim * 3
 
     @pytest.mark.parametrize("n", [1, 2, 8])  # 1, 2 and 3 probe steps
     def test_path_pass_bytes_count_the_dots(self, dense3, n):
@@ -998,7 +996,8 @@ class TestDiffPairBlock:
         kern = precompute_kernel(dense3, n)
         rows = engine._draw_rows(dense3, _pass(5), n, 0, B)
         ks = [1, 6, 12]
-        block = engine.diff_pair_block(kern, x, rows, ks)
+        block = _pairs(kern, x, rows)
+        assert sorted(block) == ks
         mean = dense3.mean()
         for b in range(B):
             draws = [dense3.support[j] for j in rows[b]]
@@ -1017,7 +1016,8 @@ class TestDiffPairBlock:
         kern = precompute_kernel(diag3, n)
         rows = engine._draw_rows(diag3, _pass(8), n, 0, B)
         ks = [1, 5, 10]
-        block = engine.diff_pair_block(kern, x, rows, ks)
+        block = _pairs(kern, x, rows)
+        assert sorted(block) == ks
         mid = 0.5 * (diag3.low + diag3.high)
         qc = float(kern.q_powers[1][0, 0])
         for b in range(B):
@@ -1038,11 +1038,35 @@ class TestDiffPairBlock:
         x = np.array([1.0, 0.0, 0.0])
         kern = precompute_kernel(dense3, n)
         rows = engine._draw_rows(dense3, _pass(2), n, 0, 1)
-        block = engine.diff_pair_block(kern, x, rows, [1])
+        block = _pairs(kern, x, rows, [1])
         a1 = dense3.support[rows[0, 0]]
         d = kern.p_powers[0] @ (a1 - dense3.mean()) @ kern.p_powers[n - 1] @ x
         z = (a1 - dense3.mean()) @ kern.q_powers[n - 1] @ x
         assert np.allclose(block[1][0], (d - z) / np.sqrt(n), rtol=1e-12)
+
+
+# n = 1 starts its only prefix plane at step 1, which no step multiplies;
+# n = 2, 3 and 4 probe k = 2, and n = 2 every step. The reference applies
+# each drawn exponential to (A_k - EA) Q^{n-k} x one matrix at a time.
+@pytest.mark.parametrize("fix", ["dense3", "fs16m4", "diag3", "scalar01"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_prefixes_match_the_brute_force_product(fix, n, request):
+    e = request.getfixturevalue(fix)
+    kern = precompute_kernel(e, n)
+    rows = engine._draw_rows(e, _pass(n), n, 0, 9)
+    x = np.linspace(1.0, -0.5, e.dim)
+    got = engine.simulate_block(kern, x, rows, want_s_prime=True)["prefixes"]
+    assert sorted(got) == engine.probe_steps(n)
+    for b, row in enumerate(rows):
+        if e.is_finite_support:
+            draws, exps = [e.support[j] for j in row], [kern.exps[j] for j in row]
+        else:
+            draws, exps = [np.diag(a) for a in row], [np.diag(np.exp(a / n)) for a in row]
+        for k in got:
+            z = (draws[k - 1] - e.mean()) @ kern.q_powers[n - k] @ x
+            for j in range(k - 1, 0, -1):
+                z = exps[j - 1] @ z
+            np.testing.assert_allclose(got[k][b], z, rtol=1e-12, atol=1e-15)
 
 
 class TestDrawRows:

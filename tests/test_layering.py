@@ -16,7 +16,10 @@ reads the stream's private state.
 Every module-level function, class or constant is named by other code in
 ``src/expclt``, the package's ``__init__.py`` aside, or is one of the
 declared entry points and reference oracles: no helper or export lives on
-for tests alone, and no constant outlives the code that read it.
+for tests alone, and no constant outlives the code that read it.  Likewise
+every optional input of an engine function, one that defaults to ``None`` or
+``()``, is left out at some call in the package: an input that every call
+supplies keeps a second path alive for tests alone.
 """
 
 import ast
@@ -221,3 +224,67 @@ def test_guard_sees_constants_read_only_by_their_assignment():
     assert _unnamed(sources, set()) == [("a", "_CHUNK"), ("a", "STEP"),
                                         ("a", "_HIGH"), ("a", "_N")]
     assert _unnamed(sources, {"STEP"}) == [("a", "_CHUNK"), ("a", "_HIGH"), ("a", "_N")]
+
+
+def _always_supplied(source: str, sources) -> list:
+    """``(function, parameter)`` for each optional input of a module-level
+    function of ``source``, a parameter that defaults to ``None`` or ``()``,
+    that every call of the function in ``sources`` supplies, by position or
+    by keyword.  A call with ``*args`` or ``**kwargs`` counts as supplying
+    it, and a function that no code calls supplies every optional input."""
+    def optional(fn):
+        """``(name, position or None)`` of each optional input of ``fn``."""
+        a = fn.args
+        positional = a.posonlyargs + a.args
+        pairs = list(zip(positional[len(positional) - len(a.defaults):], a.defaults))
+        pairs += [(p, v) for p, v in zip(a.kwonlyargs, a.kw_defaults) if v is not None]
+        return [(p.arg, positional.index(p) if p in positional else None) for p, v in pairs
+                if isinstance(v, ast.Constant) and v.value is None
+                or isinstance(v, ast.Tuple) and not v.elts]
+
+    def supplies(call, name, place):
+        return (any(isinstance(a, ast.Starred) for a in call.args)
+                or any(k.arg in (None, name) for k in call.keywords)
+                or place is not None and place < len(call.args))
+
+    calls = [node for s in sources for node in ast.walk(ast.parse(s))
+             if isinstance(node, ast.Call)]
+    found = []
+    for fn in ast.parse(source).body:
+        if isinstance(fn, ast.FunctionDef):
+            mine = [c for c in calls
+                    if getattr(c.func, "id", getattr(c.func, "attr", None)) == fn.name]
+            found += [(fn.name, name) for name, place in optional(fn)
+                      if all(supplies(c, name, place) for c in mine)]
+    return found
+
+
+def test_every_optional_engine_input_is_left_out_somewhere():
+    # an optional input that every call in the package supplies is a second
+    # path that only tests keep alive
+    sources = [p.read_text(encoding="utf-8") for p in sorted(_SRC.glob("*.py"))
+               if p.name != "__init__.py"]
+    assert _always_supplied((_SRC / "engine.py").read_text(encoding="utf-8"), sources) == []
+
+
+def test_guard_sees_optional_inputs_that_every_call_supplies():
+    source = ("def block(kern, rows, ks, prefixes=None):\n"
+              "    return kern\n"
+              "def sweep(kern, *, want, ks=()):\n"
+              "    return kern\n"
+              "def paths(e, first=0, out=None, *, extra=None, wide=(1,)):\n"
+              "    return e\n"
+              "def lone(e=None):\n"
+              "    return e\n")
+    caller = ("def run(kern, rows, args, kw):\n"
+              "    block(kern, rows, [1], {})\n"
+              "    engine.sweep(kern, want=True, ks=[2])\n"
+              "    paths(1, 0, None, extra=2)\n"
+              "    paths(*args)\n"
+              "    paths(1, **kw)\n")
+    assert _always_supplied(source, [caller]) == [
+        ("block", "prefixes"), ("sweep", "ks"), ("paths", "out"), ("paths", "extra"),
+        ("lone", "e")]
+    assert _always_supplied(source, [caller, "block(1, 2, 3)\nsweep(1, want=0)\n"
+                                             "paths(1)\n"]) == [
+        ("lone", "e")]
